@@ -10,8 +10,9 @@ Trace mode asserts, against a Chrome trace-event file produced by
 
   1. the trace is well-formed: a traceEvents array of "M"/"X" events,
      every "X" carrying name/cat/ts/dur/pid/tid with ts,dur >= 0;
-  2. every job phase (decompose, synth, optimize, map, sta, verify) that
-     consumed time in the report appears as a span at least once;
+  2. every job phase (resolve, digest, cache_lookup, decompose, synth,
+     optimize, map, sta, verify) that consumed time in the report appears
+     as a span at least once;
   3. per job fingerprint, the job.* span durations agree with the
      report's timing.phases within 5% (they are emitted from the same
      clock reads, so real drift means a bug, not noise);
@@ -29,7 +30,8 @@ Exits non-zero with a diagnostic on the first violation.
 import json
 import sys
 
-PHASES = ("decompose", "synth", "optimize", "map", "sta", "verify")
+PHASES = ("resolve", "digest", "cache_lookup", "decompose", "synth",
+          "optimize", "map", "sta", "verify")
 
 
 def fail(msg):

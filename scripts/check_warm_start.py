@@ -9,13 +9,20 @@ same `pd_cli batch --cache-file ...` command twice:
   1. every job in the warm report was served from the cache
      (cache.source is "disk" or "memory" — nothing recomputed);
   2. the warm run actually loaded the store (persist.load_status);
-  3. the semantic payload of every job — everything except timings and
+  3. the warm run expanded no spec: its engine.spec.expansions counter is
+     0 and cache.index.hits equals the job count (every registry job found
+     its key in the store's name index);
+  4. the store the warm run loaded (persist.file) is under 1 MB;
+  5. the semantic payload of every job — everything except timings and
      cache provenance — is byte-identical between the two reports.
 
 Exits non-zero with a diagnostic on the first violation.
 """
 import json
+import os
 import sys
+
+MAX_STORE_BYTES = 1 << 20
 
 
 def semantic_jobs(report):
@@ -61,6 +68,20 @@ def main():
         sys.exit(f"{warm_path}: jobs recomputed instead of served from the "
                  f"cache: {bad}")
 
+    counters = warm["observability"]["counters"]
+    expansions = counters.get("engine.spec.expansions")
+    if expansions != 0:
+        sys.exit(f"{warm_path}: engine.spec.expansions is {expansions!r}, "
+                 f"expected 0 — a warm job rebuilt its Reed-Muller form")
+    index_hits = counters.get("cache.index.hits")
+    if index_hits != len(warm["jobs"]):
+        sys.exit(f"{warm_path}: cache.index.hits is {index_hits!r}, expected "
+                 f"{len(warm['jobs'])} (one per job)")
+    store_bytes = os.path.getsize(persist["file"])
+    if store_bytes >= MAX_STORE_BYTES:
+        sys.exit(f"{persist['file']}: store is {store_bytes} bytes, expected "
+                 f"< {MAX_STORE_BYTES}")
+
     cold_sem = json.dumps(semantic_jobs(cold), sort_keys=True)
     warm_sem = json.dumps(semantic_jobs(warm), sort_keys=True)
     if cold_sem != warm_sem:
@@ -75,7 +96,8 @@ def main():
     sources = [j["cache"]["source"] for j in warm["jobs"]]
     print(f"warm-start gate OK: {n} jobs, all served from cache "
           f"({sources.count('disk')} disk, {sources.count('memory')} "
-          f"memory), results byte-identical")
+          f"memory) with no spec expansion, store {store_bytes} bytes, "
+          f"results byte-identical")
 
 
 if __name__ == "__main__":

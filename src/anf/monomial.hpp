@@ -146,6 +146,16 @@ public:
         return false;
     }
 
+    /// Lexicographic order on the ascending member lists, valid when the
+    /// degrees are equal: the lowest variable in exactly one of the two
+    /// sets decides — whoever holds it sorts first.
+    [[nodiscard]] bool membersLess(const Monomial& rhs) const {
+        for (std::size_t i = 0; i < kWords; ++i)
+            if (const std::uint64_t d = w_[i] ^ rhs.w_[i])
+                return (w_[i] & d & (0 - d)) != 0;
+        return false;
+    }
+
     [[nodiscard]] std::size_t hash() const;
 
 private:

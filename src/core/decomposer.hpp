@@ -73,7 +73,7 @@ struct DecomposeOptions {
     /// sequential). Purely a scheduling knob: the sweep is deterministic
     /// by construction, so results are bit-identical at every setting —
     /// which is why this field is excluded from the engine's options
-    /// fingerprint and cache signatures.
+    /// fingerprint and cache keys.
     std::size_t probeThreads = 0;
     /// Probe-sweep pool shared across jobs (engine-owned). When null and
     /// probeThreads > 1, the decomposer's probe context lazily spins up

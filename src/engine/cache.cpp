@@ -1,7 +1,6 @@
 #include "engine/cache.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "obs/metrics.hpp"
 
@@ -22,19 +21,22 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
         shards_.push_back(std::make_unique<Shard>());
 }
 
-ResultCache::LookupResult ResultCache::lookupOrReserve(const std::string& key) {
+ResultCache::LookupResult ResultCache::lookupOrReserve(const Key& key,
+                                                       const Accept& accept,
+                                                       bool reserve) {
     if (capacity_ == 0) return std::monostate{};
-    const std::size_t idx =
-        std::hash<std::string>{}(key) % shards_.size();
+    const std::size_t idx = shardOf(key);
     Shard& s = *shards_[idx];
+    static auto& hits = obs::counter("cache.hit");
+    static auto& misses = obs::counter("cache.miss");
 
-    std::shared_future<Value> wait;
+    std::shared_future<Value> found;
     {
         std::lock_guard lock(s.mutex);
         const auto it = s.map.find(key);
         if (it == s.map.end()) {
+            if (!reserve) return std::monostate{};
             ++s.stats.misses;
-            static auto& misses = obs::counter("cache.miss");
             misses.add();
             std::promise<Value> promise;
             Entry e;
@@ -43,22 +45,24 @@ ResultCache::LookupResult ResultCache::lookupOrReserve(const std::string& key) {
             s.map.emplace(key, std::move(e));
             return Reservation(this, idx, key, std::move(promise));
         }
-        ++s.stats.hits;
-        static auto& hits = obs::counter("cache.hit");
-        hits.add();
         it->second.lastUse = ++s.tick;
-        if (it->second.ready) return it->second.future.get();
-        wait = it->second.future;  // in-flight: wait outside the lock
+        found = it->second.future;  // in-flight: wait outside the lock
     }
-    Value v = wait.get();
-    if (v) return v;
-    // The computing job failed; its entry is gone. Compute locally without
-    // publishing (failures are not cached, and re-reserving here could
-    // livelock with other failed waiters).
+    Value v = found.get();
+    // A failed in-flight computation left no value (its entry is gone):
+    // compute locally without publishing — re-reserving here could
+    // livelock with other failed waiters. A rejected value is a miss.
+    const bool hit = v && (!accept || accept(*v));
+    {
+        std::lock_guard lock(s.mutex);
+        ++(hit ? s.stats.hits : s.stats.misses);
+    }
+    (hit ? hits : misses).add();
+    if (hit) return v;
     return std::monostate{};
 }
 
-void ResultCache::publish(std::size_t shard, const std::string& key,
+void ResultCache::publish(std::size_t shard, const Key& key,
                           bool success) {
     Shard& s = *shards_[shard];
     std::lock_guard lock(s.mutex);
@@ -132,9 +136,7 @@ std::size_t ResultCache::restore(std::vector<SnapshotEntry> entries) {
     std::size_t adopted = 0;
     for (auto& e : entries) {
         if (!e.value) continue;
-        const std::size_t idx =
-            std::hash<std::string>{}(e.key) % shards_.size();
-        Shard& s = *shards_[idx];
+        Shard& s = *shards_[shardOf(e.key)];
         std::lock_guard lock(s.mutex);
         if (s.map.contains(e.key)) continue;  // live entry wins
         std::promise<Value> promise;
@@ -144,7 +146,7 @@ std::size_t ResultCache::restore(std::vector<SnapshotEntry> entries) {
         entry.ready = true;
         entry.restored = true;
         entry.lastUse = ++s.tick;  // stamps reset: restored ≙ just used
-        s.map.emplace(std::move(e.key), std::move(entry));
+        s.map.emplace(e.key, std::move(entry));
         ++s.stats.restored;
         static auto& restored = obs::counter("cache.restored");
         restored.add();
@@ -167,6 +169,42 @@ ResultCache::Stats ResultCache::stats() const {
             total.entries += e.ready ? 1 : 0;
     }
     return total;
+}
+
+std::optional<util::Digest128> JobIndex::find(const std::string& name,
+                                              std::uint64_t stamp) const {
+    std::lock_guard lock(mutex_);
+    const auto it = map_.find(name);
+    if (it == map_.end() || it->second.stamp != stamp) return std::nullopt;
+    return it->second.digest;
+}
+
+void JobIndex::record(const Entry& e, bool restored) {
+    std::lock_guard lock(mutex_);
+    const auto [it, fresh] = map_.try_emplace(e.name);
+    if (!fresh && it->second.stamp == e.stamp && it->second.digest == e.digest)
+        return;
+    it->second = {e.stamp, e.digest, restored};
+    ++changes_;
+}
+
+std::vector<JobIndex::Entry> JobIndex::snapshot(bool localOnly) const {
+    std::vector<Entry> out;
+    {
+        std::lock_guard lock(mutex_);
+        out.reserve(map_.size());
+        for (const auto& [name, slot] : map_)
+            if (!localOnly || !slot.restored)
+                out.push_back({name, slot.stamp, slot.digest});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Entry& x, const Entry& y) { return x.name < y.name; });
+    return out;
+}
+
+std::uint64_t JobIndex::changes() const {
+    std::lock_guard lock(mutex_);
+    return changes_;
 }
 
 }  // namespace pd::engine

@@ -1,15 +1,27 @@
-// Sharded, mutex-protected result cache for the batch engine.
+// Sharded, mutex-protected result cache for the batch engine, plus the
+// name index in front of it.
 //
-// Keys are canonical signatures of the job's output ANF set plus an
-// options fingerprint (see engine::canonicalSignature): two jobs that
-// decompose the same Boolean functions under the same options map to the
-// same key, however their variables were named. The full signature string
-// is the key — no hash truncation — so a false hit is impossible.
+// Keys are 128-bit content digests of the job (see engine::canonicalDigest
+// and util/digest.hpp): the relabeled, per-output-sorted Reed-Muller term
+// stream plus an options fingerprint, streamed into two independent
+// 64-bit lanes. Two jobs that decompose the same Boolean functions under
+// the same options get the same key, however their variables were named.
+// A digest is not the content itself, so a false hit is improbable rather
+// than impossible: the engine re-simulates every benchmark hit against the
+// benchmark's reference before serving it, and a mismatch is a miss
+// (counter cache.digest_mismatch).
+//
+// JobIndex maps (registry name + options fingerprint) → (spec stamp,
+// digest), so a registry job can find its key without expanding its spec.
+// The stamp hashes what the registry builds under that name; a stale
+// entry is an index miss that costs one key recompute, never a wrong hit.
 //
 // Concurrency protocol (per shard, one mutex each):
 //   * find(key) ready      → hit: bump LRU stamp, return the value.
 //   * find(key) in-flight  → hit: wait on the computing job's future
 //                            outside the shard lock, then return its value.
+//   * either, rejected     → the caller's accept() guard said no: a miss,
+//                            and the caller computes without publishing.
 //   * miss                 → the caller receives a Reservation and must
 //                            compute; duplicates submitted meanwhile block
 //                            on the reservation's future instead of
@@ -27,20 +39,24 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "engine/job.hpp"
+#include "util/digest.hpp"
 
 namespace pd::engine {
 
 class ResultCache {
 public:
+    using Key = util::Digest128;
     using Value = std::shared_ptr<const JobResult>;
 
     struct Stats {
@@ -54,7 +70,7 @@ public:
 
     /// One ready entry as drained by snapshot() / fed to restore().
     struct SnapshotEntry {
-        std::string key;
+        Key key;
         std::shared_ptr<const JobResult> value;
         /// LRU stamp at snapshot time (larger = more recently used).
         /// Meaningful only within one cache — cross-process merges order
@@ -76,7 +92,7 @@ public:
         Reservation(Reservation&& other) noexcept
             : cache_(other.cache_),
               shard_(other.shard_),
-              key_(std::move(other.key_)),
+              key_(other.key_),
               promise_(std::move(other.promise_)),
               fulfilled_(other.fulfilled_) {
             // The moved-from object must be fully inert: a stray
@@ -96,16 +112,16 @@ public:
 
     private:
         friend class ResultCache;
-        Reservation(ResultCache* cache, std::size_t shard, std::string key,
+        Reservation(ResultCache* cache, std::size_t shard, Key key,
                     std::promise<Value> promise)
             : cache_(cache),
               shard_(shard),
-              key_(std::move(key)),
+              key_(key),
               promise_(std::move(promise)) {}
 
         ResultCache* cache_;
         std::size_t shard_;
-        std::string key_;
+        Key key_;
         std::promise<Value> promise_;
         bool fulfilled_ = false;
     };
@@ -118,14 +134,22 @@ public:
 
     /// Either a ready value (hit — may have blocked on an in-flight
     /// computation) or a Reservation the caller must fulfill, or
-    /// std::monostate when caching is disabled or an in-flight computation
-    /// failed (compute, don't publish).
+    /// std::monostate when caching is disabled, an in-flight computation
+    /// failed, or `accept` rejected the value (compute, don't publish).
     using LookupResult = std::variant<Value, Reservation, std::monostate>;
-    [[nodiscard]] LookupResult lookupOrReserve(const std::string& key);
+    /// Guard run on a found value (outside the shard lock) before it is
+    /// served; a rejected value counts as a miss.
+    using Accept = std::function<bool(const JobResult&)>;
+    /// With `reserve` false a missing key returns std::monostate without
+    /// reserving or counting a miss: a peek for a key the caller is not
+    /// sure of, ahead of the lookup by its computed key.
+    [[nodiscard]] LookupResult lookupOrReserve(const Key& key,
+                                               const Accept& accept = {},
+                                               bool reserve = true);
 
     [[nodiscard]] Stats stats() const;
 
-    /// Drains the *ready* entries (full signature key + value) for
+    /// Drains the *ready* entries (key + value) for
     /// persistence. In-flight computations are never snapshotted: their
     /// values don't exist yet, and waiting for them here would make a
     /// mid-batch flush block on the slowest job.
@@ -151,17 +175,58 @@ private:
     };
     struct Shard {
         mutable std::mutex mutex;
-        std::unordered_map<std::string, Entry> map;
+        std::unordered_map<Key, Entry, util::Digest128Hash> map;
         std::uint64_t tick = 0;
         Stats stats;
     };
 
-    void publish(std::size_t shard, const std::string& key, bool success);
+    void publish(std::size_t shard, const Key& key, bool success);
+    [[nodiscard]] std::size_t shardOf(const Key& key) const {
+        return util::Digest128Hash{}(key) % shards_.size();
+    }
     void evictIfNeeded(Shard& s);  // caller holds s.mutex
 
     std::size_t capacity_;
     std::size_t perShardCapacity_;
     std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+/// Thread-safe (registry name + options fingerprint) → (spec stamp,
+/// digest) map; persisted with the store and shipped over the shard wire.
+class JobIndex {
+public:
+    struct Entry {
+        std::string name;  ///< registry name + options fingerprint
+        std::uint64_t stamp = 0;
+        util::Digest128 digest;
+    };
+
+    /// The digest recorded for `name` under exactly `stamp`; nullopt when
+    /// absent or stale.
+    [[nodiscard]] std::optional<util::Digest128> find(
+        const std::string& name, std::uint64_t stamp) const;
+
+    /// Inserts, or overwrites an entry whose value differs. `restored`
+    /// marks entries adopted from a store, which local-only snapshots
+    /// leave out.
+    void record(const Entry& e, bool restored = false);
+
+    /// Every entry sorted by name; `localOnly` drops restored entries.
+    [[nodiscard]] std::vector<Entry> snapshot(bool localOnly = false) const;
+
+    /// Number of record() calls that changed the map: a flush is due when
+    /// it moved since the last one.
+    [[nodiscard]] std::uint64_t changes() const;
+
+private:
+    struct Slot {
+        std::uint64_t stamp = 0;
+        util::Digest128 digest;
+        bool restored = false;
+    };
+    mutable std::mutex mutex_;
+    std::unordered_map<std::string, Slot> map_;
+    std::uint64_t changes_ = 0;
 };
 
 }  // namespace pd::engine

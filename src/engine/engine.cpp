@@ -1,10 +1,10 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <optional>
 #include <ctime>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "anf/parser.hpp"
@@ -39,12 +39,6 @@ std::uint64_t toNs(std::chrono::steady_clock::time_point tp) {
             .count());
 }
 
-/// Clears the thread's span fingerprint when a job leaves execute() by
-/// any path (return, throw): the pool thread will run other jobs next.
-struct FingerprintScope {
-    ~FingerprintScope() { obs::setJobFingerprint(0); }
-};
-
 /// CPU time of the calling thread in milliseconds (0 where unsupported).
 double threadCpuMs() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
@@ -62,33 +56,89 @@ double wallMsSince(std::chrono::steady_clock::time_point start) {
         .count();
 }
 
-/// The job's working set: expressions plus the table they live in.
+/// One job's phase clock. A single clock read closes a phase AND opens
+/// the next, and a phase's span is the same interval as its
+/// timing.phases slot, so the trace's per-phase sums match the report
+/// exactly. Spans closed before the job's digest — its span fingerprint —
+/// is known are held back and emitted once it is. Clears the thread's
+/// fingerprint when the job leaves execute() by any path: the pool thread
+/// will run other jobs next.
+class PhaseClock {
+public:
+    explicit PhaseClock(std::chrono::steady_clock::time_point start)
+        : start_(start) {}
+    PhaseClock(const PhaseClock&) = delete;
+    PhaseClock& operator=(const PhaseClock&) = delete;
+    ~PhaseClock() { obs::setJobFingerprint(0); }
+
+    /// Adds the time since the previous close to `slot` (phases that
+    /// recur, like resolve after an index miss, accumulate).
+    void close(double& slot, std::string_view span) {
+        const auto now = std::chrono::steady_clock::now();
+        slot += std::chrono::duration<double, std::milli>(now - start_).count();
+        const Held h{span, toNs(start_), toNs(now) - toNs(start_)};
+        if (fingerprinted_)
+            obs::emitSpan(h.name, "job", h.startNs, h.durNs);
+        else
+            held_.push_back(h);
+        start_ = now;
+    }
+
+    void fingerprint(std::uint64_t fp) {
+        obs::setJobFingerprint(fp);
+        fingerprinted_ = true;
+        for (const Held& h : held_)
+            obs::emitSpan(h.name, "job", h.startNs, h.durNs);
+        held_.clear();
+    }
+
+private:
+    struct Held {
+        std::string_view name;
+        std::uint64_t startNs;
+        std::uint64_t durNs;
+    };
+    std::chrono::steady_clock::time_point start_;
+    bool fingerprinted_ = false;
+    std::vector<Held> held_;
+};
+
+/// The job's working set: the benchmark (when there is one) and, once
+/// expanded, the expressions plus the table they live in.
 struct ResolvedJob {
+    /// Present for benchmark-backed jobs; enables simulation verify.
+    std::shared_ptr<const circuits::Benchmark> bench;
+    bool expanded = false;
     anf::VarTable vars;
     std::vector<anf::Anf> outputs;
     std::vector<std::string> outputNames;
-    /// Present for benchmark-backed jobs; enables simulation verify.
-    std::shared_ptr<const circuits::Benchmark> bench;
 };
 
-ResolvedJob resolve(const JobSpec& spec) {
-    ResolvedJob r;
-    if (spec.bench) {
-        r.bench = spec.bench;
-    } else if (!spec.benchmark.empty()) {
-        auto b = circuits::makeNamedBenchmark(spec.benchmark);
-        if (!b)
-            fail("engine", "unknown benchmark '" + spec.benchmark +
-                               "' (try: pd_cli list)");
-        r.bench = std::make_shared<const circuits::Benchmark>(std::move(*b));
-    }
-    if (r.bench) {
-        if (!r.bench->anf)
-            fail("engine", "benchmark '" + r.bench->name +
+/// Builds the job's benchmark object, if it names one. Cheap: registry
+/// entries hand back closures and defer their Reed-Muller form.
+std::shared_ptr<const circuits::Benchmark> benchmarkOf(const JobSpec& spec) {
+    if (spec.bench) return spec.bench;
+    if (spec.benchmark.empty()) return nullptr;
+    auto b = circuits::makeNamedBenchmark(spec.benchmark);
+    if (!b)
+        fail("engine", "unknown benchmark '" + spec.benchmark +
+                           "' (try: pd_cli list)");
+    return std::make_shared<const circuits::Benchmark>(std::move(*b));
+}
+
+/// Spec expansion: the job's output ANFs, the expensive step for wide
+/// benchmarks (counted by engine.spec.expansions).
+void expand(const JobSpec& spec, ResolvedJob& job) {
+    static auto& expansions = obs::counter("engine.spec.expansions");
+    expansions.add();
+    job.expanded = true;
+    if (job.bench) {
+        if (!job.bench->anf)
+            fail("engine", "benchmark '" + job.bench->name +
                                "' has no tractable Reed-Muller form");
-        r.outputs = r.bench->anf(r.vars);
-        r.outputNames = r.bench->outputNames;
-        return r;
+        job.outputs = job.bench->anf(job.vars);
+        job.outputNames = job.bench->outputNames;
+        return;
     }
     if (spec.expressions.empty())
         fail("engine", "job '" + spec.name +
@@ -97,10 +147,36 @@ ResolvedJob resolve(const JobSpec& spec) {
         const auto eq = e.find('=');
         if (eq == std::string::npos)
             fail("engine", "expected <name>=<expr>, got '" + e + "'");
-        r.outputNames.push_back(e.substr(0, eq));
-        r.outputs.push_back(anf::parse(e.substr(eq + 1), r.vars));
+        job.outputNames.push_back(e.substr(0, eq));
+        job.outputs.push_back(anf::parse(e.substr(eq + 1), job.vars));
     }
-    return r;
+}
+
+/// Input port names of a benchmark netlist: "<port><bit>", port by port,
+/// LSB first (the registerPortVars convention).
+std::vector<std::string> benchInputNames(const circuits::Benchmark& b) {
+    std::vector<std::string> names;
+    for (const auto& p : b.ports)
+        for (const auto& n : circuits::bitNames(p.name, p.width))
+            names.push_back(n);
+    return names;
+}
+
+/// The reference guard in front of every benchmark hit: a few hundred
+/// seeded vectors (exhaustive up to 8 inputs) of the cached netlist
+/// against the benchmark's reference. Unverified results carry no
+/// certificate to guard (an unconverged flow's netlist may legitimately
+/// differ), so they pass.
+bool passesReferenceGuard(const JobResult& cached,
+                          const circuits::Benchmark& bench) {
+    if (!cached.verified()) return true;
+    sim::EquivOptions eo;
+    eo.exhaustiveLimitBits = 8;
+    eo.randomBatches = 4;
+    eo.seed = 0x5eed9a4d5eed9a4dull;
+    return sim::checkAgainstReference(cached.mapped, bench.ports,
+                                      bench.outputNames, bench.reference, eo)
+        .equivalent;
 }
 
 }  // namespace
@@ -127,55 +203,81 @@ std::string optionsFingerprint(const core::DecomposeOptions& opt,
     return sig;
 }
 
-std::string canonicalSignature(std::span<const anf::Anf> outputs,
-                               const core::DecomposeOptions& opt,
-                               bool verify) {
-    std::string sig = "pdsig1" + optionsFingerprint(opt, verify);
+util::Digest128 canonicalDigest(std::span<const anf::Anf> outputs,
+                                const core::DecomposeOptions& opt,
+                                bool verify) {
+    util::DigestStream h;
+    h.str(optionsFingerprint(opt, verify));
+    h.u32(static_cast<std::uint32_t>(outputs.size()));
 
     // First-occurrence relabeling over the canonical term stream: two
     // registrations of the same functions get the same labels however the
     // variables were named, as long as registration order is preserved.
-    std::unordered_map<anf::Var, std::uint32_t> relabel;
+    constexpr std::uint32_t kUnlabeled = ~0u;
+    std::array<std::uint32_t, anf::Monomial::kMaxVars> relabel;
+    relabel.fill(kUnlabeled);
+    std::uint32_t next = 0;
     for (const auto& out : outputs)
         for (const auto& m : out.terms())
             m.forEachVar([&](anf::Var v) {
-                relabel.emplace(v, static_cast<std::uint32_t>(relabel.size()));
+                if (relabel[v] == kUnlabeled) relabel[v] = next++;
             });
 
+    // Each output's terms re-encoded under the new labels and re-sorted:
+    // degree first, then lexicographically by ascending label list.
+    struct Term {
+        std::uint32_t degree;
+        anf::Monomial labels;
+    };
+    std::vector<Term> terms;
     for (const auto& out : outputs) {
-        std::vector<std::vector<std::uint32_t>> monos;
-        monos.reserve(out.termCount());
+        terms.clear();
+        terms.reserve(out.termCount());
         for (const auto& m : out.terms()) {
-            std::vector<std::uint32_t> ids;
-            m.forEachVar([&](anf::Var v) { ids.push_back(relabel.at(v)); });
-            std::sort(ids.begin(), ids.end());
-            monos.push_back(std::move(ids));
+            Term t{0, {}};
+            m.forEachVar([&](anf::Var v) {
+                t.labels.insert(static_cast<anf::Var>(relabel[v]));
+                ++t.degree;
+            });
+            terms.push_back(t);
         }
-        std::sort(monos.begin(), monos.end(),
-                  [](const auto& a, const auto& b) {
-                      if (a.size() != b.size()) return a.size() < b.size();
-                      return a < b;
-                  });
-        sig += "|O";
-        for (const auto& ids : monos) {
-            sig += 'M';
-            for (const auto id : ids) {
-                sig += std::to_string(id);
-                sig += '.';
-            }
+        std::sort(terms.begin(), terms.end(), [](const Term& x, const Term& y) {
+            if (x.degree != y.degree) return x.degree < y.degree;
+            return x.labels.membersLess(y.labels);
+        });
+        h.u32(static_cast<std::uint32_t>(terms.size()));
+        for (const Term& t : terms) {
+            h.u32(t.degree);
+            t.labels.forEachVar(
+                [&](anf::Var v) { h.u32(static_cast<std::uint32_t>(v)); });
         }
     }
-    return sig;
+    return h.finish();
 }
 
-std::string signatureDigest(const std::string& signature) {
-    std::uint64_t h = persist::fnv1a(signature);
-    std::string hex(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        hex[static_cast<std::size_t>(i)] = "0123456789abcdef"[h & 0xf];
-        h >>= 4;
+std::uint64_t specStamp(const circuits::Benchmark& bench) {
+    util::DigestStream h;
+    h.str(bench.name);
+    h.u32(static_cast<std::uint32_t>(bench.ports.size()));
+    for (const auto& p : bench.ports) {
+        h.str(p.name);
+        h.u32(static_cast<std::uint32_t>(p.width));
     }
-    return hex;
+    h.u32(static_cast<std::uint32_t>(bench.outputNames.size()));
+    for (const auto& n : bench.outputNames) h.str(n);
+    // The reference outputs on a fixed seeded batch: a registry change
+    // that keeps the interface but changes the function changes the stamp.
+    std::uint64_t rng = 0x243f6a8885a308d3ull;
+    std::vector<std::uint64_t> values(bench.ports.size());
+    for (int vec = 0; vec < 64; ++vec) {
+        for (std::size_t p = 0; p < values.size(); ++p) {
+            const std::uint64_t z = util::splitmix64(rng);
+            const int w = bench.ports[p].width;
+            values[p] = w >= 64 ? z : z & ((std::uint64_t{1} << w) - 1);
+        }
+        h.u64(bench.reference(values));
+    }
+    return h.finish().b;
 }
 
 std::string persistFingerprint(const EngineOptions& opt) {
@@ -208,10 +310,15 @@ Engine::Engine(EngineOptions opt)
       lib_(synth::CellLibrary::umc130()),
       cache_(opt.cacheCapacity),
       pool_(opt.jobs == 0 ? 1 : opt.jobs) {
+    // Registered up front so every report carries them, zeros included:
+    // the warm-start gate demands engine.spec.expansions == 0.
+    for (const char* name : {"engine.spec.expansions", "cache.index.hits",
+                             "cache.index.misses", "cache.digest_mismatch"})
+        (void)obs::counter(name);
     if (opt_.probeThreads > 1)
-        probePool_ = std::make_shared<ThreadPool>(opt_.probeThreads);
+        probePool_ = std::make_shared<util::ThreadPool>(opt_.probeThreads);
     if (opt_.verifyThreads > 1)
-        verifyPool_ = std::make_shared<ThreadPool>(opt_.verifyThreads);
+        verifyPool_ = std::make_shared<util::ThreadPool>(opt_.verifyThreads);
     proofPersistInfo_.file = opt_.proofCacheFile;
     proofPersistInfo_.readonly = opt_.proofCacheReadonly;
     if (!opt_.proofCacheFile.empty()) {
@@ -253,12 +360,15 @@ Engine::Engine(EngineOptions opt)
     std::vector<ResultCache::SnapshotEntry> entries;
     entries.reserve(loaded.entries.size());
     for (auto& e : loaded.entries)
-        entries.push_back({std::move(e.key), std::move(e.result)});
+        entries.push_back({e.key, std::move(e.result)});
     persistInfo_.loadedEntries = cache_.restore(std::move(entries));
+    for (const auto& e : loaded.index) index_.record(e, /*restored=*/true);
+    flushedIndexChanges_ = index_.changes();
 }
 
 Engine::~Engine() {
-    if (cache_.stats().inserts > flushedInserts_ || unflushedDeltas_)
+    if (cache_.stats().inserts > flushedInserts_ || unflushedDeltas_ ||
+        index_.changes() > flushedIndexChanges_)
         flushCache();
     if (proofCache_.stats().inserts > flushedProofInserts_ ||
         unflushedProofDeltas_)
@@ -282,9 +392,11 @@ bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
                         "refusing to overwrite the store with nothing";
         return false;
     }
+    std::lock_guard lock(flushMutex_);
     // Stats first, snapshot second: entries published between the two
     // calls are still saved now and merely re-flushed by the destructor.
     const std::uint64_t insertsBefore = cache_.stats().inserts;
+    const std::uint64_t indexChangesBefore = index_.changes();
     auto snap = cache_.snapshot();
     // Canonical entry order: snapshot order is hash-map order, which
     // varies run to run; sorting by key makes equal entry *sets* produce
@@ -294,22 +406,34 @@ bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
               [](const auto& a, const auto& b) { return a.key < b.key; });
     std::vector<persist::StoreEntry> entries;
     entries.reserve(snap.size());
-    for (auto& e : snap)
-        entries.push_back({std::move(e.key), std::move(e.value)});
+    std::unordered_set<util::Digest128, util::Digest128Hash> saved;
+    for (auto& e : snap) {
+        saved.insert(e.key);
+        entries.push_back({e.key, std::move(e.value)});
+    }
+    // Only index entries that name a saved result: the rest could never
+    // serve a hit, and dropping them keeps the artifact a function of its
+    // entries alone.
+    auto index = index_.snapshot();
+    std::erase_if(index, [&](const JobIndex::Entry& e) {
+        return !saved.contains(e.digest);
+    });
     std::string error;
     if (!persist::CacheStore::save(opt_.cacheFile, persistFingerprint(opt_),
-                                   entries, &error)) {
+                                   entries, index, &error)) {
         if (errorOut) *errorOut = error;
         return false;
     }
     flushedInserts_ = insertsBefore;
+    flushedIndexChanges_ = indexChangesBefore;
     unflushedDeltas_ = false;
     if (savedOut) *savedOut = entries.size();
     return true;
 }
 
 std::vector<shard::CacheDelta> Engine::cacheDelta(
-    const std::unordered_set<std::string>& alreadyShipped) const {
+    const std::unordered_set<util::Digest128, util::Digest128Hash>&
+        alreadyShipped) const {
     auto snap = cache_.snapshot(ResultCache::SnapshotScope::kLocalOnly);
     std::vector<shard::CacheDelta> deltas;
     deltas.reserve(snap.size());
@@ -337,8 +461,24 @@ std::size_t Engine::adoptCacheDeltas(
         }
     }
     const std::size_t adopted = cache_.restore(std::move(entries));
-    if (adopted > 0) unflushedDeltas_ = true;
+    if (adopted > 0) {
+        std::lock_guard lock(flushMutex_);
+        unflushedDeltas_ = true;
+    }
     return adopted;
+}
+
+std::vector<JobIndex::Entry> Engine::indexDelta(
+    const std::unordered_set<std::string>& alreadyShipped) const {
+    auto local = index_.snapshot(/*localOnly=*/true);
+    std::erase_if(local, [&](const JobIndex::Entry& e) {
+        return alreadyShipped.contains(e.name);
+    });
+    return local;
+}
+
+void Engine::adoptIndexDeltas(const std::vector<JobIndex::Entry>& deltas) {
+    for (const auto& e : deltas) index_.record(e);
 }
 
 bool Engine::flushProofCache(std::size_t* savedOut, std::string* errorOut) {
@@ -490,6 +630,7 @@ std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
         const auto outcome = coordinator.run(sched, specs);
         adoptCacheDeltas(outcome.deltas);
         adoptProofDeltas(outcome.proofDeltas);
+        adoptIndexDeltas(outcome.indexDeltas);
         resilience_.workerCrashes += outcome.workerCrashes;
         resilience_.workerRespawns += outcome.workerRespawns;
         resilience_.spawnFailures += outcome.spawnFailures;
@@ -549,7 +690,7 @@ JobResult Engine::runJob(const JobSpec& spec) {
 JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
     const auto wallStart = std::chrono::steady_clock::now();
     const double cpuStart = threadCpuMs();
-    FingerprintScope fpScope;
+    PhaseClock clock(wallStart);
 
     JobResult result;
     result.name = !spec.name.empty() ? spec.name
@@ -571,68 +712,109 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
                 dopt.mergeAttemptBudget == 0
                     ? opt_.mergeBudget
                     : std::min(dopt.mergeAttemptBudget, opt_.mergeBudget);
-        // Injected *before* the cache signature is computed: the merge
-        // budget is part of the options fingerprint, so a budget-starved
-        // result lands under its own key and can never impersonate the
+        // Injected *before* the cache key is computed: the merge budget is
+        // part of the options fingerprint, so a budget-starved result
+        // lands under its own key and can never impersonate the
         // untruncated one.
         if (PD_FAULT("engine.merge.budget")) dopt.mergeAttemptBudget = 1;
         // Probe parallelism is purely a scheduling knob (results are
         // deterministic at any setting), so it is not part of the cache
-        // signature; jobs without their own setting adopt the engine's.
+        // key; jobs without their own setting adopt the engine's.
         if (dopt.probeThreads == 0) dopt.probeThreads = opt_.probeThreads;
         if (dopt.probeThreads > 1) dopt.probePool = probePool_;
 
-        // Registry-named jobs can learn their signature from the memo and
-        // defer building the (possibly huge) ANF until a cache miss.
-        std::optional<ResolvedJob> job;
-        std::string sig;
-        std::string memoKey;
-        if (!spec.benchmark.empty()) {
-            memoKey = spec.benchmark + optionsFingerprint(dopt, spec.verify);
-            std::lock_guard lock(sigMutex_);
-            if (const auto it = sigByName_.find(memoKey);
-                it != sigByName_.end())
-                sig = it->second;
+        ResolvedJob job;
+        job.bench = benchmarkOf(spec);
+        // Registry jobs ask the name index first: a hit names the cache
+        // key without expanding the spec (the expensive step).
+        std::string indexName;
+        std::uint64_t stamp = 0;
+        if (!spec.bench && job.bench) {
+            indexName = spec.benchmark + optionsFingerprint(dopt, spec.verify);
+            stamp = specStamp(*job.bench);
         }
-        if (sig.empty()) {
-            job.emplace(resolve(spec));
-            sig = canonicalSignature(job->outputs, dopt, spec.verify);
-            if (!memoKey.empty()) {
-                std::lock_guard lock(sigMutex_);
-                sigByName_.emplace(memoKey, sig);
-            }
-        }
-        result.cacheKey = signatureDigest(sig);
-        // Span identity: every span this job emits (on this thread)
-        // carries the signature's digest, making traces diffable
-        // run-to-run — same batch, same (fp, name, seq) span sets.
-        obs::setJobFingerprint(persist::fnv1a(sig));
+        clock.close(result.phases.resolveMs, "job.resolve");
 
-        auto lookup = cache_.lookupOrReserve(sig);
-        if (auto* hit = std::get_if<ResultCache::Value>(&lookup)) {
+        // Every benchmark hit must pass the reference guard; a digest
+        // that names the wrong result is a miss.
+        const ResultCache::Accept accept = [&job](const JobResult& cached) {
+            if (!job.bench || passesReferenceGuard(cached, *job.bench))
+                return true;
+            static auto& mismatches = obs::counter("cache.digest_mismatch");
+            mismatches.add();
+            return false;
+        };
+        std::optional<ResultCache::LookupResult> lookup;
+        std::optional<util::Digest128> digest;
+        if (!indexName.empty()) {
+            static auto& indexHits = obs::counter("cache.index.hits");
+            static auto& indexMisses = obs::counter("cache.index.misses");
+            digest = index_.find(indexName, stamp);
+            (digest ? indexHits : indexMisses).add();
+            if (digest && PD_FAULT("cache.index.stale"))
+                // Point the entry at another job's result: the guard must
+                // reject it and the job fall back to its computed key.
+                for (const auto& e : index_.snapshot())
+                    if (e.digest != *digest) {
+                        digest = e.digest;
+                        break;
+                    }
+        }
+        if (digest) {
+            clock.close(result.phases.digestMs, "job.digest");
+            clock.fingerprint(digest->a);
+            // Peek only: the index may be stale, so a miss here reserves
+            // nothing — the computed key below does.
+            lookup.emplace(
+                cache_.lookupOrReserve(*digest, accept, /*reserve=*/false));
+            clock.close(result.phases.cacheLookupMs, "job.cache_lookup");
+        }
+        if (!lookup || !std::holds_alternative<ResultCache::Value>(*lookup)) {
+            expand(spec, job);
+            clock.close(result.phases.resolveMs, "job.resolve");
+            digest = canonicalDigest(job.outputs, dopt, spec.verify);
+            if (!indexName.empty())
+                index_.record({indexName, stamp, *digest});
+            clock.close(result.phases.digestMs, "job.digest");
+            // Span identity: every span this job emits (on this thread)
+            // carries lane a of its digest, making traces diffable
+            // run-to-run — same batch, same (fp, name, seq) span sets.
+            clock.fingerprint(digest->a);
+            lookup.reset();  // a peek holds no reservation to abandon
+            lookup.emplace(cache_.lookupOrReserve(*digest, accept));
+            clock.close(result.phases.cacheLookupMs, "job.cache_lookup");
+        }
+        result.cacheKey = digest->hex();
+
+        if (auto* hit = std::get_if<ResultCache::Value>(&*lookup)) {
             const JobResult& cached = **hit;
             // A netlist-carrying hit must present the requester's own
-            // interface: the signature identifies isomorphs up to
-            // renaming, but a renamed job's netlist has the donor's port
-            // names. Serve it only when the names line up; otherwise fall
-            // through and compute locally (without re-publishing).
+            // interface: the key identifies isomorphs up to renaming, but
+            // a renamed job's netlist has the donor's port names. Serve it
+            // only when the names line up; otherwise fall through and
+            // compute locally (without re-publishing).
             bool serveable = true;
             if (spec.keepMapped) {
-                if (!job) job.emplace(resolve(spec));
-                serveable =
-                    cached.mapped.outputs().size() ==
-                    job->outputNames.size();
-                for (std::size_t i = 0; serveable && i < job->outputNames.size();
+                const auto& outputNames =
+                    job.bench ? job.bench->outputNames : job.outputNames;
+                std::vector<std::string> inputNames;
+                if (job.bench) {
+                    inputNames = benchInputNames(*job.bench);
+                } else {
+                    for (const anf::Var v :
+                         job.vars.varsOfKind(anf::VarKind::kInput))
+                        inputNames.push_back(job.vars.name(v));
+                }
+                serveable = cached.mapped.outputs().size() ==
+                                outputNames.size() &&
+                            cached.mapped.inputs().size() == inputNames.size();
+                for (std::size_t i = 0; serveable && i < outputNames.size();
                      ++i)
                     serveable = cached.mapped.outputs()[i].name ==
-                                job->outputNames[i];
-                const auto inputVars =
-                    job->vars.varsOfKind(anf::VarKind::kInput);
-                serveable = serveable &&
-                            cached.mapped.inputs().size() == inputVars.size();
-                for (std::size_t i = 0; serveable && i < inputVars.size(); ++i)
-                    serveable = cached.mapped.inputName(i) ==
-                                job->vars.name(inputVars[i]);
+                                outputNames[i];
+                for (std::size_t i = 0; serveable && i < inputNames.size();
+                     ++i)
+                    serveable = cached.mapped.inputName(i) == inputNames[i];
             }
             if (serveable) {
                 // Copy everything except the netlist, which is only
@@ -640,6 +822,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
                 // path must stay allocation-light.
                 const std::string name = std::move(result.name);
                 const std::string key = std::move(result.cacheKey);
+                const JobResult::PhaseTimes phases = result.phases;
                 result = JobResult{};
                 result.ok = cached.ok;
                 result.error = cached.error;
@@ -666,6 +849,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
                 if (spec.keepMapped) result.mapped = cached.mapped;
                 result.name = name;
                 result.cacheKey = key;
+                result.phases = phases;
                 result.cacheHit = true;
                 // Disk-loaded entries answer "disk" for every hit they
                 // serve; entries computed this process answer "memory".
@@ -678,23 +862,13 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
 
         // Miss (reserved) or non-caching miss: run the full flow, timing
         // each phase so reports can say where the job's wall time went.
-        if (!job) job.emplace(resolve(spec));
-        auto phaseStart = std::chrono::steady_clock::now();
-        // One clock read closes a phase AND opens its span: the span's
-        // duration and the timing.phases slot are the same interval, so
-        // the trace's per-phase sums match the report exactly.
-        const auto phase = [&phaseStart](double& slot,
-                                         std::string_view spanName) {
-            const auto now = std::chrono::steady_clock::now();
-            slot = std::chrono::duration<double, std::milli>(now - phaseStart)
-                       .count();
-            obs::emitSpan(spanName, "job", toNs(phaseStart),
-                          toNs(now) - toNs(phaseStart));
-            phaseStart = now;
-        };
+        if (!job.expanded) {
+            expand(spec, job);
+            clock.close(result.phases.resolveMs, "job.resolve");
+        }
         const auto d =
-            core::decompose(job->vars, job->outputs, job->outputNames, dopt);
-        phase(result.phases.decomposeMs, "job.decompose");
+            core::decompose(job.vars, job.outputs, job.outputNames, dopt);
+        clock.close(result.phases.decomposeMs, "job.decompose");
         result.phases.probeSweepMs = d.probe.sweepMs;
         result.blocks = d.blocks.size();
         result.iterations = d.iterations;
@@ -702,24 +876,24 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
         result.converged = d.converged;
         result.budgetExhausted = d.budgetExhausted;
 
-        const auto raw = synth::synthDecomposition(d, job->vars);
-        phase(result.phases.synthMs, "job.synth");
+        const auto raw = synth::synthDecomposition(d, job.vars);
+        clock.close(result.phases.synthMs, "job.synth");
         const auto optimized = synth::optimize(raw);
-        phase(result.phases.optimizeMs, "job.optimize");
+        clock.close(result.phases.optimizeMs, "job.optimize");
         auto mapped = synth::techMap(optimized, lib_);
-        phase(result.phases.mapMs, "job.map");
+        clock.close(result.phases.mapMs, "job.map");
         result.qor = synth::qor(mapped, lib_);
         const auto stats = netlist::computeStats(mapped);
         result.levels = stats.levels;
         result.interconnect = stats.interconnect;
-        phase(result.phases.staMs, "job.sta");
+        clock.close(result.phases.staMs, "job.sta");
 
         if (!spec.verify) {
             result.verification = VerifyStatus::kSkipped;
-        } else if (job->bench) {
+        } else if (job.bench) {
             const auto eq = sim::checkAgainstReference(
-                mapped, job->bench->ports, job->bench->outputNames,
-                job->bench->reference, opt_.equiv);
+                mapped, job.bench->ports, job.bench->outputNames,
+                job.bench->reference, opt_.equiv);
             result.vectorsTested = eq.vectorsTested;
             result.exhaustive = eq.exhaustive;
             if (!eq.equivalent) {
@@ -730,7 +904,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
             }
             result.verification = VerifyStatus::kSimulated;
         } else {
-            if (d.expandedOutputs(job->vars) != job->outputs) {
+            if (d.expandedOutputs(job.vars) != job.outputs) {
                 result.verification = VerifyStatus::kFailed;
                 fail("engine",
                      result.name +
@@ -824,7 +998,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
                     break;
             }
         }
-        phase(result.phases.verifyMs, "job.verify");
+        clock.close(result.phases.verifyMs, "job.verify");
 
         result.ok = true;
         result.mapped = std::move(mapped);
@@ -832,7 +1006,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
         result.cpuMs = threadCpuMs() - cpuStart;
 
         if (auto* reservation =
-                std::get_if<ResultCache::Reservation>(&lookup);
+                std::get_if<ResultCache::Reservation>(&*lookup);
             reservation != nullptr && !tainted) {
             // Cache the full result (netlist included) so a later
             // keepMapped request can be served from cache too. The

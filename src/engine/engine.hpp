@@ -4,10 +4,12 @@
 // map → STA → verify) into a batch service: a fixed worker pool runs one
 // job per spec, each with its own VarTable (the library has no global
 // mutable state, so per-job tables are the whole isolation story), and a
-// canonical-ANF result cache serves repeated or variable-renamed jobs
-// without re-decomposing. Results come back in spec order, independent of
-// scheduling; a throwing job yields a JobResult with ok=false and
-// poisons nothing else.
+// result cache keyed by a 128-bit digest of the canonical ANF serves
+// repeated or variable-renamed jobs without re-decomposing. Registry jobs
+// find that key through a persisted name index, so a warm cross-process
+// run skips spec expansion altogether. Results come back in spec order,
+// independent of scheduling; a throwing job yields a JobResult with
+// ok=false and poisons nothing else.
 //
 // With EngineOptions::shards > 1 the same batch is partitioned across
 // crash-isolated worker *processes* (src/engine/shard/): both execution
@@ -19,19 +21,20 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "anf/anf.hpp"
+#include "circuits/spec.hpp"
 #include "engine/cache.hpp"
 #include "engine/job.hpp"
 #include "engine/persist/store.hpp"
-#include "engine/pool.hpp"
 #include "engine/shard/protocol.hpp"
 #include "sat/proof_cache.hpp"
 #include "sim/equivalence.hpp"
 #include "synth/celllib.hpp"
+#include "util/digest.hpp"
+#include "util/pool.hpp"
 
 namespace pd::engine {
 
@@ -57,7 +60,7 @@ struct EngineOptions {
     /// DecomposeOptions::probeThreads is 0 adopt this value; all jobs
     /// share one engine-owned probe pool. The sweep is deterministic, so
     /// results are bit-identical at every setting — the knob is not part
-    /// of cache signatures or the persist fingerprint.
+    /// of cache keys or the persist fingerprint.
     std::size_t probeThreads = 0;
     /// Verification effort for simulation-checked jobs.
     sim::EquivOptions equiv;
@@ -67,7 +70,7 @@ struct EngineOptions {
     /// CDCL searchers racing on an engine-owned pool. The portfolio
     /// winner is chosen by a fixed lowest-index tie-break, so reported
     /// results are bit-identical at every N (the searcher count, like
-    /// probeThreads, is not part of cache signatures or the persist
+    /// probeThreads, is not part of cache keys or the persist
     /// fingerprint — but *enabling* SAT verify and its budgets are,
     /// because they change stored verification fields).
     std::size_t verifyThreads = 0;
@@ -78,11 +81,12 @@ struct EngineOptions {
     std::uint64_t verifyConflictBudget = 0;
     /// Per-searcher propagation budget for SAT verification (0 = unlimited).
     std::uint64_t verifyPropagationBudget = 0;
-    /// Path of a persistent pd-cache-v3 store ("" disables persistence).
-    /// The engine warm-starts from it on construction and flushes ready
-    /// cache entries back on destruction (or flushCache()). A missing,
-    /// corrupt, wrong-version or wrong-fingerprint file is reported via
-    /// persistInfo() and treated as a cold start — never a crash.
+    /// Path of a persistent pd-cache-v4 store ("" disables persistence).
+    /// The engine warm-starts from it on construction (results and the
+    /// name index) and flushes ready cache entries back on destruction
+    /// (or flushCache()). A missing, corrupt, wrong-version or
+    /// wrong-fingerprint file is reported via persistInfo() and treated
+    /// as a cold start — never a crash.
     std::string cacheFile;
     /// Load from cacheFile but never write it back (CI consumers, shared
     /// read-mostly artifacts).
@@ -202,11 +206,12 @@ public:
     }
     [[nodiscard]] const synth::CellLibrary& library() const { return lib_; }
 
-    /// Snapshots the ready cache entries and atomically rewrites the
-    /// configured store. Safe to call while jobs are computing: in-flight
-    /// entries are simply not included. Returns false with `errorOut`
-    /// when persistence is off/readonly or the write failed; `savedOut`
-    /// receives the number of entries written on success.
+    /// Snapshots the ready cache entries (plus the index entries naming
+    /// them) and atomically rewrites the configured store. Safe to call
+    /// while jobs are computing: in-flight entries are simply not
+    /// included. Returns false with `errorOut` when persistence is
+    /// off/readonly or the write failed; `savedOut` receives the number
+    /// of entries written on success.
     bool flushCache(std::size_t* savedOut = nullptr,
                     std::string* errorOut = nullptr);
 
@@ -243,7 +248,8 @@ public:
     /// job's entry, not the whole worker's session — and once more at
     /// shutdown.
     [[nodiscard]] std::vector<shard::CacheDelta> cacheDelta(
-        const std::unordered_set<std::string>& alreadyShipped = {}) const;
+        const std::unordered_set<util::Digest128, util::Digest128Hash>&
+            alreadyShipped = {}) const;
 
     /// Coordinator half of the merge: deserializes worker deltas into the
     /// cache (live entries win; between deltas, callers pre-merge with
@@ -263,6 +269,15 @@ public:
     /// Returns the number adopted.
     std::size_t adoptProofDeltas(const std::vector<shard::ProofDelta>& deltas);
 
+    /// Name-index analogue: the index entries this engine recorded itself
+    /// (not warm-started, names not in `alreadyShipped`), sorted by name.
+    [[nodiscard]] std::vector<JobIndex::Entry> indexDelta(
+        const std::unordered_set<std::string>& alreadyShipped = {}) const;
+
+    /// Coordinator half: records worker index entries (overwriting, as a
+    /// local recompute would).
+    void adoptIndexDeltas(const std::vector<JobIndex::Entry>& deltas);
+
 private:
     [[nodiscard]] JobResult execute(const JobSpec& spec,
                                     std::size_t index) const;
@@ -277,9 +292,18 @@ private:
     PersistInfo persistInfo_;
     ProofPersistInfo proofPersistInfo_;
     BatchResilience resilience_;
+    /// Registry name + options → (spec stamp, digest), warm-started from
+    /// and flushed with the store, so a repeat hit skips rebuilding the
+    /// (possibly huge) flat Reed-Muller form just to compute its own key.
+    mutable JobIndex index_;
+    /// Serializes flushCache() calls and guards the three dirty markers
+    /// below, which concurrent flushes and delta adoption both write.
+    std::mutex flushMutex_;
     /// Insert count at the last successful flush: the destructor only
     /// rewrites the store when something new was cached since.
     std::uint64_t flushedInserts_ = 0;
+    /// index_.changes() at the last flush (or warm start).
+    std::uint64_t flushedIndexChanges_ = 0;
     /// Worker deltas merged since the last flush arrive via restore()
     /// (which bumps `restored`, not `inserts`), so the destructor needs
     /// its own dirty marker for them.
@@ -288,46 +312,46 @@ private:
     /// and a dirty marker for adopted worker proof deltas.
     std::uint64_t flushedProofInserts_ = 0;
     bool unflushedProofDeltas_ = false;
-    /// Registry-named specs memoize (name, options) → canonical
-    /// signature, so a repeat hit skips rebuilding the (possibly huge)
-    /// flat Reed-Muller form just to compute its own cache key. Safe
-    /// because a registry name denotes one fixed function.
-    mutable std::mutex sigMutex_;
-    mutable std::unordered_map<std::string, std::string> sigByName_;
-    ThreadPool pool_;
+    util::ThreadPool pool_;
     /// Shared probe-sweep pool (EngineOptions::probeThreads > 1). A
     /// separate pool from `pool_`: job tasks block on probe futures, so
     /// running both through one pool could deadlock with every worker
     /// parked on a wait.
-    std::shared_ptr<ThreadPool> probePool_;
+    std::shared_ptr<util::ThreadPool> probePool_;
     /// Shared SAT-portfolio pool (EngineOptions::verifyThreads > 1),
     /// separate from `pool_` for the same wait-deadlock reason.
-    std::shared_ptr<ThreadPool> verifyPool_;
+    std::shared_ptr<util::ThreadPool> verifyPool_;
 };
 
 /// One-shot convenience over a temporary Engine.
 [[nodiscard]] std::vector<JobResult> runBatch(const std::vector<JobSpec>& specs,
                                               const EngineOptions& opt = {});
 
-/// Canonical cache signature of a job's output ANF set under the given
-/// options: variables are relabeled in first-occurrence order over the
-/// canonically sorted term stream, monomials re-encoded and re-sorted
-/// under the new labels, and the options that can change the flow's
-/// outcome are appended as a fingerprint. Equal signatures ⇒ the flow
-/// computes identical results, whatever the variables were named.
-/// Exposed for tests and diagnostics; runBatch computes it internally.
-[[nodiscard]] std::string canonicalSignature(
+/// Cache key of a job's output ANF set under the given options: variables
+/// are relabeled in first-occurrence order over the canonically sorted
+/// term stream, monomials re-encoded and re-sorted (degree, then label
+/// list) under the new labels, and that term sequence — fixed-width u32
+/// labels with degree and count prefixes, after the options fingerprint —
+/// is streamed into a 128-bit digest without being materialized. Equal
+/// digests ⇔ (up to hash collision) the flow computes identical results,
+/// whatever the variables were named.
+[[nodiscard]] util::Digest128 canonicalDigest(
     std::span<const anf::Anf> outputs, const core::DecomposeOptions& opt,
     bool verify);
 
-/// The options half of the signature alone (also the memo key for the
-/// name → signature shortcut).
+/// 64-bit stamp of what a registry name builds: port layout, output
+/// names, and the reference outputs on a fixed seeded batch of vectors.
+/// Microseconds, and never touches the benchmark's Reed-Muller form; a
+/// name-index entry is trusted only under the stamp it was recorded with.
+[[nodiscard]] std::uint64_t specStamp(const circuits::Benchmark& bench);
+
+/// The options half of the key (also part of the name-index key).
 [[nodiscard]] std::string optionsFingerprint(const core::DecomposeOptions& opt,
                                              bool verify);
 
 /// The salt written into (and demanded from) a persistent store: the
 /// engine-level knobs that change results but are *not* part of the
-/// per-job canonical signature — the cell library and the verification
+/// per-job key — the cell library and the verification
 /// effort. Per-job DecomposeOptions need no salting (they are already in
 /// every cache key); conflictBudget is folded into those options before
 /// keys are computed, so it is covered too.
@@ -339,8 +363,5 @@ private:
 /// keeps results bit-identical at any count, so proofs are shareable
 /// across --verify-threads settings.
 [[nodiscard]] std::string proofFingerprint(const EngineOptions& opt);
-
-/// 64-bit FNV-1a hex digest used as the short cache key in reports.
-[[nodiscard]] std::string signatureDigest(const std::string& signature);
 
 }  // namespace pd::engine

@@ -120,13 +120,22 @@ struct JobResult {
     SatVerify satVerify;
 
     // Timings (not part of cache equality — a cache hit reports its own;
-    // phase times are zero on hits since no stage ran).
+    // on a hit only the key-path phases — resolve, digest, cache lookup —
+    // can be non-zero, since no flow stage ran).
     double wallMs = 0.0;
     double cpuMs = 0.0;
 
     /// Per-phase wall-time breakdown of the flow, so perf work can see
     /// where a job's time goes without a profiler.
     struct PhaseTimes {
+        /// Spec expansion: building the benchmark and, unless the name
+        /// index already knew the key, its Reed-Muller form.
+        double resolveMs = 0.0;
+        /// Computing (or looking up in the name index) the job digest.
+        double digestMs = 0.0;
+        /// Result-cache lookup, including any wait on an in-flight
+        /// duplicate and the reference guard on a hit.
+        double cacheLookupMs = 0.0;
         double decomposeMs = 0.0;
         /// Group-selection probe-sweep share of decomposeMs (findGroup's
         /// candidate scoring — the decomposition's dominant cold cost on
@@ -143,7 +152,7 @@ struct JobResult {
     // Cache provenance.
     bool cacheHit = false;
     CacheSource cacheSource = CacheSource::kComputed;
-    std::string cacheKey;  ///< 64-bit hex digest of the canonical signature
+    std::string cacheKey;  ///< 32-hex form of the job's 128-bit digest
 
     /// Which shard worker process produced this result; -1 for jobs run
     /// in the requesting process (sharding off, or a spec that cannot

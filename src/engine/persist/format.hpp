@@ -1,4 +1,5 @@
-// Byte-level primitives for the pd-cache-v3 on-disk format.
+// Byte-level primitives for the pd-cache-v4 on-disk format (shared by the
+// pd-proof-v1 store and the shard wire).
 //
 // Every multi-byte integer is written little-endian one byte at a time,
 // so a store written on any host loads on any other — the format never
@@ -17,18 +18,17 @@
 #include <string>
 #include <string_view>
 
+#include "util/digest.hpp"
 #include "util/error.hpp"
 
 namespace pd::engine::persist {
 
-/// FNV-1a 64-bit, seedable so one digest can span several buffers.
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
+/// FNV-1a 64-bit, seedable so one checksum can span several buffers.
 [[nodiscard]] inline std::uint64_t fnv1a(std::string_view bytes,
-                                         std::uint64_t h = kFnvOffset) {
+                                         std::uint64_t h = util::kFnvOffset) {
     for (const unsigned char c : bytes) {
         h ^= c;
-        h *= 0x100000001b3ull;
+        h *= util::kFnvPrime;
     }
     return h;
 }
@@ -51,6 +51,12 @@ public:
     }
 
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    /// 16 raw bytes: lane a, then lane b.
+    void digest(const util::Digest128& d) {
+        u64(d.a);
+        u64(d.b);
+    }
 
     /// u32 length prefix + raw bytes.
     void str(std::string_view v) {
@@ -95,6 +101,13 @@ public:
     }
 
     [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
+
+    [[nodiscard]] util::Digest128 digest() {
+        util::Digest128 d;
+        d.a = u64();
+        d.b = u64();
+        return d;
+    }
 
     [[nodiscard]] std::string_view str() {
         const std::uint32_t n = u32();

@@ -45,10 +45,62 @@ std::string printable(std::string_view bytes) {
     return out;
 }
 
-/// Header + entry walk; throws pd::Error on header-level damage so the
+/// FNV-1a over an index record's name, stamp and digest bytes.
+std::uint64_t indexChecksum(const JobIndex::Entry& e) {
+    std::string bytes;
+    ByteWriter w(bytes);
+    w.str(e.name);
+    w.u64(e.stamp);
+    w.digest(e.digest);
+    return fnv1a(bytes);
+}
+
+/// Smallest intact records: key + empty payload + checksum, and length
+/// prefix + stamp + digest + checksum.
+constexpr std::uint64_t kMinEntryBytes = 16 + 4 + 8;
+constexpr std::uint64_t kMinIndexBytes = 4 + 8 + 16 + 8;
+
+/// Walks `count` records with `readOne`, stopping at the first one that
+/// fails. Returns "" when all were intact, else the salvage detail:
+/// `count - i` trusts the declared count — but when the damage hit the
+/// count field itself that difference is garbage (potentially billions),
+/// and it feeds the `persist.salvage.dropped` counter and the report. An
+/// intact record occupies at least `minBytes`, so the bytes left at the
+/// damaged record bound how many the file could actually have held;
+/// `dropped` is clamped to that and the detail says the count itself is
+/// untrusted.
+template <typename ReadOne>
+std::string walk(ByteReader& r, std::uint64_t count, std::uint64_t minBytes,
+                 std::string_view noun, std::uint64_t& dropped,
+                 ReadOne readOne) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t remainingBefore = r.remaining();
+        try {
+            readOne(i);
+        } catch (const std::exception& e) {
+            const std::uint64_t declared = count - i;
+            const std::uint64_t plausible = remainingBefore / minBytes;
+            dropped = std::min(declared, plausible);
+            // "entry" → "entries", "index entry" → "index entries".
+            const std::string plural =
+                std::string(noun.substr(0, noun.size() - 1)) + "ies";
+            std::string detail = "salvaged " + std::to_string(i) + " of " +
+                                 std::to_string(count) + " " + plural + " (" +
+                                 e.what() + ")";
+            if (declared > plausible)
+                detail += "; declared " + std::string(noun) +
+                          " count untrusted (room for at most " +
+                          std::to_string(plausible) + " more)";
+            return detail;
+        }
+    }
+    return {};
+}
+
+/// Header + record walk; throws pd::Error on header-level damage so the
 /// caller can collapse it into kCorrupt. Damage at or after entry 0 is
 /// absorbed here: the valid prefix is kept and the result downgraded to
-/// kSalvaged (or kCorrupt when nothing at all survived) — each entry's
+/// kSalvaged (or kCorrupt when no entry at all survived) — each record's
 /// own checksum makes the kept prefix exactly as trustworthy as a
 /// pristine store.
 LoadResult parse(std::string_view bytes, std::string_view fingerprint) {
@@ -73,53 +125,47 @@ LoadResult parse(std::string_view bytes, std::string_view fingerprint) {
     out.status = LoadResult::Status::kLoaded;
     const std::uint64_t count = r.u64();
     out.entries.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, r.remaining() / 16)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t remainingBefore = r.remaining();
+        std::min<std::uint64_t>(count, r.remaining() / kMinEntryBytes)));
+    out.detail = walk(r, count, kMinEntryBytes, "entry",
+                      out.droppedEntries, [&](std::uint64_t i) {
+        const std::string_view key = r.raw(16);
+        const std::string_view payload = r.str();
+        if (r.u64() != fnv1a(payload, fnv1a(key)))
+            fail("persist", "checksum mismatch on entry " + std::to_string(i));
+        StoreEntry e;
+        e.key = ByteReader(key).digest();
+        e.result = deserializeJobResult(payload);
+        out.entries.push_back(std::move(e));
+    });
+    if (out.detail.empty()) {
+        // Index damage costs index entries only: every result above is
+        // already proven intact.
+        std::uint64_t droppedIndex = 0;
         try {
-            const std::string_view key = r.str();
-            const std::string_view payload = r.str();
-            const std::uint64_t stored = r.u64();
-            const std::uint64_t computed = fnv1a(payload, fnv1a(key));
-            if (stored != computed)
-                fail("persist",
-                     "checksum mismatch on entry " + std::to_string(i));
-            StoreEntry e;
-            e.key = std::string(key);
-            e.result = deserializeJobResult(payload);
-            out.entries.push_back(std::move(e));
+            const std::uint64_t icount = r.u64();
+            out.detail = walk(r, icount, kMinIndexBytes, "index entry",
+                              droppedIndex, [&](std::uint64_t i) {
+                JobIndex::Entry e;
+                e.name = std::string(r.str());
+                e.stamp = r.u64();
+                e.digest = r.digest();
+                if (r.u64() != indexChecksum(e))
+                    fail("persist", "checksum mismatch on index entry " +
+                                        std::to_string(i));
+                out.index.push_back(std::move(e));
+            });
         } catch (const std::exception& e) {
-            out.status = LoadResult::Status::kSalvaged;
-            // `count - i` trusts the declared count — but when the
-            // damage hit the count field itself that difference is
-            // garbage (potentially billions), and it feeds the
-            // `persist.salvage.dropped` counter and the report. An
-            // intact entry occupies ≥ 16 bytes (two length prefixes +
-            // checksum), so the bytes left at this entry bound how many
-            // the file could actually have held; clamp to that and say
-            // the count itself is untrusted.
-            const std::uint64_t declared = count - i;
-            const std::uint64_t plausible = remainingBefore / 16;
-            out.droppedEntries = std::min(declared, plausible);
-            out.detail = "salvaged " + std::to_string(i) + " of " +
-                         std::to_string(count) + " entries (" + e.what() +
-                         ")";
-            if (declared > plausible)
-                out.detail += "; declared entry count untrusted (room for "
-                              "at most " + std::to_string(plausible) +
-                              " more)";
-            break;
+            out.detail = std::string("index section lost (") + e.what() + ")";
         }
+        if (out.detail.empty() && !r.done())
+            // The declared records all validated but the file keeps
+            // going: the count fields can't be trusted, yet the prefix can.
+            out.detail = "salvaged " + std::to_string(out.entries.size()) +
+                         " entries; " + std::to_string(r.remaining()) +
+                         " trailing bytes after the declared count";
     }
-    if (out.status == LoadResult::Status::kLoaded && !r.done()) {
-        // The declared entries all validated but the file keeps going:
-        // the count field itself can't be trusted, yet the prefix can.
+    if (!out.detail.empty()) {
         out.status = LoadResult::Status::kSalvaged;
-        out.detail = "salvaged " + std::to_string(out.entries.size()) +
-                     " entries; " + std::to_string(r.remaining()) +
-                     " trailing bytes after the declared count";
-    }
-    if (out.status == LoadResult::Status::kSalvaged) {
         if (out.entries.empty())
             return reject(LoadResult::Status::kCorrupt,
                           "no salvageable prefix (" + out.detail + ")");
@@ -179,6 +225,7 @@ LoadResult CacheStore::load(const std::string& path,
 
 bool CacheStore::save(const std::string& path, std::string_view fingerprint,
                       std::span<const StoreEntry> entries,
+                      std::span<const JobIndex::Entry> index,
                       std::string* errorOut) {
     obs::ScopedSpan span("persist.save", "persist");
     static auto& saves = obs::counter("persist.save");
@@ -192,17 +239,28 @@ bool CacheStore::save(const std::string& path, std::string_view fingerprint,
         w.str(fingerprint);
         w.u64(entries.size());
         std::string payload;
+        std::string key;
         for (const auto& e : entries) {
             payload.clear();
             serializeJobResult(*e.result, payload);
             entryBytes.observe(payload.size());
-            w.str(e.key);
+            key.clear();
+            ByteWriter(key).digest(e.key);
+            bytes.append(key);
             w.str(payload);
-            w.u64(fnv1a(payload, fnv1a(e.key)));
+            w.u64(fnv1a(payload, fnv1a(key)));
+        }
+        w.u64(index.size());
+        for (const auto& e : index) {
+            w.str(e.name);
+            w.u64(e.stamp);
+            w.digest(e.digest);
+            w.u64(indexChecksum(e));
         }
     }
     if (span.live())
         span.setDetail("entries=" + std::to_string(entries.size()) +
+                       " index=" + std::to_string(index.size()) +
                        " bytes=" + std::to_string(bytes.size()));
 
     // Unique per process *and* per call: concurrent flushes from two

@@ -1,15 +1,21 @@
-// Versioned on-disk result store ("pd-cache-v3").
+// Versioned on-disk result store ("pd-cache-v4").
 //
 // File layout (all integers little-endian, see format.hpp):
 //
 //   magic            8 bytes   "pdcache\0"
-//   version          u32       kFormatVersion (3)
+//   version          u32       kFormatVersion (4)
 //   fingerprint      str       options-fingerprint salt of the writer
 //   entry count      u64
 //   entry[count]:
-//     key            str       canonical signature (full string, no hash)
+//     key            16 bytes  job digest (lane a u64, lane b u64)
 //     payload        str       serialized JobResult (serialize.hpp)
 //     checksum       u64       FNV-1a over key bytes then payload bytes
+//   index count      u64
+//   index[count]:               name index (see engine/cache.hpp JobIndex)
+//     name           str       registry name + options fingerprint
+//     stamp          u64       spec stamp of the benchmark under that name
+//     digest         16 bytes  the key of the job's entry above
+//     checksum       u64       FNV-1a over the name, stamp and digest bytes
 //
 // load() never throws and never crashes on hostile input: a missing,
 // wrong-magic, wrong-version or wrong-fingerprint file comes back as a
@@ -18,7 +24,9 @@
 // punished: each entry carries its own checksum, so every entry before
 // the first bad byte is provably intact — load() keeps that valid
 // prefix (status kSalvaged, with the drop count and reason in
-// detail/droppedEntries) and discards the rest. The header is held to
+// detail/droppedEntries) and discards the rest, index included; damage
+// inside the index section keeps every result entry and the index
+// prefix before it (kSalvaged, droppedEntries 0). The header is held to
 // the stricter standard: a store whose magic/version/fingerprint can't
 // be trusted yields no salvage, and a salvage that recovers zero
 // entries is reported as plain kCorrupt. Callers that only want
@@ -37,19 +45,23 @@
 #include <string_view>
 #include <vector>
 
+#include "engine/cache.hpp"
 #include "engine/job.hpp"
 
 namespace pd::engine::persist {
 
-inline constexpr std::string_view kFormatName = "pd-cache-v3";
-// v3: the JobResult payload gained the SAT-verification block
-// (satVerify.*) and VerifyStatus::kSat; v2 stores cold-start as
+inline constexpr std::string_view kFormatName = "pd-cache-v4";
+// v4: keys are 16-byte job digests instead of full canonical-signature
+// strings (a 33 MB default-batch store became tens of KB), and the name
+// index section follows the entries; v3 stores cold-start as
 // bad-version.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v3: the JobResult payload gained the SAT-verification block
+// (satVerify.*) and VerifyStatus::kSat.
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::string_view kMagic{"pdcache\0", 8};
 
 struct StoreEntry {
-    std::string key;  ///< full canonical signature
+    util::Digest128 key;
     std::shared_ptr<const JobResult> result;
 };
 
@@ -66,6 +78,7 @@ struct LoadResult {
     Status status = Status::kNoFile;
     std::string detail;  ///< human-readable reason when not kLoaded
     std::vector<StoreEntry> entries;
+    std::vector<JobIndex::Entry> index;
     /// Declared entries lost to the damaged tail when kSalvaged.
     std::uint64_t droppedEntries = 0;
 
@@ -85,11 +98,12 @@ public:
     [[nodiscard]] static LoadResult load(const std::string& path,
                                          std::string_view fingerprint);
 
-    /// Serializes `entries` under `fingerprint` and atomically replaces
-    /// `path`. Returns false (with `errorOut` set) on I/O failure; never
-    /// throws.
+    /// Serializes `entries` and `index` under `fingerprint` and
+    /// atomically replaces `path`. Returns false (with `errorOut` set) on
+    /// I/O failure; never throws.
     static bool save(const std::string& path, std::string_view fingerprint,
                      std::span<const StoreEntry> entries,
+                     std::span<const JobIndex::Entry> index,
                      std::string* errorOut = nullptr);
 };
 

@@ -137,6 +137,9 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
         w.field("wall_ms", r.wallMs);
         w.field("cpu_ms", r.cpuMs);
         w.key("phases").beginObject();
+        w.field("resolve_ms", r.phases.resolveMs);
+        w.field("digest_ms", r.phases.digestMs);
+        w.field("cache_lookup_ms", r.phases.cacheLookupMs);
         w.field("decompose_ms", r.phases.decomposeMs);
         w.field("probe_sweep_ms", r.phases.probeSweepMs);
         w.field("synth_ms", r.phases.synthMs);

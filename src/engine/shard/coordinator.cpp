@@ -143,7 +143,8 @@ std::vector<CacheDelta> mergeCacheDeltas(std::vector<CacheDelta> deltas) {
     // Later deltas win ties on the stamp: `deltas` arrives in drain
     // order, so "latest worker, then most-recently-used within the
     // worker" is the newest-LRU-wins rule the store merge promises.
-    std::unordered_map<std::string, std::size_t> byKey;
+    std::unordered_map<util::Digest128, std::size_t, util::Digest128Hash>
+        byKey;
     std::vector<CacheDelta> merged;
     merged.reserve(deltas.size());
     for (auto& d : deltas) {
@@ -523,6 +524,10 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                             outcome.proofDeltas.push_back(d);
                         break;
                     }
+                    case FrameType::kIndexEntry:
+                        outcome.indexDeltas.push_back(
+                            decodeIndexDelta(frame->payload));
+                        break;
                     case FrameType::kBye:
                         s.byeSeen = true;
                         break;

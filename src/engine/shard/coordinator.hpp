@@ -7,7 +7,7 @@
 // never serializes the batch behind it), results stream back as
 // checksummed frames, and on completion each worker ships its
 // locally-computed cache entries back for the coordinator's newest-wins
-// merge into the shared pd-cache-v3 store.
+// merge into the shared pd-cache-v4 store.
 //
 // Crash isolation: a worker that dies (abort, OOM kill, sanitizer trap)
 // or overruns the per-job wall budget (SIGKILL by deadline) costs exactly
@@ -101,6 +101,8 @@ struct ShardOutcome {
     /// by digest (a proof of a given obligation is unique, so first-in
     /// wins).
     std::vector<ProofDelta> proofDeltas;
+    /// Name-index entries the workers recorded, in arrival order.
+    std::vector<JobIndex::Entry> indexDeltas;
     std::size_t workerCrashes = 0;   ///< deaths observed (incl. budget kills)
     std::size_t workerRespawns = 0;
     std::size_t retries = 0;         ///< jobs requeued after a crash

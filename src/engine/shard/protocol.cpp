@@ -12,7 +12,7 @@ using persist::ByteWriter;
 using persist::fnv1a;
 
 constexpr std::uint8_t kMaxFrameType =
-    static_cast<std::uint8_t>(FrameType::kHeartbeat);
+    static_cast<std::uint8_t>(FrameType::kIndexEntry);
 constexpr std::uint8_t kMaxCacheSource =
     static_cast<std::uint8_t>(CacheSource::kDisk);
 
@@ -185,10 +185,13 @@ std::string encodeResult(std::uint32_t index, const JobResult& result) {
     std::string out;
     ByteWriter w(out);
     w.u32(index);
-    // Per-request fields the pd-cache-v3 payload deliberately omits.
+    // Per-request fields the pd-cache-v4 payload deliberately omits.
     w.str(result.name);
     w.f64(result.wallMs);
     w.f64(result.cpuMs);
+    w.f64(result.phases.resolveMs);
+    w.f64(result.phases.digestMs);
+    w.f64(result.phases.cacheLookupMs);
     w.f64(result.phases.decomposeMs);
     w.f64(result.phases.probeSweepMs);
     w.f64(result.phases.synthMs);
@@ -213,6 +216,9 @@ std::pair<std::uint32_t, JobResult> decodeResult(std::string_view payload) {
     const double wallMs = r.f64();
     const double cpuMs = r.f64();
     JobResult::PhaseTimes phases;
+    phases.resolveMs = r.f64();
+    phases.digestMs = r.f64();
+    phases.cacheLookupMs = r.f64();
     phases.decomposeMs = r.f64();
     phases.probeSweepMs = r.f64();
     phases.synthMs = r.f64();
@@ -247,7 +253,7 @@ std::pair<std::uint32_t, JobResult> decodeResult(std::string_view payload) {
 std::string encodeCacheDelta(const CacheDelta& d) {
     std::string out;
     ByteWriter w(out);
-    w.str(d.key);
+    w.digest(d.key);
     w.str(d.payload);
     w.u64(d.stamp);
     return out;
@@ -256,7 +262,7 @@ std::string encodeCacheDelta(const CacheDelta& d) {
 CacheDelta decodeCacheDelta(std::string_view payload) {
     ByteReader r(payload);
     CacheDelta d;
-    d.key = std::string(r.str());
+    d.key = r.digest();
     d.payload = std::string(r.str());
     d.stamp = r.u64();
     if (!r.done()) fail("shard", "trailing bytes after cache delta");
@@ -272,7 +278,7 @@ std::string encodeProofDelta(const ProofDelta& d) {
     w.u64(d.restarts);
     w.u64(d.learned);
     // winner is -1..N; bias by one so it travels as an unsigned count
-    // (same convention as the pd-cache-v3 satVerify encoding).
+    // (same convention as the pd-cache-v4 satVerify encoding).
     w.u64(static_cast<std::uint64_t>(d.winner + 1));
     return out;
 }
@@ -288,6 +294,25 @@ ProofDelta decodeProofDelta(std::string_view payload) {
     d.winner = static_cast<int>(r.u64()) - 1;
     if (!r.done()) fail("shard", "trailing bytes after proof delta");
     return d;
+}
+
+std::string encodeIndexDelta(const JobIndex::Entry& e) {
+    std::string out;
+    ByteWriter w(out);
+    w.str(e.name);
+    w.u64(e.stamp);
+    w.digest(e.digest);
+    return out;
+}
+
+JobIndex::Entry decodeIndexDelta(std::string_view payload) {
+    ByteReader r(payload);
+    JobIndex::Entry e;
+    e.name = std::string(r.str());
+    e.stamp = r.u64();
+    e.digest = r.digest();
+    if (!r.done()) fail("shard", "trailing bytes after index delta");
+    return e;
 }
 
 std::string encodeHeartbeat(const Heartbeat& h) {

@@ -1,8 +1,8 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v5"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v7"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker pipe is a length-prefixed, checksummed
-// frame over the same little-endian primitives as the pd-cache-v3 store:
+// frame over the same little-endian primitives as the pd-cache-v4 store:
 //
 //   frame := type u8 | length u32 | payload[length] | checksum u64
 //
@@ -14,7 +14,7 @@
 // stream can never walk the decoder out of its buffer or hand the
 // coordinator a half-record. Payload encoders carry the same semantic
 // fields as a pd-batch-report-v1 job record (spec in, result out), plus
-// the cache-delta records workers hand back at shutdown.
+// the cache, proof and name-index delta records workers hand back.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/cache.hpp"
 #include "engine/job.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -64,7 +65,14 @@ namespace pd::engine::shard {
 /// resets the slot's silence clock, and discards them. Workers accept
 /// --connect/--heartbeat-ms argv; frame layouts other than the new type
 /// are unchanged.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+///
+/// v7 (content-addressed keys): kCacheEntry keys are 16-byte job digests
+/// instead of full canonical-signature strings; new kIndexEntry frame —
+/// a worker streams the name-index entries it recorded (registry name +
+/// options fingerprint, spec stamp, digest) on the cache-delta cadence,
+/// so the coordinator flushes the same index a single-process run would;
+/// kResult carries the resolve/digest/cache-lookup phase times.
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length
@@ -81,6 +89,7 @@ enum class FrameType : std::uint8_t {
     kObs = 7,         ///< worker → coordinator: spans + metrics delta
     kProofEntry = 8,  ///< worker → coordinator: one completed SAT proof
     kHeartbeat = 9,   ///< worker → coordinator: liveness beat (wire v6)
+    kIndexEntry = 10, ///< worker → coordinator: one name-index entry (v7)
 };
 
 struct Frame {
@@ -126,12 +135,12 @@ struct Hello {
     std::uint32_t shardId = 0;
 };
 
-/// One worker-local cache entry handed back at shutdown: the full
-/// canonical-signature key, the pd-cache-v3 payload bytes of the result,
+/// One worker-local cache entry handed back at shutdown: the job digest
+/// key, the pd-cache-v4 payload bytes of the result,
 /// and the worker's LRU stamp (larger = used more recently within that
 /// worker), which the coordinator's newest-wins merge keys on.
 struct CacheDelta {
-    std::string key;
+    util::Digest128 key;
     std::string payload;
     std::uint64_t stamp = 0;
 };
@@ -168,6 +177,11 @@ struct ProofDelta {
 
 [[nodiscard]] std::string encodeProofDelta(const ProofDelta& d);
 [[nodiscard]] ProofDelta decodeProofDelta(std::string_view payload);
+
+/// One name-index entry a worker recorded (wire v7). The coordinator
+/// records it as its own engine would have, overwriting a stale entry.
+[[nodiscard]] std::string encodeIndexDelta(const JobIndex::Entry& e);
+[[nodiscard]] JobIndex::Entry decodeIndexDelta(std::string_view payload);
 
 /// One liveness beat (wire v6). Sequence numbers are worker-local and
 /// strictly increasing; the coordinator only uses arrival time, but the

@@ -162,12 +162,20 @@ int runWorker(const WorkerOptions& opt) {
     // Keys already streamed to the coordinator. Deltas ship eagerly after
     // every job so a later crash forfeits only the in-flight entry, never
     // the worker's whole session.
-    std::unordered_set<std::string> shipped;
+    std::unordered_set<util::Digest128, util::Digest128Hash> shipped;
+    std::unordered_set<std::string> shippedIndex;
     const auto shipDeltas = [&] {
         for (const CacheDelta& d : engine.cacheDelta(shipped)) {
             if (!send(FrameType::kCacheEntry, encodeCacheDelta(d)))
                 return false;
             shipped.insert(d.key);
+        }
+        // Name-index entries ride the same cadence, so the coordinator's
+        // store names every result a single-process run would.
+        for (const JobIndex::Entry& e : engine.indexDelta(shippedIndex)) {
+            if (!send(FrameType::kIndexEntry, encodeIndexDelta(e)))
+                return false;
+            shippedIndex.insert(e.name);
         }
         return true;
     };

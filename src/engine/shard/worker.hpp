@@ -5,9 +5,10 @@
 // stdout; the worker's real stdout is re-pointed at stderr so stray
 // library prints can never corrupt the frame stream). It owns a
 // single-threaded Engine that warm-starts *read-only* from the shared
-// pd-cache-v3 store — N workers may open one warm.pdc simultaneously —
+// pd-cache-v4 store — N workers may open one warm.pdc simultaneously —
 // and never writes that store itself: newly computed cache entries are
 // streamed back to the coordinator as checksummed kCacheEntry frames
+// (with the name-index entries they came with as kIndexEntry frames)
 // right after each job (plus a catch-up pass at shutdown) — so a crash
 // forfeits only the in-flight entry — and the coordinator alone flushes
 // the merged artifact.

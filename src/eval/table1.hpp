@@ -56,7 +56,7 @@ void satCrossCheck(BenchReport& report);
 /// ablation sweeps that revisit a configuration are served from cache;
 /// baseline/manual rows synthesize their netlists directly.
 ///
-/// Persistence: pass a pd-cache-v3 store path (or set PD_CACHE_FILE in
+/// Persistence: pass a pd-cache-v4 store path (or set PD_CACHE_FILE in
 /// the environment — every Flow in the process then shares one store)
 /// and the engine warm-starts from it and flushes back on destruction,
 /// so repeated Table-1 sweeps skip re-decomposition across processes.

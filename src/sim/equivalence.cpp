@@ -3,20 +3,10 @@
 #include <sstream>
 
 #include "sim/simulator.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 
 namespace pd::sim {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-}  // namespace
 
 EquivResult checkAgainstReference(const netlist::Netlist& nl,
                                   std::span<const PortLayout> ports,
@@ -109,7 +99,8 @@ EquivResult checkAgainstReference(const netlist::Netlist& nl,
 
     std::uint64_t rng = opt.seed;
     for (std::size_t batch = 0; batch < opt.randomBatches; ++batch) {
-        for (std::size_t q = 0; q < totalBits; ++q) words[q] = splitmix64(rng);
+        for (std::size_t q = 0; q < totalBits; ++q)
+            words[q] = util::splitmix64(rng);
         if (!runBatch(64)) return result;
     }
     result.equivalent = true;

@@ -1,18 +1,24 @@
 // Batch-engine tests: determinism across thread counts, canonical-ANF
 // cache behaviour (hits on resubmit and on renamed-variable isomorphs,
-// no false hits across option fingerprints), error isolation, the worker
-// pool's exception capture, LRU eviction, and the JSON reporter.
+// no false hits across option fingerprints), the streamed job digest
+// against the materialized-signature oracle, the name index and its
+// reference guard, error isolation, the worker pool's exception capture,
+// LRU eviction, and the JSON reporter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <optional>
+#include <random>
 #include <sstream>
+#include <unordered_map>
 
 #include "anf/parser.hpp"
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
-#include "engine/pool.hpp"
 #include "engine/report_json.hpp"
+#include "util/pool.hpp"
 
 namespace pd::engine {
 namespace {
@@ -228,32 +234,142 @@ TEST(Engine, KeepMappedIsomorphGetsItsOwnPortNames) {
     EXPECT_EQ(rf.mapped.outputs()[0].name, "f");
 }
 
-TEST(Signature, DistinguishesOptionsAndFunctions) {
+/// The materialized canonical signature the engine keyed by before job
+/// digests: kept here as the oracle the streamed digest must agree with.
+std::string oracleSignature(std::span<const anf::Anf> outputs,
+                            const core::DecomposeOptions& opt, bool verify) {
+    std::string sig = "pdsig1" + optionsFingerprint(opt, verify);
+    std::unordered_map<anf::Var, std::uint32_t> relabel;
+    for (const auto& out : outputs)
+        for (const auto& m : out.terms())
+            m.forEachVar([&](anf::Var v) {
+                relabel.emplace(v, static_cast<std::uint32_t>(relabel.size()));
+            });
+    for (const auto& out : outputs) {
+        std::vector<std::vector<std::uint32_t>> monos;
+        for (const auto& m : out.terms()) {
+            std::vector<std::uint32_t> ids;
+            m.forEachVar([&](anf::Var v) { ids.push_back(relabel.at(v)); });
+            std::sort(ids.begin(), ids.end());
+            monos.push_back(std::move(ids));
+        }
+        std::sort(monos.begin(), monos.end(),
+                  [](const auto& a, const auto& b) {
+                      if (a.size() != b.size()) return a.size() < b.size();
+                      return a < b;
+                  });
+        sig += "|O";
+        for (const auto& ids : monos) {
+            sig += 'M';
+            for (const auto id : ids) {
+                sig += std::to_string(id);
+                sig += '.';
+            }
+        }
+    }
+    return sig;
+}
+
+TEST(Digest, DistinguishesOptionsAndFunctions) {
     anf::VarTable vt;
     const std::vector<anf::Anf> f = {anf::parse("a*b ^ c", vt)};
     const std::vector<anf::Anf> g = {anf::parse("a*b ^ a", vt)};
     core::DecomposeOptions k4;
     core::DecomposeOptions k3;
     k3.k = 3;
-    EXPECT_NE(canonicalSignature(f, k4, true), canonicalSignature(f, k3, true));
-    EXPECT_NE(canonicalSignature(f, k4, true), canonicalSignature(g, k4, true));
-    EXPECT_NE(canonicalSignature(f, k4, true),
-              canonicalSignature(f, k4, false));
-    EXPECT_EQ(canonicalSignature(f, k4, true), canonicalSignature(f, k4, true));
+    EXPECT_NE(canonicalDigest(f, k4, true), canonicalDigest(f, k3, true));
+    EXPECT_NE(canonicalDigest(f, k4, true), canonicalDigest(g, k4, true));
+    EXPECT_NE(canonicalDigest(f, k4, true), canonicalDigest(f, k4, false));
+    EXPECT_EQ(canonicalDigest(f, k4, true), canonicalDigest(f, k4, true));
+    EXPECT_EQ(canonicalDigest(f, k4, true).hex().size(), 32u);
 }
 
-TEST(Signature, InvariantUnderRenaming) {
+TEST(Digest, InvariantUnderRenaming) {
     anf::VarTable vt1;
     const std::vector<anf::Anf> f1 = {anf::parse("a*b ^ b*c", vt1)};
     anf::VarTable vt2;
     const std::vector<anf::Anf> f2 = {anf::parse("x*y ^ y*z", vt2)};
     const core::DecomposeOptions opt;
-    EXPECT_EQ(canonicalSignature(f1, opt, true),
-              canonicalSignature(f2, opt, true));
+    EXPECT_EQ(canonicalDigest(f1, opt, true), canonicalDigest(f2, opt, true));
+    EXPECT_EQ(oracleSignature(f1, opt, true), oracleSignature(f2, opt, true));
+}
+
+/// Random multi-output ANF set over `vars`.
+std::vector<anf::Anf> randomOutputs(std::mt19937_64& rng,
+                                    const std::vector<anf::Var>& vars) {
+    std::vector<anf::Anf> outs(1 + rng() % 3);
+    for (auto& out : outs) {
+        std::vector<anf::Monomial> terms(rng() % 6);
+        for (auto& m : terms)
+            for (const anf::Var v : vars)
+                if (rng() % 3 == 0) m.insert(v);
+        out = anf::Anf::fromTerms(std::move(terms));
+    }
+    return outs;
+}
+
+TEST(Digest, EqualExactlyWhenOracleSignaturesAreEqual) {
+    // Randomized ANF sets, each also registered a second time under
+    // permuted variable ids (a relabeled isomorph), under a few option
+    // variants: digests must agree exactly when the oracle strings do.
+    std::mt19937_64 rng(0x5151);
+    std::vector<core::DecomposeOptions> variants(3);
+    variants[1].k = 3;
+    variants[2].useIdentities = false;
+    std::vector<std::pair<std::string, util::Digest128>> seen;
+    for (int round = 0; round < 150; ++round) {
+        anf::VarTable vt;
+        std::vector<anf::Var> vars;
+        const int n = 2 + static_cast<int>(rng() % 4);
+        for (int i = 0; i < n; ++i)
+            vars.push_back(vt.addInput("v" + std::to_string(i), 0, i));
+        const auto outs = randomOutputs(rng, vars);
+        // The isomorph: the same functions over a reversed variable order.
+        anf::VarTable vt2;
+        std::vector<anf::Var> vars2;
+        for (int i = 0; i < n; ++i)
+            vars2.push_back(vt2.addInput("w" + std::to_string(i), 0, i));
+        std::vector<anf::Anf> iso;
+        for (const auto& out : outs) {
+            std::vector<anf::Monomial> terms;
+            for (const auto& m : out.terms()) {
+                anf::Monomial t;
+                m.forEachVar([&](anf::Var v) {
+                    const auto at = std::find(vars.begin(), vars.end(), v);
+                    t.insert(vars2[static_cast<std::size_t>(
+                        n - 1 - (at - vars.begin()))]);
+                });
+                terms.push_back(t);
+            }
+            iso.push_back(anf::Anf::fromTerms(std::move(terms)));
+        }
+        for (const auto& opt : variants)
+            for (const bool verify : {true, false}) {
+                seen.emplace_back(oracleSignature(outs, opt, verify),
+                                  canonicalDigest(outs, opt, verify));
+                seen.emplace_back(oracleSignature(iso, opt, verify),
+                                  canonicalDigest(iso, opt, verify));
+            }
+    }
+    std::map<std::string, util::Digest128> byOracle;
+    std::map<util::Digest128, std::string> byDigest;
+    std::size_t collapsed = 0;
+    for (const auto& [oracle, digest] : seen) {
+        const auto [it, fresh] = byOracle.emplace(oracle, digest);
+        EXPECT_EQ(it->second, digest) << "equal oracles, different digests";
+        collapsed += fresh ? 0 : 1;
+        const auto [jt, freshD] = byDigest.emplace(digest, oracle);
+        EXPECT_EQ(jt->second, oracle) << "equal digests, different oracles";
+    }
+    EXPECT_EQ(byOracle.size(), byDigest.size());
+    // The sample must exercise both directions: isomorphs and repeats
+    // collapse, and plenty of distinct sets stay apart.
+    EXPECT_GT(collapsed, seen.size() / 3);
+    EXPECT_GT(byOracle.size(), 200u);
 }
 
 TEST(Pool, CapturesTaskExceptions) {
-    ThreadPool pool(4);
+    util::ThreadPool pool(4);
     auto ok = pool.submit([] { return 41 + 1; });
     auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
     EXPECT_EQ(ok.get(), 42);
@@ -264,7 +380,7 @@ TEST(Pool, CapturesTaskExceptions) {
 }
 
 TEST(Pool, RunsManyTasksOnAllWorkers) {
-    ThreadPool pool(8);
+    util::ThreadPool pool(8);
     std::atomic<int> sum{0};
     std::vector<std::future<void>> futures;
     for (int i = 0; i < 200; ++i)
@@ -272,6 +388,8 @@ TEST(Pool, RunsManyTasksOnAllWorkers) {
     for (auto& f : futures) f.get();
     EXPECT_EQ(sum.load(), 200);
 }
+
+ResultCache::Key key(const char* name) { return util::digestOf(name); }
 
 ResultCache::Value makeValue(const std::string& name) {
     auto r = std::make_shared<JobResult>();
@@ -282,37 +400,37 @@ ResultCache::Value makeValue(const std::string& name) {
 
 TEST(Cache, LruEviction) {
     ResultCache cache(/*capacity=*/2, /*shards=*/1);
-    for (const char* key : {"a", "b"}) {
-        auto lookup = cache.lookupOrReserve(key);
+    for (const char* name : {"a", "b"}) {
+        auto lookup = cache.lookupOrReserve(key(name));
         auto* reservation = std::get_if<ResultCache::Reservation>(&lookup);
         ASSERT_NE(reservation, nullptr);
-        reservation->fulfill(makeValue(key));
+        reservation->fulfill(makeValue(name));
     }
     // Touch "a" so "b" is the LRU entry, then insert "c".
     EXPECT_TRUE(std::holds_alternative<ResultCache::Value>(
-        cache.lookupOrReserve("a")));
+        cache.lookupOrReserve(key("a"))));
     {
-        auto lookup = cache.lookupOrReserve("c");
+        auto lookup = cache.lookupOrReserve(key("c"));
         auto* reservation = std::get_if<ResultCache::Reservation>(&lookup);
         ASSERT_NE(reservation, nullptr);
         reservation->fulfill(makeValue("c"));
     }
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_TRUE(std::holds_alternative<ResultCache::Value>(
-        cache.lookupOrReserve("a")));
+        cache.lookupOrReserve(key("a"))));
     EXPECT_TRUE(std::holds_alternative<ResultCache::Reservation>(
-        cache.lookupOrReserve("b")))
+        cache.lookupOrReserve(key("b"))))
         << "b must have been evicted";
 }
 
 TEST(Cache, AbandonedReservationIsNotCached) {
     ResultCache cache(4, 1);
     {
-        auto lookup = cache.lookupOrReserve("k");
+        auto lookup = cache.lookupOrReserve(key("k"));
         ASSERT_TRUE(std::holds_alternative<ResultCache::Reservation>(lookup));
         // Reservation destroyed unfulfilled — the computation "threw".
     }
-    auto retry = cache.lookupOrReserve("k");
+    auto retry = cache.lookupOrReserve(key("k"));
     EXPECT_TRUE(std::holds_alternative<ResultCache::Reservation>(retry))
         << "a failure must not poison the key";
 }
@@ -320,7 +438,8 @@ TEST(Cache, AbandonedReservationIsNotCached) {
 TEST(Cache, ZeroCapacityDisables) {
     ResultCache cache(0);
     EXPECT_TRUE(
-        std::holds_alternative<std::monostate>(cache.lookupOrReserve("k")));
+        std::holds_alternative<std::monostate>(
+            cache.lookupOrReserve(key("k"))));
     EXPECT_EQ(cache.stats().hits, 0u);
 }
 
@@ -330,7 +449,7 @@ TEST(Cache, ZeroCapacityDisables) {
 // letting the source die, or poking it — must be completely inert.
 TEST(Cache, ReservationMovedBeforeFulfillStaysValid) {
     ResultCache cache(4, 1);
-    auto lookup = cache.lookupOrReserve("k");
+    auto lookup = cache.lookupOrReserve(key("k"));
     auto* reservation = std::get_if<ResultCache::Reservation>(&lookup);
     ASSERT_NE(reservation, nullptr);
     {
@@ -342,7 +461,7 @@ TEST(Cache, ReservationMovedBeforeFulfillStaysValid) {
         reservation->fulfill(makeValue("stray"));
         moved.fulfill(makeValue("k"));
     }
-    auto hit = cache.lookupOrReserve("k");
+    auto hit = cache.lookupOrReserve(key("k"));
     auto* value = std::get_if<ResultCache::Value>(&hit);
     ASSERT_NE(value, nullptr);
     EXPECT_EQ((*value)->name, "k");
@@ -353,7 +472,7 @@ TEST(Cache, ReservationMovedThenSourceDestroyedDoesNotPoison) {
     ResultCache cache(4, 1);
     std::optional<ResultCache::Reservation> keeper;
     {
-        auto lookup = cache.lookupOrReserve("k");
+        auto lookup = cache.lookupOrReserve(key("k"));
         auto* reservation = std::get_if<ResultCache::Reservation>(&lookup);
         ASSERT_NE(reservation, nullptr);
         keeper.emplace(std::move(*reservation));
@@ -362,22 +481,22 @@ TEST(Cache, ReservationMovedThenSourceDestroyedDoesNotPoison) {
     keeper->fulfill(makeValue("k"));
     keeper.reset();
     EXPECT_TRUE(std::holds_alternative<ResultCache::Value>(
-        cache.lookupOrReserve("k")));
+        cache.lookupOrReserve(key("k"))));
 }
 
 TEST(Cache, SnapshotDrainsReadyEntriesOnly) {
     ResultCache cache(8, 2);
     {
-        auto lookup = cache.lookupOrReserve("ready");
+        auto lookup = cache.lookupOrReserve(key("ready"));
         std::get_if<ResultCache::Reservation>(&lookup)->fulfill(
             makeValue("ready"));
     }
-    auto inflight = cache.lookupOrReserve("inflight");
+    auto inflight = cache.lookupOrReserve(key("inflight"));
     ASSERT_TRUE(
         std::holds_alternative<ResultCache::Reservation>(inflight));
     const auto snap = cache.snapshot();
     ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].key, "ready");
+    EXPECT_EQ(snap[0].key, key("ready"));
     EXPECT_EQ(snap[0].value->name, "ready");
     std::get_if<ResultCache::Reservation>(&inflight)->fulfill(
         makeValue("inflight"));
@@ -386,19 +505,19 @@ TEST(Cache, SnapshotDrainsReadyEntriesOnly) {
 TEST(Cache, RestoreMergesWithoutClobberingLiveEntries) {
     ResultCache cache(8, 2);
     {
-        auto lookup = cache.lookupOrReserve("k1");
+        auto lookup = cache.lookupOrReserve(key("k1"));
         std::get_if<ResultCache::Reservation>(&lookup)->fulfill(
             makeValue("live"));
     }
     std::vector<ResultCache::SnapshotEntry> entries;
-    entries.push_back({"k1", makeValue("stale-from-disk")});
-    entries.push_back({"k2", makeValue("new-from-disk")});
+    entries.push_back({key("k1"), makeValue("stale-from-disk")});
+    entries.push_back({key("k2"), makeValue("new-from-disk")});
     EXPECT_EQ(cache.restore(std::move(entries)), 1u);
     EXPECT_EQ(cache.stats().restored, 1u);
-    auto h1 = cache.lookupOrReserve("k1");
+    auto h1 = cache.lookupOrReserve(key("k1"));
     EXPECT_EQ((*std::get_if<ResultCache::Value>(&h1))->name, "live")
         << "a live entry must win over the store";
-    auto h2 = cache.lookupOrReserve("k2");
+    auto h2 = cache.lookupOrReserve(key("k2"));
     ASSERT_TRUE(std::holds_alternative<ResultCache::Value>(h2));
     EXPECT_EQ((*std::get_if<ResultCache::Value>(&h2))->name,
               "new-from-disk");

@@ -1,9 +1,11 @@
 // Persistent-cache tests: byte-level format round-trips, the store's
 // loud rejection of every corruption class (truncation, bit flips,
 // future versions, foreign fingerprints) as a clean cold start, engine
-// warm-start/flush end-to-end, and a concurrent save-while-computing
-// hammer. All failure paths must neither crash nor serve a wrong
-// answer — a bad file is equivalent to no file.
+// warm-start/flush end-to-end, the persisted name index and the
+// reference guard behind it (stale entries, changed specs), and a
+// concurrent save-while-computing hammer. All failure paths must
+// neither crash nor serve a wrong answer — a bad file is equivalent to
+// no file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,11 +15,13 @@
 #include <sstream>
 #include <thread>
 
+#include "circuits/registry.hpp"
 #include "engine/engine.hpp"
 #include "engine/persist/format.hpp"
 #include "engine/persist/serialize.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/coordinator.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fault/fault.hpp"
 
@@ -49,6 +53,11 @@ private:
 void writeFile(const std::string& path, const std::string& bytes) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Store key for a test label.
+[[nodiscard]] util::Digest128 key(const char* label) {
+    return util::digestOf(label);
 }
 
 /// A representative result with a real netlist: x = a&b, y = x^c.
@@ -203,19 +212,25 @@ TEST(PersistStore, SaveLoadRoundTrip) {
     const JobResult r = sampleResult();
     std::vector<StoreEntry> entries;
     entries.push_back(
-        {"sig-A", std::make_shared<const JobResult>(r)});
+        {key("sig-A"), std::make_shared<const JobResult>(r)});
     entries.push_back(
-        {"sig-B", std::make_shared<const JobResult>(sampleResult())});
+        {key("sig-B"), std::make_shared<const JobResult>(sampleResult())});
     std::string error;
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp1", entries, &error))
+    const std::vector<JobIndex::Entry> index = {
+        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-B")}};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp1", entries, index, &error))
         << error;
 
     const auto loaded = CacheStore::load(file.path(), "fp1");
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
     ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0].key, "sig-A");
-    EXPECT_EQ(loaded.entries[1].key, "sig-B");
+    EXPECT_EQ(loaded.entries[0].key, key("sig-A"));
+    EXPECT_EQ(loaded.entries[1].key, key("sig-B"));
     expectSameResult(r, *loaded.entries[0].result);
+    ASSERT_EQ(loaded.index.size(), 2u);
+    EXPECT_EQ(loaded.index[1].name, "counter8|k4");
+    EXPECT_EQ(loaded.index[1].stamp, 9u);
+    EXPECT_EQ(loaded.index[1].digest, key("sig-B"));
 }
 
 TEST(PersistStore, MissingFileIsACleanColdStart) {
@@ -227,13 +242,14 @@ TEST(PersistStore, MissingFileIsACleanColdStart) {
 TEST(PersistStore, RejectsTruncatedFile) {
     TempFile file("truncated");
     std::vector<StoreEntry> entries{
-        {"sig", std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries));
+        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
     const std::string bytes = readFile(file.path());
     ASSERT_GT(bytes.size(), 16u);
-    // Every truncation point must reject cleanly, never crash.
+    // Every truncation point inside the entry must reject cleanly, never
+    // crash (the last 8 bytes are the empty index section's count).
     for (const std::size_t keep :
-         {bytes.size() - 1, bytes.size() / 2, std::size_t{13},
+         {bytes.size() - 9, bytes.size() / 2, std::size_t{13},
           std::size_t{7}, std::size_t{0}}) {
         writeFile(file.path(), bytes.substr(0, keep));
         const auto loaded = CacheStore::load(file.path(), "fp");
@@ -245,8 +261,8 @@ TEST(PersistStore, RejectsTruncatedFile) {
 TEST(PersistStore, RejectsFlippedChecksumByte) {
     TempFile file("checksum");
     std::vector<StoreEntry> entries{
-        {"sig", std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries));
+        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
     const std::string bytes = readFile(file.path());
     // Flip one byte in every position after the header region; each must
     // be caught by the checksum (or structural validation) as kCorrupt.
@@ -266,8 +282,8 @@ TEST(PersistStore, RejectsFlippedChecksumByte) {
 TEST(PersistStore, RejectsOtherFormatVersions) {
     TempFile file("version");
     std::vector<StoreEntry> entries{
-        {"sig", std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries));
+        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
     std::string bytes = readFile(file.path());
     const auto probe = [&](std::uint8_t version) {
         std::string mutated = bytes;
@@ -296,8 +312,8 @@ TEST(PersistStore, RejectsBadMagic) {
 TEST(PersistStore, RejectsMismatchedFingerprint) {
     TempFile file("fingerprint");
     std::vector<StoreEntry> entries{
-        {"sig", std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp-writer", entries));
+        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp-writer", entries, {}));
     const auto loaded = CacheStore::load(file.path(), "fp-reader");
     EXPECT_EQ(loaded.status, LoadResult::Status::kBadFingerprint);
     EXPECT_NE(loaded.detail.find("fp-writer"), std::string::npos);
@@ -308,24 +324,26 @@ TEST(PersistStore, RejectsMismatchedFingerprint) {
 
 [[nodiscard]] std::vector<StoreEntry> threeEntries() {
     std::vector<StoreEntry> entries;
-    for (const char* key : {"sig-A", "sig-B", "sig-C"})
+    for (const char* label : {"sig-A", "sig-B", "sig-C"})
         entries.push_back(
-            {key, std::make_shared<const JobResult>(sampleResult())});
+            {key(label), std::make_shared<const JobResult>(sampleResult())});
     return entries;
 }
 
 TEST(PersistSalvage, TruncatedTailSalvagesTheIntactPrefix) {
     TempFile file("salvage_trunc");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     const std::string bytes = readFile(file.path());
-    writeFile(file.path(), bytes.substr(0, bytes.size() - 1));
+    // Past the (empty) index section's count, one byte into the last
+    // entry's checksum.
+    writeFile(file.path(), bytes.substr(0, bytes.size() - 9));
     const auto loaded = CacheStore::load(file.path(), "fp");
     EXPECT_EQ(loaded.status, LoadResult::Status::kSalvaged);
     EXPECT_TRUE(loaded.usable());
     EXPECT_FALSE(loaded.ok()) << "salvaged must stay distinct from loaded";
     ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0].key, "sig-A");
-    EXPECT_EQ(loaded.entries[1].key, "sig-B");
+    EXPECT_EQ(loaded.entries[0].key, key("sig-A"));
+    EXPECT_EQ(loaded.entries[1].key, key("sig-B"));
     EXPECT_EQ(loaded.droppedEntries, 1u);
     EXPECT_NE(loaded.detail.find("salvaged 2 of 3"), std::string::npos)
         << loaded.detail;
@@ -333,7 +351,7 @@ TEST(PersistSalvage, TruncatedTailSalvagesTheIntactPrefix) {
 
 TEST(PersistSalvage, FlippedByteInTheLastEntrySalvagesTheRest) {
     TempFile file("salvage_flip");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     std::string bytes = readFile(file.path());
     bytes[bytes.size() - 10] =
         static_cast<char>(bytes[bytes.size() - 10] ^ 0x01);
@@ -351,12 +369,12 @@ TEST(PersistSalvage, DamagedFirstEntryMeansNoSalvage) {
     // the load must reject outright (kCorrupt), not report a successful
     // zero-entry salvage.
     TempFile file("salvage_none");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     std::string bytes = readFile(file.path());
     const std::size_t headerEnd = kMagic.size() + 4 /*version*/ +
                                   (4 + 2) /*"fp" str*/ + 8 /*count u64*/;
-    // First byte of entry 0's key ("sig-A"): the entry checksum rejects
-    // it, the salvageable prefix is empty.
+    // A byte of entry 0's 16-byte key: the entry checksum rejects it,
+    // the salvageable prefix is empty.
     const std::size_t keyByte = headerEnd + 4;
     bytes[keyByte] = static_cast<char>(bytes[keyByte] ^ 0x01);
     writeFile(file.path(), bytes);
@@ -373,7 +391,7 @@ TEST(PersistSalvage, CorruptCountFieldClampsDroppedEntries) {
     // remaining bytes could plausibly hold and flag the count untrusted
     // rather than publish the garbage.
     TempFile file("salvage_count");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     std::string bytes = readFile(file.path());
     const std::size_t countOff =
         kMagic.size() + 4 /*version*/ + (4 + 2) /*"fp" str*/;
@@ -407,8 +425,15 @@ TEST(PersistSalvage, EngineWarmStartsFromASalvagedStore) {
             ASSERT_TRUE(r.ok) << r.error;
         ASSERT_TRUE(engine.flushCache());
     }
+    // Tear the store three bytes into its last result entry: the index
+    // section after it goes too, so every job must recompute its key.
+    const auto pristine =
+        CacheStore::load(file.path(), persistFingerprint(opt));
+    ASSERT_EQ(pristine.index.size(), 2u);
+    std::size_t indexBytes = 8;
+    for (const auto& e : pristine.index) indexBytes += 4 + e.name.size() + 40;
     const std::string bytes = readFile(file.path());
-    writeFile(file.path(), bytes.substr(0, bytes.size() - 3));
+    writeFile(file.path(), bytes.substr(0, bytes.size() - indexBytes - 3));
 
     Engine warm(opt);
     EXPECT_EQ(warm.persistInfo().loadStatus, LoadResult::Status::kSalvaged);
@@ -442,14 +467,14 @@ TEST(PersistFault, EnospcFailsTheSaveAndLeavesNoFile) {
     {
         ScopedFaults faults("persist.save.enospc:n1");
         EXPECT_FALSE(
-            CacheStore::save(file.path(), "fp", threeEntries(), &error));
+            CacheStore::save(file.path(), "fp", threeEntries(), {}, &error));
         EXPECT_NE(error.find("no space left on device"), std::string::npos)
             << error;
     }
     EXPECT_EQ(CacheStore::load(file.path(), "fp").status,
               LoadResult::Status::kNoFile)
         << "a failed save must not leave a target file behind";
-    EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
 }
 
 TEST(PersistFault, ShortWriteLeavesATornStoreTheLoadContains) {
@@ -459,7 +484,7 @@ TEST(PersistFault, ShortWriteLeavesATornStoreTheLoadContains) {
     TempFile file("fault_short");
     {
         ScopedFaults faults("persist.save.short_write:n1");
-        EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+        EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     }
     const auto loaded = CacheStore::load(file.path(), "fp");
     EXPECT_FALSE(loaded.ok());
@@ -474,14 +499,14 @@ TEST(PersistFault, ShortWriteLeavesATornStoreTheLoadContains) {
 
 TEST(PersistFault, RenameFailureKeepsThePreviousStoreVersion) {
     TempFile file("fault_rename");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     const std::string before = readFile(file.path());
     auto all = threeEntries();
     const std::vector<StoreEntry> smaller(all.begin(), all.begin() + 1);
     std::string error;
     {
         ScopedFaults faults("persist.save.rename:n1");
-        EXPECT_FALSE(CacheStore::save(file.path(), "fp", smaller, &error));
+        EXPECT_FALSE(CacheStore::save(file.path(), "fp", smaller, {}, &error));
         EXPECT_NE(error.find("persist.save.rename"), std::string::npos)
             << error;
     }
@@ -491,7 +516,7 @@ TEST(PersistFault, RenameFailureKeepsThePreviousStoreVersion) {
 
 TEST(PersistFault, LoadFlipIsCaughtAndClearsWhenDisarmed) {
     TempFile file("fault_flip");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
     {
         ScopedFaults faults("persist.load.flip:n1");
         const auto loaded = CacheStore::load(file.path(), "fp");
@@ -675,10 +700,10 @@ TEST(PersistShardMerge, OverlappingWorkerDeltasMergeNewestWins) {
     // recomputed sig-A later in its own LRU time (stamp 8) and adds
     // sig-C. Drain order: worker 0 first.
     std::vector<engine::shard::CacheDelta> deltas = {
-        {"sig-A", payloadOf(older), 1},
-        {"sig-B", payloadOf(older), 2},
-        {"sig-A", payloadOf(newer), 8},
-        {"sig-C", payloadOf(newer), 3},
+        {key("sig-A"), payloadOf(older), 1},
+        {key("sig-B"), payloadOf(older), 2},
+        {key("sig-A"), payloadOf(newer), 8},
+        {key("sig-C"), payloadOf(newer), 3},
     };
     const auto merged = engine::shard::mergeCacheDeltas(std::move(deltas));
     ASSERT_EQ(merged.size(), 3u);
@@ -686,13 +711,14 @@ TEST(PersistShardMerge, OverlappingWorkerDeltasMergeNewestWins) {
     std::vector<StoreEntry> entries;
     for (const auto& d : merged)
         entries.push_back({d.key, deserializeJobResult(d.payload)});
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
     const auto loaded = CacheStore::load(file.path(), "fp");
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
     ASSERT_EQ(loaded.entries.size(), 3u);
     for (const auto& e : loaded.entries) {
-        if (e.key == "sig-A")
+        if (e.key == key("sig-A")) {
             EXPECT_EQ(e.result->qor.area, 200.0) << "newest entry must win";
+        }
     }
 }
 
@@ -758,8 +784,8 @@ TEST(PersistShardMerge, CacheDeltaExcludesWarmStartedEntries) {
     const auto freshKey = reader.runJob(fresh).cacheKey;
     const auto delta = reader.cacheDelta();
     ASSERT_EQ(delta.size(), 1u);
-    EXPECT_EQ(signatureDigest(delta[0].key), freshKey);
-    EXPECT_NE(signatureDigest(delta[0].key), warmKey);
+    EXPECT_EQ(delta[0].key.hex(), freshKey);
+    EXPECT_NE(delta[0].key.hex(), warmKey);
 }
 
 // N workers warm-starting read-only from one warm.pdc simultaneously —
@@ -819,6 +845,150 @@ TEST(PersistShardMerge, SharedReadonlyWarmStartUnderConcurrentFlush) {
     EXPECT_EQ(warmLoads.load(), 20u);
     EXPECT_TRUE(
         CacheStore::load(file.path(), persistFingerprint(writerOpt)).ok());
+}
+
+// ---- persisted name index + reference guard --------------------------------
+
+[[nodiscard]] std::uint64_t counterValue(const char* name) {
+    return obs::counter(name).value();
+}
+
+[[nodiscard]] std::vector<JobSpec> indexBatch() {
+    std::vector<JobSpec> specs;
+    for (const char* name : {"majority7", "counter8", "adder8"}) {
+        JobSpec s;
+        s.benchmark = name;
+        specs.push_back(std::move(s));
+    }
+    return specs;
+}
+
+void expectSameSemantics(const JobResult& a, const JobResult& b) {
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.blocks, b.blocks);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.qor.area, b.qor.area);
+    EXPECT_EQ(a.qor.delay, b.qor.delay);
+    EXPECT_EQ(a.verification, b.verification);
+    EXPECT_EQ(a.vectorsTested, b.vectorsTested);
+    EXPECT_EQ(a.cacheKey, b.cacheKey);
+}
+
+/// Runs the index batch cold against `file`, flushing the store.
+[[nodiscard]] std::vector<JobResult> coldIndexRun(const std::string& file) {
+    EngineOptions opt;
+    opt.cacheFile = file;
+    Engine engine(opt);
+    auto results = engine.runBatch(indexBatch());
+    for (const auto& r : results) EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(engine.flushCache());
+    return results;
+}
+
+TEST(PersistIndex, WarmRunSkipsSpecExpansion) {
+    TempFile file("index_warm");
+    const auto cold = coldIndexRun(file.path());
+    const auto loaded = CacheStore::load(
+        file.path(), persistFingerprint(EngineOptions{}));
+    ASSERT_TRUE(loaded.ok()) << loaded.detail;
+    EXPECT_EQ(loaded.index.size(), 3u);
+
+    EngineOptions opt;
+    opt.cacheFile = file.path();
+    opt.cacheReadonly = true;
+    Engine warm(opt);
+    const auto expansions = counterValue("engine.spec.expansions");
+    const auto indexHits = counterValue("cache.index.hits");
+    const auto warmResults = warm.runBatch(indexBatch());
+    EXPECT_EQ(counterValue("engine.spec.expansions"), expansions)
+        << "an index hit must not expand the spec";
+    EXPECT_EQ(counterValue("cache.index.hits"), indexHits + 3);
+    for (std::size_t i = 0; i < warmResults.size(); ++i) {
+        ASSERT_TRUE(warmResults[i].ok) << warmResults[i].error;
+        EXPECT_EQ(warmResults[i].cacheSource, CacheSource::kDisk);
+        expectSameSemantics(cold[i], warmResults[i]);
+    }
+}
+
+TEST(PersistIndex, StaleEntryIsCaughtByTheReferenceGuard) {
+    // The fault points majority7's index entry at another job's digest:
+    // the cached netlist it finds fails majority7's reference, so the job
+    // recomputes its key and is served from its own entry — and the
+    // read-only store stays byte-identical.
+    TempFile file("index_stale");
+    const auto cold = coldIndexRun(file.path());
+    const std::string before = readFile(file.path());
+
+    EngineOptions opt;
+    opt.cacheFile = file.path();
+    opt.cacheReadonly = true;
+    opt.jobs = 1;
+    const auto mismatches = counterValue("cache.digest_mismatch");
+    const auto expansions = counterValue("engine.spec.expansions");
+    std::vector<JobResult> warmResults;
+    {
+        ScopedFaults faults("cache.index.stale:n1");
+        Engine warm(opt);
+        warmResults = warm.runBatch(indexBatch());
+    }
+    EXPECT_EQ(counterValue("cache.digest_mismatch"), mismatches + 1);
+    EXPECT_EQ(counterValue("engine.spec.expansions"), expansions + 1)
+        << "only the misled job recomputes its key";
+    for (std::size_t i = 0; i < warmResults.size(); ++i) {
+        ASSERT_TRUE(warmResults[i].ok) << warmResults[i].error;
+        expectSameSemantics(cold[i], warmResults[i]);
+    }
+    EXPECT_EQ(readFile(file.path()), before)
+        << "a read-only store is never rewritten";
+}
+
+TEST(PersistIndex, ChangedSpecStampMissesTheIndex) {
+    const auto bench = *circuits::makeNamedBenchmark("majority7");
+    const std::uint64_t stamp = specStamp(bench);
+    EXPECT_EQ(specStamp(*circuits::makeNamedBenchmark("majority7")), stamp);
+    auto widened = bench;
+    widened.ports[0].width += 1;
+    EXPECT_NE(specStamp(widened), stamp);
+    auto renamed = bench;
+    renamed.ports[0].name = "z";
+    EXPECT_NE(specStamp(renamed), stamp);
+
+    // A store whose index entries were recorded under other stamps, as
+    // after a registry change to the port layout: every lookup misses the
+    // index, the jobs recompute their keys (still served from disk, since
+    // the functions did not change), and the flush re-stamps the index.
+    TempFile file("index_restamp");
+    const auto cold = coldIndexRun(file.path());
+    const std::string fp = persistFingerprint(EngineOptions{});
+    auto loaded = CacheStore::load(file.path(), fp);
+    ASSERT_TRUE(loaded.ok()) << loaded.detail;
+    for (auto& e : loaded.index) e.stamp ^= 1;
+    ASSERT_TRUE(
+        CacheStore::save(file.path(), fp, loaded.entries, loaded.index));
+
+    EngineOptions opt;
+    opt.cacheFile = file.path();
+    const auto misses = counterValue("cache.index.misses");
+    const auto expansions = counterValue("engine.spec.expansions");
+    {
+        Engine warm(opt);
+        const auto results = warm.runBatch(indexBatch());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            EXPECT_EQ(results[i].cacheSource, CacheSource::kDisk);
+            expectSameSemantics(cold[i], results[i]);
+        }
+    }
+    EXPECT_EQ(counterValue("cache.index.misses"), misses + 3);
+    EXPECT_EQ(counterValue("engine.spec.expansions"), expansions + 3);
+    const auto restamped = CacheStore::load(file.path(), fp);
+    ASSERT_TRUE(restamped.ok()) << restamped.detail;
+    ASSERT_EQ(restamped.index.size(), 3u);
+    for (const auto& e : restamped.index) {
+        if (e.name.starts_with("majority7|")) {
+            EXPECT_EQ(e.stamp, stamp);
+        }
+    }
 }
 
 TEST(PersistEngine, ConcurrentSaveWhileComputing) {

@@ -111,6 +111,20 @@ TEST(ReportSchemaTest, BatchReportMatchesGoldenSchema) {
     const JsonValue* misses = counters->find("cache.miss");
     ASSERT_NE(misses, nullptr) << "a cold batch must record cache misses";
     EXPECT_GE(misses->asInt(), 2);
+    // The key path: both cold jobs expanded their spec and missed the
+    // (empty) name index; nothing was mis-served.
+    ASSERT_NE(counters->find("engine.spec.expansions"), nullptr);
+    EXPECT_EQ(counters->find("engine.spec.expansions")->asInt(), 2);
+    EXPECT_EQ(counters->find("cache.index.misses")->asInt(), 2);
+    EXPECT_EQ(counters->find("cache.index.hits")->asInt(), 0);
+    EXPECT_EQ(counters->find("cache.digest_mismatch")->asInt(), 0);
+    for (const auto& job : doc.find("jobs")->asArray()) {
+        const JsonValue* phases = job.findPath("timing.phases");
+        ASSERT_NE(phases, nullptr);
+        EXPECT_GT(phases->find("resolve_ms")->asNumber(), 0.0)
+            << "a cold job's spec expansion must be attributed";
+        EXPECT_EQ(job.findPath("cache.key")->asString().size(), 32u);
+    }
     // Queries count at the membership entry point, so they fire even
     // when every query dies in the coverage pre-check (as it does for
     // these small benchmarks); "ring.member.solves" counts only the
@@ -150,7 +164,9 @@ TEST(ReportSchemaTest, BuildProvenanceIsPopulated) {
     // build tree but must at least be non-empty strings.
     EXPECT_FALSE(doc.findPath("engine.build.compiler")->asString().empty());
     EXPECT_FALSE(doc.findPath("engine.build.git_hash")->asString().empty());
-    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 6);
+    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 7);
+    EXPECT_EQ(doc.findPath("engine.build.schemas.cache_store")->asString(),
+              "pd-cache-v4");
     EXPECT_EQ(doc.findPath("engine.shard_transport")->asString(), "pipe");
     EXPECT_EQ(doc.findPath("engine.build.schemas.proof_store")->asString(),
               "pd-proof-v1");

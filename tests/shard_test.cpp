@@ -149,7 +149,7 @@ TEST(ShardProtocol, FrameRoundTripInArbitraryChunks) {
     appendFrame(stream, FrameType::kHello, encodeHello({kProtocolVersion, 7}));
     appendFrame(stream, FrameType::kShutdown, "");
     appendFrame(stream, FrameType::kCacheEntry,
-                encodeCacheDelta({"key", "payload-bytes", 42}));
+                encodeCacheDelta({util::digestOf("key"), "payload-bytes", 42}));
 
     // Byte-at-a-time feeding must yield exactly the three frames.
     FrameDecoder d;
@@ -167,7 +167,7 @@ TEST(ShardProtocol, FrameRoundTripInArbitraryChunks) {
     EXPECT_EQ(frames[1].type, FrameType::kShutdown);
     EXPECT_TRUE(frames[1].payload.empty());
     const CacheDelta delta = decodeCacheDelta(frames[2].payload);
-    EXPECT_EQ(delta.key, "key");
+    EXPECT_EQ(delta.key, util::digestOf("key"));
     EXPECT_EQ(delta.payload, "payload-bytes");
     EXPECT_EQ(delta.stamp, 42u);
 }
@@ -240,27 +240,45 @@ TEST(ShardProtocol, ResultRoundTrip) {
     r.exhaustive = true;
     r.wallMs = 12.5;
     r.cpuMs = 11.25;
+    r.phases.resolveMs = 0.25;
+    r.phases.digestMs = 0.125;
+    r.phases.cacheLookupMs = 2.5;
     r.phases.decomposeMs = 7.5;
     r.phases.verifyMs = 1.5;
     r.cacheHit = true;
     r.cacheSource = CacheSource::kDisk;
-    r.cacheKey = "0123456789abcdef";
+    r.cacheKey = util::digestOf("job").hex();
 
     auto [index, back] = decodeResult(encodeResult(9, r));
     EXPECT_EQ(index, 9u);
     expectSameSemantics(r, back);
     EXPECT_EQ(back.wallMs, r.wallMs);
     EXPECT_EQ(back.cpuMs, r.cpuMs);
+    EXPECT_EQ(back.phases.resolveMs, r.phases.resolveMs);
+    EXPECT_EQ(back.phases.digestMs, r.phases.digestMs);
+    EXPECT_EQ(back.phases.cacheLookupMs, r.phases.cacheLookupMs);
     EXPECT_EQ(back.phases.decomposeMs, r.phases.decomposeMs);
     EXPECT_EQ(back.phases.verifyMs, r.phases.verifyMs);
     EXPECT_EQ(back.cacheHit, r.cacheHit);
     EXPECT_EQ(back.cacheSource, r.cacheSource);
 }
 
+TEST(ShardProtocol, IndexDeltaRoundTrip) {
+    const JobIndex::Entry e{"adder8|k4|d3", 0x0123456789abcdefull,
+                            util::digestOf("adder8")};
+    const std::string payload = encodeIndexDelta(e);
+    const JobIndex::Entry back = decodeIndexDelta(payload);
+    EXPECT_EQ(back.name, e.name);
+    EXPECT_EQ(back.stamp, e.stamp);
+    EXPECT_EQ(back.digest, e.digest);
+    EXPECT_THROW((void)decodeIndexDelta(payload + "x"), pd::Error);
+    EXPECT_THROW((void)decodeIndexDelta(payload.substr(0, 10)), pd::Error);
+}
+
 TEST(ShardProtocol, TruncationIsIncompleteNotAnError) {
     std::string stream;
     appendFrame(stream, FrameType::kCacheEntry,
-                encodeCacheDelta({"k", "v", 1}));
+                encodeCacheDelta({util::digestOf("k"), "v", 1}));
     // Every proper prefix must park the decoder (nullopt), never throw:
     // a pipe delivers frames in arbitrary cuts.
     for (std::size_t keep = 0; keep < stream.size(); ++keep) {
@@ -295,7 +313,7 @@ TEST(ShardProtocol, MalformedHeadersThrow) {
     {
         std::string stream;
         appendFrame(stream, FrameType::kCacheEntry,
-                    encodeCacheDelta({"key", "value", 3}));
+                    encodeCacheDelta({util::digestOf("key"), "value", 3}));
         stream[7] = static_cast<char>(stream[7] ^ 0x10);
         FrameDecoder d;
         d.feed(stream);
@@ -325,7 +343,7 @@ TEST(ShardProtocol, PoisonDetailNamesFrameAndOffset) {
     appendFrame(stream, FrameType::kHello, encodeHello({kProtocolVersion, 0}));
     const std::size_t firstFrameBytes = stream.size();
     appendFrame(stream, FrameType::kCacheEntry,
-                encodeCacheDelta({"key", "value", 3}));
+                encodeCacheDelta({util::digestOf("key"), "value", 3}));
     stream[firstFrameBytes + 7] =
         static_cast<char>(stream[firstFrameBytes + 7] ^ 0x10);
     FrameDecoder d;
@@ -358,7 +376,7 @@ TEST(ShardProtocol, FuzzMutatedStreamsNeverMisbehave) {
                                FrameType::kResult,     FrameType::kShutdown,
                                FrameType::kCacheEntry, FrameType::kBye,
                                FrameType::kObs,        FrameType::kProofEntry,
-                               FrameType::kHeartbeat};
+                               FrameType::kHeartbeat,  FrameType::kIndexEntry};
     constexpr std::size_t kTypeCount = sizeof(types) / sizeof(types[0]);
     for (int round = 0; round < 8; ++round) {
         std::string stream;
@@ -395,21 +413,21 @@ TEST(ShardProtocol, FuzzMutatedStreamsNeverMisbehave) {
 
 TEST(ShardMerge, NewestLruStampWinsAndTiesGoToTheLaterDelta) {
     std::vector<CacheDelta> deltas = {
-        {"a", "a-from-w0", 5},
-        {"b", "b-from-w0", 9},
-        {"a", "a-from-w1", 7},   // newer stamp: wins
-        {"b", "b-from-w1", 2},   // older stamp: loses
-        {"c", "c-from-w1", 1},
-        {"a", "a-from-w2", 7},   // equal stamp: later delta wins
+        {util::digestOf("a"), "a-from-w0", 5},
+        {util::digestOf("b"), "b-from-w0", 9},
+        {util::digestOf("a"), "a-from-w1", 7},   // newer stamp: wins
+        {util::digestOf("b"), "b-from-w1", 2},   // older stamp: loses
+        {util::digestOf("c"), "c-from-w1", 1},
+        {util::digestOf("a"), "a-from-w2", 7},   // tie: later delta wins
     };
     const auto merged = mergeCacheDeltas(std::move(deltas));
     ASSERT_EQ(merged.size(), 3u);
     // First-seen key order is preserved.
-    EXPECT_EQ(merged[0].key, "a");
+    EXPECT_EQ(merged[0].key, util::digestOf("a"));
     EXPECT_EQ(merged[0].payload, "a-from-w2");
-    EXPECT_EQ(merged[1].key, "b");
+    EXPECT_EQ(merged[1].key, util::digestOf("b"));
     EXPECT_EQ(merged[1].payload, "b-from-w0");
-    EXPECT_EQ(merged[2].key, "c");
+    EXPECT_EQ(merged[2].key, util::digestOf("c"));
     EXPECT_EQ(merged[2].payload, "c-from-w1");
 }
 

@@ -816,7 +816,7 @@ int runCacheInfo(const std::vector<std::string>& args) {
             // Single token suitable for a CI cache key: format version +
             // default-options fingerprint digest.
             std::cout << pd::engine::persist::kFormatName << '-'
-                      << pd::engine::signatureDigest(fingerprint) << "\n";
+                      << pd::util::digestOf(fingerprint).hex() << "\n";
             return 0;
         }
         std::cout << "format: " << pd::engine::persist::kFormatName
@@ -824,7 +824,7 @@ int runCacheInfo(const std::vector<std::string>& args) {
                   << pd::engine::persist::kFormatVersion << ")\n"
                   << "fingerprint: " << fingerprint << "\n"
                   << "fingerprint-digest: "
-                  << pd::engine::signatureDigest(fingerprint) << "\n";
+                  << pd::util::digestOf(fingerprint).hex() << "\n";
         return 0;
     }
     const auto loaded = pd::engine::persist::CacheStore::load(file,
@@ -832,24 +832,24 @@ int runCacheInfo(const std::vector<std::string>& args) {
     std::cout << file << ": "
               << pd::engine::persist::loadStatusName(loaded.status);
     if (loaded.ok())
-        std::cout << ", " << loaded.entries.size() << " entries";
+        std::cout << ", " << loaded.entries.size() << " entries, "
+                  << loaded.index.size() << " index entries";
     else if (loaded.usable())
-        std::cout << ", " << loaded.entries.size() << " entries kept ("
+        std::cout << ", " << loaded.entries.size() << " entries and "
+                  << loaded.index.size() << " index entries kept ("
                   << loaded.detail << ")";
     else if (!loaded.detail.empty())
         std::cout << " — " << loaded.detail;
     std::cout << "\n";
     if (loaded.usable() && !loaded.entries.empty()) {
-        // Per-entry size distributions, log2-bucketed. The pd-cache-v3
-        // format deliberately stores no timestamps (its byte-identical
-        // rewrite guarantee forbids them), so entry *age* is only
-        // observable in a live engine — the batch report's
-        // "cache.entry.lru_age" histogram covers that side.
-        pd::obs::Histogram keyBytes;
+        // Per-entry payload sizes, log2-bucketed (keys are fixed 16-byte
+        // digests). The pd-cache-v4 format deliberately stores no
+        // timestamps (its byte-identical rewrite guarantee forbids them),
+        // so entry *age* is only observable in a live engine — the batch
+        // report's "cache.entry.lru_age" histogram covers that side.
         pd::obs::Histogram payloadBytes;
         std::string payload;
         for (const auto& e : loaded.entries) {
-            keyBytes.observe(e.key.size());
             payload.clear();
             pd::engine::persist::serializeJobResult(*e.result, payload);
             payloadBytes.observe(payload.size());
@@ -869,7 +869,6 @@ int runCacheInfo(const std::vector<std::string>& args) {
                 std::cout << ": " << n << "\n";
             }
         };
-        print("key bytes", keyBytes);
         print("payload bytes", payloadBytes);
     }
     // A salvaged store is usable (the engine warm-starts from its intact

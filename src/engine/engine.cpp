@@ -319,116 +319,139 @@ Engine::Engine(EngineOptions opt)
         probePool_ = std::make_shared<util::ThreadPool>(opt_.probeThreads);
     if (opt_.verifyThreads > 1)
         verifyPool_ = std::make_shared<util::ThreadPool>(opt_.verifyThreads);
-    proofPersistInfo_.file = opt_.proofCacheFile;
-    proofPersistInfo_.readonly = opt_.proofCacheReadonly;
-    if (!opt_.proofCacheFile.empty()) {
-        if (opt_.verifyThreads == 0) {
-            proofPersistInfo_.loadDetail =
-                "SAT verification is off (verify-threads 0); proof store "
-                "not loaded";
-        } else {
-            auto loaded = persist::ProofStore::load(opt_.proofCacheFile,
-                                                    proofFingerprint(opt_));
-            proofPersistInfo_.loadStatus = loaded.status;
-            proofPersistInfo_.loadDetail = loaded.detail;
-            proofPersistInfo_.droppedEntries = loaded.droppedEntries;
-            // Like the result store: a salvaged prefix warms the proof
-            // cache (every adopted entry passed its own checksum);
-            // anything less usable cold-starts, loudly recorded.
-            if (loaded.usable())
-                proofPersistInfo_.loadedEntries =
-                    proofCache_.restore(loaded.entries);
-        }
+    if (openStore(proofStore_, "proof cache", opt_.proofCacheFile,
+                  opt_.proofCacheReadonly,
+                  opt_.verifyThreads == 0
+                      ? "SAT verification is off (verify-threads 0)"
+                      : "")) {
+        const auto loaded = persist::ProofStore::load(opt_.proofCacheFile,
+                                                      proofFingerprint(opt_));
+        if (recordLoad(proofStore_, loaded))
+            proofStore_.info.loadedEntries = proofCache_.restore(loaded.entries);
     }
-    persistInfo_.file = opt_.cacheFile;
-    persistInfo_.readonly = opt_.cacheReadonly;
-    if (opt_.cacheFile.empty()) return;
-    if (opt_.cacheCapacity == 0) {
-        persistInfo_.loadDetail =
-            "result caching disabled (capacity 0); store not loaded";
+    if (!openStore(cacheStore_, "cache", opt_.cacheFile, opt_.cacheReadonly,
+                   opt_.cacheCapacity == 0
+                       ? "result caching is disabled (capacity 0)"
+                       : ""))
         return;
-    }
     auto loaded =
         persist::CacheStore::load(opt_.cacheFile, persistFingerprint(opt_));
-    persistInfo_.loadStatus = loaded.status;
-    persistInfo_.loadDetail = loaded.detail;
-    persistInfo_.droppedEntries = loaded.droppedEntries;
-    // A salvaged prefix warms the cache like a pristine store would:
-    // every adopted entry passed its own checksum. Anything less usable
-    // cold-starts, loudly recorded.
-    if (!loaded.usable()) return;
+    if (!recordLoad(cacheStore_, loaded)) return;
     std::vector<ResultCache::SnapshotEntry> entries;
     entries.reserve(loaded.entries.size());
     for (auto& e : loaded.entries)
         entries.push_back({e.key, std::move(e.result)});
-    persistInfo_.loadedEntries = cache_.restore(std::move(entries));
+    cacheStore_.info.loadedEntries = cache_.restore(std::move(entries));
     for (const auto& e : loaded.index) index_.record(e, /*restored=*/true);
-    flushedIndexChanges_ = index_.changes();
+    cacheStore_.flushedGeneration = cacheGeneration();
 }
 
 Engine::~Engine() {
-    if (cache_.stats().inserts > flushedInserts_ || unflushedDeltas_ ||
-        index_.changes() > flushedIndexChanges_)
+    // No other thread can reach the engine any more, so the markers are
+    // read without flushMutex_.
+    if (cacheGeneration() > cacheStore_.flushedGeneration ||
+        cacheStore_.unflushedDeltas)
         flushCache();
-    if (proofCache_.stats().inserts > flushedProofInserts_ ||
-        unflushedProofDeltas_)
+    if (proofGeneration() > proofStore_.flushedGeneration ||
+        proofStore_.unflushedDeltas)
         flushProofCache();
 }
 
-bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
-    if (opt_.cacheFile.empty()) {
-        if (errorOut) *errorOut = "no cache file configured";
+bool Engine::openStore(Store& s, std::string noun, std::string file,
+                       bool readonly, std::string off) {
+    s.noun = std::move(noun);
+    s.info.file = std::move(file);
+    s.info.readonly = readonly;
+    s.off = std::move(off);
+    if (s.info.file.empty()) return false;
+    if (!s.off.empty()) {
+        s.info.loadDetail = s.off + "; store not loaded";
         return false;
     }
-    if (opt_.cacheReadonly) {
-        if (errorOut) *errorOut = "cache file is read-only";
-        return false;
-    }
-    if (opt_.cacheCapacity == 0) {
-        // Nothing was cached this run; writing would replace a possibly
-        // warm store with an empty one.
-        if (errorOut)
-            *errorOut = "result caching is disabled (capacity 0); "
-                        "refusing to overwrite the store with nothing";
-        return false;
-    }
-    std::lock_guard lock(flushMutex_);
-    // Stats first, snapshot second: entries published between the two
-    // calls are still saved now and merely re-flushed by the destructor.
-    const std::uint64_t insertsBefore = cache_.stats().inserts;
-    const std::uint64_t indexChangesBefore = index_.changes();
-    auto snap = cache_.snapshot();
-    // Canonical entry order: snapshot order is hash-map order, which
-    // varies run to run; sorting by key makes equal entry *sets* produce
-    // byte-identical stores — a sharded run and a single-process run of
-    // the same batch leave the same artifact bits.
-    std::sort(snap.begin(), snap.end(),
-              [](const auto& a, const auto& b) { return a.key < b.key; });
-    std::vector<persist::StoreEntry> entries;
-    entries.reserve(snap.size());
-    std::unordered_set<util::Digest128, util::Digest128Hash> saved;
-    for (auto& e : snap) {
-        saved.insert(e.key);
-        entries.push_back({e.key, std::move(e.value)});
-    }
-    // Only index entries that name a saved result: the rest could never
-    // serve a hit, and dropping them keeps the artifact a function of its
-    // entries alone.
-    auto index = index_.snapshot();
-    std::erase_if(index, [&](const JobIndex::Entry& e) {
-        return !saved.contains(e.digest);
-    });
+    return true;
+}
+
+bool Engine::recordLoad(Store& s, const persist::LoadOutcome& loaded) {
+    s.info.loadStatus = loaded.status;
+    s.info.loadDetail = loaded.detail;
+    s.info.droppedEntries = loaded.droppedEntries;
+    // A salvaged prefix warms the engine like a pristine store would:
+    // every adopted record passed its own checksum. Anything less usable
+    // cold-starts, loudly recorded.
+    return loaded.usable();
+}
+
+bool Engine::flushStore(
+    Store& s, const std::function<std::uint64_t()>& generation,
+    const std::function<bool(std::size_t&, std::string&)>& save,
+    std::size_t* savedOut, std::string* errorOut) {
     std::string error;
-    if (!persist::CacheStore::save(opt_.cacheFile, persistFingerprint(opt_),
-                                   entries, index, &error)) {
+    if (s.info.file.empty())
+        error = "no " + s.noun + " file configured";
+    else if (s.info.readonly)
+        error = s.noun + " file is read-only";
+    else if (!s.off.empty())
+        // Nothing was stored this run; writing would replace a possibly
+        // warm store with an empty one.
+        error = s.off + "; refusing to overwrite the store with nothing";
+    if (!error.empty()) {
         if (errorOut) *errorOut = error;
         return false;
     }
-    flushedInserts_ = insertsBefore;
-    flushedIndexChanges_ = indexChangesBefore;
-    unflushedDeltas_ = false;
-    if (savedOut) *savedOut = entries.size();
+    std::lock_guard lock(flushMutex_);
+    // Generation first, snapshot second: records published between the
+    // two are still saved now and merely re-flushed by the destructor.
+    const std::uint64_t before = generation();
+    std::size_t saved = 0;
+    if (!save(saved, error)) {
+        if (errorOut) *errorOut = error;
+        return false;
+    }
+    s.flushedGeneration = before;
+    s.unflushedDeltas = false;
+    if (savedOut) *savedOut = saved;
     return true;
+}
+
+void Engine::markDeltas(Store& s) {
+    std::lock_guard lock(flushMutex_);
+    s.unflushedDeltas = true;
+}
+
+bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
+    return flushStore(
+        cacheStore_, [this] { return cacheGeneration(); },
+        [this](std::size_t& saved, std::string& error) {
+            auto snap = cache_.snapshot();
+            // Canonical entry order: snapshot order is hash-map order,
+            // which varies run to run; sorting by key makes equal entry
+            // *sets* produce byte-identical stores — a sharded run and a
+            // single-process run of the same batch leave the same
+            // artifact bits.
+            std::sort(snap.begin(), snap.end(), [](const auto& a,
+                                                   const auto& b) {
+                return a.key < b.key;
+            });
+            std::vector<persist::StoreEntry> entries;
+            entries.reserve(snap.size());
+            std::unordered_set<util::Digest128, util::Digest128Hash> keys;
+            for (auto& e : snap) {
+                keys.insert(e.key);
+                entries.push_back({e.key, std::move(e.value)});
+            }
+            // Only index entries that name a saved result: the rest could
+            // never serve a hit, and dropping them keeps the artifact a
+            // function of its entries alone.
+            auto index = index_.snapshot();
+            std::erase_if(index, [&](const JobIndex::Entry& e) {
+                return !keys.contains(e.digest);
+            });
+            saved = entries.size();
+            return persist::CacheStore::save(opt_.cacheFile,
+                                             persistFingerprint(opt_),
+                                             entries, index, &error);
+        },
+        savedOut, errorOut);
 }
 
 std::vector<shard::CacheDelta> Engine::cacheDelta(
@@ -461,10 +484,7 @@ std::size_t Engine::adoptCacheDeltas(
         }
     }
     const std::size_t adopted = cache_.restore(std::move(entries));
-    if (adopted > 0) {
-        std::lock_guard lock(flushMutex_);
-        unflushedDeltas_ = true;
-    }
+    if (adopted > 0) markDeltas(cacheStore_);
     return adopted;
 }
 
@@ -482,78 +502,39 @@ void Engine::adoptIndexDeltas(const std::vector<JobIndex::Entry>& deltas) {
 }
 
 bool Engine::flushProofCache(std::size_t* savedOut, std::string* errorOut) {
-    if (opt_.proofCacheFile.empty()) {
-        if (errorOut) *errorOut = "no proof cache file configured";
-        return false;
-    }
-    if (opt_.proofCacheReadonly) {
-        if (errorOut) *errorOut = "proof cache file is read-only";
-        return false;
-    }
-    if (opt_.verifyThreads == 0) {
-        // No proofs were minted this run; writing would replace a
-        // possibly warm store with an empty one.
-        if (errorOut)
-            *errorOut = "SAT verification is off (verify-threads 0); "
-                        "refusing to overwrite the proof store with nothing";
-        return false;
-    }
-    const std::uint64_t insertsBefore = proofCache_.stats().inserts;
-    auto snap = proofCache_.snapshot();
-    // Canonical order: hash-map order varies run to run; sorting by
-    // digest makes equal proof *sets* produce byte-identical stores, so
-    // cold and warm runs (and sharded vs single-process runs) of the
-    // same batch leave the same artifact bits.
-    std::sort(snap.begin(), snap.end(), [](const auto& a, const auto& b) {
-        return a.digest < b.digest;
-    });
-    std::string error;
-    if (!persist::ProofStore::save(opt_.proofCacheFile,
-                                   proofFingerprint(opt_), snap, &error)) {
-        if (errorOut) *errorOut = error;
-        return false;
-    }
-    flushedProofInserts_ = insertsBefore;
-    unflushedProofDeltas_ = false;
-    if (savedOut) *savedOut = snap.size();
-    return true;
+    return flushStore(
+        proofStore_, [this] { return proofGeneration(); },
+        [this](std::size_t& saved, std::string& error) {
+            auto snap = proofCache_.snapshot();
+            // Canonical order, as for the result store: equal proof
+            // *sets* produce byte-identical stores, so cold and warm runs
+            // (and sharded vs single-process runs) of the same batch
+            // leave the same artifact bits.
+            std::sort(snap.begin(), snap.end(), [](const auto& a,
+                                                   const auto& b) {
+                return a.digest < b.digest;
+            });
+            saved = snap.size();
+            return persist::ProofStore::save(opt_.proofCacheFile,
+                                             proofFingerprint(opt_), snap,
+                                             &error);
+        },
+        savedOut, errorOut);
 }
 
-std::vector<shard::ProofDelta> Engine::proofDelta(
+std::vector<sat::ProofCache::SnapshotEntry> Engine::proofDelta(
     const std::unordered_set<std::uint64_t>& alreadyShipped) const {
-    const auto snap = proofCache_.snapshot(/*localOnly=*/true);
-    std::vector<shard::ProofDelta> deltas;
-    deltas.reserve(snap.size());
-    for (const auto& e : snap) {
-        if (alreadyShipped.contains(e.digest)) continue;
-        shard::ProofDelta d;
-        d.digest = e.digest;
-        d.conflicts = e.entry.conflicts;
-        d.propagations = e.entry.propagations;
-        d.restarts = e.entry.restarts;
-        d.learned = e.entry.learned;
-        d.winner = e.entry.winner;
-        deltas.push_back(d);
-    }
-    return deltas;
+    auto snap = proofCache_.snapshot(/*localOnly=*/true);
+    std::erase_if(snap, [&](const auto& e) {
+        return alreadyShipped.contains(e.digest);
+    });
+    return snap;
 }
 
 std::size_t Engine::adoptProofDeltas(
-    const std::vector<shard::ProofDelta>& deltas) {
-    std::vector<sat::ProofCache::SnapshotEntry> entries;
-    entries.reserve(deltas.size());
-    for (const auto& d : deltas) {
-        sat::ProofCache::SnapshotEntry e;
-        e.digest = d.digest;
-        e.entry.conflicts = d.conflicts;
-        e.entry.propagations = d.propagations;
-        e.entry.restarts = d.restarts;
-        e.entry.learned = d.learned;
-        e.entry.winner = d.winner;
-        entries.push_back(e);
-    }
-    const std::size_t adopted = proofCache_.restore(entries);
-    if (adopted > 0) unflushedProofDeltas_ = true;
+    const std::vector<sat::ProofCache::SnapshotEntry>& deltas) {
+    const std::size_t adopted = proofCache_.restore(deltas);
+    if (adopted > 0) markDeltas(proofStore_);
     return adopted;
 }
 

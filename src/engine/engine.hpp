@@ -18,6 +18,7 @@
 // run leaves the same warm artifact a single-process run would.
 #pragma once
 
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -140,27 +141,15 @@ struct EngineOptions {
     int shardHeartbeatMs = 10000;
 };
 
-/// What happened to the persistent store this engine was given.
+/// What happened to one persistent store this engine was given (the
+/// result store or the proof store).
 struct PersistInfo {
     std::string file;               ///< "" when persistence is off
     bool readonly = false;
-    persist::LoadResult::Status loadStatus =
-        persist::LoadResult::Status::kNoFile;
+    persist::LoadStatus loadStatus = persist::LoadStatus::kNoFile;
     std::string loadDetail;         ///< reason when the load was rejected
     std::uint64_t loadedEntries = 0;  ///< entries adopted at warm start
     /// Entries lost to a damaged tail when the load was salvaged.
-    std::uint64_t droppedEntries = 0;
-};
-
-/// What happened to the persistent proof store (same shape as
-/// PersistInfo; statuses share persist::loadStatusName).
-struct ProofPersistInfo {
-    std::string file;               ///< "" when proof persistence is off
-    bool readonly = false;
-    persist::LoadResult::Status loadStatus =
-        persist::LoadResult::Status::kNoFile;
-    std::string loadDetail;
-    std::uint64_t loadedEntries = 0;
     std::uint64_t droppedEntries = 0;
 };
 
@@ -217,7 +206,7 @@ public:
 
     /// Warm-start outcome for reporting/diagnostics.
     [[nodiscard]] const PersistInfo& persistInfo() const {
-        return persistInfo_;
+        return cacheStore_.info;
     }
 
     /// Snapshots the proof cache (sorted by digest, so identical content
@@ -227,8 +216,8 @@ public:
                          std::string* errorOut = nullptr);
 
     /// Warm-start outcome of the proof store.
-    [[nodiscard]] const ProofPersistInfo& proofPersistInfo() const {
-        return proofPersistInfo_;
+    [[nodiscard]] const PersistInfo& proofPersistInfo() const {
+        return proofStore_.info;
     }
 
     /// Hit/miss/entry statistics of the content-addressed proof cache.
@@ -261,13 +250,14 @@ public:
     /// Proof-cache analogue of cacheDelta(): the refutations this engine
     /// completed itself (excluding warm-start adoptions and digests in
     /// `alreadyShipped`), ready for the shard wire.
-    [[nodiscard]] std::vector<shard::ProofDelta> proofDelta(
+    [[nodiscard]] std::vector<sat::ProofCache::SnapshotEntry> proofDelta(
         const std::unordered_set<std::uint64_t>& alreadyShipped = {}) const;
 
     /// Coordinator half: adopts worker proof deltas (a proof of a given
     /// digest is unique, so first-in wins and duplicates are dropped).
     /// Returns the number adopted.
-    std::size_t adoptProofDeltas(const std::vector<shard::ProofDelta>& deltas);
+    std::size_t adoptProofDeltas(
+        const std::vector<sat::ProofCache::SnapshotEntry>& deltas);
 
     /// Name-index analogue: the index entries this engine recorded itself
     /// (not warm-started, names not in `alreadyShipped`), sorted by name.
@@ -279,8 +269,47 @@ public:
     void adoptIndexDeltas(const std::vector<JobIndex::Entry>& deltas);
 
 private:
+    /// One persistent store's warm-start outcome and flush bookkeeping.
+    /// The two markers are written by concurrent flushes and delta
+    /// adoption alike, so they are only touched under flushMutex_.
+    struct Store {
+        std::string noun;  ///< "cache", "proof cache": error strings
+        PersistInfo info;
+        /// Why a configured store is neither loaded nor written this
+        /// run ("" when it is active).
+        std::string off;
+        /// generation() at the last successful flush (or warm start):
+        /// the destructor only rewrites the store when it moved.
+        std::uint64_t flushedGeneration = 0;
+        /// Worker deltas merged since the last flush arrive via
+        /// restore(), which does not move the generation.
+        bool unflushedDeltas = false;
+    };
+
     [[nodiscard]] JobResult execute(const JobSpec& spec,
                                     std::size_t index) const;
+
+    /// Fills `s` from the options; true when the store should be loaded.
+    static bool openStore(Store& s, std::string noun, std::string file,
+                          bool readonly, std::string off);
+    /// Records a load outcome in `s.info`; true when it may be adopted.
+    static bool recordLoad(Store& s, const persist::LoadOutcome& loaded);
+    /// The shared flush path: refuses an absent, read-only or inactive
+    /// store, then under flushMutex_ reads `generation`, runs `save`
+    /// (which snapshots and writes, setting the saved count or error)
+    /// and records the flush.
+    bool flushStore(Store& s, const std::function<std::uint64_t()>& generation,
+                    const std::function<bool(std::size_t&, std::string&)>& save,
+                    std::size_t* savedOut, std::string* errorOut);
+    /// Marks `s` dirty after an adopted delta.
+    void markDeltas(Store& s);
+    /// Monotone change counters of the two stores' contents.
+    [[nodiscard]] std::uint64_t cacheGeneration() const {
+        return cache_.stats().inserts + index_.changes();
+    }
+    [[nodiscard]] std::uint64_t proofGeneration() const {
+        return proofCache_.stats().inserts;
+    }
 
     EngineOptions opt_;
     synth::CellLibrary lib_;
@@ -289,29 +318,15 @@ private:
     /// portfolio (thread-safe; see sat/proof_cache.hpp). Active only
     /// when verifyThreads > 0; warm-started from proofCacheFile.
     mutable sat::ProofCache proofCache_;
-    PersistInfo persistInfo_;
-    ProofPersistInfo proofPersistInfo_;
+    Store cacheStore_;
+    Store proofStore_;
     BatchResilience resilience_;
     /// Registry name + options → (spec stamp, digest), warm-started from
     /// and flushed with the store, so a repeat hit skips rebuilding the
     /// (possibly huge) flat Reed-Muller form just to compute its own key.
     mutable JobIndex index_;
-    /// Serializes flushCache() calls and guards the three dirty markers
-    /// below, which concurrent flushes and delta adoption both write.
+    /// Serializes flushes of both stores and guards their markers.
     std::mutex flushMutex_;
-    /// Insert count at the last successful flush: the destructor only
-    /// rewrites the store when something new was cached since.
-    std::uint64_t flushedInserts_ = 0;
-    /// index_.changes() at the last flush (or warm start).
-    std::uint64_t flushedIndexChanges_ = 0;
-    /// Worker deltas merged since the last flush arrive via restore()
-    /// (which bumps `restored`, not `inserts`), so the destructor needs
-    /// its own dirty marker for them.
-    bool unflushedDeltas_ = false;
-    /// Same pair for the proof store: insert count at the last flush,
-    /// and a dirty marker for adopted worker proof deltas.
-    std::uint64_t flushedProofInserts_ = 0;
-    bool unflushedProofDeltas_ = false;
     util::ThreadPool pool_;
     /// Shared probe-sweep pool (EngineOptions::probeThreads > 1). A
     /// separate pool from `pool_`: job tasks block on probe futures, so

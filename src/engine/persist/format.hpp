@@ -1,5 +1,5 @@
-// Byte-level primitives for the pd-cache-v4 on-disk format (shared by the
-// pd-proof-v1 store and the shard wire).
+// Byte-level primitives shared by the record files of both stores
+// (record_file.hpp) and the shard wire.
 //
 // Every multi-byte integer is written little-endian one byte at a time,
 // so a store written on any host loads on any other — the format never
@@ -9,8 +9,8 @@
 //
 // ByteReader is the defensive half: every read is bounds-checked and
 // throws pd::Error on overrun, so a truncated or hostile file can never
-// walk the reader out of its buffer — the store layer catches the error
-// and turns it into a cold start.
+// walk the reader out of its buffer — the record layer catches the
+// error and turns it into a salvage or a cold start.
 #pragma once
 
 #include <bit>

@@ -1,226 +1,73 @@
 #include "engine/persist/proof_store.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "engine/persist/format.hpp"
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/fault/fault.hpp"
-#include "util/log.hpp"
 
 namespace pd::engine::persist {
 namespace {
 
-/// Fixed entry size: six u64 fields + a u64 checksum over them.
-constexpr std::size_t kEntryBody = 48;
-constexpr std::size_t kEntryBytes = kEntryBody + 8;
-
-ProofLoadResult reject(LoadResult::Status status, std::string detail) {
-    ProofLoadResult r;
-    r.status = status;
-    r.detail = std::move(detail);
-    return r;
-}
-
-/// Untrusted bytes destined for detail strings (and from there the JSON
-/// report): escape anything outside printable ASCII (as store.cpp does).
-std::string printable(std::string_view bytes) {
-    std::string out;
-    out.reserve(bytes.size());
-    for (const unsigned char c : bytes) {
-        if (c >= 0x20 && c < 0x7f) {
-            out.push_back(static_cast<char>(c));
-        } else {
-            constexpr char kHex[] = "0123456789abcdef";
-            out += "\\x";
-            out.push_back(kHex[c >> 4]);
-            out.push_back(kHex[c & 0xf]);
-        }
-    }
-    return out;
-}
-
-/// Header + entry walk; mirrors the pd-cache parse (store.cpp): header
-/// damage throws (collapsed to kCorrupt by the caller), entry damage
-/// salvages the checksummed prefix.
-ProofLoadResult parse(std::string_view bytes, std::string_view fingerprint) {
-    ByteReader r(bytes);
-    if (bytes.size() < kProofMagic.size() ||
-        r.raw(kProofMagic.size()) != kProofMagic)
-        return reject(LoadResult::Status::kBadMagic,
-                      "not a pd proof store (bad magic)");
-    const std::uint32_t version = r.u32();
-    if (version != kProofFormatVersion)
-        return reject(LoadResult::Status::kBadVersion,
-                      "proof store is format version " +
-                          std::to_string(version) + ", this build reads " +
-                          std::to_string(kProofFormatVersion));
-    const std::string_view salt = r.str();
-    if (salt != fingerprint)
-        return reject(LoadResult::Status::kBadFingerprint,
-                      "proof store was written under budget fingerprint '" +
-                          printable(salt) + "', expected '" +
-                          printable(fingerprint) + "'");
-
-    ProofLoadResult out;
-    out.status = LoadResult::Status::kLoaded;
-    const std::uint64_t count = r.u64();
-    out.entries.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, r.remaining() / kEntryBytes)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t remainingBefore = r.remaining();
-        try {
-            const std::string_view body = r.raw(kEntryBody);
-            const std::uint64_t stored = r.u64();
-            if (stored != fnv1a(body))
-                fail("persist",
-                     "checksum mismatch on proof entry " + std::to_string(i));
-            ByteReader er(body);
-            sat::ProofCache::SnapshotEntry e;
-            e.digest = er.u64();
-            e.entry.conflicts = er.u64();
-            e.entry.propagations = er.u64();
-            e.entry.restarts = er.u64();
-            e.entry.learned = er.u64();
-            // winner is -1..N; stored biased by one as an unsigned count.
-            e.entry.winner = static_cast<int>(er.u64()) - 1;
-            out.entries.push_back(e);
-        } catch (const std::exception& e) {
-            out.status = LoadResult::Status::kSalvaged;
-            // Clamp the drop count to what the remaining bytes could
-            // plausibly hold — a corrupted count field must not publish
-            // a garbage number (same rule as the pd-cache store).
-            const std::uint64_t declared = count - i;
-            const std::uint64_t plausible = remainingBefore / kEntryBytes;
-            out.droppedEntries = std::min(declared, plausible);
-            out.detail = "salvaged " + std::to_string(i) + " of " +
-                         std::to_string(count) + " proof entries (" +
-                         e.what() + ")";
-            if (declared > plausible)
-                out.detail += "; declared entry count untrusted (room for "
-                              "at most " + std::to_string(plausible) +
-                              " more)";
-            break;
-        }
-    }
-    if (out.status == LoadResult::Status::kLoaded && !r.done()) {
-        out.status = LoadResult::Status::kSalvaged;
-        out.detail = "salvaged " + std::to_string(out.entries.size()) +
-                     " proof entries; " + std::to_string(r.remaining()) +
-                     " trailing bytes after the declared count";
-    }
-    if (out.status == LoadResult::Status::kSalvaged) {
-        if (out.entries.empty())
-            return reject(LoadResult::Status::kCorrupt,
-                          "no salvageable prefix (" + out.detail + ")");
-        static auto& salvages = obs::counter("persist.proof.salvage");
-        static auto& dropped = obs::counter("persist.proof.salvage.dropped");
-        salvages.add();
-        dropped.add(out.droppedEntries);
-        log::warn("persist", out.detail);
-    }
-    return out;
+const RecordFormat& format() {
+    static const RecordFormat f(kProofMagic, kProofFormatVersion,
+                                "proof store", "persist.proof");
+    return f;
 }
 
 }  // namespace
 
-ProofLoadResult ProofStore::load(const std::string& path,
-                                 std::string_view fingerprint) {
-    obs::ScopedSpan span("persist.proof.load", "persist");
-    static auto& loads = obs::counter("persist.proof.load");
-    loads.add();
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return reject(LoadResult::Status::kNoFile,
-                      "no proof store at '" + path + "'");
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (is.bad())
-        return reject(LoadResult::Status::kCorrupt,
-                      "read error on '" + path + "'");
-    std::string bytes = std::move(buf).str();
-    if (PD_FAULT("persist.proof.load.flip") &&
-        bytes.size() > kProofMagic.size() + 4)
-        // Flip a bit two-thirds in — past the header on any real store,
-        // so the per-entry checksums must catch it and salvage the
-        // prefix, never replay a damaged proof.
-        bytes[bytes.size() * 2 / 3] ^= 0x01;
-    if (span.live())
-        span.setDetail("bytes=" + std::to_string(bytes.size()));
-    try {
-        return parse(bytes, fingerprint);
-    } catch (const std::exception& e) {
-        return reject(LoadResult::Status::kCorrupt,
-                      "'" + path + "': " + e.what());
-    }
+void encodeProofBody(const sat::ProofCache::SnapshotEntry& e,
+                     std::string& out) {
+    ByteWriter w(out);
+    w.u64(e.digest);
+    w.u64(e.entry.conflicts);
+    w.u64(e.entry.propagations);
+    w.u64(e.entry.restarts);
+    w.u64(e.entry.learned);
+    // winner is -1..N; biased by one so it travels as an unsigned count.
+    w.u64(static_cast<std::uint64_t>(e.entry.winner + 1));
+}
+
+sat::ProofCache::SnapshotEntry decodeProofBody(ByteReader& r) {
+    sat::ProofCache::SnapshotEntry e;
+    e.digest = r.u64();
+    e.entry.conflicts = r.u64();
+    e.entry.propagations = r.u64();
+    e.entry.restarts = r.u64();
+    e.entry.learned = r.u64();
+    e.entry.winner = static_cast<int>(r.u64()) - 1;
+    return e;
+}
+
+Loaded<ProofRecords> ProofStore::load(const std::string& path,
+                                      std::string_view fingerprint) {
+    return loadFile<ProofRecords>(
+        format(), path, fingerprint, [](RecordReader& rr, ProofRecords& out) {
+            rr.section("entry", kProofBodyBytes + 8,
+                       [&](ByteReader& r, std::uint64_t i) {
+                const std::string_view body = r.raw(kProofBodyBytes);
+                if (r.u64() != fnv1a(body))
+                    fail("persist", "checksum mismatch on proof entry " +
+                                        std::to_string(i));
+                ByteReader br(body);
+                out.entries.push_back(decodeProofBody(br));
+            });
+        });
 }
 
 bool ProofStore::save(const std::string& path, std::string_view fingerprint,
                       std::span<const sat::ProofCache::SnapshotEntry> entries,
                       std::string* errorOut) {
-    obs::ScopedSpan span("persist.proof.save", "persist");
-    static auto& saves = obs::counter("persist.proof.save");
-    saves.add();
-    std::string bytes;
-    {
+    return saveFile(format(), path, fingerprint, [&](std::string& bytes) {
         ByteWriter w(bytes);
-        bytes.append(kProofMagic);
-        w.u32(kProofFormatVersion);
-        w.str(fingerprint);
         w.u64(entries.size());
+        std::string body;
         for (const auto& e : entries) {
-            const std::size_t body = bytes.size();
-            w.u64(e.digest);
-            w.u64(e.entry.conflicts);
-            w.u64(e.entry.propagations);
-            w.u64(e.entry.restarts);
-            w.u64(e.entry.learned);
-            w.u64(static_cast<std::uint64_t>(e.entry.winner + 1));
-            w.u64(fnv1a(std::string_view(bytes).substr(body, kEntryBody)));
+            body.clear();
+            encodeProofBody(e, body);
+            bytes.append(body);
+            w.u64(fnv1a(body));
         }
-    }
-    if (span.live())
-        span.setDetail("entries=" + std::to_string(entries.size()) +
-                       " bytes=" + std::to_string(bytes.size()));
-
-    static std::atomic<std::uint64_t> saveSeq{0};
-    const std::string tmp = path + ".tmp." +
-                            std::to_string(static_cast<long>(::getpid())) +
-                            "." + std::to_string(saveSeq.fetch_add(1));
-    if (PD_FAULT("persist.proof.save.enospc")) {
-        if (errorOut)
-            *errorOut = "injected fault persist.proof.save.enospc: no "
-                        "space left on device writing '" + tmp + "'";
-        return false;
-    }
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            if (errorOut) *errorOut = "cannot open '" + tmp + "' for write";
-            return false;
-        }
-        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        os.flush();
-        if (!os) {
-            if (errorOut) *errorOut = "write failed on '" + tmp + "'";
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        if (errorOut)
-            *errorOut = "rename '" + tmp + "' -> '" + path + "' failed";
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+        return "entries=" + std::to_string(entries.size());
+    }, errorOut);
 }
 
 }  // namespace pd::engine::persist

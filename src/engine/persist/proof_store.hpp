@@ -24,13 +24,11 @@
 // under another. Searcher *count* is deliberately not in the salt — the
 // portfolio contract makes the result bit-identical at any count.
 //
-// Same trust ladder as the pd-cache store (store.hpp): load() never
-// throws; header damage rejects the whole file (cold start), entry
-// damage salvages the checksummed prefix, a salvage recovering nothing
-// is plain kCorrupt, and droppedEntries is clamped to what the
-// remaining bytes could plausibly hold so a corrupted count field can't
-// publish a garbage drop count. save() is atomic tmp+rename. Fault
-// sites: persist.proof.load.flip, persist.proof.save.enospc.
+// The trust ladder — header rejection, checksummed-prefix salvage with
+// the clamped drop count, the trailing-bytes rule, atomic tmp+rename
+// save — and the fault sites (persist.proof.load.flip,
+// persist.proof.save.{enospc,short_write,rename}) belong to the shared
+// record layer (record_file.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +37,7 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/persist/store.hpp"
+#include "engine/persist/record_file.hpp"
 #include "sat/proof_cache.hpp"
 
 namespace pd::engine::persist {
@@ -48,31 +46,27 @@ inline constexpr std::string_view kProofFormatName = "pd-proof-v1";
 inline constexpr std::uint32_t kProofFormatVersion = 1;
 inline constexpr std::string_view kProofMagic{"pdproof\0", 8};
 
-/// load() outcome; reuses the pd-cache status ladder and names
-/// (loadStatusName) so the report speaks one vocabulary.
-struct ProofLoadResult {
-    LoadResult::Status status = LoadResult::Status::kNoFile;
-    std::string detail;  ///< human-readable reason when not kLoaded
-    std::vector<sat::ProofCache::SnapshotEntry> entries;
-    /// Declared entries lost to the damaged tail when kSalvaged,
-    /// clamped to what the file could have held.
-    std::uint64_t droppedEntries = 0;
+/// Bytes of a proof record's body; its checksum follows.
+inline constexpr std::size_t kProofBodyBytes = 48;
 
-    [[nodiscard]] bool ok() const {
-        return status == LoadResult::Status::kLoaded;
-    }
-    [[nodiscard]] bool usable() const {
-        return status == LoadResult::Status::kLoaded ||
-               status == LoadResult::Status::kSalvaged;
-    }
+/// The records a pd-proof load recovered.
+struct ProofRecords {
+    std::vector<sat::ProofCache::SnapshotEntry> entries;
 };
+
+/// A proof record's body: the six u64 fields above. The record checksum
+/// covers exactly these bytes, and the shard wire's kProofEntry payload
+/// is the same bytes.
+void encodeProofBody(const sat::ProofCache::SnapshotEntry& e,
+                     std::string& out);
+[[nodiscard]] sat::ProofCache::SnapshotEntry decodeProofBody(ByteReader& r);
 
 class ProofStore {
 public:
     /// Reads and fully validates the store at `path`; `fingerprint` is
     /// the caller's SAT-budget salt. Never throws.
-    [[nodiscard]] static ProofLoadResult load(const std::string& path,
-                                              std::string_view fingerprint);
+    [[nodiscard]] static Loaded<ProofRecords> load(
+        const std::string& path, std::string_view fingerprint);
 
     /// Serializes `entries` under `fingerprint` and atomically replaces
     /// `path`. Callers wanting byte-identical stores across runs sort by

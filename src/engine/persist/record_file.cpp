@@ -1,0 +1,242 @@
+#include "engine/persist/record_file.hpp"
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "util/log.hpp"
+
+namespace pd::engine::persist {
+namespace {
+
+LoadOutcome reject(LoadStatus status, std::string detail) {
+    LoadOutcome r;
+    r.status = status;
+    r.detail = std::move(detail);
+    return r;
+}
+
+/// Untrusted bytes destined for human-readable detail strings (and from
+/// there the JSON report): anything outside printable ASCII becomes
+/// \xNN so the report stays valid UTF-8 whatever the file contained.
+std::string printable(std::string_view bytes) {
+    std::string out;
+    out.reserve(bytes.size());
+    for (const unsigned char c : bytes) {
+        if (c >= 0x20 && c < 0x7f) {
+            out.push_back(static_cast<char>(c));
+        } else {
+            constexpr char kHex[] = "0123456789abcdef";
+            out += "\\x";
+            out.push_back(kHex[c >> 4]);
+            out.push_back(kHex[c & 0xf]);
+        }
+    }
+    return out;
+}
+
+/// "entry" → "entries", "index entry" → "index entries".
+std::string plural(std::string_view noun) {
+    return std::string(noun.substr(0, noun.size() - 1)) + "ies";
+}
+
+}  // namespace
+
+std::string_view loadStatusName(LoadStatus s) {
+    switch (s) {
+        case LoadStatus::kLoaded: return "loaded";
+        case LoadStatus::kNoFile: return "no-file";
+        case LoadStatus::kBadMagic: return "bad-magic";
+        case LoadStatus::kBadVersion: return "bad-version";
+        case LoadStatus::kBadFingerprint: return "bad-fingerprint";
+        case LoadStatus::kCorrupt: return "corrupt";
+        case LoadStatus::kSalvaged: return "salvaged";
+    }
+    return "unknown";
+}
+
+RecordFormat::RecordFormat(std::string_view magic, std::uint32_t version,
+                           std::string_view noun, std::string_view prefix)
+    : magic(magic),
+      version(version),
+      noun(noun),
+      load(std::string(prefix) + ".load"),
+      save(std::string(prefix) + ".save"),
+      prefix(prefix),
+      loadFlip(fault::site(load + ".flip")),
+      saveEnospc(fault::site(save + ".enospc")),
+      saveShortWrite(fault::site(save + ".short_write")),
+      saveRename(fault::site(save + ".rename")) {}
+
+void RecordReader::section(std::string_view noun, std::uint64_t minBytes,
+                           const ReadOne& readOne) {
+    if (!detail_.empty()) return;
+    const bool first = first_;
+    first_ = false;
+    if (first) firstNoun_ = noun;
+    std::uint64_t count = 0;
+    try {
+        count = r_.u64();
+    } catch (const std::exception& e) {
+        detail_ = std::string(noun) + " section lost (" + e.what() + ")";
+        return;
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t remainingBefore = r_.remaining();
+        try {
+            readOne(r_, i);
+        } catch (const std::exception& e) {
+            // `count - i` trusts the declared count, but when the damage
+            // hit the count field itself that difference is garbage. An
+            // intact record occupies at least `minBytes`, so the bytes
+            // left at the damaged record bound how many the file could
+            // actually have held.
+            const std::uint64_t declared = count - i;
+            const std::uint64_t plausible = remainingBefore / minBytes;
+            if (first) dropped_ = std::min(declared, plausible);
+            detail_ = "salvaged " + std::to_string(i) + " of " +
+                      std::to_string(count) + " " + plural(noun) + " (" +
+                      e.what() + ")";
+            if (declared > plausible)
+                detail_ += "; declared " + std::string(noun) +
+                           " count untrusted (room for at most " +
+                           std::to_string(plausible) + " more)";
+            return;
+        }
+        if (first) ++kept_;
+    }
+}
+
+LoadOutcome loadRecords(const RecordFormat& f, const std::string& path,
+                        std::string_view fingerprint,
+                        const std::function<void(RecordReader&)>& body) {
+    obs::ScopedSpan span(f.load, "persist");
+    obs::counter(f.load).add();
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        return reject(LoadStatus::kNoFile,
+                      "no " + f.noun + " at '" + path + "'");
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    if (is.bad())
+        return reject(LoadStatus::kCorrupt, "read error on '" + path + "'");
+    std::string bytes = std::move(buf).str();
+    if (f.loadFlip.shouldFire() && bytes.size() > f.magic.size() + 4)
+        // Flip a bit two-thirds in: past the header on any real store,
+        // so the per-record checksums must catch it and salvage the
+        // prefix before the flipped byte.
+        bytes[bytes.size() * 2 / 3] ^= 0x01;
+    if (span.live()) span.setDetail("bytes=" + std::to_string(bytes.size()));
+
+    try {
+        ByteReader r(bytes);
+        if (bytes.size() < f.magic.size() || r.raw(f.magic.size()) != f.magic)
+            return reject(LoadStatus::kBadMagic,
+                          "not a pd " + f.noun + " (bad magic)");
+        const std::uint32_t version = r.u32();
+        if (version != f.version)
+            return reject(LoadStatus::kBadVersion,
+                          f.noun + " is format version " +
+                              std::to_string(version) + ", this build reads " +
+                              std::to_string(f.version));
+        const std::string_view salt = r.str();
+        if (salt != fingerprint)
+            return reject(LoadStatus::kBadFingerprint,
+                          f.noun + " was written under fingerprint '" +
+                              printable(salt) + "', expected '" +
+                              printable(fingerprint) + "'");
+
+        RecordReader records(r);
+        body(records);
+        LoadOutcome out;
+        out.status = LoadStatus::kLoaded;
+        out.detail = std::move(records.detail_);
+        out.droppedEntries = records.dropped_;
+        if (out.detail.empty() && !r.done())
+            out.detail = "salvaged " + std::to_string(records.kept_) + " " +
+                         plural(records.firstNoun_) + "; " +
+                         std::to_string(r.remaining()) +
+                         " trailing bytes after the declared count";
+        if (out.detail.empty()) return out;
+        if (records.kept_ == 0)
+            return reject(LoadStatus::kCorrupt,
+                          "no salvageable prefix (" + out.detail + ")");
+        out.status = LoadStatus::kSalvaged;
+        obs::counter(f.prefix + ".salvage").add();
+        obs::counter(f.prefix + ".salvage.dropped").add(out.droppedEntries);
+        log::warn("persist", out.detail);
+        return out;
+    } catch (const std::exception& e) {
+        return reject(LoadStatus::kCorrupt, "'" + path + "': " + e.what());
+    }
+}
+
+bool saveFile(const RecordFormat& f, const std::string& path,
+              std::string_view fingerprint,
+              const std::function<std::string(std::string& bytes)>& body,
+              std::string* errorOut) {
+    obs::ScopedSpan span(f.save, "persist");
+    obs::counter(f.save).add();
+    std::string bytes(f.magic);
+    ByteWriter w(bytes);
+    w.u32(f.version);
+    w.str(fingerprint);
+    const std::string summary = body(bytes);
+    if (span.live())
+        span.setDetail(summary + " bytes=" + std::to_string(bytes.size()));
+
+    // Unique per process *and* per call: concurrent flushes from two
+    // threads must not interleave writes into one tmp file.
+    static std::atomic<std::uint64_t> saveSeq{0};
+    const std::string tmp = path + ".tmp." +
+                            std::to_string(static_cast<long>(::getpid())) +
+                            "." + std::to_string(saveSeq.fetch_add(1));
+    if (f.saveEnospc.shouldFire()) {
+        if (errorOut)
+            *errorOut = "injected fault " + f.saveEnospc.name() +
+                        ": no space left on device writing '" + tmp + "'";
+        return false;
+    }
+    if (f.saveShortWrite.shouldFire())
+        // Model a torn write that the filesystem acknowledged anyway
+        // (power cut between ack and durability): the truncated bytes
+        // go through the normal rename path and the save reports
+        // success, so only the next load — via salvage — finds the damage.
+        bytes.resize(bytes.size() / 2);
+    {
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        if (!os) {
+            if (errorOut) *errorOut = "cannot open '" + tmp + "' for write";
+            return false;
+        }
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        os.flush();
+        if (!os) {
+            if (errorOut) *errorOut = "write failed on '" + tmp + "'";
+            std::remove(tmp.c_str());
+            return false;
+        }
+    }
+    if (f.saveRename.shouldFire()) {
+        if (errorOut)
+            *errorOut = "injected fault " + f.saveRename.name() +
+                        ": rename '" + tmp + "' -> '" + path + "' failed";
+        std::remove(tmp.c_str());
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        if (errorOut)
+            *errorOut = "rename '" + tmp + "' -> '" + path + "' failed";
+        std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
+}
+
+}  // namespace pd::engine::persist

@@ -9,7 +9,8 @@
 //   entry[count]:
 //     key            16 bytes  job digest (lane a u64, lane b u64)
 //     payload        str       serialized JobResult (serialize.hpp)
-//     checksum       u64       FNV-1a over key bytes then payload bytes
+//     checksum       u64       FNV-1a over the key bytes, then the payload
+//                               bytes (not the payload's length prefix)
 //   index count      u64
 //   index[count]:               name index (see engine/cache.hpp JobIndex)
 //     name           str       registry name + options fingerprint
@@ -17,25 +18,12 @@
 //     digest         16 bytes  the key of the job's entry above
 //     checksum       u64       FNV-1a over the name, stamp and digest bytes
 //
-// load() never throws and never crashes on hostile input: a missing,
-// wrong-magic, wrong-version or wrong-fingerprint file comes back as a
-// non-ok LoadResult whose status/detail say loudly why, and the caller
-// cold-starts. Damage in the entry region is recovered from, not
-// punished: each entry carries its own checksum, so every entry before
-// the first bad byte is provably intact — load() keeps that valid
-// prefix (status kSalvaged, with the drop count and reason in
-// detail/droppedEntries) and discards the rest, index included; damage
-// inside the index section keeps every result entry and the index
-// prefix before it (kSalvaged, droppedEntries 0). The header is held to
-// the stricter standard: a store whose magic/version/fingerprint can't
-// be trusted yields no salvage, and a salvage that recovers zero
-// entries is reported as plain kCorrupt. Callers that only want
-// perfect artifacts check ok(); callers happy with a warm prefix
-// (the engine) check usable().
-//
-// save() is atomic: the bytes go to "<path>.tmp.<pid>" first and are
-// renamed over the target, so readers never observe a half-written
-// store and a crash mid-save leaves the previous version intact.
+// The trust ladder — header rejection, checksummed-prefix salvage with
+// the clamped drop count, the trailing-bytes rule, atomic tmp+rename
+// save — is the shared record layer's (record_file.hpp). The first
+// section is the results: damage there drops the tail and the index
+// with it. Damage inside the index keeps every result entry and the
+// index prefix before it (kSalvaged, droppedEntries 0).
 #pragma once
 
 #include <cstdint>
@@ -47,6 +35,7 @@
 
 #include "engine/cache.hpp"
 #include "engine/job.hpp"
+#include "engine/persist/record_file.hpp"
 
 namespace pd::engine::persist {
 
@@ -65,31 +54,19 @@ struct StoreEntry {
     std::shared_ptr<const JobResult> result;
 };
 
-struct LoadResult {
-    enum class Status : std::uint8_t {
-        kLoaded,          ///< entries are valid and complete
-        kNoFile,          ///< nothing at the path (normal first run)
-        kBadMagic,        ///< not a pd cache store at all
-        kBadVersion,      ///< written by a different format version
-        kBadFingerprint,  ///< written under different options
-        kCorrupt,         ///< damaged beyond salvage (no valid prefix)
-        kSalvaged,        ///< valid prefix kept, damaged tail dropped
-    };
-    Status status = Status::kNoFile;
-    std::string detail;  ///< human-readable reason when not kLoaded
+/// The records a pd-cache load recovered.
+struct CacheRecords {
     std::vector<StoreEntry> entries;
     std::vector<JobIndex::Entry> index;
-    /// Declared entries lost to the damaged tail when kSalvaged.
-    std::uint64_t droppedEntries = 0;
-
-    [[nodiscard]] bool ok() const { return status == Status::kLoaded; }
-    /// True when `entries` may be adopted: pristine or salvaged prefix.
-    [[nodiscard]] bool usable() const {
-        return status == Status::kLoaded || status == Status::kSalvaged;
-    }
 };
 
-[[nodiscard]] std::string_view loadStatusName(LoadResult::Status s);
+using LoadResult = Loaded<CacheRecords>;
+
+/// An index record's body: name, stamp, digest. The index checksum
+/// covers exactly these bytes, and the shard wire's kIndexEntry payload
+/// is the same bytes.
+void encodeIndexBody(const JobIndex::Entry& e, std::string& out);
+[[nodiscard]] JobIndex::Entry decodeIndexBody(ByteReader& r);
 
 class CacheStore {
 public:

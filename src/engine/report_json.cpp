@@ -38,12 +38,31 @@ std::string_view proofSourceName(JobResult::SatVerify::ProofSource s) {
     return "unknown";
 }
 
+namespace {
+
+/// One persistent store's warm-start outcome; omitted when the store is
+/// off.
+void writeStoreBlock(JsonWriter& w, std::string_view key,
+                     const PersistInfo* info) {
+    if (!info || info->file.empty()) return;
+    w.key(key).beginObject();
+    w.field("file", info->file);
+    w.field("readonly", info->readonly);
+    w.field("load_status", persist::loadStatusName(info->loadStatus));
+    w.field("load_detail", info->loadDetail);
+    w.field("loaded_entries", info->loadedEntries);
+    w.field("dropped_entries", info->droppedEntries);
+    w.endObject();
+}
+
+}  // namespace
+
 void writeBatchReport(std::ostream& os, const EngineOptions& opt,
                       std::span<const JobResult> results,
                       const ResultCache::Stats& cache,
                       const PersistInfo* persist,
                       const BatchResilience* resilience,
-                      const ProofPersistInfo* proofPersist) {
+                      const PersistInfo* proofPersist) {
     JsonWriter w(os);
     w.beginObject();
     w.field("schema", "pd-batch-report-v1");
@@ -164,29 +183,8 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
     }
     w.endArray();
 
-    if (persist && !persist->file.empty()) {
-        w.key("persist").beginObject();
-        w.field("file", persist->file);
-        w.field("readonly", persist->readonly);
-        w.field("load_status",
-                persist::loadStatusName(persist->loadStatus));
-        w.field("load_detail", persist->loadDetail);
-        w.field("loaded_entries", persist->loadedEntries);
-        w.field("dropped_entries", persist->droppedEntries);
-        w.endObject();
-    }
-
-    if (proofPersist && !proofPersist->file.empty()) {
-        w.key("proof_store").beginObject();
-        w.field("file", proofPersist->file);
-        w.field("readonly", proofPersist->readonly);
-        w.field("load_status",
-                persist::loadStatusName(proofPersist->loadStatus));
-        w.field("load_detail", proofPersist->loadDetail);
-        w.field("loaded_entries", proofPersist->loadedEntries);
-        w.field("dropped_entries", proofPersist->droppedEntries);
-        w.endObject();
-    }
+    writeStoreBlock(w, "persist", persist);
+    writeStoreBlock(w, "proof_store", proofPersist);
 
     {
         // Degraded-mode accounting: always present (zeros on a healthy
@@ -205,8 +203,7 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
         w.field("reconnects", r.reconnects);
         w.field("wire_poisons", r.wirePoisons);
         w.field("salvaged_entries",
-                persist && persist->loadStatus ==
-                               persist::LoadResult::Status::kSalvaged
+                persist && persist->loadStatus == persist::LoadStatus::kSalvaged
                     ? persist->loadedEntries
                     : 0);
         w.field("salvage_dropped", persist ? persist->droppedEntries : 0);

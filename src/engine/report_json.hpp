@@ -114,6 +114,6 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
                       const ResultCache::Stats& cache,
                       const PersistInfo* persist = nullptr,
                       const BatchResilience* resilience = nullptr,
-                      const ProofPersistInfo* proofPersist = nullptr);
+                      const PersistInfo* proofPersist = nullptr);
 
 }  // namespace pd::engine

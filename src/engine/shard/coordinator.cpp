@@ -519,9 +519,9 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                             decodeCacheDelta(frame->payload));
                         break;
                     case FrameType::kProofEntry: {
-                        ProofDelta d = decodeProofDelta(frame->payload);
-                        if (proofSeen.insert(d.digest).second)
-                            outcome.proofDeltas.push_back(d);
+                        const auto e = decodeProofEntry(frame->payload);
+                        if (proofSeen.insert(e.digest).second)
+                            outcome.proofDeltas.push_back(e);
                         break;
                     }
                     case FrameType::kIndexEntry:

@@ -100,7 +100,7 @@ struct ShardOutcome {
     /// Completed SAT refutations streamed by the workers, de-duplicated
     /// by digest (a proof of a given obligation is unique, so first-in
     /// wins).
-    std::vector<ProofDelta> proofDeltas;
+    std::vector<sat::ProofCache::SnapshotEntry> proofDeltas;
     /// Name-index entries the workers recorded, in arrival order.
     std::vector<JobIndex::Entry> indexDeltas;
     std::size_t workerCrashes = 0;   ///< deaths observed (incl. budget kills)

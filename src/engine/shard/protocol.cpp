@@ -1,7 +1,9 @@
 #include "engine/shard/protocol.hpp"
 
 #include "engine/persist/format.hpp"
+#include "engine/persist/proof_store.hpp"
 #include "engine/persist/serialize.hpp"
+#include "engine/persist/store.hpp"
 #include "util/error.hpp"
 
 namespace pd::engine::shard {
@@ -269,48 +271,28 @@ CacheDelta decodeCacheDelta(std::string_view payload) {
     return d;
 }
 
-std::string encodeProofDelta(const ProofDelta& d) {
+std::string encodeProofEntry(const sat::ProofCache::SnapshotEntry& e) {
     std::string out;
-    ByteWriter w(out);
-    w.u64(d.digest);
-    w.u64(d.conflicts);
-    w.u64(d.propagations);
-    w.u64(d.restarts);
-    w.u64(d.learned);
-    // winner is -1..N; bias by one so it travels as an unsigned count
-    // (same convention as the pd-cache-v4 satVerify encoding).
-    w.u64(static_cast<std::uint64_t>(d.winner + 1));
+    persist::encodeProofBody(e, out);
     return out;
 }
 
-ProofDelta decodeProofDelta(std::string_view payload) {
+sat::ProofCache::SnapshotEntry decodeProofEntry(std::string_view payload) {
     ByteReader r(payload);
-    ProofDelta d;
-    d.digest = r.u64();
-    d.conflicts = r.u64();
-    d.propagations = r.u64();
-    d.restarts = r.u64();
-    d.learned = r.u64();
-    d.winner = static_cast<int>(r.u64()) - 1;
-    if (!r.done()) fail("shard", "trailing bytes after proof delta");
-    return d;
+    const auto e = persist::decodeProofBody(r);
+    if (!r.done()) fail("shard", "trailing bytes after proof entry");
+    return e;
 }
 
 std::string encodeIndexDelta(const JobIndex::Entry& e) {
     std::string out;
-    ByteWriter w(out);
-    w.str(e.name);
-    w.u64(e.stamp);
-    w.digest(e.digest);
+    persist::encodeIndexBody(e, out);
     return out;
 }
 
 JobIndex::Entry decodeIndexDelta(std::string_view payload) {
     ByteReader r(payload);
-    JobIndex::Entry e;
-    e.name = std::string(r.str());
-    e.stamp = r.u64();
-    e.digest = r.digest();
+    JobIndex::Entry e = persist::decodeIndexBody(r);
     if (!r.done()) fail("shard", "trailing bytes after index delta");
     return e;
 }

@@ -28,6 +28,7 @@
 #include "engine/job.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "sat/proof_cache.hpp"
 
 namespace pd::engine::shard {
 
@@ -162,24 +163,20 @@ struct CacheDelta {
 [[nodiscard]] std::string encodeCacheDelta(const CacheDelta& d);
 [[nodiscard]] CacheDelta decodeCacheDelta(std::string_view payload);
 
-/// One completed SAT refutation handed back by a worker: the miter's
-/// content digest plus the winning solve's statistics (the pd-proof-v1
-/// entry fields). Proofs are unique per digest, so the coordinator's
-/// merge is first-in-wins — no stamp needed.
-struct ProofDelta {
-    std::uint64_t digest = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t propagations = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t learned = 0;
-    int winner = 0;
-};
+/// One completed SAT refutation handed back by a worker (kProofEntry):
+/// the miter's content digest plus the winning solve's statistics. The
+/// payload is the pd-proof-v1 record body (persist::encodeProofBody).
+/// Proofs are unique per digest, so the coordinator's merge is
+/// first-in-wins — no stamp needed.
+[[nodiscard]] std::string encodeProofEntry(
+    const sat::ProofCache::SnapshotEntry& e);
+[[nodiscard]] sat::ProofCache::SnapshotEntry decodeProofEntry(
+    std::string_view payload);
 
-[[nodiscard]] std::string encodeProofDelta(const ProofDelta& d);
-[[nodiscard]] ProofDelta decodeProofDelta(std::string_view payload);
-
-/// One name-index entry a worker recorded (wire v7). The coordinator
-/// records it as its own engine would have, overwriting a stale entry.
+/// One name-index entry a worker recorded (wire v7; kIndexEntry). The
+/// payload is the pd-cache-v4 index record body
+/// (persist::encodeIndexBody). The coordinator records it as its own
+/// engine would have, overwriting a stale entry.
 [[nodiscard]] std::string encodeIndexDelta(const JobIndex::Entry& e);
 [[nodiscard]] JobIndex::Entry decodeIndexDelta(std::string_view payload);
 

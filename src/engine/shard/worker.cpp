@@ -185,10 +185,10 @@ int runWorker(const WorkerOptions& opt) {
     // in-flight job's proof.
     std::unordered_set<std::uint64_t> shippedProofs;
     const auto shipProofDeltas = [&] {
-        for (const ProofDelta& d : engine.proofDelta(shippedProofs)) {
-            if (!send(FrameType::kProofEntry, encodeProofDelta(d)))
+        for (const auto& e : engine.proofDelta(shippedProofs)) {
+            if (!send(FrameType::kProofEntry, encodeProofEntry(e)))
                 return false;
-            shippedProofs.insert(d.digest);
+            shippedProofs.insert(e.digest);
         }
         return true;
     };

@@ -1,6 +1,10 @@
-// Persistent-cache tests: byte-level format round-trips, the store's
-// loud rejection of every corruption class (truncation, bit flips,
-// future versions, foreign fingerprints) as a clean cold start, engine
+// Persistent-store tests: byte-level format round-trips, one
+// store-contract suite run over both codecs (pd-cache-v4 and
+// pd-proof-v1) — loud rejection of every corruption class (truncation,
+// bit flips, other versions, foreign fingerprints) as a clean cold
+// start, checksummed-prefix salvage, injected save/load faults, and the
+// pinned on-disk bytes of each format — wire payloads that are store
+// record bodies, engine
 // warm-start/flush end-to-end, the persisted name index and the
 // reference guard behind it (stale entries, changed specs), and a
 // concurrent save-while-computing hammer. All failure paths must
@@ -12,15 +16,18 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <thread>
 
 #include "circuits/registry.hpp"
 #include "engine/engine.hpp"
 #include "engine/persist/format.hpp"
+#include "engine/persist/proof_store.hpp"
 #include "engine/persist/serialize.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/coordinator.hpp"
+#include "engine/shard/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fault/fault.hpp"
@@ -207,209 +214,504 @@ TEST(PersistSerialize, RejectsCorruptNetlist) {
     }
 }
 
-TEST(PersistStore, SaveLoadRoundTrip) {
-    TempFile file("roundtrip");
-    const JobResult r = sampleResult();
-    std::vector<StoreEntry> entries;
-    entries.push_back(
-        {key("sig-A"), std::make_shared<const JobResult>(r)});
-    entries.push_back(
-        {key("sig-B"), std::make_shared<const JobResult>(sampleResult())});
-    std::string error;
-    const std::vector<JobIndex::Entry> index = {
-        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-B")}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp1", entries, index, &error))
-        << error;
+// ---- the store contract, once for both codecs ------------------------------
 
-    const auto loaded = CacheStore::load(file.path(), "fp1");
-    ASSERT_TRUE(loaded.ok()) << loaded.detail;
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0].key, key("sig-A"));
-    EXPECT_EQ(loaded.entries[1].key, key("sig-B"));
-    expectSameResult(r, *loaded.entries[0].result);
-    ASSERT_EQ(loaded.index.size(), 2u);
-    EXPECT_EQ(loaded.index[1].name, "counter8|k4");
-    EXPECT_EQ(loaded.index[1].stamp, 9u);
-    EXPECT_EQ(loaded.index[1].digest, key("sig-B"));
+/// Arms a plan for the test body; disarms all sites on scope exit.
+class ScopedFaults {
+public:
+    explicit ScopedFaults(const std::string& plan) {
+        std::string error;
+        EXPECT_TRUE(fault::armPlan(plan, &error)) << error;
+    }
+    ~ScopedFaults() { fault::disarmAllForTest(); }
+};
+
+[[nodiscard]] std::uint64_t fileFnv(const std::string& path) {
+    return fnv1a(readFile(path));
 }
 
-TEST(PersistStore, MissingFileIsACleanColdStart) {
-    const auto loaded = CacheStore::load("/nonexistent/dir/none.pdc", "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kNoFile);
+/// pd-cache-v4 through the store-contract suite. Records are result
+/// entries; the index section stays empty except in the pinned file.
+struct CacheCodec {
+    using Entry = StoreEntry;
+    static constexpr std::string_view kMagicBytes = kMagic;
+    static constexpr std::uint32_t kVersion = kFormatVersion;
+    static constexpr const char* kSites = "persist";
+    /// Bytes after the last entry: the empty index section's count.
+    static constexpr std::size_t kTail = 8;
+    /// A torn last entry still leaves room for one intact minimal entry.
+    static constexpr std::uint64_t kTornTailDropped = 1;
+    /// FNV-1a of pinnedSave()'s bytes. A different value is a format
+    /// change, which needs a kFormatVersion bump, not a new constant.
+    static constexpr std::uint64_t kPinnedFnv = 0x4d999b96e0a805feull;
+
+    static std::vector<Entry> three() {
+        std::vector<Entry> entries;
+        for (const char* label : {"sig-A", "sig-B", "sig-C"})
+            entries.push_back(
+                {key(label), std::make_shared<const JobResult>(sampleResult())});
+        return entries;
+    }
+    static bool save(const std::string& path, std::string_view fp,
+                     std::span<const Entry> entries,
+                     std::string* error = nullptr) {
+        return CacheStore::save(path, fp, entries, {}, error);
+    }
+    static bool pinnedSave(const std::string& path) {
+        const std::vector<JobIndex::Entry> index = {
+            {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-C")}};
+        return CacheStore::save(path, "pin", three(), index);
+    }
+    static LoadResult load(const std::string& path, std::string_view fp) {
+        return CacheStore::load(path, fp);
+    }
+    static void expectSame(const Entry& a, const Entry& b) {
+        EXPECT_EQ(a.key, b.key);
+        expectSameResult(*a.result, *b.result);
+    }
+};
+
+/// pd-proof-v1 through the store-contract suite.
+struct ProofCodec {
+    using Entry = sat::ProofCache::SnapshotEntry;
+    static constexpr std::string_view kMagicBytes = kProofMagic;
+    static constexpr std::uint32_t kVersion = kProofFormatVersion;
+    static constexpr const char* kSites = "persist.proof";
+    static constexpr std::size_t kTail = 0;
+    /// Fixed-size records: a torn one leaves fewer bytes than an intact
+    /// record needs, so the clamp counts no intact record as lost.
+    static constexpr std::uint64_t kTornTailDropped = 0;
+    static constexpr std::uint64_t kPinnedFnv = 0x0622a88a4a60c32dull;
+
+    static std::vector<Entry> three() {
+        std::vector<Entry> entries;
+        for (std::uint64_t d : {11u, 22u, 33u}) {
+            Entry e;
+            e.digest = d;
+            e.entry.conflicts = 100 + d;
+            e.entry.propagations = 1000 + d;
+            e.entry.restarts = d % 5;
+            e.entry.learned = 50 + d;
+            e.entry.winner = static_cast<int>(d % 3);
+            entries.push_back(e);
+        }
+        return entries;
+    }
+    static bool save(const std::string& path, std::string_view fp,
+                     std::span<const Entry> entries,
+                     std::string* error = nullptr) {
+        return ProofStore::save(path, fp, entries, error);
+    }
+    static bool pinnedSave(const std::string& path) {
+        return ProofStore::save(path, "pin", three());
+    }
+    static Loaded<ProofRecords> load(const std::string& path,
+                                     std::string_view fp) {
+        return ProofStore::load(path, fp);
+    }
+    static void expectSame(const Entry& a, const Entry& b) {
+        EXPECT_EQ(a.digest, b.digest);
+        EXPECT_EQ(a.entry.conflicts, b.entry.conflicts);
+        EXPECT_EQ(a.entry.propagations, b.entry.propagations);
+        EXPECT_EQ(a.entry.restarts, b.entry.restarts);
+        EXPECT_EQ(a.entry.learned, b.entry.learned);
+        EXPECT_EQ(a.entry.winner, b.entry.winner);
+    }
+};
+
+template <typename Codec>
+class StoreContract : public ::testing::Test {
+protected:
+    using C = Codec;
+    /// Offset of the first record in a store saved under "fp".
+    static constexpr std::size_t kHeaderEnd =
+        8 /*magic*/ + 4 /*version*/ + (4 + 2) /*"fp" str*/ + 8 /*count*/;
+
+    [[nodiscard]] static std::vector<typename Codec::Entry> one() {
+        auto all = Codec::three();
+        all.resize(1);
+        return all;
+    }
+    [[nodiscard]] static std::string site(const char* suffix) {
+        return std::string(Codec::kSites) + suffix;
+    }
+};
+
+using Codecs = ::testing::Types<CacheCodec, ProofCodec>;
+TYPED_TEST_SUITE(StoreContract, Codecs);
+
+TYPED_TEST(StoreContract, SaveLoadRoundTrip) {
+    using C = typename TestFixture::C;
+    TempFile file("roundtrip");
+    std::string error;
+    ASSERT_TRUE(C::save(file.path(), "fp1", C::three(), &error)) << error;
+    const auto loaded = C::load(file.path(), "fp1");
+    ASSERT_TRUE(loaded.ok()) << loaded.detail;
+    ASSERT_EQ(loaded.entries.size(), 3u);
+    const auto expected = C::three();
+    for (std::size_t i = 0; i < 3; ++i)
+        C::expectSame(loaded.entries[i], expected[i]);
+}
+
+TYPED_TEST(StoreContract, FormatIsPinned) {
+    // The on-disk bytes of both formats are a contract: stores written by
+    // earlier builds must keep loading. A refactor that changes a single
+    // byte of either format fails here, not in a user's warm start.
+    using C = typename TestFixture::C;
+    TempFile file("pinned");
+    ASSERT_TRUE(C::pinnedSave(file.path()));
+    EXPECT_EQ(fileFnv(file.path()), C::kPinnedFnv)
+        << std::hex << "0x" << fileFnv(file.path());
+}
+
+TYPED_TEST(StoreContract, MissingFileIsACleanColdStart) {
+    using C = typename TestFixture::C;
+    const auto loaded = C::load("/nonexistent/dir/none.pdc", "fp");
+    EXPECT_EQ(loaded.status, LoadStatus::kNoFile);
+    EXPECT_FALSE(loaded.usable());
     EXPECT_TRUE(loaded.entries.empty());
 }
 
-TEST(PersistStore, RejectsTruncatedFile) {
+TYPED_TEST(StoreContract, RejectsTruncatedFile) {
+    using C = typename TestFixture::C;
     TempFile file("truncated");
-    std::vector<StoreEntry> entries{
-        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
+    ASSERT_TRUE(C::save(file.path(), "fp", TestFixture::one()));
     const std::string bytes = readFile(file.path());
     ASSERT_GT(bytes.size(), 16u);
     // Every truncation point inside the entry must reject cleanly, never
-    // crash (the last 8 bytes are the empty index section's count).
+    // crash.
     for (const std::size_t keep :
-         {bytes.size() - 9, bytes.size() / 2, std::size_t{13},
+         {bytes.size() - C::kTail - 1, bytes.size() / 2, std::size_t{13},
           std::size_t{7}, std::size_t{0}}) {
         writeFile(file.path(), bytes.substr(0, keep));
-        const auto loaded = CacheStore::load(file.path(), "fp");
+        const auto loaded = C::load(file.path(), "fp");
         EXPECT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
         EXPECT_TRUE(loaded.entries.empty());
     }
 }
 
-TEST(PersistStore, RejectsFlippedChecksumByte) {
+TYPED_TEST(StoreContract, RejectsEveryFlippedByte) {
+    using C = typename TestFixture::C;
     TempFile file("checksum");
-    std::vector<StoreEntry> entries{
-        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
+    ASSERT_TRUE(C::save(file.path(), "fp", TestFixture::one()));
     const std::string bytes = readFile(file.path());
-    // Flip one byte in every position after the header region; each must
-    // be caught by the checksum (or structural validation) as kCorrupt.
+    // Flip one byte in every position after magic and version; each must
+    // be caught by the fingerprint check, a length prefix, a record
+    // checksum or the trailing-byte rule.
+    const std::size_t from = C::kMagicBytes.size() + 4;
     std::size_t rejected = 0;
-    for (std::size_t i = kMagic.size() + 4; i < bytes.size(); ++i) {
+    for (std::size_t i = from; i < bytes.size(); ++i) {
         std::string bad = bytes;
         bad[i] = static_cast<char>(bad[i] ^ 0x01);
         writeFile(file.path(), bad);
-        const auto loaded = CacheStore::load(file.path(), "fp");
-        if (!loaded.ok()) ++rejected;
+        if (!C::load(file.path(), "fp").ok()) ++rejected;
     }
-    // All positions are covered by the fingerprint check, length
-    // prefixes, payload checksum or trailing-byte detection.
-    EXPECT_EQ(rejected, bytes.size() - kMagic.size() - 4);
+    EXPECT_EQ(rejected, bytes.size() - from);
 }
 
-TEST(PersistStore, RejectsOtherFormatVersions) {
+TYPED_TEST(StoreContract, RejectsOtherFormatVersions) {
+    using C = typename TestFixture::C;
     TempFile file("version");
-    std::vector<StoreEntry> entries{
-        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
-    std::string bytes = readFile(file.path());
-    const auto probe = [&](std::uint8_t version) {
+    ASSERT_TRUE(C::save(file.path(), "fp", TestFixture::one()));
+    const std::string bytes = readFile(file.path());
+    // Past versions (a v1 store inherited by CI) and future ones must be
+    // rejected loudly as bad-version, never decoded.
+    for (const std::uint32_t v :
+         {0u, 1u, C::kVersion - 1, C::kVersion + 1, 99u}) {
+        if (v == C::kVersion) continue;
         std::string mutated = bytes;
-        mutated[kMagic.size()] = static_cast<char>(version);  // u32 LE
+        mutated[C::kMagicBytes.size()] = static_cast<char>(v);  // u32 LE
         writeFile(file.path(), mutated);
-        return CacheStore::load(file.path(), "fp");
-    };
-    // A past version (e.g. a v1 store inherited by CI) and a future one
-    // must both be rejected loudly as bad-version, never decoded.
-    for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{99}}) {
-        const auto loaded = probe(v);
-        EXPECT_EQ(loaded.status, LoadResult::Status::kBadVersion);
+        const auto loaded = C::load(file.path(), "fp");
+        EXPECT_EQ(loaded.status, LoadStatus::kBadVersion);
         EXPECT_NE(loaded.detail.find("version " + std::to_string(v)),
                   std::string::npos)
             << loaded.detail;
     }
 }
 
-TEST(PersistStore, RejectsBadMagic) {
+TYPED_TEST(StoreContract, RejectsBadMagic) {
+    using C = typename TestFixture::C;
     TempFile file("magic");
-    writeFile(file.path(), "this is not a cache store at all");
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kBadMagic);
+    writeFile(file.path(), "this is not a store at all");
+    EXPECT_EQ(C::load(file.path(), "fp").status, LoadStatus::kBadMagic);
 }
 
-TEST(PersistStore, RejectsMismatchedFingerprint) {
+TYPED_TEST(StoreContract, RejectsMismatchedFingerprint) {
+    using C = typename TestFixture::C;
     TempFile file("fingerprint");
-    std::vector<StoreEntry> entries{
-        {key("sig"), std::make_shared<const JobResult>(sampleResult())}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp-writer", entries, {}));
-    const auto loaded = CacheStore::load(file.path(), "fp-reader");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kBadFingerprint);
+    ASSERT_TRUE(C::save(file.path(), "fp-writer", C::three()));
+    const auto loaded = C::load(file.path(), "fp-reader");
+    EXPECT_EQ(loaded.status, LoadStatus::kBadFingerprint);
     EXPECT_NE(loaded.detail.find("fp-writer"), std::string::npos);
     EXPECT_NE(loaded.detail.find("fp-reader"), std::string::npos);
 }
 
-// ---- salvage ----------------------------------------------------------------
-
-[[nodiscard]] std::vector<StoreEntry> threeEntries() {
-    std::vector<StoreEntry> entries;
-    for (const char* label : {"sig-A", "sig-B", "sig-C"})
-        entries.push_back(
-            {key(label), std::make_shared<const JobResult>(sampleResult())});
-    return entries;
-}
-
-TEST(PersistSalvage, TruncatedTailSalvagesTheIntactPrefix) {
+TYPED_TEST(StoreContract, TruncatedTailSalvagesTheIntactPrefix) {
+    using C = typename TestFixture::C;
     TempFile file("salvage_trunc");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
+    ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
     const std::string bytes = readFile(file.path());
-    // Past the (empty) index section's count, one byte into the last
-    // entry's checksum.
-    writeFile(file.path(), bytes.substr(0, bytes.size() - 9));
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kSalvaged);
+    // One byte into the last entry's checksum.
+    writeFile(file.path(), bytes.substr(0, bytes.size() - C::kTail - 1));
+    const auto loaded = C::load(file.path(), "fp");
+    EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
     EXPECT_TRUE(loaded.usable());
     EXPECT_FALSE(loaded.ok()) << "salvaged must stay distinct from loaded";
     ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0].key, key("sig-A"));
-    EXPECT_EQ(loaded.entries[1].key, key("sig-B"));
-    EXPECT_EQ(loaded.droppedEntries, 1u);
+    const auto expected = C::three();
+    C::expectSame(loaded.entries[0], expected[0]);
+    C::expectSame(loaded.entries[1], expected[1]);
+    EXPECT_EQ(loaded.droppedEntries, C::kTornTailDropped);
     EXPECT_NE(loaded.detail.find("salvaged 2 of 3"), std::string::npos)
         << loaded.detail;
 }
 
-TEST(PersistSalvage, FlippedByteInTheLastEntrySalvagesTheRest) {
+TYPED_TEST(StoreContract, FlippedByteInTheLastEntrySalvagesTheRest) {
+    using C = typename TestFixture::C;
     TempFile file("salvage_flip");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
-    std::string bytes = readFile(file.path());
-    bytes[bytes.size() - 10] =
-        static_cast<char>(bytes[bytes.size() - 10] ^ 0x01);
-    writeFile(file.path(), bytes);
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kSalvaged);
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.droppedEntries, 1u);
-    // The surviving entries are checksum-verified, not just hoped-for.
-    expectSameResult(*threeEntries()[0].result, *loaded.entries[0].result);
+    for (const std::size_t fromEnd : {C::kTail + 2, C::kTail + 10}) {
+        ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
+        std::string bytes = readFile(file.path());
+        const std::size_t at = bytes.size() - fromEnd;
+        bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+        writeFile(file.path(), bytes);
+        const auto loaded = C::load(file.path(), "fp");
+        EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
+        EXPECT_TRUE(loaded.usable());
+        ASSERT_EQ(loaded.entries.size(), 2u);
+        EXPECT_EQ(loaded.droppedEntries, 1u);
+        // The surviving entries are checksum-verified, not just hoped-for.
+        const auto expected = C::three();
+        C::expectSame(loaded.entries[0], expected[0]);
+        C::expectSame(loaded.entries[1], expected[1]);
+    }
 }
 
-TEST(PersistSalvage, DamagedFirstEntryMeansNoSalvage) {
+TYPED_TEST(StoreContract, DamagedFirstEntryMeansNoSalvage) {
     // A prefix of zero entries is indistinguishable from random damage:
     // the load must reject outright (kCorrupt), not report a successful
     // zero-entry salvage.
+    using C = typename TestFixture::C;
     TempFile file("salvage_none");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
-    std::string bytes = readFile(file.path());
-    const std::size_t headerEnd = kMagic.size() + 4 /*version*/ +
-                                  (4 + 2) /*"fp" str*/ + 8 /*count u64*/;
-    // A byte of entry 0's 16-byte key: the entry checksum rejects it,
-    // the salvageable prefix is empty.
-    const std::size_t keyByte = headerEnd + 4;
-    bytes[keyByte] = static_cast<char>(bytes[keyByte] ^ 0x01);
-    writeFile(file.path(), bytes);
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kCorrupt);
-    EXPECT_FALSE(loaded.usable());
-    EXPECT_TRUE(loaded.entries.empty());
+    for (const std::size_t into : {0u, 4u}) {
+        ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
+        std::string bytes = readFile(file.path());
+        const std::size_t at = TestFixture::kHeaderEnd + into;
+        bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+        writeFile(file.path(), bytes);
+        const auto loaded = C::load(file.path(), "fp");
+        EXPECT_EQ(loaded.status, LoadStatus::kCorrupt);
+        EXPECT_FALSE(loaded.usable());
+        EXPECT_TRUE(loaded.entries.empty());
+    }
 }
 
-TEST(PersistSalvage, CorruptCountFieldClampsDroppedEntries) {
+TYPED_TEST(StoreContract, CorruptCountFieldClampsDroppedEntries) {
     // Worst placement for a single bit flip: the count field itself. The
     // declared count becomes astronomically large, so `count - salvaged`
     // is a garbage number — the drop accounting must clamp to what the
     // remaining bytes could plausibly hold and flag the count untrusted
     // rather than publish the garbage.
+    using C = typename TestFixture::C;
     TempFile file("salvage_count");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
+    ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
     std::string bytes = readFile(file.path());
-    const std::size_t countOff =
-        kMagic.size() + 4 /*version*/ + (4 + 2) /*"fp" str*/;
     // Little-endian high byte: declared count jumps to ~2^59.
-    bytes[countOff + 7] = static_cast<char>(bytes[countOff + 7] ^ 0x08);
+    const std::size_t high = TestFixture::kHeaderEnd - 1;
+    bytes[high] = static_cast<char>(bytes[high] ^ 0x08);
     writeFile(file.path(), bytes);
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kSalvaged);
+    const auto loaded = C::load(file.path(), "fp");
+    EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
     ASSERT_EQ(loaded.entries.size(), 3u)
         << "every checksummed entry must still be adopted";
     EXPECT_EQ(loaded.droppedEntries, 0u)
-        << "no bytes remain, so no real entries can have been dropped";
+        << "no room remains, so no real entries can have been dropped";
     EXPECT_NE(loaded.detail.find("declared entry count untrusted"),
               std::string::npos)
         << loaded.detail;
 }
 
+TYPED_TEST(StoreContract, TrailingBytesAreSalvagedNotTrusted) {
+    // Every declared record validates but the file keeps going: the count
+    // fields can't be trusted, the records can.
+    using C = typename TestFixture::C;
+    TempFile file("trailing");
+    ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
+    writeFile(file.path(), readFile(file.path()) + "junk");
+    const auto loaded = C::load(file.path(), "fp");
+    EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
+    EXPECT_EQ(loaded.entries.size(), 3u);
+    EXPECT_EQ(loaded.droppedEntries, 0u);
+    EXPECT_NE(loaded.detail.find("4 trailing bytes"), std::string::npos)
+        << loaded.detail;
+}
+
+TYPED_TEST(StoreContract, EnospcFailsTheSaveAndLeavesNoFile) {
+    using C = typename TestFixture::C;
+    TempFile file("fault_enospc");
+    std::string error;
+    {
+        ScopedFaults faults(TestFixture::site(".save.enospc:n1"));
+        EXPECT_FALSE(C::save(file.path(), "fp", C::three(), &error));
+        EXPECT_NE(error.find("no space left on device"), std::string::npos)
+            << error;
+    }
+    EXPECT_EQ(C::load(file.path(), "fp").status, LoadStatus::kNoFile)
+        << "a failed save must not leave a target file behind";
+    EXPECT_TRUE(C::save(file.path(), "fp", C::three()));
+}
+
+TYPED_TEST(StoreContract, ShortWriteLeavesATornStoreTheLoadContains) {
+    // The nastiest disk failure: the save *reports success* but the
+    // store is torn mid-file. The next load must contain the damage —
+    // salvage the intact prefix or reject — never crash or serve junk.
+    using C = typename TestFixture::C;
+    TempFile file("fault_short");
+    {
+        ScopedFaults faults(TestFixture::site(".save.short_write:n1"));
+        EXPECT_TRUE(C::save(file.path(), "fp", C::three()));
+    }
+    const auto loaded = C::load(file.path(), "fp");
+    EXPECT_FALSE(loaded.ok());
+    if (loaded.status == LoadStatus::kSalvaged) {
+        EXPECT_GE(loaded.entries.size(), 1u);
+        EXPECT_LT(loaded.entries.size(), 3u);
+    } else {
+        EXPECT_EQ(loaded.status, LoadStatus::kCorrupt);
+        EXPECT_TRUE(loaded.entries.empty());
+    }
+}
+
+TYPED_TEST(StoreContract, RenameFailureKeepsThePreviousStoreVersion) {
+    using C = typename TestFixture::C;
+    TempFile file("fault_rename");
+    ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
+    const std::string before = readFile(file.path());
+    std::string error;
+    {
+        ScopedFaults faults(TestFixture::site(".save.rename:n1"));
+        EXPECT_FALSE(C::save(file.path(), "fp", TestFixture::one(), &error));
+        EXPECT_NE(error.find(TestFixture::site(".save.rename")),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_EQ(readFile(file.path()), before)
+        << "an aborted save must leave the previous version byte-intact";
+}
+
+TYPED_TEST(StoreContract, LoadFlipIsCaughtAndClearsWhenDisarmed) {
+    using C = typename TestFixture::C;
+    TempFile file("fault_flip");
+    ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
+    {
+        ScopedFaults faults(TestFixture::site(".load.flip:n1"));
+        const auto loaded = C::load(file.path(), "fp");
+        EXPECT_FALSE(loaded.ok());
+        EXPECT_TRUE(loaded.status == LoadStatus::kSalvaged ||
+                    loaded.status == LoadStatus::kCorrupt);
+    }
+    EXPECT_TRUE(C::load(file.path(), "fp").ok())
+        << "the file itself was never damaged; disarmed loads are clean";
+}
+
+TYPED_TEST(StoreContract, EachStoreFiresOnlyItsOwnSites) {
+    // The two stores share one save path; an armed site of one must never
+    // fire in the other.
+    using C = typename TestFixture::C;
+    TempFile file("fault_own");
+    const std::string other = std::string(C::kSites) == "persist"
+                                  ? "persist.proof"
+                                  : "persist";
+    ScopedFaults faults(other + ".save.enospc:e1," + other +
+                        ".load.flip:e1");
+    ASSERT_TRUE(C::save(file.path(), "fp", C::three()));
+    EXPECT_TRUE(C::load(file.path(), "fp").ok());
+}
+
+// ---- codec specifics ---------------------------------------------------------
+
+TEST(PersistStore, SaveLoadRoundTripKeepsTheIndex) {
+    TempFile file("roundtrip_index");
+    std::string error;
+    const std::vector<JobIndex::Entry> index = {
+        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-B")}};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp1", CacheCodec::three(),
+                                 index, &error))
+        << error;
+    const auto loaded = CacheStore::load(file.path(), "fp1");
+    ASSERT_TRUE(loaded.ok()) << loaded.detail;
+    ASSERT_EQ(loaded.index.size(), 2u);
+    EXPECT_EQ(loaded.index[1].name, "counter8|k4");
+    EXPECT_EQ(loaded.index[1].stamp, 9u);
+    EXPECT_EQ(loaded.index[1].digest, key("sig-B"));
+}
+
+TEST(PersistStore, IndexDamageKeepsEveryResult) {
+    TempFile file("index_damage");
+    const std::vector<JobIndex::Entry> index = {
+        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-B")}};
+    ASSERT_TRUE(
+        CacheStore::save(file.path(), "fp", CacheCodec::three(), index));
+    std::string bytes = readFile(file.path());
+    // The last index record's checksum.
+    bytes[bytes.size() - 2] = static_cast<char>(bytes[bytes.size() - 2] ^ 1);
+    writeFile(file.path(), bytes);
+    const auto loaded = CacheStore::load(file.path(), "fp");
+    EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
+    EXPECT_EQ(loaded.entries.size(), 3u);
+    ASSERT_EQ(loaded.index.size(), 1u);
+    EXPECT_EQ(loaded.index[0].name, "adder8|k4");
+    EXPECT_EQ(loaded.droppedEntries, 0u)
+        << "index records are not results; none were dropped";
+    EXPECT_NE(loaded.detail.find("salvaged 1 of 2 index entries"),
+              std::string::npos)
+        << loaded.detail;
+}
+
+TEST(PersistProofStore, BudgetExhaustedWinnerSurvivesTheBias) {
+    // winner -1 (budget exhausted) is stored biased by one; the bias must
+    // round-trip, not underflow.
+    TempFile file("winner");
+    std::vector<sat::ProofCache::SnapshotEntry> entries = {{5, {}}};
+    entries[0].entry.winner = -1;
+    ASSERT_TRUE(ProofStore::save(file.path(), "fp", entries));
+    const auto loaded = ProofStore::load(file.path(), "fp");
+    ASSERT_EQ(loaded.entries.size(), 1u);
+    EXPECT_EQ(loaded.entries[0].entry.winner, -1);
+}
+
+// ---- wire payloads are store record bodies ---------------------------------
+
+TEST(PersistWire, ProofEntryPayloadIsTheStoreRecordBody) {
+    TempFile file("wire_proof");
+    const auto proofs = ProofCodec::three();
+    ASSERT_TRUE(ProofStore::save(file.path(), "fp", proofs));
+    const std::string bytes = readFile(file.path());
+    constexpr std::size_t kHeaderEnd = 8 + 4 + (4 + 2) + 8;
+    for (std::size_t i = 0; i < proofs.size(); ++i) {
+        const std::string body =
+            bytes.substr(kHeaderEnd + i * (kProofBodyBytes + 8),
+                         kProofBodyBytes);
+        EXPECT_EQ(engine::shard::encodeProofEntry(proofs[i]), body);
+    }
+}
+
+TEST(PersistWire, IndexEntryPayloadIsTheStoreRecordBody) {
+    TempFile file("wire_index");
+    const JobIndex::Entry e{"adder8|k4", 7, key("sig-A")};
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", {}, {&e, 1}));
+    const std::string bytes = readFile(file.path());
+    // Header, an empty entry section, the index count, then the record.
+    constexpr std::size_t kIndexStart = 8 + 4 + (4 + 2) + 8 + 8;
+    const std::string payload = engine::shard::encodeIndexDelta(e);
+    EXPECT_EQ(bytes.substr(kIndexStart, payload.size()), payload);
+    EXPECT_EQ(bytes.size(), kIndexStart + payload.size() + 8)
+        << "the record is the body plus its checksum";
+}
+
 TEST(PersistSalvage, EngineWarmStartsFromASalvagedStore) {
+
     TempFile file("salvage_warm");
     EngineOptions opt;
     opt.cacheFile = file.path();
@@ -436,7 +738,7 @@ TEST(PersistSalvage, EngineWarmStartsFromASalvagedStore) {
     writeFile(file.path(), bytes.substr(0, bytes.size() - indexBytes - 3));
 
     Engine warm(opt);
-    EXPECT_EQ(warm.persistInfo().loadStatus, LoadResult::Status::kSalvaged);
+    EXPECT_EQ(warm.persistInfo().loadStatus, LoadStatus::kSalvaged);
     EXPECT_EQ(warm.persistInfo().loadedEntries, 1u);
     EXPECT_EQ(warm.persistInfo().droppedEntries, 1u);
     const auto results = warm.runBatch(specs);
@@ -447,85 +749,6 @@ TEST(PersistSalvage, EngineWarmStartsFromASalvagedStore) {
     }
     EXPECT_EQ(diskHits, 1u)
         << "the salvaged prefix must still pay for its jobs";
-}
-
-// ---- injected save/load faults ---------------------------------------------
-
-/// Arms a plan for the test body; disarms all sites on scope exit.
-class ScopedFaults {
-public:
-    explicit ScopedFaults(const std::string& plan) {
-        std::string error;
-        EXPECT_TRUE(fault::armPlan(plan, &error)) << error;
-    }
-    ~ScopedFaults() { fault::disarmAllForTest(); }
-};
-
-TEST(PersistFault, EnospcFailsTheSaveAndLeavesNoFile) {
-    TempFile file("fault_enospc");
-    std::string error;
-    {
-        ScopedFaults faults("persist.save.enospc:n1");
-        EXPECT_FALSE(
-            CacheStore::save(file.path(), "fp", threeEntries(), {}, &error));
-        EXPECT_NE(error.find("no space left on device"), std::string::npos)
-            << error;
-    }
-    EXPECT_EQ(CacheStore::load(file.path(), "fp").status,
-              LoadResult::Status::kNoFile)
-        << "a failed save must not leave a target file behind";
-    EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
-}
-
-TEST(PersistFault, ShortWriteLeavesATornStoreTheLoadContains) {
-    // The nastiest disk failure: the save *reports success* but the
-    // store is torn mid-file. The next load must contain the damage —
-    // salvage the intact prefix or reject — never crash or serve junk.
-    TempFile file("fault_short");
-    {
-        ScopedFaults faults("persist.save.short_write:n1");
-        EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
-    }
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_FALSE(loaded.ok());
-    if (loaded.status == LoadResult::Status::kSalvaged) {
-        EXPECT_GE(loaded.entries.size(), 1u);
-        EXPECT_LT(loaded.entries.size(), 3u);
-    } else {
-        EXPECT_EQ(loaded.status, LoadResult::Status::kCorrupt);
-        EXPECT_TRUE(loaded.entries.empty());
-    }
-}
-
-TEST(PersistFault, RenameFailureKeepsThePreviousStoreVersion) {
-    TempFile file("fault_rename");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
-    const std::string before = readFile(file.path());
-    auto all = threeEntries();
-    const std::vector<StoreEntry> smaller(all.begin(), all.begin() + 1);
-    std::string error;
-    {
-        ScopedFaults faults("persist.save.rename:n1");
-        EXPECT_FALSE(CacheStore::save(file.path(), "fp", smaller, {}, &error));
-        EXPECT_NE(error.find("persist.save.rename"), std::string::npos)
-            << error;
-    }
-    EXPECT_EQ(readFile(file.path()), before)
-        << "an aborted save must leave the previous version byte-intact";
-}
-
-TEST(PersistFault, LoadFlipIsCaughtAndClearsWhenDisarmed) {
-    TempFile file("fault_flip");
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries(), {}));
-    {
-        ScopedFaults faults("persist.load.flip:n1");
-        const auto loaded = CacheStore::load(file.path(), "fp");
-        EXPECT_FALSE(loaded.ok());
-        EXPECT_TRUE(loaded.status == LoadResult::Status::kSalvaged ||
-                    loaded.status == LoadResult::Status::kCorrupt);
-    }
-    EXPECT_TRUE(CacheStore::load(file.path(), "fp").ok())
-        << "the file itself was never damaged; disarmed loads are clean";
 }
 
 // ---- engine-level warm start / flush ---------------------------------------
@@ -545,7 +768,7 @@ TEST(PersistEngine, WarmStartServesEverythingFromDisk) {
     {
         Engine engine(opt);
         EXPECT_EQ(engine.persistInfo().loadStatus,
-                  LoadResult::Status::kNoFile);
+                  LoadStatus::kNoFile);
         first = engine.runBatch(specs);
         for (const auto& r : first) {
             ASSERT_TRUE(r.ok) << r.error;
@@ -558,7 +781,7 @@ TEST(PersistEngine, WarmStartServesEverythingFromDisk) {
     }
 
     Engine warm(opt);
-    EXPECT_EQ(warm.persistInfo().loadStatus, LoadResult::Status::kLoaded);
+    EXPECT_EQ(warm.persistInfo().loadStatus, LoadStatus::kLoaded);
     EXPECT_EQ(warm.persistInfo().loadedEntries, specs.size());
     const auto second = warm.runBatch(specs);
     ASSERT_EQ(second.size(), first.size());
@@ -606,7 +829,7 @@ TEST(PersistEngine, ReadonlyNeverWrites) {
         EXPECT_FALSE(engine.flushCache(nullptr, &error));
     }
     EXPECT_EQ(CacheStore::load(file.path(), persistFingerprint(opt)).status,
-              LoadResult::Status::kNoFile);
+              LoadStatus::kNoFile);
 }
 
 // Regression: with caching disabled (capacity 0) the snapshot is always
@@ -648,7 +871,7 @@ TEST(PersistEngine, CorruptStoreColdStartsAndRecovers) {
     opt.cacheFile = file.path();
     Engine engine(opt);
     EXPECT_EQ(engine.persistInfo().loadStatus,
-              LoadResult::Status::kBadMagic);
+              LoadStatus::kBadMagic);
     JobSpec s;
     s.benchmark = "majority7";
     const auto r = engine.runJob(s);
@@ -674,7 +897,7 @@ TEST(PersistEngine, WrongFingerprintColdStarts) {
     reader.equiv.randomBatches = 9;  // different verification effort
     Engine engine(reader);
     EXPECT_EQ(engine.persistInfo().loadStatus,
-              LoadResult::Status::kBadFingerprint);
+              LoadStatus::kBadFingerprint);
     EXPECT_EQ(engine.persistInfo().loadedEntries, 0u);
 }
 
@@ -825,7 +1048,7 @@ TEST(PersistShardMerge, SharedReadonlyWarmStartUnderConcurrentFlush) {
             for (int round = 0; round < 5; ++round) {
                 Engine reader(readerOpt);
                 if (reader.persistInfo().loadStatus ==
-                    LoadResult::Status::kLoaded)
+                    LoadStatus::kLoaded)
                     ++warmLoads;
                 else
                     ADD_FAILURE()
@@ -1015,7 +1238,7 @@ TEST(PersistEngine, ConcurrentSaveWhileComputing) {
             engine.flushCache();
             const auto loaded =
                 CacheStore::load(file.path(), persistFingerprint(opt));
-            if (loaded.status != LoadResult::Status::kNoFile) {
+            if (loaded.status != LoadStatus::kNoFile) {
                 EXPECT_TRUE(loaded.ok()) << loaded.detail;
             }
             std::this_thread::yield();

@@ -1,15 +1,18 @@
 // Tests for the content-addressed SAT proof cache: the in-memory cache
-// (sat/proof_cache.hpp), its pd-proof-v1 persistence (salvage, clamped
-// drop accounting, fault injection), the shard-wire proof-delta codec,
-// and the engine-level warm-start/replay/taint behavior — including the
+// (sat/proof_cache.hpp), the shard-wire proof-entry codec, and the
+// engine-level warm-start/replay/taint/concurrent-flush behavior — the
+// pd-proof-v1 store contract itself runs in persist_test's
+// StoreContract suite — including the
 // honest-provenance rule that replayed refutations are marked
 // proof_source "cache" and never double-count solver work.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "engine/engine.hpp"
 #include "engine/persist/proof_store.hpp"
@@ -21,12 +24,13 @@
 #include "sat/equiv.hpp"
 #include "sat/miter.hpp"
 #include "sat/proof_cache.hpp"
+#include "util/error.hpp"
 #include "util/fault/fault.hpp"
 
 namespace pd {
 namespace {
 
-using engine::persist::LoadResult;
+using engine::persist::LoadStatus;
 using engine::persist::ProofStore;
 using sat::ProofCache;
 using sat::ProofEntry;
@@ -51,11 +55,6 @@ private:
     std::ostringstream buf;
     buf << is.rdbuf();
     return std::move(buf).str();
-}
-
-void writeFile(const std::string& path, const std::string& bytes) {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Arms a plan for the test body; disarms all sites on scope exit.
@@ -227,172 +226,27 @@ TEST(ProofCacheEquiv, SatVerdictsAreNeverPublished) {
     EXPECT_EQ(cache.stats().inserts, 0u);
 }
 
-// ---- pd-proof-v1 store ------------------------------------------------------
-
-[[nodiscard]] std::vector<ProofCache::SnapshotEntry> threeProofs() {
-    std::vector<ProofCache::SnapshotEntry> entries;
-    for (std::uint64_t d : {11u, 22u, 33u})
-        entries.push_back({d, sampleEntry(d)});
-    return entries;
-}
-
-TEST(ProofStoreTest, SaveLoadRoundTrip) {
-    TempFile file("roundtrip");
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", threeProofs()));
-    const auto loaded = ProofStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kLoaded);
-    ASSERT_EQ(loaded.entries.size(), 3u);
-    const auto expected = threeProofs();
-    for (std::size_t i = 0; i < 3; ++i) {
-        const auto& want = expected[i];
-        EXPECT_EQ(loaded.entries[i].digest, want.digest);
-        EXPECT_EQ(loaded.entries[i].entry.conflicts, want.entry.conflicts);
-        EXPECT_EQ(loaded.entries[i].entry.propagations,
-                  want.entry.propagations);
-        EXPECT_EQ(loaded.entries[i].entry.restarts, want.entry.restarts);
-        EXPECT_EQ(loaded.entries[i].entry.learned, want.entry.learned);
-        EXPECT_EQ(loaded.entries[i].entry.winner, want.entry.winner);
-    }
-}
-
-TEST(ProofStoreTest, BudgetExhaustedWinnerSurvivesTheBias) {
-    // winner -1 (budget exhausted) is stored biased by one; the bias must
-    // round-trip, not underflow.
-    TempFile file("winner");
-    std::vector<ProofCache::SnapshotEntry> entries = {{5, {}}};
-    entries[0].entry.winner = -1;
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", entries));
-    const auto loaded = ProofStore::load(file.path(), "fp");
-    ASSERT_EQ(loaded.entries.size(), 1u);
-    EXPECT_EQ(loaded.entries[0].entry.winner, -1);
-}
-
-TEST(ProofStoreTest, MissingFileIsACleanColdStart) {
-    const auto loaded = ProofStore::load("/nonexistent/proofs.pdp", "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kNoFile);
-    EXPECT_FALSE(loaded.usable());
-}
-
-TEST(ProofStoreTest, RejectsBadMagicAndVersionAndFingerprint) {
-    TempFile file("reject");
-    writeFile(file.path(), "this is not a proof store");
-    EXPECT_EQ(ProofStore::load(file.path(), "fp").status,
-              LoadResult::Status::kBadMagic);
-
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp-writer", threeProofs()));
-    const auto wrongFp = ProofStore::load(file.path(), "fp-reader");
-    EXPECT_EQ(wrongFp.status, LoadResult::Status::kBadFingerprint);
-    EXPECT_NE(wrongFp.detail.find("fp-writer"), std::string::npos);
-    EXPECT_NE(wrongFp.detail.find("fp-reader"), std::string::npos);
-
-    std::string bytes = readFile(file.path());
-    bytes[engine::persist::kProofMagic.size()] ^= 0x01;  // version u32
-    writeFile(file.path(), bytes);
-    EXPECT_EQ(ProofStore::load(file.path(), "fp-writer").status,
-              LoadResult::Status::kBadVersion);
-}
-
-TEST(ProofStoreTest, FlippedByteInTheLastEntrySalvagesTheRest) {
-    TempFile file("salvage");
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", threeProofs()));
-    std::string bytes = readFile(file.path());
-    bytes[bytes.size() - 10] ^= 0x01;
-    writeFile(file.path(), bytes);
-    const auto loaded = ProofStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kSalvaged);
-    EXPECT_TRUE(loaded.usable());
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0].digest, 11u);
-    EXPECT_EQ(loaded.entries[1].digest, 22u);
-    EXPECT_EQ(loaded.droppedEntries, 1u);
-}
-
-TEST(ProofStoreTest, CorruptCountFieldClampsDroppedEntries) {
-    // The salvage-accounting fix under its worst input: the bit flip
-    // lands in the count field itself, declaring ~2^59 entries. The drop
-    // count must be clamped to what the bytes could hold, and the detail
-    // must say the declared count is untrusted.
-    TempFile file("count_flip");
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", threeProofs()));
-    std::string bytes = readFile(file.path());
-    const std::size_t countOff = engine::persist::kProofMagic.size() +
-                                 4 /*version*/ + (4 + 2) /*"fp" str*/;
-    bytes[countOff + 7] ^= 0x08;  // little-endian high byte
-    writeFile(file.path(), bytes);
-    const auto loaded = ProofStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kSalvaged);
-    ASSERT_EQ(loaded.entries.size(), 3u)
-        << "every checksummed entry must still be adopted";
-    EXPECT_EQ(loaded.droppedEntries, 0u)
-        << "a corrupted count must not publish a garbage drop count";
-    EXPECT_NE(loaded.detail.find("declared entry count untrusted"),
-              std::string::npos)
-        << loaded.detail;
-}
-
-TEST(ProofStoreTest, DamagedFirstEntryMeansNoSalvage) {
-    TempFile file("no_salvage");
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", threeProofs()));
-    std::string bytes = readFile(file.path());
-    const std::size_t headerEnd = engine::persist::kProofMagic.size() +
-                                  4 /*version*/ + (4 + 2) /*"fp" str*/ +
-                                  8 /*count*/;
-    bytes[headerEnd] ^= 0x01;  // first byte of entry 0's digest
-    writeFile(file.path(), bytes);
-    const auto loaded = ProofStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadResult::Status::kCorrupt);
-    EXPECT_FALSE(loaded.usable());
-    EXPECT_TRUE(loaded.entries.empty());
-}
-
-TEST(ProofStoreTest, EnospcFaultFailsTheSaveAndLeavesNoFile) {
-    TempFile file("enospc");
-    std::string error;
-    {
-        ScopedFaults faults("persist.proof.save.enospc:n1");
-        EXPECT_FALSE(
-            ProofStore::save(file.path(), "fp", threeProofs(), &error));
-        EXPECT_NE(error.find("no space left on device"), std::string::npos)
-            << error;
-    }
-    EXPECT_EQ(ProofStore::load(file.path(), "fp").status,
-              LoadResult::Status::kNoFile)
-        << "a failed save must not leave a target file behind";
-    EXPECT_TRUE(ProofStore::save(file.path(), "fp", threeProofs()));
-}
-
-TEST(ProofStoreTest, LoadFlipFaultIsCaughtAndClearsWhenDisarmed) {
-    TempFile file("load_flip");
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", threeProofs()));
-    {
-        ScopedFaults faults("persist.proof.load.flip:n1");
-        const auto loaded = ProofStore::load(file.path(), "fp");
-        EXPECT_FALSE(loaded.ok());
-        EXPECT_TRUE(loaded.status == LoadResult::Status::kSalvaged ||
-                    loaded.status == LoadResult::Status::kCorrupt);
-    }
-    EXPECT_TRUE(ProofStore::load(file.path(), "fp").ok())
-        << "the file itself was never damaged; disarmed loads are clean";
-}
-
 // ---- shard wire -------------------------------------------------------------
 
-TEST(ProofWire, ProofDeltaRoundTrips) {
-    engine::shard::ProofDelta d;
-    d.digest = 0xdeadbeefcafef00dull;
-    d.conflicts = 17;
-    d.propagations = 512;
-    d.restarts = 2;
-    d.learned = 9;
-    d.winner = -1;  // biased encoding must survive budget-exhausted too
-    const auto back =
-        engine::shard::decodeProofDelta(engine::shard::encodeProofDelta(d));
-    EXPECT_EQ(back.digest, d.digest);
-    EXPECT_EQ(back.conflicts, d.conflicts);
-    EXPECT_EQ(back.propagations, d.propagations);
-    EXPECT_EQ(back.restarts, d.restarts);
-    EXPECT_EQ(back.learned, d.learned);
-    EXPECT_EQ(back.winner, d.winner);
+TEST(ProofWire, ProofEntryRoundTrips) {
+    ProofCache::SnapshotEntry e;
+    e.digest = 0xdeadbeefcafef00dull;
+    e.entry.conflicts = 17;
+    e.entry.propagations = 512;
+    e.entry.restarts = 2;
+    e.entry.learned = 9;
+    e.entry.winner = -1;  // biased encoding must survive budget-exhausted too
+    const std::string payload = engine::shard::encodeProofEntry(e);
+    EXPECT_EQ(payload.size(), engine::persist::kProofBodyBytes);
+    const auto back = engine::shard::decodeProofEntry(payload);
+    EXPECT_EQ(back.digest, e.digest);
+    EXPECT_EQ(back.entry.conflicts, e.entry.conflicts);
+    EXPECT_EQ(back.entry.propagations, e.entry.propagations);
+    EXPECT_EQ(back.entry.restarts, e.entry.restarts);
+    EXPECT_EQ(back.entry.learned, e.entry.learned);
+    EXPECT_EQ(back.entry.winner, e.entry.winner);
+    EXPECT_THROW((void)engine::shard::decodeProofEntry(payload + "x"),
+                 pd::Error);
 }
 
 TEST(ProofWire, ResultCarriesProofSourceOutsideTheSemanticPayload) {
@@ -428,7 +282,7 @@ TEST(ProofEngine, WarmRunReplaysEveryProofAndFlushesByteIdentically) {
     {
         engine::Engine cold(opt);
         EXPECT_EQ(cold.proofPersistInfo().loadStatus,
-                  LoadResult::Status::kNoFile);
+                  LoadStatus::kNoFile);
         for (const auto& r : cold.runBatch(twoJobs())) {
             ASSERT_TRUE(r.ok) << r.error;
             ASSERT_TRUE(r.satVerify.ran);
@@ -441,7 +295,7 @@ TEST(ProofEngine, WarmRunReplaysEveryProofAndFlushesByteIdentically) {
     ASSERT_FALSE(coldBytes.empty());
 
     engine::Engine warm(opt);
-    EXPECT_EQ(warm.proofPersistInfo().loadStatus, LoadResult::Status::kLoaded);
+    EXPECT_EQ(warm.proofPersistInfo().loadStatus, LoadStatus::kLoaded);
     EXPECT_GT(warm.proofPersistInfo().loadedEntries, 0u);
     const auto coldResults = [&] {
         engine::EngineOptions fresh = opt;
@@ -491,7 +345,7 @@ TEST(ProofEngine, BudgetStarvedRunsNeverPublishProofs) {
     // The flushed store is honest too: empty, so the next run cold-solves.
     const auto loaded =
         ProofStore::load(file.path(), engine::proofFingerprint(opt));
-    EXPECT_EQ(loaded.status, LoadResult::Status::kLoaded);
+    EXPECT_EQ(loaded.status, LoadStatus::kLoaded);
     EXPECT_TRUE(loaded.entries.empty());
 }
 
@@ -510,7 +364,7 @@ TEST(ProofEngine, ReadonlyRefusesToFlushAndBudgetSaltGuardsReplay) {
     ro.proofCacheReadonly = true;
     engine::Engine reader(ro);
     EXPECT_EQ(reader.proofPersistInfo().loadStatus,
-              LoadResult::Status::kLoaded);
+              LoadStatus::kLoaded);
     std::string error;
     EXPECT_FALSE(reader.flushProofCache(nullptr, &error));
     EXPECT_NE(error.find("read-only"), std::string::npos) << error;
@@ -521,7 +375,7 @@ TEST(ProofEngine, ReadonlyRefusesToFlushAndBudgetSaltGuardsReplay) {
     budget.verifyConflictBudget = 123456;
     engine::Engine other(budget);
     EXPECT_EQ(other.proofPersistInfo().loadStatus,
-              LoadResult::Status::kBadFingerprint);
+              LoadStatus::kBadFingerprint);
 }
 
 TEST(ProofEngine, CacheHitReplayKeepsSatProvenanceHonest) {
@@ -544,6 +398,50 @@ TEST(ProofEngine, CacheHitReplayKeepsSatProvenanceHonest) {
         EXPECT_EQ(second[i].satVerify.conflicts,
                   first[i].satVerify.conflicts);
     }
+}
+
+TEST(ProofEngine, ConcurrentFlushWhileVerifying) {
+    // flushProofCache() promises flushCache()'s contract: safe while jobs
+    // run. Hammer it from two threads during a verify-on batch; every
+    // written version must load clean, and the final flush must hold
+    // every proof.
+    TempFile file("engine_concurrent");
+    engine::EngineOptions opt;
+    opt.verifyThreads = 1;
+    opt.jobs = 4;
+    opt.proofCacheFile = file.path();
+    engine::Engine engine(opt);
+    std::vector<engine::JobSpec> specs = twoJobs();
+    for (const char* name : {"adder8", "comparator8"}) {
+        engine::JobSpec s;
+        s.benchmark = name;
+        specs.push_back(std::move(s));
+    }
+
+    const std::string fp = engine::proofFingerprint(opt);
+    std::atomic<bool> done{false};
+    const auto flusher = [&] {
+        while (!done.load()) {
+            engine.flushProofCache();
+            const auto loaded = ProofStore::load(file.path(), fp);
+            if (loaded.status != LoadStatus::kNoFile) {
+                EXPECT_TRUE(loaded.ok()) << loaded.detail;
+            }
+            std::this_thread::yield();
+        }
+    };
+    std::thread t1(flusher), t2(flusher);
+    const auto results = engine.runBatch(specs);
+    done.store(true);
+    t1.join();
+    t2.join();
+    for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
+
+    ASSERT_TRUE(engine.flushProofCache());
+    const auto loaded = ProofStore::load(file.path(), fp);
+    ASSERT_TRUE(loaded.ok()) << loaded.detail;
+    EXPECT_GT(loaded.entries.size(), 0u);
+    EXPECT_EQ(loaded.entries.size(), engine.proofCacheStats().entries);
 }
 
 TEST(ProofEngine, ReportSpellsProofProvenance) {

@@ -33,7 +33,7 @@
 //   --heavy          include the heavy (multiplier-class) benchmarks
 //   --json <file>    write the machine-readable pd-batch-report-v1 report
 //   --cache <n>      result-cache capacity (default 64, 0 disables)
-//   --cache-file <f> persistent pd-cache-v3 store: warm-start from it and
+//   --cache-file <f> persistent pd-cache-v4 store: warm-start from it and
 //                    flush results back after the batch
 //   --cache-readonly load the store but never write it back
 //   --proof-cache-file <f>  persistent pd-proof-v1 SAT proof store:
@@ -464,6 +464,25 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
     return 0;
 }
 
+/// "cache store warm.pdc: loaded (13 entries)" and friends; silent when
+/// the store is off.
+void printStoreBanner(std::string_view label,
+                      const pd::engine::PersistInfo& info,
+                      std::string_view unit) {
+    using pd::engine::persist::LoadStatus;
+    if (info.file.empty()) return;
+    std::cout << label << " " << info.file << ": "
+              << pd::engine::persist::loadStatusName(info.loadStatus);
+    if (info.loadStatus == LoadStatus::kLoaded)
+        std::cout << " (" << info.loadedEntries << " " << unit << ")";
+    else if (info.loadStatus == LoadStatus::kSalvaged)
+        std::cout << " (" << info.loadedEntries << " " << unit << " kept, "
+                  << info.droppedEntries << " dropped from a damaged tail)";
+    else if (!info.loadDetail.empty())
+        std::cout << " — " << info.loadDetail << "; cold start";
+    std::cout << "\n";
+}
+
 int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
     // First SIGINT/SIGTERM requests a cooperative drain (queued jobs are
     // reported interrupted, in-flight jobs get --shard-drain-ms of grace,
@@ -521,38 +540,8 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
     eopt.verifyPropagationBudget = opt.verifyPropBudget;
     pd::engine::Engine engine(eopt);
 
-    const auto& pinfo = engine.persistInfo();
-    if (!pinfo.file.empty()) {
-        std::cout << "cache store " << pinfo.file << ": "
-                  << pd::engine::persist::loadStatusName(pinfo.loadStatus);
-        if (pinfo.loadStatus ==
-            pd::engine::persist::LoadResult::Status::kLoaded)
-            std::cout << " (" << pinfo.loadedEntries << " entries)";
-        else if (pinfo.loadStatus ==
-                 pd::engine::persist::LoadResult::Status::kSalvaged)
-            std::cout << " (" << pinfo.loadedEntries << " entries kept, "
-                      << pinfo.droppedEntries << " dropped from a damaged "
-                      << "tail)";
-        else if (!pinfo.loadDetail.empty())
-            std::cout << " — " << pinfo.loadDetail << "; cold start";
-        std::cout << "\n";
-    }
-    const auto& prinfo = engine.proofPersistInfo();
-    if (!prinfo.file.empty()) {
-        std::cout << "proof store " << prinfo.file << ": "
-                  << pd::engine::persist::loadStatusName(prinfo.loadStatus);
-        if (prinfo.loadStatus ==
-            pd::engine::persist::LoadResult::Status::kLoaded)
-            std::cout << " (" << prinfo.loadedEntries << " proofs)";
-        else if (prinfo.loadStatus ==
-                 pd::engine::persist::LoadResult::Status::kSalvaged)
-            std::cout << " (" << prinfo.loadedEntries << " proofs kept, "
-                      << prinfo.droppedEntries << " dropped from a damaged "
-                      << "tail)";
-        else if (!prinfo.loadDetail.empty())
-            std::cout << " — " << prinfo.loadDetail << "; cold start";
-        std::cout << "\n";
-    }
+    printStoreBanner("cache store", engine.persistInfo(), "entries");
+    printStoreBanner("proof store", engine.proofPersistInfo(), "proofs");
 
     const auto results = engine.runBatch(specs);
 
@@ -611,8 +600,10 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
             std::cerr << "cannot write " << opt.jsonPath << "\n";
             return 1;
         }
-        pd::engine::writeBatchReport(os, eopt, results, cs, &pinfo,
-                                     &engine.resilience(), &prinfo);
+        pd::engine::writeBatchReport(os, eopt, results, cs,
+                                     &engine.persistInfo(),
+                                     &engine.resilience(),
+                                     &engine.proofPersistInfo());
         std::cout << "wrote " << opt.jsonPath << "\n";
     }
 

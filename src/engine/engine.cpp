@@ -583,45 +583,14 @@ std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
 
     std::vector<std::size_t> fallbackJobs;
     if (!sched.wireJobs().empty()) {
-        shard::ShardConfig cfg;
-        cfg.shards = opt_.shards;
-        cfg.workerExe = opt_.shardWorkerExe;
-        cfg.cacheCapacity = opt_.cacheCapacity;
-        cfg.conflictBudget = opt_.conflictBudget;
-        cfg.mergeBudget = opt_.mergeBudget;
-        cfg.probeThreads = opt_.probeThreads;
-        cfg.verifyThreads = opt_.verifyThreads;
-        cfg.verifyConflictBudget = opt_.verifyConflictBudget;
-        cfg.verifyPropagationBudget = opt_.verifyPropagationBudget;
-        cfg.equiv = opt_.equiv;
-        cfg.cacheFile = opt_.cacheFile;
-        cfg.proofCacheFile = opt_.proofCacheFile;
-        cfg.wallMsPerJob = opt_.shardWallMsPerJob;
-        cfg.rssBudgetMb = opt_.shardRssMb;
-        cfg.retries = opt_.shardRetries;
-        cfg.drainTimeoutMs = opt_.shardDrainMs;
-        const auto transport =
-            shard::parseTransportName(opt_.shardTransport);
-        if (!transport)
-            fail("shard", "unknown shard transport '" + opt_.shardTransport +
-                              "' (expected pipe or socket)");
-        cfg.transport = *transport;
-        cfg.heartbeatMs = opt_.shardHeartbeatMs;
-        shard::ShardCoordinator coordinator(cfg);
-        const auto outcome = coordinator.run(sched, specs);
+        auto outcome = shard::coordinateShards(opt_, sched, specs);
         adoptCacheDeltas(outcome.deltas);
         adoptProofDeltas(outcome.proofDeltas);
         adoptIndexDeltas(outcome.indexDeltas);
-        resilience_.workerCrashes += outcome.workerCrashes;
-        resilience_.workerRespawns += outcome.workerRespawns;
-        resilience_.spawnFailures += outcome.spawnFailures;
-        resilience_.retries += outcome.retries;
-        resilience_.interruptedJobs += outcome.interruptedJobs;
-        resilience_.heartbeatMisses += outcome.heartbeatMisses;
-        resilience_.deadlineKills += outcome.deadlineKills;
-        resilience_.reconnects += outcome.reconnects;
-        resilience_.wirePoisons += outcome.wirePoisons;
-        fallbackJobs = outcome.fallbackJobs;
+        // Nothing else has touched the counters yet: the local lane
+        // only books interruptions and fallbacks after this point.
+        resilience_ = outcome.resilience;
+        fallbackJobs = std::move(outcome.fallbackJobs);
     }
 
     for (auto& p : pullers) p.get();
@@ -688,11 +657,6 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
         if (opt_.conflictBudget != 0)
             dopt.maxIterations =
                 std::min(dopt.maxIterations, opt_.conflictBudget);
-        if (opt_.mergeBudget != 0)
-            dopt.mergeAttemptBudget =
-                dopt.mergeAttemptBudget == 0
-                    ? opt_.mergeBudget
-                    : std::min(dopt.mergeAttemptBudget, opt_.mergeBudget);
         // Injected *before* the cache key is computed: the merge budget is
         // part of the options fingerprint, so a budget-starved result
         // lands under its own key and can never impersonate the

@@ -31,6 +31,7 @@
 #include "engine/job.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/protocol.hpp"
+#include "engine/shard/transport.hpp"
 #include "sat/proof_cache.hpp"
 #include "sim/equivalence.hpp"
 #include "synth/celllib.hpp"
@@ -39,6 +40,10 @@
 
 namespace pd::engine {
 
+/// The one engine configuration, from the command line to the worker
+/// process: pd_cli parses flags straight into it, runBatch hands it to
+/// the shard coordinator unchanged, and shard/worker.cpp encodes the
+/// fields a worker needs into its argv and decodes them back into one.
 struct EngineOptions {
     /// Worker threads (0 → 1).
     std::size_t jobs = 1;
@@ -51,11 +56,6 @@ struct EngineOptions {
     /// DecomposeOptions::maxIterations for every job, bounding worst-case
     /// latency of a batch at the price of possibly unconverged results.
     std::size_t conflictBudget = 0;
-    /// Anytime-mode override: when non-zero, caps every job's
-    /// DecomposeOptions::mergeAttemptBudget (merge solves per phase).
-    /// Jobs whose own budget is 0 (unlimited) adopt this cap outright.
-    /// Truncation is reported per job as budget_exhausted.
-    std::size_t mergeBudget = 0;
     /// Worker threads for each job's group-selection probe sweep
     /// (intra-job parallelism, orthogonal to `jobs`). Jobs whose own
     /// DecomposeOptions::probeThreads is 0 adopt this value; all jobs
@@ -115,7 +115,8 @@ struct EngineOptions {
     /// Per-job wall budget in sharded mode, ms (0 = unlimited): a worker
     /// whose job overruns is killed and the job retried once elsewhere.
     double shardWallMsPerJob = 0.0;
-    /// Per-worker address-space budget in MiB (0 = unlimited).
+    /// Per-worker address-space budget in MiB (RLIMIT_AS; 0 = unlimited,
+    /// and so is any budget too large for rlim_t to hold in bytes).
     std::size_t shardRssMb = 0;
     /// Worker executable; "" resolves $PD_SHARD_WORKER_EXE then
     /// /proc/self/exe (correct when the host process *is* pd_cli).
@@ -127,12 +128,12 @@ struct EngineOptions {
     /// drain) may take before stragglers are killed, and the grace an
     /// in-flight job gets after a cooperative shutdown request.
     int shardDrainMs = 60000;
-    /// Shard frame transport: "pipe" (fork/exec stdin/stdout, the
-    /// default) or "socket" (SOCK_STREAM over localhost — the
-    /// remote-host stepping stone). A scheduling knob only: results,
-    /// reports, and flushed stores are byte-identical either way, so it
-    /// deliberately never salts persistFingerprint/proofFingerprint.
-    std::string shardTransport = "pipe";
+    /// Shard frame transport: pipe (fork/exec stdin/stdout, the
+    /// default) or socket (SOCK_STREAM over localhost — the remote-host
+    /// stepping stone). A scheduling knob only: results, reports, and
+    /// flushed stores are byte-identical either way, so it deliberately
+    /// never salts persistFingerprint/proofFingerprint.
+    shard::TransportKind shardTransport = shard::TransportKind::kPipe;
     /// Worker liveness deadline in ms (0 disables supervision): a
     /// worker whose frame stream stays completely silent past it is
     /// declared dead exactly like a crash — killed, respawned under
@@ -157,16 +158,23 @@ struct PersistInfo {
 /// fleet survived rather than what it computed. Feeds the report's
 /// `resilience` block; reset at the start of every batch.
 struct BatchResilience {
-    std::size_t workerCrashes = 0;
+    std::size_t workerCrashes = 0;   ///< deaths observed (incl. budget kills)
     std::size_t workerRespawns = 0;
-    std::size_t spawnFailures = 0;   ///< exec failures / failed connects
+    /// Exec failures (exit 127) and failed socket establishments: the
+    /// worker never joined the fleet, so no job's retry budget is charged.
+    std::size_t spawnFailures = 0;
     std::size_t retries = 0;         ///< jobs requeued after a crash
     std::size_t fallbackJobs = 0;    ///< ran in-process after pool collapse
     std::size_t interruptedJobs = 0; ///< abandoned by a shutdown request
-    std::size_t heartbeatMisses = 0; ///< liveness deadlines expired
-    std::size_t deadlineKills = 0;   ///< workers killed for silence
-    std::size_t reconnects = 0;      ///< socket re-establishments
-    std::size_t wirePoisons = 0;     ///< frame streams that poisoned
+    /// Liveness deadlines expired, and the SIGKILLs issued for them; the
+    /// two differ only when a slot's process was already gone.
+    std::size_t heartbeatMisses = 0;
+    std::size_t deadlineKills = 0;
+    /// Socket re-establishments after a slot's first successful connect.
+    std::size_t reconnects = 0;
+    /// Frame streams that poisoned their decoder (checksum mismatch,
+    /// unknown type, oversize length — the torn-connection signature).
+    std::size_t wirePoisons = 0;
 };
 
 class Engine {

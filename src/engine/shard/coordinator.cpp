@@ -15,6 +15,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "engine/shard/transport.hpp"
+#include "engine/shard/worker.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -159,17 +161,16 @@ std::vector<CacheDelta> mergeCacheDeltas(std::vector<CacheDelta> deltas) {
     return merged;
 }
 
-ShardCoordinator::ShardCoordinator(ShardConfig cfg) : cfg_(std::move(cfg)) {}
-
-ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
-                                   const std::vector<JobSpec>& specs) {
+ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
+                              const std::vector<JobSpec>& specs) {
     ShardOutcome outcome;
+    BatchResilience& res = outcome.resilience;
     const std::vector<std::size_t>& wireJobs = sched.wireJobs();
     if (wireJobs.empty()) return outcome;
 
     std::string exe;  // resolved at first spawn, inside the fail-soft scope
     const std::size_t slotCount =
-        std::min(std::max<std::size_t>(cfg_.shards, 1), wireJobs.size());
+        std::min(std::max<std::size_t>(opt.shards, 1), wireJobs.size());
 
     IgnoreSigpipe sigpipeGuard;
 
@@ -184,7 +185,6 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
     std::unordered_set<std::uint64_t> proofSeen;
 
     std::vector<Slot> slots(slotCount);
-    Transport transport(cfg_.transport);
 
     const auto failJob = [&](std::size_t index, const std::string& why) {
         JobResult r;
@@ -202,7 +202,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
     const auto bookSpawnFailure = [&](std::size_t slotId,
                                       const std::string& why) {
         Slot& s = slots[slotId];
-        ++outcome.spawnFailures;
+        ++res.spawnFailures;
         static auto& cSpawnFail = obs::counter("shard.worker.spawn_failures");
         cSpawnFail.add();
         log::warn("shard",
@@ -228,56 +228,17 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
     };
 
     const auto spawn = [&](std::size_t slotId) {
-        if (exe.empty()) exe = resolveWorkerExe(cfg_.workerExe);
+        if (exe.empty()) exe = resolveWorkerExe(opt.shardWorkerExe);
         Slot& s = slots[slotId];
-        const auto channel = transport.open(slotId);
+        const auto channel = openChannel(opt.shardTransport, slotId);
 
-        std::vector<std::string> args = {
-            exe,
-            "worker",
-            "--shard-id", std::to_string(slotId),
-            "--cache-capacity", std::to_string(cfg_.cacheCapacity),
-            "--budget", std::to_string(cfg_.conflictBudget),
-            "--merge-budget", std::to_string(cfg_.mergeBudget),
-            "--probe-threads", std::to_string(cfg_.probeThreads),
-            "--verify-threads", std::to_string(cfg_.verifyThreads),
-            "--verify-conflict-budget",
-            std::to_string(cfg_.verifyConflictBudget),
-            "--verify-prop-budget",
-            std::to_string(cfg_.verifyPropagationBudget),
-            "--equiv-xl", std::to_string(cfg_.equiv.exhaustiveLimitBits),
-            "--equiv-rb", std::to_string(cfg_.equiv.randomBatches),
-            "--equiv-seed", std::to_string(cfg_.equiv.seed),
-        };
-        // Transport argv (socket: --connect host:port; pipe: nothing)
-        // and the liveness interval the worker must beat against.
+        // The engine configuration travels through the worker argv codec;
+        // the channel adds its own argv (socket: --connect host:port).
+        std::vector<std::string> args = {exe, "worker"};
+        for (auto& a :
+             encodeWorkerArgs(static_cast<std::uint32_t>(slotId), opt))
+            args.push_back(std::move(a));
         for (const auto& extra : channel->workerArgs()) args.push_back(extra);
-        if (cfg_.heartbeatMs > 0) {
-            args.push_back("--heartbeat-ms");
-            args.push_back(std::to_string(cfg_.heartbeatMs));
-        }
-        if (!cfg_.cacheFile.empty()) {
-            args.push_back("--cache-file");
-            args.push_back(cfg_.cacheFile);
-        }
-        if (!cfg_.proofCacheFile.empty()) {
-            args.push_back("--proof-cache-file");
-            args.push_back(cfg_.proofCacheFile);
-        }
-        if (cfg_.rssBudgetMb != 0) {
-            args.push_back("--rss-budget-mb");
-            args.push_back(std::to_string(cfg_.rssBudgetMb));
-        }
-        // Tracing is a coordinator-side decision: workers only buffer and
-        // ship spans when told to, so an untraced run pays nothing.
-        if (obs::enabled()) args.push_back("--obs");
-        // Fault plans armed here (via --fault) are forwarded so workers
-        // arm the same sites; $PD_FAULTS reaches them through the
-        // environment on its own.
-        for (const auto& plan : fault::armedPlans()) {
-            args.push_back("--fault");
-            args.push_back(plan);
-        }
 
         // Evaluated in the parent so the hit count is deterministic in
         // the coordinator process; the child acts it out as the exact
@@ -332,10 +293,10 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
         s.byeSeen = false;
         s.wireError.clear();
         s.lastByteAt = Clock::now();
-        if (cfg_.transport == TransportKind::kSocket && s.everConnected)
-            ++outcome.reconnects;
+        if (opt.shardTransport == TransportKind::kSocket && s.everConnected)
+            ++res.reconnects;
         s.everConnected = true;
-        if (s.everSpawned) ++outcome.workerRespawns;
+        if (s.everSpawned) ++res.workerRespawns;
         s.everSpawned = true;
     };
 
@@ -381,17 +342,17 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                      kRespawnBackoffCapMs);
         s.respawnAfter = Clock::now() + std::chrono::milliseconds(backoffMs);
 
-        ++outcome.workerCrashes;
+        ++res.workerCrashes;
         static auto& cCrashes = obs::counter("shard.worker.crashes");
         cCrashes.add();
         std::string how;
         if (s.budgetKilled)
             how = "exceeded the per-job wall budget of " +
-                  std::to_string(cfg_.wallMsPerJob) + " ms and was killed";
+                  std::to_string(opt.shardWallMsPerJob) + " ms and was killed";
         else if (s.hbKilled)
             how = "missed the heartbeat deadline (silent past "
                   "--shard-heartbeat-ms " +
-                  std::to_string(cfg_.heartbeatMs) + ") and was killed";
+                  std::to_string(opt.shardHeartbeatMs) + ") and was killed";
         else if (!s.wireError.empty())
             how = "poisoned its frame stream (" + s.wireError +
                   ") and was killed";
@@ -406,24 +367,24 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                 // don't spend retries on a run that is winding down.
                 failJob(index, std::string(util::kInterruptedError) +
                                    " while this job was in flight");
-                ++outcome.interruptedJobs;
+                ++res.interruptedJobs;
             } else {
                 const std::size_t tries =
                     static_cast<std::size_t>(++attempts[index]);
-                if (tries > cfg_.retries) {
+                if (tries > opt.shardRetries) {
                     std::string verdict;
-                    if (cfg_.retries == 0)
+                    if (opt.shardRetries == 0)
                         verdict = "retries disabled by --shard-retries 0";
-                    else if (cfg_.retries == 1)
+                    else if (opt.shardRetries == 1)
                         verdict = "already retried once on another worker";
                     else
                         verdict = "already retried " +
-                                  std::to_string(cfg_.retries) + " times";
+                                  std::to_string(opt.shardRetries) + " times";
                     failJob(index, "shard worker " + std::to_string(slotId) +
                                        " " + how + " running this job (" +
                                        verdict + ")");
                 } else {
-                    ++outcome.retries;
+                    ++res.retries;
                     avoidSlot[index] = slotId;
                     queue.push_front(index);  // retry ahead of fresh work
                 }
@@ -468,7 +429,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
         }
         // Deterministic torn-connection fault (socket runs): drop the
         // worker as if the stream died mid-read.
-        if (cfg_.transport == TransportKind::kSocket &&
+        if (opt.shardTransport == TransportKind::kSocket &&
             PD_FAULT("shard.sock.read")) {
             log::warn("shard", "worker " + std::to_string(slotId) +
                                    ": injected read fault "
@@ -561,7 +522,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
             // offset), kill the worker, and take the ordinary death
             // path (retry/fail) — the failed job's error will name what
             // tore, not just that something did.
-            ++outcome.wirePoisons;
+            ++res.wirePoisons;
             static auto& cPoisons = obs::counter("shard.wire.poisons");
             cPoisons.add();
             s.wireError = e.what();
@@ -571,7 +532,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
     };
 
     /// Heartbeat-deadline supervision: a slot whose stream has been
-    /// completely silent past cfg_.heartbeatMs is declared dead and
+    /// completely silent past opt.shardHeartbeatMs is declared dead and
     /// SIGKILLed; the EOF then takes the ordinary crash path (respawn,
     /// retry-elsewhere). kSpawning is exempt — warm-starting a large
     /// store can legitimately outlast a deadline, and pre-hello death
@@ -579,7 +540,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
     /// (socket). Works identically over either transport: sockets have
     /// no waitpid signal to lose, pipes just gain a second tripwire.
     const auto superviseLiveness = [&] {
-        if (cfg_.heartbeatMs <= 0) return;
+        if (opt.shardHeartbeatMs <= 0) return;
         const auto now = Clock::now();
         for (std::size_t i = 0; i < slots.size(); ++i) {
             Slot& s = slots[i];
@@ -592,8 +553,8 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     now - s.lastByteAt)
                     .count();
-            if (silentMs <= cfg_.heartbeatMs) continue;
-            ++outcome.heartbeatMisses;
+            if (silentMs <= opt.shardHeartbeatMs) continue;
+            ++res.heartbeatMisses;
             static auto& cMisses = obs::counter("shard.heartbeat.misses");
             cMisses.add();
             s.hbKilled = true;
@@ -601,9 +562,10 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                       "worker " + std::to_string(i) + " silent for " +
                           std::to_string(silentMs) +
                           " ms (heartbeat deadline " +
-                          std::to_string(cfg_.heartbeatMs) + " ms); killing");
+                          std::to_string(opt.shardHeartbeatMs) +
+                          " ms); killing");
             if (s.pid > 0) {
-                ++outcome.deadlineKills;
+                ++res.deadlineKills;
                 static auto& cKills = obs::counter("shard.heartbeat.kills");
                 cKills.add();
                 ::kill(s.pid, SIGKILL);
@@ -630,7 +592,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                 shutdownSeen = true;
                 shutdownDeadline =
                     Clock::now() +
-                    std::chrono::milliseconds(cfg_.drainTimeoutMs);
+                    std::chrono::milliseconds(opt.shardDrainMs);
                 log::warn("shard",
                           "shutdown requested: abandoning queued jobs, "
                           "draining in-flight work");
@@ -639,7 +601,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                 failJob(queue.front(),
                         std::string(util::kInterruptedError) +
                             " before this job ran");
-                ++outcome.interruptedJobs;
+                ++res.interruptedJobs;
                 queue.pop_front();
             }
         }
@@ -712,9 +674,9 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
         // and never longer than half a heartbeat deadline so liveness
         // checks can't be starved by a quiet fleet.
         int timeoutMs = 250;
-        if (cfg_.heartbeatMs > 0)
-            timeoutMs = std::clamp(cfg_.heartbeatMs / 2 + 1, 1, timeoutMs);
-        if (cfg_.wallMsPerJob > 0) {
+        if (opt.shardHeartbeatMs > 0)
+            timeoutMs = std::clamp(opt.shardHeartbeatMs / 2 + 1, 1, timeoutMs);
+        if (opt.shardWallMsPerJob > 0) {
             for (const Slot& s : slots) {
                 if (s.state != Slot::State::kBusy) continue;
                 const double elapsed =
@@ -724,7 +686,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                 // Clamp in double-space first: a huge configured budget
                 // must not overflow the int cast.
                 const double left =
-                    std::clamp(cfg_.wallMsPerJob - elapsed, 0.0, 60000.0);
+                    std::clamp(opt.shardWallMsPerJob - elapsed, 0.0, 60000.0);
                 timeoutMs = std::clamp(
                     static_cast<int>(left) + 1, 1, timeoutMs);
             }
@@ -757,7 +719,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
 
         // Wall-budget enforcement: SIGKILL overrunning workers; the EOF
         // arrives on the next poll and takes the crash-retry path.
-        if (cfg_.wallMsPerJob > 0) {
+        if (opt.shardWallMsPerJob > 0) {
             for (Slot& s : slots) {
                 if (s.state != Slot::State::kBusy || s.budgetKilled)
                     continue;
@@ -765,7 +727,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
                     std::chrono::duration<double, std::milli>(Clock::now() -
                                                               s.jobStart)
                         .count();
-                if (elapsed > cfg_.wallMsPerJob && s.pid > 0) {
+                if (elapsed > opt.shardWallMsPerJob && s.pid > 0) {
                     s.budgetKilled = true;
                     ::kill(s.pid, SIGKILL);
                 }
@@ -782,7 +744,7 @@ ShardOutcome ShardCoordinator::run(BatchScheduler& sched,
 
     // ---- drain: collect cache deltas, then reap every worker --------------
     const auto drainDeadline =
-        Clock::now() + std::chrono::milliseconds(cfg_.drainTimeoutMs);
+        Clock::now() + std::chrono::milliseconds(opt.shardDrainMs);
     for (;;) {
         bool anyLive = false;
         for (std::size_t i = 0; i < slots.size(); ++i) {

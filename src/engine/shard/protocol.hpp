@@ -64,8 +64,8 @@ namespace pd::engine::shard {
 /// instead of waitpid, which a socket transport to a remote host cannot
 /// offer. Heartbeats carry no semantics: the coordinator counts them,
 /// resets the slot's silence clock, and discards them. Workers accept
-/// --connect/--heartbeat-ms argv; frame layouts other than the new type
-/// are unchanged.
+/// --connect and heartbeat-interval argv; frame layouts other than the
+/// new type are unchanged.
 ///
 /// v7 (content-addressed keys): kCacheEntry keys are 16-byte job digests
 /// instead of full canonical-signature strings; new kIndexEntry frame —

@@ -2,8 +2,8 @@
 //
 // A BatchScheduler owns one batch's specs-to-results bookkeeping: it
 // partitions the job indices into a *local* lane (executed on the
-// calling engine's thread pool) and a *wire* lane (handed to the
-// ShardCoordinator's worker processes), hands out local work to whichever
+// calling engine's thread pool) and a *wire* lane (handed to the shard
+// coordinator's worker processes), hands out local work to whichever
 // thread asks first (pull-based stealing — assignment follows idleness,
 // not a static partition), and collects results by index so the batch
 // output stays in spec order whatever the scheduling was. When sharding

@@ -200,12 +200,9 @@ std::optional<TransportKind> parseTransportName(std::string_view name) {
     return std::nullopt;
 }
 
-Transport::Transport(TransportKind kind) : kind_(kind) {}
-
-Transport::~Transport() = default;
-
-std::unique_ptr<SpawnChannel> Transport::open(std::size_t slotId) {
-    if (kind_ == TransportKind::kPipe)
+std::unique_ptr<SpawnChannel> openChannel(TransportKind kind,
+                                          std::size_t slotId) {
+    if (kind == TransportKind::kPipe)
         return std::make_unique<PipeChannel>(slotId);
     return std::make_unique<SocketChannel>(slotId);
 }

@@ -14,7 +14,7 @@
 // established" from "establishment failed" so the coordinator can keep
 // its spawn-vs-crash accounting split.
 //
-// Lifecycle per spawn attempt: open() before fork (create pipes / a
+// Lifecycle per spawn attempt: openChannel() before fork (create pipes / a
 // per-spawn listener), childSetup() between fork and exec (wire the
 // child ends), establish() in the parent after fork (close child ends /
 // accept the connection under a deadline). establish() never throws:
@@ -68,8 +68,8 @@ struct EstablishResult {
     std::string error;
 };
 
-/// One spawn attempt's transport state. Created by Transport::open()
-/// before fork; the destructor releases anything establish() has not
+/// One spawn attempt's transport state. Created by openChannel() before
+/// fork; the destructor releases anything establish() has not
 /// handed out, so an abandoned attempt leaks no descriptors.
 class SpawnChannel {
 public:
@@ -88,27 +88,14 @@ public:
     [[nodiscard]] virtual EstablishResult establish(pid_t child) = 0;
 };
 
-/// Per-run transport factory. Every open() is self-contained: the
-/// socket kind gives each spawn its own single-shot listener
-/// (127.0.0.1, ephemeral port) so no spawn can ever accept a stale
-/// connection left behind by a killed sibling.
-class Transport {
-public:
-    explicit Transport(TransportKind kind);
-    ~Transport();
-    Transport(const Transport&) = delete;
-    Transport& operator=(const Transport&) = delete;
-
-    [[nodiscard]] TransportKind kind() const { return kind_; }
-
-    /// Pre-fork setup for one spawn attempt. Throws pd::Error on a
-    /// coordinator-side resource failure (pipe/socket/bind/listen) —
-    /// the same fail-soft contract as fork() failing.
-    [[nodiscard]] std::unique_ptr<SpawnChannel> open(std::size_t slotId);
-
-private:
-    TransportKind kind_;
-};
+/// Pre-fork setup for one spawn attempt over `kind`. Every channel is
+/// self-contained: the socket kind gives each spawn its own single-shot
+/// listener (127.0.0.1, ephemeral port) so no spawn can ever accept a
+/// stale connection left behind by a killed sibling. Throws pd::Error on
+/// a coordinator-side resource failure (pipe/socket/bind/listen) — the
+/// same fail-soft contract as fork() failing.
+[[nodiscard]] std::unique_ptr<SpawnChannel> openChannel(TransportKind kind,
+                                                        std::size_t slotId);
 
 /// Worker-side connect with retry: dials `host:port` (numeric IPv4) and
 /// returns the connected CLOEXEC fd, or -1 after timeoutMs of refusals.

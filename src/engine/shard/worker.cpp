@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdlib>
+#include <iostream>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 
 #include "engine/shard/protocol.hpp"
@@ -19,6 +22,7 @@
 #include "obs/obs.hpp"
 #include "util/fault/fault.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace pd::engine::shard {
 namespace {
@@ -95,8 +99,111 @@ private:
     std::thread thread_;
 };
 
+/// Every EngineOptions field a worker uses, under its worker argv flag.
+/// The encoder and the decoder both walk this one list.
+template <typename Options, typename Visit>
+void forEachWorkerField(Options& e, Visit&& visit) {
+    visit("--cache-capacity", e.cacheCapacity);
+    visit("--budget", e.conflictBudget);
+    visit("--probe-threads", e.probeThreads);
+    visit("--verify-threads", e.verifyThreads);
+    visit("--verify-conflict-budget", e.verifyConflictBudget);
+    visit("--verify-prop-budget", e.verifyPropagationBudget);
+    visit("--equiv-xl", e.equiv.exhaustiveLimitBits);
+    visit("--equiv-rb", e.equiv.randomBatches);
+    visit("--equiv-seed", e.equiv.seed);
+    visit("--rss-budget-mb", e.shardRssMb);
+    visit("--heartbeat-ms", e.shardHeartbeatMs);
+    visit("--cache-file", e.cacheFile);
+    visit("--proof-cache-file", e.proofCacheFile);
+}
+
+/// Parses one worker argv value into a field of the matching type.
+bool parseValue(std::string_view, const std::string& text, std::string& out,
+                std::string&) {
+    out = text;
+    return true;
+}
+bool parseValue(std::string_view flag, const std::string& text, int& out,
+                std::string& error) {
+    return util::parseMs(flag, text, out, error);
+}
+template <std::unsigned_integral T>
+bool parseValue(std::string_view flag, const std::string& text, T& out,
+                std::string& error) {
+    return util::parseCount(flag, text, out, error);
+}
+
 }  // namespace
 
+std::vector<std::string> encodeWorkerArgs(std::uint32_t shardId,
+                                          const EngineOptions& engine) {
+    std::vector<std::string> args = {"--shard-id", std::to_string(shardId)};
+    forEachWorkerField(engine, [&](const char* flag, const auto& value) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                     std::string>) {
+            if (value.empty()) return;  // the default; nothing to carry
+            args.insert(args.end(), {flag, value});
+        } else {
+            args.insert(args.end(), {flag, std::to_string(value)});
+        }
+    });
+    // Tracing is a coordinator-side decision: workers only buffer and
+    // ship spans when told to, so an untraced run pays nothing.
+    if (obs::enabled()) args.push_back("--obs");
+    // Fault plans armed here (via --fault) are forwarded so workers arm
+    // the same sites; $PD_FAULTS reaches them through the environment
+    // on its own (the registry ignores a plan that is already armed).
+    for (auto& plan : fault::armedPlans())
+        args.insert(args.end(), {"--fault", std::move(plan)});
+    return args;
+}
+
+std::optional<WorkerOptions> decodeWorkerArgs(std::span<const std::string> args,
+                                              std::string& error) {
+    WorkerOptions w;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string& flag = args[i];
+        const auto value = [&]() -> const std::string* {
+            if (i + 1 < args.size()) return &args[++i];
+            error = "worker option " + flag + " expects a value";
+            return nullptr;
+        };
+        bool known = false;
+        bool ok = false;
+        forEachWorkerField(w.engine, [&](const char* name, auto& field) {
+            if (known || flag != name) return;
+            known = true;
+            const std::string* v = value();
+            ok = v && parseValue(flag, *v, field, error);
+        });
+        if (flag == "--obs") {
+            w.obs = true;
+        } else if (flag == "--shard-id") {
+            const std::string* v = value();
+            if (!v || !util::parseCount(flag, *v, w.shardId, error))
+                return std::nullopt;
+        } else if (flag == "--connect") {
+            const std::string* v = value();
+            if (!v) return std::nullopt;
+            w.connect = *v;
+        } else if (flag == "--fault") {
+            const std::string* v = value();
+            if (!v || !fault::armPlan(*v, &error)) return std::nullopt;
+        } else if (!known) {
+            error = "unknown worker option '" + flag + "'";
+            return std::nullopt;
+        } else if (!ok) {
+            return std::nullopt;
+        }
+    }
+    return w;
+}
+
+namespace {
+
+/// Runs the worker loop over its frame channel until kShutdown or EOF.
+/// Returns a process exit code.
 int runWorker(const WorkerOptions& opt) {
     // Claim the frame channel. Pipe mode: frames arrive on stdin and
     // leave on a private dup of stdout. Socket mode (--connect): the
@@ -119,10 +226,12 @@ int runWorker(const WorkerOptions& opt) {
     log::setScopePrefix("w" + std::to_string(opt.shardId));
     if (opt.obs) obs::setEnabled(true);
 
-    if (opt.rssBudgetMb != 0) {
+    // A budget too large for rlim_t to hold in bytes means no budget:
+    // shifting it would wrap to a tiny limit (2^44 MiB to zero).
+    if (const std::size_t mb = opt.engine.shardRssMb;
+        mb != 0 && mb <= (RLIM_INFINITY >> 20)) {
         rlimit lim{};
-        lim.rlim_cur = lim.rlim_max =
-            static_cast<rlim_t>(opt.rssBudgetMb) << 20;
+        lim.rlim_cur = lim.rlim_max = static_cast<rlim_t>(mb) << 20;
         ::setrlimit(RLIMIT_AS, &lim);  // best-effort; failure = no budget
     }
 
@@ -153,7 +262,8 @@ int runWorker(const WorkerOptions& opt) {
     // The pump starts only after the hello: the coordinator's liveness
     // clock starts at channel establishment, and warm-starting the
     // engine above is covered by the spawn state, not the deadline.
-    HeartbeatPump pump(outFd, wireMu, opt.shardId, opt.heartbeatMs);
+    HeartbeatPump pump(outFd, wireMu, opt.shardId,
+                       opt.engine.shardHeartbeatMs);
 
     const char* crashJob = std::getenv(kCrashJobEnv);
     const char* hangJob = std::getenv(kHangJobEnv);
@@ -306,6 +416,18 @@ int runWorker(const WorkerOptions& opt) {
                 return 4;  // coordinator-only frame on the worker pipe
         }
     }
+}
+
+}  // namespace
+
+int workerMain(std::span<const std::string> args) {
+    std::string error;
+    const auto opt = decodeWorkerArgs(args, error);
+    if (!opt) {
+        std::cerr << "worker: " << error << "\n";
+        return 2;
+    }
+    return runWorker(*opt);
 }
 
 }  // namespace pd::engine::shard

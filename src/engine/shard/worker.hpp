@@ -18,11 +18,18 @@
 // respawns the slot and retries the job once elsewhere); a pd::Error from
 // the flow is *not* a crash — the engine already converts it into a
 // per-job failure result that travels back as a normal kResult frame.
+//
+// The worker's argv is its engine configuration. Both halves of that
+// codec live here (encodeWorkerArgs for the coordinator,
+// decodeWorkerArgs for the worker) and walk one field list, so a field
+// cannot travel one way only.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "engine/engine.hpp"
 
@@ -42,15 +49,14 @@ inline constexpr const char* kHangJobEnv = "PD_SHARD_TEST_HANG_JOB";
 /// socket.)
 inline constexpr const char* kStallJobEnv = "PD_SHARD_TEST_STALL_JOB";
 
+/// A worker process's configuration, decoded from its argv.
 struct WorkerOptions {
     std::uint32_t shardId = 0;
-    /// Engine configuration mirrored from the coordinator. cacheFile is
-    /// opened read-only regardless of what the caller set.
+    /// The coordinator's engine configuration, as encodeWorkerArgs()
+    /// carried it. The worker forces the single-process knobs (one job
+    /// thread, read-only stores, no nested shards) and applies
+    /// shardRssMb as RLIMIT_AS and shardHeartbeatMs as the beat deadline.
     EngineOptions engine;
-    /// RLIMIT_AS budget in MiB (0 = unlimited): allocations beyond it
-    /// fail, surfacing as a per-job failure or a crash — either way the
-    /// blast radius is this worker, not the batch.
-    std::size_t rssBudgetMb = 0;
     /// Mirrors the coordinator's tracing switch (--obs): buffer spans and
     /// ship kObs frames after every job and at shutdown.
     bool obs = false;
@@ -58,15 +64,25 @@ struct WorkerOptions {
     /// dials the coordinator's listener and speaks the identical frame
     /// protocol over the connection. Empty = pipe mode (stdin/stdout).
     std::string connect;
-    /// Liveness deadline the coordinator supervises
-    /// (`--heartbeat-ms`, 0 = no heartbeats): the worker emits a
-    /// kHeartbeat frame every quarter of this interval from a
-    /// background pump, so a busy main thread never looks dead.
-    int heartbeatMs = 0;
 };
 
-/// Runs the worker loop over stdin/stdout until kShutdown or EOF.
-/// Returns a process exit code.
-int runWorker(const WorkerOptions& opt);
+/// The worker argv codec, both halves in one place. encodeWorkerArgs()
+/// writes the shard id and every EngineOptions field a worker uses,
+/// plus `--obs` when tracing is on and one `--fault` per armed fault
+/// plan; the transport appends its own `--connect` (transport.hpp).
+[[nodiscard]] std::vector<std::string> encodeWorkerArgs(
+    std::uint32_t shardId, const EngineOptions& engine);
+
+/// Inverse of encodeWorkerArgs() (plus `--connect`). Fields left out
+/// keep their EngineOptions defaults. Forwarded `--fault` plans are
+/// armed as they are decoded. Returns nullopt with `error` set on an
+/// unknown flag, a missing value, a malformed integer or a bad plan.
+[[nodiscard]] std::optional<WorkerOptions> decodeWorkerArgs(
+    std::span<const std::string> args, std::string& error);
+
+/// The hidden `pd_cli worker` mode: decodes `args` and runs the worker
+/// loop over its frame channel until kShutdown or EOF. Returns the
+/// process exit code; a bad argv is reported on stderr and exits 2.
+int workerMain(std::span<const std::string> args);
 
 }  // namespace pd::engine::shard

@@ -41,7 +41,9 @@ struct ThreadRing {
 namespace {
 
 std::mutex g_registryMutex;
-std::vector<ThreadRing*> g_rings;          // never shrinks
+// Never shrinks and never destroyed: a global vector would be torn
+// down at exit before LeakSanitizer scans, orphaning the rings it owns.
+std::vector<ThreadRing*>& g_rings = *new std::vector<ThreadRing*>();
 std::vector<Span> g_adopted;               // worker spans awaiting drain
 std::atomic<std::uint64_t> g_dropped{0};   // wrap losses, process-wide
 std::uint32_t g_nextTid = 0;

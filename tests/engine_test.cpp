@@ -557,14 +557,14 @@ TEST(Engine, VariableCapacityOverflowIsAPerJobFailure) {
 }
 
 TEST(Engine, MergeBudgetOverrideIsReportedHonestly) {
-    // An absurdly small engine-level merge budget must truncate the
-    // search (budget_exhausted) yet still produce a valid, verified
-    // result — anytime semantics, not failure.
+    // An absurdly small per-job merge budget (pd_cli --merge-budget)
+    // must truncate the search (budget_exhausted) yet still produce a
+    // valid, verified result — anytime semantics, not failure.
     EngineOptions opt;
     opt.jobs = 1;
-    opt.mergeBudget = 1;
     JobSpec spec;
     spec.benchmark = "counter16";
+    spec.options.mergeAttemptBudget = 1;
     const auto r = runBatch({spec}, opt).front();
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(r.budgetExhausted);

@@ -1,7 +1,8 @@
 // Sharded-engine tests: the frame codec (round-trips, hostile bytes —
-// run under ASan/UBSan in CI), end-to-end equivalence of sharded and
-// in-process batches across --shards {1,2,4} and both transports
-// (pipe and localhost socket, byte-identical stores), heartbeat
+// run under ASan/UBSan in CI), the worker argv codec (every worker field
+// round-trips, malformed argv is rejected), end-to-end equivalence of
+// sharded and in-process batches across --shards {1,2,4} and both
+// transports (pipe and localhost socket, byte-identical stores), heartbeat
 // liveness (beating workers survive, silent ones die at the deadline
 // and their jobs retry elsewhere), crash isolation (respawn, retry
 // budgets, clean per-job failure, cache completeness), wall-budget
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -31,6 +33,7 @@
 #include "engine/shard/coordinator.hpp"
 #include "engine/shard/protocol.hpp"
 #include "engine/shard/worker.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/fault/fault.hpp"
 #include "util/shutdown.hpp"
@@ -431,6 +434,91 @@ TEST(ShardMerge, NewestLruStampWinsAndTiesGoToTheLaterDelta) {
     EXPECT_EQ(merged[2].payload, "c-from-w1");
 }
 
+// ---- worker argv codec -----------------------------------------------------
+
+TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
+    EngineOptions e;
+    e.cacheCapacity = 7;
+    e.conflictBudget = 11;
+    e.probeThreads = 3;
+    e.verifyThreads = 5;
+    e.verifyConflictBudget = 123456789012ull;
+    e.verifyPropagationBudget = 987654321098ull;
+    e.equiv.exhaustiveLimitBits = 9;
+    e.equiv.randomBatches = 13;
+    e.equiv.seed = 0xfedcba9876543210ull;
+    e.cacheFile = "some dir/warm.pdc";
+    e.proofCacheFile = "proofs.pdp";
+    e.shardRssMb = 4096;
+    e.shardHeartbeatMs = 0;  // non-default: supervision off
+
+    std::vector<std::string> args = encodeWorkerArgs(17, e);
+    args.insert(args.end(), {"--connect", "127.0.0.1:4242"});
+    std::string error;
+    const auto w = decodeWorkerArgs(args, error);
+    ASSERT_TRUE(w.has_value()) << error;
+    EXPECT_EQ(w->shardId, 17u);
+    EXPECT_EQ(w->connect, "127.0.0.1:4242");
+    EXPECT_FALSE(w->obs);
+    const EngineOptions& d = w->engine;
+    EXPECT_EQ(d.cacheCapacity, e.cacheCapacity);
+    EXPECT_EQ(d.conflictBudget, e.conflictBudget);
+    EXPECT_EQ(d.probeThreads, e.probeThreads);
+    EXPECT_EQ(d.verifyThreads, e.verifyThreads);
+    EXPECT_EQ(d.verifyConflictBudget, e.verifyConflictBudget);
+    EXPECT_EQ(d.verifyPropagationBudget, e.verifyPropagationBudget);
+    EXPECT_EQ(d.equiv.exhaustiveLimitBits, e.equiv.exhaustiveLimitBits);
+    EXPECT_EQ(d.equiv.randomBatches, e.equiv.randomBatches);
+    EXPECT_EQ(d.equiv.seed, e.equiv.seed);
+    EXPECT_EQ(d.cacheFile, e.cacheFile);
+    EXPECT_EQ(d.proofCacheFile, e.proofCacheFile);
+    EXPECT_EQ(d.shardRssMb, e.shardRssMb);
+    EXPECT_EQ(d.shardHeartbeatMs, e.shardHeartbeatMs);
+    // Both stores stay fingerprint-compatible with the coordinator's.
+    EXPECT_EQ(persistFingerprint(d), persistFingerprint(e));
+    EXPECT_EQ(proofFingerprint(d), proofFingerprint(e));
+}
+
+TEST(ShardWorkerArgs, TracingAndArmedFaultPlansAreForwarded) {
+    ScopedFaults faults("shard.worker.crash:n3");
+    const bool wasEnabled = obs::enabled();
+    obs::setEnabled(true);
+    const auto args = encodeWorkerArgs(0, EngineOptions{});
+    obs::setEnabled(wasEnabled);
+    std::string error;
+    const auto w = decodeWorkerArgs(args, error);
+    ASSERT_TRUE(w.has_value()) << error;
+    EXPECT_TRUE(w->obs);
+    const auto fault = std::find(args.begin(), args.end(), "--fault");
+    ASSERT_NE(fault, args.end());
+    ASSERT_NE(fault + 1, args.end());
+    EXPECT_EQ(fault[1], fault::armedPlans().front());
+}
+
+TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
+    const auto rejects = [](std::vector<std::string> args,
+                            const std::string& expected) {
+        std::string error;
+        EXPECT_FALSE(decodeWorkerArgs(args, error).has_value())
+            << args.front();
+        EXPECT_NE(error.find(expected), std::string::npos) << error;
+    };
+    rejects({"--merge-budget", "5"}, "unknown worker option '--merge-budget'");
+    rejects({"--budget"}, "--budget expects a value");
+    rejects({"--shard-id"}, "--shard-id expects a value");
+    rejects({"--cache-file"}, "--cache-file expects a value");
+    rejects({"--budget", "12x"}, "non-negative integer, got '12x'");
+    rejects({"--equiv-seed", "-1"}, "non-negative integer, got '-1'");
+    rejects({"--shard-id", "4294967296"}, "(out of range)");
+    rejects({"--heartbeat-ms", "99999999999"}, "expects at most");
+
+    std::string error;
+    const auto defaults = decodeWorkerArgs({}, error);
+    ASSERT_TRUE(defaults.has_value()) << error;
+    EXPECT_EQ(defaults->engine.shardHeartbeatMs,
+              EngineOptions{}.shardHeartbeatMs);
+}
+
 // ---- end-to-end ------------------------------------------------------------
 
 TEST(ShardEngine, ShardedBatchesMatchInProcessAcross124) {
@@ -564,12 +652,73 @@ TEST(ShardEngine, WorkersWarmStartFromASharedStore) {
     }
 }
 
+/// Reads a whole file (empty when missing).
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(ShardEngine, NonDefaultVerifyKnobsReachTheWorkers) {
+    // Sampled simulation (every benchmark wider than 6 inputs under
+    // 3 random batches) and a SAT budget that binds on every job both
+    // change stored verification fields, so a worker that missed either
+    // knob would flush different bytes.
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    const auto specs = lightSpecs();
+    const auto configure = [](std::size_t shards, const TempFile& cache,
+                              const TempFile& proofs) {
+        EngineOptions opt = shardOptions(shards, cache.path());
+        opt.equiv.exhaustiveLimitBits = 6;
+        opt.equiv.randomBatches = 3;
+        opt.verifyThreads = 1;
+        opt.verifyConflictBudget = 1;
+        opt.proofCacheFile = proofs.path();
+        return opt;
+    };
+    TempFile inCache("knobs_inproc"), inProofs("knobs_inproc_proofs");
+    TempFile shCache("knobs_sharded"), shProofs("knobs_sharded_proofs");
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+        const TempFile& cache = shards == 0 ? inCache : shCache;
+        const TempFile& proofs = shards == 0 ? inProofs : shProofs;
+        Engine engine(configure(shards, cache, proofs));
+        for (const auto& r : engine.runBatch(specs)) {
+            ASSERT_TRUE(r.ok) << r.error;
+            if (r.name != "maj-expr") {
+                EXPECT_FALSE(r.exhaustive) << r.name;
+                EXPECT_TRUE(r.satVerify.budgetExhausted) << r.name;
+            }
+        }
+        ASSERT_TRUE(engine.flushCache());
+        ASSERT_TRUE(engine.flushProofCache());
+    }
+    ASSERT_GT(slurp(inCache.path()).size(), 0u);
+    EXPECT_EQ(slurp(inCache.path()), slurp(shCache.path()));
+    EXPECT_EQ(slurp(inProofs.path()), slurp(shProofs.path()));
+}
+
+TEST(ShardEngine, HugeRssBudgetMeansNoBudget) {
+    // 2^44 MiB in bytes overflows rlim_t; it must act as "unlimited",
+    // never wrap to a zero address-space limit that kills every spawn.
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    EngineOptions opt = shardOptions(1);
+    opt.shardRssMb = std::size_t{1} << 44;
+    Engine engine(opt);
+    for (const auto& r : engine.runBatch(lightSpecs())) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_GE(r.shard, 0) << r.name;
+    }
+    EXPECT_EQ(engine.resilience().workerCrashes, 0u);
+    EXPECT_EQ(engine.resilience().fallbackJobs, 0u);
+}
+
 // ---- socket transport & liveness ------------------------------------------
 
 [[nodiscard]] EngineOptions socketOptions(std::size_t shards,
                                           std::string cacheFile = {}) {
     EngineOptions opt = shardOptions(shards, std::move(cacheFile));
-    opt.shardTransport = "socket";
+    opt.shardTransport = TransportKind::kSocket;
     return opt;
 }
 
@@ -623,13 +772,6 @@ TEST(ShardTransport, SocketStoreIsByteIdenticalToPipe) {
     sb << b.rdbuf();
     ASSERT_GT(sa.str().size(), 0u);
     EXPECT_EQ(sa.str(), sb.str());
-}
-
-TEST(ShardTransport, UnknownTransportNameFailsTheBatch) {
-    EngineOptions opt = shardOptions(2);
-    opt.shardTransport = "carrier-pigeon";
-    Engine engine(opt);
-    EXPECT_THROW((void)engine.runBatch(lightSpecs()), pd::Error);
 }
 
 TEST(ShardLiveness, HeartbeatsKeepAHangingWorkerAlivePastTheDeadline) {

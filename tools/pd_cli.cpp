@@ -52,7 +52,8 @@
 //   --shard-wall-ms <n>  per-job wall budget in sharded mode: an
 //                    overrunning worker is killed and the job retried
 //                    once on another worker (0 = unlimited)
-//   --shard-rss-mb <n>   per-worker address-space budget (0 = unlimited)
+//   --shard-rss-mb <n>   per-worker address-space budget (0 = unlimited;
+//                    so is a budget of 2^44 MiB or more)
 //   --verify-threads <n>  SAT-certify optimize→map on every verified job
 //                    with a portfolio of n CDCL searchers (0 = off;
 //                    results are bit-identical at every n ≥ 1)
@@ -90,8 +91,9 @@
 // fork/execs it with pipes on stdin/stdout, or — under
 // --shard-transport socket — passes `--connect <host>:<port>` and the
 // worker dials back (see src/engine/shard/README.md for the frame
-// protocol). `--heartbeat-ms <n>` mirrors the coordinator's
-// --shard-heartbeat-ms. It is not for interactive use.
+// protocol). Its argv is the coordinator's engine configuration, encoded
+// and decoded by src/engine/shard/worker.cpp. It is not for interactive
+// use.
 //
 // The complete flag reference with examples lives in docs/cli.md.
 //
@@ -99,11 +101,9 @@
 // '&', '~' complements, identifiers are registered as inputs on first
 // use. Example:
 //   pd_cli expr --trace "maj=a*b ^ a*c ^ b*c"
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -131,6 +131,7 @@
 #include "synth/sta.hpp"
 #include "util/error.hpp"
 #include "util/fault/fault.hpp"
+#include "util/parse.hpp"
 #include "util/shutdown.hpp"
 
 namespace {
@@ -157,42 +158,11 @@ int usage() {
         "         --verify-prop-budget <n>\n"
         "         --trace-out <file>  --metrics-out <file>\n"
         "chaos:   --fault <site:spec>  (or PD_FAULTS=\"site:spec,...\")\n"
-        "worker:  (internal; spawned by the batch coordinator) transport\n"
-        "         flags mirror batch: --connect <host>:<port> dials a\n"
-        "         socket coordinator, --heartbeat-ms <n> sets the beat\n"
+        "worker:  (internal; spawned by the batch coordinator with its\n"
+        "         engine configuration as argv)\n"
         "batch exit codes: 0 all ok, 2 some jobs failed, 1 fatal error\n"
         "(full reference: docs/cli.md)\n";
     return 64;  // EX_USAGE — distinct from batch's partial-failure 2
-}
-
-/// Range-checked unsigned option parsing: rejects junk, negatives and
-/// overflow with a clear message instead of an uncaught exception.
-bool parseCount(const char* flag, const char* text, std::size_t& out) {
-    std::string_view sv(text);
-    const auto end = sv.data() + sv.size();
-    const auto [ptr, ec] = std::from_chars(sv.data(), end, out);
-    if (ec == std::errc() && ptr == end) return true;
-    std::cerr << "option " << flag << " expects a non-negative integer, got '"
-              << text << "'"
-              << (ec == std::errc::result_out_of_range ? " (out of range)"
-                                                       : "")
-              << "\n";
-    return false;
-}
-
-/// Millisecond knobs (--shard-drain-ms, --shard-heartbeat-ms, worker
-/// --heartbeat-ms) land in `int` engine fields; reject anything past
-/// INT_MAX here so the narrowing cast can never wrap a huge value into
-/// a negative timeout.
-bool parseMs(const char* flag, const char* text, std::size_t& out) {
-    if (!parseCount(flag, text, out)) return false;
-    if (out > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
-        std::cerr << "option " << flag << " expects at most "
-                  << std::numeric_limits<int>::max() << " ms, got '" << text
-                  << "'\n";
-        return false;
-    }
-    return true;
 }
 
 void printTrace(const pd::core::Decomposition& d) {
@@ -215,7 +185,9 @@ void printTrace(const pd::core::Decomposition& d) {
 
 struct Options {
     pd::core::DecomposeOptions decompose;
-    std::size_t jobs = 1;
+    /// Every engine knob (--jobs, --cache*, --shard-*, --verify-*, ...)
+    /// is parsed straight into the engine's own configuration.
+    pd::engine::EngineOptions engine;
     bool trace = false;
     bool stats = false;
     std::string verilogPath;
@@ -225,23 +197,6 @@ struct Options {
     bool heavy = false;
     bool verify = true;
     std::string jsonPath;
-    std::size_t cacheCapacity = 64;
-    std::size_t budget = 0;
-    std::string cacheFile;
-    bool cacheReadonly = false;
-    std::string proofCacheFile;
-    bool proofCacheReadonly = false;
-    std::size_t shards = 0;
-    std::size_t shardWallMs = 0;
-    std::size_t shardRssMb = 0;
-    std::size_t shardRetries = 1;
-    std::size_t shardDrainMs = 60000;
-    std::string shardTransport = "pipe";
-    std::size_t shardHeartbeatMs = 10000;
-    std::size_t probeThreads = 0;
-    std::size_t verifyThreads = 0;
-    std::size_t verifyConflictBudget = 0;
-    std::size_t verifyPropBudget = 0;
     std::string traceOutPath;
     std::string metricsOutPath;
 };
@@ -251,7 +206,8 @@ int runDecomposition(pd::anf::VarTable& vt,
                      const std::vector<std::string>& names,
                      const Options& opt) {
     pd::core::DecomposeOptions dopt = opt.decompose;
-    dopt.probeThreads = opt.probeThreads;  // context spins up its own pool
+    // The decomposition context spins up its own probe pool.
+    dopt.probeThreads = opt.engine.probeThreads;
     const auto d = pd::core::decompose(vt, outputs, names, dopt);
 
     std::cout << "decomposition: " << d.blocks.size() << " blocks over "
@@ -301,19 +257,21 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                 Options& opt, std::vector<std::string>& positional) {
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto countArg = [&](std::size_t& out) {
-            if (++i >= argc) {
-                std::cerr << "option " << arg << " expects a value\n";
-                return false;
-            }
-            return parseCount(arg.c_str(), argv[i], out);
+        // Value parsers: print the reason and return false on a missing
+        // or malformed value.
+        const auto countArg = [&](auto& out) {
+            std::string error = "option " + arg + " expects a value";
+            if (++i < argc && pd::util::parseCount(arg, argv[i], out, error))
+                return true;
+            std::cerr << error << "\n";
+            return false;
         };
-        const auto msArg = [&](std::size_t& out) {
-            if (++i >= argc) {
-                std::cerr << "option " << arg << " expects a value\n";
-                return false;
-            }
-            return parseMs(arg.c_str(), argv[i], out);
+        const auto msArg = [&](int& out) {
+            std::string error = "option " + arg + " expects a value";
+            if (++i < argc && pd::util::parseMs(arg, argv[i], out, error))
+                return true;
+            std::cerr << error << "\n";
+            return false;
         };
         // Reject options that would otherwise be silently ignored.
         const bool batchOnly = arg == "--all" || arg == "--heavy" ||
@@ -353,54 +311,57 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                 return usage();
             }
         } else if (arg == "--jobs") {
-            if (!countArg(opt.jobs)) return usage();
-            if (!batchMode && opt.jobs > 1)
+            if (!countArg(opt.engine.jobs)) return usage();
+            if (!batchMode && opt.engine.jobs > 1)
                 std::cerr << "note: --jobs only parallelizes batch mode; "
                              "expr/bench run a single job\n";
         } else if (arg == "--cache") {
-            if (!countArg(opt.cacheCapacity)) return usage();
+            if (!countArg(opt.engine.cacheCapacity)) return usage();
         } else if (arg == "--cache-file") {
             if (++i >= argc) {
                 std::cerr << "option --cache-file expects a path\n";
                 return usage();
             }
-            opt.cacheFile = argv[i];
+            opt.engine.cacheFile = argv[i];
         } else if (arg == "--cache-readonly") {
-            opt.cacheReadonly = true;
+            opt.engine.cacheReadonly = true;
         } else if (arg == "--proof-cache-file") {
             if (++i >= argc) {
                 std::cerr << "option --proof-cache-file expects a path\n";
                 return usage();
             }
-            opt.proofCacheFile = argv[i];
+            opt.engine.proofCacheFile = argv[i];
         } else if (arg == "--proof-cache-readonly") {
-            opt.proofCacheReadonly = true;
+            opt.engine.proofCacheReadonly = true;
         } else if (arg == "--budget") {
-            if (!countArg(opt.budget)) return usage();
+            if (!countArg(opt.engine.conflictBudget)) return usage();
         } else if (arg == "--shards") {
-            if (!countArg(opt.shards)) return usage();
+            if (!countArg(opt.engine.shards)) return usage();
         } else if (arg == "--shard-wall-ms") {
-            if (!countArg(opt.shardWallMs)) return usage();
+            std::size_t ms = 0;
+            if (!countArg(ms)) return usage();
+            opt.engine.shardWallMsPerJob = static_cast<double>(ms);
         } else if (arg == "--shard-rss-mb") {
-            if (!countArg(opt.shardRssMb)) return usage();
+            if (!countArg(opt.engine.shardRssMb)) return usage();
         } else if (arg == "--shard-retries") {
-            if (!countArg(opt.shardRetries)) return usage();
+            if (!countArg(opt.engine.shardRetries)) return usage();
         } else if (arg == "--shard-drain-ms") {
-            if (!msArg(opt.shardDrainMs)) return usage();
+            if (!msArg(opt.engine.shardDrainMs)) return usage();
         } else if (arg == "--shard-transport") {
             if (++i >= argc) {
                 std::cerr << "option --shard-transport expects pipe or "
                              "socket\n";
                 return usage();
             }
-            if (!pd::engine::shard::parseTransportName(argv[i])) {
+            const auto kind = pd::engine::shard::parseTransportName(argv[i]);
+            if (!kind) {
                 std::cerr << "unknown shard transport '" << argv[i]
                           << "' (expected pipe or socket)\n";
                 return usage();
             }
-            opt.shardTransport = argv[i];
+            opt.engine.shardTransport = *kind;
         } else if (arg == "--shard-heartbeat-ms") {
-            if (!msArg(opt.shardHeartbeatMs)) return usage();
+            if (!msArg(opt.engine.shardHeartbeatMs)) return usage();
         } else if (arg == "--fault") {
             if (++i >= argc) {
                 std::cerr << "option --fault expects <site>:<spec>\n";
@@ -412,15 +373,15 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                 return usage();
             }
         } else if (arg == "--verify-threads") {
-            if (!countArg(opt.verifyThreads)) return usage();
+            if (!countArg(opt.engine.verifyThreads)) return usage();
         } else if (arg == "--verify-conflict-budget") {
-            if (!countArg(opt.verifyConflictBudget)) return usage();
+            if (!countArg(opt.engine.verifyConflictBudget)) return usage();
         } else if (arg == "--verify-prop-budget") {
-            if (!countArg(opt.verifyPropBudget)) return usage();
+            if (!countArg(opt.engine.verifyPropagationBudget)) return usage();
         } else if (arg == "--merge-budget") {
             if (!countArg(opt.decompose.mergeAttemptBudget)) return usage();
         } else if (arg == "--probe-threads") {
-            if (!countArg(opt.probeThreads)) return usage();
+            if (!countArg(opt.engine.probeThreads)) return usage();
         } else if (arg == "--trace") {
             opt.trace = true;
         } else if (arg == "--stats") {
@@ -518,27 +479,7 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
         pd::obs::setEnabled(true);
     }
 
-    pd::engine::EngineOptions eopt;
-    eopt.jobs = opt.jobs;
-    eopt.cacheCapacity = opt.cacheCapacity;
-    eopt.conflictBudget = opt.budget;
-    eopt.cacheFile = opt.cacheFile;
-    eopt.cacheReadonly = opt.cacheReadonly;
-    eopt.proofCacheFile = opt.proofCacheFile;
-    eopt.proofCacheReadonly = opt.proofCacheReadonly;
-    eopt.shards = opt.shards;
-    eopt.shardWallMsPerJob = static_cast<double>(opt.shardWallMs);
-    eopt.shardRssMb = opt.shardRssMb;
-    eopt.shardRetries = opt.shardRetries;
-    // Safe narrowing: parseMs() capped both ms knobs at INT_MAX.
-    eopt.shardDrainMs = static_cast<int>(opt.shardDrainMs);
-    eopt.shardTransport = opt.shardTransport;
-    eopt.shardHeartbeatMs = static_cast<int>(opt.shardHeartbeatMs);
-    eopt.probeThreads = opt.probeThreads;
-    eopt.verifyThreads = opt.verifyThreads;
-    eopt.verifyConflictBudget = opt.verifyConflictBudget;
-    eopt.verifyPropagationBudget = opt.verifyPropBudget;
-    pd::engine::Engine engine(eopt);
+    pd::engine::Engine engine(opt.engine);
 
     printStoreBanner("cache store", engine.persistInfo(), "entries");
     printStoreBanner("proof store", engine.proofPersistInfo(), "proofs");
@@ -569,7 +510,7 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
     std::cout << "cache: " << cs.hits << " hits, " << cs.misses
               << " misses, " << cs.evictions << " evictions, " << cs.restored
               << " restored, " << cs.entries << " resident\n";
-    if (opt.verifyThreads > 0) {
+    if (opt.engine.verifyThreads > 0) {
         const auto ps = engine.proofCacheStats();
         std::cout << "proof cache: " << ps.hits << " hits, " << ps.misses
                   << " misses, " << ps.entries << " resident\n";
@@ -600,7 +541,7 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
             std::cerr << "cannot write " << opt.jsonPath << "\n";
             return 1;
         }
-        pd::engine::writeBatchReport(os, eopt, results, cs,
+        pd::engine::writeBatchReport(os, opt.engine, results, cs,
                                      &engine.persistInfo(),
                                      &engine.resilience(),
                                      &engine.proofPersistInfo());
@@ -617,8 +558,8 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
         // Name every expected track up front so a worker that shipped no
         // spans still appears (empty) rather than as a bare pid number.
         std::map<std::int32_t, std::string> tracks;
-        tracks[0] = opt.shards > 0 ? "pd coordinator" : "pd batch";
-        for (std::size_t s = 0; s < opt.shards; ++s)
+        tracks[0] = opt.engine.shards > 0 ? "pd coordinator" : "pd batch";
+        for (std::size_t s = 0; s < opt.engine.shards; ++s)
             tracks[static_cast<std::int32_t>(s) + 1] =
                 "pd worker " + std::to_string(s);
         pd::obs::writeChromeTrace(os, spans, tracks);
@@ -637,12 +578,12 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
     }
 
     bool fatal = false;
-    if (!opt.cacheFile.empty() && !opt.cacheReadonly) {
+    if (!opt.engine.cacheFile.empty() && !opt.engine.cacheReadonly) {
         std::size_t saved = 0;
         std::string error;
         if (engine.flushCache(&saved, &error)) {
             std::cout << "flushed " << saved << " entries to "
-                      << opt.cacheFile << "\n";
+                      << opt.engine.cacheFile << "\n";
         } else {
             // A missing warm artifact is a real failure for the caller
             // (CI caches it, the next run depends on it) — fail loudly
@@ -651,12 +592,13 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
             fatal = true;
         }
     }
-    if (!opt.proofCacheFile.empty() && !opt.proofCacheReadonly) {
+    if (!opt.engine.proofCacheFile.empty() &&
+        !opt.engine.proofCacheReadonly) {
         std::size_t saved = 0;
         std::string error;
         if (engine.flushProofCache(&saved, &error)) {
             std::cout << "flushed " << saved << " proofs to "
-                      << opt.proofCacheFile << "\n";
+                      << opt.engine.proofCacheFile << "\n";
         } else {
             // Same contract as the result-cache flush: the warm artifact
             // is a deliverable, so failing to write it is fatal.
@@ -669,114 +611,6 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
     // (possibly interrupted ones) did not, 0 = everything succeeded.
     if (fatal) return 1;
     return anyJobFailed ? 2 : 0;
-}
-
-/// Hidden `worker` mode: the ShardCoordinator fork/execs this with the
-/// frame pipes already wired to stdin/stdout. Every option mirrors an
-/// engine knob of the coordinating process so worker results (and the
-/// persist fingerprint guarding the shared read-only store) match a
-/// single-process run bit for bit.
-int runWorkerMode(const std::vector<std::string>& args) {
-    pd::engine::shard::WorkerOptions wopt;
-    std::size_t shardId = 0;
-    std::size_t equivXl = wopt.engine.equiv.exhaustiveLimitBits;
-    std::size_t equivRb = wopt.engine.equiv.randomBatches;
-    std::size_t equivSeed = wopt.engine.equiv.seed;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        const auto countArgAt = [&](std::size_t& out) {
-            if (++i >= args.size()) {
-                std::cerr << "worker option " << arg << " expects a value\n";
-                return false;
-            }
-            return parseCount(arg.c_str(), args[i].c_str(), out);
-        };
-        if (arg == "--shard-id") {
-            if (!countArgAt(shardId)) return 2;
-        } else if (arg == "--cache-capacity") {
-            if (!countArgAt(wopt.engine.cacheCapacity)) return 2;
-        } else if (arg == "--budget") {
-            if (!countArgAt(wopt.engine.conflictBudget)) return 2;
-        } else if (arg == "--merge-budget") {
-            if (!countArgAt(wopt.engine.mergeBudget)) return 2;
-        } else if (arg == "--probe-threads") {
-            if (!countArgAt(wopt.engine.probeThreads)) return 2;
-        } else if (arg == "--verify-threads") {
-            if (!countArgAt(wopt.engine.verifyThreads)) return 2;
-        } else if (arg == "--verify-conflict-budget") {
-            std::size_t v = 0;
-            if (!countArgAt(v)) return 2;
-            wopt.engine.verifyConflictBudget = v;
-        } else if (arg == "--verify-prop-budget") {
-            std::size_t v = 0;
-            if (!countArgAt(v)) return 2;
-            wopt.engine.verifyPropagationBudget = v;
-        } else if (arg == "--equiv-xl") {
-            if (!countArgAt(equivXl)) return 2;
-        } else if (arg == "--equiv-rb") {
-            if (!countArgAt(equivRb)) return 2;
-        } else if (arg == "--equiv-seed") {
-            if (!countArgAt(equivSeed)) return 2;
-        } else if (arg == "--rss-budget-mb") {
-            if (!countArgAt(wopt.rssBudgetMb)) return 2;
-        } else if (arg == "--connect") {
-            // Socket transport: dial the coordinator's listener instead
-            // of speaking frames over inherited stdin/stdout pipes.
-            if (++i >= args.size()) {
-                std::cerr << "worker option --connect expects "
-                             "<host>:<port>\n";
-                return 2;
-            }
-            wopt.connect = args[i];
-        } else if (arg == "--heartbeat-ms") {
-            std::size_t v = 0;
-            if (++i >= args.size()) {
-                std::cerr << "worker option --heartbeat-ms expects a "
-                             "value\n";
-                return 2;
-            }
-            if (!parseMs(arg.c_str(), args[i].c_str(), v)) return 2;
-            wopt.heartbeatMs = static_cast<int>(v);
-        } else if (arg == "--obs") {
-            wopt.obs = true;
-        } else if (arg == "--fault") {
-            // Forwarded by the coordinator so workers arm the same plans
-            // as the parent (PD_FAULTS also inherits across exec; the
-            // registry ignores a plan that is already armed).
-            if (++i >= args.size()) {
-                std::cerr << "worker option --fault expects <site>:<spec>\n";
-                return 2;
-            }
-            std::string error;
-            if (!pd::fault::armPlan(args[i], &error)) {
-                std::cerr << "worker --fault: " << error << "\n";
-                return 2;
-            }
-        } else if (arg == "--cache-file") {
-            if (++i >= args.size()) {
-                std::cerr << "worker option --cache-file expects a path\n";
-                return 2;
-            }
-            wopt.engine.cacheFile = args[i];
-        } else if (arg == "--proof-cache-file") {
-            if (++i >= args.size()) {
-                std::cerr
-                    << "worker option --proof-cache-file expects a path\n";
-                return 2;
-            }
-            // runWorker() forces proofCacheReadonly: workers warm-start
-            // from the store and stream fresh proofs back as frames.
-            wopt.engine.proofCacheFile = args[i];
-        } else {
-            std::cerr << "unknown worker option '" << arg << "'\n";
-            return 2;
-        }
-    }
-    wopt.shardId = static_cast<std::uint32_t>(shardId);
-    wopt.engine.equiv.exhaustiveLimitBits = equivXl;
-    wopt.engine.equiv.randomBatches = equivRb;
-    wopt.engine.equiv.seed = equivSeed;
-    return pd::engine::shard::runWorker(wopt);
 }
 
 int runCacheInfo(const std::vector<std::string>& args) {
@@ -891,7 +725,7 @@ int main(int argc, char** argv) {
                 std::vector<std::string>(argv + 2, argv + argc));
 
         if (mode == "worker")
-            return runWorkerMode(
+            return pd::engine::shard::workerMain(
                 std::vector<std::string>(argv + 2, argv + argc));
 
         Options opt;

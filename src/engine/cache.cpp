@@ -1,6 +1,7 @@
 #include "engine/cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -73,6 +74,7 @@ void ResultCache::publish(std::size_t shard, const Key& key,
         return;
     }
     it->second.ready = true;
+    it->second.fresh = true;
     it->second.lastUse = ++s.tick;
     ++s.stats.inserts;
     static auto& inserts = obs::counter("cache.insert");
@@ -115,17 +117,27 @@ void ResultCache::Reservation::fulfill(Value v) {
     cache_->publish(shard_, key_, /*success=*/true);
 }
 
-std::vector<ResultCache::SnapshotEntry> ResultCache::snapshot(
-    SnapshotScope scope) const {
+std::vector<ResultCache::SnapshotEntry> ResultCache::snapshot() const {
     std::vector<SnapshotEntry> out;
     for (const auto& shard : shards_) {
         std::lock_guard lock(shard->mutex);
         for (const auto& [key, entry] : shard->map) {
             if (!entry.ready) continue;  // in-flight: value doesn't exist
-            if (scope == SnapshotScope::kLocalOnly && entry.restored)
-                continue;
             Value v = entry.future.get();
             if (v) out.push_back({key, std::move(v), entry.lastUse});
+        }
+    }
+    return out;
+}
+
+std::vector<ResultCache::SnapshotEntry> ResultCache::takeFresh() {
+    std::vector<SnapshotEntry> out;
+    for (const auto& shard : shards_) {
+        std::lock_guard lock(shard->mutex);
+        for (auto& [key, entry] : shard->map) {
+            if (!std::exchange(entry.fresh, false)) continue;
+            if (Value v = entry.future.get())
+                out.push_back({key, std::move(v), entry.lastUse});
         }
     }
     return out;
@@ -144,7 +156,6 @@ std::size_t ResultCache::restore(std::vector<SnapshotEntry> entries) {
         Entry entry;
         entry.future = promise.get_future().share();
         entry.ready = true;
-        entry.restored = true;
         entry.lastUse = ++s.tick;  // stamps reset: restored ≙ just used
         s.map.emplace(e.key, std::move(entry));
         ++s.stats.restored;
@@ -184,17 +195,29 @@ void JobIndex::record(const Entry& e, bool restored) {
     const auto [it, fresh] = map_.try_emplace(e.name);
     if (!fresh && it->second.stamp == e.stamp && it->second.digest == e.digest)
         return;
-    it->second = {e.stamp, e.digest, restored};
+    it->second = {e.stamp, e.digest, !restored};
     ++changes_;
 }
 
-std::vector<JobIndex::Entry> JobIndex::snapshot(bool localOnly) const {
+std::vector<JobIndex::Entry> JobIndex::snapshot() const {
     std::vector<Entry> out;
     {
         std::lock_guard lock(mutex_);
         out.reserve(map_.size());
         for (const auto& [name, slot] : map_)
-            if (!localOnly || !slot.restored)
+            out.push_back({name, slot.stamp, slot.digest});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Entry& x, const Entry& y) { return x.name < y.name; });
+    return out;
+}
+
+std::vector<JobIndex::Entry> JobIndex::takeFresh() {
+    std::vector<Entry> out;
+    {
+        std::lock_guard lock(mutex_);
+        for (auto& [name, slot] : map_)
+            if (std::exchange(slot.fresh, false))
                 out.push_back({name, slot.stamp, slot.digest});
     }
     std::sort(out.begin(), out.end(),

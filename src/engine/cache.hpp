@@ -68,23 +68,15 @@ public:
         std::size_t entries = 0;
     };
 
-    /// One ready entry as drained by snapshot() / fed to restore().
+    /// One ready entry as drained by snapshot() / takeFresh() and fed to
+    /// restore().
     struct SnapshotEntry {
         Key key;
         std::shared_ptr<const JobResult> value;
-        /// LRU stamp at snapshot time (larger = more recently used).
-        /// Meaningful only within one cache — cross-process merges order
-        /// by it per worker, not across workers.
+        /// LRU stamp at snapshot time (larger = more recently used);
+        /// meaningful only within one cache.
         std::uint64_t lastUse = 0;
     };
-
-    /// What snapshot() drains. kAll feeds a full store rewrite; kLocalOnly
-    /// excludes entries adopted via restore() — it is the *delta* this
-    /// cache added on top of what it was warm-started with, which is all a
-    /// read-only sharded worker may hand back for merging (re-shipping the
-    /// shared store's own entries from N workers would be N-fold wasted
-    /// pipe traffic).
-    enum class SnapshotScope : std::uint8_t { kAll, kLocalOnly };
 
     /// RAII token for a reserved (in-flight) computation slot.
     class Reservation {
@@ -153,13 +145,19 @@ public:
     /// persistence. In-flight computations are never snapshotted: their
     /// values don't exist yet, and waiting for them here would make a
     /// mid-batch flush block on the slowest job.
-    [[nodiscard]] std::vector<SnapshotEntry> snapshot(
-        SnapshotScope scope = SnapshotScope::kAll) const;
+    [[nodiscard]] std::vector<SnapshotEntry> snapshot() const;
+
+    /// The ready entries this cache computed itself since the previous
+    /// call; restore()d entries never qualify. A read-only sharded worker
+    /// hands exactly these back with each job's answer (re-shipping the
+    /// shared store's own entries from N workers would be N-fold wasted
+    /// pipe traffic).
+    [[nodiscard]] std::vector<SnapshotEntry> takeFresh();
 
     /// Merge-on-load: adopts entries whose keys are not already present
-    /// (live entries — ready or in-flight — win over the store), each
-    /// with a fresh LRU stamp. Returns the number adopted. No-op when
-    /// caching is disabled.
+    /// (live entries — ready or in-flight — win over the store, and the
+    /// first of two equal keys wins), each with a fresh LRU stamp.
+    /// Returns the number adopted. No-op when caching is disabled.
     std::size_t restore(std::vector<SnapshotEntry> entries);
 
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -168,9 +166,9 @@ private:
     struct Entry {
         std::shared_future<Value> future;
         bool ready = false;
-        /// Adopted from a store/merge via restore(), as opposed to
-        /// computed by this process (see SnapshotScope::kLocalOnly).
-        bool restored = false;
+        /// Computed by this process and not yet handed out by
+        /// takeFresh(); restore()d entries never are.
+        bool fresh = false;
         std::uint64_t lastUse = 0;
     };
     struct Shard {
@@ -193,6 +191,8 @@ private:
 
 /// Thread-safe (registry name + options fingerprint) → (spec stamp,
 /// digest) map; persisted with the store and shipped over the shard wire.
+/// Equal names carry equal values wherever they were recorded: the
+/// stamp and the digest are functions of the name.
 class JobIndex {
 public:
     struct Entry {
@@ -207,12 +207,15 @@ public:
         const std::string& name, std::uint64_t stamp) const;
 
     /// Inserts, or overwrites an entry whose value differs. `restored`
-    /// marks entries adopted from a store, which local-only snapshots
-    /// leave out.
+    /// marks entries adopted from a store, which takeFresh() leaves out.
     void record(const Entry& e, bool restored = false);
 
-    /// Every entry sorted by name; `localOnly` drops restored entries.
-    [[nodiscard]] std::vector<Entry> snapshot(bool localOnly = false) const;
+    /// Every entry sorted by name.
+    [[nodiscard]] std::vector<Entry> snapshot() const;
+
+    /// The entries recorded (not restored) since the previous call,
+    /// sorted by name.
+    [[nodiscard]] std::vector<Entry> takeFresh();
 
     /// Number of record() calls that changed the map: a flush is due when
     /// it moved since the last one.
@@ -222,7 +225,7 @@ private:
     struct Slot {
         std::uint64_t stamp = 0;
         util::Digest128 digest;
-        bool restored = false;
+        bool fresh = false;  ///< recorded, not restored; not yet taken
     };
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Slot> map_;

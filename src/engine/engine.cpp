@@ -5,13 +5,13 @@
 #include <chrono>
 #include <ctime>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "anf/parser.hpp"
 #include "circuits/registry.hpp"
 #include "engine/persist/format.hpp"
 #include "engine/persist/proof_store.hpp"
-#include "engine/persist/serialize.hpp"
 #include "engine/shard/coordinator.hpp"
 #include "engine/shard/scheduler.hpp"
 #include "netlist/stats.hpp"
@@ -350,10 +350,10 @@ Engine::~Engine() {
     // No other thread can reach the engine any more, so the markers are
     // read without flushMutex_.
     if (cacheGeneration() > cacheStore_.flushedGeneration ||
-        cacheStore_.unflushedDeltas)
+        cacheStore_.unflushedRecords)
         flushCache();
     if (proofGeneration() > proofStore_.flushedGeneration ||
-        proofStore_.unflushedDeltas)
+        proofStore_.unflushedRecords)
         flushProofCache();
 }
 
@@ -408,14 +408,14 @@ bool Engine::flushStore(
         return false;
     }
     s.flushedGeneration = before;
-    s.unflushedDeltas = false;
+    s.unflushedRecords = false;
     if (savedOut) *savedOut = saved;
     return true;
 }
 
-void Engine::markDeltas(Store& s) {
+void Engine::markAdopted(Store& s) {
     std::lock_guard lock(flushMutex_);
-    s.unflushedDeltas = true;
+    s.unflushedRecords = true;
 }
 
 bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
@@ -454,51 +454,15 @@ bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
         savedOut, errorOut);
 }
 
-std::vector<shard::CacheDelta> Engine::cacheDelta(
-    const std::unordered_set<util::Digest128, util::Digest128Hash>&
-        alreadyShipped) const {
-    auto snap = cache_.snapshot(ResultCache::SnapshotScope::kLocalOnly);
-    std::vector<shard::CacheDelta> deltas;
-    deltas.reserve(snap.size());
-    for (const auto& e : snap) {
-        if (alreadyShipped.contains(e.key)) continue;
-        shard::CacheDelta d;
-        d.key = e.key;
-        persist::serializeJobResult(*e.value, d.payload);
-        d.stamp = e.lastUse;
-        deltas.push_back(std::move(d));
-    }
-    return deltas;
+shard::StoreRecords Engine::takeStoreRecords() {
+    return {cache_.takeFresh(), index_.takeFresh(), proofCache_.takeFresh()};
 }
 
-std::size_t Engine::adoptCacheDeltas(
-    const std::vector<shard::CacheDelta>& deltas) {
-    std::vector<ResultCache::SnapshotEntry> entries;
-    entries.reserve(deltas.size());
-    for (const auto& d : deltas) {
-        try {
-            entries.push_back({d.key, persist::deserializeJobResult(d.payload)});
-        } catch (const std::exception&) {
-            // A malformed delta entry is a worker bug; dropping it merely
-            // costs a future cache hit, never correctness.
-        }
-    }
-    const std::size_t adopted = cache_.restore(std::move(entries));
-    if (adopted > 0) markDeltas(cacheStore_);
-    return adopted;
-}
-
-std::vector<JobIndex::Entry> Engine::indexDelta(
-    const std::unordered_set<std::string>& alreadyShipped) const {
-    auto local = index_.snapshot(/*localOnly=*/true);
-    std::erase_if(local, [&](const JobIndex::Entry& e) {
-        return alreadyShipped.contains(e.name);
-    });
-    return local;
-}
-
-void Engine::adoptIndexDeltas(const std::vector<JobIndex::Entry>& deltas) {
-    for (const auto& e : deltas) index_.record(e);
+void Engine::adoptStoreRecords(shard::StoreRecords records) {
+    if (cache_.restore(std::move(records.entries)) > 0)
+        markAdopted(cacheStore_);
+    for (const auto& e : records.index) index_.record(e);
+    if (proofCache_.restore(records.proofs) > 0) markAdopted(proofStore_);
 }
 
 bool Engine::flushProofCache(std::size_t* savedOut, std::string* errorOut) {
@@ -522,22 +486,6 @@ bool Engine::flushProofCache(std::size_t* savedOut, std::string* errorOut) {
         savedOut, errorOut);
 }
 
-std::vector<sat::ProofCache::SnapshotEntry> Engine::proofDelta(
-    const std::unordered_set<std::uint64_t>& alreadyShipped) const {
-    auto snap = proofCache_.snapshot(/*localOnly=*/true);
-    std::erase_if(snap, [&](const auto& e) {
-        return alreadyShipped.contains(e.digest);
-    });
-    return snap;
-}
-
-std::size_t Engine::adoptProofDeltas(
-    const std::vector<sat::ProofCache::SnapshotEntry>& deltas) {
-    const std::size_t adopted = proofCache_.restore(deltas);
-    if (adopted > 0) markDeltas(proofStore_);
-    return adopted;
-}
-
 std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
     obs::ScopedSpan batchSpan("batch.run", "job");
     // One scheduling core for both execution paths: the scheduler
@@ -549,18 +497,10 @@ std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
     shard::BatchScheduler sched(specs, sharded);
     resilience_ = BatchResilience{};
 
-    // The display-name rule execute() applies, for jobs failed before it
-    // ever ran (shutdown abandonment).
-    const auto displayName = [&specs](std::size_t index) {
-        const JobSpec& spec = specs[index];
-        if (!spec.name.empty()) return spec.name;
-        if (spec.bench) return spec.bench->name;
-        if (!spec.benchmark.empty()) return spec.benchmark;
-        return "job" + std::to_string(index);
-    };
+    // For jobs failed before they ever ran (shutdown abandonment).
     const auto failInterrupted = [&](std::size_t index) {
         JobResult r;
-        r.name = displayName(index);
+        r.name = jobDisplayName(specs[index], index);
         r.ok = false;
         r.error = std::string(util::kInterruptedError) +
                   " before this job ran";
@@ -584,9 +524,8 @@ std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
     std::vector<std::size_t> fallbackJobs;
     if (!sched.wireJobs().empty()) {
         auto outcome = shard::coordinateShards(opt_, sched, specs);
-        adoptCacheDeltas(outcome.deltas);
-        adoptProofDeltas(outcome.proofDeltas);
-        adoptIndexDeltas(outcome.indexDeltas);
+        for (auto& records : outcome.records)
+            adoptStoreRecords(std::move(records));
         // Nothing else has touched the counters yet: the local lane
         // only books interruptions and fallbacks after this point.
         resilience_ = outcome.resilience;
@@ -643,11 +582,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
     PhaseClock clock(wallStart);
 
     JobResult result;
-    result.name = !spec.name.empty() ? spec.name
-                  : spec.bench       ? spec.bench->name
-                  : !spec.benchmark.empty()
-                      ? spec.benchmark
-                      : "job" + std::to_string(index);
+    result.name = jobDisplayName(spec, index);
     try {
         if (PD_FAULT("engine.job.fail"))
             fail("engine", result.name +

@@ -22,7 +22,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -108,9 +107,9 @@ struct EngineOptions {
     /// expression jobs) runs in one of N crash-isolated `pd_cli worker`
     /// children — N = 1 buys crash isolation without parallelism; specs
     /// carrying a live Benchmark object stay on the local thread-pool
-    /// lane. Workers warm-start read-only from cacheFile and their cache
-    /// deltas are merged back here, so the flushed store matches a
-    /// single-process run.
+    /// lane. Workers warm-start read-only from cacheFile and ship the
+    /// store records each job added back with its result, so the flushed
+    /// stores match a single-process run.
     std::size_t shards = 0;
     /// Per-job wall budget in sharded mode, ms (0 = unlimited): a worker
     /// whose job overruns is killed and the job retried once elsewhere.
@@ -124,9 +123,9 @@ struct EngineOptions {
     /// How many times a sharded job may be requeued after a worker crash
     /// before it is reported failed (0 = fail on the first crash).
     std::size_t shardRetries = 1;
-    /// Shard drain timeout in ms: how long worker shutdown (cache-delta
-    /// drain) may take before stragglers are killed, and the grace an
-    /// in-flight job gets after a cooperative shutdown request.
+    /// Shard drain timeout in ms: how long worker shutdown (the final
+    /// kObs and kBye) may take before stragglers are killed, and the
+    /// grace an in-flight job gets after a cooperative shutdown request.
     int shardDrainMs = 60000;
     /// Shard frame transport: pipe (fork/exec stdin/stdout, the
     /// default) or socket (SOCK_STREAM over localhost — the remote-host
@@ -238,47 +237,21 @@ public:
         return resilience_;
     }
 
-    /// The cache entries this engine computed itself (excluding anything
-    /// adopted from the store at warm start, and any key in
-    /// `alreadyShipped`), serialized for the shard wire. Workers stream
-    /// this after every job — a crash then forfeits only the in-flight
-    /// job's entry, not the whole worker's session — and once more at
-    /// shutdown.
-    [[nodiscard]] std::vector<shard::CacheDelta> cacheDelta(
-        const std::unordered_set<util::Digest128, util::Digest128Hash>&
-            alreadyShipped = {}) const;
+    /// Worker half of the shard wire: the store records this engine added
+    /// since the previous call — result-cache entries, name-index entries
+    /// and SAT proofs. Records adopted at warm start never qualify. A
+    /// worker ships them inside each job's kResult, so a crash forfeits
+    /// only the in-flight job's records.
+    [[nodiscard]] shard::StoreRecords takeStoreRecords();
 
-    /// Coordinator half of the merge: deserializes worker deltas into the
-    /// cache (live entries win; between deltas, callers pre-merge with
-    /// shard::mergeCacheDeltas for newest-LRU-wins). Undecodable entries
-    /// are dropped — a worker bug must not poison the batch. Returns the
-    /// number adopted.
-    std::size_t adoptCacheDeltas(const std::vector<shard::CacheDelta>& deltas);
-
-    /// Proof-cache analogue of cacheDelta(): the refutations this engine
-    /// completed itself (excluding warm-start adoptions and digests in
-    /// `alreadyShipped`), ready for the shard wire.
-    [[nodiscard]] std::vector<sat::ProofCache::SnapshotEntry> proofDelta(
-        const std::unordered_set<std::uint64_t>& alreadyShipped = {}) const;
-
-    /// Coordinator half: adopts worker proof deltas (a proof of a given
-    /// digest is unique, so first-in wins and duplicates are dropped).
-    /// Returns the number adopted.
-    std::size_t adoptProofDeltas(
-        const std::vector<sat::ProofCache::SnapshotEntry>& deltas);
-
-    /// Name-index analogue: the index entries this engine recorded itself
-    /// (not warm-started, names not in `alreadyShipped`), sorted by name.
-    [[nodiscard]] std::vector<JobIndex::Entry> indexDelta(
-        const std::unordered_set<std::string>& alreadyShipped = {}) const;
-
-    /// Coordinator half: records worker index entries (overwriting, as a
-    /// local recompute would).
-    void adoptIndexDeltas(const std::vector<JobIndex::Entry>& deltas);
+    /// Coordinator half: adopts one worker's records. A key already held
+    /// wins, so of two equal cache keys or proof digests the first one in
+    /// stays; index entries are recorded as a local run would record them.
+    void adoptStoreRecords(shard::StoreRecords records);
 
 private:
     /// One persistent store's warm-start outcome and flush bookkeeping.
-    /// The two markers are written by concurrent flushes and delta
+    /// The two markers are written by concurrent flushes and record
     /// adoption alike, so they are only touched under flushMutex_.
     struct Store {
         std::string noun;  ///< "cache", "proof cache": error strings
@@ -289,9 +262,9 @@ private:
         /// generation() at the last successful flush (or warm start):
         /// the destructor only rewrites the store when it moved.
         std::uint64_t flushedGeneration = 0;
-        /// Worker deltas merged since the last flush arrive via
+        /// Worker records adopted since the last flush arrive via
         /// restore(), which does not move the generation.
-        bool unflushedDeltas = false;
+        bool unflushedRecords = false;
     };
 
     [[nodiscard]] JobResult execute(const JobSpec& spec,
@@ -309,8 +282,8 @@ private:
     bool flushStore(Store& s, const std::function<std::uint64_t()>& generation,
                     const std::function<bool(std::size_t&, std::string&)>& save,
                     std::size_t* savedOut, std::string* errorOut);
-    /// Marks `s` dirty after an adopted delta.
-    void markDeltas(Store& s);
+    /// Marks `s` dirty after adopted worker records.
+    void markAdopted(Store& s);
     /// Monotone change counters of the two stores' contents.
     [[nodiscard]] std::uint64_t cacheGeneration() const {
         return cache_.stats().inserts + index_.changes();

@@ -23,7 +23,7 @@
 namespace pd::engine {
 
 struct JobSpec {
-    /// Display name; defaults to the benchmark name or "job<i>" when empty.
+    /// Display name; jobDisplayName() supplies the default when empty.
     std::string name;
     /// A name from circuits::benchmarkRegistry(). Takes precedence over
     /// `expressions` when non-empty.
@@ -43,6 +43,16 @@ struct JobSpec {
     /// results light).
     bool keepMapped = false;
 };
+
+/// The name job `index` of a batch reports under: its own name, else its
+/// benchmark's, else "job<index>".
+[[nodiscard]] inline std::string jobDisplayName(const JobSpec& spec,
+                                                std::size_t index) {
+    if (!spec.name.empty()) return spec.name;
+    if (spec.bench) return spec.bench->name;
+    if (!spec.benchmark.empty()) return spec.benchmark;
+    return "job" + std::to_string(index);
+}
 
 /// Where a job's numbers came from: freshly computed, an entry computed
 /// earlier in this process, or an entry loaded from a persistent store.

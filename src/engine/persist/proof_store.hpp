@@ -55,8 +55,8 @@ struct ProofRecords {
 };
 
 /// A proof record's body: the six u64 fields above. The record checksum
-/// covers exactly these bytes, and the shard wire's kProofEntry payload
-/// is the same bytes.
+/// covers exactly these bytes, and a shard kResult carries a job's
+/// proofs as the same bytes.
 void encodeProofBody(const sat::ProofCache::SnapshotEntry& e,
                      std::string& out);
 [[nodiscard]] sat::ProofCache::SnapshotEntry decodeProofBody(ByteReader& r);

@@ -63,8 +63,8 @@ struct CacheRecords {
 using LoadResult = Loaded<CacheRecords>;
 
 /// An index record's body: name, stamp, digest. The index checksum
-/// covers exactly these bytes, and the shard wire's kIndexEntry payload
-/// is the same bytes.
+/// covers exactly these bytes, and a shard kResult carries a job's index
+/// records as the same bytes.
 void encodeIndexBody(const JobIndex::Entry& e, std::string& out);
 [[nodiscard]] JobIndex::Entry decodeIndexBody(ByteReader& r);
 

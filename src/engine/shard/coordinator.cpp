@@ -13,7 +13,6 @@
 #include <deque>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "engine/shard/transport.hpp"
 #include "engine/shard/worker.hpp"
@@ -37,15 +36,6 @@ using Clock = std::chrono::steady_clock;
 constexpr int kRespawnBackoffBaseMs = 10;
 constexpr int kRespawnBackoffCapMs = 1000;
 
-/// The display-name rule execute() applies, replicated for jobs that die
-/// before any worker could run them.
-std::string jobDisplayName(const JobSpec& spec, std::size_t index) {
-    if (!spec.name.empty()) return spec.name;
-    if (spec.bench) return spec.bench->name;
-    if (!spec.benchmark.empty()) return spec.benchmark;
-    return "job" + std::to_string(index);
-}
-
 std::string describeExit(int status) {
     if (WIFSIGNALED(status)) {
         const int sig = WTERMSIG(status);
@@ -56,18 +46,6 @@ std::string describeExit(int status) {
     if (WIFEXITED(status))
         return "exited with status " + std::to_string(WEXITSTATUS(status));
     return "ended with wait status " + std::to_string(status);
-}
-
-bool writeAll(int fd, std::string_view bytes) {
-    while (!bytes.empty()) {
-        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        bytes.remove_prefix(static_cast<std::size_t>(n));
-    }
-    return true;
 }
 
 /// Scoped process-wide SIGPIPE suppression: writing to a crashed worker
@@ -92,7 +70,7 @@ struct Slot {
         kSpawning,  ///< forked, hello not yet received
         kIdle,      ///< hello'd / finished a job, ready for work
         kBusy,      ///< job in flight
-        kDraining,  ///< shutdown sent, cache delta streaming back
+        kDraining,  ///< shutdown sent, awaiting the final kObs and kBye
         kDone,      ///< drained cleanly and reaped
         kRetired,   ///< crashed twice without accepting work; given up on
     };
@@ -141,26 +119,6 @@ std::string resolveWorkerExe(const std::string& configured) {
                   "EngineOptions::shardWorkerExe or $PD_SHARD_WORKER_EXE)");
 }
 
-std::vector<CacheDelta> mergeCacheDeltas(std::vector<CacheDelta> deltas) {
-    // Later deltas win ties on the stamp: `deltas` arrives in drain
-    // order, so "latest worker, then most-recently-used within the
-    // worker" is the newest-LRU-wins rule the store merge promises.
-    std::unordered_map<util::Digest128, std::size_t, util::Digest128Hash>
-        byKey;
-    std::vector<CacheDelta> merged;
-    merged.reserve(deltas.size());
-    for (auto& d : deltas) {
-        const auto it = byKey.find(d.key);
-        if (it == byKey.end()) {
-            byKey.emplace(d.key, merged.size());
-            merged.push_back(std::move(d));
-        } else if (d.stamp >= merged[it->second].stamp) {
-            merged[it->second] = std::move(d);
-        }
-    }
-    return merged;
-}
-
 ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                               const std::vector<JobSpec>& specs) {
     ShardOutcome outcome;
@@ -178,11 +136,6 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     std::unordered_map<std::size_t, std::size_t> avoidSlot;  // retried jobs
     std::unordered_map<std::size_t, int> attempts;
     std::size_t completed = 0;
-    // Proofs are unique per miter digest, so de-duplication is first-in
-    // wins: once any worker has shipped a digest, later copies (other
-    // workers solving the same obligation from the shared warm store's
-    // misses) add nothing.
-    std::unordered_set<std::uint64_t> proofSeen;
 
     std::vector<Slot> slots(slotCount);
 
@@ -464,9 +417,17 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                         break;
                     }
                     case FrameType::kResult: {
-                        auto [index, result] = decodeResult(frame->payload);
+                        // A result answers the slot's in-flight job; the
+                        // wire names no job, so a worker can never
+                        // complete one it was not given.
+                        if (!s.inFlight)
+                            fail("shard",
+                                 "worker sent a result with no job in "
+                                 "flight");
+                        auto [result, records] = decodeResult(frame->payload);
                         result.shard = static_cast<int>(slotId);
-                        sched.complete(index, std::move(result));
+                        sched.complete(s.job, std::move(result));
+                        outcome.records.push_back(std::move(records));
                         ++completed;
                         s.inFlight = false;
                         s.idleCrashes = 0;
@@ -475,20 +436,6 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                             s.state = Slot::State::kIdle;
                         break;
                     }
-                    case FrameType::kCacheEntry:
-                        outcome.deltas.push_back(
-                            decodeCacheDelta(frame->payload));
-                        break;
-                    case FrameType::kProofEntry: {
-                        const auto e = decodeProofEntry(frame->payload);
-                        if (proofSeen.insert(e.digest).second)
-                            outcome.proofDeltas.push_back(e);
-                        break;
-                    }
-                    case FrameType::kIndexEntry:
-                        outcome.indexDeltas.push_back(
-                            decodeIndexDelta(frame->payload));
-                        break;
                     case FrameType::kBye:
                         s.byeSeen = true;
                         break;
@@ -586,7 +533,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         // Cooperative shutdown: still-queued jobs are failed as
         // interrupted; in-flight jobs get one drain timeout's grace
         // before their workers are killed (handled below with the wall
-        // budget), and the drain still collects cache deltas.
+        // budget), and their answers still bring their store records.
         if (util::shutdownRequested()) {
             if (!shutdownSeen) {
                 shutdownSeen = true;
@@ -662,8 +609,11 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             s.job = index;
             s.jobStart = Clock::now();
             s.state = Slot::State::kBusy;
-            sendFrame(i, FrameType::kJob, encodeJob(
-                static_cast<std::uint32_t>(index), specs[index]));
+            // An unnamed job's display name depends on its batch index,
+            // which only the coordinator knows: send it with the spec.
+            JobSpec spec = specs[index];
+            spec.name = jobDisplayName(spec, index);
+            sendFrame(i, FrameType::kJob, encodeJob(spec));
         }
 
         if (completed >= wireJobs.size()) break;
@@ -742,7 +692,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                     ::kill(s.pid, SIGKILL);
     }
 
-    // ---- drain: collect cache deltas, then reap every worker --------------
+    // ---- drain: collect the final kObs and kBye, reap every worker --------
     const auto drainDeadline =
         Clock::now() + std::chrono::milliseconds(opt.shardDrainMs);
     for (;;) {
@@ -760,8 +710,8 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                                 drainDeadline - Clock::now())
                                 .count();
         if (leftMs <= 0) {
-            // Stragglers forfeit their deltas; the batch result is
-            // complete either way.
+            // Stragglers forfeit their last observability shipment; the
+            // batch result and its records are complete either way.
             for (Slot& s : slots)
                 if (s.live()) {
                     if (s.pid > 0) ::kill(s.pid, SIGKILL);
@@ -816,7 +766,6 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         }
     }
 
-    outcome.deltas = mergeCacheDeltas(std::move(outcome.deltas));
     return outcome;
 }
 

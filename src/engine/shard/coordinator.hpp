@@ -5,9 +5,9 @@
 // from a single poll() loop: an idle worker steals the next queued job
 // (assignment follows idleness — no static partition, so one slow job
 // never serializes the batch behind it), results stream back as
-// checksummed frames, and on completion each worker ships its
-// locally-computed cache entries back for the coordinator's newest-wins
-// merge into the shared pd-cache-v4 store.
+// checksummed frames — each job's kResult carrying the store records the
+// job added — and after the fleet drains the engine adopts those records
+// into the shared pd-cache-v4 and pd-proof-v1 stores.
 //
 // Crash isolation: a worker that dies (abort, OOM kill, sanitizer trap)
 // or overruns the per-job wall budget (SIGKILL by deadline) costs exactly
@@ -24,7 +24,7 @@
 // failing — pool collapse degrades throughput, not results. A
 // cooperative shutdown request (util::shutdownRequested) fails
 // still-queued jobs as interrupted, grants in-flight jobs one drain
-// timeout to finish, and still drains cache deltas from the survivors.
+// timeout to finish, and still drains the survivors.
 //
 // The coordinator reads the shard knobs (shards, shardWorkerExe,
 // shardTransport, shardWallMsPerJob, shardRetries, shardDrainMs,
@@ -48,14 +48,9 @@ namespace pd::engine::shard {
 /// What one coordinated run produced besides the per-job results (which
 /// land in the BatchScheduler).
 struct ShardOutcome {
-    /// Newest-wins-merged cache deltas from every cleanly-drained worker.
-    std::vector<CacheDelta> deltas;
-    /// Completed SAT refutations streamed by the workers, de-duplicated
-    /// by digest (a proof of a given obligation is unique, so first-in
-    /// wins).
-    std::vector<sat::ProofCache::SnapshotEntry> proofDeltas;
-    /// Name-index entries the workers recorded, in arrival order.
-    std::vector<JobIndex::Entry> indexDeltas;
+    /// The store records of every completed wire job, one bundle per
+    /// kResult in arrival order; the caller adopts them first-in-wins.
+    std::vector<StoreRecords> records;
     /// What the fleet survived. fallbackJobs stays 0 here: the caller
     /// counts the fallback jobs it actually runs.
     BatchResilience resilience;
@@ -73,13 +68,6 @@ struct ShardOutcome {
 /// never a lost batch.
 ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                               const std::vector<JobSpec>& specs);
-
-/// Newest-wins de-duplication of worker cache deltas: for key collisions
-/// the entry with the larger LRU stamp survives (ties: the later delta in
-/// `deltas` order, i.e. the most recently drained worker). Exposed for
-/// the persist-layer merge tests.
-[[nodiscard]] std::vector<CacheDelta> mergeCacheDeltas(
-    std::vector<CacheDelta> deltas);
 
 /// Resolves the worker executable path (EngineOptions::shardWorkerExe →
 /// $PD_SHARD_WORKER_EXE → /proc/self/exe).

@@ -13,8 +13,22 @@ using persist::ByteReader;
 using persist::ByteWriter;
 using persist::fnv1a;
 
-constexpr std::uint8_t kMaxFrameType =
-    static_cast<std::uint8_t>(FrameType::kIndexEntry);
+/// True for the type bytes this wire version speaks; the retired
+/// per-record types (5, 8, 10) are unknown like any other byte.
+bool knownFrameType(std::uint8_t t) {
+    switch (static_cast<FrameType>(t)) {
+        case FrameType::kHello:
+        case FrameType::kJob:
+        case FrameType::kResult:
+        case FrameType::kShutdown:
+        case FrameType::kBye:
+        case FrameType::kObs:
+        case FrameType::kHeartbeat:
+            return true;
+    }
+    return false;
+}
+
 constexpr std::uint8_t kMaxCacheSource =
     static_cast<std::uint8_t>(CacheSource::kDisk);
 
@@ -67,7 +81,7 @@ std::optional<Frame> FrameDecoder::next() {
                << (8 * i);
     // Validate before waiting for the body: a corrupt header must error
     // now, not make the reader block forever on bytes that never come.
-    if (t == 0 || t > kMaxFrameType) {
+    if (!knownFrameType(t)) {
         poisoned_ = true;
         fail("shard", "unknown frame type " + std::to_string(t) + where);
     }
@@ -120,14 +134,13 @@ Hello decodeHello(std::string_view payload) {
 
 bool wireSerializable(const JobSpec& spec) { return spec.bench == nullptr; }
 
-std::string encodeJob(std::uint32_t index, const JobSpec& spec) {
+std::string encodeJob(const JobSpec& spec) {
     if (!wireSerializable(spec))
         fail("shard", "job '" + spec.name +
                           "' carries a live Benchmark object and cannot "
                           "cross a worker pipe");
     std::string out;
     ByteWriter w(out);
-    w.u32(index);
     w.str(spec.name);
     w.str(spec.benchmark);
     w.u32(static_cast<std::uint32_t>(spec.expressions.size()));
@@ -153,9 +166,8 @@ std::string encodeJob(std::uint32_t index, const JobSpec& spec) {
     return out;
 }
 
-std::pair<std::uint32_t, JobSpec> decodeJob(std::string_view payload) {
+JobSpec decodeJob(std::string_view payload) {
     ByteReader r(payload);
-    const std::uint32_t index = r.u32();
     JobSpec spec;
     spec.name = std::string(r.str());
     spec.benchmark = std::string(r.str());
@@ -180,13 +192,13 @@ std::pair<std::uint32_t, JobSpec> decodeJob(std::string_view payload) {
     spec.verify = r.u8() != 0;
     spec.keepMapped = r.u8() != 0;
     if (!r.done()) fail("shard", "trailing bytes after job spec");
-    return {index, std::move(spec)};
+    return spec;
 }
 
-std::string encodeResult(std::uint32_t index, const JobResult& result) {
+std::string encodeResult(const JobResult& result,
+                         const StoreRecords& records) {
     std::string out;
     ByteWriter w(out);
-    w.u32(index);
     // Per-request fields the pd-cache-v4 payload deliberately omits.
     w.str(result.name);
     w.f64(result.wallMs);
@@ -208,12 +220,23 @@ std::string encodeResult(std::uint32_t index, const JobResult& result) {
     std::string semantic;
     persist::serializeJobResult(result, semantic);
     w.str(semantic);
+    // The job's store records, each as its store's record body.
+    w.u32(static_cast<std::uint32_t>(records.entries.size()));
+    for (const auto& e : records.entries) {
+        w.digest(e.key);
+        semantic.clear();
+        persist::serializeJobResult(*e.value, semantic);
+        w.str(semantic);
+    }
+    w.u32(static_cast<std::uint32_t>(records.index.size()));
+    for (const auto& e : records.index) persist::encodeIndexBody(e, out);
+    w.u32(static_cast<std::uint32_t>(records.proofs.size()));
+    for (const auto& e : records.proofs) persist::encodeProofBody(e, out);
     return out;
 }
 
-std::pair<std::uint32_t, JobResult> decodeResult(std::string_view payload) {
+std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
     ByteReader r(payload);
-    const std::uint32_t index = r.u32();
     const std::string name(r.str());
     const double wallMs = r.f64();
     const double cpuMs = r.f64();
@@ -238,6 +261,18 @@ std::pair<std::uint32_t, JobResult> decodeResult(std::string_view payload) {
         fail("shard", "bad proof source " + std::to_string(proofSource));
     const std::string cacheKey(r.str());
     const auto semantic = persist::deserializeJobResult(r.str());
+    // No reservations from the counts: a corrupt count runs the reader
+    // out of bytes, which throws, long before it can allocate much.
+    StoreRecords records;
+    for (std::uint32_t n = r.u32(); n > 0; --n) {
+        const util::Digest128 key = r.digest();
+        records.entries.push_back(
+            {key, persist::deserializeJobResult(r.str())});
+    }
+    for (std::uint32_t n = r.u32(); n > 0; --n)
+        records.index.push_back(persist::decodeIndexBody(r));
+    for (std::uint32_t n = r.u32(); n > 0; --n)
+        records.proofs.push_back(persist::decodeProofBody(r));
     if (!r.done()) fail("shard", "trailing bytes after job result");
     JobResult result = *semantic;
     result.name = name;
@@ -249,52 +284,7 @@ std::pair<std::uint32_t, JobResult> decodeResult(std::string_view payload) {
     result.satVerify.proofSource =
         static_cast<JobResult::SatVerify::ProofSource>(proofSource);
     result.cacheKey = cacheKey;
-    return {index, std::move(result)};
-}
-
-std::string encodeCacheDelta(const CacheDelta& d) {
-    std::string out;
-    ByteWriter w(out);
-    w.digest(d.key);
-    w.str(d.payload);
-    w.u64(d.stamp);
-    return out;
-}
-
-CacheDelta decodeCacheDelta(std::string_view payload) {
-    ByteReader r(payload);
-    CacheDelta d;
-    d.key = r.digest();
-    d.payload = std::string(r.str());
-    d.stamp = r.u64();
-    if (!r.done()) fail("shard", "trailing bytes after cache delta");
-    return d;
-}
-
-std::string encodeProofEntry(const sat::ProofCache::SnapshotEntry& e) {
-    std::string out;
-    persist::encodeProofBody(e, out);
-    return out;
-}
-
-sat::ProofCache::SnapshotEntry decodeProofEntry(std::string_view payload) {
-    ByteReader r(payload);
-    const auto e = persist::decodeProofBody(r);
-    if (!r.done()) fail("shard", "trailing bytes after proof entry");
-    return e;
-}
-
-std::string encodeIndexDelta(const JobIndex::Entry& e) {
-    std::string out;
-    persist::encodeIndexBody(e, out);
-    return out;
-}
-
-JobIndex::Entry decodeIndexDelta(std::string_view payload) {
-    ByteReader r(payload);
-    JobIndex::Entry e = persist::decodeIndexBody(r);
-    if (!r.done()) fail("shard", "trailing bytes after index delta");
-    return e;
+    return {std::move(result), std::move(records)};
 }
 
 std::string encodeHeartbeat(const Heartbeat& h) {

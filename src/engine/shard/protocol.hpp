@@ -1,5 +1,5 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v7"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v8"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker pipe is a length-prefixed, checksummed
 // frame over the same little-endian primitives as the pd-cache-v4 store:
@@ -13,8 +13,9 @@
 // kMaxFramePayload, or checksum mismatch — so a corrupt or truncated
 // stream can never walk the decoder out of its buffer or hand the
 // coordinator a half-record. Payload encoders carry the same semantic
-// fields as a pd-batch-report-v1 job record (spec in, result out), plus
-// the cache, proof and name-index delta records workers hand back.
+// fields as a pd-batch-report-v1 job record (spec in, result out); a
+// result also carries the store records its job added, in the stores'
+// own record-body encodings.
 #pragma once
 
 #include <cstdint>
@@ -73,24 +74,30 @@ namespace pd::engine::shard {
 /// options fingerprint, spec stamp, digest) on the cache-delta cadence,
 /// so the coordinator flushes the same index a single-process run would;
 /// kResult carries the resolve/digest/cache-lookup phase times.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+///
+/// v8 (one answer per job): kResult carries the store records its job
+/// added — cache entries, name-index entries, SAT proofs — so kCacheEntry
+/// (5), kProofEntry (8) and kIndexEntry (10) are retired and rejected as
+/// unknown types. kJob and kResult lose their job index: a result answers
+/// the job in flight on its slot, and a result with none in flight is a
+/// protocol violation.
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length
 /// prefix from provoking a giant allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 
+/// Type bytes 5, 8 and 10 belonged to the per-record frames retired in v8
+/// and are never reused.
 enum class FrameType : std::uint8_t {
-    kHello = 1,       ///< worker → coordinator: ready (version, shard id)
-    kJob = 2,         ///< coordinator → worker: run this job
-    kResult = 3,      ///< worker → coordinator: job outcome
-    kShutdown = 4,    ///< coordinator → worker: drain and exit
-    kCacheEntry = 5,  ///< worker → coordinator: one cache-delta entry
-    kBye = 6,         ///< worker → coordinator: delta complete, exiting
-    kObs = 7,         ///< worker → coordinator: spans + metrics delta
-    kProofEntry = 8,  ///< worker → coordinator: one completed SAT proof
-    kHeartbeat = 9,   ///< worker → coordinator: liveness beat (wire v6)
-    kIndexEntry = 10, ///< worker → coordinator: one name-index entry (v7)
+    kHello = 1,      ///< worker → coordinator: ready (version, shard id)
+    kJob = 2,        ///< coordinator → worker: run this job
+    kResult = 3,     ///< worker → coordinator: job outcome + its records
+    kShutdown = 4,   ///< coordinator → worker: drain and exit
+    kBye = 6,        ///< worker → coordinator: drained, exiting
+    kObs = 7,        ///< worker → coordinator: spans + metrics delta
+    kHeartbeat = 9,  ///< worker → coordinator: liveness beat (wire v6)
 };
 
 struct Frame {
@@ -136,14 +143,17 @@ struct Hello {
     std::uint32_t shardId = 0;
 };
 
-/// One worker-local cache entry handed back at shutdown: the job digest
-/// key, the pd-cache-v4 payload bytes of the result,
-/// and the worker's LRU stamp (larger = used more recently within that
-/// worker), which the coordinator's newest-wins merge keys on.
-struct CacheDelta {
-    util::Digest128 key;
-    std::string payload;
-    std::uint64_t stamp = 0;
+/// The store records one job added in a worker: new result-cache
+/// entries, name-index entries and SAT proofs (Engine::takeStoreRecords).
+/// They travel inside the job's kResult, encoded as the stores' own
+/// record bodies — a cache entry as its 16-byte key plus the
+/// serializeJobResult payload, an index entry as persist::encodeIndexBody,
+/// a proof as persist::encodeProofBody — and the coordinator adopts them
+/// after the fleet drains (Engine::adoptStoreRecords).
+struct StoreRecords {
+    std::vector<ResultCache::SnapshotEntry> entries;
+    std::vector<JobIndex::Entry> index;
+    std::vector<sat::ProofCache::SnapshotEntry> proofs;
 };
 
 [[nodiscard]] std::string encodeHello(const Hello& h);
@@ -151,34 +161,15 @@ struct CacheDelta {
 
 /// Throws pd::Error when the spec is not wire-serializable (it carries a
 /// live Benchmark object); see wireSerializable().
-[[nodiscard]] std::string encodeJob(std::uint32_t index, const JobSpec& spec);
-[[nodiscard]] std::pair<std::uint32_t, JobSpec> decodeJob(
+[[nodiscard]] std::string encodeJob(const JobSpec& spec);
+[[nodiscard]] JobSpec decodeJob(std::string_view payload);
+
+/// A job's answer: its result and the store records it added. Decoding
+/// throws pd::Error on any malformed field, a record's included.
+[[nodiscard]] std::string encodeResult(const JobResult& result,
+                                       const StoreRecords& records);
+[[nodiscard]] std::pair<JobResult, StoreRecords> decodeResult(
     std::string_view payload);
-
-[[nodiscard]] std::string encodeResult(std::uint32_t index,
-                                       const JobResult& result);
-[[nodiscard]] std::pair<std::uint32_t, JobResult> decodeResult(
-    std::string_view payload);
-
-[[nodiscard]] std::string encodeCacheDelta(const CacheDelta& d);
-[[nodiscard]] CacheDelta decodeCacheDelta(std::string_view payload);
-
-/// One completed SAT refutation handed back by a worker (kProofEntry):
-/// the miter's content digest plus the winning solve's statistics. The
-/// payload is the pd-proof-v1 record body (persist::encodeProofBody).
-/// Proofs are unique per digest, so the coordinator's merge is
-/// first-in-wins — no stamp needed.
-[[nodiscard]] std::string encodeProofEntry(
-    const sat::ProofCache::SnapshotEntry& e);
-[[nodiscard]] sat::ProofCache::SnapshotEntry decodeProofEntry(
-    std::string_view payload);
-
-/// One name-index entry a worker recorded (wire v7; kIndexEntry). The
-/// payload is the pd-cache-v4 index record body
-/// (persist::encodeIndexBody). The coordinator records it as its own
-/// engine would have, overwriting a stale entry.
-[[nodiscard]] std::string encodeIndexDelta(const JobIndex::Entry& e);
-[[nodiscard]] JobIndex::Entry decodeIndexDelta(std::string_view payload);
 
 /// One liveness beat (wire v6). Sequence numbers are worker-local and
 /// strictly increasing; the coordinator only uses arrival time, but the

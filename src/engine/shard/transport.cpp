@@ -234,4 +234,16 @@ int connectToCoordinator(const std::string& hostPort, int timeoutMs) {
     }
 }
 
+bool writeAll(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return false;
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
 }  // namespace pd::engine::shard

@@ -102,6 +102,11 @@ public:
 [[nodiscard]] int connectToCoordinator(const std::string& hostPort,
                                        int timeoutMs);
 
+/// write()s all of `bytes` to `fd`, riding out EINTR and short writes.
+/// False when the peer is gone — either side of the channel then treats
+/// the other as dead.
+bool writeAll(int fd, std::string_view bytes);
+
 /// How long establish()/connectToCoordinator() wait before declaring a
 /// connection attempt failed. Establishment failures take the spawn-
 /// failure path (capped-backoff respawn), so the deadline bounds stall,

@@ -14,7 +14,6 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <unordered_set>
 
 #include "engine/shard/protocol.hpp"
 #include "engine/shard/transport.hpp"
@@ -26,21 +25,6 @@
 
 namespace pd::engine::shard {
 namespace {
-
-/// write() the whole buffer, riding out EINTR and short writes. Returns
-/// false when the pipe is gone (coordinator died) — the worker then just
-/// exits; there is nobody left to report to.
-bool writeAll(int fd, std::string_view bytes) {
-    while (!bytes.empty()) {
-        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        bytes.remove_prefix(static_cast<std::size_t>(n));
-    }
-    return true;
-}
 
 /// Background liveness pump (wire v6): one kHeartbeat frame every
 /// quarter of the coordinator's deadline, so a worker busy inside a
@@ -237,16 +221,16 @@ int runWorker(const WorkerOptions& opt) {
 
     EngineOptions eopt = opt.engine;
     eopt.jobs = 1;  // parallelism lives in the process fan-out
+    // Both stores are warm-started read-only: the records a job adds
+    // travel back inside its kResult, and only the coordinator writes
+    // the stores.
     eopt.cacheReadonly = true;
-    // Proof store likewise: workers warm-start read-only and stream
-    // their completed refutations back as kProofEntry frames; only the
-    // coordinator writes the merged pd-proof-v1 store.
     eopt.proofCacheReadonly = true;
     eopt.shards = 0;  // a worker never recursively shards
     Engine engine(eopt);
 
-    // Every frame write — results, deltas, heartbeats from the pump's
-    // thread — serializes on this mutex so frames never interleave.
+    // Every frame write — results, observability, heartbeats from the
+    // pump's thread — serializes on this mutex so frames never interleave.
     std::mutex wireMu;
     const auto send = [&](FrameType type, std::string_view payload) {
         std::string out;
@@ -269,44 +253,10 @@ int runWorker(const WorkerOptions& opt) {
     const char* hangJob = std::getenv(kHangJobEnv);
     const char* stallJob = std::getenv(kStallJobEnv);
 
-    // Keys already streamed to the coordinator. Deltas ship eagerly after
-    // every job so a later crash forfeits only the in-flight entry, never
-    // the worker's whole session.
-    std::unordered_set<util::Digest128, util::Digest128Hash> shipped;
-    std::unordered_set<std::string> shippedIndex;
-    const auto shipDeltas = [&] {
-        for (const CacheDelta& d : engine.cacheDelta(shipped)) {
-            if (!send(FrameType::kCacheEntry, encodeCacheDelta(d)))
-                return false;
-            shipped.insert(d.key);
-        }
-        // Name-index entries ride the same cadence, so the coordinator's
-        // store names every result a single-process run would.
-        for (const JobIndex::Entry& e : engine.indexDelta(shippedIndex)) {
-            if (!send(FrameType::kIndexEntry, encodeIndexDelta(e)))
-                return false;
-            shippedIndex.insert(e.name);
-        }
-        return true;
-    };
-
-    // Completed SAT refutations ship on the same cadence: one
-    // kProofEntry frame per fresh proof, so a crash forfeits at most the
-    // in-flight job's proof.
-    std::unordered_set<std::uint64_t> shippedProofs;
-    const auto shipProofDeltas = [&] {
-        for (const auto& e : engine.proofDelta(shippedProofs)) {
-            if (!send(FrameType::kProofEntry, encodeProofEntry(e)))
-                return false;
-            shippedProofs.insert(e.digest);
-        }
-        return true;
-    };
-
-    // Observability shipments mirror the cache-delta cadence: after every
-    // job plus a shutdown catch-up, so a crash forfeits at most one job's
-    // spans. Metrics ship as deltas against the previous shipment — the
-    // coordinator accumulates, so re-sending totals would double-count.
+    // Observability ships after every job plus a shutdown catch-up, so a
+    // crash forfeits at most one job's spans. Metrics ship as deltas
+    // against the previous shipment — the coordinator accumulates, so
+    // re-sending totals would double-count.
     obs::MetricsSnapshot lastShipped;
     const auto shipObs = [&] {
         if (!opt.obs) return true;
@@ -344,7 +294,7 @@ int runWorker(const WorkerOptions& opt) {
         }
         switch (frame->type) {
             case FrameType::kJob: {
-                auto [index, spec] = decodeJob(frame->payload);
+                const JobSpec spec = decodeJob(frame->payload);
                 const std::string& hookName =
                     !spec.name.empty() ? spec.name : spec.benchmark;
                 // Name-targeted lifecycle hooks (exact, test-oriented)
@@ -369,10 +319,12 @@ int runWorker(const WorkerOptions& opt) {
                     // reap us (SIGKILL works on stopped processes).
                     ::raise(SIGSTOP);
                 }
+                // The answer carries the store records the job added, so
+                // a crash can never separate a result from its records.
                 const JobResult result = engine.runJob(spec);
                 std::string out;
                 appendFrame(out, FrameType::kResult,
-                            encodeResult(index, result));
+                            encodeResult(result, engine.takeStoreRecords()));
                 if (PD_FAULT("shard.wire.corrupt") && !out.empty())
                     // Flip one payload bit: the coordinator's frame
                     // checksum must reject the stream and take the
@@ -390,24 +342,17 @@ int runWorker(const WorkerOptions& opt) {
                     std::lock_guard<std::mutex> lock(wireMu);
                     if (!writeAll(outFd, out)) return 3;
                 }
-                if (!shipDeltas()) return 3;
-                if (!shipProofDeltas()) return 3;
                 if (!shipObs()) return 3;
                 break;
             }
             case FrameType::kShutdown: {
                 if (PD_FAULT("shard.worker.drain.hang")) {
                     // Wedge during drain: never Bye. The coordinator's
-                    // drain timeout must reap us and forfeit the deltas.
+                    // drain timeout must reap us.
                     for (;;)
                         std::this_thread::sleep_for(
                             std::chrono::seconds(3600));
                 }
-                // Catch-up pass for anything not yet streamed (normally
-                // empty); disk-restored entries stay behind — the
-                // coordinator already has them.
-                if (!shipDeltas()) return 3;
-                if (!shipProofDeltas()) return 3;
                 if (!shipObs()) return 3;
                 send(FrameType::kBye, {});
                 return 0;

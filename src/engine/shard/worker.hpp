@@ -6,12 +6,10 @@
 // library prints can never corrupt the frame stream). It owns a
 // single-threaded Engine that warm-starts *read-only* from the shared
 // pd-cache-v4 store — N workers may open one warm.pdc simultaneously —
-// and never writes that store itself: newly computed cache entries are
-// streamed back to the coordinator as checksummed kCacheEntry frames
-// (with the name-index entries they came with as kIndexEntry frames)
-// right after each job (plus a catch-up pass at shutdown) — so a crash
-// forfeits only the in-flight entry — and the coordinator alone flushes
-// the merged artifact.
+// and never writes that store itself: each job's kResult frame carries
+// the store records the job added (cache entries, name-index entries,
+// SAT proofs), so a crash forfeits only the in-flight job, and the
+// coordinator alone flushes the stores.
 //
 // Crash philosophy: a worker is disposable. An abort, OOM kill, or RSS
 // budget violation costs exactly the in-flight job (the coordinator

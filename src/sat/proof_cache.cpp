@@ -1,6 +1,7 @@
 #include "sat/proof_cache.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace pd::sat {
 namespace {
@@ -38,7 +39,7 @@ std::optional<ProofEntry> ProofCache::lookup(std::uint64_t digest) {
 
 bool ProofCache::insert(std::uint64_t digest, const ProofEntry& entry) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, fresh] = map_.emplace(digest, Slot{entry, false});
+    const auto [it, fresh] = map_.emplace(digest, Slot{entry, true});
     (void)it;
     if (fresh) {
         ++stats_.inserts;
@@ -51,20 +52,25 @@ std::size_t ProofCache::restore(const std::vector<SnapshotEntry>& entries) {
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t adopted = 0;
     for (const auto& e : entries)
-        if (map_.emplace(e.digest, Slot{e.entry, true}).second) ++adopted;
+        if (map_.emplace(e.digest, Slot{e.entry, false}).second) ++adopted;
     stats_.entries = map_.size();
     return adopted;
 }
 
-std::vector<ProofCache::SnapshotEntry> ProofCache::snapshot(
-    bool localOnly) const {
+std::vector<ProofCache::SnapshotEntry> ProofCache::snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<SnapshotEntry> out;
     out.reserve(map_.size());
-    for (const auto& [digest, slot] : map_) {
-        if (localOnly && slot.restored) continue;
-        out.push_back({digest, slot.entry});
-    }
+    for (const auto& [digest, slot] : map_) out.push_back({digest, slot.entry});
+    return out;
+}
+
+std::vector<ProofCache::SnapshotEntry> ProofCache::takeFresh() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<SnapshotEntry> out;
+    for (auto& [digest, slot] : map_)
+        if (std::exchange(slot.fresh, false))
+            out.push_back({digest, slot.entry});
     return out;
 }
 

@@ -73,23 +73,26 @@ public:
     /// true iff the entry was adopted.
     bool insert(std::uint64_t digest, const ProofEntry& entry);
 
-    /// Adopts entries loaded from a persistent store (or merged from a
-    /// shard worker's delta). Live entries win. Returns the count adopted.
+    /// Adopts entries loaded from a persistent store (or shipped by a
+    /// shard worker). Live entries win, and so does the first of two equal
+    /// digests. Returns the count adopted.
     std::size_t restore(const std::vector<SnapshotEntry>& entries);
 
-    /// Drains the entries for persistence. localOnly=true excludes
-    /// restore()d entries — the delta this process proved on top of its
-    /// warm start, which is all a read-only sharded worker ships back.
-    [[nodiscard]] std::vector<SnapshotEntry> snapshot(
-        bool localOnly = false) const;
+    /// Drains the entries for persistence.
+    [[nodiscard]] std::vector<SnapshotEntry> snapshot() const;
+
+    /// The entries insert()ed since the previous call — what this process
+    /// proved on top of its warm start, which is all a read-only sharded
+    /// worker ships back. restore()d entries never qualify.
+    [[nodiscard]] std::vector<SnapshotEntry> takeFresh();
 
     [[nodiscard]] Stats stats() const;
 
 private:
     struct Slot {
         ProofEntry entry;
-        /// Adopted via restore(), not proved by this process.
-        bool restored = false;
+        /// Proved by this process and not yet handed out by takeFresh().
+        bool fresh = false;
     };
 
     mutable std::mutex mutex_;

@@ -3,8 +3,8 @@
 // pd-proof-v1) — loud rejection of every corruption class (truncation,
 // bit flips, other versions, foreign fingerprints) as a clean cold
 // start, checksummed-prefix salvage, injected save/load faults, and the
-// pinned on-disk bytes of each format — wire payloads that are store
-// record bodies, engine
+// pinned on-disk bytes of each format — a kResult whose records are
+// store record bodies, first-in-wins adoption of worker records, engine
 // warm-start/flush end-to-end, the persisted name index and the
 // reference guard behind it (stale entries, changed specs), and a
 // concurrent save-while-computing hammer. All failure paths must
@@ -26,7 +26,6 @@
 #include "engine/persist/proof_store.hpp"
 #include "engine/persist/serialize.hpp"
 #include "engine/persist/store.hpp"
-#include "engine/shard/coordinator.hpp"
 #include "engine/shard/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -681,33 +680,68 @@ TEST(PersistProofStore, BudgetExhaustedWinnerSurvivesTheBias) {
     EXPECT_EQ(loaded.entries[0].entry.winner, -1);
 }
 
-// ---- wire payloads are store record bodies ---------------------------------
+// ---- a kResult's records are store record bodies ---------------------------
 
-TEST(PersistWire, ProofEntryPayloadIsTheStoreRecordBody) {
-    TempFile file("wire_proof");
-    const auto proofs = ProofCodec::three();
-    ASSERT_TRUE(ProofStore::save(file.path(), "fp", proofs));
-    const std::string bytes = readFile(file.path());
+// One cache entry, one index entry and two proofs ride one kResult: each
+// decodes field by field, and the frame's record section is exactly the
+// record bodies the two stores write (each record minus its checksum).
+TEST(PersistWire, ResultRecordsAreTheStoreRecordBodies) {
+    const StoreEntry entry{key("sig-A"),
+                           std::make_shared<const JobResult>(sampleResult())};
+    const JobIndex::Entry index{"adder8|k4", 7, key("sig-A")};
+    auto proofs = ProofCodec::three();
+    proofs.resize(2);
+
+    TempFile cacheFile("wire_cache");
+    TempFile proofFile("wire_proof");
+    ASSERT_TRUE(
+        CacheStore::save(cacheFile.path(), "fp", {&entry, 1}, {&index, 1}));
+    ASSERT_TRUE(ProofStore::save(proofFile.path(), "fp", proofs));
+    const std::string cacheBytes = readFile(cacheFile.path());
+    const std::string proofBytes = readFile(proofFile.path());
     constexpr std::size_t kHeaderEnd = 8 + 4 + (4 + 2) + 8;
-    for (std::size_t i = 0; i < proofs.size(); ++i) {
-        const std::string body =
-            bytes.substr(kHeaderEnd + i * (kProofBodyBytes + 8),
-                         kProofBodyBytes);
-        EXPECT_EQ(engine::shard::encodeProofEntry(proofs[i]), body);
-    }
-}
+    // The entry body is its key and its length-prefixed payload; the
+    // index record follows the entry's checksum and the index count.
+    const std::size_t entryBody =
+        16 + 4 + ByteReader(cacheBytes.substr(kHeaderEnd + 16, 4)).u32();
+    const std::size_t indexStart = kHeaderEnd + entryBody + 8 + 8;
+    std::string expected;
+    ByteWriter w(expected);
+    w.u32(1);
+    expected += cacheBytes.substr(kHeaderEnd, entryBody);
+    w.u32(1);
+    expected += cacheBytes.substr(indexStart, cacheBytes.size() - indexStart - 8);
+    w.u32(2);
+    for (std::size_t i = 0; i < proofs.size(); ++i)
+        expected += proofBytes.substr(kHeaderEnd + i * (kProofBodyBytes + 8),
+                                      kProofBodyBytes);
 
-TEST(PersistWire, IndexEntryPayloadIsTheStoreRecordBody) {
-    TempFile file("wire_index");
-    const JobIndex::Entry e{"adder8|k4", 7, key("sig-A")};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", {}, {&e, 1}));
-    const std::string bytes = readFile(file.path());
-    // Header, an empty entry section, the index count, then the record.
-    constexpr std::size_t kIndexStart = 8 + 4 + (4 + 2) + 8 + 8;
-    const std::string payload = engine::shard::encodeIndexDelta(e);
-    EXPECT_EQ(bytes.substr(kIndexStart, payload.size()), payload);
-    EXPECT_EQ(bytes.size(), kIndexStart + payload.size() + 8)
-        << "the record is the body plus its checksum";
+    engine::shard::StoreRecords records;
+    records.entries.push_back({entry.key, entry.result});
+    records.index.push_back(index);
+    records.proofs = proofs;
+    JobResult r = sampleResult();
+    r.name = "adder8";
+    const std::string payload = engine::shard::encodeResult(r, records);
+    ASSERT_GE(payload.size(), expected.size());
+    EXPECT_EQ(payload.substr(payload.size() - expected.size()), expected);
+
+    auto [back, got] = engine::shard::decodeResult(payload);
+    EXPECT_EQ(back.name, "adder8");
+    ASSERT_EQ(got.entries.size(), 1u);
+    EXPECT_EQ(got.entries[0].key, entry.key);
+    expectSameResult(*got.entries[0].value, *entry.result);
+    ASSERT_EQ(got.index.size(), 1u);
+    EXPECT_EQ(got.index[0].name, index.name);
+    EXPECT_EQ(got.index[0].stamp, index.stamp);
+    EXPECT_EQ(got.index[0].digest, index.digest);
+    ASSERT_EQ(got.proofs.size(), 2u);
+    for (std::size_t i = 0; i < proofs.size(); ++i)
+        ProofCodec::expectSame(got.proofs[i], proofs[i]);
+    EXPECT_THROW((void)engine::shard::decodeResult(payload + "x"), pd::Error);
+    EXPECT_THROW(
+        (void)engine::shard::decodeResult(payload.substr(0, payload.size() - 1)),
+        pd::Error);
 }
 
 TEST(PersistSalvage, EngineWarmStartsFromASalvagedStore) {
@@ -901,75 +935,84 @@ TEST(PersistEngine, WrongFingerprintColdStarts) {
     EXPECT_EQ(engine.persistInfo().loadedEntries, 0u);
 }
 
-// ---- cross-process cache merge (shard coordinator semantics) ---------------
+// ---- cross-process record adoption (shard coordinator semantics) -----------
 
-// Two workers computed overlapping key sets; the coordinator's
-// newest-LRU-wins merge must keep exactly one entry per key, the merged
-// store must save/load clean (load() verifies every checksum), and the
-// surviving entry must be the newest one.
-TEST(PersistShardMerge, OverlappingWorkerDeltasMergeNewestWins) {
-    TempFile file("shardmerge");
-    JobResult older = sampleResult();
-    older.qor.area = 100.0;
-    JobResult newer = sampleResult();
-    newer.qor.area = 200.0;
-
-    const auto payloadOf = [](const JobResult& r) {
-        std::string bytes;
-        serializeJobResult(r, bytes);
-        return bytes;
+// Two workers' bundles share a cache key and a proof digest. Equal keys
+// name the same functions under the same options, so no merge rule can
+// prefer either copy on content: the first bundle in wins, and each
+// flushed store holds one record for the shared key.
+TEST(PersistShardMerge, SharedKeyFirstBundleInWins) {
+    TempFile cacheFile("firstin");
+    TempFile proofFile("firstin_proof");
+    const auto bundle = [](double area, const char* other,
+                           std::uint64_t conflicts) {
+        JobResult shared = sampleResult();
+        shared.qor.area = area;
+        engine::shard::StoreRecords r;
+        r.entries.push_back(
+            {key("sig-A"), std::make_shared<const JobResult>(shared)});
+        r.entries.push_back(
+            {key(other), std::make_shared<const JobResult>(sampleResult())});
+        auto proofs = ProofCodec::three();
+        proofs[0].entry.conflicts = conflicts;  // digest 11 in both
+        r.proofs = {proofs[0]};
+        return r;
     };
-    // Worker 0 computed sig-A early (stamp 1) and sig-B; worker 1
-    // recomputed sig-A later in its own LRU time (stamp 8) and adds
-    // sig-C. Drain order: worker 0 first.
-    std::vector<engine::shard::CacheDelta> deltas = {
-        {key("sig-A"), payloadOf(older), 1},
-        {key("sig-B"), payloadOf(older), 2},
-        {key("sig-A"), payloadOf(newer), 8},
-        {key("sig-C"), payloadOf(newer), 3},
-    };
-    const auto merged = engine::shard::mergeCacheDeltas(std::move(deltas));
-    ASSERT_EQ(merged.size(), 3u);
-
-    std::vector<StoreEntry> entries;
-    for (const auto& d : merged)
-        entries.push_back({d.key, deserializeJobResult(d.payload)});
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp", entries, {}));
-    const auto loaded = CacheStore::load(file.path(), "fp");
+    EngineOptions opt;
+    opt.cacheFile = cacheFile.path();
+    opt.proofCacheFile = proofFile.path();
+    opt.verifyThreads = 1;
+    {
+        Engine coordinator(opt);
+        coordinator.adoptStoreRecords(bundle(100.0, "sig-B", 5));
+        coordinator.adoptStoreRecords(bundle(200.0, "sig-C", 6));
+        std::size_t saved = 0;
+        ASSERT_TRUE(coordinator.flushCache(&saved));
+        EXPECT_EQ(saved, 3u);
+        ASSERT_TRUE(coordinator.flushProofCache(&saved));
+        EXPECT_EQ(saved, 1u);
+    }
+    const auto loaded =
+        CacheStore::load(cacheFile.path(), persistFingerprint(opt));
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
     ASSERT_EQ(loaded.entries.size(), 3u);
     for (const auto& e : loaded.entries) {
         if (e.key == key("sig-A")) {
-            EXPECT_EQ(e.result->qor.area, 200.0) << "newest entry must win";
+            EXPECT_EQ(e.result->qor.area, 100.0) << "the first bundle wins";
         }
     }
+    const auto proofs =
+        ProofStore::load(proofFile.path(), proofFingerprint(opt));
+    ASSERT_TRUE(proofs.ok()) << proofs.detail;
+    ASSERT_EQ(proofs.entries.size(), 1u);
+    EXPECT_EQ(proofs.entries[0].entry.conflicts, 5u);
 }
 
 // End-to-end flavor with real engines standing in for two workers: both
 // compute majority7 (overlapping canonical key), each contributes a
-// private job, and the merged adoption + flush must yield exactly three
-// entries in a clean store.
-TEST(PersistShardMerge, TwoEngineDeltasAdoptAndFlushClean) {
+// private job, and adopting both bundles then flushing must yield
+// exactly three entries, each named by the index, in a clean store.
+TEST(PersistShardMerge, TwoEngineRecordsAdoptAndFlushClean) {
     TempFile file("twoengines");
-    const auto deltaFor = [](std::initializer_list<const char*> names) {
+    const auto recordsFor = [](std::initializer_list<const char*> names) {
         Engine engine{EngineOptions{}};
         for (const char* name : names) {
             JobSpec s;
             s.benchmark = name;
             EXPECT_TRUE(engine.runJob(s).ok);
         }
-        return engine.cacheDelta();
+        return engine.takeStoreRecords();
     };
-    auto deltas = deltaFor({"majority7", "counter8"});
-    const auto second = deltaFor({"majority7", "adder8"});
-    deltas.insert(deltas.end(), second.begin(), second.end());
-    const auto merged = engine::shard::mergeCacheDeltas(std::move(deltas));
-    ASSERT_EQ(merged.size(), 3u);
+    auto first = recordsFor({"majority7", "counter8"});
+    auto second = recordsFor({"majority7", "adder8"});
+    EXPECT_EQ(first.entries.size(), 2u);
+    EXPECT_EQ(first.index.size(), 2u);
 
     EngineOptions opt;
     opt.cacheFile = file.path();
     Engine coordinator(opt);
-    EXPECT_EQ(coordinator.adoptCacheDeltas(merged), 3u);
+    coordinator.adoptStoreRecords(std::move(first));
+    coordinator.adoptStoreRecords(std::move(second));
     std::size_t saved = 0;
     ASSERT_TRUE(coordinator.flushCache(&saved));
     EXPECT_EQ(saved, 3u);
@@ -977,16 +1020,20 @@ TEST(PersistShardMerge, TwoEngineDeltasAdoptAndFlushClean) {
         CacheStore::load(file.path(), persistFingerprint(opt));
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
     EXPECT_EQ(loaded.entries.size(), 3u);
+    EXPECT_EQ(loaded.index.size(), 3u);
 }
 
-// The worker-side delta must exclude entries the engine was warm-started
-// with: N read-only workers re-shipping the shared store back to the
+// A worker's records exclude everything it was warm-started with — N
+// read-only workers re-shipping the shared stores back to the
 // coordinator would be pure pipe waste (and a subtle way to resurrect
-// stale entries).
-TEST(PersistShardMerge, CacheDeltaExcludesWarmStartedEntries) {
-    TempFile file("deltalocal");
+// stale entries) — and each record is handed out once.
+TEST(PersistShardMerge, StoreRecordsExcludeWarmStartedRecords) {
+    TempFile cacheFile("deltalocal");
+    TempFile proofFile("deltalocal_proof");
     EngineOptions opt;
-    opt.cacheFile = file.path();
+    opt.cacheFile = cacheFile.path();
+    opt.proofCacheFile = proofFile.path();
+    opt.verifyThreads = 1;
     std::string warmKey;
     {
         Engine engine(opt);
@@ -994,9 +1041,16 @@ TEST(PersistShardMerge, CacheDeltaExcludesWarmStartedEntries) {
         s.benchmark = "majority7";
         warmKey = engine.runJob(s).cacheKey;
         ASSERT_TRUE(engine.flushCache());
+        ASSERT_TRUE(engine.flushProofCache());
     }
+    const auto warmProofs =
+        ProofStore::load(proofFile.path(), proofFingerprint(opt));
+    ASSERT_TRUE(warmProofs.ok()) << warmProofs.detail;
+    ASSERT_FALSE(warmProofs.entries.empty());
+
     EngineOptions readerOpt = opt;
     readerOpt.cacheReadonly = true;
+    readerOpt.proofCacheReadonly = true;
     Engine reader(readerOpt);
     ASSERT_EQ(reader.persistInfo().loadedEntries, 1u);
     JobSpec warm;
@@ -1005,10 +1059,23 @@ TEST(PersistShardMerge, CacheDeltaExcludesWarmStartedEntries) {
     fresh.benchmark = "counter8";  // computed locally
     ASSERT_TRUE(reader.runJob(warm).ok);
     const auto freshKey = reader.runJob(fresh).cacheKey;
-    const auto delta = reader.cacheDelta();
-    ASSERT_EQ(delta.size(), 1u);
-    EXPECT_EQ(delta[0].key.hex(), freshKey);
-    EXPECT_NE(delta[0].key.hex(), warmKey);
+    const auto records = reader.takeStoreRecords();
+    ASSERT_EQ(records.entries.size(), 1u);
+    EXPECT_EQ(records.entries[0].key.hex(), freshKey);
+    EXPECT_NE(records.entries[0].key.hex(), warmKey);
+    ASSERT_EQ(records.index.size(), 1u);
+    EXPECT_EQ(records.index[0].name.rfind("counter8", 0), 0u)
+        << records.index[0].name;
+    EXPECT_EQ(records.index[0].digest.hex(), freshKey);
+    ASSERT_FALSE(records.proofs.empty());
+    for (const auto& p : records.proofs)
+        for (const auto& w : warmProofs.entries)
+            EXPECT_NE(p.digest, w.digest) << "a warm-started proof shipped";
+
+    const auto again = reader.takeStoreRecords();
+    EXPECT_TRUE(again.entries.empty());
+    EXPECT_TRUE(again.index.empty());
+    EXPECT_TRUE(again.proofs.empty());
 }
 
 // N workers warm-starting read-only from one warm.pdc simultaneously —

@@ -1,5 +1,5 @@
 // Tests for the content-addressed SAT proof cache: the in-memory cache
-// (sat/proof_cache.hpp), the shard-wire proof-entry codec, and the
+// (sat/proof_cache.hpp), proof provenance on the shard wire, and the
 // engine-level warm-start/replay/taint/concurrent-flush behavior — the
 // pd-proof-v1 store contract itself runs in persist_test's
 // StoreContract suite — including the
@@ -117,15 +117,17 @@ TEST(ProofCache, RestoreAdoptsButLiveEntriesWin) {
     EXPECT_EQ(cache.lookup(2)->conflicts, sampleEntry(2).conflicts);
 }
 
-TEST(ProofCache, LocalOnlySnapshotExcludesRestoredEntries) {
-    // The shard-worker drain: only proofs this process minted ship back;
-    // the coordinator already has everything the worker warm-started on.
+TEST(ProofCache, TakeFreshExcludesRestoredEntries) {
+    // The shard-worker answer: only proofs this process minted ship back,
+    // each once; the coordinator already has everything the worker
+    // warm-started on.
     ProofCache cache;
     ASSERT_EQ(cache.restore({{10, sampleEntry(10)}}), 1u);
     ASSERT_TRUE(cache.insert(20, sampleEntry(20)));
-    const auto local = cache.snapshot(/*localOnly=*/true);
-    ASSERT_EQ(local.size(), 1u);
-    EXPECT_EQ(local[0].digest, 20u);
+    const auto fresh = cache.takeFresh();
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_EQ(fresh[0].digest, 20u);
+    EXPECT_TRUE(cache.takeFresh().empty());
     EXPECT_EQ(cache.snapshot().size(), 2u);
 }
 
@@ -228,36 +230,15 @@ TEST(ProofCacheEquiv, SatVerdictsAreNeverPublished) {
 
 // ---- shard wire -------------------------------------------------------------
 
-TEST(ProofWire, ProofEntryRoundTrips) {
-    ProofCache::SnapshotEntry e;
-    e.digest = 0xdeadbeefcafef00dull;
-    e.entry.conflicts = 17;
-    e.entry.propagations = 512;
-    e.entry.restarts = 2;
-    e.entry.learned = 9;
-    e.entry.winner = -1;  // biased encoding must survive budget-exhausted too
-    const std::string payload = engine::shard::encodeProofEntry(e);
-    EXPECT_EQ(payload.size(), engine::persist::kProofBodyBytes);
-    const auto back = engine::shard::decodeProofEntry(payload);
-    EXPECT_EQ(back.digest, e.digest);
-    EXPECT_EQ(back.entry.conflicts, e.entry.conflicts);
-    EXPECT_EQ(back.entry.propagations, e.entry.propagations);
-    EXPECT_EQ(back.entry.restarts, e.entry.restarts);
-    EXPECT_EQ(back.entry.learned, e.entry.learned);
-    EXPECT_EQ(back.entry.winner, e.entry.winner);
-    EXPECT_THROW((void)engine::shard::decodeProofEntry(payload + "x"),
-                 pd::Error);
-}
-
 TEST(ProofWire, ResultCarriesProofSourceOutsideTheSemanticPayload) {
     engine::JobResult r;
     r.name = "j";
     r.ok = true;
     r.satVerify.ran = true;
     r.satVerify.proofSource = engine::JobResult::SatVerify::ProofSource::kCache;
-    auto [index, back] =
-        engine::shard::decodeResult(engine::shard::encodeResult(3, r));
-    EXPECT_EQ(index, 3u);
+    auto [back, records] =
+        engine::shard::decodeResult(engine::shard::encodeResult(r, {}));
+    EXPECT_TRUE(records.proofs.empty());
     EXPECT_EQ(back.satVerify.proofSource,
               engine::JobResult::SatVerify::ProofSource::kCache);
 }

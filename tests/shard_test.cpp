@@ -6,16 +6,19 @@
 // liveness (beating workers survive, silent ones die at the deadline
 // and their jobs retry elsewhere), crash isolation (respawn, retry
 // budgets, clean per-job failure, cache completeness), wall-budget
-// kills, worker-pool collapse → in-process fallback, spawn failure
-// accounting, drain timeouts, graceful shutdown, and the pd_cli batch
+// kills, a worker answering one job twice (a wire poison), worker-pool
+// collapse → in-process fallback, spawn failure accounting, drain
+// timeouts, graceful shutdown, and the pd_cli batch
 // exit-code contract. Everything that can go wrong in a worker
 // must cost at most its own job — never the batch, the report, or the
 // store.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -145,14 +148,39 @@ void expectSameNetlist(const netlist::Netlist& a, const netlist::Netlist& b) {
     }
 }
 
+/// A result payload carrying one record of each kind: a cache entry with
+/// a small netlist, a name-index entry and a SAT proof.
+[[nodiscard]] std::string recordsResultPayload() {
+    JobResult value;
+    value.ok = true;
+    value.blocks = 2;
+    netlist::Netlist nl;
+    const auto a = nl.addInput("a");
+    const auto b = nl.addInput("b");
+    nl.markOutput("y", nl.addGate(netlist::GateType::kXor, a, b));
+    value.mapped = std::move(nl);
+    StoreRecords records;
+    records.entries.push_back({util::digestOf("key"),
+                               std::make_shared<const JobResult>(value)});
+    records.index.push_back({"xor2|k4", 5, util::digestOf("key")});
+    sat::ProofCache::SnapshotEntry proof;
+    proof.digest = 0x5eed;
+    proof.entry.conflicts = 3;
+    records.proofs.push_back(proof);
+    JobResult r;
+    r.name = "xor2";
+    r.ok = true;
+    r.cacheKey = util::digestOf("key").hex();
+    return encodeResult(r, records);
+}
+
 // ---- framing codec ---------------------------------------------------------
 
 TEST(ShardProtocol, FrameRoundTripInArbitraryChunks) {
     std::string stream;
     appendFrame(stream, FrameType::kHello, encodeHello({kProtocolVersion, 7}));
     appendFrame(stream, FrameType::kShutdown, "");
-    appendFrame(stream, FrameType::kCacheEntry,
-                encodeCacheDelta({util::digestOf("key"), "payload-bytes", 42}));
+    appendFrame(stream, FrameType::kResult, recordsResultPayload());
 
     // Byte-at-a-time feeding must yield exactly the three frames.
     FrameDecoder d;
@@ -169,10 +197,16 @@ TEST(ShardProtocol, FrameRoundTripInArbitraryChunks) {
     EXPECT_EQ(h.shardId, 7u);
     EXPECT_EQ(frames[1].type, FrameType::kShutdown);
     EXPECT_TRUE(frames[1].payload.empty());
-    const CacheDelta delta = decodeCacheDelta(frames[2].payload);
-    EXPECT_EQ(delta.key, util::digestOf("key"));
-    EXPECT_EQ(delta.payload, "payload-bytes");
-    EXPECT_EQ(delta.stamp, 42u);
+    EXPECT_EQ(frames[2].type, FrameType::kResult);
+    const auto [result, records] = decodeResult(frames[2].payload);
+    EXPECT_EQ(result.name, "xor2");
+    ASSERT_EQ(records.entries.size(), 1u);
+    EXPECT_EQ(records.entries[0].key, util::digestOf("key"));
+    EXPECT_EQ(records.entries[0].value->mapped.outputs().size(), 1u);
+    ASSERT_EQ(records.index.size(), 1u);
+    EXPECT_EQ(records.index[0].name, "xor2|k4");
+    ASSERT_EQ(records.proofs.size(), 1u);
+    EXPECT_EQ(records.proofs[0].digest, 0x5eedu);
 }
 
 TEST(ShardProtocol, JobSpecRoundTrip) {
@@ -192,8 +226,7 @@ TEST(ShardProtocol, JobSpecRoundTrip) {
     spec.verify = false;
     spec.keepMapped = true;
 
-    auto [index, back] = decodeJob(encodeJob(31, spec));
-    EXPECT_EQ(index, 31u);
+    const JobSpec back = decodeJob(encodeJob(spec));
     EXPECT_EQ(back.name, spec.name);
     EXPECT_EQ(back.benchmark, spec.benchmark);
     EXPECT_EQ(back.expressions, spec.expressions);
@@ -221,7 +254,7 @@ TEST(ShardProtocol, BenchPointerSpecRefusesTheWire) {
     JobSpec spec;
     spec.bench = std::make_shared<const circuits::Benchmark>();
     EXPECT_FALSE(wireSerializable(spec));
-    EXPECT_THROW((void)encodeJob(0, spec), pd::Error);
+    EXPECT_THROW((void)encodeJob(spec), pd::Error);
 }
 
 TEST(ShardProtocol, ResultRoundTrip) {
@@ -252,8 +285,7 @@ TEST(ShardProtocol, ResultRoundTrip) {
     r.cacheSource = CacheSource::kDisk;
     r.cacheKey = util::digestOf("job").hex();
 
-    auto [index, back] = decodeResult(encodeResult(9, r));
-    EXPECT_EQ(index, 9u);
+    auto [back, records] = decodeResult(encodeResult(r, {}));
     expectSameSemantics(r, back);
     EXPECT_EQ(back.wallMs, r.wallMs);
     EXPECT_EQ(back.cpuMs, r.cpuMs);
@@ -264,24 +296,14 @@ TEST(ShardProtocol, ResultRoundTrip) {
     EXPECT_EQ(back.phases.verifyMs, r.phases.verifyMs);
     EXPECT_EQ(back.cacheHit, r.cacheHit);
     EXPECT_EQ(back.cacheSource, r.cacheSource);
-}
-
-TEST(ShardProtocol, IndexDeltaRoundTrip) {
-    const JobIndex::Entry e{"adder8|k4|d3", 0x0123456789abcdefull,
-                            util::digestOf("adder8")};
-    const std::string payload = encodeIndexDelta(e);
-    const JobIndex::Entry back = decodeIndexDelta(payload);
-    EXPECT_EQ(back.name, e.name);
-    EXPECT_EQ(back.stamp, e.stamp);
-    EXPECT_EQ(back.digest, e.digest);
-    EXPECT_THROW((void)decodeIndexDelta(payload + "x"), pd::Error);
-    EXPECT_THROW((void)decodeIndexDelta(payload.substr(0, 10)), pd::Error);
+    EXPECT_TRUE(records.entries.empty());
+    EXPECT_TRUE(records.index.empty());
+    EXPECT_TRUE(records.proofs.empty());
 }
 
 TEST(ShardProtocol, TruncationIsIncompleteNotAnError) {
     std::string stream;
-    appendFrame(stream, FrameType::kCacheEntry,
-                encodeCacheDelta({util::digestOf("k"), "v", 1}));
+    appendFrame(stream, FrameType::kResult, recordsResultPayload());
     // Every proper prefix must park the decoder (nullopt), never throw:
     // a pipe delivers frames in arbitrary cuts.
     for (std::size_t keep = 0; keep < stream.size(); ++keep) {
@@ -301,6 +323,23 @@ TEST(ShardProtocol, MalformedHeadersThrow) {
         // garbage.
         EXPECT_THROW((void)d.next(), pd::Error);
     }
+    // The per-record types v8 retired (cache, proof, index entries) are
+    // unknown too, even in an otherwise well-formed frame.
+    for (const std::uint8_t retired : {5, 8, 10}) {
+        std::string stream;
+        appendFrame(stream, static_cast<FrameType>(retired), "record");
+        FrameDecoder d;
+        d.feed(stream);
+        try {
+            (void)d.next();
+            ADD_FAILURE() << "type " << int{retired} << " decoded";
+        } catch (const pd::Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown frame type " +
+                                                 std::to_string(retired)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     // Length above the protocol limit must throw immediately — not wait
     // for (or allocate) a gigabyte body.
     {
@@ -315,8 +354,7 @@ TEST(ShardProtocol, MalformedHeadersThrow) {
     // Flipped payload byte: checksum must catch it.
     {
         std::string stream;
-        appendFrame(stream, FrameType::kCacheEntry,
-                    encodeCacheDelta({util::digestOf("key"), "value", 3}));
+        appendFrame(stream, FrameType::kResult, recordsResultPayload());
         stream[7] = static_cast<char>(stream[7] ^ 0x10);
         FrameDecoder d;
         d.feed(stream);
@@ -345,8 +383,7 @@ TEST(ShardProtocol, PoisonDetailNamesFrameAndOffset) {
     std::string stream;
     appendFrame(stream, FrameType::kHello, encodeHello({kProtocolVersion, 0}));
     const std::size_t firstFrameBytes = stream.size();
-    appendFrame(stream, FrameType::kCacheEntry,
-                encodeCacheDelta({util::digestOf("key"), "value", 3}));
+    appendFrame(stream, FrameType::kResult, recordsResultPayload());
     stream[firstFrameBytes + 7] =
         static_cast<char>(stream[firstFrameBytes + 7] ^ 0x10);
     FrameDecoder d;
@@ -366,29 +403,31 @@ TEST(ShardProtocol, PoisonDetailNamesFrameAndOffset) {
     EXPECT_TRUE(d.poisoned());
 }
 
-/// Property test: random frame streams round-trip; any single-byte
-/// mutation either still decodes (frames before the damage), parks, or
-/// throws pd::Error — never UB (ASan/UBSan legs enforce the "never").
+/// Property test: random frame streams — each ending in a
+/// records-carrying kResult — round-trip; any single-bit mutation either
+/// still decodes (frames before the damage, whose results decode too),
+/// parks, or throws pd::Error — never UB (ASan/UBSan legs enforce the
+/// "never").
 TEST(ShardProtocol, FuzzMutatedStreamsNeverMisbehave) {
     std::uint64_t rng = 0x243f6a8885a308d3ull;
     const auto rnd = [&rng](std::uint64_t bound) {
         rng = rng * 6364136223846793005ull + 1442695040888963407ull;
         return (rng >> 33) % bound;
     };
-    const FrameType types[] = {FrameType::kHello,      FrameType::kJob,
-                               FrameType::kResult,     FrameType::kShutdown,
-                               FrameType::kCacheEntry, FrameType::kBye,
-                               FrameType::kObs,        FrameType::kProofEntry,
-                               FrameType::kHeartbeat,  FrameType::kIndexEntry};
+    const FrameType types[] = {FrameType::kHello,    FrameType::kJob,
+                               FrameType::kShutdown, FrameType::kBye,
+                               FrameType::kObs,      FrameType::kHeartbeat};
     constexpr std::size_t kTypeCount = sizeof(types) / sizeof(types[0]);
+    const std::string resultPayload = recordsResultPayload();
     for (int round = 0; round < 8; ++round) {
         std::string stream;
         const std::size_t frames = 1 + rnd(4);
-        for (std::size_t f = 0; f < frames; ++f) {
+        for (std::size_t f = 1; f < frames; ++f) {
             std::string payload(rnd(40), '\0');
             for (auto& c : payload) c = static_cast<char>(rnd(256));
             appendFrame(stream, types[rnd(kTypeCount)], payload);
         }
+        appendFrame(stream, FrameType::kResult, resultPayload);
         {  // clean stream decodes completely
             FrameDecoder d;
             d.feed(stream);
@@ -403,35 +442,24 @@ TEST(ShardProtocol, FuzzMutatedStreamsNeverMisbehave) {
             FrameDecoder d;
             d.feed(bad);
             try {
-                while (d.next()) {
-                }
+                while (auto f = d.next())
+                    if (f->type == FrameType::kResult)
+                        (void)decodeResult(f->payload);
             } catch (const pd::Error&) {
                 // detected damage: exactly what the protocol promises
             }
         }
     }
-}
-
-// ---- newest-wins delta merge ----------------------------------------------
-
-TEST(ShardMerge, NewestLruStampWinsAndTiesGoToTheLaterDelta) {
-    std::vector<CacheDelta> deltas = {
-        {util::digestOf("a"), "a-from-w0", 5},
-        {util::digestOf("b"), "b-from-w0", 9},
-        {util::digestOf("a"), "a-from-w1", 7},   // newer stamp: wins
-        {util::digestOf("b"), "b-from-w1", 2},   // older stamp: loses
-        {util::digestOf("c"), "c-from-w1", 1},
-        {util::digestOf("a"), "a-from-w2", 7},   // tie: later delta wins
-    };
-    const auto merged = mergeCacheDeltas(std::move(deltas));
-    ASSERT_EQ(merged.size(), 3u);
-    // First-seen key order is preserved.
-    EXPECT_EQ(merged[0].key, util::digestOf("a"));
-    EXPECT_EQ(merged[0].payload, "a-from-w2");
-    EXPECT_EQ(merged[1].key, util::digestOf("b"));
-    EXPECT_EQ(merged[1].payload, "b-from-w0");
-    EXPECT_EQ(merged[2].key, util::digestOf("c"));
-    EXPECT_EQ(merged[2].payload, "c-from-w1");
+    // The checksum shields decodeResult from the flips above, so flip the
+    // payload itself too: every damaged result decodes or throws.
+    for (std::size_t pos = 0; pos < resultPayload.size(); ++pos) {
+        std::string bad = resultPayload;
+        bad[pos] = static_cast<char>(bad[pos] ^ (1u << rnd(8)));
+        try {
+            (void)decodeResult(bad);
+        } catch (const pd::Error&) {
+        }
+    }
 }
 
 // ---- worker argv codec -----------------------------------------------------
@@ -523,7 +551,11 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
 
 TEST(ShardEngine, ShardedBatchesMatchInProcessAcross124) {
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
-    const auto specs = lightSpecs();
+    auto specs = lightSpecs();
+    // An unnamed job reports as "job<its batch index>" on either path.
+    JobSpec unnamed;
+    unnamed.expressions = {"x=a ^ b*c"};
+    specs.push_back(std::move(unnamed));
     const auto reference = Engine(shardOptions(0)).runBatch(specs);
     for (const auto& r : reference) ASSERT_TRUE(r.ok) << r.error;
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
@@ -946,6 +978,72 @@ TEST(ShardEngine, CrashWithSingleWorkerStillRespawnsAndCompletes) {
         else
             EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
     }
+}
+
+// A worker that answers its first job twice. The wire names no job, so
+// a result can only answer the job in flight on its slot, and after the
+// first answer there is none: the second is a protocol violation — a
+// counted wire poison and a killed worker, never a crash or a result
+// filed under another job. The fake worker is a shell script replaying
+// frames built by the protocol's own encoders; every later spawn execs
+// the real worker.
+TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    JobSpec majority;
+    majority.benchmark = "majority7";
+    const JobResult answer = Engine{}.runJob(majority);
+    ASSERT_TRUE(answer.ok) << answer.error;
+
+    TempFile hello("fake_hello");
+    TempFile results("fake_results");
+    TempFile marker("fake_marker");
+    TempFile script("fake_worker");
+    {
+        std::string bytes;
+        appendFrame(bytes, FrameType::kHello,
+                    encodeHello({kProtocolVersion, 0}));
+        std::ofstream(hello.path(), std::ios::binary) << bytes;
+        bytes.clear();
+        appendFrame(bytes, FrameType::kResult, encodeResult(answer, {}));
+        appendFrame(bytes, FrameType::kResult, encodeResult(answer, {}));
+        // One write below PIPE_BUF is atomic: the coordinator reads both
+        // answers together, before it can hand the slot another job.
+        ASSERT_LT(bytes.size(), std::size_t{PIPE_BUF});
+        std::ofstream(results.path(), std::ios::binary) << bytes;
+    }
+    std::ofstream(script.path())
+        << "#!/bin/sh\n"
+        << "if [ -e '" << marker.path() << "' ]; then exec '" << workerExe()
+        << "' \"$@\"; fi\n"
+        << ": > '" << marker.path() << "'\n"
+        << "cat '" << hello.path() << "'\n"
+        << "head -c 1 > /dev/null\n"  // the first job frame has arrived
+        << "cat '" << results.path() << "'\n"
+        << "exec cat > /dev/null\n";
+    ASSERT_EQ(::chmod(script.path().c_str(), 0755), 0);
+
+    EngineOptions opt = shardOptions(1);
+    opt.shardWorkerExe = script.path();
+    opt.shardHeartbeatMs = 0;
+    Engine engine(opt);
+    std::vector<JobSpec> specs(2);
+    specs[0].benchmark = "majority7";
+    specs[1].benchmark = "counter8";
+    const auto got = engine.runBatch(specs);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_GE(engine.resilience().wirePoisons, 1u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].name, specs[i].benchmark);
+        if (!got[i].ok) {
+            EXPECT_NE(got[i].error.find("no job in flight"),
+                      std::string::npos)
+                << got[i].error;
+        }
+    }
+    EXPECT_TRUE(got[0].ok) << got[0].error;
+    expectSameSemantics(answer, got[0]);
+    EXPECT_TRUE(got[1].ok) << got[1].error;
+    EXPECT_GE(got[1].shard, 0) << "counter8 ran on the respawned worker";
 }
 
 TEST(ShardEngine, WallBudgetKillsHangingWorkers) {

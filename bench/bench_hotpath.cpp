@@ -1,15 +1,17 @@
 // Hot-path kernel microbench: the three operations the decomposition
 // loop lives in — ANF products, null-space sum-membership solves, and
 // findBasis pair merging — each measured in the reference (sorted-vector
-// Anf) domain and the indexed (bitset-over-ids) domain, plus an
-// end-to-end decompose. Results go to BENCH_hotpath.json
+// Anf) domain and the indexed (bitset-over-ids) domain, plus spec
+// expansion (every default registry ANF builder, summed, best of 3) and
+// an end-to-end decompose. Results go to BENCH_hotpath.json
 // ("pd-bench-hotpath-v1"):
 //
 //   {
 //     "schema": "pd-bench-hotpath-v1",
 //     "metrics": {              // tracked by the CI perf smoke gate
 //       "product_indexed_us": f, "member_indexed_us": f,
-//       "findbasis_us": f, "decompose_majority15_ms": f
+//       "findbasis_us": f, "decompose_majority15_ms": f,
+//       "spec_expand_ms": f
 //     },
 //     "reference": {"product_ref_us": f, "member_ref_us": f},
 //     "speedups": {"product": f, "member": f}
@@ -28,6 +30,7 @@
 // breakdowns. The "speedups" ratio is measured within one run, so it is
 // machine-independent; check_hotpath.py gates both documents with the
 // same policy.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -171,6 +174,21 @@ int main(int argc, char** argv) {
         sink += res.pairs.size();
     });
 
+    // ---- Spec expansion: the default batch's Reed-Muller builders. -------
+    double specExpandMs = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+        double totalMs = 0.0;
+        for (const auto& name : pd::circuits::benchmarkNames(false)) {
+            const auto spec = pd::circuits::makeNamedBenchmark(name);
+            totalMs += timeUs(1, [&](std::size_t) {
+                           pd::anf::VarTable tbl;
+                           sink += spec->anf(tbl).size();
+                       }) /
+                       1000.0;
+        }
+        specExpandMs = std::min(specExpandMs, totalMs);
+    }
+
     // ---- End to end: majority15 decompose under default options. -------
     const double decomposeMs = timeUs(3, [&](std::size_t) {
                                    pd::anf::VarTable tbl;
@@ -245,6 +263,8 @@ int main(int argc, char** argv) {
               << memberIndexedUs << " us (" << memberRefUs / memberIndexedUs
               << "x)\n"
               << "findBasis merge:  " << findBasisUs << " us\n"
+              << "spec expansion (default batch): " << specExpandMs
+              << " ms\n"
               << "decompose majority15: " << decomposeMs << " ms\n"
               << "probe sweep (majority15 workload): incremental "
               << probeSweepMs << " ms, reference " << probeSweepRefMs
@@ -266,6 +286,7 @@ int main(int argc, char** argv) {
     w.field("member_indexed_us", memberIndexedUs);
     w.field("findbasis_us", findBasisUs);
     w.field("decompose_majority15_ms", decomposeMs);
+    w.field("spec_expand_ms", specExpandMs);
     w.endObject();
     w.key("reference").beginObject();
     w.field("product_ref_us", productRefUs);

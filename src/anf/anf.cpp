@@ -86,13 +86,58 @@ Anf& Anf::operator^=(const Anf& rhs) {
     return *this;
 }
 
+namespace {
+
+/// Past this many terms in the smaller operand, a product builds the
+/// cross product and sorts once: every term of the smaller operand costs
+/// the merge path another pass over the growing sum, so the merges stop
+/// paying off around this size. Specs, rewrites and folds multiply by
+/// operands of a few terms.
+constexpr std::size_t kMergeProductMaxTerms = 16;
+
+/// x·P for a canonical P. Terms lacking x gain bit x: every degree grows
+/// by one and every word order is kept, so they stay sorted among
+/// themselves. Terms holding x are unchanged. The product is therefore
+/// one merge of two sorted runs, equal terms cancelling mod 2.
+Anf timesVar(const Anf& p, Var x) {
+    std::vector<Monomial> gained;
+    std::vector<Monomial> kept;
+    for (Monomial t : p.terms()) {
+        if (t.contains(x)) {
+            kept.push_back(t);
+        } else {
+            t.insert(x);
+            gained.push_back(t);
+        }
+    }
+    Anf r = Anf::fromCanonicalTerms(std::move(gained));
+    r ^= Anf::fromCanonicalTerms(std::move(kept));
+    return r;
+}
+
+}  // namespace
+
 Anf operator*(const Anf& a, const Anf& b) {
     if (a.isZero() || b.isZero()) return Anf::zero();
-    std::vector<Monomial> prods;
-    prods.reserve(a.terms_.size() * b.terms_.size());
-    for (const auto& ta : a.terms_)
-        for (const auto& tb : b.terms_) prods.push_back(ta * tb);
-    return Anf::fromTerms(std::move(prods));
+    const bool aSmaller = a.termCount() <= b.termCount();
+    const Anf& small = aSmaller ? a : b;
+    const Anf& big = aSmaller ? b : a;
+    if (small.termCount() > kMergeProductMaxTerms) {
+        std::vector<Monomial> prods;
+        prods.reserve(a.terms_.size() * b.terms_.size());
+        for (const auto& ta : a.terms_)
+            for (const auto& tb : b.terms_) prods.push_back(ta * tb);
+        return Anf::fromTerms(std::move(prods));
+    }
+    // Distribute over the small operand: each term is a chain of
+    // variable merges, XOR-merged into the sum.
+    Anf sum;
+    for (const auto& t : small.terms_) {
+        Anf part = big;
+        t.forEachVar([&](Var x) { part = timesVar(part, x); });
+        sum ^= part;
+    }
+    return sum;
 }
 
 bool Anf::evaluate(const Assignment& trueVars) const {

@@ -1,7 +1,12 @@
 // Canonical Reed-Muller (ANF / XOR-of-products) expressions.
 //
 // An Anf holds a sorted, duplicate-free vector of monomials; XOR is a
-// merge with mod-2 cancellation and AND is an idempotent cross product.
+// merge with mod-2 cancellation. AND needs no sort either when one side
+// is small: multiplying a canonical P by a variable x keeps P's order
+// (terms lacking x all gain the same bit, terms holding x stay put), so
+// x·P is one merge of two sorted runs, a monomial is a chain of such
+// merges, and a small operand's terms XOR-merge their products. Only a
+// product of two big operands builds the cross product and sorts once.
 // Canonicity is the property the paper leans on (§4): the Reed-Muller form
 // of an expression is unique, so equality, zero-tests, and identity
 // checking reduce to comparisons — the algorithm's output is independent
@@ -110,7 +115,7 @@ public:
         return r;
     }
 
-    /// AND — multiplication in the Boolean ring.
+    /// AND — multiplication in the Boolean ring (merge kernel above).
     friend Anf operator*(const Anf& a, const Anf& b);
     Anf& operator*=(const Anf& rhs) {
         *this = *this * rhs;
@@ -130,7 +135,6 @@ public:
     [[nodiscard]] std::size_t hash() const;
 
 private:
-    friend class AnfBuilder;
     std::vector<Monomial> terms_;  ///< sorted ascending, unique
 };
 

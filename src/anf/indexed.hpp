@@ -9,9 +9,14 @@
 // flipping a bit twice clears it. All operations that need monomial
 // identity go through the owning indexer, which callers pass explicitly;
 // an IndexedAnf is meaningless without the indexer that minted its ids.
-// Anf stays the boundary/reference type: conversions are explicit and
-// lossless, and every operation here is differentially tested against the
-// Anf implementation (tests/anf_index_test.cpp).
+// The pair pipeline stays in this form end to end: findBasis merges,
+// linear minimization and probe scoring all run on IndexedAnf sides, and
+// a probe decodes its basis only when it can still win its sweep. Anf is
+// the canonical interchange form (digests, stores, printing) and the
+// spec-building type, with its own sort-free product kernel (anf.hpp).
+// Conversions are explicit and lossless, and every operation here is
+// differentially tested against the Anf implementation
+// (tests/anf_index_test.cpp).
 #pragma once
 
 #include <unordered_map>
@@ -44,6 +49,16 @@ public:
     [[nodiscard]] bool isZero() const { return bits_.isZero(); }
 
     [[nodiscard]] std::size_t termCount() const { return bits_.popcount(); }
+
+    /// Total variable occurrences (Anf::literalCount), from the indexer's
+    /// cached degrees.
+    [[nodiscard]] std::size_t literalCount(const MonomialIndexer& ix) const {
+        std::size_t n = 0;
+        bits_.forEachSetBit([&](std::size_t i) {
+            n += ix.degreeOf(static_cast<MonomialIndexer::Id>(i));
+        });
+        return n;
+    }
 
     /// Term ids in ascending id order (not monomial order).
     [[nodiscard]] std::vector<MonomialIndexer::Id> termIds() const {

@@ -56,10 +56,14 @@ public:
     /// monomials themselves, but compares cached degrees first and moves
     /// 4-byte ids instead of 32-byte masks.
     void sortIdsCanonical(std::vector<Id>& ids) const {
-        std::sort(ids.begin(), ids.end(), [&](Id a, Id b) {
-            if (degree_[a] != degree_[b]) return degree_[a] < degree_[b];
-            return order_[a].wordsLess(order_[b]);
-        });
+        std::sort(ids.begin(), ids.end(),
+                  [&](Id a, Id b) { return canonicalLess(a, b); });
+    }
+
+    /// Canonical monomial order on two columns.
+    [[nodiscard]] bool canonicalLess(Id a, Id b) const {
+        if (degree_[a] != degree_[b]) return degree_[a] < degree_[b];
+        return order_[a].wordsLess(order_[b]);
     }
 
     /// Expression from term ids (any order, assumed distinct).
@@ -103,15 +107,6 @@ public:
         gf2::BitVec v(index_.size());
         for (const auto& t : e.terms()) v.set(index_.at(t));
         return v;
-    }
-
-    /// Reconstructs the expression selected by the set bits of `v`.
-    [[nodiscard]] Anf toAnf(const gf2::BitVec& v) const {
-        std::vector<Monomial> terms;
-        v.forEachSetBit([&](std::size_t i) {
-            if (i < order_.size()) terms.push_back(order_[i]);
-        });
-        return Anf::fromTerms(std::move(terms));
     }
 
     [[nodiscard]] std::size_t size() const { return index_.size(); }

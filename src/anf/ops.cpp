@@ -19,20 +19,31 @@ Anf substitute(const Anf& e, const std::unordered_map<Var, Anf>& map) {
     return indexedSubstitute(ix, IndexedAnf::fromAnf(ix, e), imap).toAnf(ix);
 }
 
-Anf cofactor(const Anf& e, Var v, bool value) {
+namespace {
+
+/// The terms of `e` holding `v`, with `v` erased. Erasing one variable
+/// from every term keeps their order, so the result is canonical as is.
+Anf quotientBy(const Anf& e, Var v) {
     std::vector<Monomial> terms;
-    terms.reserve(e.termCount());
     for (const auto& t : e.terms()) {
-        if (!t.contains(v)) {
-            terms.push_back(t);
-        } else if (value) {
-            Monomial m = t;
-            m.erase(v);
-            terms.push_back(m);
-        }
-        // v = 0 kills monomials containing v.
+        if (!t.contains(v)) continue;
+        Monomial m = t;
+        m.erase(v);
+        terms.push_back(m);
     }
-    return Anf::fromTerms(std::move(terms));
+    return Anf::fromCanonicalTerms(std::move(terms));
+}
+
+}  // namespace
+
+Anf cofactor(const Anf& e, Var v, bool value) {
+    // e = v·Q ⊕ R with Q, R free of v: e[v=0] = R, e[v=1] = Q ⊕ R.
+    std::vector<Monomial> rest;
+    for (const auto& t : e.terms())
+        if (!t.contains(v)) rest.push_back(t);
+    Anf r = Anf::fromCanonicalTerms(std::move(rest));
+    if (value) r ^= quotientBy(e, v);
+    return r;
 }
 
 Anf xorAll(std::span<const Anf> list) {
@@ -57,8 +68,6 @@ GroupSplit splitByGroup(const Anf& e, const VarSet& mask) {
     return out;
 }
 
-Anf derivative(const Anf& e, Var v) {
-    return cofactor(e, v, true) ^ cofactor(e, v, false);
-}
+Anf derivative(const Anf& e, Var v) { return quotientBy(e, v); }
 
 }  // namespace pd::anf

@@ -96,21 +96,6 @@ bool mergeByFirst(PairList& pairs, MergeContext& ctx) {
 // equality/zero test agrees.
 // ---------------------------------------------------------------------------
 
-struct IPair {
-    anf::IndexedAnf first;   ///< over group variables
-    anf::IndexedAnf second;  ///< over non-group variables (may have tags)
-    ring::NullSpaceRing ns;  ///< known subring of N(first)
-    std::uint32_t id = 0;    ///< content-version id (see BPair::id)
-};
-
-using IPairList = std::vector<IPair>;
-
-void iDropNull(IPairList& pairs) {
-    std::erase_if(pairs, [](const IPair& p) {
-        return p.first.isZero() || p.second.isZero();
-    });
-}
-
 bool iMergeBySecond(IPairList& pairs, MergeContext& ctx) {
     std::unordered_map<anf::IndexedAnf, std::vector<std::size_t>,
                        anf::IndexedAnfHash>
@@ -139,7 +124,7 @@ bool iMergeBySecond(IPairList& pairs, MergeContext& ctx) {
         merged.push_back(std::move(acc));
     }
     pairs = std::move(merged);
-    iDropNull(pairs);
+    dropNullPairs(pairs);
     return true;
 }
 
@@ -171,17 +156,8 @@ bool iMergeByFirst(IPairList& pairs, MergeContext& ctx) {
         merged.push_back(std::move(acc));
     }
     pairs = std::move(merged);
-    iDropNull(pairs);
+    dropNullPairs(pairs);
     return true;
-}
-
-void iMergeAlgebraic(IPairList& pairs, MergeContext& ctx) {
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        if (iMergeByFirst(pairs, ctx)) changed = true;
-        if (iMergeBySecond(pairs, ctx)) changed = true;
-    }
 }
 
 bool iMergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
@@ -223,7 +199,7 @@ bool iMergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
             merged.id = ctx.freshId();
             pairs[i] = std::move(merged);
             pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(j));
-            iDropNull(pairs);
+            dropNullPairs(pairs);
             return true;
         }
     }
@@ -240,6 +216,15 @@ void mergeAlgebraic(PairList& pairs, MergeContext& ctx) {
         changed = false;
         if (mergeByFirst(pairs, ctx)) changed = true;
         if (mergeBySecond(pairs, ctx)) changed = true;
+    }
+}
+
+void mergeAlgebraic(IPairList& pairs, MergeContext& ctx) {
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        if (iMergeByFirst(pairs, ctx)) changed = true;
+        if (iMergeBySecond(pairs, ctx)) changed = true;
     }
 }
 
@@ -297,16 +282,17 @@ BasisResult findBasis(const anf::Anf& folded, const anf::VarSet& group,
                       const ring::IdentityDb& ids,
                       const FindBasisOptions& opt) {
     MergeContext ctx;
-    return findBasisWith(ctx, folded, group, ids, opt);
+    return materialize(ctx.membership.indexer,
+                       findBasisIndexed(ctx, folded, group, ids, opt));
 }
 
-BasisResult findBasisWith(MergeContext& ctx, const anf::Anf& folded,
-                          const anf::VarSet& group,
-                          const ring::IdentityDb& ids,
-                          const FindBasisOptions& opt,
-                          const MonomialRingFn& ringOf,
-                          const SplitHints& hints) {
-    BasisResult out;
+IndexedBasis findBasisIndexed(MergeContext& ctx, const anf::Anf& folded,
+                              const anf::VarSet& group,
+                              const ring::IdentityDb& ids,
+                              const FindBasisOptions& opt,
+                              const MonomialRingFn& ringOf,
+                              const SplitHints& hints) {
+    IndexedBasis out;
 
     ctx.resetForRun(opt.mergeAttemptBudget);
     anf::MonomialIndexer& ix = ctx.membership.indexer;
@@ -373,26 +359,32 @@ BasisResult findBasisWith(MergeContext& ctx, const anf::Anf& folded,
         pairs.push_back(std::move(p));
     }
 
-    iMergeAlgebraic(pairs, ctx);
+    mergeAlgebraic(pairs, ctx);
     if (opt.useNullspaceMerging) {
-        while (iMergeNullspace(pairs, opt, ctx)) iMergeAlgebraic(pairs, ctx);
+        while (iMergeNullspace(pairs, opt, ctx)) mergeAlgebraic(pairs, ctx);
     }
 
-    // Materialize to the boundary type for minimize/sizered/rewrite.
-    PairList apairs;
-    apairs.reserve(pairs.size());
-    for (auto& p : pairs) {
-        BPair b;
-        b.first = p.first.toAnf(ix);
-        b.second = p.second.toAnf(ix);
-        b.ns = std::move(p.ns);
-        b.id = p.id;
-        apairs.push_back(std::move(b));
-    }
-    sortPairs(apairs);
-    out.pairs = std::move(apairs);
+    out.pairs = std::move(pairs);
     out.budgetExhausted = ctx.exhausted;
     out.mergeAttempts = ctx.attempts;
+    return out;
+}
+
+BasisResult materialize(const anf::MonomialIndexer& ix, IndexedBasis&& b) {
+    BasisResult out;
+    out.pairs.reserve(b.pairs.size());
+    for (auto& p : b.pairs) {
+        BPair a;
+        a.first = p.first.toAnf(ix);
+        a.second = p.second.toAnf(ix);
+        a.ns = std::move(p.ns);
+        a.id = p.id;
+        out.pairs.push_back(std::move(a));
+    }
+    sortPairs(out.pairs);
+    out.untouched = std::move(b.untouched);
+    out.budgetExhausted = b.budgetExhausted;
+    out.mergeAttempts = b.mergeAttempts;
     return out;
 }
 

@@ -113,32 +113,49 @@ using MonomialRingFn =
 /// those (`touchedTerms`: ascending indices into folded.terms(), exactly
 /// the intersecting ones), and the untouched remainder — whose literal
 /// count the sweep already knows as the candidate's bound — need not be
-/// materialized (`skipUntouched` leaves BasisResult::untouched empty).
+/// materialized (`skipUntouched` leaves `untouched` empty).
 /// Pair results are bit-identical with or without hints.
 struct SplitHints {
     const std::vector<std::uint32_t>* touchedTerms = nullptr;
     bool skipUntouched = false;
 };
 
-/// findBasis over a caller-owned context: the indexer (and the solver
-/// scratch keyed to it) survives across runs, which is what makes a
-/// probe sweep incremental — candidates share interned monomials and
-/// memoized products instead of re-deriving them per probe. The context
-/// is resetForRun() internally, so results are bit-identical to
-/// findBasis() on a fresh context whatever state the indexer carries.
-[[nodiscard]] BasisResult findBasisWith(MergeContext& ctx,
-                                        const anf::Anf& folded,
-                                        const anf::VarSet& group,
-                                        const ring::IdentityDb& ids,
-                                        const FindBasisOptions& opt = {},
-                                        const MonomialRingFn& ringOf = {},
-                                        const SplitHints& hints = {});
+/// findBasis's merged pairs before decoding: IndexedAnf sides over the
+/// context's indexer, in merge order (not yet sortPairs order).
+struct IndexedBasis {
+    IPairList pairs;
+    anf::Anf untouched;
+    bool budgetExhausted = false;
+    std::size_t mergeAttempts = 0;
+};
+
+/// findBasis over a caller-owned context, stopping short of decoding.
+/// The indexer (and the solver scratch keyed to it) survives across
+/// runs, which is what makes a probe sweep incremental — candidates share
+/// interned monomials and memoized products instead of re-deriving them
+/// per probe — and a probe scores on the indexed pairs, decoding only a
+/// basis that can still win its sweep. The context is resetForRun()
+/// internally, so results are bit-identical to findBasis() on a fresh
+/// context whatever state the indexer carries.
+[[nodiscard]] IndexedBasis findBasisIndexed(MergeContext& ctx,
+                                            const anf::Anf& folded,
+                                            const anf::VarSet& group,
+                                            const ring::IdentityDb& ids,
+                                            const FindBasisOptions& opt = {},
+                                            const MonomialRingFn& ringOf = {},
+                                            const SplitHints& hints = {});
+
+/// Decodes an indexed basis over `ix` into the Anf form, in sortPairs
+/// order: findBasis is materialize(findBasisIndexed(...)).
+[[nodiscard]] BasisResult materialize(const anf::MonomialIndexer& ix,
+                                      IndexedBasis&& basis);
 
 /// Runs only the algebraic merge rounds on an existing list (exposed for
 /// reuse after §5.3/§5.4 transformations and for unit tests). The
 /// context-free overload runs with a throwaway context (no memo carry).
 void mergeAlgebraic(PairList& pairs);
 void mergeAlgebraic(PairList& pairs, MergeContext& ctx);
+void mergeAlgebraic(IPairList& pairs, MergeContext& ctx);
 
 /// Runs one full null-space merge pass; returns true when a merge fired.
 bool mergeNullspace(PairList& pairs, const FindBasisOptions& opt);

@@ -1,6 +1,5 @@
 #include "core/minimize.hpp"
 
-#include "anf/indexer.hpp"
 #include "core/basis.hpp"
 #include "gf2/solver.hpp"
 
@@ -9,17 +8,12 @@ namespace {
 
 /// One elimination round over the chosen side. Returns true if a
 /// dependency was found and eliminated.
-bool eliminateOne(PairList& pairs, bool onFirsts) {
+bool eliminateOne(IPairList& pairs, bool onFirsts) {
     if (pairs.size() < 2) return false;  // one non-zero side is independent
-    anf::MonomialIndexer indexer;
-    std::size_t terms = 0;
-    for (const auto& p : pairs)
-        terms += (onFirsts ? p.first : p.second).termCount();
-    indexer.reserve(terms);
     gf2::SpanSolver solver;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-        const anf::Anf& side = onFirsts ? pairs[i].first : pairs[i].second;
-        const auto res = solver.add(indexer.toBits(side));
+        const auto& side = onFirsts ? pairs[i].first : pairs[i].second;
+        const auto res = solver.add(side.bits());
         if (res.independent) continue;
 
         // side_i == XOR of sides listed in the certificate; fold the
@@ -45,7 +39,9 @@ bool eliminateOne(PairList& pairs, bool onFirsts) {
 
 }  // namespace
 
-std::size_t minimizeBasisLinear(PairList& pairs) {
+std::size_t minimizeBasisLinear(IPairList& pairs) {
+    MergeContext ctx;
+    ctx.versioned = false;  // foreign pairs: don't mint colliding ids
     std::size_t removed = 0;
     bool changed = true;
     while (changed) {
@@ -58,8 +54,24 @@ std::size_t minimizeBasisLinear(PairList& pairs) {
             ++removed;
             changed = true;
         }
-        if (changed) mergeAlgebraic(pairs);
+        if (changed) mergeAlgebraic(pairs, ctx);
     }
+    return removed;
+}
+
+std::size_t minimizeBasisLinear(PairList& pairs) {
+    anf::MonomialIndexer ix;
+    IPairList indexed;
+    indexed.reserve(pairs.size());
+    for (auto& p : pairs)
+        indexed.push_back({anf::IndexedAnf::fromAnf(ix, p.first),
+                           anf::IndexedAnf::fromAnf(ix, p.second),
+                           std::move(p.ns), p.id});
+    const std::size_t removed = minimizeBasisLinear(indexed);
+    pairs.clear();
+    for (auto& p : indexed)
+        pairs.push_back({p.first.toAnf(ix), p.second.toAnf(ix),
+                         std::move(p.ns), p.id});
     return removed;
 }
 

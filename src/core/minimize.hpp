@@ -13,7 +13,12 @@
 namespace pd::core {
 
 /// Eliminates all linear dependencies among firsts, then among seconds,
-/// iterating to a fixpoint. Returns the number of pairs removed.
+/// iterating to a fixpoint. Returns the number of pairs removed. The
+/// sides' bit vectors are the solver's rows, so the indexed form needs no
+/// indexer: all the pairs' ids just have to come from the same one.
+std::size_t minimizeBasisLinear(IPairList& pairs);
+
+/// The same on Anf pairs, through a private indexer.
 std::size_t minimizeBasisLinear(PairList& pairs);
 
 }  // namespace pd::core

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "anf/anf.hpp"
+#include "anf/indexed.hpp"
 #include "ring/nullspace.hpp"
 
 namespace pd::core {
@@ -28,6 +29,18 @@ struct BPair {
 
 using PairList = std::vector<BPair>;
 
+/// The same pair over a MonomialIndexer's id space: the form findBasis
+/// merges in and probe scoring minimizes in. Equality and zero tests agree
+/// with BPair's because the id space is injective.
+struct IPair {
+    anf::IndexedAnf first;
+    anf::IndexedAnf second;
+    ring::NullSpaceRing ns;
+    std::uint32_t id = 0;  ///< content-version id, as BPair::id
+};
+
+using IPairList = std::vector<IPair>;
+
 /// XOR of first·second over all pairs — the expression a pair list
 /// represents (used by tests and by the rewrite step).
 [[nodiscard]] anf::Anf pairListValue(const PairList& pairs);
@@ -37,9 +50,14 @@ using PairList = std::vector<BPair>;
 
 /// Drops pairs whose first or second is zero (they contribute nothing).
 void dropNullPairs(PairList& pairs);
+void dropNullPairs(IPairList& pairs);
 
 /// Deterministic normalization: orders pairs by (first, second) so that
 /// algorithm output is independent of hash-map iteration order.
 void sortPairs(PairList& pairs);
+
+/// The same order for indexed pairs over `ix`, compared as canonical id
+/// sequences, so no side is decoded to an Anf.
+void sortPairs(const anf::MonomialIndexer& ix, IPairList& pairs);
 
 }  // namespace pd::core

@@ -12,18 +12,12 @@
 namespace pd::core::probe {
 namespace {
 
-/// Wave width of the parallel sweep. A fixed constant (never derived
-/// from the thread count) so that wave membership — and therefore every
-/// pruning decision and the budget-exhausted flag — is identical at any
-/// --probe-threads setting. 16 gives pruning a fine enough grain while
-/// leaving real fan-out for multi-core hosts.
-constexpr std::size_t kWaveSize = 16;
-
-/// One probe's score plus the raw basis it was derived from.
+/// One probe's score, plus its decoded raw basis when the probe could
+/// still win its wave.
 struct Scored {
     std::size_t score = SIZE_MAX;
     bool exhausted = false;
-    BasisResult raw;
+    std::optional<BasisResult> raw;
 };
 
 /// The paper's selection criterion: literal count of the expression
@@ -35,18 +29,19 @@ struct Scored {
 /// during probing). Scoring works on a light copy — firsts and seconds
 /// only — because the score never reads the null-space rings and
 /// deep-copying them per probe is pure waste.
-std::size_t scoreOf(const BasisResult& raw, std::size_t untouchedLits) {
-    PairList pairs;
-    pairs.reserve(raw.pairs.size());
-    for (const auto& p : raw.pairs) {
-        BPair b;
+template <typename Pairs, typename Lits>
+std::size_t scoreOf(const Pairs& raw, std::size_t untouchedLits,
+                    Lits&& literalsOf) {
+    Pairs pairs;
+    pairs.reserve(raw.size());
+    for (const auto& p : raw) {
+        auto& b = pairs.emplace_back();
         b.first = p.first;
         b.second = p.second;
-        pairs.push_back(std::move(b));
     }
     minimizeBasisLinear(pairs);
     std::size_t score = untouchedLits;
-    for (const auto& p : pairs) score += 1 + p.second.literalCount();
+    for (const auto& p : pairs) score += 1 + literalsOf(p.second);
     score += 2 * pairs.size();
     return score;
 }
@@ -125,19 +120,35 @@ struct ProbeContext::Workspace {
         }
     }
 
+    /// Scores candidate `index` on its indexed pairs. The basis is
+    /// decoded only when (score, index) beats `best` — the best of the
+    /// completed waves and of this lane's earlier probes in this wave —
+    /// which `best` then becomes: any other probe cannot win the wave.
     Scored probe(const anf::Anf& folded, const anf::VarSet& group,
-                 const ring::IdentityDb& ids, const FindBasisOptions& fb,
+                 std::size_t index, const ring::IdentityDb& ids,
+                 const FindBasisOptions& fb,
                  const std::vector<std::uint32_t>& touched,
-                 std::size_t untouchedLits) {
+                 std::size_t untouchedLits,
+                 std::pair<std::size_t, std::size_t>& best) {
         if (ctx.membership.indexer.size() > kIndexerCap) ctx = MergeContext{};
         ctx.membership.sharedSpans = &spans;
+        const anf::MonomialIndexer& ix = ctx.membership.indexer;
         SplitHints hints;
         hints.touchedTerms = &touched;
         hints.skipUntouched = true;  // the sweep knows its literal count
+        IndexedBasis basis =
+            findBasisIndexed(ctx, folded, group, ids, fb, ringOf_, hints);
+        sortPairs(ix, basis.pairs);
         Scored s;
-        s.raw = findBasisWith(ctx, folded, group, ids, fb, ringOf_, hints);
-        s.exhausted = s.raw.budgetExhausted;
-        s.score = scoreOf(s.raw, untouchedLits);
+        s.exhausted = basis.budgetExhausted;
+        s.score = scoreOf(basis.pairs, untouchedLits,
+                          [&](const anf::IndexedAnf& e) {
+                              return e.literalCount(ix);
+                          });
+        if (std::pair{s.score, index} < best) {
+            best = {s.score, index};
+            s.raw = materialize(ix, std::move(basis));
+        }
         return s;
     }
 };
@@ -375,10 +386,11 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
         if (t <= 1) {
             Workspace& ws = workspace(0);
             ws.beginSweep(ids, fb);
+            std::pair best{out.score, out.index};
             for (std::size_t r = 0; r < runnable.size(); ++r) {
                 const std::size_t i = runnable[r];
-                scored[r] = ws.probe(folded, candidates[i], ids, fb,
-                                     touched[i], untouchedLits[i]);
+                scored[r] = ws.probe(folded, candidates[i], i, ids, fb,
+                                     touched[i], untouchedLits[i], best);
             }
         } else {
             // Pre-create the workspaces on this thread; workers then only
@@ -392,11 +404,12 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
             futs.reserve(t);
             for (std::size_t slot = 0; slot < t; ++slot) {
                 futs.push_back(pool().submit([&, slot] {
+                    std::pair best{out.score, out.index};
                     for (std::size_t r = slot; r < runnable.size(); r += t) {
                         const std::size_t i = runnable[r];
-                        scored[r] = ws[slot]->probe(folded, candidates[i],
-                                                    ids, fb, touched[i],
-                                                    untouchedLits[i]);
+                        scored[r] = ws[slot]->probe(
+                            folded, candidates[i], i, ids, fb, touched[i],
+                            untouchedLits[i], best);
                     }
                 }));
             }
@@ -405,9 +418,13 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
 
         for (std::size_t r = 0; r < runnable.size(); ++r) {
             const std::size_t i = runnable[r];
+            if (scoreHook) scoreHook(i, scored[r].score);
             if (scored[r].exhausted) out.budgetExhausted = true;
-            if (scored[r].score < out.score ||
-                (scored[r].score == out.score && i < out.index)) {
+            if (std::pair{scored[r].score, i} <
+                std::pair{out.score, out.index}) {
+                // A lane decodes every probe that beats all its earlier
+                // ones, and this one beats everything before it.
+                PD_ASSERT(scored[r].raw.has_value());
                 out.score = scored[r].score;
                 out.index = i;
                 out.group = candidates[i];
@@ -439,7 +456,9 @@ SweepOutcome referenceSweep(const anf::Anf& folded,
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         auto res = findBasis(folded, candidates[i], ids, fb);
         if (res.budgetExhausted) out.budgetExhausted = true;
-        const std::size_t score = scoreOf(res, res.untouched.literalCount());
+        const std::size_t score =
+            scoreOf(res.pairs, res.untouched.literalCount(),
+                    [](const anf::Anf& e) { return e.literalCount(); });
         if (score < out.score) {
             out.score = score;
             out.index = i;

@@ -14,7 +14,9 @@
 //     size cap to keep bit-vectors dense; a per-sweep monomial →
 //     seed-ring cache; and a content-addressed spanning-set pool so each
 //     distinct ring closure is built once, not once per probe), and the
-//     winner's findBasis result is handed to the caller for reuse;
+//     winner's findBasis result is handed to the caller for reuse. A
+//     probe sorts, minimizes and scores its pairs in the indexed form
+//     and decodes them to Anf only when it can still win its wave;
 //   * candidate pruning — duplicate candidates are dropped (exact
 //     equality is the complete sound equivalence: rest-parts pin which
 //     variables a split removed, so distinct candidate sets always
@@ -54,6 +56,15 @@ class ThreadPool;
 }
 
 namespace pd::core::probe {
+
+/// Wave width of the parallel sweep. A fixed constant (never derived
+/// from the thread count) so that wave membership — and therefore every
+/// pruning decision and the budget-exhausted flag — is identical at any
+/// --probe-threads setting. 16 gives pruning a fine enough grain while
+/// leaving real fan-out for multi-core hosts. The first wave of a sweep
+/// is never pruned, so a sweep of at most kWaveSize candidates scores
+/// every one of them.
+inline constexpr std::size_t kWaveSize = 16;
 
 /// Cumulative accounting across every sweep run through one context.
 struct ProbeStats {
@@ -118,6 +129,11 @@ public:
     std::function<void(const anf::Anf&, const std::vector<anf::VarSet>&,
                        const ring::IdentityDb&)>
         captureHook;
+
+    /// Test hook: called on the sweeping thread with the input index and
+    /// score of every probed candidate, in a thread-count-independent
+    /// order. Never affects results.
+    std::function<void(std::size_t index, std::size_t score)> scoreHook;
 
 private:
     struct Workspace;

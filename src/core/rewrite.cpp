@@ -36,7 +36,10 @@ std::vector<anf::Anf> unfold(const anf::Anf& folded,
 
     std::vector<anf::Anf> out;
     out.reserve(tags.size());
-    for (auto& b : buckets) out.push_back(anf::Anf::fromTerms(std::move(b)));
+    // Erasing the same tag from every term of a bucket keeps the terms'
+    // canonical order, so each bucket is already sorted and unique.
+    for (auto& b : buckets)
+        out.push_back(anf::Anf::fromCanonicalTerms(std::move(b)));
     return out;
 }
 

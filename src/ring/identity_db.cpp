@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "anf/ops.hpp"
+
 namespace pd::ring {
 
 void IdentityDb::add(const anf::Anf& e) {
@@ -20,16 +22,9 @@ NullSpaceRing IdentityDb::nullspaceOf(anf::Var v) const {
                 break;
             }
         if (!allContainV) continue;
-        // id = v * E with E = id / v (erase v from every monomial); the
-        // quotient is exact because every monomial contains v.
-        std::vector<anf::Monomial> terms;
-        terms.reserve(id.termCount());
-        for (const auto& t : id.terms()) {
-            anf::Monomial m = t;
-            m.erase(v);
-            terms.push_back(m);
-        }
-        r.addGenerator(anf::Anf::fromTerms(std::move(terms)));
+        // id = v * E with E = id / v (erase v from every monomial), which
+        // is the derivative because every monomial contains v.
+        r.addGenerator(anf::derivative(id, v));
     }
     return r;
 }

@@ -5,7 +5,9 @@
 #include <random>
 
 #include "anf/anf.hpp"
+#include "anf/indexed.hpp"
 #include "anf/printer.hpp"
+#include "core/rewrite.hpp"
 
 namespace pd::anf {
 namespace {
@@ -183,6 +185,112 @@ TEST_P(AnfRingAxioms, EvaluationIsAHomomorphism) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnfRingAxioms,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u));
+
+// ---- Merge product kernel vs. independent products -------------------------
+
+/// The textbook product: every term pair, one sort, mod-2 cancellation.
+Anf crossProduct(const Anf& a, const Anf& b) {
+    std::vector<Monomial> prods;
+    for (const auto& ta : a.terms())
+        for (const auto& tb : b.terms()) prods.push_back(ta * tb);
+    return Anf::fromTerms(std::move(prods));
+}
+
+void expectProductAgrees(const Anf& a, const Anf& b) {
+    const Anf got = a * b;
+    EXPECT_EQ(got, crossProduct(a, b));
+    MonomialIndexer ix;
+    EXPECT_EQ(got, indexedProduct(ix, IndexedAnf::fromAnf(ix, a),
+                                  IndexedAnf::fromAnf(ix, b))
+                       .toAnf(ix));
+}
+
+/// Random expression over a fixed variable pool. The pool straddles
+/// word boundaries of the 256-bit monomial so the order's reverse-word
+/// comparison is exercised, and two draws from it share variables.
+Anf randomAnfOver(std::mt19937_64& rng, std::span<const Var> pool,
+                  std::size_t maxTerms) {
+    std::vector<Monomial> terms;
+    const std::size_t n = rng() % (maxTerms + 1);
+    for (std::size_t t = 0; t < n; ++t) {
+        Monomial m;
+        for (const Var v : pool)
+            if (rng() % 3 == 0) m.insert(v);
+        terms.push_back(m);
+    }
+    return Anf::fromTerms(std::move(terms));
+}
+
+TEST(AnfProduct, MergeKernelMatchesCrossProductAndIndexed) {
+    const std::vector<Var> pool = {0,  1,   2,   3,   62,  63,
+                                   64, 65, 127, 128, 200, 255};
+    std::mt19937_64 rng(0x5eedu);
+    for (int iter = 0; iter < 300; ++iter) {
+        const Anf big = randomAnfOver(rng, pool, 400);
+        // Small operands up to past the big×big cut-over.
+        const Anf small = randomAnfOver(rng, pool, 1 + iter % 48);
+        expectProductAgrees(big, small);
+        expectProductAgrees(small, big);
+        // A small operand sharing the big one's variables outright.
+        if (!big.isZero()) {
+            const Anf shared = Anf::term(big.terms().back()) ^
+                               Anf::var(pool[iter % pool.size()]);
+            expectProductAgrees(big, shared);
+        }
+    }
+}
+
+TEST(AnfProduct, ConstantsAndAnnihilators) {
+    const std::vector<Var> pool = {0, 5, 63, 64, 190};
+    std::mt19937_64 rng(7);
+    const Anf p = randomAnfOver(rng, pool, 60);
+    ASSERT_FALSE(p.isZero());
+    EXPECT_EQ(p * Anf::one(), p);
+    EXPECT_EQ(Anf::one() * p, p);
+    EXPECT_TRUE((p * Anf::zero()).isZero());
+    EXPECT_TRUE((Anf::zero() * p).isZero());
+    EXPECT_TRUE((Anf::one() * Anf::one()).isOne());
+    for (const Var x : pool) {
+        const Anf v = Anf::var(x);
+        EXPECT_TRUE((v * ~v).isZero());  // x·(x⊕1) = 0
+        EXPECT_EQ(v * v, v);
+        expectProductAgrees(v, p);
+        expectProductAgrees(~v, p);
+        EXPECT_TRUE((v * p * ~v).isZero());
+    }
+}
+
+TEST(AnfProduct, UnfoldInvertsRewriteFolded) {
+    // Tags K0..K2 fold three outputs; pair i's second carries Σ_k K_k·c_ik
+    // and the untouched part Σ_k K_k·u_k. Unfolding the rewrite must give
+    // output k = u_k ⊕ Σ_i s_i·c_ik.
+    const std::vector<Var> pool = {0, 1, 2, 3, 4, 70, 71};
+    const std::vector<Var> tags = {100, 101, 102};
+    const std::vector<Var> fresh = {150, 151, 152, 153};
+    std::mt19937_64 rng(99);
+    for (int round = 0; round < 10; ++round) {
+        core::PairList pairs(fresh.size());
+        std::vector<Anf> want(tags.size());
+        Anf untouched;
+        for (std::size_t k = 0; k < tags.size(); ++k) {
+            const Anf u = randomAnfOver(rng, pool, 12);
+            untouched ^= crossProduct(Anf::var(tags[k]), u);
+            want[k] = u;
+        }
+        for (std::size_t i = 0; i < fresh.size(); ++i) {
+            pairs[i].first = Anf::var(pool[i]);
+            for (std::size_t k = 0; k < tags.size(); ++k) {
+                const Anf c = randomAnfOver(rng, pool, 8);
+                pairs[i].second ^= crossProduct(Anf::var(tags[k]), c);
+                want[k] ^= crossProduct(Anf::var(fresh[i]), c);
+            }
+        }
+        EXPECT_EQ(core::unfold(core::rewriteFolded(pairs, fresh, untouched),
+                               tags),
+                  want)
+            << "round " << round;
+    }
+}
 
 }  // namespace
 }  // namespace pd::anf

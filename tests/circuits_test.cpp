@@ -8,6 +8,8 @@
 #include "circuits/counter.hpp"
 #include "circuits/lzd.hpp"
 #include "circuits/majority.hpp"
+#include "circuits/registry.hpp"
+#include "engine/engine.hpp"
 
 namespace pd::circuits {
 namespace {
@@ -219,6 +221,42 @@ TEST(Comparator, RefusesIntractableWidths) {
     const auto b = makeComparator(15, /*maxAnfWidth=*/13);
     EXPECT_FALSE(static_cast<bool>(b.anf));
     EXPECT_TRUE(static_cast<bool>(b.reference));
+}
+
+// Every default registry spec's expansion, pinned by its cache-key
+// digest under default options. Canonical Reed-Muller form is unique, so
+// a change to how specs are built may change speed but never these
+// values; a mismatch names the spec whose expanded function changed.
+TEST(Registry, ExpandedSpecDigestsArePinned) {
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"adder16", "58f6a0e9812dc4a28ac06b5a16aac142"},
+        {"adder3_9", "265995548b8ef5203004f2e1d12dee66"},
+        {"adder8", "20458cb78e478deef9371665eb5ebfa5"},
+        {"comparator12", "cdbb95f23a6c16a4e7eb22044d877599"},
+        {"comparator8", "3c993cd14fbf8f1233fff85bc2c07687"},
+        {"counter16", "9eefc153d81dd3b94ddea438d8c3471b"},
+        {"counter8", "6a69728dac1a9d3b706a138430ea4c1d"},
+        {"lod16", "c8164d5b49480cb6fd39a88757f39290"},
+        {"lod32", "585554c751287f8f3ecca36d668c0ac8"},
+        {"lzd16", "499390db0038dac7cba4cc6c4a10e27c"},
+        {"majority15", "6ae769bd4a5edf31972f0d527ce81a9b"},
+        {"majority7", "b999de1f0e439852e849bcf3be3a4a72"},
+        {"mul4", "0916640bf15ed574150328e4cb81aca1"},
+    };
+    std::vector<std::string> names;
+    for (const auto& [name, _] : pinned) names.push_back(name);
+    ASSERT_EQ(benchmarkNames(/*includeHeavy=*/false), names);
+    for (const auto& [name, hex] : pinned) {
+        const auto bench = makeNamedBenchmark(name);
+        ASSERT_TRUE(bench.has_value()) << name;
+        anf::VarTable vt;
+        const auto outs = bench->anf(vt);
+        EXPECT_EQ(engine::canonicalDigest(outs, core::DecomposeOptions{},
+                                          /*verify=*/true)
+                      .hex(),
+                  hex)
+            << name;
+    }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // probe-thread setting and winner-basis reuse correctness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -201,7 +202,7 @@ TEST(ProbeSweep, DedupAndPruneAccounting) {
               b.stats().deduped + b.stats().pruned + b.stats().probed);
 }
 
-TEST(FindBasisWith, SharedContextIsBitIdenticalToFreshContexts) {
+TEST(FindBasisIndexed, SharedContextIsBitIdenticalToFreshContexts) {
     Rng rng(61);
     MergeContext shared;
     for (int round = 0; round < 6; ++round) {
@@ -215,7 +216,8 @@ TEST(FindBasisWith, SharedContextIsBitIdenticalToFreshContexts) {
         anf::VarSet group;
         for (int i = 0; i < 3; ++i)
             group.insert(static_cast<Var>(rng.below(8)));
-        const auto a = findBasisWith(shared, folded, group, ids);
+        const auto a = materialize(shared.membership.indexer,
+                                   findBasisIndexed(shared, folded, group, ids));
         const auto b = findBasis(folded, group, ids);
         ASSERT_EQ(a.pairs.size(), b.pairs.size());
         for (std::size_t i = 0; i < a.pairs.size(); ++i) {
@@ -224,6 +226,69 @@ TEST(FindBasisWith, SharedContextIsBitIdenticalToFreshContexts) {
         }
         EXPECT_EQ(a.untouched, b.untouched);
         EXPECT_EQ(a.mergeAttempts, b.mergeAttempts);
+    }
+}
+
+TEST(ProbeSweep, EveryCandidateScoresAsTheReference) {
+    // Replay every sweep of a real majority15 decompose. Sweeps of at
+    // most kWaveSize distinct candidates prune nothing, so the score hook
+    // sees each candidate's indexed score; the reference scores it alone
+    // on the Anf path.
+    struct Captured {
+        Anf folded;
+        std::vector<anf::VarSet> candidates;
+        ring::IdentityDb ids;
+    };
+    std::vector<Captured> sweeps;
+    const auto bench = circuits::makeNamedBenchmark("majority15");
+    ASSERT_TRUE(bench.has_value());
+    VarTable vt;
+    const auto outs = bench->anf(vt);
+    DecomposeOptions dopt;
+    dopt.probeCaptureHook = [&](const Anf& f,
+                                const std::vector<anf::VarSet>& c,
+                                const ring::IdentityDb& i) {
+        sweeps.push_back({f, c, i});
+    };
+    (void)decompose(vt, outs, bench->outputNames, dopt);
+    ASSERT_FALSE(sweeps.empty());
+
+    GroupOptions opt;
+    opt.probeMergeBudget = dopt.mergeAttemptBudget;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        probe::ProbeContext ctx(threads);
+        std::vector<std::pair<std::size_t, std::size_t>> scores;
+        ctx.scoreHook = [&](std::size_t i, std::size_t score) {
+            scores.emplace_back(i, score);
+        };
+        std::size_t checked = 0;
+        for (const auto& sw : sweeps) {
+            std::vector<anf::VarSet> distinct;
+            for (const auto& c : sw.candidates)
+                if (std::find(distinct.begin(), distinct.end(), c) ==
+                    distinct.end())
+                    distinct.push_back(c);
+            for (std::size_t at = 0; at < distinct.size();
+                 at += probe::kWaveSize) {
+                const std::vector<anf::VarSet> chunk(
+                    distinct.begin() + static_cast<std::ptrdiff_t>(at),
+                    distinct.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                           distinct.size(),
+                                           at + probe::kWaveSize)));
+                scores.clear();
+                (void)ctx.sweep(sw.folded, chunk, sw.ids, opt);
+                ASSERT_EQ(scores.size(), chunk.size());
+                for (const auto& [i, score] : scores) {
+                    const auto ref = probe::referenceSweep(
+                        sw.folded, {chunk[i]}, sw.ids, opt);
+                    EXPECT_EQ(score, ref.score)
+                        << "threads " << threads << " candidate "
+                        << anf::setToString(chunk[i], vt);
+                    ++checked;
+                }
+            }
+        }
+        EXPECT_GT(checked, 100u);
     }
 }
 

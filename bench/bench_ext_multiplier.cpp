@@ -6,8 +6,8 @@
 // architectures. Measured shape (a documented negative result): unlike
 // the 3-operand adder, the multiplier's two-dimensional partial-product
 // structure defeats the one-dimensional LSB grouping heuristic — PD's
-// residual stays near-flat and both manual trees win decisively. See
-// EXPERIMENTS.md ("extension: multiplier").
+// residual stays near-flat and both manual trees win decisively; the
+// report this binary prints is the record.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -56,8 +56,8 @@ BENCHMARK(BM_DecomposeMultiplier)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond)
 
 int main(int argc, char** argv) {
     // 4x4 runs in seconds; 5x5 (where PD's residual stays near-flat and
-    // the QoR gap widens — see EXPERIMENTS.md "extension: multiplier")
-    // takes minutes through the PD row, so it is opt-in.
+    // the QoR gap widens) takes minutes through the PD row, so it is
+    // opt-in.
     std::cout << pd::eval::formatReport(multiplierReport(4)) << '\n';
     for (int i = 1; i < argc; ++i)
         if (std::string(argv[i]) == "--mul5")

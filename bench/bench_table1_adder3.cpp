@@ -23,7 +23,8 @@ void BM_DecomposeAdder3(benchmark::State& state) {
     }
 }
 // Width 12 (the paper's) is excluded: its flat Reed-Muller form needs
-// ~20M monomials and exhausts memory (the substitution DESIGN.md records).
+// ~20M monomials and exhausts memory (the substitution eval::rowAdder3
+// documents).
 BENCHMARK(BM_DecomposeAdder3)
     ->Arg(6)
     ->Arg(9)

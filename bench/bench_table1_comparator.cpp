@@ -2,7 +2,7 @@
 // Progressive Decomposition 466.6µm² 0.33ns, subtracter carry-out
 // 577.2µm² 0.40ns. The paper runs 15 bits; the flat Reed-Muller form has
 // 3^n − 1 terms, so this reproduction defaults to 12 bits (531k terms) —
-// the substitution is recorded in DESIGN.md/EXPERIMENTS.md and the
+// the substitution is documented at eval::rowComparator and the
 // architectural conclusion (PD ≈ carry-lookahead sign computation, ~20%
 // faster than the mux chain) is width-independent.
 #include <benchmark/benchmark.h>

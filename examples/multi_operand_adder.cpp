@@ -19,7 +19,8 @@ int main() {
 
     const int n = 8;  // fast demo width; the Table-1 bench uses 9
                       // (the paper's 12 exceeds the flat RM form's ~4^n
-                      // growth on a 16 GB machine — see EXPERIMENTS.md)
+                      // growth on a 16 GB machine — see
+                      // eval::rowAdder3 in src/eval/table1.hpp)
     const auto bench = circuits::makeAdder3(n);
 
     anf::VarTable vars;

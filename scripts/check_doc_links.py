@@ -17,7 +17,13 @@ web URL, not its file tree) are likewise skipped. Any other link that
 resolves outside the repository root is an error: docs must not depend
 on files the checkout does not contain.
 
-Exits non-zero listing every broken link.
+Second, every Markdown file named in a source comment must exist: a
+`*.md` name cited in a // or /* */ comment of a C++ file under src/,
+bench/, examples/, tools/ or tests/ must resolve from the repo root or
+from the citing file's directory ("see docs/cli.md", "the shard
+README.md"). URLs (a name preceded by "://") are skipped.
+
+Exits non-zero listing every broken link and citation.
 """
 import os
 import re
@@ -65,6 +71,82 @@ def check_file(md_path, root):
     return problems
 
 
+CITING_DIRS = ("src", "bench", "examples", "tools", "tests")
+SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".h")
+# A path-like token ending in ".md"; the lookbehind keeps the match from
+# starting mid-token.
+MD_NAME_RE = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
+
+
+def comment_lines(text):
+    """Yields (line_number, comment_text) for the comments of C++ source.
+    String and character literals are skipped so that a "//" inside one
+    does not open a comment."""
+    in_block = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = []
+        quote = None
+        i = 0
+        while i < len(line):
+            if in_block:
+                end = line.find("*/", i)
+                if end < 0:
+                    parts.append(line[i:])
+                    break
+                parts.append(line[i:end])
+                i = end + 2
+                in_block = False
+            elif quote:
+                if line[i] == "\\":
+                    i += 2
+                    continue
+                if line[i] == quote:
+                    quote = None
+                i += 1
+            elif line.startswith("//", i):
+                parts.append(line[i + 2:])
+                break
+            elif line.startswith("/*", i):
+                in_block = True
+                i += 2
+            elif line[i] in "\"'":
+                quote = line[i]
+                i += 1
+            else:
+                i += 1
+        if parts:
+            yield lineno, " ".join(parts)
+
+
+def source_files(root):
+    for top in CITING_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
+            for name in sorted(filenames):
+                if name.endswith(SOURCE_EXTS):
+                    yield os.path.join(dirpath, name)
+
+
+def check_citations(src_path, root):
+    """Returns a list of (line_number, name) for cited *.md files that
+    resolve neither from the repo root nor from the citing directory."""
+    problems = []
+    with open(src_path, encoding="utf-8") as f:
+        text = f.read()
+    for lineno, comment in comment_lines(text):
+        for match in MD_NAME_RE.finditer(comment):
+            if comment[:match.start()].endswith(":"):
+                continue  # part of a URL
+            name = match.group(0)
+            candidates = (os.path.join(root, name),
+                          os.path.join(os.path.dirname(src_path), name))
+            if not any(os.path.isfile(c) and
+                       os.path.commonpath([os.path.realpath(c), root]) == root
+                       for c in candidates):
+                problems.append((lineno, name))
+    return problems
+
+
 def main():
     root = os.path.realpath(sys.argv[1] if len(sys.argv) > 1 else ".")
     total_files = 0
@@ -76,11 +158,23 @@ def main():
             print(f"{rel}:{lineno}: broken link ({target}): {reason}",
                   file=sys.stderr)
             total_links_broken += 1
-    if total_links_broken:
+    total_sources = 0
+    total_citations_broken = 0
+    for src_path in source_files(root):
+        total_sources += 1
+        for lineno, name in check_citations(src_path, root):
+            rel = os.path.relpath(src_path, root)
+            print(f"{rel}:{lineno}: cited document {name} does not exist",
+                  file=sys.stderr)
+            total_citations_broken += 1
+    if total_links_broken or total_citations_broken:
         sys.exit(f"{total_links_broken} broken link(s) across "
-                 f"{total_files} Markdown file(s)")
+                 f"{total_files} Markdown file(s), "
+                 f"{total_citations_broken} dangling citation(s) across "
+                 f"{total_sources} source file(s)")
     print(f"doc-link gate OK: {total_files} Markdown files, all relative "
-          f"links resolve")
+          f"links resolve; {total_sources} source files, every cited "
+          f"Markdown file exists")
 
 
 if __name__ == "__main__":

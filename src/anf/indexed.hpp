@@ -10,8 +10,9 @@
 // identity go through the owning indexer, which callers pass explicitly;
 // an IndexedAnf is meaningless without the indexer that minted its ids.
 // The pair pipeline stays in this form end to end: findBasis merges,
-// linear minimization and probe scoring all run on IndexedAnf sides, and
-// a probe decodes its basis only when it can still win its sweep. Anf is
+// linear minimization, size reduction and probe scoring all run on
+// IndexedAnf sides, and a probe decodes its basis only when it can still
+// win its sweep. Anf is
 // the canonical interchange form (digests, stores, printing) and the
 // spec-building type, with its own sort-free product kernel (anf.hpp).
 // Conversions are explicit and lossless, and every operation here is

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "anf/indexed.hpp"
-#include "anf/ops.hpp"
 #include "ring/membership.hpp"
 
 namespace pd::core {
@@ -15,101 +14,30 @@ std::uint64_t memoKey(std::uint32_t a, std::uint32_t b) {
     return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-// ---------------------------------------------------------------------------
-// Reference (Anf-domain) merge pipeline. Kept as the boundary
-// implementation: minimize/sizered run it on materialized pairs, tests use
-// it directly, and the indexed pipeline below is differentially tested
-// against it.
-// ---------------------------------------------------------------------------
+// The merge pipeline runs over IndexedAnf: XOR is word-wise bit math,
+// canonical form is free (a bitset has no ordering to maintain), and
+// membership solves run over cached indexed spanning sets. The id space
+// is injective, so every equality/zero test agrees with the Anf form.
 
-/// Groups pairs by equal second and XORs their firsts (and symmetrically).
-/// Returns true when the list shrank. Pairs produced by an actual merge
-/// get a fresh content-version id; pairs copied through unchanged keep
-/// theirs (so the failed-merge memo stays valid for them).
-bool mergeBySecond(PairList& pairs, MergeContext& ctx) {
-    std::unordered_map<anf::Anf, std::vector<std::size_t>, anf::AnfHash> by;
+/// Groups pairs by equal second and XORs their firsts. Returns true when
+/// the list shrank. Pairs produced by an actual merge get a fresh
+/// content-version id; pairs copied through unchanged keep theirs (so the
+/// failed-merge memo stays valid for them).
+bool mergeBySecond(IPairList& pairs, MergeContext& ctx) {
+    std::unordered_map<anf::IndexedAnf, std::vector<std::size_t>,
+                       anf::IndexedAnfHash>
+        by;
     for (std::size_t i = 0; i < pairs.size(); ++i)
         by[pairs[i].second].push_back(i);
     if (by.size() == pairs.size()) return false;
 
-    PairList merged;
+    IPairList merged;
     merged.reserve(by.size());
     std::vector<char> used(pairs.size(), 0);
     // Preserve first-occurrence order for determinism.
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         if (used[i]) continue;
         const auto& bucket = by[pairs[i].second];
-        BPair acc = pairs[i];
-        used[i] = 1;
-        bool changed = false;
-        for (const std::size_t j : bucket) {
-            if (used[j]) continue;
-            used[j] = 1;
-            changed = true;
-            acc.first ^= pairs[j].first;
-            acc.ns = ring::NullSpaceRing::productClosure(acc.ns, pairs[j].ns);
-        }
-        if (changed) acc.id = ctx.freshId();
-        merged.push_back(std::move(acc));
-    }
-    pairs = std::move(merged);
-    dropNullPairs(pairs);
-    return true;
-}
-
-bool mergeByFirst(PairList& pairs, MergeContext& ctx) {
-    std::unordered_map<anf::Anf, std::vector<std::size_t>, anf::AnfHash> by;
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-        by[pairs[i].first].push_back(i);
-    if (by.size() == pairs.size()) return false;
-
-    PairList merged;
-    merged.reserve(by.size());
-    std::vector<char> used(pairs.size(), 0);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        if (used[i]) continue;
-        const auto& bucket = by[pairs[i].first];
-        BPair acc = pairs[i];
-        used[i] = 1;
-        bool changed = false;
-        for (const std::size_t j : bucket) {
-            if (used[j]) continue;
-            used[j] = 1;
-            changed = true;
-            acc.second ^= pairs[j].second;
-            // first unchanged: null-space knowledge carries over as-is.
-        }
-        if (changed) acc.id = ctx.freshId();
-        merged.push_back(std::move(acc));
-    }
-    pairs = std::move(merged);
-    dropNullPairs(pairs);
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Indexed (hot-path) merge pipeline: the same algorithm over IndexedAnf.
-// XOR is word-wise bit math, canonical form is free (a bitset has no
-// ordering to maintain), and membership solves run over cached indexed
-// spanning sets. Produces bit-identical pair lists (same pairs, same
-// order) as the reference pipeline — the id space is injective, so every
-// equality/zero test agrees.
-// ---------------------------------------------------------------------------
-
-bool iMergeBySecond(IPairList& pairs, MergeContext& ctx) {
-    std::unordered_map<anf::IndexedAnf, std::vector<std::size_t>,
-                       anf::IndexedAnfHash>
-        by;
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-        by[pairs[i].second].push_back(i);
-    if (by.size() == pairs.size()) return false;
-
-    IPairList merged;
-    merged.reserve(by.size());
-    std::vector<char> used(pairs.size(), 0);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        if (used[i]) continue;
-        const auto& bucket = by[pairs[i].second];
         IPair acc = pairs[i];
         used[i] = 1;
         bool changed = false;
@@ -128,7 +56,8 @@ bool iMergeBySecond(IPairList& pairs, MergeContext& ctx) {
     return true;
 }
 
-bool iMergeByFirst(IPairList& pairs, MergeContext& ctx) {
+/// Groups pairs by equal first and XORs their seconds.
+bool mergeByFirst(IPairList& pairs, MergeContext& ctx) {
     std::unordered_map<anf::IndexedAnf, std::vector<std::size_t>,
                        anf::IndexedAnfHash>
         by;
@@ -160,8 +89,10 @@ bool iMergeByFirst(IPairList& pairs, MergeContext& ctx) {
     return true;
 }
 
-bool iMergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
-                     MergeContext& ctx) {
+}  // namespace
+
+bool mergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
+                    MergeContext& ctx) {
     if (pairs.size() > opt.maxPairsForNullspace) return false;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         for (std::size_t j = i + 1; j < pairs.size(); ++j) {
@@ -206,9 +137,7 @@ bool iMergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
     return false;
 }
 
-}  // namespace
-
-void mergeAlgebraic(PairList& pairs, MergeContext& ctx) {
+void mergeAlgebraic(IPairList& pairs, MergeContext& ctx) {
     // Alternate the two merge directions to a fixpoint. Each round strictly
     // shrinks the list, so this terminates quickly.
     bool changed = true;
@@ -217,65 +146,6 @@ void mergeAlgebraic(PairList& pairs, MergeContext& ctx) {
         if (mergeByFirst(pairs, ctx)) changed = true;
         if (mergeBySecond(pairs, ctx)) changed = true;
     }
-}
-
-void mergeAlgebraic(IPairList& pairs, MergeContext& ctx) {
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        if (iMergeByFirst(pairs, ctx)) changed = true;
-        if (iMergeBySecond(pairs, ctx)) changed = true;
-    }
-}
-
-void mergeAlgebraic(PairList& pairs) {
-    MergeContext ctx;
-    ctx.versioned = false;  // foreign pairs: don't mint colliding ids
-    mergeAlgebraic(pairs, ctx);
-}
-
-bool mergeNullspace(PairList& pairs, const FindBasisOptions& opt,
-                    MergeContext& ctx) {
-    if (pairs.size() > opt.maxPairsForNullspace) return false;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        for (std::size_t j = i + 1; j < pairs.size(); ++j) {
-            if (pairs[i].ns.trivial() && pairs[j].ns.trivial()) continue;
-            const bool memoizable = pairs[i].id != 0 && pairs[j].id != 0;
-            const std::uint64_t key =
-                memoizable ? memoKey(pairs[i].id, pairs[j].id) : 0;
-            if (memoizable && ctx.failed.contains(key)) continue;
-            if (ctx.attempts >= ctx.attemptLimit) {
-                ctx.exhausted = true;
-                return false;
-            }
-            ++ctx.attempts;
-            const anf::Anf diff = pairs[i].second ^ pairs[j].second;
-            const auto m = ring::memberOfSum(diff, pairs[i].ns, pairs[j].ns,
-                                             opt.maxSpan);
-            if (!m.member) {
-                if (memoizable) ctx.failed.insert(key);
-                continue;
-            }
-            BPair merged;
-            merged.first = pairs[i].first ^ pairs[j].first;
-            merged.second = pairs[i].second ^ m.part1;
-            merged.ns =
-                ring::NullSpaceRing::productClosure(pairs[i].ns, pairs[j].ns);
-            merged.id = ctx.freshId();
-            pairs[i] = std::move(merged);
-            pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(j));
-            dropNullPairs(pairs);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool mergeNullspace(PairList& pairs, const FindBasisOptions& opt) {
-    MergeContext ctx;
-    ctx.versioned = false;  // foreign pairs: don't mint colliding ids
-    if (opt.mergeAttemptBudget != 0) ctx.attemptLimit = opt.mergeAttemptBudget;
-    return mergeNullspace(pairs, opt, ctx);
 }
 
 BasisResult findBasis(const anf::Anf& folded, const anf::VarSet& group,
@@ -361,7 +231,7 @@ IndexedBasis findBasisIndexed(MergeContext& ctx, const anf::Anf& folded,
 
     mergeAlgebraic(pairs, ctx);
     if (opt.useNullspaceMerging) {
-        while (iMergeNullspace(pairs, opt, ctx)) mergeAlgebraic(pairs, ctx);
+        while (mergeNullspace(pairs, opt, ctx)) mergeAlgebraic(pairs, ctx);
     }
 
     out.pairs = std::move(pairs);
@@ -371,17 +241,9 @@ IndexedBasis findBasisIndexed(MergeContext& ctx, const anf::Anf& folded,
 }
 
 BasisResult materialize(const anf::MonomialIndexer& ix, IndexedBasis&& b) {
+    sortPairs(ix, b.pairs);
     BasisResult out;
-    out.pairs.reserve(b.pairs.size());
-    for (auto& p : b.pairs) {
-        BPair a;
-        a.first = p.first.toAnf(ix);
-        a.second = p.second.toAnf(ix);
-        a.ns = std::move(p.ns);
-        a.id = p.id;
-        out.pairs.push_back(std::move(a));
-    }
-    sortPairs(out.pairs);
+    out.pairs = decodePairs(ix, b.pairs);
     out.untouched = std::move(b.untouched);
     out.budgetExhausted = b.budgetExhausted;
     out.mergeAttempts = b.mergeAttempts;

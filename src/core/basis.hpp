@@ -2,13 +2,15 @@
 //
 // Every monomial of the folded expression that touches the group splits
 // into (group-part, rest-part). The resulting raw pair list is then merged
-// to a fixpoint:
+// to a fixpoint, in indexed form (IPair) with each pair's null-space ring:
 //   * algebraically — (α,γ),(β,γ) → (α⊕β,γ) and (α,β),(α,γ) → (α,β⊕γ) —
 //     exactly the paper's first example; and
 //   * via null-spaces — (X₁,Y₁),(X₂,Y₂) → (X₁⊕X₂, Y₁⊕n₁) whenever
 //     Y₁⊕Y₂ ∈ N(X₁)⊕N(X₂) with witness split n₁⊕n₂ — the paper's second
 //     example, enabled by identities discovered in earlier iterations.
-// The firsts of the merged list are the basis candidates.
+// The firsts of the merged list are the basis candidates. The result
+// leaves findBasis as plain (first, second) pairs: the rings and merge
+// ids are findBasis-internal.
 //
 // The null-space pass is where decomposition time goes, so it runs under
 // a MergeContext: membership solves go through the indexed-ANF fast path
@@ -44,6 +46,8 @@ struct FindBasisOptions {
     /// merge loop stops with the best list found so far and the result is
     /// flagged budgetExhausted.
     std::size_t mergeAttemptBudget = 0;
+
+    [[nodiscard]] bool operator==(const FindBasisOptions&) const = default;
 };
 
 /// Shared state of one findBasis merge phase: pair id allocation, the
@@ -59,15 +63,8 @@ struct MergeContext {
     std::size_t attempts = 0;
     std::size_t attemptLimit = SIZE_MAX;  ///< from mergeAttemptBudget
     bool exhausted = false;
-    /// Unversioned contexts hand out id 0 (= never memoized) instead of
-    /// minting ids. The throwaway contexts behind the context-free
-    /// mergeAlgebraic/mergeNullspace overloads run unversioned: ids they
-    /// minted would collide with ids from whichever context produced the
-    /// incoming pairs, and a colliding id is how a false memo hit —
-    /// a silently skipped valid merge — would happen.
-    bool versioned = true;
 
-    std::uint32_t freshId() { return versioned ? nextPairId++ : 0; }
+    std::uint32_t freshId() { return nextPairId++; }
 
     /// Re-arms the context for a fresh findBasis run while keeping the
     /// expensive cross-run state — the membership indexer with its cached
@@ -86,7 +83,7 @@ struct MergeContext {
 };
 
 struct BasisResult {
-    PairList pairs;       ///< merged (basis element, cofactor) pairs
+    PairList pairs;       ///< merged (basis element, cofactor) pairs, sorted
     anf::Anf untouched;   ///< monomials disjoint from the group
     bool budgetExhausted = false;  ///< null-space merging was truncated
     std::size_t mergeAttempts = 0; ///< membership solves performed
@@ -121,7 +118,8 @@ struct SplitHints {
 };
 
 /// findBasis's merged pairs before decoding: IndexedAnf sides over the
-/// context's indexer, in merge order (not yet sortPairs order).
+/// context's indexer, with their rings and ids, in merge order (not yet
+/// sortPairs order).
 struct IndexedBasis {
     IPairList pairs;
     anf::Anf untouched;
@@ -145,21 +143,19 @@ struct IndexedBasis {
                                             const MonomialRingFn& ringOf = {},
                                             const SplitHints& hints = {});
 
-/// Decodes an indexed basis over `ix` into the Anf form, in sortPairs
-/// order: findBasis is materialize(findBasisIndexed(...)).
+/// Sorts an indexed basis over `ix` (sortPairs) and decodes it to plain
+/// pairs: findBasis is materialize(findBasisIndexed(...)).
 [[nodiscard]] BasisResult materialize(const anf::MonomialIndexer& ix,
                                       IndexedBasis&& basis);
 
-/// Runs only the algebraic merge rounds on an existing list (exposed for
-/// reuse after §5.3/§5.4 transformations and for unit tests). The
-/// context-free overload runs with a throwaway context (no memo carry).
-void mergeAlgebraic(PairList& pairs);
-void mergeAlgebraic(PairList& pairs, MergeContext& ctx);
+/// Runs the algebraic merge rounds to a fixpoint: a merged pair gets its
+/// rings' product closure and a fresh id from `ctx`. Linear minimization
+/// and size reduction reuse it past findBasis with a throwaway context,
+/// whose ids nothing reads.
 void mergeAlgebraic(IPairList& pairs, MergeContext& ctx);
 
 /// Runs one full null-space merge pass; returns true when a merge fired.
-bool mergeNullspace(PairList& pairs, const FindBasisOptions& opt);
-bool mergeNullspace(PairList& pairs, const FindBasisOptions& opt,
+bool mergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
                     MergeContext& ctx);
 
 }  // namespace pd::core

@@ -82,15 +82,17 @@ Decomposition decompose(anf::VarTable& vars,
     // The winning probe's findBasis is reusable for the iteration
     // exactly when the probes scored under this run's merge options.
     const bool probeBasisReusable =
-        probe::sameFindBasisOptions(probe::probeFindBasisOptions(gOpt), fbOpt);
+        probe::probeFindBasisOptions(gOpt) == fbOpt;
 
     for (std::size_t iter = 0; iter < opt.maxIterations; ++iter) {
         if (allLiterals(currentList())) {
             result.converged = true;
             break;
         }
-        // Variable-capacity guard: a rewrite can add up to one variable per
-        // pair; stop with a residual rather than overflow the monomial.
+        // Headroom stop: once fewer than 2k + 2 variable ids remain, end
+        // the run with a residual before probing. lod16 and lod32 stop
+        // here, so moving it changes their decompositions; the exact
+        // capacity check comes once the basis is known.
         if (vars.size() + 2 * opt.k + 2 >= anf::Monomial::kMaxVars) break;
 
         const auto probeStart = std::chrono::steady_clock::now();
@@ -127,18 +129,29 @@ Decomposition decompose(anf::VarTable& vars,
         if (bres.budgetExhausted) result.budgetExhausted = true;
         if (bres.pairs.empty()) break;  // group vars vanished: stall
 
+        // ---- Minimize, size-reduce and sort the basis in one indexed
+        // encoding; decode once for the rewrite.
+        anf::MonomialIndexer ix;
+        IPairList indexed = encodePairs(ix, bres.pairs);
         if (opt.useLinearMinimize)
-            tr.linearRemoved = minimizeBasisLinear(bres.pairs);
+            tr.linearRemoved = minimizeBasisLinear(indexed);
         if (opt.useSizeReduction)
-            tr.sizeReductions = improveBasisSizeReduction(bres.pairs);
-        sortPairs(bres.pairs);
-        tr.mergedPairCount = bres.pairs.size();
+            tr.sizeReductions = improveBasisSizeReduction(ix, indexed);
+        sortPairs(ix, indexed);
+        const PairList pairs = decodePairs(ix, indexed);
+        tr.mergedPairCount = pairs.size();
+
+        // Variable-capacity guard: the rewrite adds one fresh variable per
+        // pair, and a k-group's basis can hold up to 2^k − 1 of them —
+        // more than the headroom stop allows for. Stop with a residual
+        // rather than overflow the monomial.
+        if (vars.size() + pairs.size() > anf::Monomial::kMaxVars) break;
 
         // ---- Fresh variables for the basis elements.
         std::vector<anf::Var> newVars;
         std::vector<anf::Anf> basisExprs;
-        newVars.reserve(bres.pairs.size());
-        for (const auto& p : bres.pairs) {
+        newVars.reserve(pairs.size());
+        for (const auto& p : pairs) {
             const anf::Var v = vars.addDerived(
                 "s" + std::to_string(++freshCounter), static_cast<int>(iter));
             newVars.push_back(v);
@@ -154,7 +167,7 @@ Decomposition decompose(anf::VarTable& vars,
             scan = findIdentities(basisExprs, newVars, opt.identityMaxDegree);
 
         // ---- Rewrite.
-        anf::Anf next = rewriteFolded(bres.pairs, newVars, bres.untouched);
+        anf::Anf next = rewriteFolded(pairs, newVars, bres.untouched);
         if (!scan.reductions.empty()) {
             next = anf::substitute(next, scan.reductions);
             if (opt.recordTrace)

@@ -20,14 +20,10 @@ bool eliminateOne(IPairList& pairs, bool onFirsts) {
         // opposite element of pair i into each participant, then drop i.
         for (std::size_t j = 0; j < i; ++j) {
             if (j < res.combination.size() && res.combination.get(j)) {
-                if (onFirsts) {
+                if (onFirsts)
                     pairs[j].second ^= pairs[i].second;
-                } else {
+                else
                     pairs[j].first ^= pairs[i].first;
-                    pairs[j].ns = ring::NullSpaceRing::productClosure(
-                        pairs[j].ns, pairs[i].ns);
-                }
-                pairs[j].id = 0;  // content changed: retire the version id
             }
         }
         pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(i));
@@ -41,7 +37,6 @@ bool eliminateOne(IPairList& pairs, bool onFirsts) {
 
 std::size_t minimizeBasisLinear(IPairList& pairs) {
     MergeContext ctx;
-    ctx.versioned = false;  // foreign pairs: don't mint colliding ids
     std::size_t removed = 0;
     bool changed = true;
     while (changed) {
@@ -56,22 +51,6 @@ std::size_t minimizeBasisLinear(IPairList& pairs) {
         }
         if (changed) mergeAlgebraic(pairs, ctx);
     }
-    return removed;
-}
-
-std::size_t minimizeBasisLinear(PairList& pairs) {
-    anf::MonomialIndexer ix;
-    IPairList indexed;
-    indexed.reserve(pairs.size());
-    for (auto& p : pairs)
-        indexed.push_back({anf::IndexedAnf::fromAnf(ix, p.first),
-                           anf::IndexedAnf::fromAnf(ix, p.second),
-                           std::move(p.ns), p.id});
-    const std::size_t removed = minimizeBasisLinear(indexed);
-    pairs.clear();
-    for (auto& p : indexed)
-        pairs.push_back({p.first.toAnf(ix), p.second.toAnf(ix),
-                         std::move(p.ns), p.id});
     return removed;
 }
 

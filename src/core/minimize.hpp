@@ -6,6 +6,9 @@
 // seconds, folding X₁ into the participating firsts. Either direction
 // removes one basis element per dependency — e.g. the paper's LZD basis
 // {V₀, P₀₀, P₀₁, V₀⊕P₀₀, V₀⊕P₀₁} shrinks to {V₀, P₀₀, P₀₁}.
+//
+// Runs on a basis past findBasis in its indexed form (pairlist.hpp), all
+// sides over one indexer; the pairs' rings and ids are not kept.
 #pragma once
 
 #include "core/pairlist.hpp"
@@ -14,11 +17,8 @@ namespace pd::core {
 
 /// Eliminates all linear dependencies among firsts, then among seconds,
 /// iterating to a fixpoint. Returns the number of pairs removed. The
-/// sides' bit vectors are the solver's rows, so the indexed form needs no
-/// indexer: all the pairs' ids just have to come from the same one.
+/// sides' bit vectors are the solver's rows, so no indexer is needed:
+/// all the pairs' ids just have to come from the same one.
 std::size_t minimizeBasisLinear(IPairList& pairs);
-
-/// The same on Anf pairs, through a private indexer.
-std::size_t minimizeBasisLinear(PairList& pairs);
 
 }  // namespace pd::core

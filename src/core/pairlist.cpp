@@ -17,25 +17,10 @@ std::size_t pairListLiterals(const PairList& pairs) {
     return n;
 }
 
-void dropNullPairs(PairList& pairs) {
-    std::erase_if(pairs, [](const BPair& p) {
-        return p.first.isZero() || p.second.isZero();
-    });
-}
-
 void dropNullPairs(IPairList& pairs) {
     std::erase_if(pairs, [](const IPair& p) {
         return p.first.isZero() || p.second.isZero();
     });
-}
-
-void sortPairs(PairList& pairs) {
-    std::sort(pairs.begin(), pairs.end(),
-              [](const BPair& a, const BPair& b) {
-                  const auto c = a.first <=> b.first;
-                  if (c != 0) return c < 0;
-                  return a.second < b.second;
-              });
 }
 
 void sortPairs(const anf::MonomialIndexer& ix, IPairList& pairs) {
@@ -67,6 +52,25 @@ void sortPairs(const anf::MonomialIndexer& ix, IPairList& pairs) {
     sorted.reserve(pairs.size());
     for (const auto i : order) sorted.push_back(std::move(pairs[i]));
     pairs = std::move(sorted);
+}
+
+IPairList encodePairs(anf::MonomialIndexer& ix, const PairList& pairs) {
+    IPairList out;
+    out.reserve(pairs.size());
+    for (const auto& p : pairs) {
+        auto& q = out.emplace_back();
+        q.first = anf::IndexedAnf::fromAnf(ix, p.first);
+        q.second = anf::IndexedAnf::fromAnf(ix, p.second);
+    }
+    return out;
+}
+
+PairList decodePairs(const anf::MonomialIndexer& ix, const IPairList& pairs) {
+    PairList out;
+    out.reserve(pairs.size());
+    for (const auto& p : pairs)
+        out.push_back({p.first.toAnf(ix), p.second.toAnf(ix)});
+    return out;
 }
 
 }  // namespace pd::core

@@ -29,10 +29,10 @@ struct Scored {
 /// during probing). Scoring works on a light copy — firsts and seconds
 /// only — because the score never reads the null-space rings and
 /// deep-copying them per probe is pure waste.
-template <typename Pairs, typename Lits>
-std::size_t scoreOf(const Pairs& raw, std::size_t untouchedLits,
+template <typename Lits>
+std::size_t scoreOf(const IPairList& raw, std::size_t untouchedLits,
                     Lits&& literalsOf) {
-    Pairs pairs;
+    IPairList pairs;
     pairs.reserve(raw.size());
     for (const auto& p : raw) {
         auto& b = pairs.emplace_back();
@@ -56,15 +56,6 @@ FindBasisOptions probeFindBasisOptions(const GroupOptions& opt) {
     FindBasisOptions fb;
     fb.mergeAttemptBudget = opt.probeMergeBudget;
     return fb;
-}
-
-bool sameFindBasisOptions(const FindBasisOptions& a,
-                          const FindBasisOptions& b) {
-    return a.useNullspaceMerging == b.useNullspaceMerging &&
-           a.complementNullspace == b.complementNullspace &&
-           a.maxSpan == b.maxSpan &&
-           a.maxPairsForNullspace == b.maxPairsForNullspace &&
-           a.mergeAttemptBudget == b.mergeAttemptBudget;
 }
 
 /// Per-worker incremental state. The MergeContext's membership indexer —
@@ -456,9 +447,12 @@ SweepOutcome referenceSweep(const anf::Anf& folded,
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         auto res = findBasis(folded, candidates[i], ids, fb);
         if (res.budgetExhausted) out.budgetExhausted = true;
+        anf::MonomialIndexer ix;
         const std::size_t score =
-            scoreOf(res.pairs, res.untouched.literalCount(),
-                    [](const anf::Anf& e) { return e.literalCount(); });
+            scoreOf(encodePairs(ix, res.pairs), res.untouched.literalCount(),
+                    [&](const anf::IndexedAnf& e) {
+                        return e.toAnf(ix).literalCount();
+                    });
         if (score < out.score) {
             out.score = score;
             out.index = i;

@@ -90,10 +90,6 @@ struct SweepOutcome {
 /// merge budget. Public so the decomposer can check reuse eligibility.
 [[nodiscard]] FindBasisOptions probeFindBasisOptions(const GroupOptions& opt);
 
-/// Field-wise equality (FindBasisOptions has no operator==).
-[[nodiscard]] bool sameFindBasisOptions(const FindBasisOptions& a,
-                                        const FindBasisOptions& b);
-
 /// Sweep engine. One context serves a whole decompose run: per-worker
 /// workspaces persist across sweeps (the indexer only grows), while the
 /// ring caches reset each sweep (the identity database mutates between

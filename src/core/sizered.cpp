@@ -5,12 +5,11 @@
 namespace pd::core {
 namespace {
 
-std::size_t pairLiterals(const BPair& p) {
-    return p.first.literalCount() + p.second.literalCount();
-}
-
 /// Applies the best ordered transform once; returns true on improvement.
-bool improveOnce(PairList& pairs) {
+bool improveOnce(const anf::MonomialIndexer& ix, IPairList& pairs) {
+    const auto lits = [&](const anf::IndexedAnf& e) {
+        return e.literalCount(ix);
+    };
     std::size_t bestGain = 0;
     std::size_t bi = 0;
     std::size_t bj = 0;
@@ -20,14 +19,15 @@ bool improveOnce(PairList& pairs) {
             // Candidate: (X_i⊕X_j, Y_i), (X_j, Y_i⊕Y_j) — pair j keeps its
             // first, so the ordered direction matters.
             const std::size_t before =
-                pairLiterals(pairs[i]) + pairLiterals(pairs[j]);
-            const anf::Anf nf = pairs[i].first ^ pairs[j].first;
-            const anf::Anf ns = pairs[i].second ^ pairs[j].second;
+                lits(pairs[i].first) + lits(pairs[i].second) +
+                lits(pairs[j].first) + lits(pairs[j].second);
+            anf::IndexedAnf nf = pairs[i].first;
+            nf ^= pairs[j].first;
+            anf::IndexedAnf ns = pairs[i].second;
+            ns ^= pairs[j].second;
             if (nf.isZero() || ns.isZero()) continue;
-            const std::size_t after = nf.literalCount() +
-                                      pairs[i].second.literalCount() +
-                                      pairs[j].first.literalCount() +
-                                      ns.literalCount();
+            const std::size_t after = lits(nf) + lits(pairs[i].second) +
+                                      lits(pairs[j].first) + lits(ns);
             if (after < before && before - after > bestGain) {
                 bestGain = before - after;
                 bi = i;
@@ -37,28 +37,22 @@ bool improveOnce(PairList& pairs) {
     }
     if (bestGain == 0) return false;
 
-    BPair& pi = pairs[bi];
-    BPair& pj = pairs[bj];
-    const anf::Anf newFirst = pi.first ^ pj.first;
-    const anf::Anf newSecond = pi.second ^ pj.second;
-    pi.ns = ring::NullSpaceRing::productClosure(pi.ns, pj.ns);
-    pi.first = newFirst;
-    // pj.first unchanged; pj.ns still valid.
-    pj.second = newSecond;
-    pi.id = 0;  // content changed: retire the version ids
-    pj.id = 0;
+    pairs[bi].first ^= pairs[bj].first;
+    pairs[bj].second ^= pairs[bi].second;  // pair j keeps its first
     dropNullPairs(pairs);
     return true;
 }
 
 }  // namespace
 
-std::size_t improveBasisSizeReduction(PairList& pairs) {
+std::size_t improveBasisSizeReduction(const anf::MonomialIndexer& ix,
+                                      IPairList& pairs) {
+    MergeContext ctx;
     std::size_t applied = 0;
-    mergeAlgebraic(pairs);  // identical firsts/seconds collapse for free
-    while (improveOnce(pairs)) {
+    mergeAlgebraic(pairs, ctx);  // identical firsts/seconds collapse for free
+    while (improveOnce(ix, pairs)) {
         ++applied;
-        mergeAlgebraic(pairs);
+        mergeAlgebraic(pairs, ctx);
         if (applied > 4 * pairs.size() + 64) break;  // safety valve
     }
     return applied;

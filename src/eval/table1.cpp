@@ -241,8 +241,8 @@ BenchReport rowAdder16() {
 BenchReport rowComparator(int width) {
     BenchReport rep;
     rep.title = std::to_string(width) +
-                "-bit Comparator (Table 1, row 7; paper uses 15 bits — see "
-                "DESIGN.md substitution)";
+                "-bit Comparator (Table 1, row 7; paper uses 15 bits, reduced "
+                "for the flat Reed-Muller form's size)";
     Flow flow;
     const auto cmp = circuits::makeComparator(width, /*maxAnfWidth=*/13);
     rep.rows.push_back(flow.runNetlist("Unoptimised (progressive comparator)",
@@ -261,8 +261,8 @@ BenchReport rowComparator(int width) {
 BenchReport rowAdder3(int width) {
     BenchReport rep;
     rep.title = std::to_string(width) +
-                "-bit Three-Input Adder (Table 1, row 8; paper uses 12 bits "
-                "— see DESIGN.md substitution)";
+                "-bit Three-Input Adder (Table 1, row 8; paper uses 12 bits, "
+                "reduced for the flat Reed-Muller form's size)";
     Flow flow;
     const auto add3 = circuits::makeAdder3(width);
     rep.rows.push_back(flow.runNetlist("Unoptimised (A + B + C)",

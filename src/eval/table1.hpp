@@ -6,7 +6,7 @@
 // flow against the same cell library, and is verified against the
 // benchmark's reference semantics before its numbers are reported.
 // The paper's published µm²/ns accompany each row so benches can print
-// paper-vs-measured tables (EXPERIMENTS.md records the comparison).
+// paper-vs-measured tables (the bench/bench_table1_*.cpp binaries do).
 #pragma once
 
 #include <optional>
@@ -99,11 +99,11 @@ private:
 [[nodiscard]] BenchReport rowCounter16();
 [[nodiscard]] BenchReport rowAdder16();
 /// `width`: the paper uses 15; the flat Reed-Muller form is 3^n−1 terms,
-/// so the default reproduction width is 12 (see DESIGN.md substitutions).
+/// so the default reproduction width is 12.
 [[nodiscard]] BenchReport rowComparator(int width = 12);
 /// `width`: the paper uses 12; the flat Reed-Muller form of a 3-operand
 /// adder grows ~4× per bit (~20M monomials at 12 bits), so the default
-/// reproduction width is 9 (see DESIGN.md substitutions). The paper's
+/// reproduction width is 9. The paper's
 /// µm²/ns stay attached for the shape comparison.
 [[nodiscard]] BenchReport rowAdder3(int width = 9);
 

@@ -4,8 +4,8 @@
 // 0.13µm library. We model a compatible-magnitude cell set: per-cell area
 // in µm² and intrinsic delay in ns, plus a linear fan-out load penalty.
 // Absolute numbers are representative of a 0.13µm process, not extracted
-// from the (proprietary) UMC kit; EXPERIMENTS.md compares shapes, not
-// absolutes. The load penalty is what rewards the low-fan-out hierarchical
+// from the (proprietary) UMC kit; the Table-1 reports (eval/table1.hpp)
+// compare shapes, not absolutes. The load penalty is what rewards the low-fan-out hierarchical
 // structures Progressive Decomposition produces (the Fig. 1/Fig. 2
 // interconnect argument made quantitative).
 #pragma once

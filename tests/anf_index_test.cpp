@@ -8,7 +8,9 @@
 // byte-identical whichever path computed them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -241,8 +243,95 @@ TEST(AnfIndexTest, MemberOfSumSharedContextReusesCaches) {
     }
 }
 
-/// Reference findBasis pipeline assembled from the public Anf-domain
-/// pieces — what findBasis computed before the indexed kernel.
+// ---------------------------------------------------------------------------
+// Reference findBasis pipeline in the Anf domain — what findBasis computed
+// before the indexed kernel: the same split, the same algebraic and
+// null-space merges over sorted-vector sides with the context-free
+// membership oracle, and the same (first, second) sort. No merge memo and
+// no budget: every null-space attempt is solved.
+// ---------------------------------------------------------------------------
+
+struct RefPair {
+    Anf first;
+    Anf second;
+    ring::NullSpaceRing ns;  ///< known subring of N(first)
+};
+using RefPairList = std::vector<RefPair>;
+
+void refDropNullPairs(RefPairList& pairs) {
+    std::erase_if(pairs, [](const RefPair& p) {
+        return p.first.isZero() || p.second.isZero();
+    });
+}
+
+/// Groups pairs by equal second (bySecond) or equal first and XORs the
+/// other sides, in first-occurrence order. Returns true when the list
+/// shrank.
+bool refMergeBy(RefPairList& pairs, bool bySecond) {
+    std::unordered_map<Anf, std::vector<std::size_t>, anf::AnfHash> by;
+    const auto key = [&](std::size_t i) -> const Anf& {
+        return bySecond ? pairs[i].second : pairs[i].first;
+    };
+    for (std::size_t i = 0; i < pairs.size(); ++i) by[key(i)].push_back(i);
+    if (by.size() == pairs.size()) return false;
+
+    RefPairList merged;
+    std::vector<char> used(pairs.size(), 0);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        if (used[i]) continue;
+        RefPair acc = pairs[i];
+        used[i] = 1;
+        for (const std::size_t j : by[key(i)]) {
+            if (used[j]) continue;
+            used[j] = 1;
+            if (bySecond) {
+                acc.first ^= pairs[j].first;
+                acc.ns = ring::NullSpaceRing::productClosure(acc.ns,
+                                                             pairs[j].ns);
+            } else {
+                acc.second ^= pairs[j].second;
+            }
+        }
+        merged.push_back(std::move(acc));
+    }
+    pairs = std::move(merged);
+    refDropNullPairs(pairs);
+    return true;
+}
+
+void refMergeAlgebraic(RefPairList& pairs) {
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        if (refMergeBy(pairs, /*bySecond=*/false)) changed = true;
+        if (refMergeBy(pairs, /*bySecond=*/true)) changed = true;
+    }
+}
+
+bool refMergeNullspace(RefPairList& pairs,
+                       const core::FindBasisOptions& opt) {
+    if (pairs.size() > opt.maxPairsForNullspace) return false;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        for (std::size_t j = i + 1; j < pairs.size(); ++j) {
+            if (pairs[i].ns.trivial() && pairs[j].ns.trivial()) continue;
+            const Anf diff = pairs[i].second ^ pairs[j].second;
+            const auto m = ring::memberOfSum(diff, pairs[i].ns, pairs[j].ns,
+                                             opt.maxSpan);
+            if (!m.member) continue;
+            RefPair merged;
+            merged.first = pairs[i].first ^ pairs[j].first;
+            merged.second = pairs[i].second ^ m.part1;
+            merged.ns =
+                ring::NullSpaceRing::productClosure(pairs[i].ns, pairs[j].ns);
+            pairs[i] = std::move(merged);
+            pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(j));
+            refDropNullPairs(pairs);
+            return true;
+        }
+    }
+    return false;
+}
+
 core::BasisResult referenceFindBasis(const Anf& folded,
                                      const anf::VarSet& group,
                                      const ring::IdentityDb& ids,
@@ -268,21 +357,27 @@ core::BasisResult referenceFindBasis(const Anf& folded,
         }
         rests[idx].push_back(r);
     }
-    core::PairList pairs;
+    RefPairList pairs;
     for (std::size_t i = 0; i < order.size(); ++i) {
-        core::BPair p;
+        RefPair p;
         p.first = Anf::term(order[i]);
         p.second = Anf::fromTerms(std::move(rests[i]));
         if (p.second.isZero()) continue;
         p.ns = ids.nullspaceOfMonomial(order[i], opt.complementNullspace);
         pairs.push_back(std::move(p));
     }
-    core::mergeAlgebraic(pairs);
+    refMergeAlgebraic(pairs);
     if (opt.useNullspaceMerging) {
-        while (core::mergeNullspace(pairs, opt)) core::mergeAlgebraic(pairs);
+        while (refMergeNullspace(pairs, opt)) refMergeAlgebraic(pairs);
     }
-    core::sortPairs(pairs);
-    out.pairs = std::move(pairs);
+    std::sort(pairs.begin(), pairs.end(),
+              [](const RefPair& a, const RefPair& b) {
+                  const auto c = a.first <=> b.first;
+                  if (c != 0) return c < 0;
+                  return a.second < b.second;
+              });
+    for (auto& p : pairs)
+        out.pairs.push_back({std::move(p.first), std::move(p.second)});
     return out;
 }
 
@@ -339,29 +434,6 @@ TEST(AnfIndexTest, BudgetedFindBasisIsSoundAndReportsTruncation) {
         if (res.budgetExhausted) ++truncated;
     }
     EXPECT_GT(truncated, 0u);  // budget 1 must bite somewhere
-}
-
-TEST(AnfIndexTest, ContextFreeMergesNeverMintCollidingIds) {
-    // BPair::id invariant: an id is only meaningful within the context
-    // that minted it. The context-free merge overloads therefore hand
-    // mutated pairs id 0 (unversioned) instead of fresh ids that could
-    // collide with ids from the caller's context — a collision is how a
-    // false failed-merge memo hit (a silently skipped valid merge) would
-    // arise.
-    core::PairList pairs(3);
-    pairs[0].first = Anf::var(0);
-    pairs[0].second = Anf::var(5);
-    pairs[0].id = 7;
-    pairs[1].first = Anf::var(1);
-    pairs[1].second = Anf::var(5);  // equal seconds: merges with pairs[0]
-    pairs[1].id = 8;
-    pairs[2].first = Anf::var(2);
-    pairs[2].second = Anf::var(6);  // untouched
-    pairs[2].id = 9;
-    core::mergeAlgebraic(pairs);
-    ASSERT_EQ(pairs.size(), 2u);
-    EXPECT_EQ(pairs[0].id, 0u) << "merged pair must be unversioned";
-    EXPECT_EQ(pairs[1].id, 9u) << "unchanged pair keeps its version";
 }
 
 TEST(AnfIndexTest, MonomialInsertBeyondCapacityThrows) {

@@ -137,12 +137,16 @@ TEST(FindBasis, DisjointGroupLeavesEverythingUntouched) {
 TEST(MergeAlgebraic, FixpointOnConstructedList) {
     VarTable vt;
     PairList pairs;
-    pairs.push_back({parse("a", vt), parse("d", vt), {}});
-    pairs.push_back({parse("a", vt), parse("e*f", vt), {}});
-    pairs.push_back({parse("b*c", vt), parse("d", vt), {}});
-    pairs.push_back({parse("b*c", vt), parse("e*f", vt), {}});
+    pairs.push_back({parse("a", vt), parse("d", vt)});
+    pairs.push_back({parse("a", vt), parse("e*f", vt)});
+    pairs.push_back({parse("b*c", vt), parse("d", vt)});
+    pairs.push_back({parse("b*c", vt), parse("e*f", vt)});
     const Anf before = pairListValue(pairs);
-    mergeAlgebraic(pairs);
+    anf::MonomialIndexer ix;
+    IPairList indexed = encodePairs(ix, pairs);
+    MergeContext ctx;
+    mergeAlgebraic(indexed, ctx);
+    pairs = decodePairs(ix, indexed);
     ASSERT_EQ(pairs.size(), 1u);
     EXPECT_EQ(pairs[0].first, parse("a ^ b*c", vt));
     EXPECT_EQ(pairs[0].second, parse("d ^ e*f", vt));
@@ -152,11 +156,14 @@ TEST(MergeAlgebraic, FixpointOnConstructedList) {
 TEST(PairListHelpers, LiteralsAndNullDrop) {
     VarTable vt;
     PairList pairs;
-    pairs.push_back({parse("a ^ b", vt), parse("c*d", vt), {}});
-    pairs.push_back({Anf::zero(), parse("c", vt), {}});
+    pairs.push_back({parse("a ^ b", vt), parse("c*d", vt)});
+    pairs.push_back({Anf::zero(), parse("c", vt)});
     EXPECT_EQ(pairListLiterals(pairs), 2u + 2u + 0u + 1u);
-    dropNullPairs(pairs);
-    EXPECT_EQ(pairs.size(), 1u);
+    anf::MonomialIndexer ix;
+    IPairList indexed = encodePairs(ix, pairs);
+    dropNullPairs(indexed);
+    ASSERT_EQ(indexed.size(), 1u);
+    EXPECT_EQ(indexed[0].first.toAnf(ix), parse("a ^ b", vt));
 }
 
 }  // namespace

@@ -197,6 +197,40 @@ TEST(Decomposer, TraceRecordsIterations) {
     }
 }
 
+TEST(Decomposer, CapacityGuardCountsTheWholeBasis) {
+    // x0..x3 carry all 15 non-empty subset products, each with its own
+    // cofactor x4..x18, so that group's basis has 2^4 − 1 = 15 elements;
+    // linear terms pad the table to near the 256-variable capacity. A
+    // basis wider than the remaining headroom must stop the run with a
+    // residual, never overflow a monomial. At 241 variables the basis
+    // fits exactly; 243 and 245 pass the 2k + 2 headroom stop but not the
+    // basis; 246 hits the headroom stop.
+    for (const std::size_t n : {241u, 243u, 245u, 246u}) {
+        VarTable vt;
+        std::vector<Anf> x;
+        for (std::size_t i = 0; i < n; ++i)
+            x.push_back(Anf::var(
+                vt.addInput("x" + std::to_string(i), 0, static_cast<int>(i))));
+        Anf f;
+        std::size_t cofactor = 4;
+        for (const std::size_t size : {4u, 3u, 2u, 1u})
+            for (unsigned mask = 1; mask < 16; ++mask) {
+                if (static_cast<std::size_t>(__builtin_popcount(mask)) != size)
+                    continue;
+                Anf term = x[cofactor++];
+                for (std::size_t v = 0; v < 4; ++v)
+                    if (mask & (1u << v)) term = term * x[v];
+                f ^= term;
+            }
+        for (std::size_t i = 19; i < n; ++i) f ^= x[i];
+
+        Decomposition d;
+        ASSERT_NO_THROW(d = decompose(vt, {f}, {"f"})) << n << " variables";
+        EXPECT_LE(vt.size(), anf::Monomial::kMaxVars);
+        expectEquivalent(d, vt, {f});
+    }
+}
+
 TEST(Decomposer, RejectsBadArguments) {
     VarTable vt;
     EXPECT_THROW(decompose(vt, {}, {}), Error);

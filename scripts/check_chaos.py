@@ -3,16 +3,13 @@
 fault plans and assert the fleet degrades gracefully instead of dying.
 
 Usage: check_chaos.py --cli ./build/pd_cli [--workdir DIR]
-                      [--transport pipe|socket] [--soak N] [--seed S]
-                      [--keep]
+                      [--soak N] [--seed S] [--keep]
 
-With --transport socket the whole matrix (and the baseline it is
-compared against) runs under --shard-transport socket, proving the
-degradation contract holds when frames travel a localhost connection
-instead of inherited pipes. Two socket-only liveness plans always run
-regardless: a worker frozen mid-job must die at the heartbeat deadline
-with its job retried on another worker, and a connection that never
-establishes must book spawn-failure (not crash) accounting.
+Every sharded batch carries its frames over the localhost socket each
+worker dials back. Two liveness plans run after the matrix: a worker
+frozen mid-job must die at the heartbeat deadline with its job retried
+on another worker, and a connection that never establishes must book
+spawn-failure (not crash) accounting.
 
 Every plan runs the same three-benchmark batch and is held to the
 generic contract first:
@@ -53,10 +50,6 @@ BENCHES = ("majority7", "counter8", "adder8")
 VOLATILE_JOB_FIELDS = ("timing", "cache", "shard", "shard_fallback")
 RUN_TIMEOUT_S = 300
 
-# Which --shard-transport every sharded run uses (set from --transport);
-# plans that pass an explicit --shard-transport are left alone.
-TRANSPORT = "pipe"
-
 # Sites safe for randomized soaking: each either kills/starves a worker
 # (retry/fallback territory) or tears an artifact (salvage territory).
 # Hang sites are excluded — they only convert chaos time into wall time.
@@ -93,8 +86,6 @@ def run_batch(cli, workdir, tag, faults=None, env_extra=None, args=()):
     """One `pd_cli batch` run; returns exit code + parsed report."""
     report_path = os.path.join(workdir, f"{tag}.json")
     cmd = [cli, "batch", *BENCHES, "--json", report_path, *args]
-    if "--shards" in args and "--shard-transport" not in args:
-        cmd += ["--shard-transport", TRANSPORT]
     env = dict(os.environ)
     env.pop("PD_FAULTS", None)
     if faults:
@@ -379,20 +370,18 @@ def run_matrix(cli, workdir, baseline):
           f"{len(sources)} proofs replayed)")
 
 
-def run_socket_plans(cli, workdir, baseline):
-    """Socket-transport liveness plans (wire v6); always run, whatever
-    --transport the main matrix uses."""
+def run_liveness_plans(cli, workdir, baseline):
+    """Socket liveness plans (wire v6)."""
     # --- frozen worker: only the heartbeat deadline can reap it -------
     # SIGSTOP freezes the whole worker process, pump thread included, so
-    # neither the wall budget (no overrunning job timer here) nor pipe
+    # neither the wall budget (no overrunning job timer here) nor socket
     # EOF fires — the kill must come from --shard-heartbeat-ms. The
     # retry lands on another worker, which freezes on the same job name,
     # so the final verdict is the contained retried-once failure.
     plan = "socket-heartbeat-stall"
     r = run_batch(cli, workdir, plan,
                   env_extra={"PD_SHARD_TEST_STALL_JOB": "counter8"},
-                  args=("--shards", "2", "--shard-transport", "socket",
-                        "--shard-heartbeat-ms", "500"))
+                  args=("--shards", "2", "--shard-heartbeat-ms", "500"))
     check_generic(plan, r, baseline, cli)
     expect(plan, r.code == 2, f"expected exit 2, got {r.code}", r)
     bad = failed_jobs(r)
@@ -415,7 +404,7 @@ def run_socket_plans(cli, workdir, baseline):
     # --- connection never establishes: spawn-failure accounting -------
     plan = "socket-accept-fault"
     r = run_batch(cli, workdir, plan, faults="shard.sock.accept:n1",
-                  args=("--shards", "2", "--shard-transport", "socket"))
+                  args=("--shards", "2"))
     check_generic(plan, r, baseline, cli)
     expect(plan, r.code == 0, f"expected exit 0, got {r.code}", r)
     expect(plan, not failed_jobs(r),
@@ -462,10 +451,6 @@ def main():
                     help="path to the pd_cli binary under test")
     ap.add_argument("--workdir",
                     help="scratch dir (default: a fresh temp dir)")
-    ap.add_argument("--transport", choices=("pipe", "socket"),
-                    default="pipe",
-                    help="--shard-transport for every sharded plan "
-                         "(the two socket liveness plans always run)")
     ap.add_argument("--soak", type=int, default=0, metavar="N",
                     help="extra randomized seeded-probabilistic plans")
     ap.add_argument("--seed", type=int, default=20260808,
@@ -479,14 +464,10 @@ def main():
     if not os.access(cli, os.X_OK):
         sys.exit(f"--cli {opt.cli}: not an executable")
 
-    global TRANSPORT
-    TRANSPORT = opt.transport
-
     workdir = opt.workdir or tempfile.mkdtemp(prefix="pd-chaos-")
     os.makedirs(workdir, exist_ok=True)
     try:
-        print(f"chaos gate: baseline batch ({', '.join(BENCHES)}) over "
-              f"the {TRANSPORT} transport")
+        print(f"chaos gate: baseline batch ({', '.join(BENCHES)})")
         base = run_batch(cli, workdir, "baseline",
                          args=("--shards", "2"))
         if base.code != 0 or base.report is None:
@@ -497,7 +478,7 @@ def main():
         baseline = semantic_jobs(base.report)
 
         run_matrix(cli, workdir, baseline)
-        run_socket_plans(cli, workdir, baseline)
+        run_liveness_plans(cli, workdir, baseline)
         if opt.soak > 0:
             print(f"chaos gate: soaking {opt.soak} randomized plans "
                   f"(seed {opt.seed})")
@@ -507,8 +488,8 @@ def main():
             shutil.rmtree(workdir, ignore_errors=True)
 
     soak_note = f" + {opt.soak} soak plans" if opt.soak else ""
-    print(f"chaos gate OK: matrix of 9 fault plans over the {TRANSPORT} "
-          f"transport + 2 socket liveness plans{soak_note} — coordinator "
+    print(f"chaos gate OK: matrix of 9 fault plans + 2 liveness "
+          f"plans{soak_note} — coordinator "
           f"survived every one, blast radii held, stores stayed readable")
 
 

@@ -4,18 +4,16 @@
 Usage: check_shard_equiv.py single_report.json sharded_report.json [more...]
 
 Asserts, against pd-batch-report-v1 documents produced by running the
-same `pd_cli batch ...` selection with and without --shards (any mix of
---shard-transport pipe/socket legs may follow the single-process
-baseline):
+same `pd_cli batch ...` selection with and without --shards (any number
+of sharded legs may follow the single-process baseline):
 
   1. every run succeeded on every job;
   2. each sharded report really ran sharded (engine.shards >= 1, and
      every wire-eligible job carries a worker shard id >= 0);
   3. the semantic payload of every job — everything except timings, cache
      provenance, and the shard id — is byte-identical between the
-     single-process baseline and every sharded leg, whatever transport
-     carried the frames;
-  4. a fault-free socket leg kept its liveness machinery silent:
+     single-process baseline and every sharded leg;
+  4. a fault-free leg kept its liveness machinery silent:
      resilience.heartbeat_misses, deadline_kills and wire_poisons are 0
      (reconnects stay 0 too — nothing should have torn a connection).
 
@@ -40,7 +38,6 @@ def semantic_jobs(report):
 
 def check_sharded_leg(single, sharded, sharded_path):
     shards = sharded.get("engine", {}).get("shards", 0)
-    transport = sharded.get("engine", {}).get("shard_transport", "pipe")
     if shards < 1:
         sys.exit(f"{sharded_path}: engine.shards is {shards} — "
                  f"was --shards passed?")
@@ -61,20 +58,20 @@ def check_sharded_leg(single, sharded, sharded_path):
         sys.exit(f"{sharded_path}: result drift: job lists differ in "
                  f"length or order")
 
-    # A fault-free run must never exercise the degraded paths; on the
-    # socket transport that specifically includes the wire-v6 liveness
-    # machinery (a false-positive deadline kill would silently show up
-    # here as a retried job long before it flaked a chaos plan).
+    # A fault-free run must never exercise the degraded paths; that
+    # specifically includes the wire-v6 liveness machinery (a
+    # false-positive deadline kill would silently show up here as a
+    # retried job long before it flaked a chaos plan).
     res = sharded.get("resilience", {})
     if not res.get("armed_faults"):
         for counter in ("heartbeat_misses", "deadline_kills", "wire_poisons",
                         "reconnects"):
             if res.get(counter, 0) != 0:
-                sys.exit(f"{sharded_path}: fault-free {transport} run has "
+                sys.exit(f"{sharded_path}: fault-free run has "
                          f"resilience.{counter} = {res.get(counter)}")
 
     used = sorted({j["shard"] for j in sharded["jobs"]})
-    return shards, transport, used
+    return shards, used
 
 
 def main():
@@ -96,8 +93,8 @@ def main():
     single = reports[0]
     legs = []
     for report, path in zip(reports[1:], paths[1:]):
-        shards, transport, used = check_sharded_leg(single, report, path)
-        legs.append(f"{transport}×{shards} (workers used: {used})")
+        shards, used = check_sharded_leg(single, report, path)
+        legs.append(f"×{shards} (workers used: {used})")
 
     # Probe-thread plumbing coverage: when a sharded run fanned its probe
     # sweeps out (--probe-threads through the pd-shard-wire job frames),

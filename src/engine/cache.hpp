@@ -151,7 +151,7 @@ public:
     /// call; restore()d entries never qualify. A read-only sharded worker
     /// hands exactly these back with each job's answer (re-shipping the
     /// shared store's own entries from N workers would be N-fold wasted
-    /// pipe traffic).
+    /// wire traffic).
     [[nodiscard]] std::vector<SnapshotEntry> takeFresh();
 
     /// Merge-on-load: adopts entries whose keys are not already present

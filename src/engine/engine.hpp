@@ -30,7 +30,6 @@
 #include "engine/job.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/protocol.hpp"
-#include "engine/shard/transport.hpp"
 #include "sat/proof_cache.hpp"
 #include "sim/equivalence.hpp"
 #include "synth/celllib.hpp"
@@ -127,12 +126,6 @@ struct EngineOptions {
     /// kObs and kBye) may take before stragglers are killed, and the
     /// grace an in-flight job gets after a cooperative shutdown request.
     int shardDrainMs = 60000;
-    /// Shard frame transport: pipe (fork/exec stdin/stdout, the
-    /// default) or socket (SOCK_STREAM over localhost — the remote-host
-    /// stepping stone). A scheduling knob only: results, reports, and
-    /// flushed stores are byte-identical either way, so it deliberately
-    /// never salts persistFingerprint/proofFingerprint.
-    shard::TransportKind shardTransport = shard::TransportKind::kPipe;
     /// Worker liveness deadline in ms (0 disables supervision): a
     /// worker whose frame stream stays completely silent past it is
     /// declared dead exactly like a crash — killed, respawned under
@@ -159,8 +152,9 @@ struct PersistInfo {
 struct BatchResilience {
     std::size_t workerCrashes = 0;   ///< deaths observed (incl. budget kills)
     std::size_t workerRespawns = 0;
-    /// Exec failures (exit 127) and failed socket establishments: the
-    /// worker never joined the fleet, so no job's retry budget is charged.
+    /// Workers that never connected (exec failure, early exit, connect
+    /// timeout, accept fault): the worker never joined the fleet, so no
+    /// job's retry budget is charged.
     std::size_t spawnFailures = 0;
     std::size_t retries = 0;         ///< jobs requeued after a crash
     std::size_t fallbackJobs = 0;    ///< ran in-process after pool collapse
@@ -169,7 +163,7 @@ struct BatchResilience {
     /// two differ only when a slot's process was already gone.
     std::size_t heartbeatMisses = 0;
     std::size_t deadlineKills = 0;
-    /// Socket re-establishments after a slot's first successful connect.
+    /// Connections accepted after a slot's first successful connect.
     std::size_t reconnects = 0;
     /// Frame streams that poisoned their decoder (checksum mismatch,
     /// unknown type, oversize length — the torn-connection signature).

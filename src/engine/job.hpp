@@ -166,7 +166,7 @@ struct JobResult {
 
     /// Which shard worker process produced this result; -1 for jobs run
     /// in the requesting process (sharding off, or a spec that cannot
-    /// cross a worker pipe). Provenance only — never part of cache
+    /// cross the shard wire). Provenance only — never part of cache
     /// equality or the semantic payload.
     int shard = -1;
 

@@ -76,7 +76,7 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
     w.field("verify_conflict_budget", opt.verifyConflictBudget);
     w.field("verify_prop_budget", opt.verifyPropagationBudget);
     w.field("shards", opt.shards);
-    w.field("shard_transport", shard::transportName(opt.shardTransport));
+    w.field("shard_transport", "socket");  // the only transport
     {
         // Provenance identity: which exact source + toolchain produced
         // this document, and which schema versions its artifacts speak.

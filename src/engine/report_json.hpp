@@ -64,7 +64,7 @@
 //     },
 //     "resilience": {                              // always present; zeros
 //       "worker_crashes": u, "worker_respawns": u, // on a healthy run
-//       "spawn_failures": u,                       // exec failures (127)
+//       "spawn_failures": u,                       // never connected
 //       "retries": u, "fallback_jobs": u, "interrupted_jobs": u,
 //       "salvaged_entries": u, "salvage_dropped": u,
 //       "armed_faults": [s, ...]                   // "site:spec" plans

@@ -48,22 +48,6 @@ std::string describeExit(int status) {
     return "ended with wait status " + std::to_string(status);
 }
 
-/// Scoped process-wide SIGPIPE suppression: writing to a crashed worker
-/// must surface as EPIPE (handled as a worker death), not kill the
-/// coordinator. Restored on scope exit.
-class IgnoreSigpipe {
-public:
-    IgnoreSigpipe() {
-        struct sigaction ign {};
-        ign.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ign, &old_);
-    }
-    ~IgnoreSigpipe() { ::sigaction(SIGPIPE, &old_, nullptr); }
-
-private:
-    struct sigaction old_ {};
-};
-
 struct Slot {
     enum class State {
         kDown,      ///< no process (initial, or died and not yet respawned)
@@ -77,8 +61,7 @@ struct Slot {
 
     State state = State::kDown;
     pid_t pid = -1;
-    int toChild = -1;
-    int fromChild = -1;
+    int fd = -1;  ///< the connected socket carrying both directions
     FrameDecoder decoder;
     bool inFlight = false;
     std::size_t job = 0;
@@ -86,8 +69,7 @@ struct Slot {
     bool budgetKilled = false;
     bool hbKilled = false;  ///< SIGKILLed for a missed heartbeat deadline
     bool byeSeen = false;
-    bool everSpawned = false;
-    bool everConnected = false;  ///< completed at least one establish()
+    bool everConnected = false;  ///< completed at least one accept()
     int idleCrashes = 0;  ///< consecutive deaths with no job in flight
     int deathStreak = 0;  ///< consecutive deaths since the last result
     Clock::time_point respawnAfter{};  ///< backoff gate for the next spawn
@@ -130,8 +112,6 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     const std::size_t slotCount =
         std::min(std::max<std::size_t>(opt.shards, 1), wireJobs.size());
 
-    IgnoreSigpipe sigpipeGuard;
-
     std::deque<std::size_t> queue(wireJobs.begin(), wireJobs.end());
     std::unordered_map<std::size_t, std::size_t> avoidSlot;  // retried jobs
     std::unordered_map<std::size_t, int> attempts;
@@ -148,10 +128,10 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         ++completed;
     };
 
-    /// Books one failed spawn attempt (exec failure under pipes, or a
-    /// failed channel establishment under sockets): counted apart from
-    /// crashes, charged to no job's retry budget, backed off like any
-    /// other death, retired after two idle failures.
+    /// Books one failed spawn attempt (the worker never connected: exec
+    /// failure, early exit, connect timeout, accept fault): counted apart
+    /// from crashes, charged to no job's retry budget, backed off like
+    /// any other death, retired after two idle failures.
     const auto bookSpawnFailure = [&](std::size_t slotId,
                                       const std::string& why) {
         Slot& s = slots[slotId];
@@ -183,15 +163,15 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     const auto spawn = [&](std::size_t slotId) {
         if (exe.empty()) exe = resolveWorkerExe(opt.shardWorkerExe);
         Slot& s = slots[slotId];
-        const auto channel = openChannel(opt.shardTransport, slotId);
+        WorkerListener listener(slotId);
 
         // The engine configuration travels through the worker argv codec;
-        // the channel adds its own argv (socket: --connect host:port).
+        // the listener adds the address the worker dials back.
         std::vector<std::string> args = {exe, "worker"};
         for (auto& a :
              encodeWorkerArgs(static_cast<std::uint32_t>(slotId), opt))
             args.push_back(std::move(a));
-        for (const auto& extra : channel->workerArgs()) args.push_back(extra);
+        for (auto& a : listener.workerArgs()) args.push_back(std::move(a));
 
         // Evaluated in the parent so the hit count is deterministic in
         // the coordinator process; the child acts it out as the exact
@@ -201,64 +181,54 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         const pid_t pid = ::fork();
         if (pid < 0)
             fail("shard", "fork() failed spawning worker " +
-                              std::to_string(slotId));  // channel dtor cleans
+                              std::to_string(slotId));  // listener dtor cleans
         if (pid == 0) {
             if (spawnFault) _exit(127);
-            channel->childSetup();
             std::vector<char*> argv;
             argv.reserve(args.size() + 1);
             for (auto& a : args) argv.push_back(a.data());
             argv.push_back(nullptr);
             ::execv(exe.c_str(), argv.data());
-            _exit(127);  // exec failed; parent counts a spawn failure
+            _exit(127);  // exec failed; the worker never connects
         }
         // The slot owns a process from this instant: mark it kSpawning
-        // *before* establishment so a failure there retires the slot on
-        // the same two-strikes rule as a pipe worker's exit 127 (which
-        // only surfaces later, through onDeath). Without this a socket
-        // worker that dies pre-connect leaves the slot kDown, the retire
-        // branch never fires, and a persistent spawn fault respawns
-        // forever instead of collapsing the pool.
+        // *before* accepting so a failure there retires the slot on the
+        // two-strikes rule. Without this a worker that dies pre-connect
+        // leaves the slot kDown, the retire branch never fires, and a
+        // persistent spawn fault respawns forever instead of collapsing
+        // the pool.
         s.state = Slot::State::kSpawning;
-        // Channel establishment is where the transports diverge: pipes
-        // are live the instant they exist, a socket must be dialed and
-        // accepted under kConnectTimeoutMs. A failed establishment is a
-        // spawn failure (the worker never joined the fleet), never a
-        // crash — the same accounting split exit 127 gets.
-        EstablishResult est = channel->establish(pid);
-        if (!est.endpoints) {
-            if (!est.childExited) {
+        // A worker that never connects within kConnectTimeoutMs — exec
+        // failure, early exit, injected accept fault — never joined the
+        // fleet: a spawn failure, never a crash.
+        const AcceptResult conn = listener.accept(pid);
+        if (conn.fd < 0) {
+            if (!conn.childExited) {
                 ::kill(pid, SIGKILL);
-                int status = 0;
-                ::waitpid(pid, &status, 0);
+                ::waitpid(pid, nullptr, 0);
             }
-            bookSpawnFailure(slotId, est.error);
+            bookSpawnFailure(slotId, conn.error);
             return;
         }
         s.pid = pid;
-        s.toChild = est.endpoints->toChild;
-        s.fromChild = est.endpoints->fromChild;
+        s.fd = conn.fd;
         s.decoder = FrameDecoder{};
-        s.state = Slot::State::kSpawning;
         s.inFlight = false;
         s.budgetKilled = false;
         s.hbKilled = false;
         s.byeSeen = false;
         s.wireError.clear();
         s.lastByteAt = Clock::now();
-        if (opt.shardTransport == TransportKind::kSocket && s.everConnected)
+        if (s.everConnected) {
             ++res.reconnects;
+            ++res.workerRespawns;
+        }
         s.everConnected = true;
-        if (s.everSpawned) ++res.workerRespawns;
-        s.everSpawned = true;
     };
 
     const auto closeSlot = [&](Slot& s) {
-        // Over a socket both endpoints are the same fd: close it once.
-        if (s.toChild >= 0) ::close(s.toChild);
-        if (s.fromChild >= 0 && s.fromChild != s.toChild)
-            ::close(s.fromChild);
-        s.toChild = s.fromChild = -1;
+        if (s.fd >= 0) ::close(s.fd);
+        s.fd = -1;
         if (s.pid > 0) {
             int status = 0;
             ::waitpid(s.pid, &status, 0);
@@ -268,21 +238,13 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         return 0;
     };
 
-    /// A worker's pipe hit EOF or became unwritable: reap it and decide
-    /// what its death costs.
+    /// A worker's connection hit EOF or became unwritable: reap it and
+    /// decide what its death costs.
     const auto onDeath = [&](std::size_t slotId) {
         Slot& s = slots[slotId];
         const int status = closeSlot(s);
         if (s.byeSeen) {  // clean drain: the exit is the protocol working
             s.state = Slot::State::kDone;
-            return;
-        }
-
-        // Exit 127 is the exec-failure sentinel: the worker binary never
-        // ran, so this is a spawn failure, not a crash — counted apart
-        // and charged to no job's retry budget.
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 127) {
-            bookSpawnFailure(slotId, "exec failure, exit 127");
             return;
         }
 
@@ -363,14 +325,14 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         txBytes.add(bytes.size());
         txFrames.add();
         frameBytes.observe(bytes.size());
-        if (!writeAll(slots[slotId].toChild, bytes)) onDeath(slotId);
+        if (!writeAll(slots[slotId].fd, bytes)) onDeath(slotId);
     };
 
     /// Drains every decodable frame the slot has buffered.
     const auto onReadable = [&](std::size_t slotId) {
         Slot& s = slots[slotId];
         char buf[1 << 16];
-        const ssize_t n = ::read(s.fromChild, buf, sizeof buf);
+        const ssize_t n = ::read(s.fd, buf, sizeof buf);
         if (n < 0) {
             if (errno == EINTR || errno == EAGAIN) return;
             onDeath(slotId);
@@ -380,10 +342,9 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             onDeath(slotId);
             return;
         }
-        // Deterministic torn-connection fault (socket runs): drop the
-        // worker as if the stream died mid-read.
-        if (opt.shardTransport == TransportKind::kSocket &&
-            PD_FAULT("shard.sock.read")) {
+        // Deterministic torn-connection fault: drop the worker as if the
+        // stream died mid-read.
+        if (PD_FAULT("shard.sock.read")) {
             log::warn("shard", "worker " + std::to_string(slotId) +
                                    ": injected read fault "
                                    "(shard.sock.read); dropping the "
@@ -483,9 +444,8 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     /// SIGKILLed; the EOF then takes the ordinary crash path (respawn,
     /// retry-elsewhere). kSpawning is exempt — warm-starting a large
     /// store can legitimately outlast a deadline, and pre-hello death
-    /// is already covered by EOF (pipe) or the connect timeout
-    /// (socket). Works identically over either transport: sockets have
-    /// no waitpid signal to lose, pipes just gain a second tripwire.
+    /// is already covered by EOF. The deadline needs no waitpid signal,
+    /// so it holds for a peer that is not our child.
     const auto superviseLiveness = [&] {
         if (opt.shardHeartbeatMs <= 0) return;
         const auto now = Clock::now();
@@ -521,7 +481,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     };
 
     // ---- main loop: spawn → assign → poll → consume -----------------------
-    // Coordinator-side resource failures (fork, pipe, poll, a worker-exe
+    // Coordinator-side resource failures (fork, socket, poll, a worker-exe
     // that cannot be resolved at respawn) must not escape as exceptions:
     // the local lane is running concurrently against the same scheduler,
     // so run() converts them into failures on every job that has no
@@ -646,7 +606,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         std::vector<std::size_t> fdSlot;
         for (std::size_t i = 0; i < slots.size(); ++i) {
             if (!slots[i].live()) continue;
-            fds.push_back({slots[i].fromChild, POLLIN, 0});
+            fds.push_back({slots[i].fd, POLLIN, 0});
             fdSlot.push_back(i);
         }
         if (fds.empty()) {
@@ -724,7 +684,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         std::vector<std::size_t> fdSlot;
         for (std::size_t i = 0; i < slots.size(); ++i) {
             if (!slots[i].live()) continue;
-            fds.push_back({slots[i].fromChild, POLLIN, 0});
+            fds.push_back({slots[i].fd, POLLIN, 0});
             fdSlot.push_back(i);
         }
         const int ready =
@@ -741,7 +701,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         superviseLiveness();
     }
     } catch (const std::exception& e) {
-        // Coordinator-side failure (fork/pipe/poll/protocol): the fleet
+        // Coordinator-side failure (fork/socket/poll/protocol): the fleet
         // is gone, but the jobs are pure computations — hand everything
         // unfinished back for in-process execution instead of failing.
         log::error("shard", std::string("coordinator failed (") + e.what() +

@@ -1,7 +1,8 @@
 // Shard coordinator: partitions a batch across crash-isolated worker
 // processes.
 //
-// The coordinator fork/execs N `pd_cli worker` processes and drives them
+// The coordinator fork/execs N `pd_cli worker` processes, accepts the
+// localhost socket each one dials back (transport.hpp), and drives them
 // from a single poll() loop: an idle worker steals the next queued job
 // (assignment follows idleness — no static partition, so one slow job
 // never serializes the batch behind it), results stream back as
@@ -15,22 +16,23 @@
 // backoff; the job is requeued up to `shardRetries` times, preferring a
 // *different* slot, and only exhausting the budget reports it as a
 // per-job failure — the batch, the report, and the cache flush all
-// complete normally. An exec failure (`_exit(127)`) is not a crash: it
-// is counted separately as a spawn failure and never burns a job's
-// retry budget, since the job never started. A slot that dies twice
-// without ever accepting work (startup crash loop) is retired; if every
-// slot retires, the remaining queued jobs are handed back to the engine
-// (ShardOutcome::fallbackJobs) for in-process execution instead of
-// failing — pool collapse degrades throughput, not results. A
-// cooperative shutdown request (util::shutdownRequested) fails
-// still-queued jobs as interrupted, grants in-flight jobs one drain
-// timeout to finish, and still drains the survivors.
+// complete normally. A worker that never connects (exec failure, early
+// exit, connect timeout) is not a crash: it is counted separately as a
+// spawn failure and never burns a job's retry budget, since the job never
+// started. A slot that dies twice without ever accepting work (startup
+// crash loop) is retired; if every slot retires, the remaining queued
+// jobs are handed back to the engine (ShardOutcome::fallbackJobs) for
+// in-process execution instead of failing — pool collapse degrades
+// throughput, not results. A cooperative shutdown request
+// (util::shutdownRequested) fails still-queued jobs as interrupted,
+// grants in-flight jobs one drain timeout to finish, and still drains
+// the survivors.
 //
 // The coordinator reads the shard knobs (shards, shardWorkerExe,
-// shardTransport, shardWallMsPerJob, shardRetries, shardDrainMs,
-// shardHeartbeatMs) straight from the engine's EngineOptions, and hands
-// the same object to encodeWorkerArgs() (worker.hpp) for every spawn, so
-// workers run under exactly the configuration of a single-process run.
+// shardWallMsPerJob, shardRetries, shardDrainMs, shardHeartbeatMs)
+// straight from the engine's EngineOptions, and hands the same object to
+// encodeWorkerArgs() (worker.hpp) for every spawn, so workers run under
+// exactly the configuration of a single-process run.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +65,7 @@ struct ShardOutcome {
 /// Runs every index in `sched.wireJobs()` across the worker pool
 /// `opt` describes, completing each into `sched`. Blocks until all wire
 /// jobs have a result and every worker exited. Does not throw: worker
-/// trouble and coordinator-side resource exhaustion (pipe/fork/poll
+/// trouble and coordinator-side resource exhaustion (socket/fork/poll
 /// failure) both degrade to per-job failure results or fallback jobs,
 /// never a lost batch.
 ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,

@@ -67,7 +67,7 @@ std::optional<Frame> FrameDecoder::next() {
         fail("shard", "frame stream already malformed; decoder is poisoned");
     // Every poison detail pins the damage to the stream: which frame
     // ordinal, at which absolute byte offset its header starts. A torn
-    // socket and a corrupt pipe then diagnose themselves from the error.
+    // or corrupt stream then diagnoses itself from the error.
     const std::string where = " at frame " + std::to_string(frames_) +
                               ", stream offset " + std::to_string(consumed_);
     const std::string_view avail =
@@ -138,7 +138,7 @@ std::string encodeJob(const JobSpec& spec) {
     if (!wireSerializable(spec))
         fail("shard", "job '" + spec.name +
                           "' carries a live Benchmark object and cannot "
-                          "cross a worker pipe");
+                          "cross to a worker process");
     std::string out;
     ByteWriter w(out);
     w.str(spec.name);

@@ -1,18 +1,18 @@
 // Wire protocol between the shard coordinator and its worker processes
 // ("pd-shard-wire-v8"; see src/engine/shard/README.md for the full spec).
 //
-// Everything that crosses a worker pipe is a length-prefixed, checksummed
+// Everything that crosses a worker socket is a length-prefixed, checksummed
 // frame over the same little-endian primitives as the pd-cache-v4 store:
 //
 //   frame := type u8 | length u32 | payload[length] | checksum u64
 //
 // where checksum is FNV-1a over the type byte followed by the payload.
 // FrameDecoder is the defensive half: it accepts bytes in arbitrary
-// chunks (pipes deliver whatever they like), yields complete frames, and
-// throws pd::Error on any malformation — unknown type, length above
-// kMaxFramePayload, or checksum mismatch — so a corrupt or truncated
-// stream can never walk the decoder out of its buffer or hand the
-// coordinator a half-record. Payload encoders carry the same semantic
+// chunks (a stream socket cuts them wherever it likes), yields complete
+// frames, and throws pd::Error on any malformation — unknown type,
+// length above kMaxFramePayload, or checksum mismatch — so a corrupt or
+// truncated stream can never walk the decoder out of its buffer or hand
+// the coordinator a half-record. Payload encoders carry the same semantic
 // fields as a pd-batch-report-v1 job record (spec in, result out); a
 // result also carries the store records its job added, in the stores'
 // own record-body encodings.
@@ -195,7 +195,7 @@ struct ObsDelta {
 [[nodiscard]] std::string encodeObsDelta(const ObsDelta& d);
 [[nodiscard]] ObsDelta decodeObsDelta(std::string_view payload);
 
-/// A spec can cross the pipe iff it can be rebuilt in another process:
+/// A spec can cross the wire iff it can be rebuilt in another process:
 /// registry-named benchmarks and expression jobs qualify; a spec carrying
 /// a caller-built Benchmark object (executable reference semantics — a
 /// std::function) cannot, and runs on the coordinator's local lane.

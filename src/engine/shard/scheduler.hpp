@@ -27,7 +27,7 @@ namespace pd::engine::shard {
 class BatchScheduler {
 public:
     /// Partitions `specs` into lanes. With `shardWireJobs` false (or for
-    /// specs that cannot cross a pipe — see wireSerializable) everything
+    /// specs that cannot cross the wire — see wireSerializable) everything
     /// is local.
     BatchScheduler(const std::vector<JobSpec>& specs, bool shardWireJobs);
 

@@ -1,113 +1,84 @@
-// Pluggable shard transport: how coordinator and worker exchange
-// pd-shard-wire frames.
+// Shard transport: how coordinator and worker exchange pd-shard-wire
+// frames.
 //
-// The pipe transport is the fork/exec default — jobs arrive on the
-// worker's stdin, frames leave on its stdout, exactly the wiring every
-// version of the protocol has used. The socket transport carries the
-// same frames over a SOCK_STREAM connection to a localhost listener
-// (the stepping stone toward remote-host workers: the coordinator
-// passes `--connect host:port` argv and stops relying on inherited
-// descriptors entirely). Because a socket peer could be on another
-// machine, nothing above this layer may assume waitpid-based death
-// detection — liveness is supervised by protocol heartbeat deadlines
-// (see coordinator.cpp), and this layer only distinguishes "channel
-// established" from "establishment failed" so the coordinator can keep
-// its spawn-vs-crash accounting split.
+// Every worker dials back over one localhost SOCK_STREAM connection: the
+// coordinator opens a per-spawn listener before the fork, passes its
+// address as `--connect host:port` worker argv, and accepts the one
+// connection under kConnectTimeoutMs. Nothing is inherited across exec,
+// so the same argv would reach a worker on another host. Because a
+// socket peer need not be a child, nothing above this layer relies on
+// waitpid-based death detection — liveness is supervised by protocol
+// heartbeat deadlines (see coordinator.cpp), and this layer only
+// distinguishes "connection established" from "establishment failed" so
+// the coordinator can keep its spawn-vs-crash accounting split.
 //
-// Lifecycle per spawn attempt: openChannel() before fork (create pipes / a
-// per-spawn listener), childSetup() between fork and exec (wire the
-// child ends), establish() in the parent after fork (close child ends /
-// accept the connection under a deadline). establish() never throws:
-// failure — connect timeout, injected accept fault
-// (`shard.sock.accept`), or the child dying before it connected — is
-// reported in the result so the caller can book a spawn failure, not a
-// crash.
+// Lifecycle per spawn attempt: construct a WorkerListener before fork,
+// put its workerArgs() on the worker's argv, then accept() in the parent
+// after fork. accept() never throws: failure — connect timeout, injected
+// accept fault (`shard.sock.accept`), or the child dying before it
+// connected — is reported in the result so the caller can book a spawn
+// failure, not a crash.
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pd::engine::shard {
 
-enum class TransportKind {
-    kPipe,    ///< stdin/stdout pipes from fork/exec (default)
-    kSocket,  ///< SOCK_STREAM to a localhost listener (--connect argv)
-};
-
-/// "pipe" / "socket" — the names the CLI and the report use.
-[[nodiscard]] const char* transportName(TransportKind kind);
-
-/// Inverse of transportName(); nullopt for anything else.
-[[nodiscard]] std::optional<TransportKind> parseTransportName(
-    std::string_view name);
-
-/// The frame channel a transport hands the coordinator once a worker is
-/// connected. Over pipes these are two descriptors; over a socket both
-/// are the same connected fd (the caller must not close it twice).
-struct Endpoints {
-    int toChild = -1;
-    int fromChild = -1;
-};
-
-/// What one establish() attempt produced.
-struct EstablishResult {
-    /// Set on success; absent means establishment failed.
-    std::optional<Endpoints> endpoints;
-    /// The child exited and was reaped *during* establishment (its wait
-    /// status is childStatus); the caller must not waitpid it again.
+/// What one accept() attempt produced.
+struct AcceptResult {
+    /// The connected CLOEXEC fd; -1 means establishment failed.
+    int fd = -1;
+    /// The child exited and was reaped *during* establishment; the
+    /// caller must not waitpid it again.
     bool childExited = false;
-    int childStatus = 0;
-    /// Human-readable failure detail when endpoints is absent.
+    /// Human-readable failure detail when fd is -1.
     std::string error;
 };
 
-/// One spawn attempt's transport state. Created by openChannel() before
-/// fork; the destructor releases anything establish() has not
-/// handed out, so an abandoned attempt leaks no descriptors.
-class SpawnChannel {
+/// One spawn attempt's single-shot listener on 127.0.0.1 and its own
+/// ephemeral port: only this attempt's child knows the port, so accept()
+/// can never pair with a stale connection left behind by a killed
+/// sibling. The destructor closes the listener if accept() has not.
+class WorkerListener {
 public:
-    virtual ~SpawnChannel() = default;
+    /// Binds and listens. Throws pd::Error on a coordinator-side
+    /// resource failure (socket/bind/listen) — the same fail-soft
+    /// contract as fork() failing.
+    explicit WorkerListener(std::size_t slotId);
+    ~WorkerListener();
+    WorkerListener(const WorkerListener&) = delete;
+    WorkerListener& operator=(const WorkerListener&) = delete;
 
-    /// Extra worker argv this channel needs (socket: --connect
-    /// host:port; pipe: none).
-    [[nodiscard]] virtual std::vector<std::string> workerArgs() const = 0;
+    /// The worker argv that dials this listener: --connect host:port.
+    [[nodiscard]] std::vector<std::string> workerArgs() const;
 
-    /// Wires the child side. Called between fork and exec, so only
-    /// async-signal-safe calls (dup2/close) are allowed.
-    virtual void childSetup() = 0;
+    /// Accepts the worker's connection, waiting at most
+    /// kConnectTimeoutMs; fails early if `child` exits first.
+    [[nodiscard]] AcceptResult accept(pid_t child);
 
-    /// Completes the channel in the parent. Blocks at most
-    /// kConnectTimeoutMs (socket accept); pipes complete immediately.
-    [[nodiscard]] virtual EstablishResult establish(pid_t child) = 0;
+private:
+    int listenFd_ = -1;
+    std::uint16_t port_ = 0;
+    std::size_t slotId_;
 };
-
-/// Pre-fork setup for one spawn attempt over `kind`. Every channel is
-/// self-contained: the socket kind gives each spawn its own single-shot
-/// listener (127.0.0.1, ephemeral port) so no spawn can ever accept a
-/// stale connection left behind by a killed sibling. Throws pd::Error on
-/// a coordinator-side resource failure (pipe/socket/bind/listen) — the
-/// same fail-soft contract as fork() failing.
-[[nodiscard]] std::unique_ptr<SpawnChannel> openChannel(TransportKind kind,
-                                                        std::size_t slotId);
 
 /// Worker-side connect with retry: dials `host:port` (numeric IPv4) and
 /// returns the connected CLOEXEC fd, or -1 after timeoutMs of refusals.
 [[nodiscard]] int connectToCoordinator(const std::string& hostPort,
                                        int timeoutMs);
 
-/// write()s all of `bytes` to `fd`, riding out EINTR and short writes.
-/// False when the peer is gone — either side of the channel then treats
-/// the other as dead.
+/// send()s all of `bytes` to the connected socket `fd`, riding out EINTR
+/// and short writes. MSG_NOSIGNAL turns a vanished peer into a false
+/// return instead of SIGPIPE; either side then treats the other as dead.
 bool writeAll(int fd, std::string_view bytes);
 
-/// How long establish()/connectToCoordinator() wait before declaring a
+/// How long accept()/connectToCoordinator() wait before declaring a
 /// connection attempt failed. Establishment failures take the spawn-
 /// failure path (capped-backoff respawn), so the deadline bounds stall,
 /// not correctness.

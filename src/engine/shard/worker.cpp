@@ -181,6 +181,10 @@ std::optional<WorkerOptions> decodeWorkerArgs(std::span<const std::string> args,
             return std::nullopt;
         }
     }
+    if (w.connect.empty()) {
+        error = "worker option --connect <host:port> is required";
+        return std::nullopt;
+    }
     return w;
 }
 
@@ -189,22 +193,11 @@ namespace {
 /// Runs the worker loop over its frame channel until kShutdown or EOF.
 /// Returns a process exit code.
 int runWorker(const WorkerOptions& opt) {
-    // Claim the frame channel. Pipe mode: frames arrive on stdin and
-    // leave on a private dup of stdout. Socket mode (--connect): the
-    // worker dials the coordinator's listener and both directions share
-    // the connected fd. Either way stdout is then re-pointed at stderr,
-    // so a stray library print can never splice into the frame stream
-    // (pipe) or interleave with the coordinator's own stdout (socket).
-    int inFd = STDIN_FILENO;
-    int outFd = -1;
-    if (!opt.connect.empty()) {
-        const int sock = connectToCoordinator(opt.connect, kConnectTimeoutMs);
-        if (sock < 0) return 3;
-        inFd = outFd = sock;
-    } else {
-        outFd = ::dup(STDOUT_FILENO);
-        if (outFd < 0) return 3;
-    }
+    // Dial the coordinator's listener: both directions share the
+    // connected fd. stdout is then re-pointed at stderr, so a stray
+    // library print never interleaves with the coordinator's own stdout.
+    const int fd = connectToCoordinator(opt.connect, kConnectTimeoutMs);
+    if (fd < 0) return 3;
     ::dup2(STDERR_FILENO, STDOUT_FILENO);
 
     log::setScopePrefix("w" + std::to_string(opt.shardId));
@@ -236,7 +229,7 @@ int runWorker(const WorkerOptions& opt) {
         std::string out;
         appendFrame(out, type, payload);
         std::lock_guard<std::mutex> lock(wireMu);
-        return writeAll(outFd, out);
+        return writeAll(fd, out);
     };
 
     Hello hello;
@@ -246,8 +239,7 @@ int runWorker(const WorkerOptions& opt) {
     // The pump starts only after the hello: the coordinator's liveness
     // clock starts at channel establishment, and warm-starting the
     // engine above is covered by the spawn state, not the deadline.
-    HeartbeatPump pump(outFd, wireMu, opt.shardId,
-                       opt.engine.shardHeartbeatMs);
+    HeartbeatPump pump(fd, wireMu, opt.shardId, opt.engine.shardHeartbeatMs);
 
     const char* crashJob = std::getenv(kCrashJobEnv);
     const char* hangJob = std::getenv(kHangJobEnv);
@@ -283,7 +275,7 @@ int runWorker(const WorkerOptions& opt) {
             return 4;  // malformed stream: nothing sane left to do
         }
         if (!frame) {
-            const ssize_t n = ::read(inFd, buf, sizeof buf);
+            const ssize_t n = ::read(fd, buf, sizeof buf);
             if (n < 0) {
                 if (errno == EINTR) continue;
                 return 4;
@@ -334,13 +326,13 @@ int runWorker(const WorkerOptions& opt) {
                     // Crash mid-frame: ship half, then die. The
                     // coordinator sees EOF inside a frame.
                     std::lock_guard<std::mutex> lock(wireMu);
-                    writeAll(outFd, std::string_view(out).substr(
-                                        0, out.size() / 2));
+                    writeAll(fd,
+                             std::string_view(out).substr(0, out.size() / 2));
                     std::abort();
                 }
                 {
                     std::lock_guard<std::mutex> lock(wireMu);
-                    if (!writeAll(outFd, out)) return 3;
+                    if (!writeAll(fd, out)) return 3;
                 }
                 if (!shipObs()) return 3;
                 break;
@@ -358,7 +350,7 @@ int runWorker(const WorkerOptions& opt) {
                 return 0;
             }
             default:
-                return 4;  // coordinator-only frame on the worker pipe
+                return 4;  // coordinator-only frame on the worker socket
         }
     }
 }

@@ -1,9 +1,10 @@
 // Shard worker process entry point.
 //
-// A worker is a fresh `pd_cli worker` process wired to the coordinator by
-// two pipes (jobs arrive on stdin, frames leave on a private dup of
-// stdout; the worker's real stdout is re-pointed at stderr so stray
-// library prints can never corrupt the frame stream). It owns a
+// A worker is a fresh `pd_cli worker` process that dials the
+// coordinator's localhost listener (`--connect host:port`, transport.hpp)
+// and exchanges frames in both directions over that one socket; its
+// stdout is re-pointed at stderr so stray library prints never
+// interleave with the coordinator's own output. It owns a
 // single-threaded Engine that warm-starts *read-only* from the shared
 // pd-cache-v4 store — N workers may open one warm.pdc simultaneously —
 // and never writes that store itself: each job's kResult frame carries
@@ -58,23 +59,23 @@ struct WorkerOptions {
     /// Mirrors the coordinator's tracing switch (--obs): buffer spans and
     /// ship kObs frames after every job and at shutdown.
     bool obs = false;
-    /// Socket-transport endpoint (`--connect host:port`): the worker
-    /// dials the coordinator's listener and speaks the identical frame
-    /// protocol over the connection. Empty = pipe mode (stdin/stdout).
+    /// The coordinator's listener (`--connect host:port`, required): the
+    /// worker dials it and speaks the frame protocol over the connection.
     std::string connect;
 };
 
 /// The worker argv codec, both halves in one place. encodeWorkerArgs()
 /// writes the shard id and every EngineOptions field a worker uses,
 /// plus `--obs` when tracing is on and one `--fault` per armed fault
-/// plan; the transport appends its own `--connect` (transport.hpp).
+/// plan; the listener appends its own `--connect` (transport.hpp).
 [[nodiscard]] std::vector<std::string> encodeWorkerArgs(
     std::uint32_t shardId, const EngineOptions& engine);
 
-/// Inverse of encodeWorkerArgs() (plus `--connect`). Fields left out
-/// keep their EngineOptions defaults. Forwarded `--fault` plans are
-/// armed as they are decoded. Returns nullopt with `error` set on an
-/// unknown flag, a missing value, a malformed integer or a bad plan.
+/// Inverse of encodeWorkerArgs() plus the required `--connect`. Fields
+/// left out keep their EngineOptions defaults. Forwarded `--fault` plans
+/// are armed as they are decoded. Returns nullopt with `error` set on an
+/// unknown flag, a missing value, a malformed integer, a bad plan or a
+/// missing `--connect`.
 [[nodiscard]] std::optional<WorkerOptions> decodeWorkerArgs(
     std::span<const std::string> args, std::string& error);
 

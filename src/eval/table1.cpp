@@ -32,7 +32,7 @@ engine::EngineOptions flowEngineOptions(std::string cacheFile) {
     }
     opt.cacheFile = std::move(cacheFile);
     // PD_SHARDS=N routes the PD rows through the sharded multi-process
-    // engine (benchmarks the registry can rebuild cross worker pipes;
+    // engine (benchmarks the registry can rebuild cross to workers;
     // the rest stay on the local lane). Junk values are ignored: an eval
     // run must never die on a stray environment variable.
     //
@@ -129,7 +129,7 @@ RowResult Flow::runPd(const std::string& variant,
     engine::JobSpec spec;
     spec.name = variant;
     // Sharded eval: a benchmark the registry can rebuild crosses the
-    // worker pipe as its registry name (built names differ — "maj15" is
+    // shard wire as its registry name (built names differ — "maj15" is
     // registry entry "majority15"); one with no registry counterpart
     // (custom widths) carries the live object and runs on the local lane.
     std::string registryName;

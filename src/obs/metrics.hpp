@@ -1,9 +1,9 @@
 // pd-trace metrics registry: named counters, gauges, and log2-bucketed
 // histograms with a process-wide registry behind single relaxed atomics.
 //
-// Unlike spans (see obs.hpp), metrics are always compiled in — a counter
+// Unlike spans (see obs.hpp), metrics have no runtime switch — a counter
 // bump is one relaxed fetch_add and the report's `observability` block
-// depends on them — so PD_OBS=OFF removes tracing, not accounting.
+// depends on them.
 //
 // Usage at hot sites binds the metric once:
 //

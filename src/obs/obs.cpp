@@ -4,9 +4,7 @@
 
 #include <mutex>
 
-#ifndef PD_OBS_OFF
 #include "obs/metrics.hpp"
-#endif
 
 namespace pd::obs {
 
@@ -16,8 +14,6 @@ std::uint64_t monotonicNowNs() {
     return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
            static_cast<std::uint64_t>(ts.tv_nsec);
 }
-
-#ifndef PD_OBS_OFF
 
 namespace detail {
 
@@ -148,7 +144,5 @@ std::uint64_t droppedSpans() {
     return counter("obs.spans.dropped").value() +
            detail::g_dropped.load(std::memory_order_relaxed);
 }
-
-#endif  // PD_OBS_OFF
 
 }  // namespace pd::obs

@@ -3,11 +3,8 @@
 //
 // Overhead contract
 // -----------------
-// * Compile-time kill switch: configuring with -DPD_OBS=OFF defines
-//   PD_OBS_OFF, which turns ScopedSpan and emitSpan into empty inlines —
-//   the disabled path is literally no code.
-// * Runtime switch: when compiled in but not enabled (no --trace-out),
-//   every span site costs one relaxed atomic load and a branch.
+// * Runtime switch: when not enabled (no --trace-out), every span site
+//   costs one relaxed atomic load and a branch.
 // * Enabled hot paths (ring membership solves run ~10^5 times per job)
 //   additionally gate on a minimum duration, evaluated at span end, so
 //   the ring is not flooded by sub-microsecond solves; counters remain
@@ -33,14 +30,11 @@
 // diffable run-to-run; only timestamps move.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef PD_OBS_OFF
-#include <atomic>
-#endif
 
 namespace pd::obs {
 
@@ -62,8 +56,6 @@ struct Span {
 /// CLOCK_MONOTONIC in nanoseconds — comparable across processes on the
 /// same host, which is what makes the fleet-wide trace merge skew-free.
 [[nodiscard]] std::uint64_t monotonicNowNs();
-
-#ifndef PD_OBS_OFF
 
 namespace detail {
 
@@ -151,26 +143,5 @@ private:
     std::uint64_t minDurNs_ = 0;
     std::uint64_t startNs_ = 0;
 };
-
-#else  // PD_OBS_OFF: the disabled path is no code at all.
-
-inline bool enabled() { return false; }
-inline void setEnabled(bool) {}
-inline void setJobFingerprint(std::uint64_t) {}
-inline std::uint64_t jobFingerprint() { return 0; }
-inline void emitSpan(std::string_view, std::string_view, std::uint64_t,
-                     std::uint64_t, std::string_view = {}) {}
-inline std::vector<Span> drainSpans() { return {}; }
-inline std::uint64_t droppedSpans() { return 0; }
-inline void adoptSpans(std::vector<Span>) {}
-
-class ScopedSpan {
-public:
-    ScopedSpan(std::string_view, std::string_view, std::uint64_t = 0) {}
-    void setDetail(std::string) {}
-    [[nodiscard]] bool live() const { return false; }
-};
-
-#endif  // PD_OBS_OFF
 
 }  // namespace pd::obs

@@ -167,7 +167,7 @@ TEST(ReportSchemaTest, BuildProvenanceIsPopulated) {
     EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 8);
     EXPECT_EQ(doc.findPath("engine.build.schemas.cache_store")->asString(),
               "pd-cache-v4");
-    EXPECT_EQ(doc.findPath("engine.shard_transport")->asString(), "pipe");
+    EXPECT_EQ(doc.findPath("engine.shard_transport")->asString(), "socket");
     EXPECT_EQ(doc.findPath("engine.build.schemas.proof_store")->asString(),
               "pd-proof-v1");
 }

@@ -1,15 +1,14 @@
 // Sharded-engine tests: the frame codec (round-trips, hostile bytes —
 // run under ASan/UBSan in CI), the worker argv codec (every worker field
-// round-trips, malformed argv is rejected), end-to-end equivalence of
-// sharded and in-process batches across --shards {1,2,4} and both
-// transports (pipe and localhost socket, byte-identical stores), heartbeat
-// liveness (beating workers survive, silent ones die at the deadline
-// and their jobs retry elsewhere), crash isolation (respawn, retry
-// budgets, clean per-job failure, cache completeness), wall-budget
+// round-trips, malformed argv and a missing --connect are rejected),
+// end-to-end equivalence of sharded and in-process batches across
+// --shards {1,2,4} over the localhost socket (byte-identical stores),
+// heartbeat liveness (beating workers survive, silent ones die at the
+// deadline and their jobs retry elsewhere), crash isolation (respawn,
+// retry budgets, clean per-job failure, cache completeness), wall-budget
 // kills, a worker answering one job twice (a wire poison), worker-pool
 // collapse → in-process fallback, spawn failure accounting, drain
-// timeouts, graceful shutdown, and the pd_cli batch
-// exit-code contract. Everything that can go wrong in a worker
+// timeouts, graceful shutdown, and the pd_cli batch exit-code contract. Everything that can go wrong in a worker
 // must cost at most its own job — never the batch, the report, or the
 // store.
 #include <gtest/gtest.h>
@@ -305,7 +304,7 @@ TEST(ShardProtocol, TruncationIsIncompleteNotAnError) {
     std::string stream;
     appendFrame(stream, FrameType::kResult, recordsResultPayload());
     // Every proper prefix must park the decoder (nullopt), never throw:
-    // a pipe delivers frames in arbitrary cuts.
+    // a stream socket delivers frames in arbitrary cuts.
     for (std::size_t keep = 0; keep < stream.size(); ++keep) {
         FrameDecoder d;
         d.feed(stream.substr(0, keep));
@@ -511,8 +510,9 @@ TEST(ShardWorkerArgs, TracingAndArmedFaultPlansAreForwarded) {
     ScopedFaults faults("shard.worker.crash:n3");
     const bool wasEnabled = obs::enabled();
     obs::setEnabled(true);
-    const auto args = encodeWorkerArgs(0, EngineOptions{});
+    auto args = encodeWorkerArgs(0, EngineOptions{});
     obs::setEnabled(wasEnabled);
+    args.insert(args.end(), {"--connect", "127.0.0.1:4242"});
     std::string error;
     const auto w = decodeWorkerArgs(args, error);
     ASSERT_TRUE(w.has_value()) << error;
@@ -539,9 +539,14 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     rejects({"--equiv-seed", "-1"}, "non-negative integer, got '-1'");
     rejects({"--shard-id", "4294967296"}, "(out of range)");
     rejects({"--heartbeat-ms", "99999999999"}, "expects at most");
+    rejects({"--connect"}, "--connect expects a value");
+    // The socket the worker dials back is its only frame channel.
+    rejects({"--shard-id", "3"}, "--connect <host:port> is required");
 
     std::string error;
-    const auto defaults = decodeWorkerArgs({}, error);
+    const std::vector<std::string> connectOnly = {"--connect",
+                                                  "127.0.0.1:4242"};
+    const auto defaults = decodeWorkerArgs(connectOnly, error);
     ASSERT_TRUE(defaults.has_value()) << error;
     EXPECT_EQ(defaults->engine.shardHeartbeatMs,
               EngineOptions{}.shardHeartbeatMs);
@@ -747,13 +752,6 @@ TEST(ShardEngine, HugeRssBudgetMeansNoBudget) {
 
 // ---- socket transport & liveness ------------------------------------------
 
-[[nodiscard]] EngineOptions socketOptions(std::size_t shards,
-                                          std::string cacheFile = {}) {
-    EngineOptions opt = shardOptions(shards, std::move(cacheFile));
-    opt.shardTransport = TransportKind::kSocket;
-    return opt;
-}
-
 TEST(ShardTransport, SocketBatchesMatchInProcessAcross12) {
     // The transport is pure plumbing: the same pd-shard-wire frames over
     // a localhost connection must yield field-identical results.
@@ -762,7 +760,7 @@ TEST(ShardTransport, SocketBatchesMatchInProcessAcross12) {
     const auto reference = Engine(shardOptions(0)).runBatch(specs);
     for (const auto& r : reference) ASSERT_TRUE(r.ok) << r.error;
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-        Engine engine(socketOptions(shards));
+        Engine engine(shardOptions(shards));
         const auto results = engine.runBatch(specs);
         ASSERT_EQ(results.size(), reference.size());
         for (std::size_t i = 0; i < results.size(); ++i) {
@@ -778,34 +776,6 @@ TEST(ShardTransport, SocketBatchesMatchInProcessAcross12) {
     }
 }
 
-TEST(ShardTransport, SocketStoreIsByteIdenticalToPipe) {
-    // The flushed warm artifact must not betray which transport carried
-    // the frames (the persist fingerprint deliberately excludes it).
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
-    const auto specs = lightSpecs();
-    TempFile pipeStore("store_pipe");
-    TempFile sockStore("store_sock");
-    {
-        Engine engine(shardOptions(2, pipeStore.path()));
-        for (const auto& r : engine.runBatch(specs))
-            ASSERT_TRUE(r.ok) << r.error;
-        ASSERT_TRUE(engine.flushCache());
-    }
-    {
-        Engine engine(socketOptions(2, sockStore.path()));
-        for (const auto& r : engine.runBatch(specs))
-            ASSERT_TRUE(r.ok) << r.error;
-        ASSERT_TRUE(engine.flushCache());
-    }
-    std::ifstream a(pipeStore.path(), std::ios::binary);
-    std::ifstream b(sockStore.path(), std::ios::binary);
-    std::stringstream sa, sb;
-    sa << a.rdbuf();
-    sb << b.rdbuf();
-    ASSERT_GT(sa.str().size(), 0u);
-    EXPECT_EQ(sa.str(), sb.str());
-}
-
 TEST(ShardLiveness, HeartbeatsKeepAHangingWorkerAlivePastTheDeadline) {
     // A worker parked inside a job keeps beating from the pump thread,
     // so a deadline several beats long must never fire — the wall
@@ -815,7 +785,7 @@ TEST(ShardLiveness, HeartbeatsKeepAHangingWorkerAlivePastTheDeadline) {
     // never killed mid-frame.
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv hang(kHangJobEnv, "majority7");
-    EngineOptions opt = socketOptions(1);
+    EngineOptions opt = shardOptions(1);
     opt.shardWallMsPerJob = 1200;
     opt.shardHeartbeatMs = 300;  // four 75 ms beats per deadline
     Engine engine(opt);
@@ -838,7 +808,7 @@ TEST(ShardLiveness, SilentWorkerIsKilledAtTheDeadlineAndTheJobRetried) {
     // survives and the coordinator never hangs.
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv stall(kStallJobEnv, "counter8");
-    EngineOptions opt = socketOptions(2);
+    EngineOptions opt = shardOptions(2);
     opt.shardHeartbeatMs = 400;
     Engine engine(opt);
     const auto results = engine.runBatch(lightSpecs());
@@ -865,7 +835,7 @@ TEST(ShardLiveness, OneSkippedBeatNeverKills) {
     // heartbeat (scheduling jitter, a dropped wakeup) is harmless.
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.sock.hb.skip:n1");
-    EngineOptions opt = socketOptions(2);
+    EngineOptions opt = shardOptions(2);
     opt.shardHeartbeatMs = 400;
     Engine engine(opt);
     const auto results = engine.runBatch(lightSpecs());
@@ -882,7 +852,7 @@ TEST(ShardLiveness, BeatingWorkerSurvivesDrainUntilTheDrainBudget) {
     // runs in the drain loop at all.)
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.worker.drain.hang:n1");
-    EngineOptions opt = socketOptions(1);
+    EngineOptions opt = shardOptions(1);
     opt.shardHeartbeatMs = 300;
     opt.shardDrainMs = 1000;
     Engine engine(opt);
@@ -906,7 +876,7 @@ TEST(ShardLiveness, TornConnectionMidStreamIsACountedCrash) {
     // completes.
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.sock.read:n2");
-    Engine engine(socketOptions(2));
+    Engine engine(shardOptions(2));
     const auto results = engine.runBatch(lightSpecs());
     ASSERT_EQ(results.size(), 4u);
     const auto& res = engine.resilience();
@@ -922,7 +892,7 @@ TEST(ShardTransport, SocketAcceptFaultIsASpawnFailureNotACrash) {
     // respawned slot picks the work up.
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.sock.accept:n1");
-    Engine engine(socketOptions(2));
+    Engine engine(shardOptions(2));
     const auto results = engine.runBatch(lightSpecs());
     for (const auto& r : results)
         EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
@@ -1006,20 +976,25 @@ TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
         bytes.clear();
         appendFrame(bytes, FrameType::kResult, encodeResult(answer, {}));
         appendFrame(bytes, FrameType::kResult, encodeResult(answer, {}));
-        // One write below PIPE_BUF is atomic: the coordinator reads both
-        // answers together, before it can hand the slot another job.
+        // One small write leaves as one loopback segment: the coordinator
+        // reads both answers together, before it can hand the slot
+        // another job.
         ASSERT_LT(bytes.size(), std::size_t{PIPE_BUF});
         std::ofstream(results.path(), std::ios::binary) << bytes;
     }
+    // The fake dials the coordinator's --connect address like the real
+    // worker, through bash's /dev/tcp redirection.
     std::ofstream(script.path())
-        << "#!/bin/sh\n"
+        << "#!/bin/bash\n"
         << "if [ -e '" << marker.path() << "' ]; then exec '" << workerExe()
         << "' \"$@\"; fi\n"
         << ": > '" << marker.path() << "'\n"
-        << "cat '" << hello.path() << "'\n"
-        << "head -c 1 > /dev/null\n"  // the first job frame has arrived
-        << "cat '" << results.path() << "'\n"
-        << "exec cat > /dev/null\n";
+        << "while [ \"$1\" != --connect ]; do shift; done\n"
+        << "exec 3<>\"/dev/tcp/${2%:*}/${2##*:}\"\n"
+        << "cat '" << hello.path() << "' >&3\n"
+        << "head -c 1 <&3 > /dev/null\n"  // the first job frame has arrived
+        << "cat '" << results.path() << "' >&3\n"
+        << "exec cat <&3 > /dev/null\n";
     ASSERT_EQ(::chmod(script.path().c_str(), 0755), 0);
 
     EngineOptions opt = shardOptions(1);
@@ -1068,10 +1043,10 @@ TEST(ShardEngine, WallBudgetKillsHangingWorkers) {
 }
 
 TEST(ShardEngine, WorkerPoolCollapseFallsBackToInProcess) {
-    // /bin/false exits immediately without ever speaking the protocol:
-    // every slot retires after two startup crashes, and the queued jobs
-    // must degrade to in-process execution — same results, fallback
-    // provenance — never a hung coordinator or a failed batch.
+    // /bin/false exits immediately without ever connecting: every slot
+    // retires after two spawn failures, and the queued jobs must degrade
+    // to in-process execution — same results, fallback provenance —
+    // never a hung coordinator or a failed batch.
     if (::access("/bin/false", X_OK) != 0) GTEST_SKIP();
     EngineOptions opt = shardOptions(2);
     opt.shardWorkerExe = "/bin/false";
@@ -1084,12 +1059,15 @@ TEST(ShardEngine, WorkerPoolCollapseFallsBackToInProcess) {
     EXPECT_EQ(results[0].shard, -1);
     EXPECT_TRUE(results[0].shardFallback);
     EXPECT_EQ(engine.resilience().fallbackJobs, 1u);
+    EXPECT_GE(engine.resilience().spawnFailures, 2u);
+    EXPECT_EQ(engine.resilience().workerCrashes, 0u);
 }
 
 TEST(ShardEngine, SpawnFailureIsCountedApartAndCostsNoRetries) {
-    // An exec failure (exit 127) means the worker binary never ran: the
-    // respawned slot picks the work up, no job's retry budget is
-    // charged, and the failure is counted apart from genuine crashes.
+    // A worker that exits before connecting (here the exec-failure exit
+    // 127) never joined the fleet: the respawned slot picks the work up,
+    // no job's retry budget is charged, and the failure is counted apart
+    // from genuine crashes.
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.worker.spawn:n1");
     Engine engine(shardOptions(2));
@@ -1213,10 +1191,14 @@ TEST(CliExitCodes, ZeroAllOkTwoPartialOneFatalSixtyFourUsage) {
                      " >/dev/null 2>&1"),
               1);
     EXPECT_EQ(runCli(cli + " batch --not-a-flag >/dev/null 2>&1"), 64);
-    // Transport knobs share the contract: a bogus transport name or an
-    // out-of-range ms value is a usage error, a valid socket run is 0.
+    // Transport knobs share the contract: a bogus or removed transport
+    // name or an out-of-range ms value is a usage error, a valid socket
+    // run is 0.
     EXPECT_EQ(runCli(cli + " batch majority7 --shards 1 --shard-transport "
                            "bogus >/dev/null 2>&1"),
+              64);
+    EXPECT_EQ(runCli(cli + " batch majority7 --shards 1 --shard-transport "
+                           "pipe >/dev/null 2>&1"),
               64);
     EXPECT_EQ(runCli(cli + " batch majority7 --shard-heartbeat-ms "
                            "99999999999 >/dev/null 2>&1"),
@@ -1230,6 +1212,9 @@ TEST(CliExitCodes, ZeroAllOkTwoPartialOneFatalSixtyFourUsage) {
     EXPECT_EQ(runCli(cli + " batch majority7 --shards 1 --shard-transport "
                            "socket >/dev/null 2>&1"),
               0);
+    // A worker with no listener to dial is a bad argv: exit 2.
+    EXPECT_EQ(runCli(cli + " worker --shard-id 0 </dev/null >/dev/null 2>&1"),
+              2);
 }
 
 TEST(CliExitCodes, SigtermDrainsReportsAndExitsTwo) {

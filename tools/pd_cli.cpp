@@ -65,10 +65,9 @@
 //   --shard-drain-ms <n>  worker shutdown-drain timeout and the grace an
 //                    in-flight job gets after SIGINT/SIGTERM (default
 //                    60000)
-//   --shard-transport <pipe|socket>  how coordinator and workers exchange
-//                    pd-shard-wire frames: inherited pipes (default) or a
-//                    localhost TCP connection per worker. Results and
-//                    flushed stores are byte-identical across transports.
+//   --shard-transport socket  accepted for compatibility: workers always
+//                    exchange pd-shard-wire frames over a localhost TCP
+//                    connection each; `pipe` is a usage error (removed).
 //   --shard-heartbeat-ms <n>  liveness deadline: a worker silent this
 //                    long is declared dead, killed, and its job retried
 //                    on another worker (default 10000; 0 disables)
@@ -88,12 +87,10 @@
 // failure, pd::Error), 64 = usage error.
 //
 // There is also a hidden `pd_cli worker` mode: the shard coordinator
-// fork/execs it with pipes on stdin/stdout, or — under
-// --shard-transport socket — passes `--connect <host>:<port>` and the
-// worker dials back (see src/engine/shard/README.md for the frame
-// protocol). Its argv is the coordinator's engine configuration, encoded
-// and decoded by src/engine/shard/worker.cpp. It is not for interactive
-// use.
+// fork/execs it with `--connect <host>:<port>` and the worker dials back
+// (see src/engine/shard/README.md for the frame protocol). Its argv is
+// the coordinator's engine configuration, encoded and decoded by
+// src/engine/shard/worker.cpp. It is not for interactive use.
 //
 // The complete flag reference with examples lives in docs/cli.md.
 //
@@ -116,7 +113,6 @@
 #include "engine/persist/serialize.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/report_json.hpp"
-#include "engine/shard/transport.hpp"
 #include "engine/shard/worker.hpp"
 #include "io/blif.hpp"
 #include "obs/export.hpp"
@@ -153,7 +149,7 @@ int usage() {
         "         --proof-cache-file <file>  --proof-cache-readonly\n"
         "         --shards <n>  --shard-wall-ms <n>  --shard-rss-mb <n>\n"
         "         --shard-retries <n>  --shard-drain-ms <n>\n"
-        "         --shard-transport <pipe|socket>  --shard-heartbeat-ms <n>\n"
+        "         --shard-transport socket  --shard-heartbeat-ms <n>\n"
         "         --verify-threads <n>  --verify-conflict-budget <n>\n"
         "         --verify-prop-budget <n>\n"
         "         --trace-out <file>  --metrics-out <file>\n"
@@ -348,18 +344,18 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
         } else if (arg == "--shard-drain-ms") {
             if (!msArg(opt.engine.shardDrainMs)) return usage();
         } else if (arg == "--shard-transport") {
-            if (++i >= argc) {
-                std::cerr << "option --shard-transport expects pipe or "
-                             "socket\n";
+            // Only the socket transport remains; the flag stays so that
+            // existing command lines keep working.
+            const std::string kind = ++i < argc ? argv[i] : "";
+            if (kind != "socket") {
+                std::cerr << (kind == "pipe"
+                                  ? "the pipe shard transport was removed; "
+                                    "workers always connect over a "
+                                    "localhost socket\n"
+                                  : "option --shard-transport expects "
+                                    "socket\n");
                 return usage();
             }
-            const auto kind = pd::engine::shard::parseTransportName(argv[i]);
-            if (!kind) {
-                std::cerr << "unknown shard transport '" << argv[i]
-                          << "' (expected pipe or socket)\n";
-                return usage();
-            }
-            opt.engine.shardTransport = *kind;
         } else if (arg == "--shard-heartbeat-ms") {
             if (!msArg(opt.engine.shardHeartbeatMs)) return usage();
         } else if (arg == "--fault") {
@@ -471,13 +467,7 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
         specs.push_back(std::move(spec));
     }
 
-    if (!opt.traceOutPath.empty()) {
-#ifdef PD_OBS_OFF
-        std::cerr << "note: this build was configured with -DPD_OBS=OFF; "
-                     "--trace-out will contain no spans\n";
-#endif
-        pd::obs::setEnabled(true);
-    }
+    if (!opt.traceOutPath.empty()) pd::obs::setEnabled(true);
 
     pd::engine::Engine engine(opt.engine);
 

@@ -309,6 +309,7 @@ int main(int argc, char** argv) {
                               double totalMs) {
         jw.field("decompose_ms", totalMs);
         jw.field("probe_sweep_ms", d.probe.sweepMs);
+        jw.field("bound_ms", d.probe.boundMs);
         jw.field("probe_share",
                  totalMs > 0.0 ? d.probe.sweepMs / totalMs : 0.0);
         jw.field("sweeps", d.probe.sweeps);

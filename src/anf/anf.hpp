@@ -77,7 +77,8 @@ public:
     [[nodiscard]] bool isConstant() const { return terms_.empty() || isOne(); }
 
     /// True for expressions of the shape `v` or `v ⊕ 1` (the algorithm's
-    /// termination condition: "all elements in L are literals").
+    /// termination condition: "all elements in L are literals", which the
+    /// decomposer reads off the folded list with core::unfoldsToLiterals).
     [[nodiscard]] bool isLiteral() const;
 
     /// For literal expressions: the variable involved.

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -29,20 +30,41 @@ public:
     /// Pre-sizes the intern table (hot callers know their term counts;
     /// rehash churn otherwise dominates short-lived indexers).
     void reserve(std::size_t n) {
-        index_.reserve(n);
         order_.reserve(n);
         degree_.reserve(n);
+        hashes_.reserve(n);
+        if (2 * n > slots_.size()) rehash(2 * n);
     }
 
     /// Index of `m`, allocating a new column when unseen.
     Id indexOf(const Monomial& m) {
-        const auto [it, inserted] =
-            index_.try_emplace(m, static_cast<Id>(index_.size()));
-        if (inserted) {
-            order_.push_back(m);
-            degree_.push_back(static_cast<std::uint32_t>(m.degree()));
+        const std::uint64_t h = mixedHash(m);
+        if (2 * (order_.size() + 1) > slots_.size())
+            rehash(2 * (order_.size() + 1));
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t s = h >> shift_;; s = (s + 1) & mask) {
+            const Id id = slots_[s];
+            if (id == kEmpty) {
+                const auto fresh = static_cast<Id>(order_.size());
+                slots_[s] = fresh;
+                order_.push_back(m);
+                degree_.push_back(static_cast<std::uint32_t>(m.degree()));
+                hashes_.push_back(h);
+                return fresh;
+            }
+            if (hashes_[id] == h && order_[id] == m) return id;
         }
-        return it->second;
+    }
+
+    /// The intern table's hash of `m`. A table of 2^b slots homes `m` at
+    /// the top b bits. Monomial::hash is an FNV-style fold whose low bits
+    /// cluster — monomials that differ only in one word's high variables
+    /// share them — so the slot must come from the high bits of a
+    /// multiplicative mix, never from `hash() & mask`.
+    [[nodiscard]] static std::uint64_t mixedHash(const Monomial& m) {
+        std::uint64_t h = static_cast<std::uint64_t>(m.hash());
+        h ^= h >> 32;
+        return h * 0x9e3779b97f4a7c15ull;
     }
 
     /// Cached degree of a column's monomial (the expensive half of the
@@ -102,14 +124,15 @@ public:
     /// Converts `e` to a bit vector over the current (possibly grown)
     /// coordinate system.
     [[nodiscard]] gf2::BitVec toBits(const Anf& e) {
-        // Two passes: allocate columns first so the vector is wide enough.
-        for (const auto& t : e.terms()) indexOf(t);
-        gf2::BitVec v(index_.size());
-        for (const auto& t : e.terms()) v.set(index_.at(t));
+        // Intern first so the vector is as wide as the grown id space.
+        scratch_.clear();
+        for (const auto& t : e.terms()) scratch_.push_back(indexOf(t));
+        gf2::BitVec v(size());
+        for (const auto id : scratch_) v.set(id);
         return v;
     }
 
-    [[nodiscard]] std::size_t size() const { return index_.size(); }
+    [[nodiscard]] std::size_t size() const { return order_.size(); }
 
     /// Process-unique instance id. Caches of indexed data (e.g. a
     /// NullSpaceRing's spanning set) key on this instead of the object's
@@ -120,10 +143,31 @@ public:
 private:
     static std::uint64_t nextUid();
 
+    static constexpr Id kEmpty = UINT32_MAX;
+
+    /// Rebuilds the slot array at the smallest power of two ≥ `minSlots`
+    /// (at least 16), re-homing every id from its stored hash.
+    void rehash(std::size_t minSlots) {
+        std::size_t n = 16;
+        while (n < minSlots) n *= 2;
+        slots_.assign(n, kEmpty);
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+        const std::size_t mask = n - 1;
+        for (Id id = 0; id < order_.size(); ++id) {
+            std::size_t s = hashes_[id] >> shift_;
+            while (slots_[s] != kEmpty) s = (s + 1) & mask;
+            slots_[s] = id;
+        }
+    }
+
     std::uint64_t uid_ = nextUid();
-    std::unordered_map<Monomial, Id, MonomialHash> index_;
+    /// Open-addressed intern table: linear probing over ids, load ≤ 1/2.
+    std::vector<Id> slots_;
+    unsigned shift_ = 64;  ///< 64 − log2(slots_.size())
     std::vector<Monomial> order_;
     std::vector<std::uint32_t> degree_;  ///< degree of order_[i]
+    std::vector<std::uint64_t> hashes_;  ///< mixedHash(order_[i])
+    std::vector<Id> scratch_;            ///< toBits' term ids
     /// (lo id << 32 | hi id) → product id, for distinct id pairs.
     std::unordered_map<std::uint64_t, Id> products_;
 };

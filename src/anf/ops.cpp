@@ -5,18 +5,25 @@
 namespace pd::anf {
 
 Anf substitute(const Anf& e, const std::unordered_map<Var, Anf>& map) {
-    // Run the expansion through the indexed kernel: monomial products are
-    // memoized id lookups and mod-2 accumulation is bit flips, instead of
-    // cross-product vectors re-sorted per partial product. The canonical
+    // Only the terms holding a replaced variable change. The others are a
+    // subsequence of a canonical list, so they stay canonical as is; the
+    // hit terms expand through the indexed kernel (memoized id products,
+    // mod-2 accumulation as bit flips) and XOR-merge back in. The
     // Reed-Muller form is construction-independent, so the result is
     // exactly what the direct expansion would produce.
-    if (map.empty()) return e;
+    VarSet replaced;
+    for (const auto& [v, _] : map) replaced.insert(v);
+    const auto [hit, kept] = splitByGroup(e, replaced);
+    if (hit.isZero()) return e;
     MonomialIndexer ix;
     std::unordered_map<Var, IndexedAnf> imap;
     imap.reserve(map.size());
     for (const auto& [v, ex] : map)
         imap.emplace(v, IndexedAnf::fromAnf(ix, ex));
-    return indexedSubstitute(ix, IndexedAnf::fromAnf(ix, e), imap).toAnf(ix);
+    Anf r =
+        indexedSubstitute(ix, IndexedAnf::fromAnf(ix, hit), imap).toAnf(ix);
+    r ^= kept;
+    return r;
 }
 
 namespace {

@@ -1,6 +1,5 @@
 #include "core/decomposer.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "anf/ops.hpp"
@@ -13,19 +12,11 @@
 #include "core/rewrite.hpp"
 #include "core/sizered.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "ring/identity_db.hpp"
 #include "util/error.hpp"
 
 namespace pd::core {
-namespace {
-
-bool allLiterals(const std::vector<anf::Anf>& exprs) {
-    return std::all_of(exprs.begin(), exprs.end(), [](const anf::Anf& e) {
-        return e.isConstant() || e.isLiteral();
-    });
-}
-
-}  // namespace
 
 Decomposition decompose(anf::VarTable& vars,
                         const std::vector<anf::Anf>& outputs,
@@ -55,11 +46,6 @@ Decomposition decompose(anf::VarTable& vars,
         }
     }
 
-    const auto currentList = [&]() -> std::vector<anf::Anf> {
-        if (tags.empty()) return {folded};
-        return unfold(folded, tags);
-    };
-
     ring::IdentityDb idb;
     std::size_t freshCounter = 0;
 
@@ -85,7 +71,7 @@ Decomposition decompose(anf::VarTable& vars,
         probe::probeFindBasisOptions(gOpt) == fbOpt;
 
     for (std::size_t iter = 0; iter < opt.maxIterations; ++iter) {
-        if (allLiterals(currentList())) {
+        if (unfoldsToLiterals(folded, tagMask)) {
             result.converged = true;
             break;
         }
@@ -169,7 +155,10 @@ Decomposition decompose(anf::VarTable& vars,
         // ---- Rewrite.
         anf::Anf next = rewriteFolded(pairs, newVars, bres.untouched);
         if (!scan.reductions.empty()) {
-            next = anf::substitute(next, scan.reductions);
+            {
+                obs::ScopedSpan span("decompose.substitute", "decompose");
+                next = anf::substitute(next, scan.reductions);
+            }
             if (opt.recordTrace)
                 for (const auto& [v, e] : scan.reductions)
                     tr.reductions.push_back(vars.name(v) + " = " +
@@ -222,9 +211,12 @@ Decomposition decompose(anf::VarTable& vars,
         // fresh variables.
     }
 
-    if (!result.converged) result.converged = allLiterals(currentList());
-    result.residualOutputs = currentList();
+    if (!result.converged)
+        result.converged = unfoldsToLiterals(folded, tagMask);
+    result.residualOutputs =
+        tags.empty() ? std::vector<anf::Anf>{folded} : unfold(folded, tags);
     const auto& ps = probeCtx.stats();
+    result.probe.boundMs = ps.boundMs;
     result.probe.sweeps = ps.sweeps;
     result.probe.candidates = ps.candidates;
     result.probe.probed = ps.probed;

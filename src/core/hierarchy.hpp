@@ -65,11 +65,13 @@ struct Decomposition {
 
     /// Group-selection probe-sweep accounting across the whole run, so
     /// perf work can see the phase without a profiler. `sweepMs` is the
-    /// wall time spent selecting groups (candidate generation included);
+    /// wall time spent selecting groups (candidate generation included),
+    /// `boundMs` the part of it in the candidate-bound pass;
     /// `basisReuses` counts iterations whose findBasis was served from
     /// the winning probe instead of being recomputed.
     struct ProbeSummary {
         double sweepMs = 0.0;
+        double boundMs = 0.0;
         std::uint64_t sweeps = 0;
         std::uint64_t candidates = 0;
         std::uint64_t probed = 0;

@@ -1,6 +1,9 @@
 #include "core/probe/probe.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <chrono>
 #include <future>
 #include <unordered_map>
 
@@ -46,7 +49,212 @@ std::size_t scoreOf(const IPairList& raw, std::size_t untouchedLits,
     return score;
 }
 
+/// splitmix64's output mix: a bijective, non-linear 64-bit scramble.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/// Zobrist keys: a monomial's key is the XOR of its variables' keys, so
+/// a sub-monomial's key comes off the whole's with one XOR.
+constexpr auto kVarKeys = [] {
+    std::array<std::uint64_t, anf::Monomial::kMaxVars> keys{};
+    for (std::size_t v = 0; v < keys.size(); ++v) keys[v] = splitmix64(v);
+    return keys;
+}();
+
+/// Per-candidate accumulator of the bound pass: an open-addressed table
+/// keyed by rest key that tracks, per distinct rest, the occurrence
+/// parity, the XOR of the part hashes and the minimum rest degree. Slots
+/// carry the generation that wrote them, so starting the next candidate
+/// is an increment instead of a clear.
+class RestTable {
+public:
+    struct Bucket {
+        std::uint64_t rest = 0;
+        std::uint64_t partXor = 0;
+        std::uint32_t gen = 0;  ///< the candidate that wrote this slot
+        std::uint16_t minDeg = 0;
+        bool odd = false;
+    };
+
+    /// Starts the next candidate with room for `maxRests` rests at load
+    /// ≤ 1/2. The slot array only grows; a candidate uses a prefix sized
+    /// to its own touched terms, so small candidates stay cache-resident.
+    void clear(std::size_t maxRests) {
+        std::size_t n = 16;
+        while (n < 2 * maxRests) n *= 2;
+        if (n > slots_.size()) slots_.assign(n, Bucket{});
+        mask_ = n - 1;
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+        ++gen_;
+        used_.clear();
+    }
+
+    void add(std::uint64_t rest, std::uint64_t partHash, std::uint32_t deg) {
+        for (std::size_t s = (rest * 0x9e3779b97f4a7c15ull) >> shift_;;
+             s = (s + 1) & mask_) {
+            Bucket& b = slots_[s];
+            const auto d = static_cast<std::uint16_t>(deg);
+            if (b.gen != gen_) {
+                b = {rest, partHash, gen_, d, true};
+                used_.push_back(static_cast<std::uint32_t>(s));
+                return;
+            }
+            if (b.rest == rest) {
+                b.partXor ^= partHash;
+                b.minDeg = std::min(b.minDeg, d);
+                b.odd = !b.odd;
+                return;
+            }
+        }
+    }
+
+    /// Calls `fn(const Bucket&)` for each rest added since clear().
+    template <typename Fn>
+    void forEachBucket(Fn&& fn) const {
+        for (const auto s : used_) fn(slots_[s]);
+    }
+
+private:
+    std::vector<Bucket> slots_;
+    std::vector<std::uint32_t> used_;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 64;
+    std::uint32_t gen_ = 0;
+};
+
 }  // namespace
+
+// The bound sums two kinds of unavoidable mass:
+//
+//   * the untouched cofactor's literal count — terms disjoint from the
+//     group survive any rewrite verbatim;
+//   * odd-parity rest literals. Every merge preserves the pair-list
+//     identity Σ firstᵖ·secondᵖ = (touched part of folded), so a
+//     rest-monomial r whose group-part coefficient polynomial is
+//     non-zero must appear in at least one final cofactor, contributing
+//     deg(r) literals. An odd occurrence count across the touched terms
+//     guarantees non-zero (mod-2 cancellation needs pairs), and with
+//     key-bucketed rests an odd bucket guarantees some member rest is
+//     odd, so adding the bucket's minimum degree stays sound even under
+//     collisions. Any such bucket also forces ≥ 1 pair, worth its 1 + 2
+//     score terms.
+CandidateBounds candidateBounds(std::span<const anf::Monomial> terms,
+                                const std::vector<anf::VarSet>& candidates,
+                                std::span<const char> keep) {
+    const std::size_t n = candidates.size();
+    CandidateBounds out;
+    out.bound.assign(n, 0);
+    out.untouchedLits.assign(n, 0);
+    out.touched.resize(n);
+    anf::VarSet used;
+    for (std::size_t i = 0; i < n; ++i)
+        if (keep.empty() || keep[i]) used = used.unionWith(candidates[i]);
+
+    // Term index: each term's literal count and Zobrist key, and one
+    // bitset of term positions per variable some candidate holds.
+    const std::size_t maskWords = (terms.size() + 63) / 64;
+    std::vector<std::uint32_t> termLits(terms.size());
+    std::vector<std::uint64_t> termKey(terms.size());
+    std::size_t totalLits = 0;
+    std::vector<std::vector<std::uint64_t>> termsOfVar(
+        anf::Monomial::kMaxVars);
+    for (std::size_t ti = 0; ti < terms.size(); ++ti) {
+        std::uint64_t key = 0;
+        std::uint32_t deg = 0;
+        terms[ti].forEachVar([&](anf::Var v) {
+            key ^= kVarKeys[v];
+            ++deg;
+        });
+        termLits[ti] = deg;
+        termKey[ti] = key;
+        totalLits += deg;
+        terms[ti].restrictedTo(used).forEachVar([&](anf::Var v) {
+            auto& bits = termsOfVar[v];
+            if (bits.empty()) bits.resize(maskWords, 0);
+            bits[ti >> 6] |= std::uint64_t{1} << (ti & 63);
+        });
+    }
+
+    // Per candidate, walking its variables' bitsets yields the touched
+    // terms and, per touched term, the key and degree of its group part;
+    // the rest's key is the term key XOR the part key. Rests with equal
+    // keys share a bucket. The part hash is Monomial::hash of the part:
+    // a different hash cancels in different buckets, which moves bounds
+    // and with them pruning and the probe counters. A candidate has at
+    // most 2^k parts, so part hashes are memoized by part key in a small
+    // direct-mapped cache.
+    std::vector<std::uint64_t> mask(maskWords);
+    std::vector<std::uint64_t> partKey(terms.size(), 0);
+    std::vector<std::uint32_t> partDeg(terms.size(), 0);
+    RestTable rests;
+    struct PartHash {
+        std::uint64_t key = 0;
+        std::uint64_t hash = 0;  ///< 0 = empty (real hashes have bit 0 set)
+    };
+    std::array<PartHash, 256> partHashes{};
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!keep.empty() && !keep[i]) continue;
+        const anf::VarSet& cand = candidates[i];
+        std::fill(mask.begin(), mask.end(), 0);
+        cand.forEachVar([&](anf::Var v) {
+            const auto& bits = termsOfVar[v];
+            for (std::size_t w = 0; w < bits.size(); ++w) {
+                mask[w] |= bits[w];
+                for (std::uint64_t m = bits[w]; m; m &= m - 1) {
+                    const std::size_t ti =
+                        (w << 6) + static_cast<std::size_t>(
+                                       __builtin_ctzll(m));
+                    partKey[ti] ^= kVarKeys[v];
+                    ++partDeg[ti];
+                }
+            }
+        });
+        std::size_t count = 0;
+        for (const auto w : mask)
+            count += static_cast<std::size_t>(std::popcount(w));
+        auto& list = out.touched[i];
+        list.reserve(count);
+        rests.clear(count);
+        std::size_t touchedLits = 0;
+        for (std::size_t w = 0; w < maskWords; ++w) {
+            for (std::uint64_t m = mask[w]; m; m &= m - 1) {
+                const auto ti = static_cast<std::uint32_t>(
+                    (w << 6) + static_cast<std::size_t>(__builtin_ctzll(m)));
+                list.push_back(ti);
+                touchedLits += termLits[ti];
+                const std::uint64_t pk = partKey[ti];
+                PartHash& ph =
+                    partHashes[(pk * 0x9e3779b97f4a7c15ull) >> 56];
+                if (ph.hash == 0 || ph.key != pk)
+                    ph = {pk, terms[ti].restrictedTo(cand).hash() |
+                                  1};  // never zero: XOR witnesses non-empty
+                rests.add(termKey[ti] ^ pk, ph.hash,
+                          termLits[ti] - partDeg[ti]);
+                partKey[ti] = 0;
+                partDeg[ti] = 0;
+            }
+        }
+        // A bucket's coefficient polynomial is certainly non-zero when
+        // its term count is odd or its part hashes do not cancel (a
+        // multiset that reduces to ∅ mod 2 XORs its hashes to 0).
+        std::size_t certainLits = 0;
+        bool anyCertain = false;
+        rests.forEachBucket([&](const RestTable::Bucket& b) {
+            if (b.odd || b.partXor != 0) {
+                anyCertain = true;
+                certainLits += b.minDeg;
+            }
+        });
+        out.untouchedLits[i] = totalLits - touchedLits;
+        out.bound[i] =
+            out.untouchedLits[i] + certainLits + (anyCertain ? 3 : 0);
+    }
+    return out;
+}
 
 FindBasisOptions probeFindBasisOptions(const GroupOptions& opt) {
     // Probes score under default merge options (whatever the real
@@ -212,118 +420,23 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
         }
     }
 
-    // ---- Per-sweep term index: one bitset of term positions per
-    // visible variable. A candidate's touched-term set is the OR of its
-    // variables' bitsets — O(k · terms/64) words instead of a monomial
-    // intersection per term — and feeds both the bound and the probe's
-    // split (which then walks only intersecting terms).
+    // ---- Sound lower bound per candidate (candidateBounds). It doubles
+    // as the ordering heuristic that sends likely winners into the early
+    // waves — which is what lets later waves prune and budgeted sweeps
+    // spend their attempts well.
     const auto terms = folded.terms();
-    const std::size_t maskWords = (terms.size() + 63) / 64;
-    std::vector<std::uint32_t> termLits(terms.size());
-    std::size_t totalLits = 0;
-    std::unordered_map<anf::Var, std::vector<std::uint64_t>> termsOfVar;
-    for (std::size_t ti = 0; ti < terms.size(); ++ti) {
-        const auto deg = static_cast<std::uint32_t>(terms[ti].degree());
-        termLits[ti] = deg;
-        totalLits += deg;
-        terms[ti].forEachVar([&](anf::Var v) {
-            auto& mask = termsOfVar[v];
-            if (mask.empty()) mask.resize(maskWords, 0);
-            mask[ti >> 6] |= std::uint64_t{1} << (ti & 63);
-        });
-    }
-
-    // ---- Sound lower bound per candidate. Two unavoidable-mass parts:
-    //
-    //   * the untouched cofactor's literal count — terms disjoint from
-    //     the group survive any rewrite verbatim;
-    //   * odd-parity rest literals. Every merge preserves the pair-list
-    //     identity Σ firstᵖ·secondᵖ = (touched part of folded), so a
-    //     rest-monomial r whose group-part coefficient polynomial is
-    //     non-zero must appear in at least one final cofactor,
-    //     contributing deg(r) literals. An odd occurrence count across
-    //     the touched terms guarantees non-zero (mod-2 cancellation
-    //     needs pairs), and with hash-bucketed rests an odd bucket
-    //     guarantees some member rest is odd, so adding the bucket's
-    //     minimum degree stays sound even under collisions. Any odd
-    //     bucket also forces ≥ 1 pair, worth its 1 + 2 score terms.
-    //
-    // The bound doubles as the ordering heuristic that sends likely
-    // winners into the early waves — which is what lets later waves
-    // prune and budgeted sweeps spend their attempts well.
-    std::vector<std::size_t> bound(n, 0);
-    std::vector<std::size_t> untouchedLits(n, 0);
-    std::vector<std::vector<std::uint32_t>> touched(n);
+    CandidateBounds cb;
     {
-        std::vector<std::uint64_t> mask(maskWords);
-        struct RestInfo {
-            std::uint64_t restHash;
-            std::uint64_t partHash;
-            std::uint32_t deg;
-        };
-        std::vector<RestInfo> rests;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!keep[i]) continue;
-            std::fill(mask.begin(), mask.end(), 0);
-            candidates[i].forEachVar([&](anf::Var v) {
-                const auto it = termsOfVar.find(v);
-                if (it == termsOfVar.end()) return;
-                for (std::size_t w = 0; w < maskWords; ++w)
-                    mask[w] |= it->second[w];
-            });
-            std::size_t touchedLits = 0;
-            auto& list = touched[i];
-            rests.clear();
-            for (std::size_t w = 0; w < maskWords; ++w) {
-                std::uint64_t m = mask[w];
-                while (m) {
-                    const auto bit =
-                        static_cast<std::uint32_t>(__builtin_ctzll(m));
-                    m &= m - 1;
-                    const std::uint32_t ti =
-                        static_cast<std::uint32_t>(w << 6) + bit;
-                    list.push_back(ti);
-                    touchedLits += termLits[ti];
-                    const anf::Monomial rest =
-                        terms[ti].without(candidates[i]);
-                    const anf::Monomial part =
-                        terms[ti].restrictedTo(candidates[i]);
-                    rests.push_back(
-                        {static_cast<std::uint64_t>(rest.hash()),
-                         static_cast<std::uint64_t>(part.hash()) |
-                             1ull,  // never zero: XOR witnesses non-empty
-                         static_cast<std::uint32_t>(rest.degree())});
-                }
-            }
-            std::sort(rests.begin(), rests.end(),
-                      [](const RestInfo& a, const RestInfo& b) {
-                          return a.restHash < b.restHash;
-                      });
-            std::size_t certainLits = 0;
-            bool anyCertain = false;
-            for (std::size_t a = 0; a < rests.size();) {
-                std::size_t b = a;
-                std::uint32_t minDeg = UINT32_MAX;
-                std::uint64_t partXor = 0;
-                while (b < rests.size() &&
-                       rests[b].restHash == rests[a].restHash) {
-                    minDeg = std::min(minDeg, rests[b].deg);
-                    partXor ^= rests[b].partHash;
-                    ++b;
-                }
-                // Non-zero coefficient polynomial certified by either an
-                // odd term count or a non-cancelling part-hash XOR (a
-                // multiset that reduces to ∅ mod 2 XORs its hashes to 0).
-                if (((b - a) & 1) || partXor != 0) {
-                    anyCertain = true;
-                    certainLits += minDeg;
-                }
-                a = b;
-            }
-            untouchedLits[i] = totalLits - touchedLits;
-            bound[i] = untouchedLits[i] + certainLits + (anyCertain ? 3 : 0);
-        }
+        obs::ScopedSpan boundSpan("probe.bound", "probe");
+        const auto boundStart = std::chrono::steady_clock::now();
+        cb = candidateBounds(terms, candidates, keep);
+        stats_.boundMs += std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - boundStart)
+                              .count();
     }
+    const auto& bound = cb.bound;
+    const auto& untouchedLits = cb.untouchedLits;
+    const auto& touched = cb.touched;
 
     std::vector<std::size_t> order;
     order.reserve(n);

@@ -24,7 +24,9 @@
 //     lower bound on its score — the untouched-cofactor literal count
 //     plus the literals of rest-monomials whose group-part coefficient
 //     polynomial is provably non-zero — which orders the sweep so
-//     likely winners go first and budgeted sweeps spend well;
+//     likely winners go first and budgeted sweeps spend well. The bound
+//     pass (candidateBounds) is sort-free: rests are keyed by Zobrist
+//     XOR and accumulate in a flat generation-stamped table;
 //   * early abandon — a candidate whose lower bound already loses
 //     against the best fully-scored candidate is never probed;
 //   * intra-job parallelism — candidates fan out across a
@@ -44,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -73,6 +76,7 @@ struct ProbeStats {
     std::uint64_t deduped = 0;      ///< dropped as duplicate/equivalent
     std::uint64_t probed = 0;       ///< full findBasis probes scored
     std::uint64_t pruned = 0;       ///< skipped by the lower-bound test
+    double boundMs = 0.0;           ///< wall time in candidateBounds
 };
 
 /// Result of one sweep. `winnerBasis` is the winner's raw findBasis
@@ -89,6 +93,30 @@ struct SweepOutcome {
 /// The FindBasisOptions probes score under: defaults plus the forwarded
 /// merge budget. Public so the decomposer can check reuse eligibility.
 [[nodiscard]] FindBasisOptions probeFindBasisOptions(const GroupOptions& opt);
+
+/// The sweep's bound pass, indexed like the candidates.
+struct CandidateBounds {
+    /// Sound lower bound on each candidate's probe score.
+    std::vector<std::size_t> bound;
+    /// Literal count of the terms disjoint from the candidate.
+    std::vector<std::size_t> untouchedLits;
+    /// Ascending positions of the terms the candidate intersects.
+    std::vector<std::vector<std::uint32_t>> touched;
+};
+
+/// Bounds every candidate against the folded `terms`. When `keep` is
+/// non-empty, candidates with keep[i] == 0 are skipped and get a zero
+/// bound and an empty touched list. One pass builds a per-variable term
+/// bitset and a Zobrist key per term; per candidate, the part key of a
+/// touched term is the XOR of the keys of the candidate variables in it,
+/// its rest key is term key XOR part key, and rests accumulate by key in
+/// a generation-stamped open-addressed table — no sort. Equals the
+/// sort-based reference in tests/probe_test.cpp barring 64-bit key
+/// collisions, and stays sound under any collision.
+[[nodiscard]] CandidateBounds candidateBounds(
+    std::span<const anf::Monomial> terms,
+    const std::vector<anf::VarSet>& candidates,
+    std::span<const char> keep = {});
 
 /// Sweep engine. One context serves a whole decompose run: per-worker
 /// workspaces persist across sweeps (the indexer only grows), while the

@@ -43,4 +43,27 @@ std::vector<anf::Anf> unfold(const anf::Anf& folded,
     return out;
 }
 
+bool unfoldsToLiterals(const anf::Anf& folded, const anf::VarSet& tagMask) {
+    // An output is 0, 1, x or x ⊕ 1: every term has degree ≤ 1, and at
+    // most one has degree 1. Folded, each term also carries its output's
+    // tag, so with tags the degrees are one higher and "at most one" is
+    // per tag. The graded order puts the highest-degree terms last: the
+    // usual "not yet" answer reads one term.
+    const auto terms = folded.terms();
+    const std::size_t top = tagMask.isOne() ? 1 : 2;
+    anf::VarSet seen;
+    for (std::size_t i = terms.size(); i-- > 0;) {
+        const std::size_t d = terms[i].degree();
+        if (d > top) return false;
+        if (d < top) break;
+        // A second top-degree term of one output: two variables.
+        const anf::VarSet tag = terms[i].restrictedTo(tagMask);
+        const bool repeat = tagMask.isOne() ? i + 1 < terms.size()
+                                            : seen.intersects(tag);
+        if (repeat) return false;
+        seen = seen.unionWith(tag);
+    }
+    return true;
+}
+
 }  // namespace pd::core

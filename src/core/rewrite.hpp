@@ -26,4 +26,12 @@ namespace pd::core {
 [[nodiscard]] std::vector<anf::Anf> unfold(const anf::Anf& folded,
                                            std::span<const anf::Var> tags);
 
+/// True when every output `folded` stands for is a constant or a literal
+/// (the decomposer's termination test), read off the folded terms
+/// without unfolding. `tagMask` holds the tag variables (empty for a
+/// single unfolded output). Equivalent to every element of
+/// unfold(folded, tags) being constant or literal.
+[[nodiscard]] bool unfoldsToLiterals(const anf::Anf& folded,
+                                     const anf::VarSet& tagMask);
+
 }  // namespace pd::core

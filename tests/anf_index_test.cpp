@@ -151,6 +151,51 @@ TEST(AnfIndexTest, SubstituteMatchesReference) {
     }
 }
 
+/// anf::substitute through a fresh indexer, whole expression at once.
+Anf indexedOracle(const Anf& e, const std::unordered_map<anf::Var, Anf>& map) {
+    MonomialIndexer ix;
+    std::unordered_map<anf::Var, IndexedAnf> imap;
+    for (const auto& [v, ex] : map)
+        imap.emplace(v, IndexedAnf::fromAnf(ix, ex));
+    return indexedSubstitute(ix, IndexedAnf::fromAnf(ix, e), imap).toAnf(ix);
+}
+
+TEST(AnfIndexTest, SubstituteHitsNoneOneOrAllTerms) {
+    Rng rng(43);
+    for (int it = 0; it < 100; ++it) {
+        // Terms over variables 0..7; replacements draw from 0..11.
+        const Anf e = randomAnf(rng, 8, 10);
+        if (e.isZero()) continue;
+        const Anf repl = randomAnf(rng, 12, 4);
+
+        // None: a variable no term holds leaves e as is.
+        const std::unordered_map<anf::Var, Anf> none{{9, repl}};
+        EXPECT_EQ(anf::substitute(e, none), e);
+
+        // One: a variable of one term that no other term holds.
+        for (const auto& t : e.terms()) {
+            const auto vars = t.vars();
+            const auto holders = [&](anf::Var v) {
+                return std::count_if(
+                    e.terms().begin(), e.terms().end(),
+                    [&](const Monomial& u) { return u.contains(v); });
+            };
+            const auto lone =
+                std::find_if(vars.begin(), vars.end(),
+                             [&](anf::Var v) { return holders(v) == 1; });
+            if (lone == vars.end()) continue;
+            const std::unordered_map<anf::Var, Anf> one{{*lone, repl}};
+            EXPECT_EQ(anf::substitute(e, one), indexedOracle(e, one));
+            break;
+        }
+
+        // All: every variable replaced, so every non-constant term is hit.
+        std::unordered_map<anf::Var, Anf> all;
+        for (anf::Var v = 0; v < 8; ++v) all.emplace(v, randomAnf(rng, 12, 3));
+        EXPECT_EQ(anf::substitute(e, all), indexedOracle(e, all));
+    }
+}
+
 ring::NullSpaceRing randomRing(Rng& rng, std::size_t maxGens) {
     ring::NullSpaceRing r;
     const std::size_t n = rng.below(maxGens + 1);
@@ -434,6 +479,75 @@ TEST(AnfIndexTest, BudgetedFindBasisIsSoundAndReportsTruncation) {
         if (res.budgetExhausted) ++truncated;
     }
     EXPECT_GT(truncated, 0u);  // budget 1 must bite somewhere
+}
+
+TEST(MonomialIndexer, IdsStayDenseInFirstSeenOrderAcrossRehashes) {
+    Rng rng(71);
+    MonomialIndexer ix;
+    std::vector<Monomial> seen;
+    for (int i = 0; i < 5000; ++i) {
+        const Monomial m = randomMonomial(rng, 40, 6);
+        const auto at = std::find(seen.begin(), seen.end(), m);
+        const auto want = static_cast<MonomialIndexer::Id>(at - seen.begin());
+        if (at == seen.end()) seen.push_back(m);
+        ASSERT_EQ(ix.indexOf(m), want) << "insert " << i;
+    }
+    ASSERT_GT(seen.size(), 1000u);  // grew through several rehashes
+    ASSERT_EQ(ix.size(), seen.size());
+    for (std::size_t id = 0; id < seen.size(); ++id) {
+        EXPECT_EQ(ix.monomialAt(static_cast<MonomialIndexer::Id>(id)),
+                  seen[id]);
+        EXPECT_EQ(ix.indexOf(seen[id]), id);
+    }
+    EXPECT_EQ(ix.size(), seen.size());  // lookups never allocate
+}
+
+TEST(MonomialIndexer, ToBitsIsAsWideAsTheGrownIdSpace) {
+    MonomialIndexer ix;
+    (void)ix.indexOf(Monomial::var(9));  // a column e does not use
+    const Anf e = Anf::var(1) ^ Anf::var(2) ^ (Anf::var(3) * Anf::var(4));
+    const auto bits = ix.toBits(e);
+    EXPECT_EQ(bits.size(), ix.size());
+    EXPECT_EQ(ix.size(), 4u);
+    EXPECT_EQ(bits.popcount(), 3u);
+    EXPECT_EQ(IndexedAnf::fromAnf(ix, e).toAnf(ix), e);
+    EXPECT_EQ(ix.toBits(Anf{}).size(), ix.size());
+}
+
+TEST(MonomialIndexer, HighVariableMonomialsSpreadOverSlots) {
+    // Monomials that differ only in the top variables of the last word
+    // (192 and 242–255) share Monomial::hash's low 14 bits, so `hash() &
+    // mask` would home all of them in one slot. The intern table must
+    // spread them (slots come from the high bits of a mixed hash) and
+    // intern them all correctly.
+    Rng rng(73);
+    std::vector<Monomial> ms;
+    MonomialIndexer ix;
+    std::vector<char> lowUsed(std::size_t{1} << 14, 0);
+    std::size_t lowDistinct = 0;
+    while (ms.size() < 10000) {
+        Monomial m = Monomial::var(5);
+        if (rng.below(2)) m.insert(192);
+        for (anf::Var v = 242; v < 256; ++v)
+            if (rng.below(2)) m.insert(v);
+        if (ix.indexOf(m) != ms.size()) continue;
+        ms.push_back(m);
+        auto& low = lowUsed[m.hash() & ((std::size_t{1} << 14) - 1)];
+        lowDistinct += low == 0;
+        low = 1;
+    }
+    EXPECT_LE(lowDistinct, 4u);  // the trap this guards against is real
+    // The slot of a 2^14-slot table is the top 14 bits.
+    std::vector<char> slotUsed(std::size_t{1} << 14, 0);
+    std::size_t distinct = 0;
+    for (const auto& m : ms) {
+        auto& used = slotUsed[MonomialIndexer::mixedHash(m) >> (64 - 14)];
+        distinct += used == 0;
+        used = 1;
+    }
+    EXPECT_GT(distinct, 6000u);  // ~7500 expected for uniform slots
+    for (std::size_t id = 0; id < ms.size(); ++id)
+        EXPECT_EQ(ix.indexOf(ms[id]), id);
 }
 
 TEST(AnfIndexTest, MonomialInsertBeyondCapacityThrows) {

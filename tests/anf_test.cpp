@@ -2,6 +2,7 @@
 // axioms, canonicity, and evaluation semantics (paper §4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "anf/anf.hpp"
@@ -290,6 +291,72 @@ TEST(AnfProduct, UnfoldInvertsRewriteFolded) {
                   want)
             << "round " << round;
     }
+}
+
+bool allLiterals(const std::vector<Anf>& exprs) {
+    return std::all_of(exprs.begin(), exprs.end(), [](const Anf& e) {
+        return e.isConstant() || e.isLiteral();
+    });
+}
+
+/// Output i is 0, 1, x or ¬x over a small pool, or (rarely) x ⊕ y.
+Anf randomOutput(std::mt19937_64& rng, std::span<const Var> pool) {
+    const Anf x = Anf::var(pool[rng() % pool.size()]);
+    switch (rng() % 6) {
+        case 0: return Anf::zero();
+        case 1: return Anf::one();
+        case 2: return x;
+        case 3: return ~x;
+        case 4: return x ^ Anf::var(pool[rng() % pool.size()]);
+        default: return x * Anf::var(pool[rng() % pool.size()]);
+    }
+}
+
+TEST(Convergence, FoldedPredicateMatchesUnfoldedLiterals) {
+    const std::vector<Var> pool = {0, 1, 63, 64, 130, 200};
+    const std::vector<Var> tagPool = {100, 101, 102, 103};
+    std::mt19937_64 rng(7);
+    std::size_t converged = 0;
+    std::size_t notConverged = 0;
+    for (int round = 0; round < 400; ++round) {
+        const std::size_t outputs = 1 + rng() % tagPool.size();
+        std::vector<Anf> list;
+        for (std::size_t i = 0; i < outputs; ++i)
+            list.push_back(randomOutput(rng, pool));
+        // A single output is not folded: it has no tags.
+        std::vector<Var> tags;
+        VarSet tagMask;
+        Anf folded = list[0];
+        if (outputs > 1) {
+            folded = Anf{};
+            for (std::size_t i = 0; i < outputs; ++i) {
+                tags.push_back(tagPool[i]);
+                tagMask.insert(tagPool[i]);
+                folded ^= Anf::var(tagPool[i]) * list[i];
+            }
+        }
+        const bool want = allLiterals(outputs > 1 ? core::unfold(folded, tags)
+                                                  : std::vector<Anf>{folded});
+        EXPECT_EQ(core::unfoldsToLiterals(folded, tagMask), want)
+            << "round " << round;
+        (want ? converged : notConverged) += 1;
+    }
+    EXPECT_GT(converged, 20u);
+    EXPECT_GT(notConverged, 20u);
+}
+
+TEST(Convergence, TwoLiteralsInOneOutputIsNotConverged) {
+    const VarSet tags = mono({100, 101});
+    // K0·a ⊕ K0·b: output 0 is a ⊕ b.
+    const Anf twoInOne = Anf::var(100) * (Anf::var(1) ^ Anf::var(2));
+    EXPECT_FALSE(core::unfoldsToLiterals(twoInOne, tags));
+    // K0·a ⊕ K1·b ⊕ K1: a and ¬b.
+    const Anf apart = Anf::var(100) * Anf::var(1) ^
+                      Anf::var(101) * ~Anf::var(2);
+    EXPECT_TRUE(core::unfoldsToLiterals(apart, tags));
+    EXPECT_TRUE(core::unfoldsToLiterals(Anf{}, tags));
+    EXPECT_TRUE(core::unfoldsToLiterals(~Anf::var(3), VarSet{}));
+    EXPECT_FALSE(core::unfoldsToLiterals(Anf::var(3) ^ Anf::var(4), VarSet{}));
 }
 
 }  // namespace

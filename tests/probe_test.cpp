@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -289,6 +290,153 @@ TEST(ProbeSweep, EveryCandidateScoresAsTheReference) {
             }
         }
         EXPECT_GT(checked, 100u);
+    }
+}
+
+// ---- the bound pass --------------------------------------------------------
+
+/// The sort-based bound pass candidateBounds replaced: per candidate,
+/// (rest hash, part hash, rest degree) triples from Monomial::hash,
+/// sorted by rest hash and scanned run by run. Kept here as the oracle.
+probe::CandidateBounds referenceBounds(
+    std::span<const Monomial> terms,
+    const std::vector<anf::VarSet>& candidates) {
+    probe::CandidateBounds out;
+    std::size_t totalLits = 0;
+    for (const auto& t : terms) totalLits += t.degree();
+    struct RestInfo {
+        std::uint64_t restHash;
+        std::uint64_t partHash;
+        std::uint32_t deg;
+    };
+    for (const auto& cand : candidates) {
+        std::vector<RestInfo> rests;
+        std::vector<std::uint32_t> touched;
+        std::size_t touchedLits = 0;
+        for (std::size_t ti = 0; ti < terms.size(); ++ti) {
+            if (!terms[ti].intersects(cand)) continue;
+            touched.push_back(static_cast<std::uint32_t>(ti));
+            touchedLits += terms[ti].degree();
+            const Monomial rest = terms[ti].without(cand);
+            rests.push_back({rest.hash(),
+                             terms[ti].restrictedTo(cand).hash() | 1ull,
+                             static_cast<std::uint32_t>(rest.degree())});
+        }
+        std::sort(rests.begin(), rests.end(),
+                  [](const RestInfo& a, const RestInfo& b) {
+                      return a.restHash < b.restHash;
+                  });
+        std::size_t certainLits = 0;
+        bool anyCertain = false;
+        for (std::size_t a = 0; a < rests.size();) {
+            std::size_t b = a;
+            std::uint32_t minDeg = UINT32_MAX;
+            std::uint64_t partXor = 0;
+            while (b < rests.size() &&
+                   rests[b].restHash == rests[a].restHash) {
+                minDeg = std::min(minDeg, rests[b].deg);
+                partXor ^= rests[b].partHash;
+                ++b;
+            }
+            if (((b - a) & 1) || partXor != 0) {
+                anyCertain = true;
+                certainLits += minDeg;
+            }
+            a = b;
+        }
+        out.untouchedLits.push_back(totalLits - touchedLits);
+        out.bound.push_back(totalLits - touchedLits + certainLits +
+                            (anyCertain ? 3 : 0));
+        out.touched.push_back(std::move(touched));
+    }
+    return out;
+}
+
+void expectBoundsMatchReference(const Anf& folded,
+                                const std::vector<anf::VarSet>& candidates) {
+    const auto got = probe::candidateBounds(folded.terms(), candidates);
+    const auto want = referenceBounds(folded.terms(), candidates);
+    ASSERT_EQ(got.bound.size(), candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        EXPECT_EQ(got.bound[i], want.bound[i]) << "candidate " << i;
+        EXPECT_EQ(got.untouchedLits[i], want.untouchedLits[i]);
+        EXPECT_EQ(got.touched[i], want.touched[i]);
+    }
+}
+
+TEST(CandidateBounds, MatchReferenceOnRandomWorkloads) {
+    for (const std::size_t k : {std::size_t{4}, std::size_t{6}}) {
+        GroupOptions opt;
+        opt.k = k;
+        std::size_t covered = 0;
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            const auto w = makeWorkload(seed, 12, 60, false, opt);
+            expectBoundsMatchReference(w.folded, w.candidates);
+            for (const auto& c : w.candidates) covered += c.degree() == k;
+        }
+        EXPECT_GT(covered, 0u) << "no " << k << "-variable candidates";
+    }
+}
+
+TEST(CandidateBounds, SkippedCandidatesGetNothing) {
+    GroupOptions opt;
+    const auto w = makeWorkload(3, 10, 30, false, opt);
+    ASSERT_GT(w.candidates.size(), 1u);
+    std::vector<char> keep(w.candidates.size(), 1);
+    keep[0] = 0;
+    const auto got =
+        probe::candidateBounds(w.folded.terms(), w.candidates, keep);
+    EXPECT_EQ(got.bound[0], 0u);
+    EXPECT_TRUE(got.touched[0].empty());
+    const auto all = probe::candidateBounds(w.folded.terms(), w.candidates);
+    for (std::size_t i = 1; i < w.candidates.size(); ++i)
+        EXPECT_EQ(got.bound[i], all.bound[i]);
+}
+
+TEST(CandidateBounds, MatchReferenceOnRealSweeps) {
+    // Replay the first sweeps of adder3_9 (hundreds of thousands of
+    // terms, few candidates) and every sweep of mul4 (thousands of
+    // candidates; its late sweeps hold rest buckets whose part hashes
+    // cancel, {19},{22},{19,191},{22,191}, which the bound must keep).
+    for (const auto& [name, iterations] :
+         {std::pair{"adder3_9", 3}, std::pair{"mul4", 256}}) {
+        const auto bench = circuits::makeNamedBenchmark(name);
+        ASSERT_TRUE(bench.has_value());
+        VarTable vt;
+        const auto outs = bench->anf(vt);
+        DecomposeOptions dopt;
+        dopt.maxIterations = static_cast<std::size_t>(iterations);
+        std::size_t sweeps = 0;
+        dopt.probeCaptureHook = [&](const Anf& f,
+                                    const std::vector<anf::VarSet>& c,
+                                    const ring::IdentityDb&) {
+            ++sweeps;
+            expectBoundsMatchReference(f, c);
+        };
+        (void)decompose(vt, outs, bench->outputNames, dopt);
+        EXPECT_GT(sweeps, 0u) << name;
+    }
+}
+
+TEST(CandidateBounds, NeverExceedTheProbedScore) {
+    for (const std::size_t k : {std::size_t{4}, std::size_t{6}}) {
+        GroupOptions opt;
+        opt.k = k;
+        std::size_t checked = 0;
+        for (std::uint64_t seed = 71; seed <= 76; ++seed) {
+            const auto w = makeWorkload(seed, 10, 30, seed % 2 == 0, opt);
+            if (w.candidates.empty()) continue;
+            const auto bounds =
+                probe::candidateBounds(w.folded.terms(), w.candidates);
+            probe::ProbeContext ctx;
+            ctx.scoreHook = [&](std::size_t i, std::size_t score) {
+                EXPECT_LE(bounds.bound[i], score)
+                    << "k " << k << " seed " << seed << " candidate " << i;
+                ++checked;
+            };
+            (void)ctx.sweep(w.folded, w.candidates, w.ids, opt);
+        }
+        EXPECT_GT(checked, 0u) << "k " << k;
     }
 }
 

@@ -26,7 +26,7 @@
 
 #include "circuits/registry.hpp"
 #include "engine/engine.hpp"
-#include "engine/report_json.hpp"
+#include "util/json_writer.hpp"
 
 namespace {
 
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot write " << jsonPath << "\n";
         return 1;
     }
-    pd::engine::JsonWriter w(os);
+    pd::util::JsonWriter w(os);
     w.beginObject();
     w.field("schema", "pd-bench-engine-v1");
     w.key("batch").beginArray();

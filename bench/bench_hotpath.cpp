@@ -43,9 +43,9 @@
 #include "core/decomposer.hpp"
 #include "core/group.hpp"
 #include "core/probe/probe.hpp"
-#include "engine/report_json.hpp"
 #include "ring/identity_db.hpp"
 #include "ring/membership.hpp"
+#include "util/json_writer.hpp"
 
 namespace {
 
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot write " << jsonPath << "\n";
         return 1;
     }
-    pd::engine::JsonWriter w(os);
+    pd::util::JsonWriter w(os);
     w.beginObject();
     w.field("schema", "pd-bench-hotpath-v1");
     w.key("metrics").beginObject();
@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot write " << probeJsonPath << "\n";
         return 1;
     }
-    const auto breakdown = [](pd::engine::JsonWriter& jw,
+    const auto breakdown = [](pd::util::JsonWriter& jw,
                               const pd::core::Decomposition& d,
                               double totalMs) {
         jw.field("decompose_ms", totalMs);
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
         jw.field("deduped", d.probe.deduped);
         jw.field("basis_reuses", d.probe.basisReuses);
     };
-    pd::engine::JsonWriter pw(pos);
+    pd::util::JsonWriter pw(pos);
     pw.beginObject();
     pw.field("schema", "pd-bench-probe-v1");
     pw.key("metrics").beginObject();

@@ -67,7 +67,6 @@
 
 #include "circuits/registry.hpp"
 #include "core/decomposer.hpp"
-#include "engine/report_json.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/dpll.hpp"
 #include "sat/miter.hpp"
@@ -76,6 +75,7 @@
 #include "synth/hier_synth.hpp"
 #include "synth/mapper.hpp"
 #include "synth/opt.hpp"
+#include "util/json_writer.hpp"
 
 namespace {
 
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot write " << jsonPath << "\n";
         return 1;
     }
-    pd::engine::JsonWriter w(os);
+    pd::util::JsonWriter w(os);
     w.beginObject();
     w.field("schema", "pd-bench-sat-v1");
     w.key("metrics").beginObject();

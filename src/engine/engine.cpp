@@ -11,7 +11,6 @@
 #include "anf/parser.hpp"
 #include "circuits/registry.hpp"
 #include "engine/persist/format.hpp"
-#include "engine/persist/proof_store.hpp"
 #include "engine/shard/coordinator.hpp"
 #include "engine/shard/scheduler.hpp"
 #include "netlist/stats.hpp"
@@ -295,16 +294,6 @@ std::string persistFingerprint(const EngineOptions& opt) {
                 : std::string("|vs0"));
 }
 
-std::string proofFingerprint(const EngineOptions& opt) {
-    // The budgets change which searcher wins and what the winning solve's
-    // statistics are, so proofs minted under one budget never replay
-    // under another. The searcher count is NOT in the salt: the
-    // portfolio's fixed tie-break makes results bit-identical at every
-    // count, so one proof store serves any --verify-threads setting.
-    return "pd-proof|vcb" + std::to_string(opt.verifyConflictBudget) +
-           "|vpb" + std::to_string(opt.verifyPropagationBudget);
-}
-
 Engine::Engine(EngineOptions opt)
     : opt_(opt),
       lib_(synth::CellLibrary::umc130()),
@@ -319,81 +308,51 @@ Engine::Engine(EngineOptions opt)
         probePool_ = std::make_shared<util::ThreadPool>(opt_.probeThreads);
     if (opt_.verifyThreads > 1)
         verifyPool_ = std::make_shared<util::ThreadPool>(opt_.verifyThreads);
-    if (openStore(proofStore_, "proof cache", opt_.proofCacheFile,
-                  opt_.proofCacheReadonly,
-                  opt_.verifyThreads == 0
-                      ? "SAT verification is off (verify-threads 0)"
-                      : "")) {
-        const auto loaded = persist::ProofStore::load(opt_.proofCacheFile,
-                                                      proofFingerprint(opt_));
-        if (recordLoad(proofStore_, loaded))
-            proofStore_.info.loadedEntries = proofCache_.restore(loaded.entries);
-    }
-    if (!openStore(cacheStore_, "cache", opt_.cacheFile, opt_.cacheReadonly,
-                   opt_.cacheCapacity == 0
-                       ? "result caching is disabled (capacity 0)"
-                       : ""))
+    persist_.file = opt_.cacheFile;
+    persist_.readonly = opt_.cacheReadonly;
+    if (persist_.file.empty()) return;
+    if (opt_.cacheCapacity == 0) {
+        persist_.loadStatus = persist::LoadStatus::kDisabled;
+        persist_.loadDetail =
+            "result caching is disabled (capacity 0); store not loaded";
         return;
+    }
     auto loaded =
         persist::CacheStore::load(opt_.cacheFile, persistFingerprint(opt_));
-    if (!recordLoad(cacheStore_, loaded)) return;
+    persist_.loadStatus = loaded.status;
+    persist_.loadDetail = loaded.detail;
+    persist_.droppedEntries = loaded.droppedEntries;
+    // A salvaged prefix warms the engine like a pristine store would:
+    // every adopted record passed its own checksum. Anything less usable
+    // cold-starts, loudly recorded.
+    if (!loaded.usable()) return;
     std::vector<ResultCache::SnapshotEntry> entries;
     entries.reserve(loaded.entries.size());
     for (auto& e : loaded.entries)
         entries.push_back({e.key, std::move(e.result)});
-    cacheStore_.info.loadedEntries = cache_.restore(std::move(entries));
+    persist_.loadedEntries = cache_.restore(std::move(entries));
     for (const auto& e : loaded.index) index_.record(e, /*restored=*/true);
-    cacheStore_.flushedGeneration = cacheGeneration();
+    flushedGeneration_ = cacheGeneration();
 }
 
 Engine::~Engine() {
     // No other thread can reach the engine any more, so the markers are
     // read without flushMutex_.
-    if (cacheGeneration() > cacheStore_.flushedGeneration ||
-        cacheStore_.unflushedRecords)
+    if (cacheGeneration() > flushedGeneration_ || unflushedRecords_)
         flushCache();
-    if (proofGeneration() > proofStore_.flushedGeneration ||
-        proofStore_.unflushedRecords)
-        flushProofCache();
 }
 
-bool Engine::openStore(Store& s, std::string noun, std::string file,
-                       bool readonly, std::string off) {
-    s.noun = std::move(noun);
-    s.info.file = std::move(file);
-    s.info.readonly = readonly;
-    s.off = std::move(off);
-    if (s.info.file.empty()) return false;
-    if (!s.off.empty()) {
-        s.info.loadDetail = s.off + "; store not loaded";
-        return false;
-    }
-    return true;
-}
-
-bool Engine::recordLoad(Store& s, const persist::LoadOutcome& loaded) {
-    s.info.loadStatus = loaded.status;
-    s.info.loadDetail = loaded.detail;
-    s.info.droppedEntries = loaded.droppedEntries;
-    // A salvaged prefix warms the engine like a pristine store would:
-    // every adopted record passed its own checksum. Anything less usable
-    // cold-starts, loudly recorded.
-    return loaded.usable();
-}
-
-bool Engine::flushStore(
-    Store& s, const std::function<std::uint64_t()>& generation,
-    const std::function<bool(std::size_t&, std::string&)>& save,
-    std::size_t* savedOut, std::string* errorOut) {
+bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
     std::string error;
-    if (s.info.file.empty())
-        error = "no " + s.noun + " file configured";
-    else if (s.info.readonly)
-        error = s.noun + " file is read-only";
-    else if (!s.off.empty())
+    if (persist_.file.empty())
+        error = "no cache file configured";
+    else if (persist_.readonly)
+        error = "cache file is read-only";
+    else if (persist_.loadStatus == persist::LoadStatus::kDisabled)
         // Nothing was stored this run; writing would replace a possibly
         // warm store with an empty one.
-        error = s.off + "; refusing to overwrite the store with nothing";
+        error = "result caching is disabled (capacity 0); refusing to "
+                "overwrite the store with nothing";
     if (!error.empty()) {
         if (errorOut) *errorOut = error;
         return false;
@@ -401,89 +360,49 @@ bool Engine::flushStore(
     std::lock_guard lock(flushMutex_);
     // Generation first, snapshot second: records published between the
     // two are still saved now and merely re-flushed by the destructor.
-    const std::uint64_t before = generation();
-    std::size_t saved = 0;
-    if (!save(saved, error)) {
+    const std::uint64_t before = cacheGeneration();
+    auto snap = cache_.snapshot();
+    // Canonical entry order: snapshot order is hash-map order, which
+    // varies run to run; sorting by key makes equal entry *sets* produce
+    // byte-identical stores — a sharded run and a single-process run of
+    // the same batch leave the same artifact bits.
+    std::sort(snap.begin(), snap.end(),
+              [](const auto& a, const auto& b) { return a.key < b.key; });
+    std::vector<persist::StoreEntry> entries;
+    entries.reserve(snap.size());
+    std::unordered_set<util::Digest128, util::Digest128Hash> keys;
+    for (auto& e : snap) {
+        keys.insert(e.key);
+        entries.push_back({e.key, std::move(e.value)});
+    }
+    // Only index entries that name a saved result: the rest could never
+    // serve a hit, and dropping them keeps the artifact a function of its
+    // entries alone.
+    auto index = index_.snapshot();
+    std::erase_if(index, [&](const JobIndex::Entry& e) {
+        return !keys.contains(e.digest);
+    });
+    if (!persist::CacheStore::save(opt_.cacheFile, persistFingerprint(opt_),
+                                   entries, index, &error)) {
         if (errorOut) *errorOut = error;
         return false;
     }
-    s.flushedGeneration = before;
-    s.unflushedRecords = false;
-    if (savedOut) *savedOut = saved;
+    flushedGeneration_ = before;
+    unflushedRecords_ = false;
+    if (savedOut) *savedOut = entries.size();
     return true;
 }
 
-void Engine::markAdopted(Store& s) {
-    std::lock_guard lock(flushMutex_);
-    s.unflushedRecords = true;
-}
-
-bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
-    return flushStore(
-        cacheStore_, [this] { return cacheGeneration(); },
-        [this](std::size_t& saved, std::string& error) {
-            auto snap = cache_.snapshot();
-            // Canonical entry order: snapshot order is hash-map order,
-            // which varies run to run; sorting by key makes equal entry
-            // *sets* produce byte-identical stores — a sharded run and a
-            // single-process run of the same batch leave the same
-            // artifact bits.
-            std::sort(snap.begin(), snap.end(), [](const auto& a,
-                                                   const auto& b) {
-                return a.key < b.key;
-            });
-            std::vector<persist::StoreEntry> entries;
-            entries.reserve(snap.size());
-            std::unordered_set<util::Digest128, util::Digest128Hash> keys;
-            for (auto& e : snap) {
-                keys.insert(e.key);
-                entries.push_back({e.key, std::move(e.value)});
-            }
-            // Only index entries that name a saved result: the rest could
-            // never serve a hit, and dropping them keeps the artifact a
-            // function of its entries alone.
-            auto index = index_.snapshot();
-            std::erase_if(index, [&](const JobIndex::Entry& e) {
-                return !keys.contains(e.digest);
-            });
-            saved = entries.size();
-            return persist::CacheStore::save(opt_.cacheFile,
-                                             persistFingerprint(opt_),
-                                             entries, index, &error);
-        },
-        savedOut, errorOut);
-}
-
 shard::StoreRecords Engine::takeStoreRecords() {
-    return {cache_.takeFresh(), index_.takeFresh(), proofCache_.takeFresh()};
+    return {cache_.takeFresh(), index_.takeFresh()};
 }
 
 void Engine::adoptStoreRecords(shard::StoreRecords records) {
-    if (cache_.restore(std::move(records.entries)) > 0)
-        markAdopted(cacheStore_);
+    if (cache_.restore(std::move(records.entries)) > 0) {
+        std::lock_guard lock(flushMutex_);
+        unflushedRecords_ = true;
+    }
     for (const auto& e : records.index) index_.record(e);
-    if (proofCache_.restore(records.proofs) > 0) markAdopted(proofStore_);
-}
-
-bool Engine::flushProofCache(std::size_t* savedOut, std::string* errorOut) {
-    return flushStore(
-        proofStore_, [this] { return proofGeneration(); },
-        [this](std::size_t& saved, std::string& error) {
-            auto snap = proofCache_.snapshot();
-            // Canonical order, as for the result store: equal proof
-            // *sets* produce byte-identical stores, so cold and warm runs
-            // (and sharded vs single-process runs) of the same batch
-            // leave the same artifact bits.
-            std::sort(snap.begin(), snap.end(), [](const auto& a,
-                                                   const auto& b) {
-                return a.digest < b.digest;
-            });
-            saved = snap.size();
-            return persist::ProofStore::save(opt_.proofCacheFile,
-                                             proofFingerprint(opt_), snap,
-                                             &error);
-        },
-        savedOut, errorOut);
 }
 
 std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
@@ -566,9 +485,6 @@ std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
             freshest = std::max(freshest, e.lastUse);
         for (const auto& e : entries) ages.observe(freshest - e.lastUse);
     }
-    if (opt_.verifyThreads > 0)
-        obs::gauge("verify.sat.proof.store_entries")
-            .set(static_cast<std::int64_t>(proofCache_.stats().entries));
     return std::move(sched).take();
 }
 
@@ -717,15 +633,9 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
                 result.verification = cached.verification;
                 result.vectorsTested = cached.vectorsTested;
                 result.exhaustive = cached.exhaustive;
+                // The donor's sat block: no search ran for this hit, so
+                // the verify.sat.* counters are not bumped.
                 result.satVerify = cached.satVerify;
-                // The copied sat block describes the donor's solve, not
-                // work done for this hit: no search ran here, and the
-                // verify.sat.* counters were (correctly) not bumped. Mark
-                // the replay so the report can't claim conflicts this
-                // process never had.
-                if (result.satVerify.ran)
-                    result.satVerify.proofSource =
-                        JobResult::SatVerify::ProofSource::kCache;
                 if (spec.keepMapped) result.mapped = cached.mapped;
                 result.name = name;
                 result.cacheKey = key;
@@ -810,28 +720,19 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
             static auto& satLearned = obs::counter("verify.sat.learned");
             static auto& satExhausted =
                 obs::counter("verify.sat.budget_exhausted");
-            static auto& proofHits = obs::counter("verify.sat.proof.hit");
-            static auto& proofMisses = obs::counter("verify.sat.proof.miss");
             sat::EquivSatOptions satOpt;
             satOpt.searchers = opt_.verifyThreads;
             satOpt.conflictBudget = opt_.verifyConflictBudget;
             satOpt.propagationBudget = opt_.verifyPropagationBudget;
-            satOpt.proofCache = &proofCache_;
             if (PD_FAULT("verify.sat.budget")) {
                 // Starve the search: the honest outcome is kUnknown with
-                // budget_exhausted, never a wrong verdict. The proof
-                // cache is disconnected entirely — a hit would mask the
-                // starvation the fault is meant to exercise, and a
-                // starved run must never publish a proof.
+                // budget_exhausted, never a wrong verdict.
                 satOpt.conflictBudget = 1;
                 satOpt.propagationBudget = 1;
-                satOpt.proofCache = nullptr;
                 tainted = true;
             }
             satOpt.pool = verifyPool_.get();
             const auto eq = sat::checkEquivalentSat(raw, mapped, satOpt);
-            const bool replayed =
-                eq.proofSource == sat::EquivCheckResult::ProofSource::kCache;
             result.satVerify.ran = true;
             result.satVerify.conflicts = eq.conflicts;
             result.satVerify.propagations = eq.propagations;
@@ -839,27 +740,13 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
             result.satVerify.learned = eq.learned;
             result.satVerify.winner = eq.winner;
             result.satVerify.budgetExhausted = eq.budgetExhausted;
-            if (replayed)
-                result.satVerify.proofSource =
-                    JobResult::SatVerify::ProofSource::kCache;
             satJobs.add(1);
-            if (eq.proofSource ==
-                sat::EquivCheckResult::ProofSource::kComputed)
-                proofMisses.add(1);
-            else if (replayed)
-                proofHits.add(1);
-            // Solve-work counters describe searches that actually ran in
-            // this process; a replayed proof's statistics belong to the
-            // original solve and would double-count here.
-            if (!replayed) {
-                satConflicts.add(eq.conflicts);
-                satProps.add(eq.propagations);
-                satRestarts.add(eq.restarts);
-                satLearned.add(eq.learned);
-                obs::histogram("verify.sat.conflicts").observe(eq.conflicts);
-                obs::histogram("verify.sat.propagations")
-                    .observe(eq.propagations);
-            }
+            satConflicts.add(eq.conflicts);
+            satProps.add(eq.propagations);
+            satRestarts.add(eq.restarts);
+            satLearned.add(eq.learned);
+            obs::histogram("verify.sat.conflicts").observe(eq.conflicts);
+            obs::histogram("verify.sat.propagations").observe(eq.propagations);
             switch (eq.status) {
                 case sat::EquivCheckResult::Status::kEquivalent:
                     result.verification = VerifyStatus::kSat;

@@ -18,7 +18,6 @@
 // run leaves the same warm artifact a single-process run would.
 #pragma once
 
-#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -30,7 +29,6 @@
 #include "engine/job.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/protocol.hpp"
-#include "sat/proof_cache.hpp"
 #include "sim/equivalence.hpp"
 #include "synth/celllib.hpp"
 #include "util/digest.hpp"
@@ -90,17 +88,6 @@ struct EngineOptions {
     /// Load from cacheFile but never write it back (CI consumers, shared
     /// read-mostly artifacts).
     bool cacheReadonly = false;
-    /// Path of a persistent pd-proof-v1 SAT proof store ("" disables).
-    /// Meaningful only with verifyThreads > 0: the engine warm-starts
-    /// the content-addressed proof cache from it and flushes completed
-    /// refutations back on destruction (or flushProofCache()), so a warm
-    /// batch replays its proofs (verification.sat.proof_source "cache")
-    /// instead of racing the portfolio again. Same cold-start-on-damage
-    /// rules as cacheFile, reported via proofPersistInfo().
-    std::string proofCacheFile;
-    /// Load from proofCacheFile but never write it back (shard workers,
-    /// CI consumers).
-    bool proofCacheReadonly = false;
     /// Worker *processes* for runBatch (0 → everything in-process).
     /// With N ≥ 1 every wire-serializable job (registry benchmarks,
     /// expression jobs) runs in one of N crash-isolated `pd_cli worker`
@@ -134,13 +121,13 @@ struct EngineOptions {
     int shardHeartbeatMs = 10000;
 };
 
-/// What happened to one persistent store this engine was given (the
-/// result store or the proof store).
+/// What happened to the persistent store this engine was given.
 struct PersistInfo {
     std::string file;               ///< "" when persistence is off
     bool readonly = false;
     persist::LoadStatus loadStatus = persist::LoadStatus::kNoFile;
-    std::string loadDetail;         ///< reason when the load was rejected
+    /// Reason when the load was rejected, salvaged or skipped.
+    std::string loadDetail;
     std::uint64_t loadedEntries = 0;  ///< entries adopted at warm start
     /// Entries lost to a damaged tail when the load was salvaged.
     std::uint64_t droppedEntries = 0;
@@ -206,25 +193,7 @@ public:
                     std::string* errorOut = nullptr);
 
     /// Warm-start outcome for reporting/diagnostics.
-    [[nodiscard]] const PersistInfo& persistInfo() const {
-        return cacheStore_.info;
-    }
-
-    /// Snapshots the proof cache (sorted by digest, so identical content
-    /// yields a byte-identical store) and atomically rewrites the
-    /// configured pd-proof-v1 store. Same contract as flushCache().
-    bool flushProofCache(std::size_t* savedOut = nullptr,
-                         std::string* errorOut = nullptr);
-
-    /// Warm-start outcome of the proof store.
-    [[nodiscard]] const PersistInfo& proofPersistInfo() const {
-        return proofStore_.info;
-    }
-
-    /// Hit/miss/entry statistics of the content-addressed proof cache.
-    [[nodiscard]] sat::ProofCache::Stats proofCacheStats() const {
-        return proofCache_.stats();
-    }
+    [[nodiscard]] const PersistInfo& persistInfo() const { return persist_; }
 
     /// Degraded-mode accounting for the most recent runBatch.
     [[nodiscard]] const BatchResilience& resilience() const {
@@ -232,76 +201,44 @@ public:
     }
 
     /// Worker half of the shard wire: the store records this engine added
-    /// since the previous call — result-cache entries, name-index entries
-    /// and SAT proofs. Records adopted at warm start never qualify. A
-    /// worker ships them inside each job's kResult, so a crash forfeits
-    /// only the in-flight job's records.
+    /// since the previous call — result-cache entries and name-index
+    /// entries. Records adopted at warm start never qualify. A worker
+    /// ships them inside each job's kResult, so a crash forfeits only the
+    /// in-flight job's records.
     [[nodiscard]] shard::StoreRecords takeStoreRecords();
 
     /// Coordinator half: adopts one worker's records. A key already held
-    /// wins, so of two equal cache keys or proof digests the first one in
-    /// stays; index entries are recorded as a local run would record them.
+    /// wins, so of two equal cache keys the first one in stays; index
+    /// entries are recorded as a local run would record them.
     void adoptStoreRecords(shard::StoreRecords records);
 
 private:
-    /// One persistent store's warm-start outcome and flush bookkeeping.
-    /// The two markers are written by concurrent flushes and record
-    /// adoption alike, so they are only touched under flushMutex_.
-    struct Store {
-        std::string noun;  ///< "cache", "proof cache": error strings
-        PersistInfo info;
-        /// Why a configured store is neither loaded nor written this
-        /// run ("" when it is active).
-        std::string off;
-        /// generation() at the last successful flush (or warm start):
-        /// the destructor only rewrites the store when it moved.
-        std::uint64_t flushedGeneration = 0;
-        /// Worker records adopted since the last flush arrive via
-        /// restore(), which does not move the generation.
-        bool unflushedRecords = false;
-    };
-
     [[nodiscard]] JobResult execute(const JobSpec& spec,
                                     std::size_t index) const;
 
-    /// Fills `s` from the options; true when the store should be loaded.
-    static bool openStore(Store& s, std::string noun, std::string file,
-                          bool readonly, std::string off);
-    /// Records a load outcome in `s.info`; true when it may be adopted.
-    static bool recordLoad(Store& s, const persist::LoadOutcome& loaded);
-    /// The shared flush path: refuses an absent, read-only or inactive
-    /// store, then under flushMutex_ reads `generation`, runs `save`
-    /// (which snapshots and writes, setting the saved count or error)
-    /// and records the flush.
-    bool flushStore(Store& s, const std::function<std::uint64_t()>& generation,
-                    const std::function<bool(std::size_t&, std::string&)>& save,
-                    std::size_t* savedOut, std::string* errorOut);
-    /// Marks `s` dirty after adopted worker records.
-    void markAdopted(Store& s);
-    /// Monotone change counters of the two stores' contents.
+    /// Monotone change counter of the store's contents.
     [[nodiscard]] std::uint64_t cacheGeneration() const {
         return cache_.stats().inserts + index_.changes();
-    }
-    [[nodiscard]] std::uint64_t proofGeneration() const {
-        return proofCache_.stats().inserts;
     }
 
     EngineOptions opt_;
     synth::CellLibrary lib_;
     mutable ResultCache cache_;
-    /// Content-addressed SAT proof cache, shared by every job's verify
-    /// portfolio (thread-safe; see sat/proof_cache.hpp). Active only
-    /// when verifyThreads > 0; warm-started from proofCacheFile.
-    mutable sat::ProofCache proofCache_;
-    Store cacheStore_;
-    Store proofStore_;
+    PersistInfo persist_;
     BatchResilience resilience_;
     /// Registry name + options → (spec stamp, digest), warm-started from
     /// and flushed with the store, so a repeat hit skips rebuilding the
     /// (possibly huge) flat Reed-Muller form just to compute its own key.
     mutable JobIndex index_;
-    /// Serializes flushes of both stores and guards their markers.
+    /// Serializes flushes and guards the two markers below, which
+    /// concurrent flushes and record adoption both write.
     std::mutex flushMutex_;
+    /// cacheGeneration() at the last successful flush (or warm start):
+    /// the destructor only rewrites the store when it moved.
+    std::uint64_t flushedGeneration_ = 0;
+    /// Worker records adopted since the last flush arrive via restore(),
+    /// which does not move the generation.
+    bool unflushedRecords_ = false;
     util::ThreadPool pool_;
     /// Shared probe-sweep pool (EngineOptions::probeThreads > 1). A
     /// separate pool from `pool_`: job tasks block on probe futures, so
@@ -346,12 +283,5 @@ private:
 /// every cache key); conflictBudget is folded into those options before
 /// keys are computed, so it is covered too.
 [[nodiscard]] std::string persistFingerprint(const EngineOptions& opt);
-
-/// The salt of the pd-proof-v1 store: the per-searcher SAT budgets, which
-/// change which searcher wins and what its statistics look like. The
-/// searcher *count* is deliberately excluded — the portfolio contract
-/// keeps results bit-identical at any count, so proofs are shareable
-/// across --verify-threads settings.
-[[nodiscard]] std::string proofFingerprint(const EngineOptions& opt);
 
 }  // namespace pd::engine

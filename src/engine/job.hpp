@@ -103,7 +103,9 @@ struct JobResult {
     /// is mitered against the mapped netlist and the miter refuted by
     /// the CDCL portfolio. Statistics aggregate portfolio searchers
     /// 0..winner, which the determinism contract keeps reproducible
-    /// across searcher counts.
+    /// across searcher counts. A result-cache hit replays the block of
+    /// the solve that filled the entry: no search ran for the hit, and
+    /// the verify.sat.* counters count only searches that ran.
     struct SatVerify {
         bool ran = false;
         std::uint64_t conflicts = 0;
@@ -115,17 +117,6 @@ struct JobResult {
         /// The search hit its budget: status keeps the simulation /
         /// algebraic answer and is never guessed from a partial search.
         bool budgetExhausted = false;
-        /// Where this refutation came from: kComputed means the portfolio
-        /// actually ran in this process; kCache means the statistics
-        /// replay an earlier solve (a proof-cache hit, or the whole
-        /// JobResult served from the result cache). Replayed stats are
-        /// honest about the *original* solve but describe zero work done
-        /// here — verify.sat.* counters only count kComputed solves.
-        /// Per-process provenance like cacheSource/shard: never part of
-        /// the semantic payload, the wire's semantic section, or the
-        /// persistent store.
-        enum class ProofSource : std::uint8_t { kComputed, kCache };
-        ProofSource proofSource = ProofSource::kComputed;
     };
     SatVerify satVerify;
 

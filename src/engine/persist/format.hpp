@@ -1,4 +1,4 @@
-// Byte-level primitives shared by the record files of both stores
+// Byte-level primitives shared by the store's record file
 // (record_file.hpp) and the shard wire.
 //
 // Every multi-byte integer is written little-endian one byte at a time,

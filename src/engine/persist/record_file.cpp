@@ -10,6 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "util/fault/fault.hpp"
 #include "util/log.hpp"
 
 namespace pd::engine::persist {
@@ -57,22 +58,10 @@ std::string_view loadStatusName(LoadStatus s) {
         case LoadStatus::kBadFingerprint: return "bad-fingerprint";
         case LoadStatus::kCorrupt: return "corrupt";
         case LoadStatus::kSalvaged: return "salvaged";
+        case LoadStatus::kDisabled: return "disabled";
     }
     return "unknown";
 }
-
-RecordFormat::RecordFormat(std::string_view magic, std::uint32_t version,
-                           std::string_view noun, std::string_view prefix)
-    : magic(magic),
-      version(version),
-      noun(noun),
-      load(std::string(prefix) + ".load"),
-      save(std::string(prefix) + ".save"),
-      prefix(prefix),
-      loadFlip(fault::site(load + ".flip")),
-      saveEnospc(fault::site(save + ".enospc")),
-      saveShortWrite(fault::site(save + ".short_write")),
-      saveRename(fault::site(save + ".rename")) {}
 
 void RecordReader::section(std::string_view noun, std::uint64_t minBytes,
                            const ReadOne& readOne) {
@@ -113,21 +102,21 @@ void RecordReader::section(std::string_view noun, std::uint64_t minBytes,
     }
 }
 
-LoadOutcome loadRecords(const RecordFormat& f, const std::string& path,
-                        std::string_view fingerprint,
+LoadOutcome loadRecords(const std::string& path, std::string_view fingerprint,
                         const std::function<void(RecordReader&)>& body) {
-    obs::ScopedSpan span(f.load, "persist");
-    obs::counter(f.load).add();
+    static auto& loadFlip = fault::site("persist.load.flip");
+    obs::ScopedSpan span("persist.load", "persist");
+    obs::counter("persist.load").add();
     std::ifstream is(path, std::ios::binary);
     if (!is)
         return reject(LoadStatus::kNoFile,
-                      "no " + f.noun + " at '" + path + "'");
+                      "no cache store at '" + path + "'");
     std::ostringstream buf;
     buf << is.rdbuf();
     if (is.bad())
         return reject(LoadStatus::kCorrupt, "read error on '" + path + "'");
     std::string bytes = std::move(buf).str();
-    if (f.loadFlip.shouldFire() && bytes.size() > f.magic.size() + 4)
+    if (loadFlip.shouldFire() && bytes.size() > kMagic.size() + 4)
         // Flip a bit two-thirds in: past the header on any real store,
         // so the per-record checksums must catch it and salvage the
         // prefix before the flipped byte.
@@ -136,19 +125,19 @@ LoadOutcome loadRecords(const RecordFormat& f, const std::string& path,
 
     try {
         ByteReader r(bytes);
-        if (bytes.size() < f.magic.size() || r.raw(f.magic.size()) != f.magic)
+        if (bytes.size() < kMagic.size() || r.raw(kMagic.size()) != kMagic)
             return reject(LoadStatus::kBadMagic,
-                          "not a pd " + f.noun + " (bad magic)");
+                          "not a pd cache store (bad magic)");
         const std::uint32_t version = r.u32();
-        if (version != f.version)
+        if (version != kFormatVersion)
             return reject(LoadStatus::kBadVersion,
-                          f.noun + " is format version " +
+                          "cache store is format version " +
                               std::to_string(version) + ", this build reads " +
-                              std::to_string(f.version));
+                              std::to_string(kFormatVersion));
         const std::string_view salt = r.str();
         if (salt != fingerprint)
             return reject(LoadStatus::kBadFingerprint,
-                          f.noun + " was written under fingerprint '" +
+                          "cache store was written under fingerprint '" +
                               printable(salt) + "', expected '" +
                               printable(fingerprint) + "'");
 
@@ -168,8 +157,8 @@ LoadOutcome loadRecords(const RecordFormat& f, const std::string& path,
             return reject(LoadStatus::kCorrupt,
                           "no salvageable prefix (" + out.detail + ")");
         out.status = LoadStatus::kSalvaged;
-        obs::counter(f.prefix + ".salvage").add();
-        obs::counter(f.prefix + ".salvage.dropped").add(out.droppedEntries);
+        obs::counter("persist.salvage").add();
+        obs::counter("persist.salvage.dropped").add(out.droppedEntries);
         log::warn("persist", out.detail);
         return out;
     } catch (const std::exception& e) {
@@ -177,15 +166,17 @@ LoadOutcome loadRecords(const RecordFormat& f, const std::string& path,
     }
 }
 
-bool saveFile(const RecordFormat& f, const std::string& path,
-              std::string_view fingerprint,
+bool saveFile(const std::string& path, std::string_view fingerprint,
               const std::function<std::string(std::string& bytes)>& body,
               std::string* errorOut) {
-    obs::ScopedSpan span(f.save, "persist");
-    obs::counter(f.save).add();
-    std::string bytes(f.magic);
+    static auto& saveEnospc = fault::site("persist.save.enospc");
+    static auto& saveShortWrite = fault::site("persist.save.short_write");
+    static auto& saveRename = fault::site("persist.save.rename");
+    obs::ScopedSpan span("persist.save", "persist");
+    obs::counter("persist.save").add();
+    std::string bytes(kMagic);
     ByteWriter w(bytes);
-    w.u32(f.version);
+    w.u32(kFormatVersion);
     w.str(fingerprint);
     const std::string summary = body(bytes);
     if (span.live())
@@ -197,13 +188,13 @@ bool saveFile(const RecordFormat& f, const std::string& path,
     const std::string tmp = path + ".tmp." +
                             std::to_string(static_cast<long>(::getpid())) +
                             "." + std::to_string(saveSeq.fetch_add(1));
-    if (f.saveEnospc.shouldFire()) {
+    if (saveEnospc.shouldFire()) {
         if (errorOut)
-            *errorOut = "injected fault " + f.saveEnospc.name() +
+            *errorOut = "injected fault " + saveEnospc.name() +
                         ": no space left on device writing '" + tmp + "'";
         return false;
     }
-    if (f.saveShortWrite.shouldFire())
+    if (saveShortWrite.shouldFire())
         // Model a torn write that the filesystem acknowledged anyway
         // (power cut between ack and durability): the truncated bytes
         // go through the normal rename path and the save reports
@@ -223,9 +214,9 @@ bool saveFile(const RecordFormat& f, const std::string& path,
             return false;
         }
     }
-    if (f.saveRename.shouldFire()) {
+    if (saveRename.shouldFire()) {
         if (errorOut)
-            *errorOut = "injected fault " + f.saveRename.name() +
+            *errorOut = "injected fault " + saveRename.name() +
                         ": rename '" + tmp + "' -> '" + path + "' failed";
         std::remove(tmp.c_str());
         return false;

@@ -1,19 +1,18 @@
-// One checksummed-record file: the trust ladder both persistent stores
-// share.
+// The checksummed-record file under the pd-cache store: the trust
+// ladder, the rules for which bytes of a store to trust.
 //
 // A record file is a header — magic (8 bytes), u32 version, str
 // fingerprint — followed by counted sections (u64 count, then that many
 // records), little-endian throughout (format.hpp). Every record carries
-// its own checksum. The stores on top of this layer are payload codecs:
-// store.hpp (pd-cache-v4: result entries, then the name index) and
-// proof_store.hpp (pd-proof-v1: fixed proof entries) say what a record
-// holds and check its checksum. Every rule about trusting the bytes
-// lives here, once:
+// its own checksum. store.hpp is the payload codec on top (pd-cache-v4:
+// result entries, then the name index): it says what a record holds
+// and checks its checksum. Every rule about trusting the bytes lives
+// here, once:
 //
-//   - load() never throws and never crashes on hostile input. A missing
-//     file is kNoFile; a wrong magic, version or fingerprint rejects the
-//     whole file (kBadMagic / kBadVersion / kBadFingerprint) and the
-//     caller cold-starts.
+//   - loadRecords() never throws and never crashes on hostile input. A
+//     missing file is kNoFile; a wrong magic, version or fingerprint
+//     rejects the whole file (kBadMagic / kBadVersion / kBadFingerprint)
+//     and the caller cold-starts.
 //   - Damage inside a section is recovered from, not punished: every
 //     record before the first bad byte passed its own checksum, so that
 //     prefix is kept (kSalvaged) and the rest of the file is dropped,
@@ -26,17 +25,17 @@
 //   - Bytes after the last declared record also make the load
 //     kSalvaged: the count fields can't be trusted, the records can.
 //   - A salvage that keeps no first-section record is plain kCorrupt.
-//   - save() is atomic: the bytes go to "<path>.tmp.<pid>.<seq>" first
-//     and are renamed over the target, so readers never observe a
+//   - saveFile() is atomic: the bytes go to "<path>.tmp.<pid>.<seq>"
+//     first and are renamed over the target, so readers never observe a
 //     half-written file and a crash mid-save leaves the previous version.
 //
 // Callers that only want perfect artifacts check ok(); callers happy
 // with a warm prefix (the engine) check usable().
 //
-// Names derive from the format's prefix P ("persist" for pd-cache,
-// "persist.proof" for pd-proof): spans and counters P.load and P.save,
-// counters P.salvage and P.salvage.dropped, and the fault sites
-// P.load.flip, P.save.enospc, P.save.short_write and P.save.rename.
+// Spans and counters persist.load and persist.save, counters
+// persist.salvage and persist.salvage.dropped, and the fault sites
+// persist.load.flip, persist.save.enospc, persist.save.short_write and
+// persist.save.rename.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +44,18 @@
 #include <string_view>
 
 #include "engine/persist/format.hpp"
-#include "util/fault/fault.hpp"
 
 namespace pd::engine::persist {
+
+inline constexpr std::string_view kFormatName = "pd-cache-v4";
+// v4: keys are 16-byte job digests instead of full canonical-signature
+// strings (a 33 MB default-batch store became tens of KB), and the name
+// index section follows the entries; v3 stores cold-start as
+// bad-version.
+// v3: the JobResult payload gained the SAT-verification block
+// (satVerify.*) and VerifyStatus::kSat.
+inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::string_view kMagic{"pdcache\0", 8};
 
 enum class LoadStatus : std::uint8_t {
     kLoaded,          ///< records are valid and complete
@@ -57,11 +65,14 @@ enum class LoadStatus : std::uint8_t {
     kBadFingerprint,  ///< written under different options
     kCorrupt,         ///< damaged beyond salvage (no valid prefix)
     kSalvaged,        ///< valid prefix kept, damaged tail dropped
+    /// The engine did not read a configured store because result
+    /// caching is off. Never returned by a load.
+    kDisabled,
 };
 
 [[nodiscard]] std::string_view loadStatusName(LoadStatus s);
 
-/// How a load went, whichever store it read.
+/// How a load went.
 struct LoadOutcome {
     using Status = LoadStatus;
     Status status = Status::kNoFile;
@@ -74,30 +85,6 @@ struct LoadOutcome {
     [[nodiscard]] bool usable() const {
         return status == Status::kLoaded || status == Status::kSalvaged;
     }
-};
-
-/// A store's load result: the outcome plus the codec's records, which
-/// are empty unless usable().
-template <typename Records>
-struct Loaded : LoadOutcome, Records {};
-
-/// One store's constant description. Build it once (a function-local
-/// static): the constructor resolves the fault sites by name, so each
-/// store fires its own sites.
-struct RecordFormat {
-    RecordFormat(std::string_view magic, std::uint32_t version,
-                 std::string_view noun, std::string_view prefix);
-
-    std::string_view magic;
-    std::uint32_t version;
-    std::string noun;  ///< "cache store", "proof store": detail strings
-    std::string load;  ///< "<prefix>.load": span and counter name
-    std::string save;  ///< "<prefix>.save": span and counter name
-    std::string prefix;
-    fault::Site& loadFlip;
-    fault::Site& saveEnospc;
-    fault::Site& saveShortWrite;
-    fault::Site& saveRename;
 };
 
 /// The body of a record file after its verified header.
@@ -115,8 +102,7 @@ public:
                  const ReadOne& readOne);
 
 private:
-    friend LoadOutcome loadRecords(const RecordFormat&, const std::string&,
-                                   std::string_view,
+    friend LoadOutcome loadRecords(const std::string&, std::string_view,
                                    const std::function<void(RecordReader&)>&);
 
     ByteReader& r_;
@@ -129,30 +115,14 @@ private:
 
 /// Reads `path`, checks the header against `fingerprint`, and lets
 /// `body` walk the sections. Never throws.
-LoadOutcome loadRecords(const RecordFormat& f, const std::string& path,
-                        std::string_view fingerprint,
+LoadOutcome loadRecords(const std::string& path, std::string_view fingerprint,
                         const std::function<void(RecordReader&)>& body);
-
-/// loadRecords() into a store's record type; a load that is not
-/// usable() carries no records.
-template <typename Records>
-[[nodiscard]] Loaded<Records> loadFile(
-    const RecordFormat& f, const std::string& path,
-    std::string_view fingerprint,
-    const std::function<void(RecordReader&, Records&)>& body) {
-    Loaded<Records> out;
-    static_cast<LoadOutcome&>(out) = loadRecords(
-        f, path, fingerprint, [&](RecordReader& r) { body(r, out); });
-    if (!out.usable()) static_cast<Records&>(out) = Records{};
-    return out;
-}
 
 /// Writes the header, lets `body` append the sections to the file bytes
 /// (returning a short summary for the save span), and atomically
 /// replaces `path`. Returns false (with `errorOut` set) on I/O failure;
 /// never throws.
-bool saveFile(const RecordFormat& f, const std::string& path,
-              std::string_view fingerprint,
+bool saveFile(const std::string& path, std::string_view fingerprint,
               const std::function<std::string(std::string& bytes)>& body,
               std::string* errorOut);
 

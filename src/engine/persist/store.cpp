@@ -8,12 +8,6 @@
 namespace pd::engine::persist {
 namespace {
 
-const RecordFormat& format() {
-    static const RecordFormat f(kMagic, kFormatVersion, "cache store",
-                                "persist");
-    return f;
-}
-
 /// Smallest intact records: key + empty payload + checksum, and length
 /// prefix + stamp + digest + checksum.
 constexpr std::uint64_t kMinEntryBytes = 16 + 4 + 8;
@@ -38,8 +32,9 @@ JobIndex::Entry decodeIndexBody(ByteReader& r) {
 
 LoadResult CacheStore::load(const std::string& path,
                             std::string_view fingerprint) {
-    return loadFile<CacheRecords>(
-        format(), path, fingerprint, [](RecordReader& rr, CacheRecords& out) {
+    LoadResult out;
+    static_cast<LoadOutcome&>(out) = loadRecords(
+        path, fingerprint, [&](RecordReader& rr) {
             rr.section("entry", kMinEntryBytes,
                        [&](ByteReader& r, std::uint64_t i) {
                 const std::string_view key = r.raw(16);
@@ -66,6 +61,11 @@ LoadResult CacheStore::load(const std::string& path,
                 out.index.push_back(std::move(e));
             });
         });
+    if (!out.usable()) {
+        out.entries.clear();
+        out.index.clear();
+    }
+    return out;
 }
 
 bool CacheStore::save(const std::string& path, std::string_view fingerprint,
@@ -73,7 +73,7 @@ bool CacheStore::save(const std::string& path, std::string_view fingerprint,
                       std::span<const JobIndex::Entry> index,
                       std::string* errorOut) {
     static auto& entryBytes = obs::histogram("persist.entry.bytes");
-    return saveFile(format(), path, fingerprint, [&](std::string& bytes) {
+    return saveFile(path, fingerprint, [&](std::string& bytes) {
         ByteWriter w(bytes);
         w.u64(entries.size());
         std::string key;

@@ -20,10 +20,11 @@
 //
 // The trust ladder — header rejection, checksummed-prefix salvage with
 // the clamped drop count, the trailing-bytes rule, atomic tmp+rename
-// save — is the shared record layer's (record_file.hpp). The first
-// section is the results: damage there drops the tail and the index
-// with it. Damage inside the index keeps every result entry and the
-// index prefix before it (kSalvaged, droppedEntries 0).
+// save — is the record layer's (record_file.hpp), which also holds the
+// format constants. The first section is the results: damage there
+// drops the tail and the index with it. Damage inside the index keeps
+// every result entry and the index prefix before it (kSalvaged,
+// droppedEntries 0).
 #pragma once
 
 #include <cstdint>
@@ -39,28 +40,17 @@
 
 namespace pd::engine::persist {
 
-inline constexpr std::string_view kFormatName = "pd-cache-v4";
-// v4: keys are 16-byte job digests instead of full canonical-signature
-// strings (a 33 MB default-batch store became tens of KB), and the name
-// index section follows the entries; v3 stores cold-start as
-// bad-version.
-// v3: the JobResult payload gained the SAT-verification block
-// (satVerify.*) and VerifyStatus::kSat.
-inline constexpr std::uint32_t kFormatVersion = 4;
-inline constexpr std::string_view kMagic{"pdcache\0", 8};
-
 struct StoreEntry {
     util::Digest128 key;
     std::shared_ptr<const JobResult> result;
 };
 
-/// The records a pd-cache load recovered.
-struct CacheRecords {
+/// A load's outcome and the records it recovered, which are empty
+/// unless usable().
+struct LoadResult : LoadOutcome {
     std::vector<StoreEntry> entries;
     std::vector<JobIndex::Entry> index;
 };
-
-using LoadResult = Loaded<CacheRecords>;
 
 /// An index record's body: name, stamp, digest. The index checksum
 /// covers exactly these bytes, and a shard kResult carries a job's index

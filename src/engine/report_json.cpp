@@ -1,12 +1,12 @@
 #include "engine/report_json.hpp"
 
-#include "engine/persist/proof_store.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/build_info.hpp"
 #include "util/fault/fault.hpp"
+#include "util/json_writer.hpp"
 
 namespace pd::engine {
 
@@ -30,40 +30,12 @@ std::string_view cacheSourceName(CacheSource s) {
     return "unknown";
 }
 
-std::string_view proofSourceName(JobResult::SatVerify::ProofSource s) {
-    switch (s) {
-        case JobResult::SatVerify::ProofSource::kComputed: return "computed";
-        case JobResult::SatVerify::ProofSource::kCache: return "cache";
-    }
-    return "unknown";
-}
-
-namespace {
-
-/// One persistent store's warm-start outcome; omitted when the store is
-/// off.
-void writeStoreBlock(JsonWriter& w, std::string_view key,
-                     const PersistInfo* info) {
-    if (!info || info->file.empty()) return;
-    w.key(key).beginObject();
-    w.field("file", info->file);
-    w.field("readonly", info->readonly);
-    w.field("load_status", persist::loadStatusName(info->loadStatus));
-    w.field("load_detail", info->loadDetail);
-    w.field("loaded_entries", info->loadedEntries);
-    w.field("dropped_entries", info->droppedEntries);
-    w.endObject();
-}
-
-}  // namespace
-
 void writeBatchReport(std::ostream& os, const EngineOptions& opt,
                       std::span<const JobResult> results,
                       const ResultCache::Stats& cache,
                       const PersistInfo* persist,
-                      const BatchResilience* resilience,
-                      const PersistInfo* proofPersist) {
-    JsonWriter w(os);
+                      const BatchResilience* resilience) {
+    util::JsonWriter w(os);
     w.beginObject();
     w.field("schema", "pd-batch-report-v1");
 
@@ -89,7 +61,6 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
         w.key("schemas").beginObject();
         w.field("report", "pd-batch-report-v1");
         w.field("cache_store", persist::kFormatName);
-        w.field("proof_store", persist::kProofFormatName);
         w.field("shard_wire",
                 static_cast<std::uint64_t>(shard::kProtocolVersion));
         w.endObject();
@@ -144,10 +115,6 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
             w.field("learned", r.satVerify.learned);
             w.field("winner", static_cast<std::int64_t>(r.satVerify.winner));
             w.field("budget_exhausted", r.satVerify.budgetExhausted);
-            // Honest provenance: "cache" means the refutation was
-            // replayed from the content-addressed proof cache and the
-            // stats above are the original solve's, not this run's work.
-            w.field("proof_source", proofSourceName(r.satVerify.proofSource));
             w.endObject();
         }
         w.endObject();
@@ -183,8 +150,17 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
     }
     w.endArray();
 
-    writeStoreBlock(w, "persist", persist);
-    writeStoreBlock(w, "proof_store", proofPersist);
+    if (persist && !persist->file.empty()) {
+        // The result store's warm-start outcome; omitted when it is off.
+        w.key("persist").beginObject();
+        w.field("file", persist->file);
+        w.field("readonly", persist->readonly);
+        w.field("load_status", persist::loadStatusName(persist->loadStatus));
+        w.field("load_detail", persist->loadDetail);
+        w.field("loaded_entries", persist->loadedEntries);
+        w.field("dropped_entries", persist->droppedEntries);
+        w.endObject();
+    }
 
     {
         // Degraded-mode accounting: always present (zeros on a healthy

@@ -1,9 +1,8 @@
 // Machine-readable batch reports.
 //
-// JsonWriter (now pd::util::JsonWriter; the alias below keeps existing
-// engine/bench call sites compiling) is a minimal streaming JSON emitter
-// shared by the batch report, the benchmark trajectory files, and the
-// obs trace/metrics exporters, so every artifact in the repo is
+// The batch report is written with util::JsonWriter, the minimal
+// streaming JSON emitter shared by the benchmark trajectory files and
+// the obs trace/metrics exporters, so every artifact in the repo is
 // parseable by the same tooling.
 //
 // Batch report schema ("pd-batch-report-v1"):
@@ -17,7 +16,6 @@
 //                "build": {"git_hash": s, "git_dirty": s, "compiler": s,
 //                          "build_type": s,       // provenance identity
 //                          "schemas": {"report": s, "cache_store": s,
-//                                      "proof_store": s,
 //                                      "shard_wire": u}}},
 //     "cache":  {"hits": u, "misses": u, "inserts": u, "evictions": u,
 //                "entries": u},
@@ -34,12 +32,10 @@
 //                            "conflicts": u, "propagations": u,
 //                            "restarts": u, "learned": u,
 //                            "winner": i,          // portfolio searcher index
-//                            "budget_exhausted": b,
-//                            "proof_source": "computed"|"cache"}},
-//                                                  // "cache" = refutation
-//                                                  // replayed from the proof
-//                                                  // cache; stats above are
-//                                                  // the original solve's
+//                            "budget_exhausted": b}},
+//                                                  // on a cache hit: the
+//                                                  // stats of the solve
+//                                                  // that filled the entry
 //         "timing": {"wall_ms": f, "cpu_ms": f,    // only non-deterministic
 //                    "phases": {"decompose_ms": f, // fields in the report;
 //                     "synth_ms": f, "optimize_ms": f,  // phases are zero
@@ -55,12 +51,10 @@
 //     "persist": {                                 // only with a cache file
 //       "file": s, "readonly": b,
 //       "load_status": "loaded"|"no-file"|"bad-magic"|"bad-version"|
-//                      "bad-fingerprint"|"corrupt"|"salvaged",
+//                      "bad-fingerprint"|"corrupt"|"salvaged"|
+//                      "disabled",         // caching off: store not read
 //       "load_detail": s, "loaded_entries": u,
 //       "dropped_entries": u                       // lost to a salvaged tail
-//     },
-//     "proof_store": {                             // only with a proof file;
-//       same fields as "persist"                   // pd-proof-v1 outcome
 //     },
 //     "resilience": {                              // always present; zeros
 //       "worker_crashes": u, "worker_respawns": u, // on a healthy run
@@ -91,29 +85,20 @@
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/job.hpp"
-#include "util/json_writer.hpp"
 
 namespace pd::engine {
 
-/// Kept as an alias after the emitter moved to util (the obs exporters
-/// need it below the engine layer); benches and engine code keep using
-/// engine::JsonWriter unchanged.
-using JsonWriter = util::JsonWriter;
-
 [[nodiscard]] std::string_view verifyStatusName(VerifyStatus s);
 [[nodiscard]] std::string_view cacheSourceName(CacheSource s);
-[[nodiscard]] std::string_view proofSourceName(JobResult::SatVerify::ProofSource s);
 
 /// Renders the "pd-batch-report-v1" document for one batch run.
 /// `persist` (optional) records the persistent-store outcome;
 /// `resilience` (optional) the degraded-mode accounting — the
-/// resilience block is emitted either way (zeros when absent);
-/// `proofPersist` (optional) the pd-proof-v1 store outcome.
+/// resilience block is emitted either way (zeros when absent).
 void writeBatchReport(std::ostream& os, const EngineOptions& opt,
                       std::span<const JobResult> results,
                       const ResultCache::Stats& cache,
                       const PersistInfo* persist = nullptr,
-                      const BatchResilience* resilience = nullptr,
-                      const PersistInfo* proofPersist = nullptr);
+                      const BatchResilience* resilience = nullptr);
 
 }  // namespace pd::engine

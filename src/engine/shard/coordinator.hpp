@@ -8,7 +8,7 @@
 // never serializes the batch behind it), results stream back as
 // checksummed frames — each job's kResult carrying the store records the
 // job added — and after the fleet drains the engine adopts those records
-// into the shared pd-cache-v4 and pd-proof-v1 stores.
+// into the shared pd-cache-v4 store.
 //
 // Crash isolation: a worker that dies (abort, OOM kill, sanitizer trap)
 // or overruns the per-job wall budget (SIGKILL by deadline) costs exactly

@@ -1,7 +1,6 @@
 #include "engine/shard/protocol.hpp"
 
 #include "engine/persist/format.hpp"
-#include "engine/persist/proof_store.hpp"
 #include "engine/persist/serialize.hpp"
 #include "engine/persist/store.hpp"
 #include "util/error.hpp"
@@ -215,7 +214,6 @@ std::string encodeResult(const JobResult& result,
     w.f64(result.phases.verifyMs);
     w.u8(result.cacheHit ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(result.cacheSource));
-    w.u8(static_cast<std::uint8_t>(result.satVerify.proofSource));
     w.str(result.cacheKey);
     std::string semantic;
     persist::serializeJobResult(result, semantic);
@@ -230,8 +228,6 @@ std::string encodeResult(const JobResult& result,
     }
     w.u32(static_cast<std::uint32_t>(records.index.size()));
     for (const auto& e : records.index) persist::encodeIndexBody(e, out);
-    w.u32(static_cast<std::uint32_t>(records.proofs.size()));
-    for (const auto& e : records.proofs) persist::encodeProofBody(e, out);
     return out;
 }
 
@@ -255,10 +251,6 @@ std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
     const std::uint8_t source = r.u8();
     if (source > kMaxCacheSource)
         fail("shard", "bad cache source " + std::to_string(source));
-    const std::uint8_t proofSource = r.u8();
-    if (proofSource > static_cast<std::uint8_t>(
-                          JobResult::SatVerify::ProofSource::kCache))
-        fail("shard", "bad proof source " + std::to_string(proofSource));
     const std::string cacheKey(r.str());
     const auto semantic = persist::deserializeJobResult(r.str());
     // No reservations from the counts: a corrupt count runs the reader
@@ -271,8 +263,6 @@ std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
     }
     for (std::uint32_t n = r.u32(); n > 0; --n)
         records.index.push_back(persist::decodeIndexBody(r));
-    for (std::uint32_t n = r.u32(); n > 0; --n)
-        records.proofs.push_back(persist::decodeProofBody(r));
     if (!r.done()) fail("shard", "trailing bytes after job result");
     JobResult result = *semantic;
     result.name = name;
@@ -281,8 +271,6 @@ std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
     result.phases = phases;
     result.cacheHit = cacheHit;
     result.cacheSource = static_cast<CacheSource>(source);
-    result.satVerify.proofSource =
-        static_cast<JobResult::SatVerify::ProofSource>(proofSource);
     result.cacheKey = cacheKey;
     return {std::move(result), std::move(records)};
 }

@@ -14,7 +14,7 @@
 // truncated stream can never walk the decoder out of its buffer or hand
 // the coordinator a half-record. Payload encoders carry the same semantic
 // fields as a pd-batch-report-v1 job record (spec in, result out); a
-// result also carries the store records its job added, in the stores'
+// result also carries the store records its job added, in the store's
 // own record-body encodings.
 #pragma once
 
@@ -29,7 +29,6 @@
 #include "engine/job.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "sat/proof_cache.hpp"
 
 namespace pd::engine::shard {
 
@@ -51,13 +50,11 @@ namespace pd::engine::shard {
 /// block (satVerify.*, VerifyStatus::kSat); workers additionally accept
 /// --verify-threads/--verify-conflict-budget/--verify-prop-budget argv.
 ///
-/// v5 (proof cache): new kProofEntry frame — a worker streams the SAT
-/// refutations it completed (miter digest + solve statistics) after each
-/// result and once more at shutdown, so the coordinator merges one
-/// pd-proof-v1 store for the fleet. kResult additionally carries the
-/// per-process satVerify.proofSource provenance byte (outside the
-/// semantic payload, like cacheHit/cacheSource); workers accept
-/// --proof-cache-file argv and warm-start the proof cache read-only.
+/// v5 (SAT proof store): new kProofEntry frame — a worker streamed the
+/// SAT refutations it completed (miter digest + solve statistics), so
+/// the coordinator merged one proof store for the fleet. kResult
+/// additionally carried a per-process proof-provenance byte; workers
+/// accepted a proof-store path argv. All of it is gone since v9.
 ///
 /// v6 (PR 10, socket transport): new kHeartbeat frame — a worker emits
 /// (shardId, monotone sequence) on an interval so the coordinator can
@@ -81,7 +78,11 @@ namespace pd::engine::shard {
 /// unknown types. kJob and kResult lose their job index: a result answers
 /// the job in flight on its slot, and a result with none in flight is a
 /// protocol violation.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+///
+/// v9 (one persistent store): the SAT proof store is gone, so kResult
+/// loses the proof-provenance byte and the SAT-proof record section,
+/// and workers no longer accept a proof-store path argv.
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length
@@ -144,16 +145,15 @@ struct Hello {
 };
 
 /// The store records one job added in a worker: new result-cache
-/// entries, name-index entries and SAT proofs (Engine::takeStoreRecords).
-/// They travel inside the job's kResult, encoded as the stores' own
-/// record bodies — a cache entry as its 16-byte key plus the
-/// serializeJobResult payload, an index entry as persist::encodeIndexBody,
-/// a proof as persist::encodeProofBody — and the coordinator adopts them
-/// after the fleet drains (Engine::adoptStoreRecords).
+/// entries and name-index entries (Engine::takeStoreRecords). They
+/// travel inside the job's kResult, encoded as the store's own record
+/// bodies — a cache entry as its 16-byte key plus the
+/// serializeJobResult payload, an index entry as
+/// persist::encodeIndexBody — and the coordinator adopts them after the
+/// fleet drains (Engine::adoptStoreRecords).
 struct StoreRecords {
     std::vector<ResultCache::SnapshotEntry> entries;
     std::vector<JobIndex::Entry> index;
-    std::vector<sat::ProofCache::SnapshotEntry> proofs;
 };
 
 [[nodiscard]] std::string encodeHello(const Hello& h);

@@ -99,7 +99,6 @@ void forEachWorkerField(Options& e, Visit&& visit) {
     visit("--rss-budget-mb", e.shardRssMb);
     visit("--heartbeat-ms", e.shardHeartbeatMs);
     visit("--cache-file", e.cacheFile);
-    visit("--proof-cache-file", e.proofCacheFile);
 }
 
 /// Parses one worker argv value into a field of the matching type.
@@ -214,11 +213,9 @@ int runWorker(const WorkerOptions& opt) {
 
     EngineOptions eopt = opt.engine;
     eopt.jobs = 1;  // parallelism lives in the process fan-out
-    // Both stores are warm-started read-only: the records a job adds
-    // travel back inside its kResult, and only the coordinator writes
-    // the stores.
+    // The store is warm-started read-only: the records a job adds travel
+    // back inside its kResult, and only the coordinator writes the store.
     eopt.cacheReadonly = true;
-    eopt.proofCacheReadonly = true;
     eopt.shards = 0;  // a worker never recursively shards
     Engine engine(eopt);
 

@@ -8,9 +8,9 @@
 // single-threaded Engine that warm-starts *read-only* from the shared
 // pd-cache-v4 store — N workers may open one warm.pdc simultaneously —
 // and never writes that store itself: each job's kResult frame carries
-// the store records the job added (cache entries, name-index entries,
-// SAT proofs), so a crash forfeits only the in-flight job, and the
-// coordinator alone flushes the stores.
+// the store records the job added (cache entries and name-index
+// entries), so a crash forfeits only the in-flight job, and the
+// coordinator alone flushes the store.
 //
 // Crash philosophy: a worker is disposable. An abort, OOM kill, or RSS
 // budget violation costs exactly the in-flight job (the coordinator

@@ -2,7 +2,6 @@
 
 #include "sat/miter.hpp"
 #include "sat/portfolio.hpp"
-#include "sat/proof_cache.hpp"
 
 namespace pd::sat {
 
@@ -13,28 +12,9 @@ EquivCheckResult checkEquivalentSat(const netlist::Netlist& a,
     EquivCheckResult res;
     if (miter.trivialUnsat) {
         // Clause construction alone refuted the miter: equivalent, no
-        // search performed. The truncated `problem` is not the canonical
-        // obligation text, so the proof cache is bypassed entirely.
+        // search performed.
         res.status = EquivCheckResult::Status::kEquivalent;
         return res;
-    }
-
-    std::uint64_t digest = 0;
-    if (opt.proofCache != nullptr) {
-        digest = miterDigest(miter.problem);
-        if (const auto hit = opt.proofCache->lookup(digest)) {
-            // Replay the completed refutation: verdict kEquivalent, the
-            // original solve's statistics, no search in this call.
-            res.status = EquivCheckResult::Status::kEquivalent;
-            res.conflicts = hit->conflicts;
-            res.propagations = hit->propagations;
-            res.restarts = hit->restarts;
-            res.learned = hit->learned;
-            res.winner = hit->winner;
-            res.proofSource = EquivCheckResult::ProofSource::kCache;
-            return res;
-        }
-        res.proofSource = EquivCheckResult::ProofSource::kComputed;
     }
 
     PortfolioOptions popt;
@@ -53,17 +33,6 @@ EquivCheckResult checkEquivalentSat(const netlist::Netlist& a,
     switch (pr.result) {
         case Result::kUnsat:
             res.status = EquivCheckResult::Status::kEquivalent;
-            // Only a completed refutation is a reusable certificate:
-            // kUnknown is a truncated search, kSat carries a model.
-            if (opt.proofCache != nullptr) {
-                ProofEntry entry;
-                entry.conflicts = res.conflicts;
-                entry.propagations = res.propagations;
-                entry.restarts = res.restarts;
-                entry.learned = res.learned;
-                entry.winner = res.winner;
-                opt.proofCache->insert(digest, entry);
-            }
             break;
         case Result::kUnknown:
             res.status = EquivCheckResult::Status::kUnknown;

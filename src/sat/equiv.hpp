@@ -17,8 +17,6 @@
 
 namespace pd::sat {
 
-class ProofCache;
-
 struct EquivCheckResult {
     enum class Status : std::uint8_t { kEquivalent, kDifferent, kUnknown };
     Status status = Status::kUnknown;
@@ -39,14 +37,6 @@ struct EquivCheckResult {
     /// True iff the search hit its conflict/propagation budget without a
     /// definitive answer (status is then kUnknown, never a guess).
     bool budgetExhausted = false;
-    /// Provenance of the verdict with respect to the proof cache:
-    /// kNone    — no cache was consulted (none configured, or the miter
-    ///            was trivially UNSAT and bypassed it);
-    /// kComputed — cache miss, the portfolio actually ran;
-    /// kCache   — cache hit: the statistics above replay the *original*
-    ///            solve, no search happened in this call.
-    enum class ProofSource : std::uint8_t { kNone, kComputed, kCache };
-    ProofSource proofSource = ProofSource::kNone;
 };
 
 /// Resource limits and parallelism for an equivalence check. Budgets are
@@ -56,12 +46,6 @@ struct EquivSatOptions {
     std::uint64_t conflictBudget = 0;
     std::uint64_t propagationBudget = 0;
     util::ThreadPool* pool = nullptr;  ///< null ⇒ sequential searchers
-    /// Content-addressed proof cache (sat/proof_cache.hpp): consulted by
-    /// miter digest before racing the portfolio; completed refutations
-    /// are published back. Null disables both. Callers that must not
-    /// reuse or publish proofs (e.g. a fault-starved verify run) pass
-    /// null rather than a taint flag — no pointer, no cache traffic.
-    ProofCache* proofCache = nullptr;
 };
 
 /// Proves or refutes equivalence of two netlists. Inputs are matched by

@@ -3,10 +3,9 @@
 // One builder shared by every consumer — checkEquivalentSat, the DIMACS
 // exporter, the portfolio verify mode, and bench_sat — so a given
 // netlist pair always produces the *same* CNF: identical variable
-// numbering, identical clause order, byte-identical DIMACS text. That
-// canonical remap is what the proof cache (sat/proof_cache.hpp) is
-// built on — miterDigest of the DIMACS bytes identifies the verify
-// obligation — and is regression-tested in tests/sat_test.cpp.
+// numbering, identical clause order, byte-identical DIMACS text, so a
+// verify obligation exported or benchmarked is the one the engine
+// solves. Regression-tested in tests/sat_test.cpp.
 //
 // Variable numbering contract:
 //   - nets of `a` in net order, then nets of `b` in net order (Tseitin

@@ -3,7 +3,9 @@
 // no false hits across option fingerprints), the streamed job digest
 // against the materialized-signature oracle, the name index and its
 // reference guard, error isolation, the worker pool's exception capture,
-// LRU eviction, and the JSON reporter.
+// LRU eviction, SAT verification through the result cache (a hit
+// replays the donor's block, a fault-starved verify is never
+// published), and the JSON reporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,8 @@
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/report_json.hpp"
+#include "obs/metrics.hpp"
+#include "util/fault/fault.hpp"
 #include "util/pool.hpp"
 
 namespace pd::engine {
@@ -678,22 +682,78 @@ TEST(Engine, SatVerifyBudgetExhaustionNeverFailsTheJob) {
     }
 }
 
-TEST(Engine, SatVerifySurvivesTheCache) {
+/// The solver-work counters a verify run bumps.
+std::vector<std::uint64_t> satWorkCounters() {
+    std::vector<std::uint64_t> values;
+    for (const char* name : {"verify.sat.conflicts", "verify.sat.propagations",
+                             "verify.sat.restarts", "verify.sat.learned"})
+        values.push_back(obs::counter(name).value());
+    return values;
+}
+
+std::vector<JobSpec> majorityAndCounter() {
+    std::vector<JobSpec> specs;
+    for (const char* name : {"majority7", "counter8"}) {
+        JobSpec s;
+        s.benchmark = name;
+        specs.push_back(std::move(s));
+    }
+    return specs;
+}
+
+TEST(Engine, CacheHitReplaysTheDonorSatBlock) {
+    // A hit copies the sat block of the solve that filled the entry. No
+    // search runs for the hit, so no solver-work counter moves.
     EngineOptions opt;
     opt.jobs = 1;
     opt.verifyThreads = 1;
     Engine engine(opt);
-    JobSpec spec;
-    spec.benchmark = "counter8";
-    const auto first = engine.runJob(spec);
-    ASSERT_TRUE(first.ok) << first.error;
-    EXPECT_EQ(first.verification, VerifyStatus::kSat);
-    ASSERT_TRUE(first.satVerify.ran);
+    const auto specs = majorityAndCounter();
+    const auto first = engine.runBatch(specs);
+    const auto before = satWorkCounters();
+    const auto second = engine.runBatch(specs);
+    EXPECT_EQ(satWorkCounters(), before);
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < second.size(); ++i) {
+        ASSERT_TRUE(first[i].ok) << first[i].error;
+        EXPECT_EQ(first[i].verification, VerifyStatus::kSat);
+        ASSERT_TRUE(first[i].satVerify.ran);
+        EXPECT_GT(first[i].satVerify.propagations, 0u);
+        ASSERT_TRUE(second[i].cacheHit) << second[i].name;
+        expectSameSemantics(first[i], second[i]);
+        expectSameSatVerify(first[i], second[i]);
+    }
+}
 
-    const auto hit = engine.runJob(spec);
-    ASSERT_TRUE(hit.cacheHit);
-    expectSameSemantics(first, hit);
-    expectSameSatVerify(first, hit);
+TEST(Engine, BudgetStarvedSatVerifyIsNeverPublished) {
+    // A fault-starved search stays honest (budget exhausted, no sat
+    // verdict), but it is not what these options compute: the result
+    // cache withholds it, so the next run recomputes instead of
+    // replaying the starved block.
+    EngineOptions opt;
+    opt.jobs = 1;
+    opt.verifyThreads = 1;
+    Engine engine(opt);
+    const auto specs = majorityAndCounter();
+    {
+        std::string error;
+        ASSERT_TRUE(fault::armPlan("verify.sat.budget:e1", &error)) << error;
+        const auto starved = engine.runBatch(specs);
+        fault::disarmAllForTest();
+        for (const auto& r : starved) {
+            ASSERT_TRUE(r.ok) << r.error;
+            ASSERT_TRUE(r.satVerify.ran);
+            EXPECT_TRUE(r.satVerify.budgetExhausted) << r.name;
+            EXPECT_NE(r.verification, VerifyStatus::kSat) << r.name;
+        }
+    }
+    EXPECT_EQ(engine.cacheStats().entries, 0u);
+    for (const auto& r : engine.runBatch(specs)) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_FALSE(r.cacheHit) << r.name << ": a starved result was served";
+        EXPECT_EQ(r.verification, VerifyStatus::kSat) << r.name;
+        EXPECT_FALSE(r.satVerify.budgetExhausted) << r.name;
+    }
 }
 
 TEST(Engine, VerifyFingerprintPolicy) {

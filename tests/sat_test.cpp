@@ -416,8 +416,8 @@ TEST(Dimacs, MiterOfDifferentNetlistsIsSat) {
 
 TEST(Miter, RebuiltNetlistPairGivesByteIdenticalDimacs) {
     // Construct the same pair twice from scratch: the shared builder must
-    // produce the identical CNF text — this is the proof-caching
-    // invariant (the CNF digest identifies the obligation).
+    // produce the identical CNF text, so the same netlist pair always
+    // poses the same obligation.
     std::ostringstream first, second;
     sat::writeMiterDimacs(first, rippleAdder(8, false), selectAdder(8));
     sat::writeMiterDimacs(second, rippleAdder(8, false), selectAdder(8));

@@ -36,13 +36,6 @@
 //   --cache-file <f> persistent pd-cache-v4 store: warm-start from it and
 //                    flush results back after the batch
 //   --cache-readonly load the store but never write it back
-//   --proof-cache-file <f>  persistent pd-proof-v1 SAT proof store:
-//                    warm-start the content-addressed proof cache from it
-//                    and flush completed refutations back, so a warm rerun
-//                    replays every proof (verification.sat.proof_source
-//                    "cache") instead of racing the portfolio again.
-//                    Meaningful with --verify-threads >= 1.
-//   --proof-cache-readonly  load the proof store but never write it back
 //   --budget <n>     per-job decomposition iteration budget (0 = unlimited)
 //   --no-verify      skip verification of the mapped netlists
 //   --shards <n>     partition the batch across n crash-isolated worker
@@ -146,7 +139,6 @@ int usage() {
         "         --no-identities --no-nullspace --no-sizered --no-linmin\n"
         "batch:   --all  --heavy  --json <file>  --cache <n>  --budget <n>\n"
         "         --cache-file <file>  --cache-readonly  --no-verify\n"
-        "         --proof-cache-file <file>  --proof-cache-readonly\n"
         "         --shards <n>  --shard-wall-ms <n>  --shard-rss-mb <n>\n"
         "         --shard-retries <n>  --shard-drain-ms <n>\n"
         "         --shard-transport socket  --shard-heartbeat-ms <n>\n"
@@ -275,8 +267,6 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                                arg == "--budget" || arg == "--no-verify" ||
                                arg == "--cache-file" ||
                                arg == "--cache-readonly" ||
-                               arg == "--proof-cache-file" ||
-                               arg == "--proof-cache-readonly" ||
                                arg == "--shards" ||
                                arg == "--shard-wall-ms" ||
                                arg == "--shard-rss-mb" ||
@@ -321,14 +311,6 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
             opt.engine.cacheFile = argv[i];
         } else if (arg == "--cache-readonly") {
             opt.engine.cacheReadonly = true;
-        } else if (arg == "--proof-cache-file") {
-            if (++i >= argc) {
-                std::cerr << "option --proof-cache-file expects a path\n";
-                return usage();
-            }
-            opt.engine.proofCacheFile = argv[i];
-        } else if (arg == "--proof-cache-readonly") {
-            opt.engine.proofCacheReadonly = true;
         } else if (arg == "--budget") {
             if (!countArg(opt.engine.conflictBudget)) return usage();
         } else if (arg == "--shards") {
@@ -422,19 +404,19 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
 }
 
 /// "cache store warm.pdc: loaded (13 entries)" and friends; silent when
-/// the store is off.
-void printStoreBanner(std::string_view label,
-                      const pd::engine::PersistInfo& info,
-                      std::string_view unit) {
+/// no store is configured.
+void printStoreBanner(const pd::engine::PersistInfo& info) {
     using pd::engine::persist::LoadStatus;
     if (info.file.empty()) return;
-    std::cout << label << " " << info.file << ": "
+    std::cout << "cache store " << info.file << ": "
               << pd::engine::persist::loadStatusName(info.loadStatus);
     if (info.loadStatus == LoadStatus::kLoaded)
-        std::cout << " (" << info.loadedEntries << " " << unit << ")";
+        std::cout << " (" << info.loadedEntries << " entries)";
     else if (info.loadStatus == LoadStatus::kSalvaged)
-        std::cout << " (" << info.loadedEntries << " " << unit << " kept, "
+        std::cout << " (" << info.loadedEntries << " entries kept, "
                   << info.droppedEntries << " dropped from a damaged tail)";
+    else if (info.loadStatus == LoadStatus::kDisabled)
+        std::cout << " — " << info.loadDetail;
     else if (!info.loadDetail.empty())
         std::cout << " — " << info.loadDetail << "; cold start";
     std::cout << "\n";
@@ -471,8 +453,7 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
 
     pd::engine::Engine engine(opt.engine);
 
-    printStoreBanner("cache store", engine.persistInfo(), "entries");
-    printStoreBanner("proof store", engine.proofPersistInfo(), "proofs");
+    printStoreBanner(engine.persistInfo());
 
     const auto results = engine.runBatch(specs);
 
@@ -500,11 +481,6 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
     std::cout << "cache: " << cs.hits << " hits, " << cs.misses
               << " misses, " << cs.evictions << " evictions, " << cs.restored
               << " restored, " << cs.entries << " resident\n";
-    if (opt.engine.verifyThreads > 0) {
-        const auto ps = engine.proofCacheStats();
-        std::cout << "proof cache: " << ps.hits << " hits, " << ps.misses
-                  << " misses, " << ps.entries << " resident\n";
-    }
 
     const auto& res = engine.resilience();
     if (res.workerCrashes || res.workerRespawns || res.spawnFailures ||
@@ -533,8 +509,7 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
         }
         pd::engine::writeBatchReport(os, opt.engine, results, cs,
                                      &engine.persistInfo(),
-                                     &engine.resilience(),
-                                     &engine.proofPersistInfo());
+                                     &engine.resilience());
         std::cout << "wrote " << opt.jsonPath << "\n";
     }
 
@@ -579,20 +554,6 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
             // (CI caches it, the next run depends on it) — fail loudly
             // here, not one run later.
             std::cerr << "cache flush failed: " << error << "\n";
-            fatal = true;
-        }
-    }
-    if (!opt.engine.proofCacheFile.empty() &&
-        !opt.engine.proofCacheReadonly) {
-        std::size_t saved = 0;
-        std::string error;
-        if (engine.flushProofCache(&saved, &error)) {
-            std::cout << "flushed " << saved << " proofs to "
-                      << opt.engine.proofCacheFile << "\n";
-        } else {
-            // Same contract as the result-cache flush: the warm artifact
-            // is a deliverable, so failing to write it is fatal.
-            std::cerr << "proof store flush failed: " << error << "\n";
             fatal = true;
         }
     }

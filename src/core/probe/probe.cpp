@@ -65,19 +65,24 @@ constexpr auto kVarKeys = [] {
     return keys;
 }();
 
+/// Candidates of up to this many variables get an exact coefficient per
+/// rest: a touched term's group part is one of the 2^6 subsets of the
+/// candidate, so a rest's coefficient polynomial is a 64-bit mask with
+/// one bit per part.
+constexpr std::size_t kCoefVars = 6;
+
 /// Per-candidate accumulator of the bound pass: an open-addressed table
-/// keyed by rest key that tracks, per distinct rest, the occurrence
-/// parity, the XOR of the part hashes and the minimum rest degree. Slots
-/// carry the generation that wrote them, so starting the next candidate
-/// is an increment instead of a clear.
+/// keyed by rest key that tracks, per distinct rest, its coefficient
+/// polynomial (the XOR of its terms' one-hot part bits) and the minimum
+/// rest degree. Slots carry the generation that wrote them, so starting
+/// the next candidate is an increment instead of a clear.
 class RestTable {
 public:
     struct Bucket {
         std::uint64_t rest = 0;
-        std::uint64_t partXor = 0;
+        std::uint64_t coef = 0;
         std::uint32_t gen = 0;  ///< the candidate that wrote this slot
-        std::uint16_t minDeg = 0;
-        bool odd = false;
+        std::uint32_t minDeg = 0;
     };
 
     /// Starts the next candidate with room for `maxRests` rests at load
@@ -93,24 +98,24 @@ public:
         used_.clear();
     }
 
-    void add(std::uint64_t rest, std::uint64_t partHash, std::uint32_t deg) {
+    void add(std::uint64_t rest, std::uint64_t partBit, std::uint32_t deg) {
         for (std::size_t s = (rest * 0x9e3779b97f4a7c15ull) >> shift_;;
              s = (s + 1) & mask_) {
             Bucket& b = slots_[s];
-            const auto d = static_cast<std::uint16_t>(deg);
             if (b.gen != gen_) {
-                b = {rest, partHash, gen_, d, true};
+                b = {rest, partBit, gen_, deg};
                 used_.push_back(static_cast<std::uint32_t>(s));
                 return;
             }
             if (b.rest == rest) {
-                b.partXor ^= partHash;
-                b.minDeg = std::min(b.minDeg, d);
-                b.odd = !b.odd;
+                b.coef ^= partBit;
+                b.minDeg = std::min(b.minDeg, deg);
                 return;
             }
         }
     }
+
+    [[nodiscard]] bool empty() const { return used_.empty(); }
 
     /// Calls `fn(const Bucket&)` for each rest added since clear().
     template <typename Fn>
@@ -126,24 +131,93 @@ private:
     std::uint32_t gen_ = 0;
 };
 
+/// GF(2) rank of 64-bit vectors: an XOR basis with one row per leading
+/// bit.
+class Rank64 {
+public:
+    void add(std::uint64_t v) {
+        while (v) {
+            const int top = 63 - std::countl_zero(v);
+            if (!rows_[top]) {
+                rows_[top] = v;
+                ++rank_;
+                return;
+            }
+            v ^= rows_[top];
+        }
+    }
+    [[nodiscard]] std::size_t rank() const { return rank_; }
+
+private:
+    std::array<std::uint64_t, 64> rows_{};
+    std::size_t rank_ = 0;
+};
+
+/// The bound pass of a sweep that cannot prune: with at most kWaveSize
+/// kept candidates every one runs in the first wave, so only the touched
+/// lists and untouched literal counts matter. One scan over the terms,
+/// no term index and no rest table; bounds stay zero, so the wave probes
+/// in input order.
+CandidateBounds scanTouched(std::span<const anf::Monomial> terms,
+                            const std::vector<anf::VarSet>& candidates,
+                            std::span<const char> keep) {
+    const std::size_t n = candidates.size();
+    CandidateBounds out;
+    out.bound.assign(n, 0);
+    out.untouchedLits.assign(n, 0);
+    out.touched.resize(n);
+    std::vector<std::size_t> kept;
+    anf::VarSet used;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!keep.empty() && !keep[i]) continue;
+        kept.push_back(i);
+        used = used.unionWith(candidates[i]);
+    }
+    std::vector<std::size_t> touchedLits(n, 0);
+    std::size_t totalLits = 0;
+    for (std::size_t ti = 0; ti < terms.size(); ++ti) {
+        const std::size_t deg = terms[ti].degree();
+        totalLits += deg;
+        if (!terms[ti].intersects(used)) continue;
+        for (const auto i : kept) {
+            if (!terms[ti].intersects(candidates[i])) continue;
+            out.touched[i].push_back(static_cast<std::uint32_t>(ti));
+            touchedLits[i] += deg;
+        }
+    }
+    for (const auto i : kept) out.untouchedLits[i] = totalLits - touchedLits[i];
+    return out;
+}
+
 }  // namespace
 
-// The bound sums two kinds of unavoidable mass:
+// Write the touched part of folded as Σ_r C_r·r, where r runs over the
+// distinct rest monomials and C_r is the polynomial of group parts that
+// share rest r. Touched terms with one rest have distinct parts, so
+// every C_r is non-zero. findBasis's algebraic merges and
+// minimizeBasisLinear preserve Σ firstᵖ·secondᵖ exactly and keep firsts
+// over the group. A null-space merge adds X·n terms, with n built from
+// the generators of the seed rings of the candidate's variables; the
+// rest part of every such term lies inside those generators' variables
+// ("the cover", with the candidate). So a rest r outside the cover
+// keeps its C_r·r in Σ firstᵖ·secondᵖ, and some second holds a monomial
+// with rest r. The bound sums three kinds of unavoidable mass:
 //
 //   * the untouched cofactor's literal count — terms disjoint from the
 //     group survive any rewrite verbatim;
-//   * odd-parity rest literals. Every merge preserves the pair-list
-//     identity Σ firstᵖ·secondᵖ = (touched part of folded), so a
-//     rest-monomial r whose group-part coefficient polynomial is
-//     non-zero must appear in at least one final cofactor, contributing
-//     deg(r) literals. An odd occurrence count across the touched terms
-//     guarantees non-zero (mod-2 cancellation needs pairs), and with
-//     key-bucketed rests an odd bucket guarantees some member rest is
-//     odd, so adding the bucket's minimum degree stays sound even under
-//     collisions. Any such bucket also forces ≥ 1 pair, worth its 1 + 2
-//     score terms.
+//   * the degree of each distinct rest outside the cover. Rests share a
+//     bucket only under a 64-bit key collision, and a bucket's minimum
+//     degree stays sound then;
+//   * 3 per pair (1 + 2 score terms). When no candidate variable
+//     divides an identity, every seed ring is trivial, so no null-space
+//     merge fires, seconds stay over the rest and each C_r is a sum of
+//     firsts: there are at least rank{C_r} pairs. The C_r are exact for
+//     candidates of at most kCoefVars variables (a collided bucket holds
+//     a sum of C_r, which keeps the rank a lower bound). Every other
+//     candidate counts one pair when some rest lies outside the cover.
 CandidateBounds candidateBounds(std::span<const anf::Monomial> terms,
                                 const std::vector<anf::VarSet>& candidates,
+                                const ring::IdentityDb& ids,
                                 std::span<const char> keep) {
     const std::size_t n = candidates.size();
     CandidateBounds out;
@@ -153,6 +227,12 @@ CandidateBounds candidateBounds(std::span<const anf::Monomial> terms,
     anf::VarSet used;
     for (std::size_t i = 0; i < n; ++i)
         if (keep.empty() || keep[i]) used = used.unionWith(candidates[i]);
+    // Per variable that divides an identity, the variables its seed
+    // ring's generators use: the most a null-space correction can touch.
+    const anf::VarSet dividing = ids.dividingVars();
+    std::vector<anf::VarSet> ringSupport(anf::Monomial::kMaxVars);
+    dividing.forEachVar(
+        [&](anf::Var v) { ringSupport[v] = ids.nullspaceOf(v).support(); });
 
     // Term index: each term's literal count and Zobrist key, and one
     // bitset of term positions per variable some candidate holds.
@@ -180,38 +260,39 @@ CandidateBounds candidateBounds(std::span<const anf::Monomial> terms,
     }
 
     // Per candidate, walking its variables' bitsets yields the touched
-    // terms and, per touched term, the key and degree of its group part;
-    // the rest's key is the term key XOR the part key. Rests with equal
-    // keys share a bucket. The part hash is Monomial::hash of the part:
-    // a different hash cancels in different buckets, which moves bounds
-    // and with them pruning and the probe counters. A candidate has at
-    // most 2^k parts, so part hashes are memoized by part key in a small
-    // direct-mapped cache.
+    // terms. A candidate of at most kCoefVars variables also marks, per
+    // touched term, which of its variables the term holds: that subset
+    // index gives the part's one-hot coefficient bit, its degree and its
+    // key (from a per-candidate table of subset keys). A wider candidate
+    // reads each touched term's part off the term. The rest's key is the
+    // term key XOR the part key; rests with equal keys share a bucket.
     std::vector<std::uint64_t> mask(maskWords);
-    std::vector<std::uint64_t> partKey(terms.size(), 0);
-    std::vector<std::uint32_t> partDeg(terms.size(), 0);
+    std::vector<std::uint8_t> partIdx(terms.size(), 0);
+    std::array<std::uint64_t, std::size_t{1} << kCoefVars> subsetKey{};
     RestTable rests;
-    struct PartHash {
-        std::uint64_t key = 0;
-        std::uint64_t hash = 0;  ///< 0 = empty (real hashes have bit 0 set)
-    };
-    std::array<PartHash, 256> partHashes{};
     for (std::size_t i = 0; i < n; ++i) {
         if (!keep.empty() && !keep[i]) continue;
         const anf::VarSet& cand = candidates[i];
+        const bool narrow = cand.degree() <= kCoefVars;
+        const bool identityFree = !cand.intersects(dividing);
+        const bool rankBound = identityFree && narrow;
+        anf::VarSet cover = cand;
+        cand.restrictedTo(dividing).forEachVar(
+            [&](anf::Var v) { cover = cover.unionWith(ringSupport[v]); });
         std::fill(mask.begin(), mask.end(), 0);
+        std::size_t slot = 0;
         cand.forEachVar([&](anf::Var v) {
             const auto& bits = termsOfVar[v];
-            for (std::size_t w = 0; w < bits.size(); ++w) {
-                mask[w] |= bits[w];
-                for (std::uint64_t m = bits[w]; m; m &= m - 1) {
-                    const std::size_t ti =
-                        (w << 6) + static_cast<std::size_t>(
-                                       __builtin_ctzll(m));
-                    partKey[ti] ^= kVarKeys[v];
-                    ++partDeg[ti];
-                }
-            }
+            for (std::size_t w = 0; w < bits.size(); ++w) mask[w] |= bits[w];
+            if (!narrow) return;
+            const std::size_t bit = std::size_t{1} << slot++;
+            for (std::size_t s = 0; s < bit; ++s)
+                subsetKey[s | bit] = subsetKey[s] ^ kVarKeys[v];
+            for (std::size_t w = 0; w < bits.size(); ++w)
+                for (std::uint64_t m = bits[w]; m; m &= m - 1)
+                    partIdx[(w << 6) + static_cast<std::size_t>(
+                                           __builtin_ctzll(m))] |=
+                        static_cast<std::uint8_t>(bit);
         });
         std::size_t count = 0;
         for (const auto w : mask)
@@ -226,32 +307,31 @@ CandidateBounds candidateBounds(std::span<const anf::Monomial> terms,
                     (w << 6) + static_cast<std::size_t>(__builtin_ctzll(m)));
                 list.push_back(ti);
                 touchedLits += termLits[ti];
-                const std::uint64_t pk = partKey[ti];
-                PartHash& ph =
-                    partHashes[(pk * 0x9e3779b97f4a7c15ull) >> 56];
-                if (ph.hash == 0 || ph.key != pk)
-                    ph = {pk, terms[ti].restrictedTo(cand).hash() |
-                                  1};  // never zero: XOR witnesses non-empty
-                rests.add(termKey[ti] ^ pk, ph.hash,
-                          termLits[ti] - partDeg[ti]);
-                partKey[ti] = 0;
-                partDeg[ti] = 0;
+                const std::size_t idx = partIdx[ti];
+                partIdx[ti] = 0;
+                if (!identityFree && terms[ti].subsetOf(cover)) continue;
+                std::uint64_t partKey = subsetKey[idx];
+                auto partDeg = static_cast<std::uint32_t>(std::popcount(idx));
+                if (!narrow) {
+                    terms[ti].restrictedTo(cand).forEachVar([&](anf::Var v) {
+                        partKey ^= kVarKeys[v];
+                        ++partDeg;
+                    });
+                }
+                rests.add(termKey[ti] ^ partKey, std::uint64_t{1} << idx,
+                          termLits[ti] - partDeg);
             }
         }
-        // A bucket's coefficient polynomial is certainly non-zero when
-        // its term count is odd or its part hashes do not cancel (a
-        // multiset that reduces to ∅ mod 2 XORs its hashes to 0).
-        std::size_t certainLits = 0;
-        bool anyCertain = false;
+        std::size_t restLits = 0;
+        Rank64 rank;
         rests.forEachBucket([&](const RestTable::Bucket& b) {
-            if (b.odd || b.partXor != 0) {
-                anyCertain = true;
-                certainLits += b.minDeg;
-            }
+            restLits += b.minDeg;
+            if (rankBound) rank.add(b.coef);
         });
+        const std::size_t minPairs =
+            rankBound ? rank.rank() : (rests.empty() ? 0 : 1);
         out.untouchedLits[i] = totalLits - touchedLits;
-        out.bound[i] =
-            out.untouchedLits[i] + certainLits + (anyCertain ? 3 : 0);
+        out.bound[i] = out.untouchedLits[i] + restLits + 3 * minPairs;
     }
     return out;
 }
@@ -423,13 +503,17 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
     // ---- Sound lower bound per candidate (candidateBounds). It doubles
     // as the ordering heuristic that sends likely winners into the early
     // waves — which is what lets later waves prune and budgeted sweeps
-    // spend their attempts well.
+    // spend their attempts well. A sweep that fits in one wave prunes
+    // nothing, so it only needs the touched lists.
     const auto terms = folded.terms();
+    const auto kept = static_cast<std::size_t>(
+        std::count(keep.begin(), keep.end(), 1));
     CandidateBounds cb;
     {
         obs::ScopedSpan boundSpan("probe.bound", "probe");
         const auto boundStart = std::chrono::steady_clock::now();
-        cb = candidateBounds(terms, candidates, keep);
+        cb = kept <= kWaveSize ? scanTouched(terms, candidates, keep)
+                               : candidateBounds(terms, candidates, ids, keep);
         stats_.boundMs += std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - boundStart)
                               .count();

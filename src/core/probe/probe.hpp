@@ -21,12 +21,16 @@
 //     equality is the complete sound equivalence: rest-parts pin which
 //     variables a split removed, so distinct candidate sets always
 //     produce distinct split streams), and every survivor gets a sound
-//     lower bound on its score — the untouched-cofactor literal count
-//     plus the literals of rest-monomials whose group-part coefficient
-//     polynomial is provably non-zero — which orders the sweep so
-//     likely winners go first and budgeted sweeps spend well. The bound
-//     pass (candidateBounds) is sort-free: rests are keyed by Zobrist
-//     XOR and accumulate in a flat generation-stamped table;
+//     lower bound on its score — the untouched-cofactor literal count,
+//     the degree of every distinct rest-monomial, and 3 per pair it must
+//     keep: the GF(2) rank of the rests' coefficient polynomials when no
+//     candidate variable divides an identity, else 1 — which orders the
+//     sweep so likely winners go first and budgeted sweeps spend well.
+//     The bound pass (candidateBounds) is sort-free: rests are keyed by
+//     Zobrist XOR and accumulate one-hot part bits in a flat
+//     generation-stamped table. A sweep of at most kWaveSize kept
+//     candidates cannot prune and skips it, scanning the terms once for
+//     the touched lists;
 //   * early abandon — a candidate whose lower bound already loses
 //     against the best fully-scored candidate is never probed;
 //   * intra-job parallelism — candidates fan out across a
@@ -104,18 +108,24 @@ struct CandidateBounds {
     std::vector<std::vector<std::uint32_t>> touched;
 };
 
-/// Bounds every candidate against the folded `terms`. When `keep` is
-/// non-empty, candidates with keep[i] == 0 are skipped and get a zero
-/// bound and an empty touched list. One pass builds a per-variable term
-/// bitset and a Zobrist key per term; per candidate, the part key of a
-/// touched term is the XOR of the keys of the candidate variables in it,
-/// its rest key is term key XOR part key, and rests accumulate by key in
-/// a generation-stamped open-addressed table — no sort. Equals the
-/// sort-based reference in tests/probe_test.cpp barring 64-bit key
-/// collisions, and stays sound under any collision.
+/// Bounds every candidate against the folded `terms` under the identity
+/// database `ids`. When `keep` is non-empty, candidates with keep[i] == 0
+/// are skipped and get a zero bound and an empty touched list. One pass
+/// builds a per-variable term bitset and a Zobrist key per term; per
+/// candidate, the part key of a touched term is the XOR of the keys of
+/// the candidate variables in it, its rest key is term key XOR part key,
+/// and rests accumulate by key in a generation-stamped open-addressed
+/// table — no sort. A candidate of at most 6 variables gives each
+/// touched term a one-hot bit for its part (a subset of the candidate),
+/// so a rest's bucket holds its coefficient polynomial exactly. The
+/// bound is untouchedLits + Σ_rest minimum degree + 3·p, where p is the
+/// GF(2) rank of the coefficients when no candidate variable divides an
+/// identity (ids.dividingVars()) and 1 otherwise, and for any wider
+/// candidate. Equals the explicit-map reference in tests/probe_test.cpp
+/// barring 64-bit key collisions, and stays sound under any collision.
 [[nodiscard]] CandidateBounds candidateBounds(
     std::span<const anf::Monomial> terms,
-    const std::vector<anf::VarSet>& candidates,
+    const std::vector<anf::VarSet>& candidates, const ring::IdentityDb& ids,
     std::span<const char> keep = {});
 
 /// Sweep engine. One context serves a whole decompose run: per-worker

@@ -29,6 +29,17 @@ NullSpaceRing IdentityDb::nullspaceOf(anf::Var v) const {
     return r;
 }
 
+anf::VarSet IdentityDb::dividingVars() const {
+    anf::VarSet out;
+    for (const auto& id : ids_) {
+        const auto terms = id.terms();
+        anf::VarSet common = terms.front();
+        for (const auto& t : terms) common = common.restrictedTo(t);
+        out = out.unionWith(common);
+    }
+    return out;
+}
+
 NullSpaceRing IdentityDb::nullspaceOfMonomial(const anf::Monomial& m,
                                               bool withComplements) const {
     NullSpaceRing r;

@@ -34,6 +34,10 @@ public:
     /// monomials all contain `v` factors as v·E = 0 and contributes E.
     [[nodiscard]] NullSpaceRing nullspaceOf(anf::Var v) const;
 
+    /// The variables whose nullspaceOf(v) is non-trivial: those that
+    /// divide every monomial of some identity.
+    [[nodiscard]] anf::VarSet dividingVars() const;
+
     /// Known null-space subring of a monomial m = v₁·v₂·…: the union of
     /// the per-variable rings (v·E = 0 ⟹ m·E = 0 when v divides m).
     /// When `withComplements` is set, the free generators (1 ⊕ vᵢ) are

@@ -88,6 +88,27 @@ IndexedSumMembership memberOfSum(MembershipContext& ctx,
         out.member = true;
         return out;
     }
+    if (r1.trivial() && r2.trivial()) return out;
+
+    // Support pre-check: every span element is a product of generators,
+    // so a target term with a variable outside both rings' generator
+    // supports is unrepresentable. Exact, and it runs before spanOf, so
+    // a rejected query never builds a spanning set.
+    {
+        const anf::VarSet reach = r1.support().unionWith(r2.support());
+        bool outside = false;
+        target.bits().forEachSetBit([&](std::size_t id) {
+            const auto& m = ctx.indexer.monomialAt(
+                static_cast<anf::MonomialIndexer::Id>(id));
+            outside = outside || !m.subsetOf(reach);
+        });
+        if (outside) {
+            static auto& cRejects =
+                obs::counter("ring.member.support_rejects");
+            cRejects.add();
+            return out;
+        }
+    }
 
     const auto& ispan1 = ctx.spanOf(r1, maxSpan);
     const auto& ispan2 = ctx.spanOf(r2, maxSpan);

@@ -15,7 +15,12 @@
 //     term-id lists, and solver columns are assigned through a flat
 //     generation-stamped scratch array in exactly the reference's
 //     first-occurrence order, so both paths return byte-identical
-//     membership verdicts AND witnesses.
+//     membership verdicts AND witnesses. Before any span is built, a
+//     support pre-check rejects a target with a variable outside both
+//     rings' generator supports (NullSpaceRing::support()): every span
+//     element is a product of generators, so no sum of them can hold
+//     that variable. Rejections count in ring.member.support_rejects;
+//     nearly all probe-sweep queries end there.
 #pragma once
 
 #include <cstddef>
@@ -111,6 +116,7 @@ private:
 /// Hot-path overload: identical verdicts and witnesses to the reference
 /// overload (differentially tested), served from the rings' cached
 /// indexed spanning sets. `target` must be encoded over ctx.indexer.
+/// A query the support pre-check rejects builds no spanning set.
 [[nodiscard]] IndexedSumMembership memberOfSum(MembershipContext& ctx,
                                                const anf::IndexedAnf& target,
                                                const NullSpaceRing& r1,

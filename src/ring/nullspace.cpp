@@ -8,6 +8,7 @@ void NullSpaceRing::addGenerator(const anf::Anf& g) {
     if (g.isZero()) return;
     if (std::find(gens_.begin(), gens_.end(), g) != gens_.end()) return;
     gens_.push_back(g);
+    support_ = support_.unionWith(g.support());
     spanCache_.reset();
 }
 

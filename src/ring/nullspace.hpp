@@ -15,6 +15,8 @@
 // flips instead of sorted merges), with the result cached on the ring.
 // Rings mutate rarely — a pair's ring changes only when the pair merges —
 // so one construction typically serves hundreds of membership queries.
+// Each ring also keeps the union of its generators' variables, which
+// lets membership reject most queries without building the span at all.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +46,10 @@ public:
     [[nodiscard]] const std::vector<anf::Anf>& generators() const {
         return gens_;
     }
+
+    /// Union of the generators' variables. Every spanning-set element is
+    /// a product of generators, so its terms use only these variables.
+    [[nodiscard]] const anf::VarSet& support() const { return support_; }
 
     /// Spanning set of the ring closure: products over all non-empty
     /// generator subsets (zero products dropped), capped at `maxElems`
@@ -169,6 +175,7 @@ public:
 
 private:
     std::vector<anf::Anf> gens_;
+    anf::VarSet support_;  ///< kept up to date by addGenerator
     /// Lazily filled by indexedSpanningSet; shared by ring copies.
     mutable std::shared_ptr<const IndexedSpan> spanCache_;
 };

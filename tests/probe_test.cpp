@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "anf/anf.hpp"
+#include "anf/parser.hpp"
 #include "anf/printer.hpp"
 #include "circuits/registry.hpp"
 #include "core/basis.hpp"
@@ -295,22 +297,52 @@ TEST(ProbeSweep, EveryCandidateScoresAsTheReference) {
 
 // ---- the bound pass --------------------------------------------------------
 
-/// The sort-based bound pass candidateBounds replaced: per candidate,
-/// (rest hash, part hash, rest degree) triples from Monomial::hash,
-/// sorted by rest hash and scanned run by run. Kept here as the oracle.
+/// GF(2) rank of bit rows, by Gaussian elimination.
+std::size_t gf2Rank(std::vector<std::vector<bool>> rows) {
+    std::size_t rank = 0;
+    const std::size_t cols = rows.empty() ? 0 : rows.front().size();
+    for (std::size_t c = 0; c < cols && rank < rows.size(); ++c) {
+        std::size_t pivot = rank;
+        while (pivot < rows.size() && !rows[pivot][c]) ++pivot;
+        if (pivot == rows.size()) continue;
+        std::swap(rows[rank], rows[pivot]);
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            if (r == rank || !rows[r][c]) continue;
+            for (std::size_t k = 0; k < cols; ++k)
+                rows[r][k] = rows[r][k] != rows[rank][k];
+        }
+        ++rank;
+    }
+    return rank;
+}
+
+/// The bound candidateBounds computes, from explicit maps: per
+/// candidate, each distinct rest monomial maps to its coefficient, the
+/// set of group parts it multiplies. Rests whose variables all lie in
+/// the generators of the candidate variables' null-space rings are left
+/// out, since null-space merges can cancel them. The bound is the
+/// untouched literal count, plus each remaining rest's degree, plus 3
+/// per pair: the exact GF(2) rank of the coefficients when the candidate
+/// has at most 6 variables and every one of them has a trivial
+/// null-space ring, and 1 otherwise.
 probe::CandidateBounds referenceBounds(
     std::span<const Monomial> terms,
-    const std::vector<anf::VarSet>& candidates) {
+    const std::vector<anf::VarSet>& candidates,
+    const ring::IdentityDb& ids) {
     probe::CandidateBounds out;
     std::size_t totalLits = 0;
     for (const auto& t : terms) totalLits += t.degree();
-    struct RestInfo {
-        std::uint64_t restHash;
-        std::uint64_t partHash;
-        std::uint32_t deg;
-    };
     for (const auto& cand : candidates) {
-        std::vector<RestInfo> rests;
+        bool identityFree = true;
+        anf::VarSet ringVars;
+        cand.forEachVar([&](Var v) {
+            const auto ring = ids.nullspaceOf(v);
+            identityFree = identityFree && ring.trivial();
+            for (const auto& g : ring.generators())
+                ringVars = ringVars.unionWith(g.support());
+        });
+        std::unordered_map<Monomial, std::vector<Monomial>, anf::MonomialHash>
+            coef;
         std::vector<std::uint32_t> touched;
         std::size_t touchedLits = 0;
         for (std::size_t ti = 0; ti < terms.size(); ++ti) {
@@ -318,44 +350,42 @@ probe::CandidateBounds referenceBounds(
             touched.push_back(static_cast<std::uint32_t>(ti));
             touchedLits += terms[ti].degree();
             const Monomial rest = terms[ti].without(cand);
-            rests.push_back({rest.hash(),
-                             terms[ti].restrictedTo(cand).hash() | 1ull,
-                             static_cast<std::uint32_t>(rest.degree())});
+            if (!identityFree && rest.subsetOf(ringVars)) continue;
+            auto& parts = coef[rest];
+            const Monomial part = terms[ti].restrictedTo(cand);
+            const auto it = std::find(parts.begin(), parts.end(), part);
+            if (it != parts.end())
+                parts.erase(it);
+            else
+                parts.push_back(part);
         }
-        std::sort(rests.begin(), rests.end(),
-                  [](const RestInfo& a, const RestInfo& b) {
-                      return a.restHash < b.restHash;
-                  });
-        std::size_t certainLits = 0;
-        bool anyCertain = false;
-        for (std::size_t a = 0; a < rests.size();) {
-            std::size_t b = a;
-            std::uint32_t minDeg = UINT32_MAX;
-            std::uint64_t partXor = 0;
-            while (b < rests.size() &&
-                   rests[b].restHash == rests[a].restHash) {
-                minDeg = std::min(minDeg, rests[b].deg);
-                partXor ^= rests[b].partHash;
-                ++b;
+        std::size_t restLits = 0;
+        std::unordered_map<Monomial, std::size_t, anf::MonomialHash> column;
+        for (const auto& [rest, parts] : coef) {
+            restLits += rest.degree();
+            for (const auto& p : parts) column.emplace(p, column.size());
+        }
+        std::size_t pairs = coef.empty() ? 0 : 1;
+        if (identityFree && cand.degree() <= 6) {
+            std::vector<std::vector<bool>> rows;
+            for (const auto& [rest, parts] : coef) {
+                auto& row = rows.emplace_back(column.size(), false);
+                for (const auto& p : parts) row[column.at(p)] = true;
             }
-            if (((b - a) & 1) || partXor != 0) {
-                anyCertain = true;
-                certainLits += minDeg;
-            }
-            a = b;
+            pairs = gf2Rank(std::move(rows));
         }
         out.untouchedLits.push_back(totalLits - touchedLits);
-        out.bound.push_back(totalLits - touchedLits + certainLits +
-                            (anyCertain ? 3 : 0));
+        out.bound.push_back(totalLits - touchedLits + restLits + 3 * pairs);
         out.touched.push_back(std::move(touched));
     }
     return out;
 }
 
 void expectBoundsMatchReference(const Anf& folded,
-                                const std::vector<anf::VarSet>& candidates) {
-    const auto got = probe::candidateBounds(folded.terms(), candidates);
-    const auto want = referenceBounds(folded.terms(), candidates);
+                                const std::vector<anf::VarSet>& candidates,
+                                const ring::IdentityDb& ids) {
+    const auto got = probe::candidateBounds(folded.terms(), candidates, ids);
+    const auto want = referenceBounds(folded.terms(), candidates, ids);
     ASSERT_EQ(got.bound.size(), candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         EXPECT_EQ(got.bound[i], want.bound[i]) << "candidate " << i;
@@ -365,13 +395,16 @@ void expectBoundsMatchReference(const Anf& folded,
 }
 
 TEST(CandidateBounds, MatchReferenceOnRandomWorkloads) {
-    for (const std::size_t k : {std::size_t{4}, std::size_t{6}}) {
+    // k = 8 exceeds the exact-coefficient width: those candidates read
+    // their parts off the terms and count one pair.
+    for (const std::size_t k :
+         {std::size_t{4}, std::size_t{6}, std::size_t{8}}) {
         GroupOptions opt;
         opt.k = k;
         std::size_t covered = 0;
         for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-            const auto w = makeWorkload(seed, 12, 60, false, opt);
-            expectBoundsMatchReference(w.folded, w.candidates);
+            const auto w = makeWorkload(seed, 12, 60, seed % 2 == 0, opt);
+            expectBoundsMatchReference(w.folded, w.candidates, w.ids);
             for (const auto& c : w.candidates) covered += c.degree() == k;
         }
         EXPECT_GT(covered, 0u) << "no " << k << "-variable candidates";
@@ -385,10 +418,11 @@ TEST(CandidateBounds, SkippedCandidatesGetNothing) {
     std::vector<char> keep(w.candidates.size(), 1);
     keep[0] = 0;
     const auto got =
-        probe::candidateBounds(w.folded.terms(), w.candidates, keep);
+        probe::candidateBounds(w.folded.terms(), w.candidates, w.ids, keep);
     EXPECT_EQ(got.bound[0], 0u);
     EXPECT_TRUE(got.touched[0].empty());
-    const auto all = probe::candidateBounds(w.folded.terms(), w.candidates);
+    const auto all =
+        probe::candidateBounds(w.folded.terms(), w.candidates, w.ids);
     for (std::size_t i = 1; i < w.candidates.size(); ++i)
         EXPECT_EQ(got.bound[i], all.bound[i]);
 }
@@ -396,8 +430,7 @@ TEST(CandidateBounds, SkippedCandidatesGetNothing) {
 TEST(CandidateBounds, MatchReferenceOnRealSweeps) {
     // Replay the first sweeps of adder3_9 (hundreds of thousands of
     // terms, few candidates) and every sweep of mul4 (thousands of
-    // candidates; its late sweeps hold rest buckets whose part hashes
-    // cancel, {19},{22},{19,191},{22,191}, which the bound must keep).
+    // candidates, and identities from its third iteration on).
     for (const auto& [name, iterations] :
          {std::pair{"adder3_9", 3}, std::pair{"mul4", 256}}) {
         const auto bench = circuits::makeNamedBenchmark(name);
@@ -409,9 +442,9 @@ TEST(CandidateBounds, MatchReferenceOnRealSweeps) {
         std::size_t sweeps = 0;
         dopt.probeCaptureHook = [&](const Anf& f,
                                     const std::vector<anf::VarSet>& c,
-                                    const ring::IdentityDb&) {
+                                    const ring::IdentityDb& ids) {
             ++sweeps;
-            expectBoundsMatchReference(f, c);
+            expectBoundsMatchReference(f, c, ids);
         };
         (void)decompose(vt, outs, bench->outputNames, dopt);
         EXPECT_GT(sweeps, 0u) << name;
@@ -419,15 +452,16 @@ TEST(CandidateBounds, MatchReferenceOnRealSweeps) {
 }
 
 TEST(CandidateBounds, NeverExceedTheProbedScore) {
-    for (const std::size_t k : {std::size_t{4}, std::size_t{6}}) {
+    for (const std::size_t k :
+         {std::size_t{4}, std::size_t{6}, std::size_t{8}}) {
         GroupOptions opt;
         opt.k = k;
         std::size_t checked = 0;
         for (std::uint64_t seed = 71; seed <= 76; ++seed) {
             const auto w = makeWorkload(seed, 10, 30, seed % 2 == 0, opt);
             if (w.candidates.empty()) continue;
-            const auto bounds =
-                probe::candidateBounds(w.folded.terms(), w.candidates);
+            const auto bounds = probe::candidateBounds(w.folded.terms(),
+                                                       w.candidates, w.ids);
             probe::ProbeContext ctx;
             ctx.scoreHook = [&](std::size_t i, std::size_t score) {
                 EXPECT_LE(bounds.bound[i], score)
@@ -438,6 +472,92 @@ TEST(CandidateBounds, NeverExceedTheProbedScore) {
         }
         EXPECT_GT(checked, 0u) << "k " << k;
     }
+}
+
+TEST(CandidateBounds, NullSpaceMergesMayCancelRests) {
+    // s1·(c ⊕ s2) ⊕ x·(c ⊕ s3) under the identity s1·(s2 ⊕ s3) = 0: the
+    // null-space merge leaves the one pair (s1 ⊕ x, c ⊕ s3), score 5, so
+    // rest s2 vanishes and counting every distinct rest would bound 6.
+    VarTable vt;
+    for (const char* name : {"s1", "s2", "s3", "x", "c"})
+        (void)vt.addDerived(name, 0);
+    const Anf folded = anf::parse("s1*c ^ s1*s2 ^ x*c ^ x*s3", vt);
+    ring::IdentityDb ids;
+    ids.add(anf::parse("s1*s2 ^ s1*s3", vt));
+    anf::VarSet group;
+    group.insert(*vt.find("s1"));
+    group.insert(*vt.find("x"));
+    const std::vector<anf::VarSet> candidates{group};
+    const auto score =
+        probe::referenceSweep(folded, candidates, ids, {}).score;
+    EXPECT_EQ(score, 5u);
+    const auto bounds = probe::candidateBounds(folded.terms(), candidates, ids);
+    EXPECT_LE(bounds.bound[0], score);
+    expectBoundsMatchReference(folded, candidates, ids);
+}
+
+TEST(CandidateBounds, NeverExceedTheScoreOnRealSweeps) {
+    // Replay real sweeps, identity-touching candidates included, and
+    // score every distinct candidate: chunks of at most kWaveSize
+    // candidates run in one wave, so nothing is pruned.
+    std::size_t withIds = 0;
+    for (const auto& [name, iterations] :
+         {std::pair{"counter16", 256}, std::pair{"lod32", 256},
+          std::pair{"majority15", 256}, std::pair{"lzd16", 256},
+          std::pair{"comparator8", 256}, std::pair{"mul4", 4}}) {
+        struct Captured {
+            Anf folded;
+            std::vector<anf::VarSet> candidates;
+            ring::IdentityDb ids;
+        };
+        std::vector<Captured> sweeps;
+        const auto bench = circuits::makeNamedBenchmark(name);
+        ASSERT_TRUE(bench.has_value());
+        VarTable vt;
+        const auto outs = bench->anf(vt);
+        DecomposeOptions dopt;
+        dopt.maxIterations = static_cast<std::size_t>(iterations);
+        dopt.probeCaptureHook = [&](const Anf& f,
+                                    const std::vector<anf::VarSet>& c,
+                                    const ring::IdentityDb& i) {
+            sweeps.push_back({f, c, i});
+        };
+        (void)decompose(vt, outs, bench->outputNames, dopt);
+        ASSERT_FALSE(sweeps.empty()) << name;
+
+        GroupOptions opt;
+        opt.probeMergeBudget = dopt.mergeAttemptBudget;
+        probe::ProbeContext ctx;
+        std::size_t checked = 0;
+        for (const auto& sw : sweeps) {
+            std::vector<anf::VarSet> distinct;
+            for (const auto& c : sw.candidates)
+                if (std::find(distinct.begin(), distinct.end(), c) ==
+                    distinct.end())
+                    distinct.push_back(c);
+            const auto bounds =
+                probe::candidateBounds(sw.folded.terms(), distinct, sw.ids);
+            const anf::VarSet dividing = sw.ids.dividingVars();
+            for (std::size_t at = 0; at < distinct.size();
+                 at += probe::kWaveSize) {
+                const std::vector<anf::VarSet> chunk(
+                    distinct.begin() + static_cast<std::ptrdiff_t>(at),
+                    distinct.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                           distinct.size(),
+                                           at + probe::kWaveSize)));
+                ctx.scoreHook = [&](std::size_t i, std::size_t score) {
+                    EXPECT_LE(bounds.bound[at + i], score)
+                        << name << " candidate "
+                        << anf::setToString(chunk[i], vt);
+                    ++checked;
+                    withIds += chunk[i].intersects(dividing);
+                };
+                (void)ctx.sweep(sw.folded, chunk, sw.ids, opt);
+            }
+        }
+        EXPECT_GT(checked, 0u) << name;
+    }
+    EXPECT_GT(withIds, 0u) << "no identity-touching candidate scored";
 }
 
 // ---- decompose-level determinism -------------------------------------------

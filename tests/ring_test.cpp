@@ -1,7 +1,12 @@
 // Null-space ring and membership tests, mirroring paper §4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "anf/parser.hpp"
+#include "obs/metrics.hpp"
 #include "ring/identity_db.hpp"
 #include "ring/membership.hpp"
 
@@ -110,6 +115,92 @@ TEST(Membership, Section4FactorisationExample) {
     const Anf merged = (parse("a^b", vt) ^ parse("c^d", vt)) * (q ^ m.part1);
     const Anf x = parse("(a^b)*(p^c*d) ^ (c^d)*(p^a*b)", vt);
     EXPECT_EQ(merged, x);
+}
+
+/// xorshift64: a small deterministic stream for the randomized tests.
+class Rng {
+public:
+    explicit Rng(std::uint64_t seed) : s_(seed) {}
+    std::uint64_t next() {
+        s_ ^= s_ << 13;
+        s_ ^= s_ >> 7;
+        s_ ^= s_ << 17;
+        return s_;
+    }
+    std::size_t below(std::size_t n) { return next() % n; }
+
+private:
+    std::uint64_t s_;
+};
+
+/// Random expression of up to `terms` monomials of degree ≤ 2 over
+/// variables [lo, lo + width).
+Anf randomAnf(Rng& rng, anf::Var lo, std::size_t width, std::size_t terms) {
+    std::vector<anf::Monomial> ts;
+    for (std::size_t i = 0; i < terms; ++i) {
+        anf::Monomial m;
+        const std::size_t deg = rng.below(3);
+        for (std::size_t d = 0; d < deg; ++d)
+            m.insert(static_cast<anf::Var>(lo + rng.below(width)));
+        ts.push_back(m);
+    }
+    return Anf::fromTerms(std::move(ts));
+}
+
+NullSpaceRing randomRing(Rng& rng, anf::Var lo) {
+    NullSpaceRing r;
+    const std::size_t gens = rng.below(4);
+    for (std::size_t g = 0; g < gens; ++g)
+        r.addGenerator(randomAnf(rng, lo, 4, 1 + rng.below(3)));
+    return r;
+}
+
+TEST(Membership, IndexedMatchesReferenceUnderSupportPreCheck) {
+    // Rings over variables 0..3 and 2..5; targets are sums of span
+    // elements (members), random expressions over 0..5, or either plus a
+    // term in variables 6..7, outside both rings' supports. The indexed
+    // overload must agree with the reference in verdict and parts, and a
+    // support-rejected query must not build a spanning set.
+    Rng rng(0x9e3779b97f4a7c15ull);
+    auto& rejects = obs::counter("ring.member.support_rejects");
+    std::size_t members = 0;
+    std::size_t outside = 0;
+    for (int round = 0; round < 600; ++round) {
+        MembershipContext ctx;
+        const NullSpaceRing r1 = randomRing(rng, 0);
+        const NullSpaceRing r2 = randomRing(rng, 2);
+        Anf target;
+        if (rng.below(2) == 0) {
+            for (const auto* r : {&r1, &r2})
+                for (const auto& e : r->spanningSet())
+                    if (rng.below(2) == 0) target ^= e;
+        } else {
+            target = randomAnf(rng, 0, 6, 1 + rng.below(4));
+        }
+        if (rng.below(3) == 0) target ^= randomAnf(rng, 6, 2, 1) * Anf::var(6);
+        const bool escapes = !target.support().subsetOf(
+            r1.support().unionWith(r2.support()));
+
+        const std::uint64_t rejectsBefore = rejects.value();
+        const auto want = memberOfSum(target, r1, r2);
+        const auto got = memberOfSum(ctx, target, r1, r2);
+        ASSERT_EQ(got.member, want.member) << "round " << round;
+        if (want.member) {
+            ++members;
+            EXPECT_EQ(got.part1, want.part1) << "round " << round;
+            EXPECT_EQ(got.part2, want.part2) << "round " << round;
+        }
+        if (escapes && !target.isZero() &&
+            !(r1.trivial() && r2.trivial())) {
+            ++outside;
+            EXPECT_FALSE(got.member);
+            EXPECT_EQ(rejects.value(), rejectsBefore + 1);
+            EXPECT_EQ(r1.cachedSpan(ctx.indexer.uid(), 64), nullptr);
+            EXPECT_EQ(r2.cachedSpan(ctx.indexer.uid(), 64), nullptr);
+        }
+    }
+    EXPECT_GT(members, 50u);
+    EXPECT_GT(outside, 50u);
 }
 
 TEST(IdentityDb, NullspaceFromIdentity) {

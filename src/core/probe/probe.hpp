@@ -22,15 +22,15 @@
 //     variables a split removed, so distinct candidate sets always
 //     produce distinct split streams), and every survivor gets a sound
 //     lower bound on its score — the untouched-cofactor literal count,
-//     the degree of every distinct rest-monomial, and 3 per pair it must
-//     keep: the GF(2) rank of the rests' coefficient polynomials when no
-//     candidate variable divides an identity, else 1 — which orders the
-//     sweep so likely winners go first and budgeted sweeps spend well.
-//     The bound pass (candidateBounds) is sort-free: rests are keyed by
-//     Zobrist XOR and accumulate one-hot part bits in a flat
-//     generation-stamped table. A sweep of at most kWaveSize kept
-//     candidates cannot prune and skips it, scanning the terms once for
-//     the touched lists;
+//     the degree of every distinct rest-monomial no null-space merge can
+//     cancel, and 3 per pair it must keep: the GF(2) rank of the rests'
+//     coefficient polynomials when no candidate variable divides an
+//     identity, else 1 — which orders the sweep so likely winners go
+//     first and budgeted sweeps spend well. The bound pass
+//     (candidateBounds) is sort-free: rests are keyed by Zobrist XOR and
+//     accumulate one-hot part bits in a flat generation-stamped table. A
+//     sweep of at most kWaveSize kept candidates cannot prune and skips
+//     it, scanning the terms once for the touched lists;
 //   * early abandon — a candidate whose lower bound already loses
 //     against the best fully-scored candidate is never probed;
 //   * intra-job parallelism — candidates fan out across a
@@ -120,9 +120,12 @@ struct CandidateBounds {
 /// so a rest's bucket holds its coefficient polynomial exactly. The
 /// bound is untouchedLits + Σ_rest minimum degree + 3·p, where p is the
 /// GF(2) rank of the coefficients when no candidate variable divides an
-/// identity (ids.dividingVars()) and 1 otherwise, and for any wider
-/// candidate. Equals the explicit-map reference in tests/probe_test.cpp
-/// barring 64-bit key collisions, and stays sound under any collision.
+/// identity (ids.dividingVars()) and the candidate has at most 6
+/// variables, and 1 otherwise. When a candidate variable divides an
+/// identity, rests inside the variables of those variables' seed-ring
+/// generators are left out: a null-space merge can cancel them. Equals
+/// the explicit-map reference in tests/probe_test.cpp barring 64-bit key
+/// collisions, and stays sound under any collision.
 [[nodiscard]] CandidateBounds candidateBounds(
     std::span<const anf::Monomial> terms,
     const std::vector<anf::VarSet>& candidates, const ring::IdentityDb& ids,

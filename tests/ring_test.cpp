@@ -178,8 +178,11 @@ TEST(Membership, IndexedMatchesReferenceUnderSupportPreCheck) {
             target = randomAnf(rng, 0, 6, 1 + rng.below(4));
         }
         if (rng.below(3) == 0) target ^= randomAnf(rng, 6, 2, 1) * Anf::var(6);
-        const bool escapes = !target.support().subsetOf(
-            r1.support().unionWith(r2.support()));
+        anf::VarSet genVars;
+        for (const auto* r : {&r1, &r2})
+            for (const auto& g : r->generators())
+                genVars = genVars.unionWith(g.support());
+        const bool escapes = !target.support().subsetOf(genVars);
 
         const std::uint64_t rejectsBefore = rejects.value();
         const auto want = memberOfSum(target, r1, r2);

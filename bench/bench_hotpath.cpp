@@ -29,11 +29,15 @@
 // referenceSweep, plus end-to-end decompose times and per-phase
 // breakdowns. The "speedups" ratio is measured within one run, so it is
 // machine-independent; check_hotpath.py gates both documents with the
-// same policy.
+// same policy. Its ungated "lanes" object records the probe phase of
+// mul4, counter16 and adder3_9 decomposed with 1, 2 and 4 probe lanes
+// (best of 2), with the helper lanes' probes and the committer's
+// discards: the scaling of the speculative sweep on the recording host.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -256,6 +260,39 @@ int main(int argc, char** argv) {
                                    }) /
                                    1000.0;
 
+    // ---- Probe lanes: the probe phase of whole decomposes at 1, 2 and 4
+    // lanes (a private pool of lanes − 1 helpers). ---------------------
+    struct LaneRun {
+        std::size_t lanes = 0;
+        double probeMs = 1e300;
+        pd::core::Decomposition::ProbeSummary summary;
+    };
+    std::vector<std::pair<std::string, std::vector<LaneRun>>> laneRuns;
+    for (const char* name : {"mul4", "counter16", "adder3_9"}) {
+        const auto b = pd::circuits::makeNamedBenchmark(name);
+        auto& runs = laneRuns.emplace_back(name, std::vector<LaneRun>{});
+        for (const std::size_t lanes : {1u, 2u, 4u}) {
+            LaneRun run;
+            run.lanes = lanes;
+            for (int rep = 0; rep < 2; ++rep) {
+                pd::anf::VarTable tbl;
+                const auto outs = b->anf(tbl);
+                pd::core::DecomposeOptions dopt;
+                dopt.probeThreads = lanes;
+                const auto d =
+                    pd::core::decompose(tbl, outs, b->outputNames, dopt);
+                sink += d.blocks.size();
+                if (d.probe.sweepMs < run.probeMs) {
+                    run.probeMs = d.probe.sweepMs;
+                    run.summary = d.probe;
+                }
+            }
+            std::cout << "probe phase " << name << " at " << lanes
+                      << " lanes: " << run.probeMs << " ms\n";
+            runs.second.push_back(run);
+        }
+    }
+
     std::cout << "anf product:      ref " << productRefUs << " us, indexed "
               << productIndexedUs << " us ("
               << productRefUs / productIndexedUs << "x)\n"
@@ -340,6 +377,21 @@ int main(int argc, char** argv) {
     pw.key("mul4").beginObject();
     breakdown(pw, mul4Decomp, decomposeMul4Ms);
     pw.endObject();
+    pw.endObject();
+    pw.key("lanes").beginObject();
+    for (const auto& [name, runs] : laneRuns) {
+        pw.key(name).beginObject();
+        for (const auto& run : runs) {
+            pw.key(std::to_string(run.lanes)).beginObject();
+            pw.field("probe_sweep_ms", run.probeMs);
+            pw.field("speedup", runs.front().probeMs / run.probeMs);
+            pw.field("probed", run.summary.probed);
+            pw.field("helper_probes", run.summary.helperProbes);
+            pw.field("speculative_discards", run.summary.speculativeDiscards);
+            pw.endObject();
+        }
+        pw.endObject();
+    }
     pw.endObject();
     pw.endObject();
     std::cout << "wrote " << probeJsonPath << "\n";

@@ -89,24 +89,22 @@ def check_phase_sums(spans, report, tol=0.05):
 
     # Match report jobs to traced jobs by multiset of phase vectors:
     # fingerprints are not in the report, so compare each computed
-    # (cache-miss) job's phase block against some traced job.
+    # (cache-miss) job's phase block against some traced job. Of the
+    # traced jobs within tolerance, take the closest over all phases: a
+    # job whose phases are all under 1 ms is within tolerance of every
+    # traced job, and must not take another job's spans.
     computed = [j for j in report["jobs"]
                 if j["ok"] and not j["cache"]["hit"]]
     traced = list(by_job.values())
     for job in computed:
         phases = job["timing"]["phases"]
-        best = None
-        for t in traced:
-            ok = True
-            for p in PHASES:
-                want = phases[f"{p}_ms"]
-                got = t.get(p, 0.0)
-                if want > 1.0 and abs(got - want) > tol * want:
-                    ok = False
-                    break
-            if ok:
-                best = t
-                break
+        fitting = [t for t in traced
+                   if all(phases[f"{p}_ms"] <= 1.0 or
+                          abs(t.get(p, 0.0) - phases[f"{p}_ms"]) <=
+                          tol * phases[f"{p}_ms"] for p in PHASES)]
+        best = min(fitting, default=None,
+                   key=lambda t: sum(abs(t.get(p, 0.0) - phases[f"{p}_ms"])
+                                     for p in PHASES))
         if best is None:
             fail(f"job {job['name']!r}: no traced job matches its "
                  f"timing.phases within {tol:.0%} "

@@ -59,9 +59,9 @@ Decomposition decompose(anf::VarTable& vars,
     gOpt.maxCombinations = opt.maxExhaustiveCombinations;
     gOpt.probeMergeBudget = opt.mergeAttemptBudget;
 
-    // One probe context for the whole run: per-worker indexers and
-    // solver scratch persist across iterations, and the sweep fans out
-    // over probeThreads deterministically (bit-identical results at any
+    // One probe context for the whole run: per-lane indexers and solver
+    // scratch persist across iterations, and the sweep runs over
+    // probeThreads lanes deterministically (bit-identical results at any
     // setting).
     probe::ProbeContext probeCtx(opt.probeThreads, opt.probePool);
     probeCtx.captureHook = opt.probeCaptureHook;
@@ -222,6 +222,8 @@ Decomposition decompose(anf::VarTable& vars,
     result.probe.probed = ps.probed;
     result.probe.pruned = ps.pruned;
     result.probe.deduped = ps.deduped;
+    result.probe.helperProbes = ps.helperProbes;
+    result.probe.speculativeDiscards = ps.speculativeDiscards;
     return result;
 }
 

@@ -69,15 +69,15 @@ struct DecomposeOptions {
     /// tractable instead of open-ended.
     std::size_t mergeAttemptBudget = kDefaultMergeAttemptBudget;
     bool recordTrace = true;
-    /// Worker threads for the group-selection probe sweep (0/1 =
-    /// sequential). Purely a scheduling knob: the sweep is deterministic
-    /// by construction, so results are bit-identical at every setting —
+    /// Lanes for the group-selection probe sweep (0/1 = sequential).
+    /// Purely a scheduling knob: the sweep is deterministic by
+    /// construction, so results are bit-identical at every setting —
     /// which is why this field is excluded from the engine's options
     /// fingerprint and cache keys.
     std::size_t probeThreads = 0;
-    /// Probe-sweep pool shared across jobs (engine-owned). When null and
-    /// probeThreads > 1, the decomposer's probe context lazily spins up
-    /// its own pool. Never serialized; runtime wiring only.
+    /// Pool the sweep's helper lanes run on (the engine's job pool). When
+    /// null and probeThreads > 1, the decomposer's probe context lazily
+    /// spins up its own pool. Never serialized; runtime wiring only.
     std::shared_ptr<util::ThreadPool> probePool;
     /// Bench/test hook forwarded to the probe context: reports every
     /// sweep's inputs (folded expression, candidates, identity-database

@@ -68,7 +68,10 @@ struct Decomposition {
     /// wall time spent selecting groups (candidate generation included),
     /// `boundMs` the part of it in the candidate-bound pass;
     /// `basisReuses` counts iterations whose findBasis was served from
-    /// the winning probe instead of being recomputed.
+    /// the winning probe instead of being recomputed. `helperProbes` and
+    /// `speculativeDiscards` (probes by lanes other than the sweeping
+    /// thread, and lane probes the committer dropped) depend on the
+    /// schedule; every other count is the same at any lane count.
     struct ProbeSummary {
         double sweepMs = 0.0;
         double boundMs = 0.0;
@@ -78,6 +81,8 @@ struct Decomposition {
         std::uint64_t pruned = 0;
         std::uint64_t deduped = 0;
         std::uint64_t basisReuses = 0;
+        std::uint64_t helperProbes = 0;
+        std::uint64_t speculativeDiscards = 0;
     };
     ProbeSummary probe;
 

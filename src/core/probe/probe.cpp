@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
-#include <future>
+#include <exception>
 #include <unordered_map>
 
 #include "core/minimize.hpp"
@@ -15,12 +16,33 @@
 namespace pd::core::probe {
 namespace {
 
-/// One probe's score, plus its decoded raw basis when the probe could
-/// still win its wave.
-struct Scored {
+/// One position of a sweep's bound order, filled by the lane that
+/// claimed it and published to the committer by `ready`.
+struct Slot {
+    bool probed = false;  ///< false: the lane's snapshot already pruned it
     std::size_t score = SIZE_MAX;
     bool exhausted = false;
+    /// The decoded raw basis, when the probe beat its lane's best.
     std::optional<BasisResult> raw;
+    ring::MemberTally tally;  ///< booked only if the committer keeps it
+    std::exception_ptr error;
+    std::atomic<std::uint32_t> ready{0};
+};
+
+/// Tags this thread's spans with a job fingerprint for one scope: a helper
+/// lane's spans belong to the job whose sweep it serves.
+class FingerprintScope {
+public:
+    explicit FingerprintScope(std::uint64_t fp)
+        : saved_(obs::jobFingerprint()) {
+        obs::setJobFingerprint(fp);
+    }
+    ~FingerprintScope() { obs::setJobFingerprint(saved_); }
+    FingerprintScope(const FingerprintScope&) = delete;
+    FingerprintScope& operator=(const FingerprintScope&) = delete;
+
+private:
+    std::uint64_t saved_;
 };
 
 /// The paper's selection criterion: literal count of the expression
@@ -153,40 +175,241 @@ private:
     std::size_t rank_ = 0;
 };
 
-/// The bound pass of a sweep that cannot prune: with at most kWaveSize
-/// kept candidates every one runs in the first wave, so only the touched
-/// lists and untouched literal counts matter. One scan over the terms,
-/// no term index and no rest table; bounds stay zero, so the wave probes
-/// in input order.
-CandidateBounds scanTouched(std::span<const anf::Monomial> terms,
-                            const std::vector<anf::VarSet>& candidates,
-                            std::span<const char> keep) {
-    const std::size_t n = candidates.size();
+/// Terms per claim when a lane walks the folded terms: a multiple of 64,
+/// so two lanes never write one word of a per-variable term bitset.
+constexpr std::size_t kTermBlock = std::size_t{1} << 14;
+
+/// Candidates per claim in the bound pass.
+constexpr std::size_t kBoundChunk = 8;
+
+/// Calls `fn(lane, item)` for every item in [0, n), in chunks of `chunk`
+/// claimed from one cursor by up to `lanes` lanes (see util::runLanes).
+/// `fn` must be safe to run concurrently for distinct items.
+template <typename Fn>
+void forEachClaimed(util::ThreadPool* pool, std::size_t lanes, std::size_t n,
+                    std::size_t chunk, Fn&& fn) {
+    std::atomic<std::size_t> cursor{0};
+    util::runLanes(pool, std::min(lanes, (n + chunk - 1) / chunk),
+                   [&](std::size_t lane) {
+                       for (;;) {
+                           const std::size_t at = cursor.fetch_add(
+                               chunk, std::memory_order_relaxed);
+                           if (at >= n) return;
+                           for (std::size_t k = at;
+                                k < std::min(n, at + chunk); ++k)
+                               fn(lane, k);
+                       }
+                   });
+}
+
+/// Positions of the candidates the pass keeps.
+std::vector<std::size_t> keptIndices(std::size_t n,
+                                     std::span<const char> keep) {
+    std::vector<std::size_t> kept;
+    for (std::size_t i = 0; i < n; ++i)
+        if (keep.empty() || keep[i]) kept.push_back(i);
+    return kept;
+}
+
+CandidateBounds sizedBounds(std::size_t n) {
     CandidateBounds out;
     out.bound.assign(n, 0);
     out.untouchedLits.assign(n, 0);
     out.touched.resize(n);
-    std::vector<std::size_t> kept;
+    return out;
+}
+
+/// The bound pass of a sweep that cannot prune: with at most kWaveSize
+/// kept candidates every one runs in the first wave, so only the touched
+/// lists and untouched literal counts matter. One scan over the terms,
+/// no term index and no rest table; bounds stay zero, so the wave probes
+/// in input order. Lanes claim blocks of terms; each block's touched
+/// positions are concatenated in block order, so the lists come out
+/// ascending at any lane count.
+CandidateBounds scanTouched(std::span<const anf::Monomial> terms,
+                            const std::vector<anf::VarSet>& candidates,
+                            std::span<const char> keep,
+                            util::ThreadPool* pool, std::size_t lanes) {
+    CandidateBounds out = sizedBounds(candidates.size());
+    const auto kept = keptIndices(candidates.size(), keep);
     anf::VarSet used;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!keep.empty() && !keep[i]) continue;
-        kept.push_back(i);
-        used = used.unionWith(candidates[i]);
-    }
-    std::vector<std::size_t> touchedLits(n, 0);
+    for (const auto i : kept) used = used.unionWith(candidates[i]);
+    struct Block {
+        std::size_t totalLits = 0;
+        std::vector<std::size_t> touchedLits;            // per kept
+        std::vector<std::vector<std::uint32_t>> touched;  // per kept
+    };
+    std::vector<Block> blocks((terms.size() + kTermBlock - 1) / kTermBlock);
+    forEachClaimed(pool, lanes, blocks.size(), 1, [&](std::size_t,
+                                                      std::size_t b) {
+        Block& blk = blocks[b];
+        blk.touchedLits.assign(kept.size(), 0);
+        blk.touched.resize(kept.size());
+        const std::size_t end = std::min(terms.size(), (b + 1) * kTermBlock);
+        for (std::size_t ti = b * kTermBlock; ti < end; ++ti) {
+            const std::size_t deg = terms[ti].degree();
+            blk.totalLits += deg;
+            if (!terms[ti].intersects(used)) continue;
+            for (std::size_t k = 0; k < kept.size(); ++k) {
+                if (!terms[ti].intersects(candidates[kept[k]])) continue;
+                blk.touched[k].push_back(static_cast<std::uint32_t>(ti));
+                blk.touchedLits[k] += deg;
+            }
+        }
+    });
     std::size_t totalLits = 0;
-    for (std::size_t ti = 0; ti < terms.size(); ++ti) {
-        const std::size_t deg = terms[ti].degree();
-        totalLits += deg;
-        if (!terms[ti].intersects(used)) continue;
-        for (const auto i : kept) {
-            if (!terms[ti].intersects(candidates[i])) continue;
-            out.touched[i].push_back(static_cast<std::uint32_t>(ti));
-            touchedLits[i] += deg;
+    for (const auto& blk : blocks) totalLits += blk.totalLits;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+        const std::size_t i = kept[k];
+        std::size_t touchedLits = 0;
+        for (auto& blk : blocks) {
+            touchedLits += blk.touchedLits[k];
+            out.touched[i].insert(out.touched[i].end(),
+                                  blk.touched[k].begin(),
+                                  blk.touched[k].end());
+        }
+        out.untouchedLits[i] = totalLits - touchedLits;
+    }
+    return out;
+}
+
+/// The shared, read-only half of the bound pass: each term's literal
+/// count and Zobrist key, one bitset of term positions per variable some
+/// kept candidate holds, and per variable that divides an identity the
+/// variables its seed ring's generators use — the most a null-space
+/// correction can touch. Lanes fill it by blocks of terms.
+struct TermIndex {
+    anf::VarSet dividing;
+    std::vector<anf::VarSet> ringSupport;
+    std::size_t maskWords = 0;
+    std::vector<std::uint32_t> termLits;
+    std::vector<std::uint64_t> termKey;
+    std::size_t totalLits = 0;
+    std::vector<std::vector<std::uint64_t>> termsOfVar;
+
+    TermIndex(std::span<const anf::Monomial> terms, anf::VarSet used,
+              const ring::IdentityDb& ids, util::ThreadPool* pool,
+              std::size_t lanes)
+        : dividing(ids.dividingVars()),
+          ringSupport(anf::Monomial::kMaxVars),
+          maskWords((terms.size() + 63) / 64),
+          termLits(terms.size()),
+          termKey(terms.size()),
+          termsOfVar(anf::Monomial::kMaxVars) {
+        dividing.forEachVar(
+            [&](anf::Var v) { ringSupport[v] = ids.nullspaceOf(v).support(); });
+        used.forEachVar([&](anf::Var v) { termsOfVar[v].resize(maskWords); });
+        std::vector<std::size_t> blockLits(
+            (terms.size() + kTermBlock - 1) / kTermBlock, 0);
+        forEachClaimed(pool, lanes, blockLits.size(), 1,
+                       [&](std::size_t, std::size_t b) {
+            const std::size_t end =
+                std::min(terms.size(), (b + 1) * kTermBlock);
+            for (std::size_t ti = b * kTermBlock; ti < end; ++ti) {
+                std::uint64_t key = 0;
+                std::uint32_t deg = 0;
+                terms[ti].forEachVar([&](anf::Var v) {
+                    key ^= kVarKeys[v];
+                    ++deg;
+                });
+                termLits[ti] = deg;
+                termKey[ti] = key;
+                blockLits[b] += deg;
+                terms[ti].restrictedTo(used).forEachVar([&](anf::Var v) {
+                    termsOfVar[v][ti >> 6] |= std::uint64_t{1} << (ti & 63);
+                });
+            }
+        });
+        for (const auto lits : blockLits) totalLits += lits;
+    }
+};
+
+/// One bound-pass lane's scratch: the touched-term mask, each touched
+/// term's part subset index, the candidate's subset keys and the rest
+/// table.
+struct BoundLane {
+    std::vector<std::uint64_t> mask;
+    std::vector<std::uint8_t> partIdx;
+    std::array<std::uint64_t, std::size_t{1} << kCoefVars> subsetKey{};
+    RestTable rests;
+
+    BoundLane(std::size_t terms, std::size_t maskWords)
+        : mask(maskWords), partIdx(terms, 0) {}
+};
+
+/// Bounds candidate `i` into out.bound[i], out.untouchedLits[i] and
+/// out.touched[i]. Per candidate, walking its variables' bitsets yields
+/// the touched terms. A candidate of at most kCoefVars variables also
+/// marks, per touched term, which of its variables the term holds: that
+/// subset index gives the part's one-hot coefficient bit, its degree and
+/// its key (from a per-candidate table of subset keys). A wider candidate
+/// reads each touched term's part off the term. The rest's key is the
+/// term key XOR the part key; rests with equal keys share a bucket.
+void boundCandidate(std::span<const anf::Monomial> terms,
+                    const TermIndex& ix, const anf::VarSet& cand,
+                    BoundLane& lane, CandidateBounds& out, std::size_t i) {
+    const bool narrow = cand.degree() <= kCoefVars;
+    const bool identityFree = !cand.intersects(ix.dividing);
+    const bool rankBound = identityFree && narrow;
+    anf::VarSet cover = cand;
+    cand.restrictedTo(ix.dividing).forEachVar(
+        [&](anf::Var v) { cover = cover.unionWith(ix.ringSupport[v]); });
+    auto& mask = lane.mask;
+    auto& partIdx = lane.partIdx;
+    auto& subsetKey = lane.subsetKey;
+    std::fill(mask.begin(), mask.end(), 0);
+    std::size_t slot = 0;
+    cand.forEachVar([&](anf::Var v) {
+        const auto& bits = ix.termsOfVar[v];
+        for (std::size_t w = 0; w < bits.size(); ++w) mask[w] |= bits[w];
+        if (!narrow) return;
+        const std::size_t bit = std::size_t{1} << slot++;
+        for (std::size_t s = 0; s < bit; ++s)
+            subsetKey[s | bit] = subsetKey[s] ^ kVarKeys[v];
+        for (std::size_t w = 0; w < bits.size(); ++w)
+            for (std::uint64_t m = bits[w]; m; m &= m - 1)
+                partIdx[(w << 6) +
+                        static_cast<std::size_t>(__builtin_ctzll(m))] |=
+                    static_cast<std::uint8_t>(bit);
+    });
+    std::size_t count = 0;
+    for (const auto w : mask)
+        count += static_cast<std::size_t>(std::popcount(w));
+    auto& list = out.touched[i];
+    list.reserve(count);
+    lane.rests.clear(count);
+    std::size_t touchedLits = 0;
+    for (std::size_t w = 0; w < ix.maskWords; ++w) {
+        for (std::uint64_t m = mask[w]; m; m &= m - 1) {
+            const auto ti = static_cast<std::uint32_t>(
+                (w << 6) + static_cast<std::size_t>(__builtin_ctzll(m)));
+            list.push_back(ti);
+            touchedLits += ix.termLits[ti];
+            const std::size_t idx = partIdx[ti];
+            partIdx[ti] = 0;
+            if (!identityFree && terms[ti].subsetOf(cover)) continue;
+            std::uint64_t partKey = subsetKey[idx];
+            auto partDeg = static_cast<std::uint32_t>(std::popcount(idx));
+            if (!narrow) {
+                terms[ti].restrictedTo(cand).forEachVar([&](anf::Var v) {
+                    partKey ^= kVarKeys[v];
+                    ++partDeg;
+                });
+            }
+            lane.rests.add(ix.termKey[ti] ^ partKey, std::uint64_t{1} << idx,
+                           ix.termLits[ti] - partDeg);
         }
     }
-    for (const auto i : kept) out.untouchedLits[i] = totalLits - touchedLits[i];
-    return out;
+    std::size_t restLits = 0;
+    Rank64 rank;
+    lane.rests.forEachBucket([&](const RestTable::Bucket& b) {
+        restLits += b.minDeg;
+        if (rankBound) rank.add(b.coef);
+    });
+    const std::size_t minPairs =
+        rankBound ? rank.rank() : (lane.rests.empty() ? 0 : 1);
+    out.untouchedLits[i] = ix.totalLits - touchedLits;
+    out.bound[i] = out.untouchedLits[i] + restLits + 3 * minPairs;
 }
 
 }  // namespace
@@ -218,121 +441,23 @@ CandidateBounds scanTouched(std::span<const anf::Monomial> terms,
 CandidateBounds candidateBounds(std::span<const anf::Monomial> terms,
                                 const std::vector<anf::VarSet>& candidates,
                                 const ring::IdentityDb& ids,
-                                std::span<const char> keep) {
-    const std::size_t n = candidates.size();
-    CandidateBounds out;
-    out.bound.assign(n, 0);
-    out.untouchedLits.assign(n, 0);
-    out.touched.resize(n);
+                                std::span<const char> keep,
+                                util::ThreadPool* pool, std::size_t lanes) {
+    CandidateBounds out = sizedBounds(candidates.size());
+    const auto kept = keptIndices(candidates.size(), keep);
     anf::VarSet used;
-    for (std::size_t i = 0; i < n; ++i)
-        if (keep.empty() || keep[i]) used = used.unionWith(candidates[i]);
-    // Per variable that divides an identity, the variables its seed
-    // ring's generators use: the most a null-space correction can touch.
-    const anf::VarSet dividing = ids.dividingVars();
-    std::vector<anf::VarSet> ringSupport(anf::Monomial::kMaxVars);
-    dividing.forEachVar(
-        [&](anf::Var v) { ringSupport[v] = ids.nullspaceOf(v).support(); });
-
-    // Term index: each term's literal count and Zobrist key, and one
-    // bitset of term positions per variable some candidate holds.
-    const std::size_t maskWords = (terms.size() + 63) / 64;
-    std::vector<std::uint32_t> termLits(terms.size());
-    std::vector<std::uint64_t> termKey(terms.size());
-    std::size_t totalLits = 0;
-    std::vector<std::vector<std::uint64_t>> termsOfVar(
-        anf::Monomial::kMaxVars);
-    for (std::size_t ti = 0; ti < terms.size(); ++ti) {
-        std::uint64_t key = 0;
-        std::uint32_t deg = 0;
-        terms[ti].forEachVar([&](anf::Var v) {
-            key ^= kVarKeys[v];
-            ++deg;
-        });
-        termLits[ti] = deg;
-        termKey[ti] = key;
-        totalLits += deg;
-        terms[ti].restrictedTo(used).forEachVar([&](anf::Var v) {
-            auto& bits = termsOfVar[v];
-            if (bits.empty()) bits.resize(maskWords, 0);
-            bits[ti >> 6] |= std::uint64_t{1} << (ti & 63);
-        });
-    }
-
-    // Per candidate, walking its variables' bitsets yields the touched
-    // terms. A candidate of at most kCoefVars variables also marks, per
-    // touched term, which of its variables the term holds: that subset
-    // index gives the part's one-hot coefficient bit, its degree and its
-    // key (from a per-candidate table of subset keys). A wider candidate
-    // reads each touched term's part off the term. The rest's key is the
-    // term key XOR the part key; rests with equal keys share a bucket.
-    std::vector<std::uint64_t> mask(maskWords);
-    std::vector<std::uint8_t> partIdx(terms.size(), 0);
-    std::array<std::uint64_t, std::size_t{1} << kCoefVars> subsetKey{};
-    RestTable rests;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!keep.empty() && !keep[i]) continue;
-        const anf::VarSet& cand = candidates[i];
-        const bool narrow = cand.degree() <= kCoefVars;
-        const bool identityFree = !cand.intersects(dividing);
-        const bool rankBound = identityFree && narrow;
-        anf::VarSet cover = cand;
-        cand.restrictedTo(dividing).forEachVar(
-            [&](anf::Var v) { cover = cover.unionWith(ringSupport[v]); });
-        std::fill(mask.begin(), mask.end(), 0);
-        std::size_t slot = 0;
-        cand.forEachVar([&](anf::Var v) {
-            const auto& bits = termsOfVar[v];
-            for (std::size_t w = 0; w < bits.size(); ++w) mask[w] |= bits[w];
-            if (!narrow) return;
-            const std::size_t bit = std::size_t{1} << slot++;
-            for (std::size_t s = 0; s < bit; ++s)
-                subsetKey[s | bit] = subsetKey[s] ^ kVarKeys[v];
-            for (std::size_t w = 0; w < bits.size(); ++w)
-                for (std::uint64_t m = bits[w]; m; m &= m - 1)
-                    partIdx[(w << 6) + static_cast<std::size_t>(
-                                           __builtin_ctzll(m))] |=
-                        static_cast<std::uint8_t>(bit);
-        });
-        std::size_t count = 0;
-        for (const auto w : mask)
-            count += static_cast<std::size_t>(std::popcount(w));
-        auto& list = out.touched[i];
-        list.reserve(count);
-        rests.clear(count);
-        std::size_t touchedLits = 0;
-        for (std::size_t w = 0; w < maskWords; ++w) {
-            for (std::uint64_t m = mask[w]; m; m &= m - 1) {
-                const auto ti = static_cast<std::uint32_t>(
-                    (w << 6) + static_cast<std::size_t>(__builtin_ctzll(m)));
-                list.push_back(ti);
-                touchedLits += termLits[ti];
-                const std::size_t idx = partIdx[ti];
-                partIdx[ti] = 0;
-                if (!identityFree && terms[ti].subsetOf(cover)) continue;
-                std::uint64_t partKey = subsetKey[idx];
-                auto partDeg = static_cast<std::uint32_t>(std::popcount(idx));
-                if (!narrow) {
-                    terms[ti].restrictedTo(cand).forEachVar([&](anf::Var v) {
-                        partKey ^= kVarKeys[v];
-                        ++partDeg;
-                    });
-                }
-                rests.add(termKey[ti] ^ partKey, std::uint64_t{1} << idx,
-                          termLits[ti] - partDeg);
-            }
-        }
-        std::size_t restLits = 0;
-        Rank64 rank;
-        rests.forEachBucket([&](const RestTable::Bucket& b) {
-            restLits += b.minDeg;
-            if (rankBound) rank.add(b.coef);
-        });
-        const std::size_t minPairs =
-            rankBound ? rank.rank() : (rests.empty() ? 0 : 1);
-        out.untouchedLits[i] = totalLits - touchedLits;
-        out.bound[i] = out.untouchedLits[i] + restLits + 3 * minPairs;
-    }
+    for (const auto i : kept) used = used.unionWith(candidates[i]);
+    const TermIndex index(terms, used, ids, pool, lanes);
+    std::vector<std::unique_ptr<BoundLane>> scratch(
+        std::max<std::size_t>(1, lanes));
+    forEachClaimed(pool, lanes, kept.size(), kBoundChunk,
+                   [&](std::size_t lane, std::size_t k) {
+                       if (!scratch[lane])
+                           scratch[lane] = std::make_unique<BoundLane>(
+                               terms.size(), index.maskWords);
+                       boundCandidate(terms, index, candidates[kept[k]],
+                                      *scratch[lane], out, kept[k]);
+                   });
     return out;
 }
 
@@ -346,7 +471,7 @@ FindBasisOptions probeFindBasisOptions(const GroupOptions& opt) {
     return fb;
 }
 
-/// Per-worker incremental state. The MergeContext's membership indexer —
+/// Per-lane incremental state. The MergeContext's membership indexer —
 /// with its solver scratch, memoized monomial products and the
 /// content-addressed spanning-set pool — persists across probes, so
 /// candidates share interned monomials and span constructions instead of
@@ -399,47 +524,50 @@ struct ProbeContext::Workspace {
         }
     }
 
-    /// Scores candidate `index` on its indexed pairs. The basis is
-    /// decoded only when (score, index) beats `best` — the best of the
-    /// completed waves and of this lane's earlier probes in this wave —
-    /// which `best` then becomes: any other probe cannot win the wave.
-    Scored probe(const anf::Anf& folded, const anf::VarSet& group,
-                 std::size_t index, const ring::IdentityDb& ids,
-                 const FindBasisOptions& fb,
-                 const std::vector<std::uint32_t>& touched,
-                 std::size_t untouchedLits,
-                 std::pair<std::size_t, std::size_t>& best) {
+    /// Scores candidate `index` on its indexed pairs into `slot`, with
+    /// the membership counts deferred into slot.tally. The basis is
+    /// decoded only when (score, index) beats `best` — the committed best
+    /// this lane last saw and its own earlier probes — which `best` then
+    /// becomes. The committer keeps a probe as the winner only if it beats
+    /// everything committed before it, and that is never more than `best`
+    /// (see ProbeContext::sweep), so the winner always has its basis.
+    void probe(const anf::Anf& folded, const anf::VarSet& group,
+               std::size_t index, const ring::IdentityDb& ids,
+               const FindBasisOptions& fb,
+               const std::vector<std::uint32_t>& touched,
+               std::size_t untouchedLits,
+               std::pair<std::size_t, std::size_t>& best, Slot& slot) {
         if (ctx.membership.indexer.size() > kIndexerCap) ctx = MergeContext{};
         ctx.membership.sharedSpans = &spans;
+        ctx.membership.deferred = &slot.tally;
         const anf::MonomialIndexer& ix = ctx.membership.indexer;
         SplitHints hints;
         hints.touchedTerms = &touched;
         hints.skipUntouched = true;  // the sweep knows its literal count
         IndexedBasis basis =
             findBasisIndexed(ctx, folded, group, ids, fb, ringOf_, hints);
+        ctx.membership.deferred = nullptr;
         sortPairs(ix, basis.pairs);
-        Scored s;
-        s.exhausted = basis.budgetExhausted;
-        s.score = scoreOf(basis.pairs, untouchedLits,
-                          [&](const anf::IndexedAnf& e) {
-                              return e.literalCount(ix);
-                          });
-        if (std::pair{s.score, index} < best) {
-            best = {s.score, index};
-            s.raw = materialize(ix, std::move(basis));
+        slot.exhausted = basis.budgetExhausted;
+        slot.score = scoreOf(basis.pairs, untouchedLits,
+                             [&](const anf::IndexedAnf& e) {
+                                 return e.literalCount(ix);
+                             });
+        if (std::pair{slot.score, index} < best) {
+            best = {slot.score, index};
+            slot.raw = materialize(ix, std::move(basis));
         }
-        return s;
     }
 };
 
-ProbeContext::ProbeContext(std::size_t threads,
+ProbeContext::ProbeContext(std::size_t lanes,
                            std::shared_ptr<util::ThreadPool> pool)
-    : threads_(threads), pool_(std::move(pool)) {}
+    : lanes_(std::max<std::size_t>(1, lanes)), pool_(std::move(pool)) {}
 
 ProbeContext::~ProbeContext() = default;
 
 util::ThreadPool& ProbeContext::pool() {
-    if (!pool_) pool_ = std::make_shared<util::ThreadPool>(threads_);
+    if (!pool_) pool_ = std::make_shared<util::ThreadPool>(lanes_ - 1);
     return *pool_;
 }
 
@@ -499,6 +627,10 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
             }
         }
     }
+    const auto kept = static_cast<std::size_t>(
+        std::count(keep.begin(), keep.end(), 1));
+    const std::size_t lanes = std::min(lanes_, kept);
+    util::ThreadPool* helpers = lanes > 1 ? &pool() : nullptr;
 
     // ---- Sound lower bound per candidate (candidateBounds). It doubles
     // as the ordering heuristic that sends likely winners into the early
@@ -506,14 +638,14 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
     // spend their attempts well. A sweep that fits in one wave prunes
     // nothing, so it only needs the touched lists.
     const auto terms = folded.terms();
-    const auto kept = static_cast<std::size_t>(
-        std::count(keep.begin(), keep.end(), 1));
     CandidateBounds cb;
     {
         obs::ScopedSpan boundSpan("probe.bound", "probe");
         const auto boundStart = std::chrono::steady_clock::now();
-        cb = kept <= kWaveSize ? scanTouched(terms, candidates, keep)
-                               : candidateBounds(terms, candidates, ids, keep);
+        cb = kept <= kWaveSize
+                 ? scanTouched(terms, candidates, keep, helpers, lanes)
+                 : candidateBounds(terms, candidates, ids, keep, helpers,
+                                   lanes);
         stats_.boundMs += std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - boundStart)
                               .count();
@@ -523,7 +655,7 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
     const auto& touched = cb.touched;
 
     std::vector<std::size_t> order;
-    order.reserve(n);
+    order.reserve(kept);
     for (std::size_t i = 0; i < n; ++i)
         if (keep[i]) order.push_back(i);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -531,95 +663,147 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
         return a < b;
     });
 
-    // ---- Wave loop. Early abandon is sound and tie-safe: a pruned
-    // candidate has score ≥ bound, so it can only lose to the current
-    // best — strictly on score, or on the (score, index) tie-break when
-    // its index is higher.
-    std::optional<BasisResult> bestRaw;
-    const std::size_t lanes = std::max<std::size_t>(1, threads_);
-    for (std::size_t waveStart = 0; waveStart < order.size();
-         waveStart += kWaveSize) {
-        const std::size_t waveEnd =
-            std::min(order.size(), waveStart + kWaveSize);
-        std::vector<std::size_t> runnable;
-        runnable.reserve(waveEnd - waveStart);
-        std::size_t wavePruned = 0;
-        for (std::size_t w = waveStart; w < waveEnd; ++w) {
-            const std::size_t i = order[w];
-            const bool prunable =
-                bound[i] > out.score ||
-                (bound[i] == out.score && i > out.index);
-            if (prunable) {
-                ++stats_.pruned;
-                ++wavePruned;
-            } else {
-                runnable.push_back(i);
-            }
-        }
-        static auto& cPruned = obs::counter("probe.pruned");
-        cPruned.add(wavePruned);
-        if (runnable.empty()) continue;
-        stats_.probed += runnable.size();
-        static auto& cProbed = obs::counter("probe.probed");
-        cProbed.add(runnable.size());
-        obs::ScopedSpan waveSpan("probe.wave", "probe");
-        if (waveSpan.live())
-            waveSpan.setDetail(
-                "wave=" + std::to_string(waveStart / kWaveSize) +
-                " probed=" + std::to_string(runnable.size()) +
-                " pruned=" + std::to_string(wavePruned));
-
-        std::vector<Scored> scored(runnable.size());
-        const std::size_t t = std::min(lanes, runnable.size());
-        if (t <= 1) {
-            Workspace& ws = workspace(0);
-            ws.beginSweep(ids, fb);
-            std::pair best{out.score, out.index};
-            for (std::size_t r = 0; r < runnable.size(); ++r) {
-                const std::size_t i = runnable[r];
-                scored[r] = ws.probe(folded, candidates[i], i, ids, fb,
-                                     touched[i], untouchedLits[i], best);
-            }
-        } else {
-            // Pre-create the workspaces on this thread; workers then only
-            // touch their own slot (and their own stride of `scored`).
-            std::vector<Workspace*> ws(t);
-            for (std::size_t slot = 0; slot < t; ++slot) {
-                ws[slot] = &workspace(slot);
-                ws[slot]->beginSweep(ids, fb);
-            }
-            std::vector<std::future<void>> futs;
-            futs.reserve(t);
-            for (std::size_t slot = 0; slot < t; ++slot) {
-                futs.push_back(pool().submit([&, slot] {
-                    std::pair best{out.score, out.index};
-                    for (std::size_t r = slot; r < runnable.size(); r += t) {
-                        const std::size_t i = runnable[r];
-                        scored[r] = ws[slot]->probe(
-                            folded, candidates[i], i, ids, fb, touched[i],
-                            untouchedLits[i], best);
-                    }
-                }));
-            }
-            for (auto& f : futs) f.get();
-        }
-
-        for (std::size_t r = 0; r < runnable.size(); ++r) {
-            const std::size_t i = runnable[r];
-            if (scoreHook) scoreHook(i, scored[r].score);
-            if (scored[r].exhausted) out.budgetExhausted = true;
-            if (std::pair{scored[r].score, i} <
-                std::pair{out.score, out.index}) {
-                // A lane decodes every probe that beats all its earlier
-                // ones, and this one beats everything before it.
-                PD_ASSERT(scored[r].raw.has_value());
-                out.score = scored[r].score;
-                out.index = i;
-                out.group = candidates[i];
-                bestRaw = std::move(scored[r].raw);
-            }
-        }
+    // ---- Speculative probing with an in-order committer. The serial rule
+    // is the wave rule: order is cut into waves of kWaveSize, and a
+    // candidate is pruned when its bound loses to the best of the waves
+    // before its own — strictly on score, or on the (score, index)
+    // tie-break when its index is higher. A pruned candidate has
+    // score ≥ bound, so it could only lose.
+    //
+    // Lanes claim positions in bound order from one cursor and prune
+    // against a snapshot of the committed best, waveBest[c] for the c
+    // waves committed so far. Bests only fall as waves commit, so the
+    // snapshot is never better than the best the serial rule sees: a lane
+    // never prunes a candidate the serial rule would probe. The sweeping
+    // thread commits positions in order, applying the serial rule to each
+    // with the best before its wave; a probe the rule prunes is discarded
+    // (booked as pruned and as a speculative discard). Committed probes
+    // alone update the winner, the budget flag, scoreHook and the
+    // probe.* and ring.member.* counters, so all of them equal the 1-lane
+    // sweep's. A committed winner beats every committed probe before it.
+    // Its lane's best held only its snapshot (committed probes before it)
+    // and its own earlier probes: committed ones come before it, and a
+    // discarded one scores ≥ its bound, which loses to the best before
+    // its wave and so to the winner. So the winner's lane decoded it.
+    std::vector<Workspace*> ws(lanes);
+    for (std::size_t slot = 0; slot < lanes; ++slot) {
+        ws[slot] = &workspace(slot);
+        ws[slot]->beginSweep(ids, fb);
     }
+    using Best = std::pair<std::size_t, std::size_t>;  // (score, index)
+    std::vector<Slot> slots(kept);
+    std::vector<Best> waveBest((kept + kWaveSize - 1) / kWaveSize + 1,
+                               Best{SIZE_MAX, SIZE_MAX});
+    std::atomic<std::size_t> committedWaves{0};
+    std::atomic<std::size_t> cursor{0};
+    std::vector<std::size_t> laneProbes(lanes, 0);
+
+    // Claims the next position; probes it unless the snapshot prunes it.
+    const auto claim = [&](std::size_t lane, Best& laneBest) {
+        const std::size_t pos =
+            cursor.fetch_add(1, std::memory_order_relaxed);
+        if (pos >= kept) return false;
+        const std::size_t i = order[pos];
+        Slot& slot = slots[pos];
+        const Best snapshot =
+            waveBest[committedWaves.load(std::memory_order_acquire)];
+        if (!(snapshot < Best{bound[i], i})) {
+            laneBest = std::min(laneBest, snapshot);
+            slot.probed = true;
+            ++laneProbes[lane];
+            try {
+                ws[lane]->probe(folded, candidates[i], i, ids, fb, touched[i],
+                                untouchedLits[i], laneBest, slot);
+            } catch (...) {
+                slot.error = std::current_exception();
+            }
+        }
+        slot.ready.store(1, std::memory_order_release);
+        slot.ready.notify_one();
+        return true;
+    };
+
+    std::optional<BasisResult> bestRaw;
+    std::size_t next = 0;  // first uncommitted position
+    std::size_t probed = 0;
+    std::size_t pruned = 0;
+    std::size_t discards = 0;
+    const auto commitReady = [&] {
+        for (; next < kept && slots[next].ready.load(std::memory_order_acquire);
+             ++next) {
+            const std::size_t wave = next / kWaveSize;
+            const std::size_t i = order[next];
+            Slot& slot = slots[next];
+            if (waveBest[wave] < Best{bound[i], i}) {
+                ++pruned;
+                if (slot.probed) ++discards;
+            } else {
+                PD_ASSERT(slot.probed);
+                if (slot.error) {
+                    cursor.store(kept);  // stop the lanes
+                    std::rethrow_exception(slot.error);
+                }
+                ++probed;
+                slot.tally.book();
+                if (scoreHook) scoreHook(i, slot.score);
+                if (slot.exhausted) out.budgetExhausted = true;
+                if (Best{slot.score, i} < Best{out.score, out.index}) {
+                    PD_ASSERT(slot.raw.has_value());
+                    out.score = slot.score;
+                    out.index = i;
+                    out.group = candidates[i];
+                    bestRaw = std::move(slot.raw);
+                }
+            }
+            slot.raw.reset();
+            if ((next + 1) % kWaveSize == 0 || next + 1 == kept) {
+                waveBest[wave + 1] = {out.score, out.index};
+                committedWaves.store(wave + 1, std::memory_order_release);
+            }
+        }
+    };
+
+    const std::uint64_t fp = obs::jobFingerprint();
+    const auto lane = [&](std::size_t k) {
+        Best laneBest{SIZE_MAX, SIZE_MAX};
+        if (k != 0) {
+            const FingerprintScope tag(fp);
+            obs::ScopedSpan laneSpan("probe.lane", "probe");
+            while (claim(k, laneBest)) {
+            }
+            if (laneSpan.live())
+                laneSpan.setDetail("lane=" + std::to_string(k) + " probes=" +
+                                   std::to_string(laneProbes[k]));
+            return;
+        }
+        do commitReady();
+        while (claim(0, laneBest));
+        while (next < kept) {
+            slots[next].ready.wait(0, std::memory_order_acquire);
+            commitReady();
+        }
+    };
+    const std::size_t ran = util::runLanes(helpers, lanes, lane);
+
+    std::size_t helperProbes = 0;
+    for (std::size_t lane = 1; lane < lanes; ++lane)
+        helperProbes += laneProbes[lane];
+    stats_.probed += probed;
+    stats_.pruned += pruned;
+    stats_.speculativeDiscards += discards;
+    stats_.helperProbes += helperProbes;
+    static auto& cProbed = obs::counter("probe.probed");
+    static auto& cPruned = obs::counter("probe.pruned");
+    static auto& cDiscards = obs::counter("probe.speculative_discards");
+    cProbed.add(probed);
+    cPruned.add(pruned);
+    cDiscards.add(discards);
+    if (sweepSpan.live())
+        sweepSpan.setDetail(
+            "candidates=" + std::to_string(n) + " lanes=" +
+            std::to_string(ran) + " helper_probes=" +
+            std::to_string(helperProbes) + " discards=" +
+            std::to_string(discards));
 
     out.winnerBasis = std::move(bestRaw);
     if (out.winnerBasis) {

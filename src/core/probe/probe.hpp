@@ -1,4 +1,4 @@
-// Incremental, work-shared, parallel group-selection probe sweep.
+// Incremental, work-shared, speculative group-selection probe sweep.
 //
 // findGroup scores each candidate group by running a full findBasis
 // probe and measuring the rewritten size (paper §5.1's selection
@@ -16,7 +16,7 @@
 //     distinct ring closure is built once, not once per probe), and the
 //     winner's findBasis result is handed to the caller for reuse. A
 //     probe sorts, minimizes and scores its pairs in the indexed form
-//     and decodes them to Anf only when it can still win its wave;
+//     and decodes them to Anf only when it beats its lane's best;
 //   * candidate pruning — duplicate candidates are dropped (exact
 //     equality is the complete sound equivalence: rest-parts pin which
 //     variables a split removed, so distinct candidate sets always
@@ -32,17 +32,28 @@
 //     sweep of at most kWaveSize kept candidates cannot prune and skips
 //     it, scanning the terms once for the touched lists;
 //   * early abandon — a candidate whose lower bound already loses
-//     against the best fully-scored candidate is never probed;
-//   * intra-job parallelism — candidates fan out across a
-//     util::ThreadPool in fixed-size waves.
+//     against the best committed candidate is never probed;
+//   * work-conserving lanes — the sweeping thread probes as lane 0 and
+//     offers helper tickets to a util::ThreadPool (util::runLanes). In
+//     the engine that is the job pool, so a worker with no job left
+//     becomes a probe lane of a job still running. Lanes claim work from
+//     atomic cursors: blocks of terms and chunks of candidates in the
+//     bound pass, then positions in bound order in the probe phase. The
+//     sweep waits only for tickets a worker has started, so a busy pool
+//     just leaves the whole sweep to lane 0.
 //
 // Determinism contract: the sweep returns bit-identical outcomes (group,
 // score, winner index, budget-exhausted flag, winner basis) at every
-// thread count, including under probeMergeBudget truncation. Waves are a
-// fixed size, wave membership and pruning decisions depend only on
-// completed waves, each probe is independent of which worker ran it
-// (IndexedAnf semantics are id-injective), and the winner is the
-// (score, candidate index) lexicographic minimum — exactly the
+// lane count and under any schedule, including under probeMergeBudget
+// truncation, and so do scoreHook's sequence and the probe.* and
+// ring.member.* counters, except probe.speculative_discards. Probe lanes
+// prune against a snapshot of the best of fully committed waves of
+// kWaveSize positions, which is never better than the best the serial
+// wave rule uses, so they probe a superset of what it probes. The
+// sweeping thread commits positions in bound order under the serial
+// rule and discards the extra probes. Each probe is independent of which
+// lane ran it (IndexedAnf semantics are id-injective), and the winner is
+// the (score, candidate index) lexicographic minimum — exactly the
 // first-strict-minimum the sequential reference keeps.
 #pragma once
 
@@ -64,13 +75,13 @@ class ThreadPool;
 
 namespace pd::core::probe {
 
-/// Wave width of the parallel sweep. A fixed constant (never derived
-/// from the thread count) so that wave membership — and therefore every
-/// pruning decision and the budget-exhausted flag — is identical at any
-/// --probe-threads setting. 16 gives pruning a fine enough grain while
-/// leaving real fan-out for multi-core hosts. The first wave of a sweep
-/// is never pruned, so a sweep of at most kWaveSize candidates scores
-/// every one of them.
+/// Wave width of the serial pruning rule the sweep commits by. A fixed
+/// constant (never derived from the lane count) so that every pruning
+/// decision — and therefore the probe set and the budget-exhausted flag —
+/// is identical at any lane count. 16 gives pruning a fine enough grain
+/// while leaving lanes room to run ahead of the committer. The first
+/// wave of a sweep is never pruned, so a sweep of at most kWaveSize
+/// candidates scores every one of them.
 inline constexpr std::size_t kWaveSize = 16;
 
 /// Cumulative accounting across every sweep run through one context.
@@ -80,7 +91,11 @@ struct ProbeStats {
     std::uint64_t deduped = 0;      ///< dropped as duplicate/equivalent
     std::uint64_t probed = 0;       ///< full findBasis probes scored
     std::uint64_t pruned = 0;       ///< skipped by the lower-bound test
-    double boundMs = 0.0;           ///< wall time in candidateBounds
+    /// Lane probes the serial rule prunes, so the committer dropped them
+    /// (already counted in `pruned`). Depends on the schedule.
+    std::uint64_t speculativeDiscards = 0;
+    std::uint64_t helperProbes = 0;  ///< probes run by lanes other than 0
+    double boundMs = 0.0;           ///< wall time in the bound pass
 };
 
 /// Result of one sweep. `winnerBasis` is the winner's raw findBasis
@@ -125,22 +140,28 @@ struct CandidateBounds {
 /// identity, rests inside the variables of those variables' seed-ring
 /// generators are left out: a null-space merge can cancel them. Equals
 /// the explicit-map reference in tests/probe_test.cpp barring 64-bit key
-/// collisions, and stays sound under any collision.
+/// collisions, and stays sound under any collision. With a `pool` and
+/// `lanes` > 1, the term index is built by blocks of terms and the
+/// candidates are bounded in chunks over up to `lanes` lanes (see
+/// util::runLanes); each lane has its own rest table and scratch, and the
+/// result is identical at every lane count.
 [[nodiscard]] CandidateBounds candidateBounds(
     std::span<const anf::Monomial> terms,
     const std::vector<anf::VarSet>& candidates, const ring::IdentityDb& ids,
-    std::span<const char> keep = {});
+    std::span<const char> keep = {}, util::ThreadPool* pool = nullptr,
+    std::size_t lanes = 1);
 
-/// Sweep engine. One context serves a whole decompose run: per-worker
+/// Sweep engine. One context serves a whole decompose run: per-lane
 /// workspaces persist across sweeps (the indexer only grows), while the
 /// ring caches reset each sweep (the identity database mutates between
 /// iterations). Not thread-safe itself — one context per decompose run.
 class ProbeContext {
 public:
-    /// `threads` ≤ 1 probes inline on the calling thread. With more, the
-    /// sweep fans out over `pool` when given (the engine shares one pool
-    /// across jobs) or over a lazily created private pool otherwise.
-    explicit ProbeContext(std::size_t threads = 0,
+    /// `lanes` ≤ 1 probes on the calling thread alone. With more, each
+    /// sweep offers lanes − 1 helper tickets to `pool` when given (the
+    /// engine's job pool) or to a lazily created private pool of
+    /// lanes − 1 threads otherwise.
+    explicit ProbeContext(std::size_t lanes = 0,
                           std::shared_ptr<util::ThreadPool> pool = nullptr);
     ~ProbeContext();
 
@@ -155,7 +176,6 @@ public:
                                      const GroupOptions& opt);
 
     [[nodiscard]] const ProbeStats& stats() const { return stats_; }
-    [[nodiscard]] std::size_t threads() const { return threads_; }
 
     /// Bench/test hook: when set, every sweep reports its inputs before
     /// probing (the folded expression, the candidate list, the identity
@@ -168,8 +188,8 @@ public:
         captureHook;
 
     /// Test hook: called on the sweeping thread with the input index and
-    /// score of every probed candidate, in a thread-count-independent
-    /// order. Never affects results.
+    /// score of every committed probe, in bound order at every lane
+    /// count. Never affects results.
     std::function<void(std::size_t index, std::size_t score)> scoreHook;
 
 private:
@@ -178,7 +198,7 @@ private:
     util::ThreadPool& pool();
     Workspace& workspace(std::size_t slot);
 
-    std::size_t threads_ = 0;
+    std::size_t lanes_ = 1;
     std::shared_ptr<util::ThreadPool> pool_;   ///< external or lazily owned
     std::vector<std::unique_ptr<Workspace>> workspaces_;
     std::uint64_t epoch_ = 0;   ///< bumped per sweep; ring caches key on it

@@ -298,14 +298,13 @@ Engine::Engine(EngineOptions opt)
     : opt_(opt),
       lib_(synth::CellLibrary::umc130()),
       cache_(opt.cacheCapacity),
-      pool_(opt.jobs == 0 ? 1 : opt.jobs) {
+      pool_(std::make_shared<util::ThreadPool>(
+          std::max({opt.jobs, opt.probeThreads, std::size_t{1}}))) {
     // Registered up front so every report carries them, zeros included:
     // the warm-start gate demands engine.spec.expansions == 0.
     for (const char* name : {"engine.spec.expansions", "cache.index.hits",
                              "cache.index.misses", "cache.digest_mismatch"})
         (void)obs::counter(name);
-    if (opt_.probeThreads > 1)
-        probePool_ = std::make_shared<util::ThreadPool>(opt_.probeThreads);
     if (opt_.verifyThreads > 1)
         verifyPool_ = std::make_shared<util::ThreadPool>(opt_.verifyThreads);
     persist_.file = opt_.cacheFile;
@@ -429,10 +428,10 @@ std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
 
     std::vector<std::future<void>> pullers;
     const std::size_t threads =
-        std::min(pool_.threadCount(),
+        std::min(std::max<std::size_t>(opt_.jobs, 1),
                  specs.size() - sched.wireJobs().size());
     for (std::size_t t = 0; t < threads; ++t)
-        pullers.push_back(pool_.submit([this, &sched, &specs] {
+        pullers.push_back(pool_->submit([this, &sched, &specs] {
             while (!util::shutdownRequested()) {
                 const auto index = sched.stealLocal();
                 if (!index) return;
@@ -515,9 +514,11 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
         if (PD_FAULT("engine.merge.budget")) dopt.mergeAttemptBudget = 1;
         // Probe parallelism is purely a scheduling knob (results are
         // deterministic at any setting), so it is not part of the cache
-        // key; jobs without their own setting adopt the engine's.
-        if (dopt.probeThreads == 0) dopt.probeThreads = opt_.probeThreads;
-        if (dopt.probeThreads > 1) dopt.probePool = probePool_;
+        // key. Sweeps get a lane per job-pool thread; helper lanes only
+        // run on workers that are idle.
+        dopt.probeThreads =
+            std::max(dopt.probeThreads, pool_->threadCount());
+        if (dopt.probeThreads > 1) dopt.probePool = pool_;
 
         ResolvedJob job;
         job.bench = benchmarkOf(spec);

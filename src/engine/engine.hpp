@@ -52,12 +52,14 @@ struct EngineOptions {
     /// DecomposeOptions::maxIterations for every job, bounding worst-case
     /// latency of a batch at the price of possibly unconverged results.
     std::size_t conflictBudget = 0;
-    /// Worker threads for each job's group-selection probe sweep
-    /// (intra-job parallelism, orthogonal to `jobs`). Jobs whose own
-    /// DecomposeOptions::probeThreads is 0 adopt this value; all jobs
-    /// share one engine-owned probe pool. The sweep is deterministic, so
-    /// results are bit-identical at every setting — the knob is not part
-    /// of cache keys or the persist fingerprint.
+    /// Lanes for each job's group-selection probe sweep (intra-job
+    /// parallelism). The job pool has max(jobs, probeThreads) threads, and
+    /// every sweep runs with as many lanes as that (or its job's own
+    /// DecomposeOptions::probeThreads, if larger); helper lanes run only on
+    /// pool workers that are idle, so with jobs > 1 the last jobs of a
+    /// batch borrow the workers that ran out of jobs. The sweep is
+    /// deterministic, so results are bit-identical at every setting — the
+    /// knob is not part of cache keys or the persist fingerprint.
     std::size_t probeThreads = 0;
     /// Verification effort for simulation-checked jobs.
     sim::EquivOptions equiv;
@@ -239,14 +241,16 @@ private:
     /// Worker records adopted since the last flush arrive via restore(),
     /// which does not move the generation.
     bool unflushedRecords_ = false;
-    util::ThreadPool pool_;
-    /// Shared probe-sweep pool (EngineOptions::probeThreads > 1). A
-    /// separate pool from `pool_`: job tasks block on probe futures, so
-    /// running both through one pool could deadlock with every worker
+    /// The job pool, max(jobs, probeThreads) threads. `jobs` of them pull
+    /// jobs; the rest, and every puller that finds no job left, serve the
+    /// probe sweeps' helper tickets. A sweep never waits for a ticket no
+    /// worker has started (util::runLanes), so jobs and their probe lanes
+    /// share one pool without a wait deadlock.
+    std::shared_ptr<util::ThreadPool> pool_;
+    /// Shared SAT-portfolio pool (EngineOptions::verifyThreads > 1). A
+    /// separate pool from `pool_`: a job blocks on its searchers' futures,
+    /// so running both through one pool could deadlock with every worker
     /// parked on a wait.
-    std::shared_ptr<util::ThreadPool> probePool_;
-    /// Shared SAT-portfolio pool (EngineOptions::verifyThreads > 1),
-    /// separate from `pool_` for the same wait-deadlock reason.
     std::shared_ptr<util::ThreadPool> verifyPool_;
 };
 

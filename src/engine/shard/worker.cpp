@@ -114,6 +114,10 @@ bool parseValue(std::string_view flag, const std::string& text, int& out,
 template <std::unsigned_integral T>
 bool parseValue(std::string_view flag, const std::string& text, T& out,
                 std::string& error) {
+    // Thread counts get the command line's cap, so no argv can make a
+    // worker ask the OS for millions of threads.
+    if (flag == "--probe-threads" || flag == "--verify-threads")
+        return util::parseParallelism(flag, text, out, error);
     return util::parseCount(flag, text, out, error);
 }
 

@@ -6,11 +6,42 @@
 #include "obs/obs.hpp"
 
 namespace pd::ring {
+namespace {
+
+obs::Counter& queriesCounter() {
+    static auto& c = obs::counter("ring.member.queries");
+    return c;
+}
+obs::Counter& supportRejectsCounter() {
+    static auto& c = obs::counter("ring.member.support_rejects");
+    return c;
+}
+obs::Counter& solvesCounter() {
+    static auto& c = obs::counter("ring.member.solves");
+    return c;
+}
+
+/// Counts one event of `field` into the context's deferred tally, or
+/// straight into `counter` when nothing defers.
+void tally(const MembershipContext& ctx, std::uint64_t MemberTally::*field,
+           obs::Counter& counter) {
+    if (ctx.deferred)
+        ++(ctx.deferred->*field);
+    else
+        counter.add();
+}
+
+}  // namespace
+
+void MemberTally::book() const {
+    queriesCounter().add(queries);
+    supportRejectsCounter().add(supportRejects);
+    solvesCounter().add(solves);
+}
 
 SumMembership memberOfSum(const anf::Anf& target, const NullSpaceRing& r1,
                           const NullSpaceRing& r2, std::size_t maxSpan) {
-    static auto& cQueries = obs::counter("ring.member.queries");
-    cQueries.add();
+    queriesCounter().add();
     SumMembership out;
     if (target.isZero()) {
         out.member = true;
@@ -81,8 +112,7 @@ IndexedSumMembership memberOfSum(MembershipContext& ctx,
                                  const NullSpaceRing& r1,
                                  const NullSpaceRing& r2,
                                  std::size_t maxSpan) {
-    static auto& cQueries = obs::counter("ring.member.queries");
-    cQueries.add();
+    tally(ctx, &MemberTally::queries, queriesCounter());
     IndexedSumMembership out;
     if (target.isZero()) {
         out.member = true;
@@ -103,9 +133,7 @@ IndexedSumMembership memberOfSum(MembershipContext& ctx,
             outside = outside || !m.subsetOf(reach);
         });
         if (outside) {
-            static auto& cRejects =
-                obs::counter("ring.member.support_rejects");
-            cRejects.add();
+            tally(ctx, &MemberTally::supportRejects, supportRejectsCounter());
             return out;
         }
     }
@@ -133,9 +161,7 @@ IndexedSumMembership memberOfSum(MembershipContext& ctx,
             if (tw & ~mw) return out;
         }
     }
-    ++ctx.solves_;
-    static auto& cSolves = obs::counter("ring.member.solves");
-    cSolves.add();
+    tally(ctx, &MemberTally::solves, solvesCounter());
     // Only solves slower than 20µs are worth a trace slot — membership
     // runs ~10^5 times per job and the ring would otherwise wrap
     // instantly; the counter above stays exact regardless.

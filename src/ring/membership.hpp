@@ -60,8 +60,19 @@ struct IndexedSumMembership {
     anf::IndexedAnf part2;  ///< element of span(R₂'s spanning set)
 };
 
-/// Shared state for a run of membership queries: the monomial id space,
-/// the column-assignment scratch, and query statistics. One context spans
+/// Counts of the queries run through one MembershipContext, for a caller
+/// that books them later or never (see MembershipContext::deferred).
+struct MemberTally {
+    std::uint64_t queries = 0;
+    std::uint64_t supportRejects = 0;
+    std::uint64_t solves = 0;
+
+    /// Adds the counts to the ring.member.* counters.
+    void book() const;
+};
+
+/// Shared state for a run of membership queries: the monomial id space
+/// and the column-assignment scratch. One context spans
 /// one merge phase (or one findGroup's probe sweep); the indexer grows
 /// monotonically across queries and the rings' spanning-set caches are
 /// keyed to it.
@@ -74,8 +85,10 @@ public:
     /// context recycles). Not owned.
     NullSpaceRing::SpanPool* sharedSpans = nullptr;
 
-    /// Number of GF(2) solves actually performed through this context.
-    [[nodiscard]] std::uint64_t solves() const { return solves_; }
+    /// When set, queries count here instead of in the ring.member.*
+    /// counters: a speculative probe sweep books only the probes it keeps,
+    /// so the counters stay independent of the schedule. Not owned.
+    MemberTally* deferred = nullptr;
 
     /// The ring's indexed spanning set, served content-addressed: rings
     /// are copied by value into pairs, so the per-object span cache goes
@@ -103,7 +116,6 @@ private:
     std::vector<std::uint32_t> localOf_;
     std::vector<std::uint32_t> stamp_;
     std::uint32_t generation_ = 0;
-    std::uint64_t solves_ = 0;
     /// Generator-content hash → (generator sequence, shared span). The
     /// generator copy pins the key; spans are immutable shared state.
     std::unordered_map<

@@ -4,6 +4,7 @@
 
 #include <charconv>
 #include <concepts>
+#include <cstddef>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -22,6 +23,25 @@ bool parseCount(std::string_view flag, std::string_view text, T& out,
     error = "option " + std::string(flag) +
             " expects a non-negative integer, got '" + std::string(text) + "'";
     if (ec == std::errc::result_out_of_range) error += " (out of range)";
+    return false;
+}
+
+/// The most threads or processes one count on a command line may ask for:
+/// --jobs, --probe-threads, --verify-threads and --shards, and the thread
+/// counts a shard worker decodes from its argv. Far above the cores of any
+/// host this runs on, far below a count that would exhaust the OS.
+inline constexpr std::size_t kMaxParallelism = 256;
+
+/// parseCount() for a thread or process count: rejects a value above
+/// kMaxParallelism before anything is started with it.
+template <std::unsigned_integral T>
+bool parseParallelism(std::string_view flag, std::string_view text, T& out,
+                      std::string& error) {
+    if (!parseCount(flag, text, out, error)) return false;
+    if (out <= kMaxParallelism) return true;
+    error = "option " + std::string(flag) + " expects at most " +
+            std::to_string(kMaxParallelism) + ", got '" + std::string(text) +
+            "'";
     return false;
 }
 

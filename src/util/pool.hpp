@@ -1,10 +1,11 @@
-// Fixed-size worker pool with a FIFO work queue.
+// Fixed-size worker pool with a FIFO work queue, and runLanes(), which
+// lends a pool's idle workers to a parallel loop without ever waiting
+// for one.
 //
 // submit() hands back a future so the caller chooses the result order:
 // the batch engine collects futures in spec order, making batch output
 // deterministic and independent of how jobs were scheduled across
-// workers; the probe sweep collects futures in candidate order for the
-// same reason. Exceptions thrown by a task are captured in its future
+// workers. Exceptions thrown by a task are captured in its future
 // (std::packaged_task semantics) — a crashing task never takes a worker
 // thread down.
 //
@@ -45,6 +46,9 @@ public:
         return fut;
     }
 
+    /// Enqueues `fn` with no future; `fn` must not throw.
+    void post(std::function<void()> fn) { enqueue(std::move(fn)); }
+
     [[nodiscard]] std::size_t threadCount() const { return workers_.size(); }
 
 private:
@@ -57,5 +61,19 @@ private:
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };
+
+/// Runs `body(0)` on the calling thread and offers `lanes - 1` helper
+/// tickets to `pool`. A ticket that a worker starts while body(0) is
+/// still running calls body(k) with the next free lane number k in
+/// [1, lanes); a ticket that starts later returns at once. Returns once
+/// body(0) has returned and every started ticket has finished, and
+/// rethrows the first exception of any lane. It never waits for a ticket
+/// no worker has picked up, so it is safe to call from a task of the same
+/// pool, and a pool whose every worker is busy costs only queue entries:
+/// the caller then runs the whole loop as lane 0. `body` must therefore
+/// hand out its work dynamically (an atomic cursor), never by lane number.
+/// Returns the number of lanes that ran, the caller's included.
+std::size_t runLanes(ThreadPool* pool, std::size_t lanes,
+                     const std::function<void(std::size_t lane)>& body);
 
 }  // namespace pd::util

@@ -5,7 +5,8 @@
 // reference guard, error isolation, the worker pool's exception capture,
 // LRU eviction, SAT verification through the result cache (a hit
 // replays the donor's block, a fault-starved verify is never
-// published), and the JSON reporter.
+// published), the default batch at 4 jobs against 1 (jobs and sweep
+// counters), and the JSON reporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <unordered_map>
 
 #include "anf/parser.hpp"
+#include "circuits/registry.hpp"
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/report_json.hpp"
@@ -81,6 +83,65 @@ TEST(Engine, DeterministicAcrossThreadCounts) {
         EXPECT_EQ(r1[i].name, r8[i].name);
         expectSameSemantics(r1[i], r8[i]);
     }
+}
+
+/// The report's jobs array with every timing zeroed: all of a job that
+/// must not depend on the schedule.
+std::string jobsWithoutTiming(std::vector<JobResult> results) {
+    for (auto& r : results) {
+        r.wallMs = 0.0;
+        r.cpuMs = 0.0;
+        r.phases = {};
+    }
+    std::ostringstream os;
+    writeBatchReport(os, EngineOptions{}, results, ResultCache::Stats{});
+    const std::string doc = os.str();
+    const auto from = doc.find("\"jobs\":");
+    const auto to = doc.find("\"resilience\":");
+    EXPECT_NE(from, std::string::npos);
+    EXPECT_NE(to, std::string::npos);
+    return doc.substr(from, to - from);
+}
+
+/// What a run added to the probe.* and ring.member.* counters, except
+/// probe.speculative_discards, which depends on the schedule by design.
+std::map<std::string, std::uint64_t> sweepCounterDelta(
+    const obs::MetricsSnapshot& before) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] :
+         obs::deltaMetrics(obs::snapshotMetrics(), before).counters)
+        if ((name.starts_with("probe.") || name.starts_with("ring.member.")) &&
+            name != "probe.speculative_discards")
+            out[name] = value;
+    return out;
+}
+
+TEST(Engine, DefaultBatchAtFourJobsEqualsOneJob) {
+    // At --jobs 4 every sweep runs on 4 lanes whose helpers are whichever
+    // job workers are idle, so the schedule differs from run to run; jobs
+    // (timing aside) and the sweep counters must not.
+    std::vector<JobSpec> specs;
+    for (const auto& name : circuits::benchmarkNames(false)) {
+        JobSpec s;
+        s.benchmark = name;
+        specs.push_back(std::move(s));
+    }
+    std::vector<std::string> jobs;
+    std::vector<std::map<std::string, std::uint64_t>> counters;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        EngineOptions opt;
+        opt.jobs = threads;
+        opt.cacheCapacity = 0;
+        const auto before = obs::snapshotMetrics();
+        const auto results = runBatch(specs, opt);
+        for (const auto& r : results) EXPECT_TRUE(r.ok) << r.name;
+        counters.push_back(sweepCounterDelta(before));
+        jobs.push_back(jobsWithoutTiming(results));
+    }
+    EXPECT_GT(counters[0]["probe.probed"], 0u);
+    EXPECT_GT(counters[0]["ring.member.queries"], 0u);
+    EXPECT_EQ(counters[0], counters[1]);
+    EXPECT_EQ(jobs[0], jobs[1]);
 }
 
 TEST(Engine, CacheHitOnResubmittedIdenticalSpec) {

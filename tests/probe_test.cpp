@@ -1,11 +1,17 @@
-// Probe-sweep tests: the incremental parallel group-selection sweep
-// (core/probe) against the sequential PR-4 reference, including under
-// probeMergeBudget truncation, plus decompose-level determinism at every
-// probe-thread setting and winner-basis reuse correctness.
+// Probe-sweep tests: the incremental speculative group-selection sweep
+// (core/probe) against the sequential PR-4 reference and against its own
+// 1-lane run, including under probeMergeBudget truncation, a starved
+// pool and tickets that outlive their context, plus decompose-level
+// determinism at every probe-thread setting and winner-basis reuse
+// correctness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <memory>
 #include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +25,7 @@
 #include "core/minimize.hpp"
 #include "core/probe/probe.hpp"
 #include "ring/identity_db.hpp"
+#include "util/pool.hpp"
 
 namespace pd::core {
 namespace {
@@ -496,37 +503,48 @@ TEST(CandidateBounds, NullSpaceMergesMayCancelRests) {
     expectBoundsMatchReference(folded, candidates, ids);
 }
 
+/// One sweep's inputs, as a real decompose ran it.
+struct CapturedSweep {
+    Anf folded;
+    std::vector<anf::VarSet> candidates;
+    ring::IdentityDb ids;
+};
+
+/// Every sweep of the first `iterations` iterations of decomposing the
+/// registry benchmark `name` (variables in `vt`).
+std::vector<CapturedSweep> captureSweeps(const char* name,
+                                         std::size_t iterations,
+                                         VarTable& vt) {
+    std::vector<CapturedSweep> sweeps;
+    const auto bench = circuits::makeNamedBenchmark(name);
+    if (!bench) return sweeps;
+    const auto outs = bench->anf(vt);
+    DecomposeOptions dopt;
+    dopt.maxIterations = iterations;
+    dopt.probeCaptureHook = [&](const Anf& f,
+                                const std::vector<anf::VarSet>& c,
+                                const ring::IdentityDb& i) {
+        sweeps.push_back({f, c, i});
+    };
+    (void)decompose(vt, outs, bench->outputNames, dopt);
+    return sweeps;
+}
+
 TEST(CandidateBounds, NeverExceedTheScoreOnRealSweeps) {
     // Replay real sweeps, identity-touching candidates included, and
     // score every distinct candidate: chunks of at most kWaveSize
     // candidates run in one wave, so nothing is pruned.
     std::size_t withIds = 0;
     for (const auto& [name, iterations] :
-         {std::pair{"counter16", 256}, std::pair{"lod32", 256},
-          std::pair{"majority15", 256}, std::pair{"lzd16", 256},
-          std::pair{"comparator8", 256}, std::pair{"mul4", 4}}) {
-        struct Captured {
-            Anf folded;
-            std::vector<anf::VarSet> candidates;
-            ring::IdentityDb ids;
-        };
-        std::vector<Captured> sweeps;
-        const auto bench = circuits::makeNamedBenchmark(name);
-        ASSERT_TRUE(bench.has_value());
+         {std::pair{"counter16", 256u}, std::pair{"lod32", 256u},
+          std::pair{"majority15", 256u}, std::pair{"lzd16", 256u},
+          std::pair{"comparator8", 256u}, std::pair{"mul4", 4u}}) {
         VarTable vt;
-        const auto outs = bench->anf(vt);
-        DecomposeOptions dopt;
-        dopt.maxIterations = static_cast<std::size_t>(iterations);
-        dopt.probeCaptureHook = [&](const Anf& f,
-                                    const std::vector<anf::VarSet>& c,
-                                    const ring::IdentityDb& i) {
-            sweeps.push_back({f, c, i});
-        };
-        (void)decompose(vt, outs, bench->outputNames, dopt);
+        const auto sweeps = captureSweeps(name, iterations, vt);
         ASSERT_FALSE(sweeps.empty()) << name;
 
         GroupOptions opt;
-        opt.probeMergeBudget = dopt.mergeAttemptBudget;
+        opt.probeMergeBudget = kDefaultMergeAttemptBudget;
         probe::ProbeContext ctx;
         std::size_t checked = 0;
         for (const auto& sw : sweeps) {
@@ -558,6 +576,186 @@ TEST(CandidateBounds, NeverExceedTheScoreOnRealSweeps) {
         EXPECT_GT(checked, 0u) << name;
     }
     EXPECT_GT(withIds, 0u) << "no identity-touching candidate scored";
+}
+
+// ---- speculative lanes ------------------------------------------------------
+
+/// A sweep as seen from outside: its outcome, the scoreHook sequence and
+/// its probe counts.
+struct SweepRecord {
+    probe::SweepOutcome out;
+    std::vector<std::pair<std::size_t, std::size_t>> hook;
+    std::uint64_t probed = 0;
+    std::uint64_t pruned = 0;
+};
+
+SweepRecord recordSweep(probe::ProbeContext& ctx, const CapturedSweep& sw,
+                        const GroupOptions& opt) {
+    SweepRecord r;
+    const probe::ProbeStats before = ctx.stats();
+    ctx.scoreHook = [&](std::size_t i, std::size_t score) {
+        r.hook.emplace_back(i, score);
+    };
+    r.out = ctx.sweep(sw.folded, sw.candidates, sw.ids, opt);
+    ctx.scoreHook = nullptr;
+    r.probed = ctx.stats().probed - before.probed;
+    r.pruned = ctx.stats().pruned - before.pruned;
+    return r;
+}
+
+void expectSameRecord(const SweepRecord& want, const SweepRecord& got) {
+    expectSameOutcome(want.out, got.out);
+    EXPECT_EQ(want.hook, got.hook);
+    EXPECT_EQ(want.probed, got.probed);
+    EXPECT_EQ(want.pruned, got.pruned);
+    ASSERT_EQ(want.out.winnerBasis.has_value(),
+              got.out.winnerBasis.has_value());
+    if (!want.out.winnerBasis) return;
+    const auto& a = *want.out.winnerBasis;
+    const auto& b = *got.out.winnerBasis;
+    ASSERT_EQ(a.pairs.size(), b.pairs.size());
+    for (std::size_t i = 0; i < a.pairs.size(); ++i) {
+        EXPECT_EQ(a.pairs[i].first, b.pairs[i].first);
+        EXPECT_EQ(a.pairs[i].second, b.pairs[i].second);
+    }
+    EXPECT_EQ(a.untouched, b.untouched);
+}
+
+TEST(ProbeLanes, CursorSweepMatchesOneLaneAndReferenceOnRealSweeps) {
+    // Every captured sweep at 1, 2 and 4 lanes, at the default merge
+    // budget and at one that truncates probes: winner, score, budget
+    // flag, winner basis, scoreHook sequence and probed/pruned all equal
+    // the 1-lane sweep's. A prefix of each mul4 and counter16 sweep (one
+    // full wave and part of a second, so the bound pass runs and pruning
+    // can fire) is also checked against the reference, which rebuilds
+    // every probe from scratch and is too slow for adder3_9's terms.
+    std::uint64_t helperProbes = 0;
+    for (const auto& [name, iterations] :
+         {std::pair{"mul4", 5u}, std::pair{"counter16", 256u},
+          std::pair{"adder3_9", 3u}}) {
+        VarTable vt;
+        const auto sweeps = captureSweeps(name, iterations, vt);
+        ASSERT_FALSE(sweeps.empty()) << name;
+        for (const std::size_t budget :
+             {kDefaultMergeAttemptBudget, std::size_t{2}}) {
+            GroupOptions opt;
+            opt.probeMergeBudget = budget;
+            probe::ProbeContext one(1);
+            probe::ProbeContext two(2);
+            probe::ProbeContext four(4);
+            for (const auto& sw : sweeps) {
+                SCOPED_TRACE(std::string(name) + " budget " +
+                             std::to_string(budget));
+                const auto want = recordSweep(one, sw, opt);
+                expectSameRecord(want, recordSweep(two, sw, opt));
+                expectSameRecord(want, recordSweep(four, sw, opt));
+
+                if (sw.folded.termCount() > 20000) continue;
+                CapturedSweep prefix = sw;
+                prefix.candidates.resize(
+                    std::min<std::size_t>(prefix.candidates.size(), 20));
+                probe::ProbeContext fresh(4);
+                const auto got = fresh.sweep(prefix.folded, prefix.candidates,
+                                             prefix.ids, opt);
+                const auto ref = probe::referenceSweep(
+                    prefix.folded, prefix.candidates, prefix.ids, opt);
+                expectSameOutcome(ref, got);
+            }
+            EXPECT_EQ(one.stats().helperProbes, 0u);
+            EXPECT_EQ(one.stats().speculativeDiscards, 0u);
+            helperProbes += two.stats().helperProbes +
+                            four.stats().helperProbes;
+        }
+    }
+    // The private pools' idle workers did take part.
+    EXPECT_GT(helperProbes, 0u);
+}
+
+/// Occupies `workers` workers of a pool until released. The tasks own
+/// what they touch, so the blocker may go before they finish.
+class PoolBlocker {
+public:
+    PoolBlocker(util::ThreadPool& pool, std::size_t workers) {
+        auto started = std::make_shared<std::atomic<std::size_t>>(0);
+        for (std::size_t t = 0; t < workers; ++t)
+            pool.post([started, gate = gate_] {
+                started->fetch_add(1);
+                gate.wait();
+            });
+        while (started->load() < workers) std::this_thread::yield();
+    }
+    void release() { release_.set_value(); }
+
+private:
+    std::promise<void> release_;
+    std::shared_future<void> gate_ = release_.get_future().share();
+};
+
+TEST(ProbeLanes, StarvedPoolLeavesTheSweepToItsOwnThread) {
+    // Every pool worker is blocked: no ticket ever starts, and the sweep
+    // runs alone on its own thread to the same result.
+    GroupOptions opt;
+    const auto w = makeWorkload(81, 12, 60, true, opt);
+    ASSERT_GT(w.candidates.size(), probe::kWaveSize);
+    const CapturedSweep sw{w.folded, w.candidates, w.ids};
+    auto pool = std::make_shared<util::ThreadPool>(2);
+    PoolBlocker blocker(*pool, 2);
+    probe::ProbeContext alone(1);
+    probe::ProbeContext starved(4, pool);
+    expectSameRecord(recordSweep(alone, sw, opt),
+                     recordSweep(starved, sw, opt));
+    EXPECT_EQ(starved.stats().helperProbes, 0u);
+    blocker.release();
+}
+
+TEST(ProbeLanes, QueuedTicketsOutliveTheirContext) {
+    // The context (and its workspaces) is destroyed while its sweeps'
+    // tickets still wait in the queue; released afterwards, the pool
+    // starts them, and they must return without touching the context.
+    GroupOptions opt;
+    auto pool = std::make_shared<util::ThreadPool>(1);
+    PoolBlocker blocker(*pool, 1);
+    {
+        probe::ProbeContext ctx(4, pool);
+        for (std::uint64_t seed = 82; seed <= 84; ++seed) {
+            const auto w = makeWorkload(seed, 12, 60, true, opt);
+            (void)ctx.sweep(w.folded, w.candidates, w.ids, opt);
+        }
+        EXPECT_EQ(ctx.stats().helperProbes, 0u);
+    }
+    blocker.release();
+    pool.reset();  // runs the stale tickets, then joins
+}
+
+TEST(CandidateBounds, LanesMatchOneLane) {
+    // The term index by blocks of terms (adder3_9 has hundreds of
+    // thousands) and the candidates by chunks, over 4 lanes, give exactly
+    // the 1-lane pass.
+    util::ThreadPool pool(3);
+    const auto expectSame = [&](std::span<const Monomial> terms,
+                                const std::vector<anf::VarSet>& candidates,
+                                const ring::IdentityDb& ids,
+                                std::span<const char> keep) {
+        const auto want = probe::candidateBounds(terms, candidates, ids, keep);
+        const auto got =
+            probe::candidateBounds(terms, candidates, ids, keep, &pool, 4);
+        EXPECT_EQ(want.bound, got.bound);
+        EXPECT_EQ(want.untouchedLits, got.untouchedLits);
+        EXPECT_EQ(want.touched, got.touched);
+    };
+    for (const auto& [name, iterations] :
+         {std::pair{"mul4", 5u}, std::pair{"adder3_9", 3u}}) {
+        VarTable vt;
+        for (const auto& sw : captureSweeps(name, iterations, vt))
+            expectSame(sw.folded.terms(), sw.candidates, sw.ids, {});
+    }
+    GroupOptions opt;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const auto w = makeWorkload(seed, 12, 60, seed % 2 == 0, opt);
+        std::vector<char> keep(w.candidates.size(), 1);
+        for (std::size_t i = 0; i < keep.size(); i += 3) keep[i] = 0;
+        expectSame(w.folded.terms(), w.candidates, w.ids, keep);
+    }
 }
 
 // ---- decompose-level determinism -------------------------------------------

@@ -38,6 +38,7 @@
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/fault/fault.hpp"
+#include "util/parse.hpp"
 #include "util/shutdown.hpp"
 
 namespace pd::engine::shard {
@@ -529,6 +530,9 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     rejects({"--equiv-seed", "-1"}, "non-negative integer, got '-1'");
     rejects({"--shard-id", "4294967296"}, "(out of range)");
     rejects({"--heartbeat-ms", "99999999999"}, "expects at most");
+    // Thread counts are capped before a worker starts any thread.
+    rejects({"--probe-threads", "257"}, "expects at most 256");
+    rejects({"--verify-threads", "1000000"}, "expects at most 256");
     rejects({"--connect"}, "--connect expects a value");
     // The socket the worker dials back is its only frame channel.
     rejects({"--shard-id", "3"}, "--connect <host:port> is required");
@@ -540,6 +544,36 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     ASSERT_TRUE(defaults.has_value()) << error;
     EXPECT_EQ(defaults->engine.shardHeartbeatMs,
               EngineOptions{}.shardHeartbeatMs);
+
+    // The cap itself is accepted (decoding starts no thread).
+    const std::vector<std::string> atCap = {
+        "--probe-threads", "256", "--verify-threads", "256", "--connect",
+        "127.0.0.1:4242"};
+    const auto capped = decodeWorkerArgs(atCap, error);
+    ASSERT_TRUE(capped.has_value()) << error;
+    EXPECT_EQ(capped->engine.probeThreads, util::kMaxParallelism);
+    EXPECT_EQ(capped->engine.verifyThreads, util::kMaxParallelism);
+}
+
+TEST(ParseParallelism, RejectsCountsAboveTheCap) {
+    std::string error;
+    std::size_t out = 0;
+    EXPECT_TRUE(util::parseParallelism("--jobs", "0", out, error));
+    EXPECT_EQ(out, 0u);
+    EXPECT_TRUE(util::parseParallelism("--jobs", "256", out, error));
+    EXPECT_EQ(out, util::kMaxParallelism);
+    for (const char* text : {"257", "1000000", "18446744073709551615"}) {
+        error.clear();
+        EXPECT_FALSE(util::parseParallelism("--shards", text, out, error))
+            << text;
+        EXPECT_NE(error.find("option --shards expects at most 256"),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_FALSE(util::parseParallelism("--jobs", "18446744073709551616",
+                                        out, error));
+    EXPECT_NE(error.find("(out of range)"), std::string::npos) << error;
+    EXPECT_FALSE(util::parseParallelism("--jobs", "4x", out, error));
 }
 
 // ---- end-to-end ------------------------------------------------------------

@@ -17,11 +17,15 @@
 //   --merge-budget <n>  anytime mode: cap on null-space merge solves per
 //                    decomposition phase (0 = unlimited; default 100000).
 //                    A truncated job reports budget_exhausted.
-//   --probe-threads <n>  worker threads for the group-selection probe
-//                    sweep inside each job (0/1 = sequential). The sweep
-//                    is deterministic: results are bit-identical at any
-//                    setting, so this is pure wall-clock on multi-core
-//                    hosts.
+//   --probe-threads <n>  lanes for the group-selection probe sweep inside
+//                    each job (0/1 = sequential); batch sweeps get at
+//                    least --jobs lanes, run by job workers that are idle.
+//                    The sweep is deterministic: results are bit-identical
+//                    at any setting, so this is pure wall-clock on
+//                    multi-core hosts.
+//   --jobs, --probe-threads, --verify-threads and --shards accept at most
+//                    256 (util::kMaxParallelism); a larger value is a usage
+//                    error (exit 64).
 //   --no-identities  / --no-nullspace / --no-sizered / --no-linmin
 // expr/bench only:
 //   --trace          print the per-iteration trace (paper Fig. 6 style)
@@ -254,6 +258,14 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
             std::cerr << error << "\n";
             return false;
         };
+        const auto parallelismArg = [&](std::size_t& out) {
+            std::string error = "option " + arg + " expects a value";
+            if (++i < argc &&
+                pd::util::parseParallelism(arg, argv[i], out, error))
+                return true;
+            std::cerr << error << "\n";
+            return false;
+        };
         const auto msArg = [&](int& out) {
             std::string error = "option " + arg + " expects a value";
             if (++i < argc && pd::util::parseMs(arg, argv[i], out, error))
@@ -297,7 +309,7 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                 return usage();
             }
         } else if (arg == "--jobs") {
-            if (!countArg(opt.engine.jobs)) return usage();
+            if (!parallelismArg(opt.engine.jobs)) return usage();
             if (!batchMode && opt.engine.jobs > 1)
                 std::cerr << "note: --jobs only parallelizes batch mode; "
                              "expr/bench run a single job\n";
@@ -314,7 +326,7 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
         } else if (arg == "--budget") {
             if (!countArg(opt.engine.conflictBudget)) return usage();
         } else if (arg == "--shards") {
-            if (!countArg(opt.engine.shards)) return usage();
+            if (!parallelismArg(opt.engine.shards)) return usage();
         } else if (arg == "--shard-wall-ms") {
             std::size_t ms = 0;
             if (!countArg(ms)) return usage();
@@ -351,7 +363,7 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                 return usage();
             }
         } else if (arg == "--verify-threads") {
-            if (!countArg(opt.engine.verifyThreads)) return usage();
+            if (!parallelismArg(opt.engine.verifyThreads)) return usage();
         } else if (arg == "--verify-conflict-budget") {
             if (!countArg(opt.engine.verifyConflictBudget)) return usage();
         } else if (arg == "--verify-prop-budget") {
@@ -359,7 +371,7 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
         } else if (arg == "--merge-budget") {
             if (!countArg(opt.decompose.mergeAttemptBudget)) return usage();
         } else if (arg == "--probe-threads") {
-            if (!countArg(opt.engine.probeThreads)) return usage();
+            if (!parallelismArg(opt.engine.probeThreads)) return usage();
         } else if (arg == "--trace") {
             opt.trace = true;
         } else if (arg == "--stats") {

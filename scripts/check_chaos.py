@@ -203,6 +203,24 @@ def run_matrix(cli, workdir, baseline):
     print(f"  {plan}: ok (exit 2, counter8 contained, "
           f"{resilience(r)['worker_crashes']} crashes)")
 
+    # --- the same crash with two jobs in flight per worker: the job
+    # beside counter8 is requeued free and alone, and only counter8 pays
+    plan = "targeted-crash-depth2"
+    r = run_batch(cli, workdir, plan,
+                  env_extra={"PD_SHARD_TEST_CRASH_JOB": "counter8"},
+                  args=("--jobs", "4", "--shards", "2"))
+    check_generic(plan, r, baseline, cli)
+    expect(plan, r.code == 2, f"expected exit 2, got {r.code}", r)
+    bad = failed_jobs(r)
+    expect(plan, set(bad) == {"counter8"},
+           f"only counter8 may fail, got {sorted(bad)}", r)
+    expect(plan, "retried once" in bad["counter8"],
+           f"error must name the spent retry budget: {bad['counter8']!r}")
+    expect(plan, resilience(r)["worker_crashes"] >= 2,
+           "counter8 crashes at least twice, so worker_crashes >= 2", r)
+    print(f"  {plan}: ok (exit 2, counter8 contained beside other jobs, "
+          f"{resilience(r)['worker_crashes']} crashes)")
+
     # --- one spawn failure: absorbed, no job notices ------------------
     plan = "spawn-blip"
     r = run_batch(cli, workdir, plan, faults="shard.worker.spawn:n1",
@@ -474,7 +492,7 @@ def main():
             shutil.rmtree(workdir, ignore_errors=True)
 
     soak_note = f" + {opt.soak} soak plans" if opt.soak else ""
-    print(f"chaos gate OK: matrix of 9 fault plans + 2 liveness "
+    print(f"chaos gate OK: matrix of 10 fault plans + 2 liveness "
           f"plans{soak_note} — coordinator "
           f"survived every one, blast radii held, stores stayed readable")
 

@@ -15,7 +15,11 @@ of sharded legs may follow the single-process baseline):
      single-process baseline and every sharded leg;
   4. a fault-free leg kept its liveness machinery silent:
      resilience.heartbeat_misses, deadline_kills and wire_poisons are 0
-     (reconnects stay 0 too — nothing should have torn a connection).
+     (reconnects stay 0 too — nothing should have torn a connection);
+  5. a fault-free leg's observability counters carry the workers' work:
+     every probe.* counter except the schedule-dependent
+     probe.speculative_discards, every ring.member.* counter and
+     engine.spec.expansions equal the single-process run's.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -23,6 +27,16 @@ import json
 import sys
 
 VOLATILE_JOB_FIELDS = ("timing", "cache", "shard", "shard_fallback")
+SCHEDULE_DEPENDENT = ("probe.speculative_discards",)
+
+
+def work_counters(report):
+    """The counters that measure the jobs' work, not their schedule."""
+    counters = report.get("observability", {}).get("counters", {})
+    return {name: value for name, value in counters.items()
+            if (name.startswith(("probe.", "ring.member."))
+                or name == "engine.spec.expansions")
+            and name not in SCHEDULE_DEPENDENT}
 
 
 def semantic_jobs(report):
@@ -69,6 +83,17 @@ def check_sharded_leg(single, sharded, sharded_path):
             if res.get(counter, 0) != 0:
                 sys.exit(f"{sharded_path}: fault-free run has "
                          f"resilience.{counter} = {res.get(counter)}")
+        # Workers ship their metric deltas whether or not the run is
+        # traced, so the fleet's counters are the single run's.
+        want, got = work_counters(single), work_counters(sharded)
+        if not want.get("probe.probed"):
+            sys.exit("single-process report has no probe.probed counter")
+        if want != got:
+            diff = {name: (want.get(name), got.get(name))
+                    for name in sorted(set(want) | set(got))
+                    if want.get(name) != got.get(name)}
+            sys.exit(f"{sharded_path}: work counters differ from the "
+                     f"single-process run (single, sharded): {diff}")
 
     used = sorted({j["shard"] for j in sharded["jobs"]})
     return shards, used

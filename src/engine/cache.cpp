@@ -130,16 +130,16 @@ std::vector<ResultCache::SnapshotEntry> ResultCache::snapshot() const {
     return out;
 }
 
-std::vector<ResultCache::SnapshotEntry> ResultCache::takeFresh() {
+std::vector<ResultCache::SnapshotEntry> ResultCache::takeFresh(
+    const Key& key) {
     std::vector<SnapshotEntry> out;
-    for (const auto& shard : shards_) {
-        std::lock_guard lock(shard->mutex);
-        for (auto& [key, entry] : shard->map) {
-            if (!std::exchange(entry.fresh, false)) continue;
-            if (Value v = entry.future.get())
-                out.push_back({key, std::move(v), entry.lastUse});
-        }
-    }
+    Shard& s = *shards_[shardOf(key)];
+    std::lock_guard lock(s.mutex);
+    const auto it = s.map.find(key);
+    if (it == s.map.end() || !std::exchange(it->second.fresh, false))
+        return out;
+    if (Value v = it->second.future.get())
+        out.push_back({key, std::move(v), it->second.lastUse});
     return out;
 }
 
@@ -212,12 +212,13 @@ std::vector<JobIndex::Entry> JobIndex::snapshot() const {
     return out;
 }
 
-std::vector<JobIndex::Entry> JobIndex::takeFresh() {
+std::vector<JobIndex::Entry> JobIndex::takeFresh(
+    const util::Digest128& digest) {
     std::vector<Entry> out;
     {
         std::lock_guard lock(mutex_);
         for (auto& [name, slot] : map_)
-            if (std::exchange(slot.fresh, false))
+            if (slot.digest == digest && std::exchange(slot.fresh, false))
                 out.push_back({name, slot.stamp, slot.digest});
     }
     std::sort(out.begin(), out.end(),

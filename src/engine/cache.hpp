@@ -147,12 +147,13 @@ public:
     /// mid-batch flush block on the slowest job.
     [[nodiscard]] std::vector<SnapshotEntry> snapshot() const;
 
-    /// The ready entries this cache computed itself since the previous
-    /// call; restore()d entries never qualify. A read-only sharded worker
-    /// hands exactly these back with each job's answer (re-shipping the
-    /// shared store's own entries from N workers would be N-fold wasted
-    /// wire traffic).
-    [[nodiscard]] std::vector<SnapshotEntry> takeFresh();
+    /// The ready entry under `key` if this cache computed it itself and
+    /// has not handed it out before (empty otherwise); restore()d entries
+    /// never qualify. A read-only sharded worker hands it back with the
+    /// answer of the job that computed the key (re-shipping the shared
+    /// store's own entries from N workers would be N-fold wasted wire
+    /// traffic).
+    [[nodiscard]] std::vector<SnapshotEntry> takeFresh(const Key& key);
 
     /// Merge-on-load: adopts entries whose keys are not already present
     /// (live entries — ready or in-flight — win over the store, and the
@@ -213,9 +214,9 @@ public:
     /// Every entry sorted by name.
     [[nodiscard]] std::vector<Entry> snapshot() const;
 
-    /// The entries recorded (not restored) since the previous call,
-    /// sorted by name.
-    [[nodiscard]] std::vector<Entry> takeFresh();
+    /// The entries naming `digest` that were recorded (not restored) and
+    /// not handed out before, sorted by name.
+    [[nodiscard]] std::vector<Entry> takeFresh(const util::Digest128& digest);
 
     /// Number of record() calls that changed the map: a flush is due when
     /// it moved since the last one.

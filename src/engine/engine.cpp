@@ -392,8 +392,14 @@ bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
     return true;
 }
 
-shard::StoreRecords Engine::takeStoreRecords() {
-    return {cache_.takeFresh(), index_.takeFresh()};
+std::pair<JobResult, shard::StoreRecords> Engine::runWireJob(
+    const JobSpec& spec) {
+    util::Digest128 key;
+    JobResult result = execute(spec, 0, &key);
+    // No key means the job failed before its digest: it added nothing.
+    if (result.cacheKey.empty()) return {std::move(result), {}};
+    shard::StoreRecords records{cache_.takeFresh(key), index_.takeFresh(key)};
+    return {std::move(result), std::move(records)};
 }
 
 void Engine::adoptStoreRecords(shard::StoreRecords records) {
@@ -491,7 +497,8 @@ JobResult Engine::runJob(const JobSpec& spec) {
     return runBatch({spec}).front();
 }
 
-JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
+JobResult Engine::execute(const JobSpec& spec, std::size_t index,
+                          util::Digest128* key) const {
     const auto wallStart = std::chrono::steady_clock::now();
     const double cpuStart = threadCpuMs();
     PhaseClock clock(wallStart);
@@ -582,6 +589,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index) const {
             clock.close(result.phases.cacheLookupMs, "job.cache_lookup");
         }
         result.cacheKey = digest->hex();
+        if (key) *key = *digest;
 
         if (auto* hit = std::get_if<ResultCache::Value>(&*lookup)) {
             const JobResult& cached = **hit;

@@ -18,9 +18,12 @@
 // run leaves the same warm artifact a single-process run would.
 #pragma once
 
+#include <functional>
+#include <future>
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -202,12 +205,25 @@ public:
         return resilience_;
     }
 
-    /// Worker half of the shard wire: the store records this engine added
-    /// since the previous call — result-cache entries and name-index
-    /// entries. Records adopted at warm start never qualify. A worker
-    /// ships them inside each job's kResult, so a crash forfeits only the
-    /// in-flight job's records.
-    [[nodiscard]] shard::StoreRecords takeStoreRecords();
+    /// Worker half of the shard wire: runs `spec` on the calling thread
+    /// and returns its result with the store records it added — the
+    /// cache entry under the job's digest and the name-index entries
+    /// naming that digest. Records adopted at warm start never qualify,
+    /// and each record is handed out once. A worker ships them inside the
+    /// job's kResult, so a crash forfeits only the in-flight jobs'
+    /// records; taking them by digest, not as everything added since the
+    /// last answer, keeps them with their own job when several run at
+    /// once.
+    [[nodiscard]] std::pair<JobResult, shard::StoreRecords> runWireJob(
+        const JobSpec& spec);
+
+    /// Queues `task` on the job pool; the future is ready once it ran. A
+    /// worker runs each job it receives this way, so a pool thread with no
+    /// job of its own serves the probe lanes of the jobs beside it. Every
+    /// task must have finished before the engine is destroyed.
+    std::future<void> submit(std::function<void()> task) {
+        return pool_->submit(std::move(task));
+    }
 
     /// Coordinator half: adopts one worker's records. A key already held
     /// wins, so of two equal cache keys the first one in stays; index
@@ -215,8 +231,10 @@ public:
     void adoptStoreRecords(shard::StoreRecords records);
 
 private:
-    [[nodiscard]] JobResult execute(const JobSpec& spec,
-                                    std::size_t index) const;
+    /// Runs one job on the calling thread; `key`, when given, receives the
+    /// job's digest once it is known.
+    [[nodiscard]] JobResult execute(const JobSpec& spec, std::size_t index,
+                                    util::Digest128* key = nullptr) const;
 
     /// Monotone change counter of the store's contents.
     [[nodiscard]] std::uint64_t cacheGeneration() const {
@@ -242,8 +260,9 @@ private:
     /// which does not move the generation.
     bool unflushedRecords_ = false;
     /// The job pool, max(jobs, probeThreads) threads. `jobs` of them pull
-    /// jobs; the rest, and every puller that finds no job left, serve the
-    /// probe sweeps' helper tickets. A sweep never waits for a ticket no
+    /// jobs (in a shard worker, run the submit()ted job tasks); the rest,
+    /// and every puller that finds no job left, serve the probe sweeps'
+    /// helper tickets. A sweep never waits for a ticket no
     /// worker has started (util::runLanes), so jobs and their probe lanes
     /// share one pool without a wait deadlock.
     std::shared_ptr<util::ThreadPool> pool_;

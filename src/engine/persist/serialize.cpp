@@ -1,6 +1,8 @@
 #include "engine/persist/serialize.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -167,7 +169,14 @@ std::shared_ptr<JobResult> deserializeJobResult(std::string_view payload) {
     out->satVerify.propagations = r.u64();
     out->satVerify.restarts = r.u64();
     out->satVerify.learned = r.u64();
-    out->satVerify.winner = static_cast<int>(r.u64()) - 1;
+    // Stored biased by one, so a valid field is at most INT_MAX + 1;
+    // anything larger is a malformed record, rejected before the
+    // subtraction could overflow.
+    const std::uint64_t winner = r.u64();
+    if (winner > std::uint64_t{INT_MAX} + 1)
+        fail("persist", "bad SAT winner " + std::to_string(winner));
+    out->satVerify.winner =
+        static_cast<int>(static_cast<std::int64_t>(winner) - 1);
     out->satVerify.budgetExhausted = r.u8() != 0;
     out->mapped = deserializeNetlist(r);
     if (!r.done())

@@ -13,6 +13,8 @@
 #include <deque>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "engine/shard/transport.hpp"
 #include "engine/shard/worker.hpp"
@@ -36,6 +38,11 @@ using Clock = std::chrono::steady_clock;
 constexpr int kRespawnBackoffBaseMs = 10;
 constexpr int kRespawnBackoffCapMs = 1000;
 
+double msSince(Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
+
 std::string describeExit(int status) {
     if (WIFSIGNALED(status)) {
         const int sig = WTERMSIG(status);
@@ -48,12 +55,19 @@ std::string describeExit(int status) {
     return "ended with wait status " + std::to_string(status);
 }
 
+/// One job on a slot's wire.
+struct InFlight {
+    std::size_t job = 0;  ///< batch index, and the job's tag on the wire
+    Clock::time_point start{};
+    bool expired = false;  ///< overran the wall budget: the kill is its
+};
+
 struct Slot {
     enum class State {
         kDown,      ///< no process (initial, or died and not yet respawned)
         kSpawning,  ///< forked, hello not yet received
-        kIdle,      ///< hello'd / finished a job, ready for work
-        kBusy,      ///< job in flight
+        kIdle,      ///< hello'd, no job in flight
+        kBusy,      ///< jobs in flight, up to `depth`
         kDraining,  ///< shutdown sent, awaiting the final kObs and kBye
         kDone,      ///< drained cleanly and reaped
         kRetired,   ///< crashed twice without accepting work; given up on
@@ -63,9 +77,10 @@ struct Slot {
     pid_t pid = -1;
     int fd = -1;  ///< the connected socket carrying both directions
     FrameDecoder decoder;
-    bool inFlight = false;
-    std::size_t job = 0;
-    Clock::time_point jobStart{};
+    std::size_t depth = 1;  ///< jobs kept in flight; the worker's --jobs
+    std::vector<InFlight> inFlight;  ///< in send order
+    /// Running an isolated retry: no other job joins it.
+    bool isolated = false;
     bool budgetKilled = false;
     bool hbKilled = false;  ///< SIGKILLed for a missed heartbeat deadline
     bool byeSeen = false;
@@ -89,6 +104,14 @@ struct Slot {
 };
 
 }  // namespace
+
+std::vector<std::size_t> slotDepths(std::size_t jobs, std::size_t slots) {
+    std::vector<std::size_t> depths(slots);
+    for (std::size_t i = 0; i < slots; ++i)
+        depths[i] = std::max<std::size_t>(
+            1, jobs / slots + (i < jobs % slots ? 1 : 0));
+    return depths;
+}
 
 std::string resolveWorkerExe(const std::string& configured) {
     if (!configured.empty()) return configured;
@@ -115,9 +138,15 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     std::deque<std::size_t> queue(wireJobs.begin(), wireJobs.end());
     std::unordered_map<std::size_t, std::size_t> avoidSlot;  // retried jobs
     std::unordered_map<std::size_t, int> attempts;
+    /// Queued jobs owed an isolated retry: they were in flight beside
+    /// others when their worker died of a cause no job could be named for.
+    std::unordered_set<std::size_t> isolate;
     std::size_t completed = 0;
 
     std::vector<Slot> slots(slotCount);
+    const std::vector<std::size_t> depths =
+        slotDepths(opt.jobs, slotCount);
+    for (std::size_t i = 0; i < slotCount; ++i) slots[i].depth = depths[i];
 
     const auto failJob = [&](std::size_t index, const std::string& why) {
         JobResult r;
@@ -146,17 +175,19 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             std::min(kRespawnBackoffBaseMs << std::min(s.deathStreak - 1, 7),
                      kRespawnBackoffCapMs);
         s.respawnAfter = Clock::now() + std::chrono::milliseconds(backoffMs);
-        if (s.inFlight) {  // can't normally happen pre-hello; be safe
-            avoidSlot[s.job] = slotId;
-            queue.push_front(s.job);
+        if (!s.inFlight.empty()) {  // can't normally happen pre-hello
+            for (auto f = s.inFlight.rbegin(); f != s.inFlight.rend(); ++f) {
+                avoidSlot[f->job] = slotId;
+                queue.push_front(f->job);
+            }
         } else if ((s.state == Slot::State::kSpawning ||
                     s.state == Slot::State::kIdle) &&
                    ++s.idleCrashes >= 2) {
-            s.inFlight = false;
             s.state = Slot::State::kRetired;
             return;
         }
-        s.inFlight = false;
+        s.inFlight.clear();
+        s.isolated = false;
         s.state = Slot::State::kDown;
     };
 
@@ -165,11 +196,14 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         Slot& s = slots[slotId];
         WorkerListener listener(slotId);
 
-        // The engine configuration travels through the worker argv codec;
-        // the listener adds the address the worker dials back.
+        // The engine configuration travels through the worker argv codec,
+        // with the slot's depth as the worker's --jobs; the listener adds
+        // the address the worker dials back.
+        EngineOptions workerOpt = opt;
+        workerOpt.jobs = s.depth;
         std::vector<std::string> args = {exe, "worker"};
         for (auto& a :
-             encodeWorkerArgs(static_cast<std::uint32_t>(slotId), opt))
+             encodeWorkerArgs(static_cast<std::uint32_t>(slotId), workerOpt))
             args.push_back(std::move(a));
         for (auto& a : listener.workerArgs()) args.push_back(std::move(a));
 
@@ -213,7 +247,8 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         s.pid = pid;
         s.fd = conn.fd;
         s.decoder = FrameDecoder{};
-        s.inFlight = false;
+        s.inFlight.clear();
+        s.isolated = false;
         s.budgetKilled = false;
         s.hbKilled = false;
         s.byeSeen = false;
@@ -274,36 +309,50 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         else
             how = describeExit(status);
         log::warn("shard", "worker " + std::to_string(slotId) + " " + how);
-        if (s.inFlight) {
-            s.idleCrashes = 0;
-            const std::size_t index = s.job;
+        // Requeued in reverse so the front of the queue keeps send order,
+        // ahead of fresh work.
+        for (auto f = s.inFlight.rbegin(); f != s.inFlight.rend(); ++f) {
+            const std::size_t index = f->job;
             if (util::shutdownRequested()) {
                 // The death is (or may as well be) the shutdown kill:
                 // don't spend retries on a run that is winding down.
                 failJob(index, std::string(util::kInterruptedError) +
                                    " while this job was in flight");
                 ++res.interruptedJobs;
-            } else {
-                const std::size_t tries =
-                    static_cast<std::size_t>(++attempts[index]);
-                if (tries > opt.shardRetries) {
-                    std::string verdict;
-                    if (opt.shardRetries == 0)
-                        verdict = "retries disabled by --shard-retries 0";
-                    else if (opt.shardRetries == 1)
-                        verdict = "already retried once on another worker";
-                    else
-                        verdict = "already retried " +
-                                  std::to_string(opt.shardRetries) + " times";
-                    failJob(index, "shard worker " + std::to_string(slotId) +
-                                       " " + how + " running this job (" +
-                                       verdict + ")");
-                } else {
-                    ++res.retries;
-                    avoidSlot[index] = slotId;
-                    queue.push_front(index);  // retry ahead of fresh work
-                }
+                continue;
             }
+            // Only the job that caused the death pays: the jobs whose
+            // wall budget expired, or a job that was alone. Beside
+            // others, a job's death names no cause, so it retries free
+            // and alone, where a repeat is its own.
+            if (s.budgetKilled ? !f->expired : s.inFlight.size() > 1) {
+                ++res.retries;
+                if (!s.budgetKilled) isolate.insert(index);
+                queue.push_front(index);
+                continue;
+            }
+            const std::size_t tries =
+                static_cast<std::size_t>(++attempts[index]);
+            if (tries > opt.shardRetries) {
+                std::string verdict;
+                if (opt.shardRetries == 0)
+                    verdict = "retries disabled by --shard-retries 0";
+                else if (opt.shardRetries == 1)
+                    verdict = "already retried once on another worker";
+                else
+                    verdict = "already retried " +
+                              std::to_string(opt.shardRetries) + " times";
+                failJob(index, "shard worker " + std::to_string(slotId) +
+                                   " " + how + " running this job (" +
+                                   verdict + ")");
+            } else {
+                ++res.retries;
+                avoidSlot[index] = slotId;
+                queue.push_front(index);
+            }
+        }
+        if (!s.inFlight.empty()) {
+            s.idleCrashes = 0;
         } else if (s.state == Slot::State::kSpawning ||
                    s.state == Slot::State::kIdle) {
             if (++s.idleCrashes >= 2) {
@@ -311,7 +360,8 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                 return;
             }
         }
-        s.inFlight = false;
+        s.inFlight.clear();
+        s.isolated = false;
         s.state = Slot::State::kDown;
     };
 
@@ -378,23 +428,30 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                         break;
                     }
                     case FrameType::kResult: {
-                        // A result answers the slot's in-flight job; the
-                        // wire names no job, so a worker can never
-                        // complete one it was not given.
-                        if (!s.inFlight)
-                            fail("shard",
-                                 "worker sent a result with no job in "
-                                 "flight");
-                        auto [result, records] = decodeResult(frame->payload);
-                        result.shard = static_cast<int>(slotId);
-                        sched.complete(s.job, std::move(result));
-                        outcome.records.push_back(std::move(records));
+                        // The tag must name a job in flight on this slot,
+                        // so a worker can never complete a job it was not
+                        // given, or one twice.
+                        Answer a = decodeResult(frame->payload);
+                        const auto f = std::find_if(
+                            s.inFlight.begin(), s.inFlight.end(),
+                            [&](const InFlight& j) { return j.job == a.tag; });
+                        if (f == s.inFlight.end())
+                            fail("shard", "worker answered job " +
+                                              std::to_string(a.tag) +
+                                              ", which is not in flight on "
+                                              "its slot");
+                        a.result.shard = static_cast<int>(slotId);
+                        sched.complete(f->job, std::move(a.result));
+                        outcome.records.push_back(std::move(a.records));
                         ++completed;
-                        s.inFlight = false;
+                        s.inFlight.erase(f);
                         s.idleCrashes = 0;
                         s.deathStreak = 0;  // real progress: clear backoff
-                        if (s.state == Slot::State::kBusy)
-                            s.state = Slot::State::kIdle;
+                        if (s.inFlight.empty()) {
+                            s.isolated = false;
+                            if (s.state == Slot::State::kBusy)
+                                s.state = Slot::State::kIdle;
+                        }
                         break;
                     }
                     case FrameType::kBye:
@@ -542,38 +599,48 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             continue;
         }
 
-        // Assignment: idle slots steal queued work. A retried job prefers
-        // a different slot than the one it crashed; it falls back to the
-        // crash slot only when no other slot is live.
-        for (std::size_t i = 0; i < slots.size() && !queue.empty(); ++i) {
-            Slot& s = slots[i];
-            if (s.state != Slot::State::kIdle) continue;
-            const bool othersLive = std::any_of(
-                slots.begin(), slots.end(), [&](const Slot& o) {
-                    return &o != &s &&
-                           (o.live() || o.state == Slot::State::kDown);
-                });
-            auto pick = queue.end();
-            for (auto it = queue.begin(); it != queue.end(); ++it) {
-                const auto avoid = avoidSlot.find(*it);
-                if (avoid != avoidSlot.end() && avoid->second == i &&
-                    othersLive)
+        // Assignment: slots with room steal queued work, one job per slot
+        // per pass, so the first jobs spread across the fleet. A retried
+        // job prefers a different slot than the one it crashed; it falls
+        // back to the crash slot only when no other slot is live. A job
+        // owed an isolated retry goes only to a slot with nothing in
+        // flight, which then takes nothing else until it answers.
+        for (bool assigned = true; assigned && !queue.empty();) {
+            assigned = false;
+            for (std::size_t i = 0; i < slots.size() && !queue.empty(); ++i) {
+                Slot& s = slots[i];
+                if ((s.state != Slot::State::kIdle &&
+                     s.state != Slot::State::kBusy) ||
+                    s.isolated || s.inFlight.size() >= s.depth)
                     continue;
-                pick = it;
-                break;
+                const bool othersLive = std::any_of(
+                    slots.begin(), slots.end(), [&](const Slot& o) {
+                        return &o != &s &&
+                               (o.live() || o.state == Slot::State::kDown);
+                    });
+                const auto pick = std::find_if(
+                    queue.begin(), queue.end(), [&](std::size_t job) {
+                        if (isolate.contains(job) && !s.inFlight.empty())
+                            return false;
+                        const auto avoid = avoidSlot.find(job);
+                        return avoid == avoidSlot.end() ||
+                               avoid->second != i || !othersLive;
+                    });
+                if (pick == queue.end()) continue;
+                const std::size_t index = *pick;
+                queue.erase(pick);
+                s.isolated = isolate.erase(index) > 0;
+                s.inFlight.push_back({index, Clock::now()});
+                s.state = Slot::State::kBusy;
+                assigned = true;
+                // An unnamed job's display name depends on its batch
+                // index, which only the coordinator knows: send it with
+                // the spec.
+                JobSpec spec = specs[index];
+                spec.name = jobDisplayName(spec, index);
+                sendFrame(i, FrameType::kJob,
+                          encodeJob(static_cast<std::uint32_t>(index), spec));
             }
-            if (pick == queue.end()) continue;
-            const std::size_t index = *pick;
-            queue.erase(pick);
-            s.inFlight = true;
-            s.job = index;
-            s.jobStart = Clock::now();
-            s.state = Slot::State::kBusy;
-            // An unnamed job's display name depends on its batch index,
-            // which only the coordinator knows: send it with the spec.
-            JobSpec spec = specs[index];
-            spec.name = jobDisplayName(spec, index);
-            sendFrame(i, FrameType::kJob, encodeJob(spec));
         }
 
         if (completed >= wireJobs.size()) break;
@@ -588,17 +655,15 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             timeoutMs = std::clamp(opt.shardHeartbeatMs / 2 + 1, 1, timeoutMs);
         if (opt.shardWallMsPerJob > 0) {
             for (const Slot& s : slots) {
-                if (s.state != Slot::State::kBusy) continue;
-                const double elapsed =
-                    std::chrono::duration<double, std::milli>(Clock::now() -
-                                                              s.jobStart)
-                        .count();
-                // Clamp in double-space first: a huge configured budget
-                // must not overflow the int cast.
-                const double left =
-                    std::clamp(opt.shardWallMsPerJob - elapsed, 0.0, 60000.0);
-                timeoutMs = std::clamp(
-                    static_cast<int>(left) + 1, 1, timeoutMs);
+                for (const InFlight& f : s.inFlight) {
+                    // Clamp in double-space first: a huge configured
+                    // budget must not overflow the int cast.
+                    const double left =
+                        std::clamp(opt.shardWallMsPerJob - msSince(f.start),
+                                   0.0, 60000.0);
+                    timeoutMs = std::clamp(static_cast<int>(left) + 1, 1,
+                                           timeoutMs);
+                }
             }
         }
 
@@ -627,19 +692,18 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         // crash; the EOF arrives on the next poll.
         superviseLiveness();
 
-        // Wall-budget enforcement: SIGKILL overrunning workers; the EOF
-        // arrives on the next poll and takes the crash-retry path.
+        // Wall-budget enforcement: SIGKILL the worker of an overrunning
+        // job, which alone is charged; the EOF arrives on the next poll
+        // and takes the crash-retry path.
         if (opt.shardWallMsPerJob > 0) {
             for (Slot& s : slots) {
-                if (s.state != Slot::State::kBusy || s.budgetKilled)
-                    continue;
-                const double elapsed =
-                    std::chrono::duration<double, std::milli>(Clock::now() -
-                                                              s.jobStart)
-                        .count();
-                if (elapsed > opt.shardWallMsPerJob && s.pid > 0) {
-                    s.budgetKilled = true;
-                    ::kill(s.pid, SIGKILL);
+                for (InFlight& f : s.inFlight) {
+                    if (f.expired || s.pid <= 0 ||
+                        msSince(f.start) <= opt.shardWallMsPerJob)
+                        continue;
+                    f.expired = true;
+                    if (!std::exchange(s.budgetKilled, true))
+                        ::kill(s.pid, SIGKILL);
                 }
             }
         }
@@ -648,7 +712,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         // the shutdown flag and fails their jobs as interrupted.
         if (shutdownSeen && Clock::now() >= shutdownDeadline)
             for (Slot& s : slots)
-                if (s.state == Slot::State::kBusy && s.pid > 0)
+                if (!s.inFlight.empty() && s.pid > 0)
                     ::kill(s.pid, SIGKILL);
     }
 
@@ -710,14 +774,12 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         for (Slot& s : slots) {
             if (s.pid > 0) ::kill(s.pid, SIGKILL);
             closeSlot(s);
-            const bool hadJob = s.inFlight;
-            const std::size_t job = s.job;
-            s.inFlight = false;
-            s.state = Slot::State::kDown;
-            if (hadJob) {
-                outcome.fallbackJobs.push_back(job);
+            for (const InFlight& f : s.inFlight) {
+                outcome.fallbackJobs.push_back(f.job);
                 cFallback.add();
             }
+            s.inFlight.clear();
+            s.state = Slot::State::kDown;
         }
         while (!queue.empty()) {
             outcome.fallbackJobs.push_back(queue.front());

@@ -3,20 +3,28 @@
 //
 // The coordinator fork/execs N `pd_cli worker` processes, accepts the
 // localhost socket each one dials back (transport.hpp), and drives them
-// from a single poll() loop: an idle worker steals the next queued job
-// (assignment follows idleness — no static partition, so one slow job
-// never serializes the batch behind it), results stream back as
-// checksummed frames — each job's kResult carrying the store records the
-// job added — and after the fleet drains the engine adopts those records
-// into the shared pd-cache-v4 store.
+// from a single poll() loop. The engine's --jobs is split across the
+// slots (slotDepths), and a slot keeps up to its depth of jobs in flight:
+// a worker with room steals the next queued job (assignment follows
+// idleness — no static partition, so one slow job never serializes the
+// batch behind it), results stream back as checksummed frames tagged
+// with their job — each job's kResult carrying the store records the job
+// added — and after the fleet drains the engine adopts those records into
+// the shared pd-cache-v4 store.
 //
 // Crash isolation: a worker that dies (abort, OOM kill, sanitizer trap)
-// or overruns the per-job wall budget (SIGKILL by deadline) costs exactly
-// its in-flight job. The slot is respawned under capped exponential
-// backoff; the job is requeued up to `shardRetries` times, preferring a
-// *different* slot, and only exhausting the budget reports it as a
-// per-job failure — the batch, the report, and the cache flush all
-// complete normally. A worker that never connects (exec failure, early
+// or overruns the per-job wall budget (SIGKILL by deadline) costs only
+// its in-flight jobs, and charges only the job that caused it. A death
+// with one job in flight charges that job; a wall-budget kill charges
+// the jobs whose budget expired and requeues the rest free; any other
+// death with several jobs in flight cannot name its cause, so each of
+// them is requeued free for an *isolated* retry (its slot takes no other
+// job while it runs), where a repeat crash is charged to it alone. The
+// slot is respawned under capped exponential backoff; a charged job is
+// requeued up to `shardRetries` times, preferring a *different* slot,
+// and only exhausting the budget reports it as a per-job failure — the
+// batch, the report, and the cache flush all complete normally. A
+// worker that never connects (exec failure, early
 // exit, connect timeout) is not a crash: it is counted separately as a
 // spawn failure and never burns a job's retry budget, since the job never
 // started. A slot that dies twice without ever accepting work (startup
@@ -61,6 +69,13 @@ struct ShardOutcome {
     /// scheduler — the caller owns running them.
     std::vector<std::size_t> fallbackJobs;
 };
+
+/// The depth of each of `slots` slots: how many jobs it keeps in flight.
+/// `jobs` is split as evenly as it goes, the first slots taking the
+/// remainder, and every slot gets at least one (`jobs` 4 over 3 slots is
+/// 2, 1, 1; `jobs` 1 over 2 slots is 1, 1).
+[[nodiscard]] std::vector<std::size_t> slotDepths(std::size_t jobs,
+                                                  std::size_t slots);
 
 /// Runs every index in `sched.wireJobs()` across the worker pool
 /// `opt` describes, completing each into `sched`. Blocks until all wire

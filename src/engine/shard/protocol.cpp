@@ -133,13 +133,14 @@ Hello decodeHello(std::string_view payload) {
 
 bool wireSerializable(const JobSpec& spec) { return spec.bench == nullptr; }
 
-std::string encodeJob(const JobSpec& spec) {
+std::string encodeJob(std::uint32_t tag, const JobSpec& spec) {
     if (!wireSerializable(spec))
         fail("shard", "job '" + spec.name +
                           "' carries a live Benchmark object and cannot "
                           "cross to a worker process");
     std::string out;
     ByteWriter w(out);
+    w.u32(tag);
     w.str(spec.name);
     w.str(spec.benchmark);
     w.u32(static_cast<std::uint32_t>(spec.expressions.size()));
@@ -165,9 +166,11 @@ std::string encodeJob(const JobSpec& spec) {
     return out;
 }
 
-JobSpec decodeJob(std::string_view payload) {
+TaggedJob decodeJob(std::string_view payload) {
     ByteReader r(payload);
-    JobSpec spec;
+    TaggedJob job;
+    job.tag = r.u32();
+    JobSpec& spec = job.spec;
     spec.name = std::string(r.str());
     spec.benchmark = std::string(r.str());
     const std::uint32_t nexpr = r.u32();
@@ -191,13 +194,14 @@ JobSpec decodeJob(std::string_view payload) {
     spec.verify = r.u8() != 0;
     spec.keepMapped = r.u8() != 0;
     if (!r.done()) fail("shard", "trailing bytes after job spec");
-    return spec;
+    return job;
 }
 
-std::string encodeResult(const JobResult& result,
+std::string encodeResult(std::uint32_t tag, const JobResult& result,
                          const StoreRecords& records) {
     std::string out;
     ByteWriter w(out);
+    w.u32(tag);
     // Per-request fields the pd-cache-v4 payload deliberately omits.
     w.str(result.name);
     w.f64(result.wallMs);
@@ -231,8 +235,10 @@ std::string encodeResult(const JobResult& result,
     return out;
 }
 
-std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
+Answer decodeResult(std::string_view payload) {
     ByteReader r(payload);
+    Answer a;
+    a.tag = r.u32();
     const std::string name(r.str());
     const double wallMs = r.f64();
     const double cpuMs = r.f64();
@@ -255,16 +261,16 @@ std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
     const auto semantic = persist::deserializeJobResult(r.str());
     // No reservations from the counts: a corrupt count runs the reader
     // out of bytes, which throws, long before it can allocate much.
-    StoreRecords records;
     for (std::uint32_t n = r.u32(); n > 0; --n) {
         const util::Digest128 key = r.digest();
-        records.entries.push_back(
+        a.records.entries.push_back(
             {key, persist::deserializeJobResult(r.str())});
     }
     for (std::uint32_t n = r.u32(); n > 0; --n)
-        records.index.push_back(persist::decodeIndexBody(r));
+        a.records.index.push_back(persist::decodeIndexBody(r));
     if (!r.done()) fail("shard", "trailing bytes after job result");
-    JobResult result = *semantic;
+    JobResult& result = a.result;
+    result = *semantic;
     result.name = name;
     result.wallMs = wallMs;
     result.cpuMs = cpuMs;
@@ -272,7 +278,7 @@ std::pair<JobResult, StoreRecords> decodeResult(std::string_view payload) {
     result.cacheHit = cacheHit;
     result.cacheSource = static_cast<CacheSource>(source);
     result.cacheKey = cacheKey;
-    return {std::move(result), std::move(records)};
+    return a;
 }
 
 std::string encodeHeartbeat(const Heartbeat& h) {

@@ -1,5 +1,5 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v8"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v10"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker socket is a length-prefixed, checksummed
 // frame over the same little-endian primitives as the pd-cache-v4 store:
@@ -22,7 +22,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "engine/cache.hpp"
@@ -82,7 +81,14 @@ namespace pd::engine::shard {
 /// v9 (one persistent store): the SAT proof store is gone, so kResult
 /// loses the proof-provenance byte and the SAT-proof record section,
 /// and workers no longer accept a proof-store path argv.
-inline constexpr std::uint32_t kProtocolVersion = 9;
+///
+/// v10 (several jobs in flight per worker): kJob opens with a u32 tag —
+/// the coordinator's job index — and kResult echoes it, so a worker may
+/// answer its jobs in any order. A result whose tag is not in flight on
+/// its slot is a protocol violation. Workers take --jobs argv (their
+/// share of the coordinator's --jobs) and ship kObs metric deltas in
+/// every run, spans only under --obs.
+inline constexpr std::uint32_t kProtocolVersion = 10;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length
@@ -159,17 +165,31 @@ struct StoreRecords {
 [[nodiscard]] std::string encodeHello(const Hello& h);
 [[nodiscard]] Hello decodeHello(std::string_view payload);
 
+/// A job as it crosses the wire: the coordinator's tag for it (its
+/// batch index) and the spec.
+struct TaggedJob {
+    std::uint32_t tag = 0;
+    JobSpec spec;
+};
+
 /// Throws pd::Error when the spec is not wire-serializable (it carries a
 /// live Benchmark object); see wireSerializable().
-[[nodiscard]] std::string encodeJob(const JobSpec& spec);
-[[nodiscard]] JobSpec decodeJob(std::string_view payload);
+[[nodiscard]] std::string encodeJob(std::uint32_t tag, const JobSpec& spec);
+[[nodiscard]] TaggedJob decodeJob(std::string_view payload);
 
-/// A job's answer: its result and the store records it added. Decoding
-/// throws pd::Error on any malformed field, a record's included.
-[[nodiscard]] std::string encodeResult(const JobResult& result,
+/// A job's answer: the tag of the job it answers, its result and the
+/// store records it added.
+struct Answer {
+    std::uint32_t tag = 0;
+    JobResult result;
+    StoreRecords records;
+};
+
+/// Decoding throws pd::Error on any malformed field, a record's included.
+[[nodiscard]] std::string encodeResult(std::uint32_t tag,
+                                       const JobResult& result,
                                        const StoreRecords& records);
-[[nodiscard]] std::pair<JobResult, StoreRecords> decodeResult(
-    std::string_view payload);
+[[nodiscard]] Answer decodeResult(std::string_view payload);
 
 /// One liveness beat (wire v6). Sequence numbers are worker-local and
 /// strictly increasing; the coordinator only uses arrival time, but the

@@ -10,10 +10,12 @@
 #include <concepts>
 #include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <iostream>
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "engine/shard/protocol.hpp"
 #include "engine/shard/transport.hpp"
@@ -87,6 +89,7 @@ private:
 /// The encoder and the decoder both walk this one list.
 template <typename Options, typename Visit>
 void forEachWorkerField(Options& e, Visit&& visit) {
+    visit("--jobs", e.jobs);
     visit("--cache-capacity", e.cacheCapacity);
     visit("--budget", e.conflictBudget);
     visit("--probe-threads", e.probeThreads);
@@ -116,7 +119,8 @@ bool parseValue(std::string_view flag, const std::string& text, T& out,
                 std::string& error) {
     // Thread counts get the command line's cap, so no argv can make a
     // worker ask the OS for millions of threads.
-    if (flag == "--probe-threads" || flag == "--verify-threads")
+    if (flag == "--jobs" || flag == "--probe-threads" ||
+        flag == "--verify-threads")
         return util::parseParallelism(flag, text, out, error);
     return util::parseCount(flag, text, out, error);
 }
@@ -215,8 +219,10 @@ int runWorker(const WorkerOptions& opt) {
         ::setrlimit(RLIMIT_AS, &lim);  // best-effort; failure = no budget
     }
 
+    // The argv's --jobs is this slot's share of the coordinator's: the
+    // engine's job pool runs that many jobs at once, and a pool thread
+    // with no job serves the probe lanes of the jobs beside it.
     EngineOptions eopt = opt.engine;
-    eopt.jobs = 1;  // parallelism lives in the process fan-out
     // The store is warm-started read-only: the records a job adds travel
     // back inside its kResult, and only the coordinator writes the store.
     eopt.cacheReadonly = true;
@@ -246,17 +252,24 @@ int runWorker(const WorkerOptions& opt) {
     const char* hangJob = std::getenv(kHangJobEnv);
     const char* stallJob = std::getenv(kStallJobEnv);
 
-    // Observability ships after every job plus a shutdown catch-up, so a
-    // crash forfeits at most one job's spans. Metrics ship as deltas
-    // against the previous shipment — the coordinator accumulates, so
-    // re-sending totals would double-count.
+    // Observability ships after every answer plus a shutdown catch-up.
+    // Metric deltas ship in every run, against the previous shipment
+    // — the coordinator accumulates, so re-sending totals would
+    // double-count — and jobs answer on several threads, so shipments
+    // take turns. Spans ship only under --obs, and only when no job is
+    // running: drainSpans reads every thread's ring and is safe only at
+    // a quiescent point. A job is counted running from before it is
+    // submitted, under obsMu, so none starts emitting during a drain.
+    std::mutex obsMu;
     obs::MetricsSnapshot lastShipped;
-    const auto shipObs = [&] {
-        if (!opt.obs) return true;
+    std::size_t running = 0;  ///< jobs submitted and not yet answered
+    const auto shipObs = [&](bool answered) {
+        std::lock_guard<std::mutex> lock(obsMu);
+        if (answered) --running;
         if (rusage ru{}; ::getrusage(RUSAGE_SELF, &ru) == 0)
             obs::gauge("worker.rss_mb").set(ru.ru_maxrss / 1024);
         ObsDelta d;
-        d.spans = obs::drainSpans();
+        if (opt.obs && running == 0) d.spans = obs::drainSpans();
         obs::MetricsSnapshot cur = obs::snapshotMetrics();
         d.metrics = obs::deltaMetrics(cur, lastShipped);
         lastShipped = std::move(cur);
@@ -266,6 +279,45 @@ int runWorker(const WorkerOptions& opt) {
         return send(FrameType::kObs, encodeObsDelta(d));
     };
 
+    // One received job, run as a task on the engine's pool. A failed
+    // write means the coordinator is gone; the main loop sees EOF next.
+    const auto runJob = [&](const TaggedJob& job) {
+        // The answer carries the store records the job added, so a crash
+        // can never separate a result from its records.
+        const auto [result, records] = engine.runWireJob(job.spec);
+        std::string out;
+        appendFrame(out, FrameType::kResult,
+                    encodeResult(job.tag, result, records));
+        if (PD_FAULT("shard.wire.corrupt") && !out.empty())
+            // Flip one payload bit: the coordinator's frame checksum must
+            // reject the stream and take the worker-death path.
+            out[out.size() / 2] ^= 0x01;
+        {
+            std::lock_guard<std::mutex> lock(wireMu);
+            if (PD_FAULT("shard.wire.partial")) {
+                // Crash mid-frame: ship half, then die. The coordinator
+                // sees EOF inside a frame.
+                writeAll(fd, std::string_view(out).substr(0, out.size() / 2));
+                std::abort();
+            }
+            if (!writeAll(fd, out)) return;
+        }
+        shipObs(/*answered=*/true);
+    };
+    // The jobs submitted so far. A job must never see the engine destroyed
+    // under it: the worker returns only when none is running, and leaves
+    // at once otherwise — the coordinator is gone, or the stream is.
+    std::vector<std::future<void>> jobs;
+    const auto finished = [](const std::future<void>& j) {
+        return j.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+    };
+    const auto leave = [&](int code) {
+        if (!std::all_of(jobs.begin(), jobs.end(), finished))
+            std::_Exit(code);
+        return code;
+    };
+
     FrameDecoder decoder;
     char buf[1 << 16];
     for (;;) {
@@ -273,38 +325,37 @@ int runWorker(const WorkerOptions& opt) {
         try {
             frame = decoder.next();
         } catch (const std::exception&) {
-            return 4;  // malformed stream: nothing sane left to do
+            return leave(4);  // malformed stream: nothing sane left to do
         }
         if (!frame) {
             const ssize_t n = ::read(fd, buf, sizeof buf);
             if (n < 0) {
                 if (errno == EINTR) continue;
-                return 4;
+                return leave(4);
             }
-            if (n == 0) return 0;  // coordinator closed the channel
+            if (n == 0) return leave(0);  // coordinator closed the channel
             decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
             continue;
         }
         switch (frame->type) {
             case FrameType::kJob: {
-                const JobSpec spec = decodeJob(frame->payload);
-                const std::string& hookName =
-                    !spec.name.empty() ? spec.name : spec.benchmark;
+                TaggedJob job;
+                try {
+                    job = decodeJob(frame->payload);
+                } catch (const std::exception&) {
+                    return leave(4);  // malformed job: nothing sane left
+                }
+                const std::string& hookName = !job.spec.name.empty()
+                                                  ? job.spec.name
+                                                  : job.spec.benchmark;
                 // Name-targeted lifecycle hooks (exact, test-oriented)
                 // and counter-driven fault sites (chaos-oriented; hit
                 // counts are per worker process) model the same two
                 // failure modes: death and wedge.
                 if (crashJob && hookName == crashJob) std::abort();
                 if (PD_FAULT("shard.worker.crash")) std::abort();
-                if ((hangJob && hookName == hangJob) ||
-                    PD_FAULT("shard.worker.hang")) {
-                    // Park until the coordinator's wall budget kills us.
-                    // The heartbeat pump keeps beating — a hung job is
-                    // the wall budget's case, not liveness's.
-                    for (;;)
-                        std::this_thread::sleep_for(
-                            std::chrono::seconds(3600));
-                }
+                const bool hang = (hangJob && hookName == hangJob) ||
+                                  PD_FAULT("shard.worker.hang");
                 if ((stallJob && hookName == stallJob) ||
                     PD_FAULT("shard.sock.stall")) {
                     // Freeze the whole process — pump included — so
@@ -312,30 +363,27 @@ int runWorker(const WorkerOptions& opt) {
                     // reap us (SIGKILL works on stopped processes).
                     ::raise(SIGSTOP);
                 }
-                // The answer carries the store records the job added, so
-                // a crash can never separate a result from its records.
-                const JobResult result = engine.runJob(spec);
-                std::string out;
-                appendFrame(out, FrameType::kResult,
-                            encodeResult(result, engine.takeStoreRecords()));
-                if (PD_FAULT("shard.wire.corrupt") && !out.empty())
-                    // Flip one payload bit: the coordinator's frame
-                    // checksum must reject the stream and take the
-                    // worker-death path.
-                    out[out.size() / 2] ^= 0x01;
-                if (PD_FAULT("shard.wire.partial")) {
-                    // Crash mid-frame: ship half, then die. The
-                    // coordinator sees EOF inside a frame.
-                    std::lock_guard<std::mutex> lock(wireMu);
-                    writeAll(fd,
-                             std::string_view(out).substr(0, out.size() / 2));
-                    std::abort();
-                }
+                std::erase_if(jobs, finished);
                 {
-                    std::lock_guard<std::mutex> lock(wireMu);
-                    if (!writeAll(fd, out)) return 3;
+                    std::lock_guard<std::mutex> lock(obsMu);
+                    ++running;
                 }
-                if (!shipObs()) return 3;
+                // noexcept: a job that cannot be answered (a result too
+                // large to frame) kills the worker, and the coordinator's
+                // death path retries it; it never goes unanswered.
+                jobs.push_back(engine.submit(
+                    [&runJob, job = std::move(job), hang]() noexcept {
+                        // A hung job parks its pool thread until the
+                        // coordinator's wall budget kills us. The pump
+                        // keeps beating — a hung job is the wall
+                        // budget's case, not liveness's — and the jobs
+                        // beside it still run and answer.
+                        if (hang)
+                            for (;;)
+                                std::this_thread::sleep_for(
+                                    std::chrono::seconds(3600));
+                        runJob(job);
+                    }));
                 break;
             }
             case FrameType::kShutdown: {
@@ -346,12 +394,15 @@ int runWorker(const WorkerOptions& opt) {
                         std::this_thread::sleep_for(
                             std::chrono::seconds(3600));
                 }
-                if (!shipObs()) return 3;
+                // Every job has answered (the coordinator drains only
+                // an idle slot); let their tasks finish shipping.
+                for (auto& j : jobs) j.wait();
+                if (!shipObs(/*answered=*/false)) return 3;
                 send(FrameType::kBye, {});
                 return 0;
             }
             default:
-                return 4;  // coordinator-only frame on the worker socket
+                return leave(4);  // coordinator-only frame on the socket
         }
     }
 }

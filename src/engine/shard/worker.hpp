@@ -4,19 +4,22 @@
 // coordinator's localhost listener (`--connect host:port`, transport.hpp)
 // and exchanges frames in both directions over that one socket; its
 // stdout is re-pointed at stderr so stray library prints never
-// interleave with the coordinator's own output. It owns a
-// single-threaded Engine that warm-starts *read-only* from the shared
-// pd-cache-v4 store — N workers may open one warm.pdc simultaneously —
-// and never writes that store itself: each job's kResult frame carries
-// the store records the job added (cache entries and name-index
-// entries), so a crash forfeits only the in-flight job, and the
-// coordinator alone flushes the store.
+// interleave with the coordinator's own output. It owns an Engine whose
+// job pool holds the slot's share of the coordinator's --jobs: each
+// received job runs as a task there, up to that many at once, and a pool
+// thread with no job serves the probe lanes of the jobs beside it. The
+// engine warm-starts *read-only* from the shared pd-cache-v4 store — N
+// workers may open one warm.pdc simultaneously — and never writes that
+// store itself: each job's kResult frame carries the store records the
+// job added (cache entries and name-index entries), so a crash forfeits
+// only the in-flight jobs, and the coordinator alone flushes the store.
 //
 // Crash philosophy: a worker is disposable. An abort, OOM kill, or RSS
-// budget violation costs exactly the in-flight job (the coordinator
-// respawns the slot and retries the job once elsewhere); a pd::Error from
-// the flow is *not* a crash — the engine already converts it into a
-// per-job failure result that travels back as a normal kResult frame.
+// budget violation costs only its in-flight jobs (the coordinator
+// respawns the slot and requeues them; see coordinator.hpp for which job
+// pays); a pd::Error from the flow is *not* a crash — the engine already
+// converts it into a per-job failure result that travels back as a
+// normal kResult frame.
 //
 // The worker's argv is its engine configuration. Both halves of that
 // codec live here (encodeWorkerArgs for the coordinator,
@@ -52,12 +55,13 @@ inline constexpr const char* kStallJobEnv = "PD_SHARD_TEST_STALL_JOB";
 struct WorkerOptions {
     std::uint32_t shardId = 0;
     /// The coordinator's engine configuration, as encodeWorkerArgs()
-    /// carried it. The worker forces the single-process knobs (one job
-    /// thread, read-only stores, no nested shards) and applies
-    /// shardRssMb as RLIMIT_AS and shardHeartbeatMs as the beat deadline.
+    /// carried it, with `jobs` the slot's depth. The worker forces the
+    /// single-process knobs (read-only stores, no nested shards) and
+    /// applies shardRssMb as RLIMIT_AS and shardHeartbeatMs as the beat
+    /// deadline.
     EngineOptions engine;
     /// Mirrors the coordinator's tracing switch (--obs): buffer spans and
-    /// ship kObs frames after every job and at shutdown.
+    /// ship them in the kObs frames (metric deltas ship either way).
     bool obs = false;
     /// The coordinator's listener (`--connect host:port`, required): the
     /// worker dials it and speaks the frame protocol over the connection.
@@ -65,7 +69,8 @@ struct WorkerOptions {
 };
 
 /// The worker argv codec, both halves in one place. encodeWorkerArgs()
-/// writes the shard id and every EngineOptions field a worker uses,
+/// writes the shard id and every EngineOptions field a worker uses (the
+/// coordinator sets `jobs` to the slot's depth first),
 /// plus `--obs` when tracing is on and one `--fault` per armed fault
 /// plan; the listener appends its own `--connect` (transport.hpp).
 [[nodiscard]] std::vector<std::string> encodeWorkerArgs(

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <span>
@@ -207,6 +209,46 @@ TEST(PersistSerialize, RejectsCorruptNetlist) {
             (void)deserializeJobResult(bad);
         } catch (const pd::Error&) {
             // expected for most positions
+        }
+    }
+}
+
+TEST(PersistSerialize, RejectsAnOutOfRangeSatWinner) {
+    // The winner is stored biased by one, so INT_MAX + 1 is the largest
+    // valid field. Locate it as the only bytes two winners differ in.
+    JobResult r = sampleResult();
+    std::string payload;
+    serializeJobResult(r, payload);
+    r.satVerify.winner = 3;
+    std::string other;
+    serializeJobResult(r, other);
+    ASSERT_EQ(payload.size(), other.size());
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(payload.begin(), payload.end(), other.begin()).first -
+        payload.begin());
+    ASSERT_LE(at + 8, payload.size());
+    const auto withWinner = [&](std::uint64_t field) {
+        std::string bytes = payload;
+        for (int i = 0; i < 8; ++i)
+            bytes[at + static_cast<std::size_t>(i)] =
+                static_cast<char>((field >> (8 * i)) & 0xff);
+        return bytes;
+    };
+    const auto top =
+        deserializeJobResult(withWinner(std::uint64_t{INT_MAX} + 1));
+    ASSERT_TRUE(top);
+    EXPECT_EQ(top->satVerify.winner, INT_MAX);
+    EXPECT_EQ(deserializeJobResult(withWinner(0))->satVerify.winner, -1);
+    for (const std::uint64_t bad :
+         {std::uint64_t{INT_MAX} + 2, std::uint64_t{1} << 32,
+          ~std::uint64_t{0}}) {
+        try {
+            (void)deserializeJobResult(withWinner(bad));
+            ADD_FAILURE() << "winner field " << bad << " decoded";
+        } catch (const pd::Error& e) {
+            EXPECT_NE(std::string(e.what()).find("bad SAT winner"),
+                      std::string::npos)
+                << e.what();
         }
     }
 }
@@ -601,11 +643,12 @@ TEST(PersistWire, ResultRecordsAreTheStoreRecordBodies) {
     records.index.push_back(index);
     JobResult r = sampleResult();
     r.name = "adder8";
-    const std::string payload = engine::shard::encodeResult(r, records);
+    const std::string payload = engine::shard::encodeResult(5, r, records);
     ASSERT_GE(payload.size(), expected.size());
     EXPECT_EQ(payload.substr(payload.size() - expected.size()), expected);
 
-    auto [back, got] = engine::shard::decodeResult(payload);
+    auto [tag, back, got] = engine::shard::decodeResult(payload);
+    EXPECT_EQ(tag, 5u);
     EXPECT_EQ(back.name, "adder8");
     ASSERT_EQ(got.entries.size(), 1u);
     EXPECT_EQ(got.entries[0].key, entry.key);
@@ -857,29 +900,34 @@ TEST(PersistShardMerge, SharedKeyFirstBundleInWins) {
 
 // End-to-end flavor with real engines standing in for two workers: both
 // compute majority7 (overlapping canonical key), each contributes a
-// private job, and adopting both bundles then flushing must yield
-// exactly three entries, each named by the index, in a clean store.
+// private job, and adopting every answer's bundle then flushing must
+// yield exactly three entries, each named by the index, in a clean store.
 TEST(PersistShardMerge, TwoEngineRecordsAdoptAndFlushClean) {
     TempFile file("twoengines");
     const auto recordsFor = [](std::initializer_list<const char*> names) {
         Engine engine{EngineOptions{}};
+        std::vector<engine::shard::StoreRecords> bundles;
         for (const char* name : names) {
             JobSpec s;
             s.benchmark = name;
-            EXPECT_TRUE(engine.runJob(s).ok);
+            auto [result, records] = engine.runWireJob(s);
+            EXPECT_TRUE(result.ok);
+            // Each answer carries its own job's entry and index entry.
+            EXPECT_EQ(records.entries.size(), 1u) << name;
+            EXPECT_EQ(records.index.size(), 1u) << name;
+            bundles.push_back(std::move(records));
         }
-        return engine.takeStoreRecords();
+        return bundles;
     };
     auto first = recordsFor({"majority7", "counter8"});
     auto second = recordsFor({"majority7", "adder8"});
-    EXPECT_EQ(first.entries.size(), 2u);
-    EXPECT_EQ(first.index.size(), 2u);
 
     EngineOptions opt;
     opt.cacheFile = file.path();
     Engine coordinator(opt);
-    coordinator.adoptStoreRecords(std::move(first));
-    coordinator.adoptStoreRecords(std::move(second));
+    for (auto* bundles : {&first, &second})
+        for (auto& records : *bundles)
+            coordinator.adoptStoreRecords(std::move(records));
     std::size_t saved = 0;
     ASSERT_TRUE(coordinator.flushCache(&saved));
     EXPECT_EQ(saved, 3u);
@@ -915,9 +963,12 @@ TEST(PersistShardMerge, StoreRecordsExcludeWarmStartedRecords) {
     warm.benchmark = "majority7";  // served from the restored entry
     JobSpec fresh;
     fresh.benchmark = "counter8";  // computed locally
-    ASSERT_TRUE(reader.runJob(warm).ok);
-    const auto freshKey = reader.runJob(fresh).cacheKey;
-    const auto records = reader.takeStoreRecords();
+    const auto [warmResult, warmRecords] = reader.runWireJob(warm);
+    ASSERT_TRUE(warmResult.ok);
+    EXPECT_TRUE(warmRecords.entries.empty());
+    EXPECT_TRUE(warmRecords.index.empty());
+    const auto [freshResult, records] = reader.runWireJob(fresh);
+    const std::string& freshKey = freshResult.cacheKey;
     ASSERT_EQ(records.entries.size(), 1u);
     EXPECT_EQ(records.entries[0].key.hex(), freshKey);
     EXPECT_NE(records.entries[0].key.hex(), warmKey);
@@ -926,7 +977,8 @@ TEST(PersistShardMerge, StoreRecordsExcludeWarmStartedRecords) {
         << records.index[0].name;
     EXPECT_EQ(records.index[0].digest.hex(), freshKey);
 
-    const auto again = reader.takeStoreRecords();
+    // A repeat is a hit on the entry already handed out.
+    const auto again = reader.runWireJob(fresh).second;
     EXPECT_TRUE(again.entries.empty());
     EXPECT_TRUE(again.index.empty());
 }

@@ -164,7 +164,7 @@ TEST(ReportSchemaTest, BuildProvenanceIsPopulated) {
     // build tree but must at least be non-empty strings.
     EXPECT_FALSE(doc.findPath("engine.build.compiler")->asString().empty());
     EXPECT_FALSE(doc.findPath("engine.build.git_hash")->asString().empty());
-    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 9);
+    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 10);
     EXPECT_EQ(doc.findPath("engine.build.schemas.cache_store")->asString(),
               "pd-cache-v4");
     EXPECT_EQ(doc.findPath("engine.shard_transport")->asString(), "socket");

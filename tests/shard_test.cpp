@@ -3,14 +3,17 @@
 // round-trips, malformed argv and a missing --connect are rejected),
 // end-to-end equivalence of sharded and in-process batches across
 // --shards {1,2,4} over the localhost socket (byte-identical stores),
-// heartbeat liveness (beating workers survive, silent ones die at the
-// deadline and their jobs retry elsewhere), crash isolation (respawn,
-// retry budgets, clean per-job failure, cache completeness), wall-budget
-// kills, a worker answering one job twice (a wire poison), worker-pool
-// collapse → in-process fallback, spawn failure accounting, drain
-// timeouts, graceful shutdown, and the pd_cli batch exit-code contract. Everything that can go wrong in a worker
-// must cost at most its own job — never the batch, the report, or the
-// store.
+// --jobs split across the workers (slot depths; two jobs in flight per
+// worker match the in-process report and store), heartbeat liveness
+// (beating workers survive, silent ones die at the deadline and their
+// jobs retry elsewhere), crash isolation (respawn, retry budgets, clean
+// per-job failure, cache completeness, and at depth 2 only the culprit
+// charged), wall-budget kills, a worker answering one job twice or an
+// unknown tag (wire poisons), worker-pool collapse → in-process
+// fallback, spawn failure accounting, drain timeouts, graceful shutdown,
+// and the pd_cli batch exit-code contract. Everything that can go wrong
+// in a worker must cost at most its own job — never the batch, the
+// report, or the store.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -23,15 +26,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuits/registry.hpp"
 
 #include "engine/engine.hpp"
 #include "engine/persist/store.hpp"
+#include "engine/report_json.hpp"
 #include "engine/shard/coordinator.hpp"
 #include "engine/shard/protocol.hpp"
 #include "engine/shard/worker.hpp"
@@ -99,18 +105,32 @@ public:
     return opt;
 }
 
-[[nodiscard]] std::vector<JobSpec> lightSpecs() {
+[[nodiscard]] std::vector<JobSpec> benchSpecs(
+    std::initializer_list<const char*> names) {
     std::vector<JobSpec> specs;
-    for (const char* name : {"majority7", "counter8", "adder8"}) {
+    for (const char* name : names) {
         JobSpec s;
         s.benchmark = name;
         specs.push_back(std::move(s));
     }
+    return specs;
+}
+
+[[nodiscard]] std::vector<JobSpec> lightSpecs() {
+    auto specs = benchSpecs({"majority7", "counter8", "adder8"});
     JobSpec expr;
     expr.name = "maj-expr";
     expr.expressions = {"maj=a*b ^ a*c ^ b*c"};
     specs.push_back(std::move(expr));
     return specs;
+}
+
+/// Reads a whole file (empty when missing).
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 /// Everything except timings, shard provenance and cache tier — the
@@ -167,7 +187,7 @@ void expectSameNetlist(const netlist::Netlist& a, const netlist::Netlist& b) {
     r.name = "xor2";
     r.ok = true;
     r.cacheKey = util::digestOf("key").hex();
-    return encodeResult(r, records);
+    return encodeResult(7, r, records);
 }
 
 // ---- framing codec ---------------------------------------------------------
@@ -194,7 +214,8 @@ TEST(ShardProtocol, FrameRoundTripInArbitraryChunks) {
     EXPECT_EQ(frames[1].type, FrameType::kShutdown);
     EXPECT_TRUE(frames[1].payload.empty());
     EXPECT_EQ(frames[2].type, FrameType::kResult);
-    const auto [result, records] = decodeResult(frames[2].payload);
+    const auto [tag, result, records] = decodeResult(frames[2].payload);
+    EXPECT_EQ(tag, 7u);
     EXPECT_EQ(result.name, "xor2");
     ASSERT_EQ(records.entries.size(), 1u);
     EXPECT_EQ(records.entries[0].key, util::digestOf("key"));
@@ -220,7 +241,8 @@ TEST(ShardProtocol, JobSpecRoundTrip) {
     spec.verify = false;
     spec.keepMapped = true;
 
-    const JobSpec back = decodeJob(encodeJob(spec));
+    const auto [tag, back] = decodeJob(encodeJob(0xfeedbeefu, spec));
+    EXPECT_EQ(tag, 0xfeedbeefu);
     EXPECT_EQ(back.name, spec.name);
     EXPECT_EQ(back.benchmark, spec.benchmark);
     EXPECT_EQ(back.expressions, spec.expressions);
@@ -248,7 +270,7 @@ TEST(ShardProtocol, BenchPointerSpecRefusesTheWire) {
     JobSpec spec;
     spec.bench = std::make_shared<const circuits::Benchmark>();
     EXPECT_FALSE(wireSerializable(spec));
-    EXPECT_THROW((void)encodeJob(spec), pd::Error);
+    EXPECT_THROW((void)encodeJob(0, spec), pd::Error);
 }
 
 TEST(ShardProtocol, ResultRoundTrip) {
@@ -279,7 +301,8 @@ TEST(ShardProtocol, ResultRoundTrip) {
     r.cacheSource = CacheSource::kDisk;
     r.cacheKey = util::digestOf("job").hex();
 
-    auto [back, records] = decodeResult(encodeResult(r, {}));
+    auto [tag, back, records] = decodeResult(encodeResult(42, r, {}));
+    EXPECT_EQ(tag, 42u);
     expectSameSemantics(r, back);
     EXPECT_EQ(back.wallMs, r.wallMs);
     EXPECT_EQ(back.cpuMs, r.cpuMs);
@@ -459,6 +482,7 @@ TEST(ShardProtocol, FuzzMutatedStreamsNeverMisbehave) {
 
 TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
     EngineOptions e;
+    e.jobs = 3;
     e.cacheCapacity = 7;
     e.conflictBudget = 11;
     e.probeThreads = 3;
@@ -481,6 +505,7 @@ TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
     EXPECT_EQ(w->connect, "127.0.0.1:4242");
     EXPECT_FALSE(w->obs);
     const EngineOptions& d = w->engine;
+    EXPECT_EQ(d.jobs, e.jobs);
     EXPECT_EQ(d.cacheCapacity, e.cacheCapacity);
     EXPECT_EQ(d.conflictBudget, e.conflictBudget);
     EXPECT_EQ(d.probeThreads, e.probeThreads);
@@ -531,6 +556,7 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     rejects({"--shard-id", "4294967296"}, "(out of range)");
     rejects({"--heartbeat-ms", "99999999999"}, "expects at most");
     // Thread counts are capped before a worker starts any thread.
+    rejects({"--jobs", "257"}, "expects at most 256");
     rejects({"--probe-threads", "257"}, "expects at most 256");
     rejects({"--verify-threads", "1000000"}, "expects at most 256");
     rejects({"--connect"}, "--connect expects a value");
@@ -547,10 +573,11 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
 
     // The cap itself is accepted (decoding starts no thread).
     const std::vector<std::string> atCap = {
-        "--probe-threads", "256", "--verify-threads", "256", "--connect",
-        "127.0.0.1:4242"};
+        "--jobs",           "256", "--probe-threads", "256",
+        "--verify-threads", "256", "--connect",       "127.0.0.1:4242"};
     const auto capped = decodeWorkerArgs(atCap, error);
     ASSERT_TRUE(capped.has_value()) << error;
+    EXPECT_EQ(capped->engine.jobs, util::kMaxParallelism);
     EXPECT_EQ(capped->engine.probeThreads, util::kMaxParallelism);
     EXPECT_EQ(capped->engine.verifyThreads, util::kMaxParallelism);
 }
@@ -576,6 +603,17 @@ TEST(ParseParallelism, RejectsCountsAboveTheCap) {
     EXPECT_FALSE(util::parseParallelism("--jobs", "4x", out, error));
 }
 
+TEST(ShardCoordinator, SlotDepthsSplitTheJobs) {
+    using Depths = std::vector<std::size_t>;
+    EXPECT_EQ(slotDepths(4, 3), (Depths{2, 1, 1}));
+    EXPECT_EQ(slotDepths(1, 2), (Depths{1, 1}));
+    EXPECT_EQ(slotDepths(8, 2), (Depths{4, 4}));
+    EXPECT_EQ(slotDepths(4, 2), (Depths{2, 2}));
+    EXPECT_EQ(slotDepths(0, 2), (Depths{1, 1}));  // jobs 0 means 1
+    EXPECT_EQ(slotDepths(7, 1), (Depths{7}));
+    EXPECT_TRUE(slotDepths(4, 0).empty());
+}
+
 // ---- end-to-end ------------------------------------------------------------
 
 TEST(ShardEngine, ShardedBatchesMatchInProcessAcross124) {
@@ -599,6 +637,56 @@ TEST(ShardEngine, ShardedBatchesMatchInProcessAcross124) {
             EXPECT_GE(results[i].shard, 0) << "shards=" << shards;
         }
     }
+}
+
+/// The report's jobs array with the fields a schedule may change — the
+/// timings and the shard that ran the job — cleared.
+std::string jobsWithoutTimingOrShard(std::vector<JobResult> results) {
+    for (auto& r : results) {
+        r.wallMs = 0.0;
+        r.cpuMs = 0.0;
+        r.phases = {};
+        r.shard = -1;
+    }
+    std::ostringstream os;
+    writeBatchReport(os, EngineOptions{}, results, ResultCache::Stats{});
+    const std::string doc = os.str();
+    const auto from = doc.find("\"jobs\":");
+    const auto to = doc.find("\"resilience\":");
+    EXPECT_NE(from, std::string::npos);
+    EXPECT_NE(to, std::string::npos);
+    return doc.substr(from, to - from);
+}
+
+TEST(ShardEngine, FourJobsOverTwoShardsEqualTheInProcessBatch) {
+    // Two jobs in flight per worker: results come back in any order,
+    // each tagged with its job, and each carries exactly its own
+    // records, so the report and the store match the in-process run.
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    auto specs = lightSpecs();
+    for (auto& s : benchSpecs({"lzd16", "comparator8", "majority15",
+                               "lod16"}))
+        specs.push_back(std::move(s));
+    TempFile inproc("jobs4_inproc");
+    TempFile sharded("jobs4_sharded");
+    std::vector<std::string> jobs;
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+        EngineOptions opt =
+            shardOptions(shards, (shards ? sharded : inproc).path());
+        opt.jobs = 4;
+        Engine engine(opt);
+        const auto results = engine.runBatch(specs);
+        for (const auto& r : results) {
+            ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+            EXPECT_EQ(r.shard >= 0, shards > 0) << r.name;
+        }
+        jobs.push_back(jobsWithoutTimingOrShard(results));
+        EXPECT_EQ(engine.resilience().retries, 0u);
+        ASSERT_TRUE(engine.flushCache());
+    }
+    EXPECT_EQ(jobs[0], jobs[1]);
+    ASSERT_GT(slurp(inproc.path()).size(), 0u);
+    EXPECT_EQ(slurp(inproc.path()), slurp(sharded.path()));
 }
 
 TEST(ShardEngine, ProbeThreadsStayByteIdenticalAcrossTheWire) {
@@ -711,14 +799,6 @@ TEST(ShardEngine, WorkersWarmStartFromASharedStore) {
         EXPECT_TRUE(r.cacheHit) << r.name;
         EXPECT_EQ(r.cacheSource, CacheSource::kDisk) << r.name;
     }
-}
-
-/// Reads a whole file (empty when missing).
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 TEST(ShardEngine, NonDefaultVerifyKnobsReachTheWorkers) {
@@ -955,6 +1035,35 @@ TEST(ShardEngine, CrashedJobFailsAloneAfterOneRetry) {
     EXPECT_EQ(loaded.entries.size(), 3u);
 }
 
+TEST(ShardEngine, CrashAtDepthTwoFailsOnlyTheTarget) {
+    // Two jobs in flight per worker, so a job always runs beside
+    // counter8 when its worker dies. That death names no culprit: both
+    // retry free and alone, the neighbour succeeds, and counter8 crashes
+    // alone, is charged, and fails after its one retry.
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    ScopedEnv crash(kCrashJobEnv, "counter8");
+    EngineOptions opt = shardOptions(2);
+    opt.jobs = 4;
+    Engine engine(opt);
+    auto specs = lightSpecs();
+    for (auto& s : benchSpecs({"lzd16", "comparator8"}))
+        specs.push_back(std::move(s));
+    const auto results = engine.runBatch(specs);
+    ASSERT_EQ(results.size(), specs.size());
+    for (const auto& r : results) {
+        if (r.name == "counter8") {
+            EXPECT_FALSE(r.ok);
+            EXPECT_NE(r.error.find("retried once"), std::string::npos)
+                << r.error;
+        } else {
+            EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+        }
+    }
+    // The first crash is free for both jobs; counter8 then crashes alone
+    // twice, charged each time.
+    EXPECT_GE(engine.resilience().workerCrashes, 3u);
+}
+
 TEST(ShardEngine, CrashWithSingleWorkerStillRespawnsAndCompletes) {
     if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv crash(kCrashJobEnv, "majority7");
@@ -969,20 +1078,19 @@ TEST(ShardEngine, CrashWithSingleWorkerStillRespawnsAndCompletes) {
     }
 }
 
-// A worker that answers its first job twice. The wire names no job, so
-// a result can only answer the job in flight on its slot, and after the
-// first answer there is none: the second is a protocol violation — a
-// counted wire poison and a killed worker, never a crash or a result
-// filed under another job. The fake worker is a shell script replaying
-// frames built by the protocol's own encoders; every later spawn execs
-// the real worker.
-TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
-    JobSpec majority;
-    majority.benchmark = "majority7";
-    const JobResult answer = Engine{}.runJob(majority);
-    ASSERT_TRUE(answer.ok) << answer.error;
-
+/// Runs `specs` on one slot of depth 2 whose first worker is a fake: a
+/// shell script that waits for the first job frame, sleeps `delayS`,
+/// replays `answers` — kResult frames built by the protocol's own
+/// encoders — and then answers nothing more. Every later spawn execs the
+/// real worker.
+struct FakeRun {
+    std::vector<JobResult> results;
+    BatchResilience resilience;
+};
+FakeRun runWithFakeFirstWorker(
+    const std::vector<JobSpec>& specs,
+    const std::vector<std::pair<std::uint32_t, JobResult>>& answers,
+    EngineOptions opt, const char* delayS = "0") {
     TempFile hello("fake_hello");
     TempFile results("fake_results");
     TempFile marker("fake_marker");
@@ -993,12 +1101,12 @@ TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
                     encodeHello({kProtocolVersion, 0}));
         std::ofstream(hello.path(), std::ios::binary) << bytes;
         bytes.clear();
-        appendFrame(bytes, FrameType::kResult, encodeResult(answer, {}));
-        appendFrame(bytes, FrameType::kResult, encodeResult(answer, {}));
+        for (const auto& [tag, answer] : answers)
+            appendFrame(bytes, FrameType::kResult,
+                        encodeResult(tag, answer, {}));
         // One small write leaves as one loopback segment: the coordinator
-        // reads both answers together, before it can hand the slot
-        // another job.
-        ASSERT_LT(bytes.size(), std::size_t{PIPE_BUF});
+        // reads every answer together.
+        EXPECT_LT(bytes.size(), std::size_t{PIPE_BUF});
         std::ofstream(results.path(), std::ios::binary) << bytes;
     }
     // The fake dials the coordinator's --connect address like the real
@@ -1012,32 +1120,95 @@ TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
         << "exec 3<>\"/dev/tcp/${2%:*}/${2##*:}\"\n"
         << "cat '" << hello.path() << "' >&3\n"
         << "head -c 1 <&3 > /dev/null\n"  // the first job frame has arrived
+        << "sleep " << delayS << "\n"
         << "cat '" << results.path() << "' >&3\n"
         << "exec cat <&3 > /dev/null\n";
-    ASSERT_EQ(::chmod(script.path().c_str(), 0755), 0);
+    EXPECT_EQ(::chmod(script.path().c_str(), 0755), 0);
 
-    EngineOptions opt = shardOptions(1);
     opt.shardWorkerExe = script.path();
     opt.shardHeartbeatMs = 0;
+    EXPECT_EQ(slotDepths(opt.jobs, opt.shards), std::vector<std::size_t>{2});
     Engine engine(opt);
-    std::vector<JobSpec> specs(2);
-    specs[0].benchmark = "majority7";
-    specs[1].benchmark = "counter8";
-    const auto got = engine.runBatch(specs);
+    FakeRun run{engine.runBatch(specs), {}};
+    run.resilience = engine.resilience();
+    return run;
+}
+
+[[nodiscard]] JobResult computed(const char* name) {
+    const JobResult r = Engine{}.runJob(benchSpecs({name}).front());
+    EXPECT_TRUE(r.ok) << r.error;
+    return r;
+}
+
+// A worker that answers its first job twice. A result's tag must name a
+// job in flight on its slot, and after the first answer tag 0 is not:
+// the second is a protocol violation — a counted wire poison and a killed
+// worker, never a crash or a result filed under another job. counter8,
+// alone in flight at the death, is charged one retry and succeeds on the
+// respawned worker.
+TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    const JobResult answer = computed("majority7");
+    const FakeRun run =
+        runWithFakeFirstWorker(benchSpecs({"majority7", "counter8"}),
+                               {{0, answer}, {0, answer}}, shardOptions(1));
+    const auto& got = run.results;
     ASSERT_EQ(got.size(), 2u);
-    EXPECT_GE(engine.resilience().wirePoisons, 1u);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].name, specs[i].benchmark);
-        if (!got[i].ok) {
-            EXPECT_NE(got[i].error.find("no job in flight"),
-                      std::string::npos)
-                << got[i].error;
-        }
-    }
+    EXPECT_GE(run.resilience.wirePoisons, 1u);
+    EXPECT_EQ(got[0].name, "majority7");
+    EXPECT_EQ(got[1].name, "counter8");
     EXPECT_TRUE(got[0].ok) << got[0].error;
     expectSameSemantics(answer, got[0]);
+    EXPECT_EQ(got[0].shard, 0);
     EXPECT_TRUE(got[1].ok) << got[1].error;
     EXPECT_GE(got[1].shard, 0) << "counter8 ran on the respawned worker";
+    EXPECT_EQ(run.resilience.retries, 1u);
+}
+
+// A tag naming no job in flight poisons the stream before any result is
+// filed. Both jobs were in flight, so neither is charged: each retries
+// alone on the respawned worker and succeeds.
+TEST(ShardEngine, UnknownResultTagIsAWirePoison) {
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    EngineOptions opt = shardOptions(1);
+    opt.shardRetries = 0;  // a charged job would fail
+    const FakeRun run =
+        runWithFakeFirstWorker(benchSpecs({"majority7", "counter8"}),
+                               {{99, computed("majority7")}}, opt);
+    ASSERT_EQ(run.results.size(), 2u);
+    EXPECT_GE(run.resilience.wirePoisons, 1u);
+    EXPECT_EQ(run.resilience.retries, 2u);
+    for (const auto& r : run.results) {
+        EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+        EXPECT_GE(r.shard, 0) << r.name;
+    }
+}
+
+// At depth 2 a hung job shares its worker: majority7 never answers,
+// counter8 answers after 0.2 s, and adder8 takes its place. The wall
+// budget kills the worker when majority7's budget runs out, while
+// adder8's, started 0.2 s later, has not: only majority7 is charged
+// (retries are off, so it fails), and adder8 reruns free.
+TEST(ShardEngine, WallBudgetChargesOnlyTheHungJobAtDepthTwo) {
+    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
+    EngineOptions opt = shardOptions(1);
+    opt.shardWallMsPerJob = 1500;
+    opt.shardRetries = 0;
+    const FakeRun run = runWithFakeFirstWorker(
+        benchSpecs({"majority7", "counter8", "adder8"}),
+        {{1, computed("counter8")}}, opt, "0.2");
+    const auto& got = run.results;
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_FALSE(got[0].ok);
+    EXPECT_NE(got[0].error.find("wall budget"), std::string::npos)
+        << got[0].error;
+    EXPECT_NE(got[0].error.find("retries disabled"), std::string::npos)
+        << got[0].error;
+    EXPECT_TRUE(got[1].ok) << got[1].error;
+    EXPECT_EQ(got[1].shard, 0);
+    EXPECT_TRUE(got[2].ok) << got[2].error;
+    EXPECT_EQ(run.resilience.workerCrashes, 1u);
+    EXPECT_EQ(run.resilience.retries, 1u);
 }
 
 TEST(ShardEngine, WallBudgetKillsHangingWorkers) {

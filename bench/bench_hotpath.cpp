@@ -37,6 +37,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,7 @@
 #include "ring/identity_db.hpp"
 #include "ring/membership.hpp"
 #include "util/json_writer.hpp"
+#include "util/pool.hpp"
 
 namespace {
 
@@ -261,7 +263,7 @@ int main(int argc, char** argv) {
                                    1000.0;
 
     // ---- Probe lanes: the probe phase of whole decomposes at 1, 2 and 4
-    // lanes (a private pool of lanes − 1 helpers). ---------------------
+    // lanes (a pool of that many threads; 1 lane is no pool). ----------
     struct LaneRun {
         std::size_t lanes = 0;
         double probeMs = 1e300;
@@ -274,11 +276,14 @@ int main(int argc, char** argv) {
         for (const std::size_t lanes : {1u, 2u, 4u}) {
             LaneRun run;
             run.lanes = lanes;
+            const auto pool =
+                lanes > 1 ? std::make_shared<pd::util::ThreadPool>(lanes)
+                          : nullptr;
             for (int rep = 0; rep < 2; ++rep) {
                 pd::anf::VarTable tbl;
                 const auto outs = b->anf(tbl);
                 pd::core::DecomposeOptions dopt;
-                dopt.probeThreads = lanes;
+                dopt.probePool = pool;
                 const auto d =
                     pd::core::decompose(tbl, outs, b->outputNames, dopt);
                 sink += d.blocks.size();

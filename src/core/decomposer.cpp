@@ -60,10 +60,10 @@ Decomposition decompose(anf::VarTable& vars,
     gOpt.probeMergeBudget = opt.mergeAttemptBudget;
 
     // One probe context for the whole run: per-lane indexers and solver
-    // scratch persist across iterations, and the sweep runs over
-    // probeThreads lanes deterministically (bit-identical results at any
-    // setting).
-    probe::ProbeContext probeCtx(opt.probeThreads, opt.probePool);
+    // scratch persist across iterations, and the sweep runs over the
+    // probe pool's lanes deterministically (bit-identical results at any
+    // pool size).
+    probe::ProbeContext probeCtx(opt.probePool);
     probeCtx.captureHook = opt.probeCaptureHook;
     // The winning probe's findBasis is reusable for the iteration
     // exactly when the probes scored under this run's merge options.

@@ -69,15 +69,12 @@ struct DecomposeOptions {
     /// tractable instead of open-ended.
     std::size_t mergeAttemptBudget = kDefaultMergeAttemptBudget;
     bool recordTrace = true;
-    /// Lanes for the group-selection probe sweep (0/1 = sequential).
-    /// Purely a scheduling knob: the sweep is deterministic by
-    /// construction, so results are bit-identical at every setting —
-    /// which is why this field is excluded from the engine's options
-    /// fingerprint and cache keys.
-    std::size_t probeThreads = 0;
-    /// Pool the sweep's helper lanes run on (the engine's job pool). When
-    /// null and probeThreads > 1, the decomposer's probe context lazily
-    /// spins up its own pool. Never serialized; runtime wiring only.
+    /// Pool the group-selection probe sweep fans out on (the engine's job
+    /// pool): one lane per pool thread, the calling thread's included
+    /// (null = sequential). Purely a scheduling input: the sweep is
+    /// deterministic by construction, so results are bit-identical at
+    /// every pool size. Never serialized, never part of the engine's
+    /// options fingerprint or cache keys; runtime wiring only.
     std::shared_ptr<util::ThreadPool> probePool;
     /// Bench/test hook forwarded to the probe context: reports every
     /// sweep's inputs (folded expression, candidates, identity-database

@@ -560,16 +560,10 @@ struct ProbeContext::Workspace {
     }
 };
 
-ProbeContext::ProbeContext(std::size_t lanes,
-                           std::shared_ptr<util::ThreadPool> pool)
-    : lanes_(std::max<std::size_t>(1, lanes)), pool_(std::move(pool)) {}
+ProbeContext::ProbeContext(std::shared_ptr<util::ThreadPool> pool)
+    : pool_(std::move(pool)) {}
 
 ProbeContext::~ProbeContext() = default;
-
-util::ThreadPool& ProbeContext::pool() {
-    if (!pool_) pool_ = std::make_shared<util::ThreadPool>(lanes_ - 1);
-    return *pool_;
-}
 
 ProbeContext::Workspace& ProbeContext::workspace(std::size_t slot) {
     while (workspaces_.size() <= slot)
@@ -629,8 +623,9 @@ SweepOutcome ProbeContext::sweep(const anf::Anf& folded,
     }
     const auto kept = static_cast<std::size_t>(
         std::count(keep.begin(), keep.end(), 1));
-    const std::size_t lanes = std::min(lanes_, kept);
-    util::ThreadPool* helpers = lanes > 1 ? &pool() : nullptr;
+    const std::size_t lanes =
+        std::min(pool_ ? pool_->threadCount() : 1, kept);
+    util::ThreadPool* helpers = lanes > 1 ? pool_.get() : nullptr;
 
     // ---- Sound lower bound per candidate (candidateBounds). It doubles
     // as the ordering heuristic that sends likely winners into the early

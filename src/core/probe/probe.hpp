@@ -157,12 +157,11 @@ struct CandidateBounds {
 /// iterations). Not thread-safe itself — one context per decompose run.
 class ProbeContext {
 public:
-    /// `lanes` ≤ 1 probes on the calling thread alone. With more, each
-    /// sweep offers lanes − 1 helper tickets to `pool` when given (the
-    /// engine's job pool) or to a lazily created private pool of
-    /// lanes − 1 threads otherwise.
-    explicit ProbeContext(std::size_t lanes = 0,
-                          std::shared_ptr<util::ThreadPool> pool = nullptr);
+    /// Without a pool every sweep probes on the calling thread alone.
+    /// With one, each sweep runs one lane per pool thread: the calling
+    /// thread is lane 0 and the rest are helper tickets offered to `pool`
+    /// (the engine's job pool).
+    explicit ProbeContext(std::shared_ptr<util::ThreadPool> pool = nullptr);
     ~ProbeContext();
 
     ProbeContext(const ProbeContext&) = delete;
@@ -195,11 +194,9 @@ public:
 private:
     struct Workspace;
 
-    util::ThreadPool& pool();
     Workspace& workspace(std::size_t slot);
 
-    std::size_t lanes_ = 1;
-    std::shared_ptr<util::ThreadPool> pool_;   ///< external or lazily owned
+    std::shared_ptr<util::ThreadPool> pool_;
     std::vector<std::unique_ptr<Workspace>> workspaces_;
     std::uint64_t epoch_ = 0;   ///< bumped per sweep; ring caches key on it
     ProbeStats stats_;

@@ -7,46 +7,29 @@
 
 namespace pd::engine {
 
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-    if (shards == 0) shards = 1;
-    shards = std::min(shards, std::max<std::size_t>(capacity, 1));
-    // Per-shard bound equals the global capacity: hash skew must never
-    // evict while fewer than `capacity` distinct keys are live (a warm
-    // batch rerun relies on that). Worst-case residency is
-    // capacity × shards; with a uniform hash the expected residency
-    // tracks capacity.
-    perShardCapacity_ = std::max<std::size_t>(1, capacity);
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
 ResultCache::LookupResult ResultCache::lookupOrReserve(const Key& key,
                                                        const Accept& accept,
                                                        bool reserve) {
     if (capacity_ == 0) return std::monostate{};
-    const std::size_t idx = shardOf(key);
-    Shard& s = *shards_[idx];
     static auto& hits = obs::counter("cache.hit");
     static auto& misses = obs::counter("cache.miss");
 
     std::shared_future<Value> found;
     {
-        std::lock_guard lock(s.mutex);
-        const auto it = s.map.find(key);
-        if (it == s.map.end()) {
+        std::lock_guard lock(mutex_);
+        const auto it = map_.find(key);
+        if (it == map_.end()) {
             if (!reserve) return std::monostate{};
-            ++s.stats.misses;
+            ++stats_.misses;
             misses.add();
             std::promise<Value> promise;
             Entry e;
             e.future = promise.get_future().share();
-            e.lastUse = ++s.tick;
-            s.map.emplace(key, std::move(e));
-            return Reservation(this, idx, key, std::move(promise));
+            e.lastUse = ++tick_;
+            map_.emplace(key, std::move(e));
+            return Reservation(this, key, std::move(promise));
         }
-        it->second.lastUse = ++s.tick;
+        it->second.lastUse = ++tick_;
         found = it->second.future;  // in-flight: wait outside the lock
     }
     Value v = found.get();
@@ -55,50 +38,46 @@ ResultCache::LookupResult ResultCache::lookupOrReserve(const Key& key,
     // livelock with other failed waiters. A rejected value is a miss.
     const bool hit = v && (!accept || accept(*v));
     {
-        std::lock_guard lock(s.mutex);
-        ++(hit ? s.stats.hits : s.stats.misses);
+        std::lock_guard lock(mutex_);
+        ++(hit ? stats_.hits : stats_.misses);
     }
     (hit ? hits : misses).add();
     if (hit) return v;
     return std::monostate{};
 }
 
-void ResultCache::publish(std::size_t shard, const Key& key,
-                          bool success) {
-    Shard& s = *shards_[shard];
-    std::lock_guard lock(s.mutex);
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) return;
+void ResultCache::publish(const Key& key, bool success) {
+    std::lock_guard lock(mutex_);
+    const auto it = map_.find(key);
+    if (it == map_.end()) return;
     if (!success) {
-        s.map.erase(it);
+        map_.erase(it);
         return;
     }
     it->second.ready = true;
     it->second.fresh = true;
-    it->second.lastUse = ++s.tick;
-    ++s.stats.inserts;
+    it->second.lastUse = ++tick_;
+    ++stats_.inserts;
+    ++stats_.entries;
     static auto& inserts = obs::counter("cache.insert");
     inserts.add();
-    evictIfNeeded(s);
+    evictIfNeeded();
 }
 
-void ResultCache::evictIfNeeded(Shard& s) {
-    std::size_t ready = 0;
-    for (const auto& [k, e] : s.map) ready += e.ready ? 1 : 0;
-    while (ready > perShardCapacity_) {
-        auto victim = s.map.end();
-        for (auto it = s.map.begin(); it != s.map.end(); ++it) {
+void ResultCache::evictIfNeeded() {
+    while (stats_.entries > capacity_) {
+        auto victim = map_.end();
+        for (auto it = map_.begin(); it != map_.end(); ++it) {
             if (!it->second.ready) continue;
-            if (victim == s.map.end() ||
+            if (victim == map_.end() ||
                 it->second.lastUse < victim->second.lastUse)
                 victim = it;
         }
-        if (victim == s.map.end()) break;
-        s.map.erase(victim);
-        ++s.stats.evictions;
+        map_.erase(victim);  // entries > 0 ready entries exist
+        --stats_.entries;
+        ++stats_.evictions;
         static auto& evictions = obs::counter("cache.eviction");
         evictions.add();
-        --ready;
     }
 }
 
@@ -106,7 +85,7 @@ ResultCache::Reservation::~Reservation() {
     if (!cache_) return;
     if (!fulfilled_) {
         promise_.set_value(nullptr);  // wake waiters: compute yourselves
-        cache_->publish(shard_, key_, /*success=*/false);
+        cache_->publish(key_, /*success=*/false);
     }
 }
 
@@ -114,18 +93,16 @@ void ResultCache::Reservation::fulfill(Value v) {
     if (!cache_) return;  // moved-from: inert
     promise_.set_value(std::move(v));
     fulfilled_ = true;
-    cache_->publish(shard_, key_, /*success=*/true);
+    cache_->publish(key_, /*success=*/true);
 }
 
 std::vector<ResultCache::SnapshotEntry> ResultCache::snapshot() const {
     std::vector<SnapshotEntry> out;
-    for (const auto& shard : shards_) {
-        std::lock_guard lock(shard->mutex);
-        for (const auto& [key, entry] : shard->map) {
-            if (!entry.ready) continue;  // in-flight: value doesn't exist
-            Value v = entry.future.get();
-            if (v) out.push_back({key, std::move(v), entry.lastUse});
-        }
+    std::lock_guard lock(mutex_);
+    for (const auto& [key, entry] : map_) {
+        if (!entry.ready) continue;  // in-flight: value doesn't exist
+        Value v = entry.future.get();
+        if (v) out.push_back({key, std::move(v), entry.lastUse});
     }
     return out;
 }
@@ -133,10 +110,9 @@ std::vector<ResultCache::SnapshotEntry> ResultCache::snapshot() const {
 std::vector<ResultCache::SnapshotEntry> ResultCache::takeFresh(
     const Key& key) {
     std::vector<SnapshotEntry> out;
-    Shard& s = *shards_[shardOf(key)];
-    std::lock_guard lock(s.mutex);
-    const auto it = s.map.find(key);
-    if (it == s.map.end() || !std::exchange(it->second.fresh, false))
+    std::lock_guard lock(mutex_);
+    const auto it = map_.find(key);
+    if (it == map_.end() || !std::exchange(it->second.fresh, false))
         return out;
     if (Value v = it->second.future.get())
         out.push_back({key, std::move(v), it->second.lastUse});
@@ -146,40 +122,29 @@ std::vector<ResultCache::SnapshotEntry> ResultCache::takeFresh(
 std::size_t ResultCache::restore(std::vector<SnapshotEntry> entries) {
     if (capacity_ == 0) return 0;
     std::size_t adopted = 0;
+    std::lock_guard lock(mutex_);
     for (auto& e : entries) {
-        if (!e.value) continue;
-        Shard& s = *shards_[shardOf(e.key)];
-        std::lock_guard lock(s.mutex);
-        if (s.map.contains(e.key)) continue;  // live entry wins
+        if (!e.value || map_.contains(e.key)) continue;  // live entry wins
         std::promise<Value> promise;
         promise.set_value(std::move(e.value));
         Entry entry;
         entry.future = promise.get_future().share();
         entry.ready = true;
-        entry.lastUse = ++s.tick;  // stamps reset: restored ≙ just used
-        s.map.emplace(e.key, std::move(entry));
-        ++s.stats.restored;
+        entry.lastUse = ++tick_;  // stamps reset: restored ≙ just used
+        map_.emplace(e.key, std::move(entry));
+        ++stats_.restored;
+        ++stats_.entries;
         static auto& restored = obs::counter("cache.restored");
         restored.add();
         ++adopted;
-        evictIfNeeded(s);
+        evictIfNeeded();
     }
     return adopted;
 }
 
 ResultCache::Stats ResultCache::stats() const {
-    Stats total;
-    for (const auto& shard : shards_) {
-        std::lock_guard lock(shard->mutex);
-        total.hits += shard->stats.hits;
-        total.misses += shard->stats.misses;
-        total.inserts += shard->stats.inserts;
-        total.evictions += shard->stats.evictions;
-        total.restored += shard->stats.restored;
-        for (const auto& [k, e] : shard->map)
-            total.entries += e.ready ? 1 : 0;
-    }
-    return total;
+    std::lock_guard lock(mutex_);
+    return stats_;
 }
 
 std::optional<util::Digest128> JobIndex::find(const std::string& name,

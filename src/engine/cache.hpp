@@ -1,4 +1,4 @@
-// Sharded, mutex-protected result cache for the batch engine, plus the
+// Mutex-protected result cache for the batch engine, plus the
 // name index in front of it.
 //
 // Keys are 128-bit content digests of the job (see engine::canonicalDigest
@@ -16,10 +16,10 @@
 // The stamp hashes what the registry builds under that name; a stale
 // entry is an index miss that costs one key recompute, never a wrong hit.
 //
-// Concurrency protocol (per shard, one mutex each):
+// Concurrency protocol (one mutex over one map):
 //   * find(key) ready      → hit: bump LRU stamp, return the value.
 //   * find(key) in-flight  → hit: wait on the computing job's future
-//                            outside the shard lock, then return its value.
+//                            outside the lock, then return its value.
 //   * either, rejected     → the caller's accept() guard said no: a miss,
 //                            and the caller computes without publishing.
 //   * miss                 → the caller receives a Reservation and must
@@ -31,11 +31,11 @@
 //                            waiters with nullptr, telling them to compute
 //                            for themselves — failures are never cached.
 //
-// Eviction is least-recently-used per shard over *ready* entries only;
-// in-flight entries are pinned. Each shard is bounded by the full
-// configured capacity (not capacity/shards) so hash skew can never evict
-// while fewer than `capacity` distinct keys are live — warm batch reruns
-// depend on that guarantee. Worst-case residency is capacity × shards.
+// Eviction is least-recently-used over *ready* entries only; in-flight
+// entries are pinned. At most `capacity` ready entries stay resident, and
+// none is evicted while fewer than `capacity` distinct keys are live —
+// warm batch reruns depend on that guarantee. A batch makes two lookups
+// per job at most, so one lock is not a point of contention.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +83,6 @@ public:
     public:
         Reservation(Reservation&& other) noexcept
             : cache_(other.cache_),
-              shard_(other.shard_),
               key_(other.key_),
               promise_(std::move(other.promise_)),
               fulfilled_(other.fulfilled_) {
@@ -91,7 +90,6 @@ public:
             // fulfill() or dtor on it may touch neither the cache nor
             // the (moved-from) promise.
             other.cache_ = nullptr;
-            other.shard_ = 0;
             other.fulfilled_ = true;
         }
         Reservation& operator=(Reservation&&) = delete;
@@ -104,32 +102,25 @@ public:
 
     private:
         friend class ResultCache;
-        Reservation(ResultCache* cache, std::size_t shard, Key key,
-                    std::promise<Value> promise)
-            : cache_(cache),
-              shard_(shard),
-              key_(key),
-              promise_(std::move(promise)) {}
+        Reservation(ResultCache* cache, Key key, std::promise<Value> promise)
+            : cache_(cache), key_(key), promise_(std::move(promise)) {}
 
         ResultCache* cache_;
-        std::size_t shard_;
         Key key_;
         std::promise<Value> promise_;
         bool fulfilled_ = false;
     };
 
-    /// `capacity` = guaranteed-resident distinct keys before LRU eviction
-    /// may kick in; each shard is bounded by this value, so worst-case
-    /// residency is capacity × shards (see the file comment). 0 disables
-    /// caching: every lookup is a non-caching miss.
-    explicit ResultCache(std::size_t capacity, std::size_t shards = 8);
+    /// `capacity` = the most ready entries resident at once; LRU eviction
+    /// keeps it. 0 disables caching: every lookup is a non-caching miss.
+    explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
     /// Either a ready value (hit — may have blocked on an in-flight
     /// computation) or a Reservation the caller must fulfill, or
     /// std::monostate when caching is disabled, an in-flight computation
     /// failed, or `accept` rejected the value (compute, don't publish).
     using LookupResult = std::variant<Value, Reservation, std::monostate>;
-    /// Guard run on a found value (outside the shard lock) before it is
+    /// Guard run on a found value (outside the lock) before it is
     /// served; a rejected value counts as a miss.
     using Accept = std::function<bool(const JobResult&)>;
     /// With `reserve` false a missing key returns std::monostate without
@@ -172,22 +163,15 @@ private:
         bool fresh = false;
         std::uint64_t lastUse = 0;
     };
-    struct Shard {
-        mutable std::mutex mutex;
-        std::unordered_map<Key, Entry, util::Digest128Hash> map;
-        std::uint64_t tick = 0;
-        Stats stats;
-    };
 
-    void publish(std::size_t shard, const Key& key, bool success);
-    [[nodiscard]] std::size_t shardOf(const Key& key) const {
-        return util::Digest128Hash{}(key) % shards_.size();
-    }
-    void evictIfNeeded(Shard& s);  // caller holds s.mutex
+    void publish(const Key& key, bool success);
+    void evictIfNeeded();  // caller holds mutex_
 
     std::size_t capacity_;
-    std::size_t perShardCapacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    mutable std::mutex mutex_;
+    std::unordered_map<Key, Entry, util::Digest128Hash> map_;
+    std::uint64_t tick_ = 0;
+    Stats stats_;  ///< stats_.entries counts the ready entries
 };
 
 /// Thread-safe (registry name + options fingerprint) → (spec stamp,

@@ -282,31 +282,33 @@ std::uint64_t specStamp(const circuits::Benchmark& bench) {
 std::string persistFingerprint(const EngineOptions& opt) {
     // SAT verification changes stored fields (verification status, the
     // sat block), so whether it ran and under which budgets is part of
-    // the salt. The searcher count is NOT: the portfolio's fixed
-    // tie-break makes results identical at every count, exactly like
-    // probeThreads.
+    // the salt. With no budget the portfolio's lowest-index tie-break
+    // makes results identical at every searcher count, exactly like
+    // probeThreads; under a budget a higher searcher can answer where
+    // searcher 0 ran out, so the count is salted too.
+    std::string sat = "|vs0";
+    if (opt.verifyThreads > 0) {
+        sat = "|vs1|vcb" + std::to_string(opt.verifyConflictBudget) +
+              "|vpb" + std::to_string(opt.verifyPropagationBudget);
+        if (opt.verifyConflictBudget != 0 || opt.verifyPropagationBudget != 0)
+            sat += "|vn" + std::to_string(opt.verifyThreads);
+    }
     return "lib:umc130|xl" + std::to_string(opt.equiv.exhaustiveLimitBits) +
            "|rb" + std::to_string(opt.equiv.randomBatches) + "|sd" +
-           std::to_string(opt.equiv.seed) +
-           (opt.verifyThreads > 0
-                ? "|vs1|vcb" + std::to_string(opt.verifyConflictBudget) +
-                      "|vpb" + std::to_string(opt.verifyPropagationBudget)
-                : std::string("|vs0"));
+           std::to_string(opt.equiv.seed) + sat;
 }
 
 Engine::Engine(EngineOptions opt)
     : opt_(opt),
       lib_(synth::CellLibrary::umc130()),
       cache_(opt.cacheCapacity),
-      pool_(std::make_shared<util::ThreadPool>(
-          std::max({opt.jobs, opt.probeThreads, std::size_t{1}}))) {
+      pool_(std::make_shared<util::ThreadPool>(std::max(
+          {opt.jobs, opt.probeThreads, opt.verifyThreads, std::size_t{1}}))) {
     // Registered up front so every report carries them, zeros included:
     // the warm-start gate demands engine.spec.expansions == 0.
     for (const char* name : {"engine.spec.expansions", "cache.index.hits",
                              "cache.index.misses", "cache.digest_mismatch"})
         (void)obs::counter(name);
-    if (opt_.verifyThreads > 1)
-        verifyPool_ = std::make_shared<util::ThreadPool>(opt_.verifyThreads);
     persist_.file = opt_.cacheFile;
     persist_.readonly = opt_.cacheReadonly;
     if (persist_.file.empty()) return;
@@ -523,9 +525,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
         // deterministic at any setting), so it is not part of the cache
         // key. Sweeps get a lane per job-pool thread; helper lanes only
         // run on workers that are idle.
-        dopt.probeThreads =
-            std::max(dopt.probeThreads, pool_->threadCount());
-        if (dopt.probeThreads > 1) dopt.probePool = pool_;
+        dopt.probePool = pool_;
 
         ResolvedJob job;
         job.bench = benchmarkOf(spec);
@@ -740,7 +740,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
                 satOpt.propagationBudget = 1;
                 tainted = true;
             }
-            satOpt.pool = verifyPool_.get();
+            satOpt.pool = pool_.get();
             const auto eq = sat::checkEquivalentSat(raw, mapped, satOpt);
             result.satVerify.ran = true;
             result.satVerify.conflicts = eq.conflicts;

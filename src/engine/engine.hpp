@@ -44,11 +44,11 @@ namespace pd::engine {
 /// the shard coordinator unchanged, and shard/worker.cpp encodes the
 /// fields a worker needs into its argv and decodes them back into one.
 struct EngineOptions {
-    /// Worker threads (0 → 1).
+    /// Jobs in flight at once (0 → 1). The job pool has
+    /// max(jobs, probeThreads, verifyThreads) threads.
     std::size_t jobs = 1;
-    /// Result-cache capacity: at least this many distinct jobs stay
-    /// resident before LRU eviction (0 disables caching; see cache.hpp
-    /// for the exact per-shard bound).
+    /// Result-cache capacity: exactly this many ready entries stay
+    /// resident before LRU eviction (0 disables caching).
     std::size_t cacheCapacity = 64;
     /// Per-job effort budget in decomposition iterations, in the CDCL
     /// "conflict budget" tradition: when non-zero it caps
@@ -56,11 +56,10 @@ struct EngineOptions {
     /// latency of a batch at the price of possibly unconverged results.
     std::size_t conflictBudget = 0;
     /// Lanes for each job's group-selection probe sweep (intra-job
-    /// parallelism). The job pool has max(jobs, probeThreads) threads, and
-    /// every sweep runs with as many lanes as that (or its job's own
-    /// DecomposeOptions::probeThreads, if larger); helper lanes run only on
-    /// pool workers that are idle, so with jobs > 1 the last jobs of a
-    /// batch borrow the workers that ran out of jobs. The sweep is
+    /// parallelism): a floor on the job pool's size. Every sweep runs
+    /// with one lane per pool thread; helper lanes run only on pool
+    /// workers that are idle, so with jobs > 1 the last jobs of a batch
+    /// borrow the workers that ran out of jobs. The sweep is
     /// deterministic, so results are bit-identical at every setting — the
     /// knob is not part of cache keys or the persist fingerprint.
     std::size_t probeThreads = 0;
@@ -69,12 +68,13 @@ struct EngineOptions {
     /// SAT certification of the optimize→map stages (0 = off). With
     /// N ≥ 1 every verified job also miters its raw synthesized netlist
     /// against the mapped netlist and refutes it with a portfolio of N
-    /// CDCL searchers racing on an engine-owned pool. The portfolio
-    /// winner is chosen by a fixed lowest-index tie-break, so reported
-    /// results are bit-identical at every N (the searcher count, like
-    /// probeThreads, is not part of cache keys or the persist
-    /// fingerprint — but *enabling* SAT verify and its budgets are,
-    /// because they change stored verification fields).
+    /// CDCL searchers, racing on the job pool's idle workers (N is also
+    /// a floor on the pool's size). The portfolio winner is chosen by a
+    /// fixed lowest-index tie-break, so when no verify budget is set
+    /// reported results are bit-identical at every N, and N is not part
+    /// of cache keys or the persist fingerprint. *Enabling* SAT verify
+    /// and its budgets are, because they change stored verification
+    /// fields, and so is N once a budget is set (see persistFingerprint).
     std::size_t verifyThreads = 0;
     /// Per-searcher conflict budget for SAT verification (0 = unlimited).
     /// Exhaustion is reported per job as verification.sat.budget_exhausted
@@ -259,18 +259,14 @@ private:
     /// Worker records adopted since the last flush arrive via restore(),
     /// which does not move the generation.
     bool unflushedRecords_ = false;
-    /// The job pool, max(jobs, probeThreads) threads. `jobs` of them pull
-    /// jobs (in a shard worker, run the submit()ted job tasks); the rest,
-    /// and every puller that finds no job left, serve the probe sweeps'
-    /// helper tickets. A sweep never waits for a ticket no
-    /// worker has started (util::runLanes), so jobs and their probe lanes
-    /// share one pool without a wait deadlock.
+    /// The engine's only pool, max(jobs, probeThreads, verifyThreads)
+    /// threads. `jobs` of them pull jobs (in a shard worker, run the
+    /// submit()ted job tasks); the rest, and every puller that finds no
+    /// job left, serve the helper tickets of the probe sweeps and SAT
+    /// portfolios. Neither waits for a ticket no worker has started
+    /// (util::runLanes), so jobs and their lanes share one pool without a
+    /// wait deadlock.
     std::shared_ptr<util::ThreadPool> pool_;
-    /// Shared SAT-portfolio pool (EngineOptions::verifyThreads > 1). A
-    /// separate pool from `pool_`: a job blocks on its searchers' futures,
-    /// so running both through one pool could deadlock with every worker
-    /// parked on a wait.
-    std::shared_ptr<util::ThreadPool> verifyPool_;
 };
 
 /// One-shot convenience over a temporary Engine.
@@ -301,10 +297,11 @@ private:
 
 /// The salt written into (and demanded from) a persistent store: the
 /// engine-level knobs that change results but are *not* part of the
-/// per-job key — the cell library and the verification
-/// effort. Per-job DecomposeOptions need no salting (they are already in
-/// every cache key); conflictBudget is folded into those options before
-/// keys are computed, so it is covered too.
+/// per-job key — the cell library and the verification effort,
+/// including the SAT searcher count when a verify budget is set. Per-job
+/// DecomposeOptions need no salting (they are already in every cache
+/// key); conflictBudget is folded into those options before keys are
+/// computed, so it is covered too.
 [[nodiscard]] std::string persistFingerprint(const EngineOptions& opt);
 
 }  // namespace pd::engine

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
@@ -41,6 +42,13 @@ constexpr int kRespawnBackoffCapMs = 1000;
 double msSince(Clock::time_point start) {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
         .count();
+}
+
+/// `ms` in its shortest exact form, as given on the command line: 1200
+/// prints "1200" and 0.5 prints "0.5".
+std::string formatMs(double ms) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, ms).ptr);
 }
 
 std::string describeExit(int status) {
@@ -298,7 +306,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         std::string how;
         if (s.budgetKilled)
             how = "exceeded the per-job wall budget of " +
-                  std::to_string(opt.shardWallMsPerJob) + " ms and was killed";
+                  formatMs(opt.shardWallMsPerJob) + " ms and was killed";
         else if (s.hbKilled)
             how = "missed the heartbeat deadline (silent past "
                   "--shard-heartbeat-ms " +

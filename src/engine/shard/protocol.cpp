@@ -156,10 +156,6 @@ std::string encodeJob(std::uint32_t tag, const JobSpec& spec) {
     w.u64(o.maxIterations);
     w.u64(o.maxExhaustiveCombinations);
     w.u64(o.mergeAttemptBudget);
-    // Scheduling knob, not semantics: carried so a worker can fan its
-    // probe sweep out exactly as the in-process engine would, while the
-    // sweep's determinism keeps results byte-identical either way.
-    w.u64(o.probeThreads);
     w.u8(o.recordTrace ? 1 : 0);
     w.u8(spec.verify ? 1 : 0);
     w.u8(spec.keepMapped ? 1 : 0);
@@ -189,7 +185,6 @@ TaggedJob decodeJob(std::string_view payload) {
     o.maxIterations = r.u64();
     o.maxExhaustiveCombinations = r.u64();
     o.mergeAttemptBudget = r.u64();
-    o.probeThreads = r.u64();
     o.recordTrace = r.u8() != 0;
     spec.verify = r.u8() != 0;
     spec.keepMapped = r.u8() != 0;

@@ -1,5 +1,5 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v10"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v11"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker socket is a length-prefixed, checksummed
 // frame over the same little-endian primitives as the pd-cache-v4 store:
@@ -88,7 +88,11 @@ namespace pd::engine::shard {
 /// its slot is a protocol violation. Workers take --jobs argv (their
 /// share of the coordinator's --jobs) and ship kObs metric deltas in
 /// every run, spans only under --obs.
-inline constexpr std::uint32_t kProtocolVersion = 10;
+///
+/// v11 (one pool): kJob loses DecomposeOptions::probeThreads (u64), which
+/// is gone. A worker's sweeps run one lane per thread of its engine's
+/// job pool, which its --jobs and --probe-threads argv size.
+inline constexpr std::uint32_t kProtocolVersion = 11;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
-#include <memory>
 
 namespace pd::sat {
 
@@ -77,40 +75,30 @@ PortfolioResult solvePortfolio(const DimacsProblem& problem,
     const std::size_t n = std::max<std::size_t>(1, opt.searchers);
     std::vector<Searcher> slots(n);
 
-    if (opt.pool == nullptr || n == 1) {
-        // Sequential fallback: index order IS the tie-break order, so
-        // the first definitive answer is the portfolio winner.
-        for (std::size_t i = 0; i < n; ++i) {
+    // Lanes claim searcher indices in order from one cursor. `lowest`
+    // tracks the lowest index with a definitive answer: no lane claims
+    // above it, and a definitive searcher cancels only searchers ABOVE
+    // it, so every searcher at or below the final winner runs to its
+    // deterministic conclusion and neither the winner nor the 0..winner
+    // statistics depend on the schedule. With one lane this is the
+    // index-order scan that stops at the first definitive answer.
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::size_t> lowest{n};
+    util::runLanes(opt.pool, n, [&](std::size_t) {
+        for (;;) {
+            const std::size_t i = cursor.fetch_add(1);
+            if (i >= n || i > lowest.load()) return;
             runSearcher(i, problem, opt, slots[i]);
-            if (slots[i].result != Result::kUnknown)
-                return harvest(slots, static_cast<int>(i));
-        }
-        return harvest(slots, -1);
-    }
-
-    // Parallel race. `lowestDefinitive` tracks the best (lowest) index
-    // with a definitive answer; a searcher finishing definitively may
-    // only cancel searchers ABOVE it — everything at or below keeps
-    // running to its deterministic conclusion, so the final winner and
-    // the 0..winner statistics cannot depend on scheduling.
-    std::atomic<std::size_t> lowestDefinitive{n};
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        futures.push_back(opt.pool->submit([&, i] {
-            runSearcher(i, problem, opt, slots[i]);
-            if (slots[i].result == Result::kUnknown) return;
-            std::size_t cur = lowestDefinitive.load();
-            while (i < cur && !lowestDefinitive.compare_exchange_weak(cur, i)) {
+            if (slots[i].result == Result::kUnknown) continue;
+            std::size_t cur = lowest.load();
+            while (i < cur && !lowest.compare_exchange_weak(cur, i)) {
             }
-            const std::size_t best = lowestDefinitive.load();
-            for (std::size_t j = best + 1; j < n; ++j)
+            for (std::size_t j = lowest.load() + 1; j < n; ++j)
                 slots[j].stop.store(true, std::memory_order_relaxed);
-        }));
-    }
-    for (auto& f : futures) f.get();
+        }
+    });
 
-    const std::size_t best = lowestDefinitive.load();
+    const std::size_t best = lowest.load();
     return harvest(slots, best < n ? static_cast<int>(best) : -1);
 }
 

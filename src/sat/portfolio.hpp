@@ -17,14 +17,20 @@
 //     (cooperative stop flag), so searchers 0..winner always run to
 //     their deterministic conclusion and the aggregate statistics over
 //     them are reproducible;
-//   - with unlimited budgets searcher 0 always finishes, so the report
-//     is bit-identical for any searcher count — racing only buys wall
-//     clock, never changes answers.
+//   - with unlimited budgets searcher 0 always finishes, so when no
+//     verify budget is set the report is bit-identical for any searcher
+//     count: racing only buys wall clock, never changes answers. Under a
+//     budget, a higher-index searcher may answer where searcher 0 ran
+//     out, so the answer depends on the count (never on the schedule).
 //
-// Runs on a caller-supplied util::ThreadPool (the engine's
-// `--verify-threads` pool, mirroring `--probe-threads`); with no pool it
-// degrades to trying searchers in index order and stopping at the first
-// definitive answer, which yields the identical winner and statistics.
+// The searchers run as util::runLanes lanes on a caller-supplied
+// util::ThreadPool (the engine's job pool): each lane claims the next
+// searcher index from one atomic cursor and stops claiming above the
+// lowest definitive index. Helper lanes run only on idle pool workers,
+// so calling from a task of the same pool cannot deadlock; with no pool
+// or no idle worker the caller tries the searchers in index order and
+// stops at the first definitive answer, which yields the identical
+// winner and statistics.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +46,7 @@ struct PortfolioOptions {
     std::size_t searchers = 1;            ///< clamped up to 1
     std::uint64_t conflictBudget = 0;     ///< per searcher; 0 = unlimited
     std::uint64_t propagationBudget = 0;  ///< per searcher; 0 = unlimited
-    util::ThreadPool* pool = nullptr;     ///< null ⇒ sequential fallback
+    util::ThreadPool* pool = nullptr;     ///< null ⇒ sequential
 };
 
 struct PortfolioResult {

@@ -464,7 +464,7 @@ ResultCache::Value makeValue(const std::string& name) {
 }
 
 TEST(Cache, LruEviction) {
-    ResultCache cache(/*capacity=*/2, /*shards=*/1);
+    ResultCache cache(/*capacity=*/2);
     for (const char* name : {"a", "b"}) {
         auto lookup = cache.lookupOrReserve(key(name));
         auto* reservation = std::get_if<ResultCache::Reservation>(&lookup);
@@ -488,8 +488,28 @@ TEST(Cache, LruEviction) {
         << "b must have been evicted";
 }
 
+TEST(Cache, CapacityBoundsReadyEntriesWhateverTheKeys) {
+    // The capacity is one bound over all keys: three inserts into a
+    // cache of two leave two ready entries, however the keys hash.
+    for (int round = 0; round < 16; ++round) {
+        ResultCache cache(2);
+        for (int i = 0; i < 3; ++i) {
+            const std::string name =
+                std::to_string(round) + "/" + std::to_string(i);
+            auto lookup = cache.lookupOrReserve(key(name.c_str()));
+            auto* reservation =
+                std::get_if<ResultCache::Reservation>(&lookup);
+            ASSERT_NE(reservation, nullptr);
+            reservation->fulfill(makeValue(name));
+        }
+        EXPECT_EQ(cache.stats().entries, 2u) << "round " << round;
+        EXPECT_EQ(cache.stats().evictions, 1u) << "round " << round;
+        EXPECT_EQ(cache.snapshot().size(), 2u) << "round " << round;
+    }
+}
+
 TEST(Cache, AbandonedReservationIsNotCached) {
-    ResultCache cache(4, 1);
+    ResultCache cache(4);
     {
         auto lookup = cache.lookupOrReserve(key("k"));
         ASSERT_TRUE(std::holds_alternative<ResultCache::Reservation>(lookup));
@@ -509,11 +529,11 @@ TEST(Cache, ZeroCapacityDisables) {
 }
 
 // Regression: the move constructor used to null only cache_, leaving the
-// moved-from object with a live-looking shard_/fulfilled_ over a
-// moved-from promise. Moving a reservation before fulfilling — and
+// moved-from object with a live-looking fulfilled_ over a moved-from
+// promise. Moving a reservation before fulfilling — and
 // letting the source die, or poking it — must be completely inert.
 TEST(Cache, ReservationMovedBeforeFulfillStaysValid) {
-    ResultCache cache(4, 1);
+    ResultCache cache(4);
     auto lookup = cache.lookupOrReserve(key("k"));
     auto* reservation = std::get_if<ResultCache::Reservation>(&lookup);
     ASSERT_NE(reservation, nullptr);
@@ -534,7 +554,7 @@ TEST(Cache, ReservationMovedBeforeFulfillStaysValid) {
 }
 
 TEST(Cache, ReservationMovedThenSourceDestroyedDoesNotPoison) {
-    ResultCache cache(4, 1);
+    ResultCache cache(4);
     std::optional<ResultCache::Reservation> keeper;
     {
         auto lookup = cache.lookupOrReserve(key("k"));
@@ -550,7 +570,7 @@ TEST(Cache, ReservationMovedThenSourceDestroyedDoesNotPoison) {
 }
 
 TEST(Cache, SnapshotDrainsReadyEntriesOnly) {
-    ResultCache cache(8, 2);
+    ResultCache cache(8);
     {
         auto lookup = cache.lookupOrReserve(key("ready"));
         std::get_if<ResultCache::Reservation>(&lookup)->fulfill(
@@ -568,7 +588,7 @@ TEST(Cache, SnapshotDrainsReadyEntriesOnly) {
 }
 
 TEST(Cache, RestoreMergesWithoutClobberingLiveEntries) {
-    ResultCache cache(8, 2);
+    ResultCache cache(8);
     {
         auto lookup = cache.lookupOrReserve(key("k1"));
         std::get_if<ResultCache::Reservation>(&lookup)->fulfill(
@@ -818,9 +838,11 @@ TEST(Engine, BudgetStarvedSatVerifyIsNeverPublished) {
 }
 
 TEST(Engine, VerifyFingerprintPolicy) {
-    // Searcher count is scheduling — same store works at any N — but
-    // enabling SAT verify or changing its budgets changes stored
-    // verification fields and must salt the fingerprint.
+    // Without a verify budget the searcher count is scheduling — same
+    // store works at any N, and the salt keeps its bytes — but enabling
+    // SAT verify or changing its budgets changes stored verification
+    // fields and must salt the fingerprint. Under a budget a higher
+    // searcher can answer where searcher 0 ran out, so N is salted too.
     EngineOptions off;
     EngineOptions one;
     one.verifyThreads = 1;
@@ -829,8 +851,21 @@ TEST(Engine, VerifyFingerprintPolicy) {
     EngineOptions budgeted = one;
     budgeted.verifyConflictBudget = 1000;
     EXPECT_EQ(persistFingerprint(one), persistFingerprint(four));
+    EXPECT_EQ(persistFingerprint(four),
+              "lib:umc130|xl22|rb512|sd11400714819323198485|vs1|"
+              "vcb0|vpb0");
     EXPECT_NE(persistFingerprint(off), persistFingerprint(one));
     EXPECT_NE(persistFingerprint(one), persistFingerprint(budgeted));
+    for (const auto budget : {&EngineOptions::verifyConflictBudget,
+                              &EngineOptions::verifyPropagationBudget}) {
+        EngineOptions a = one;
+        EngineOptions b = four;
+        a.*budget = 100;
+        b.*budget = 100;
+        EXPECT_NE(persistFingerprint(a), persistFingerprint(b));
+        EXPECT_NE(persistFingerprint(a).find("|vn1"), std::string::npos);
+        EXPECT_NE(persistFingerprint(b).find("|vn4"), std::string::npos);
+    }
 }
 
 TEST(ReportJson, SatVerifyBlockOnlyWhenRan) {

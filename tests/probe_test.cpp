@@ -35,6 +35,12 @@ using anf::Monomial;
 using anf::Var;
 using anf::VarTable;
 
+/// A pool of `lanes` threads for a probe sweep of that many lanes; none
+/// (a sequential sweep) for one lane.
+std::shared_ptr<util::ThreadPool> lanePool(std::size_t lanes) {
+    return lanes > 1 ? std::make_shared<util::ThreadPool>(lanes) : nullptr;
+}
+
 class Rng {
 public:
     explicit Rng(std::uint64_t seed) : s_(seed ? seed : 1) {}
@@ -121,10 +127,10 @@ TEST(ProbeSweep, ThreadCountNeverChangesTheOutcome) {
     for (std::uint64_t seed = 11; seed <= 14; ++seed) {
         auto w = makeWorkload(seed, 10, 28, true, opt);
         if (w.candidates.empty()) continue;
-        probe::ProbeContext sequential(1);
+        probe::ProbeContext sequential;
         const auto want = sequential.sweep(w.folded, w.candidates, w.ids, opt);
         for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-            probe::ProbeContext ctx(threads);
+            probe::ProbeContext ctx(lanePool(threads));
             const auto got = ctx.sweep(w.folded, w.candidates, w.ids, opt);
             expectSameOutcome(want, got);
         }
@@ -141,7 +147,7 @@ TEST(ProbeSweep, BudgetTruncationIsDeterministicAcrossThreadCounts) {
         opt.probeMergeBudget = budget;
         auto w = makeWorkload(21, 10, 30, true, opt);
         ASSERT_FALSE(w.candidates.empty());
-        probe::ProbeContext sequential(1);
+        probe::ProbeContext sequential;
         const auto want = sequential.sweep(w.folded, w.candidates, w.ids, opt);
         // The reference probes every candidate, so its winner is a valid
         // cross-check even when the sweep prunes.
@@ -150,7 +156,7 @@ TEST(ProbeSweep, BudgetTruncationIsDeterministicAcrossThreadCounts) {
         EXPECT_EQ(want.group, ref.group) << "budget " << budget;
         EXPECT_EQ(want.score, ref.score);
         for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-            probe::ProbeContext ctx(threads);
+            probe::ProbeContext ctx(lanePool(threads));
             const auto got = ctx.sweep(w.folded, w.candidates, w.ids, opt);
             expectSameOutcome(want, got);
         }
@@ -266,7 +272,7 @@ TEST(ProbeSweep, EveryCandidateScoresAsTheReference) {
     GroupOptions opt;
     opt.probeMergeBudget = dopt.mergeAttemptBudget;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        probe::ProbeContext ctx(threads);
+        probe::ProbeContext ctx(lanePool(threads));
         std::vector<std::pair<std::size_t, std::size_t>> scores;
         ctx.scoreHook = [&](std::size_t i, std::size_t score) {
             scores.emplace_back(i, score);
@@ -640,9 +646,9 @@ TEST(ProbeLanes, CursorSweepMatchesOneLaneAndReferenceOnRealSweeps) {
              {kDefaultMergeAttemptBudget, std::size_t{2}}) {
             GroupOptions opt;
             opt.probeMergeBudget = budget;
-            probe::ProbeContext one(1);
-            probe::ProbeContext two(2);
-            probe::ProbeContext four(4);
+            probe::ProbeContext one;
+            probe::ProbeContext two(lanePool(2));
+            probe::ProbeContext four(lanePool(4));
             for (const auto& sw : sweeps) {
                 SCOPED_TRACE(std::string(name) + " budget " +
                              std::to_string(budget));
@@ -654,7 +660,7 @@ TEST(ProbeLanes, CursorSweepMatchesOneLaneAndReferenceOnRealSweeps) {
                 CapturedSweep prefix = sw;
                 prefix.candidates.resize(
                     std::min<std::size_t>(prefix.candidates.size(), 20));
-                probe::ProbeContext fresh(4);
+                probe::ProbeContext fresh(lanePool(4));
                 const auto got = fresh.sweep(prefix.folded, prefix.candidates,
                                              prefix.ids, opt);
                 const auto ref = probe::referenceSweep(
@@ -667,7 +673,7 @@ TEST(ProbeLanes, CursorSweepMatchesOneLaneAndReferenceOnRealSweeps) {
                             four.stats().helperProbes;
         }
     }
-    // The private pools' idle workers did take part.
+    // The pools' helper workers did take part.
     EXPECT_GT(helperProbes, 0u);
 }
 
@@ -698,10 +704,10 @@ TEST(ProbeLanes, StarvedPoolLeavesTheSweepToItsOwnThread) {
     const auto w = makeWorkload(81, 12, 60, true, opt);
     ASSERT_GT(w.candidates.size(), probe::kWaveSize);
     const CapturedSweep sw{w.folded, w.candidates, w.ids};
-    auto pool = std::make_shared<util::ThreadPool>(2);
-    PoolBlocker blocker(*pool, 2);
-    probe::ProbeContext alone(1);
-    probe::ProbeContext starved(4, pool);
+    auto pool = std::make_shared<util::ThreadPool>(4);
+    PoolBlocker blocker(*pool, 4);
+    probe::ProbeContext alone;
+    probe::ProbeContext starved(pool);
     expectSameRecord(recordSweep(alone, sw, opt),
                      recordSweep(starved, sw, opt));
     EXPECT_EQ(starved.stats().helperProbes, 0u);
@@ -713,10 +719,10 @@ TEST(ProbeLanes, QueuedTicketsOutliveTheirContext) {
     // tickets still wait in the queue; released afterwards, the pool
     // starts them, and they must return without touching the context.
     GroupOptions opt;
-    auto pool = std::make_shared<util::ThreadPool>(1);
-    PoolBlocker blocker(*pool, 1);
+    auto pool = std::make_shared<util::ThreadPool>(4);
+    PoolBlocker blocker(*pool, 4);
     {
-        probe::ProbeContext ctx(4, pool);
+        probe::ProbeContext ctx(pool);
         for (std::uint64_t seed = 82; seed <= 84; ++seed) {
             const auto w = makeWorkload(seed, 12, 60, true, opt);
             (void)ctx.sweep(w.folded, w.candidates, w.ids, opt);
@@ -789,7 +795,7 @@ TEST(ProbeDecompose, IdenticalAcrossProbeThreadSettings) {
         VarTable vt;
         const auto outs = bench->anf(vt);
         DecomposeOptions opt;
-        opt.probeThreads = threads;
+        opt.probePool = lanePool(threads);
         runs.push_back(decompose(vt, outs, bench->outputNames, opt));
         expanded.push_back(runs.back().expandedOutputs(vt));
         EXPECT_EQ(expanded.back(), outs) << "threads " << threads;
@@ -812,7 +818,7 @@ TEST(ProbeDecompose, BudgetedRunsIdenticalAcrossProbeThreadSettings) {
         VarTable vt;
         const auto outs = bench->anf(vt);
         DecomposeOptions opt;
-        opt.probeThreads = threads;
+        opt.probePool = lanePool(threads);
         opt.mergeAttemptBudget = 2;  // binds in probes and iterations
         runs.push_back(decompose(vt, outs, bench->outputNames, opt));
         EXPECT_EQ(runs.back().expandedOutputs(vt), outs);

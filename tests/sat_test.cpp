@@ -965,5 +965,40 @@ TEST(Portfolio, CancellationHarvestIsDeterministicWithSmallPools) {
     }
 }
 
+TEST(Portfolio, RunsInsideATaskOfItsOwnOneThreadPool) {
+    // A job on the engine's pool races its searchers on that same pool.
+    // Called from the only worker of a one-thread pool, no helper lane
+    // ever starts, and the caller runs the searchers itself — the same
+    // result as with no pool, never a wait on a searcher nobody runs.
+    util::ThreadPool pool(1);
+    for (const bool differ : {false, true}) {
+        const auto miter = sat::buildMiterCnf(
+            rippleAdder(12, false),
+            differ ? rippleAdder(12, true) : selectAdder(12));
+        ASSERT_FALSE(miter.trivialUnsat);
+        for (const std::uint64_t budget : {0ull, 8ull}) {
+            sat::PortfolioOptions opt;
+            opt.searchers = 4;
+            opt.conflictBudget = budget;
+            const auto want = sat::solvePortfolio(miter.problem, opt);
+            opt.pool = &pool;
+            const auto got =
+                pool.submit([&] {
+                        return sat::solvePortfolio(miter.problem, opt);
+                    }).get();
+            EXPECT_EQ(got.result, want.result) << "budget " << budget;
+            EXPECT_EQ(got.winner, want.winner);
+            EXPECT_EQ(got.budgetExhausted, want.budgetExhausted);
+            EXPECT_EQ(got.stats.decisions, want.stats.decisions);
+            EXPECT_EQ(got.stats.conflicts, want.stats.conflicts);
+            EXPECT_EQ(got.stats.propagations, want.stats.propagations);
+            EXPECT_EQ(got.stats.restarts, want.stats.restarts);
+            EXPECT_EQ(got.stats.learnedClauses, want.stats.learnedClauses);
+            EXPECT_EQ(got.stats.deletedClauses, want.stats.deletedClauses);
+            EXPECT_EQ(got.model, want.model);
+        }
+    }
+}
+
 }  // namespace
 }  // namespace pd

@@ -18,8 +18,9 @@
 //                    decomposition phase (0 = unlimited; default 100000).
 //                    A truncated job reports budget_exhausted.
 //   --probe-threads <n>  lanes for the group-selection probe sweep inside
-//                    each job (0/1 = sequential); batch sweeps get at
-//                    least --jobs lanes, run by job workers that are idle.
+//                    each job (0/1 = sequential); batch sweeps get one
+//                    lane per engine thread, max(--jobs, --probe-threads,
+//                    --verify-threads), run by job workers that are idle.
 //                    The sweep is deterministic: results are bit-identical
 //                    at any setting, so this is pure wall-clock on
 //                    multi-core hosts.
@@ -53,7 +54,8 @@
 //                    so is a budget of 2^44 MiB or more)
 //   --verify-threads <n>  SAT-certify optimize→map on every verified job
 //                    with a portfolio of n CDCL searchers (0 = off;
-//                    results are bit-identical at every n ≥ 1)
+//                    with no verify budget, results are bit-identical
+//                    at every n ≥ 1)
 //   --verify-conflict-budget <n>  per-searcher conflict cap (0 = unlimited)
 //   --verify-prop-budget <n>      per-searcher propagation cap
 //   --shard-retries <n>  how many times a sharded job may be requeued
@@ -125,6 +127,7 @@
 #include "util/error.hpp"
 #include "util/fault/fault.hpp"
 #include "util/parse.hpp"
+#include "util/pool.hpp"
 #include "util/shutdown.hpp"
 
 namespace {
@@ -198,8 +201,9 @@ int runDecomposition(pd::anf::VarTable& vt,
                      const std::vector<std::string>& names,
                      const Options& opt) {
     pd::core::DecomposeOptions dopt = opt.decompose;
-    // The decomposition context spins up its own probe pool.
-    dopt.probeThreads = opt.engine.probeThreads;
+    if (opt.engine.probeThreads > 1)
+        dopt.probePool =
+            std::make_shared<pd::util::ThreadPool>(opt.engine.probeThreads);
     const auto d = pd::core::decompose(vt, outputs, names, dopt);
 
     std::cout << "decomposition: " << d.blocks.size() << " blocks over "

@@ -17,10 +17,9 @@
 int main() {
     using namespace pd;
 
-    const int n = 8;  // fast demo width; the Table-1 bench uses 9
-                      // (the paper's 12 exceeds the flat RM form's ~4^n
-                      // growth on a 16 GB machine — see
-                      // eval::rowAdder3 in src/eval/table1.hpp)
+    const int n = 8;  // fast demo width; the Table-1 row uses 9 (the
+                      // paper's 12 takes minutes and gigabytes — see
+                      // eval::kAdder3Width in src/eval/table1.hpp)
     const auto bench = circuits::makeAdder3(n);
 
     anf::VarTable vars;

@@ -39,21 +39,6 @@ std::optional<Benchmark> makeNamedBenchmark(std::string_view name) {
     return std::nullopt;
 }
 
-bool isRegisteredBenchmark(std::string_view name) {
-    for (const auto& e : benchmarkRegistry())
-        if (e.name == name) return true;
-    return false;
-}
-
-std::string registryNameForBuilt(std::string_view builtName) {
-    // Construction is cheap (a Benchmark's ANF/SOP/reference members are
-    // lazy std::functions), so building each entry to read its name is
-    // fine at this call rate (once per eval row).
-    for (const auto& e : benchmarkRegistry())
-        if (e.make().name == builtName) return e.name;
-    return {};
-}
-
 std::vector<std::string> benchmarkNames(bool includeHeavy) {
     std::vector<std::string> names;
     for (const auto& e : benchmarkRegistry())

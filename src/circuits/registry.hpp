@@ -30,21 +30,6 @@ struct RegistryEntry {
 [[nodiscard]] std::optional<Benchmark> makeNamedBenchmark(
     std::string_view name);
 
-/// Whether `name` is in the registry, without building the benchmark.
-/// Callers holding a Benchmark whose name passes this check may ship the
-/// *name* across a process boundary and trust the registry to rebuild an
-/// identical object — registry names denote one fixed construction.
-[[nodiscard]] bool isRegisteredBenchmark(std::string_view name);
-
-/// Registry name whose construction yields a benchmark whose *internal*
-/// name is `builtName` ("" when none). Registry names and built names
-/// differ ("majority15" builds a benchmark named "maj15"); this is the
-/// bridge for callers holding a built Benchmark who want to ship it
-/// across a process boundary by registry name. Assumes distinct registry
-/// entries build distinctly-named benchmarks (true today: built names
-/// embed the width that distinguishes every pair of entries).
-[[nodiscard]] std::string registryNameForBuilt(std::string_view builtName);
-
 /// Names only, in registry order. `includeHeavy` adds the multiplier-class
 /// entries.
 [[nodiscard]] std::vector<std::string> benchmarkNames(bool includeHeavy);

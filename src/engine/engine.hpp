@@ -108,8 +108,8 @@ struct EngineOptions {
     /// Per-worker address-space budget in MiB (RLIMIT_AS; 0 = unlimited,
     /// and so is any budget too large for rlim_t to hold in bytes).
     std::size_t shardRssMb = 0;
-    /// Worker executable; "" resolves $PD_SHARD_WORKER_EXE then
-    /// /proc/self/exe (correct when the host process *is* pd_cli).
+    /// Worker executable; "" resolves /proc/self/exe (correct when the
+    /// host process *is* pd_cli).
     std::string shardWorkerExe;
     /// How many times a sharded job may be requeued after a worker crash
     /// before it is reported failed (0 = fail on the first crash).
@@ -182,7 +182,6 @@ public:
     /// Single-job convenience (still goes through the pool and cache).
     [[nodiscard]] JobResult runJob(const JobSpec& spec);
 
-    [[nodiscard]] const EngineOptions& options() const { return opt_; }
     [[nodiscard]] ResultCache::Stats cacheStats() const {
         return cache_.stats();
     }

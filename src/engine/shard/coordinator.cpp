@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <thread>
 #include <unordered_map>
@@ -123,13 +122,11 @@ std::vector<std::size_t> slotDepths(std::size_t jobs, std::size_t slots) {
 
 std::string resolveWorkerExe(const std::string& configured) {
     if (!configured.empty()) return configured;
-    if (const char* env = std::getenv("PD_SHARD_WORKER_EXE"); env && *env)
-        return env;
     char buf[4096];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
     if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
     fail("shard", "cannot resolve a worker executable (set "
-                  "EngineOptions::shardWorkerExe or $PD_SHARD_WORKER_EXE)");
+                  "EngineOptions::shardWorkerExe)");
 }
 
 ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,

@@ -87,7 +87,7 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                               const std::vector<JobSpec>& specs);
 
 /// Resolves the worker executable path (EngineOptions::shardWorkerExe →
-/// $PD_SHARD_WORKER_EXE → /proc/self/exe).
+/// /proc/self/exe).
 [[nodiscard]] std::string resolveWorkerExe(const std::string& configured);
 
 }  // namespace pd::engine::shard

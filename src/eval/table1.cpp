@@ -1,19 +1,11 @@
 #include "eval/table1.hpp"
 
-#include <cstdlib>
-
-#include <unistd.h>
-
-#include <charconv>
-#include <cstring>
-
 #include "circuits/adder.hpp"
 #include "circuits/comparator.hpp"
 #include "circuits/counter.hpp"
 #include "circuits/lzd.hpp"
 #include "circuits/majority.hpp"
 #include "circuits/manual.hpp"
-#include "circuits/registry.hpp"
 #include "sat/equiv.hpp"
 #include "sim/equivalence.hpp"
 #include "synth/mapper.hpp"
@@ -22,55 +14,6 @@
 #include "util/error.hpp"
 
 namespace pd::eval {
-namespace {
-
-engine::EngineOptions flowEngineOptions(std::string cacheFile) {
-    engine::EngineOptions opt;
-    if (cacheFile.empty()) {
-        if (const char* env = std::getenv("PD_CACHE_FILE"))
-            cacheFile = env;
-    }
-    opt.cacheFile = std::move(cacheFile);
-    // PD_SHARDS=N routes the PD rows through the sharded multi-process
-    // engine (benchmarks the registry can rebuild cross to workers;
-    // the rest stay on the local lane). Junk values are ignored: an eval
-    // run must never die on a stray environment variable.
-    //
-    // Honored only when a worker executable is actually resolvable: the
-    // fallback is /proc/self/exe, and eval hosts are usually *not*
-    // pd_cli (gtest binaries, bench_table1_*, examples) — exec'ing one
-    // of those as a `worker` would rerun its own main under the
-    // coordinator, not speak the protocol. Set PD_SHARD_WORKER_EXE to
-    // the pd_cli binary to shard the eval from such hosts.
-    if (const char* env = std::getenv("PD_SHARDS")) {
-        const char* end = env + std::strlen(env);
-        std::size_t n = 0;
-        const auto [ptr, ec] = std::from_chars(env, end, n);
-        const bool workerResolvable = [] {
-            if (const char* exe = std::getenv("PD_SHARD_WORKER_EXE");
-                exe && *exe)
-                return true;
-            char buf[4096];
-            const ssize_t len =
-                ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-            if (len <= 0) return false;
-            const std::string_view self(buf, static_cast<std::size_t>(len));
-            const auto slash = self.rfind('/');
-            return self.substr(slash == std::string_view::npos ? 0
-                                                               : slash + 1) ==
-                   "pd_cli";
-        }();
-        if (ec == std::errc() && ptr == end && workerResolvable)
-            opt.shards = n;
-    }
-    return opt;
-}
-
-}  // namespace
-
-Flow::Flow(std::string cacheFile)
-    : lib_(synth::CellLibrary::umc130()),
-      engine_(flowEngineOptions(std::move(cacheFile))) {}
 
 RowResult Flow::runNetlist(const std::string& variant,
                            const netlist::Netlist& nl,
@@ -81,6 +24,7 @@ RowResult Flow::runNetlist(const std::string& variant,
 
     RowResult row;
     row.variant = variant;
+    row.circuit = bench.name;
     row.paperArea = paperArea;
     row.paperDelay = paperDelay;
     row.qor = synth::qor(mapped, lib_);
@@ -128,17 +72,7 @@ RowResult Flow::runPd(const std::string& variant,
                       double paperDelay, const core::DecomposeOptions& opt) {
     engine::JobSpec spec;
     spec.name = variant;
-    // Sharded eval: a benchmark the registry can rebuild crosses the
-    // shard wire as its registry name (built names differ — "maj15" is
-    // registry entry "majority15"); one with no registry counterpart
-    // (custom widths) carries the live object and runs on the local lane.
-    std::string registryName;
-    if (engine_.options().shards >= 1)
-        registryName = circuits::registryNameForBuilt(bench.name);
-    if (!registryName.empty())
-        spec.benchmark = std::move(registryName);
-    else
-        spec.bench = std::make_shared<const circuits::Benchmark>(bench);
+    spec.bench = std::make_shared<const circuits::Benchmark>(bench);
     spec.options = opt;
     spec.verify = true;
     spec.keepMapped = true;
@@ -148,6 +82,7 @@ RowResult Flow::runPd(const std::string& variant,
 
     RowResult row;
     row.variant = variant;
+    row.circuit = bench.name;
     row.paperArea = paperArea;
     row.paperDelay = paperDelay;
     row.qor = r.qor;
@@ -241,8 +176,12 @@ BenchReport rowAdder16() {
 BenchReport rowComparator(int width) {
     BenchReport rep;
     rep.title = std::to_string(width) +
-                "-bit Comparator (Table 1, row 7; paper uses 15 bits, reduced "
-                "for the flat Reed-Muller form's size)";
+                "-bit Comparator (Table 1, row 7; paper uses 15 bits)";
+    if (width < 15)
+        rep.notes.push_back(
+            "Run below the paper's 15 bits for time and memory: "
+            "comparator15's flat Reed-Muller spec has 14.3M terms and "
+            "decomposes in 11.4 s at 2.6 GB peak RSS on a 4-CPU host.");
     Flow flow;
     const auto cmp = circuits::makeComparator(width, /*maxAnfWidth=*/13);
     rep.rows.push_back(flow.runNetlist("Unoptimised (progressive comparator)",
@@ -251,6 +190,10 @@ BenchReport rowComparator(int width) {
     if (cmp.anf)
         rep.rows.push_back(
             flow.runPd("Progressive Decomposition", cmp, 466.6, 0.33));
+    else
+        rep.notes.push_back(
+            "No Progressive Decomposition row: above 13 bits the comparator "
+            "benchmark carries no Reed-Muller spec to decompose.");
     rep.rows.push_back(flow.runNetlist("Carry out of Subtracter",
                                        circuits::subtractComparator(width),
                                        cmp, 577.2, 0.40));
@@ -261,8 +204,12 @@ BenchReport rowComparator(int width) {
 BenchReport rowAdder3(int width) {
     BenchReport rep;
     rep.title = std::to_string(width) +
-                "-bit Three-Input Adder (Table 1, row 8; paper uses 12 bits, "
-                "reduced for the flat Reed-Muller form's size)";
+                "-bit Three-Input Adder (Table 1, row 8; paper uses 12 bits)";
+    if (width < 12)
+        rep.notes.push_back(
+            "Run below the paper's 12 bits for time and memory: adder3_12's "
+            "flat Reed-Muller spec has 19.6M terms and decomposes in 475 s "
+            "at 7.2 GB peak RSS on a 4-CPU host.");
     Flow flow;
     const auto add3 = circuits::makeAdder3(width);
     rep.rows.push_back(flow.runNetlist("Unoptimised (A + B + C)",

@@ -5,8 +5,8 @@
 // manual expert design) is pushed through the *same* optimize → map → STA
 // flow against the same cell library, and is verified against the
 // benchmark's reference semantics before its numbers are reported.
-// The paper's published µm²/ns accompany each row so benches can print
-// paper-vs-measured tables (the bench/bench_table1_*.cpp binaries do).
+// The paper's published µm²/ns accompany each row; eval/report.hpp renders
+// the row groups as the committed EXPERIMENTS.md.
 #pragma once
 
 #include <optional>
@@ -22,6 +22,9 @@ namespace pd::eval {
 
 struct RowResult {
     std::string variant;
+    /// Name of the benchmark the row implements; a PD row's baseline is
+    /// the first row of its report with the same circuit.
+    std::string circuit;
     synth::Qor qor;
     double paperArea = 0.0;   ///< 0 when the paper has no number
     double paperDelay = 0.0;
@@ -42,6 +45,8 @@ struct RowResult {
 struct BenchReport {
     std::string title;
     std::vector<RowResult> rows;
+    /// Caveats printed under the row group (substitutions, dropped rows).
+    std::vector<std::string> notes;
 };
 
 /// Formally proves (CDCL miter) that every row's mapped netlist computes
@@ -55,17 +60,8 @@ void satCrossCheck(BenchReport& report);
 /// batch engine (one-job batches against a per-Flow result cache), so
 /// ablation sweeps that revisit a configuration are served from cache;
 /// baseline/manual rows synthesize their netlists directly.
-///
-/// Persistence: pass a pd-cache-v4 store path (or set PD_CACHE_FILE in
-/// the environment — every Flow in the process then shares one store)
-/// and the engine warm-starts from it and flushes back on destruction,
-/// so repeated Table-1 sweeps skip re-decomposition across processes.
 class Flow {
 public:
-    /// `cacheFile`: persistent store path; empty → $PD_CACHE_FILE; unset
-    /// → no persistence.
-    explicit Flow(std::string cacheFile = {});
-
     /// optimize → map → STA → verify an already-built structural netlist.
     [[nodiscard]] RowResult runNetlist(const std::string& variant,
                                        const netlist::Netlist& nl,
@@ -88,23 +84,26 @@ public:
     [[nodiscard]] const synth::CellLibrary& library() const { return lib_; }
 
 private:
-    synth::CellLibrary lib_;
+    synth::CellLibrary lib_ = synth::CellLibrary::umc130();
     engine::Engine engine_;
 };
 
 // ---- Table-1 row groups (paper numbers embedded). --------------------------
+/// Reproduction widths of the two rows run below the paper's width (15 and
+/// 12 bits) for time and memory; the rows' notes give the measured cost.
+inline constexpr int kComparatorWidth = 12;
+inline constexpr int kAdder3Width = 9;
+
 [[nodiscard]] BenchReport rowLzdLod16();
 [[nodiscard]] BenchReport rowLod32();
 [[nodiscard]] BenchReport rowMajority15();
 [[nodiscard]] BenchReport rowCounter16();
 [[nodiscard]] BenchReport rowAdder16();
-/// `width`: the paper uses 15; the flat Reed-Muller form is 3^n−1 terms,
-/// so the default reproduction width is 12.
-[[nodiscard]] BenchReport rowComparator(int width = 12);
-/// `width`: the paper uses 12; the flat Reed-Muller form of a 3-operand
-/// adder grows ~4× per bit (~20M monomials at 12 bits), so the default
-/// reproduction width is 9. The paper's
-/// µm²/ns stay attached for the shape comparison.
-[[nodiscard]] BenchReport rowAdder3(int width = 9);
+/// `width`: the paper uses 15. Above 13 bits the benchmark carries no
+/// Reed-Muller spec, so the PD row is dropped and a note says so.
+[[nodiscard]] BenchReport rowComparator(int width = kComparatorWidth);
+/// `width`: the paper uses 12. The paper's µm²/ns stay attached for the
+/// shape comparison.
+[[nodiscard]] BenchReport rowAdder3(int width = kAdder3Width);
 
 }  // namespace pd::eval

@@ -3,6 +3,8 @@
 // harness itself.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "circuits/adder.hpp"
 #include "circuits/comparator.hpp"
 #include "circuits/counter.hpp"
@@ -90,8 +92,27 @@ TEST(Report, FormatContainsRowsAndRatios) {
     EXPECT_NE(text.find("paper"), std::string::npos);
 }
 
-// The row-group functions themselves are exercised by the bench binaries
-// (they take seconds); here we spot-check the cheapest one end to end.
+TEST(Report, PdShapeUsesItsOwnCircuitsBaseline) {
+    // LZD16 and LOD16 share one row group: the LOD16 PD row is measured
+    // against the LOD16 SOP row, not the group's first (LZD16) row, and
+    // the ratio reads PD / baseline.
+    const auto rep = rowLzdLod16();
+    ASSERT_EQ(rep.rows.size(), 5u);
+    const auto& lodSop = rep.rows[3];
+    const auto& lodPd = rep.rows[4];
+    ASSERT_EQ(lodSop.variant, "LOD16 Unoptimised (SOP)");
+    ASSERT_EQ(lodPd.variant, "LOD16 Progressive Decomposition");
+    char ratio[32];
+    std::snprintf(ratio, sizeof ratio, "%.2f",
+                  lodPd.qor.area / lodSop.qor.area);
+    const std::string want =
+        "- " + lodPd.variant + " / " + lodSop.variant + ": area " + ratio;
+    const auto text = formatReport(rep);
+    EXPECT_NE(text.find(want), std::string::npos) << text;
+}
+
+// Every row group runs in experiments_test, which renders them all into
+// EXPERIMENTS.md; here we spot-check the cheapest one end to end.
 TEST(Table1, ComparatorRowGroupRuns) {
     const auto rep = rowComparator(8);
     ASSERT_GE(rep.rows.size(), 3u);
@@ -100,6 +121,13 @@ TEST(Table1, ComparatorRowGroupRuns) {
     const auto& base = rep.rows[0];
     const auto& pd = rep.rows[1];
     EXPECT_LE(pd.qor.delay, base.qor.delay * 1.05);
+}
+
+TEST(Table1, ComparatorAboveThirteenBitsSaysItDropsPd) {
+    const auto rep = rowComparator(14);
+    for (const auto& row : rep.rows) EXPECT_EQ(row.pdIterations, 0u);
+    EXPECT_NE(formatReport(rep).find("No Progressive Decomposition row"),
+              std::string::npos);
 }
 
 }  // namespace

@@ -51,11 +51,7 @@ namespace pd::engine::shard {
 namespace {
 
 /// The pd_cli binary carrying the worker mode, baked in by CMake.
-#ifdef PD_SHARD_TEST_WORKER_EXE
 const char* workerExe() { return PD_SHARD_TEST_WORKER_EXE; }
-#else
-const char* workerExe() { return std::getenv("PD_SHARD_WORKER_EXE"); }
-#endif
 
 class TempFile {
 public:
@@ -101,7 +97,7 @@ public:
     opt.shards = shards;
     opt.jobs = 2;
     opt.cacheFile = std::move(cacheFile);
-    if (const char* exe = workerExe()) opt.shardWorkerExe = exe;
+    opt.shardWorkerExe = workerExe();
     return opt;
 }
 
@@ -615,7 +611,6 @@ TEST(ShardCoordinator, SlotDepthsSplitTheJobs) {
 // ---- end-to-end ------------------------------------------------------------
 
 TEST(ShardEngine, ShardedBatchesMatchInProcessAcross124) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     auto specs = lightSpecs();
     // An unnamed job reports as "job<its batch index>" on either path.
     JobSpec unnamed;
@@ -660,7 +655,6 @@ TEST(ShardEngine, FourJobsOverTwoShardsEqualTheInProcessBatch) {
     // Two jobs in flight per worker: results come back in any order,
     // each tagged with its job, and each carries exactly its own
     // records, so the report and the store match the in-process run.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     auto specs = lightSpecs();
     for (auto& s : benchSpecs({"lzd16", "comparator8", "majority15",
                                "lod16"}))
@@ -692,7 +686,6 @@ TEST(ShardEngine, ProbeThreadsStayByteIdenticalAcrossTheWire) {
     // run whose workers fan probes out over --probe-threads (plumbed via
     // the worker argv) must match the sequential in-process run
     // semantically, field for field.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const auto specs = lightSpecs();
     const auto reference = Engine(shardOptions(0)).runBatch(specs);
     for (const auto& r : reference) ASSERT_TRUE(r.ok) << r.error;
@@ -710,7 +703,6 @@ TEST(ShardEngine, ProbeThreadsStayByteIdenticalAcrossTheWire) {
 }
 
 TEST(ShardEngine, KeepMappedNetlistCrossesTheWireIntact) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     JobSpec spec;
     spec.benchmark = "majority7";
     spec.keepMapped = true;
@@ -723,7 +715,6 @@ TEST(ShardEngine, KeepMappedNetlistCrossesTheWireIntact) {
 }
 
 TEST(ShardEngine, BenchPointerSpecsRunOnTheLocalLane) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     auto bench = circuits::makeNamedBenchmark("counter8");
     ASSERT_TRUE(bench.has_value());
     JobSpec local;
@@ -742,7 +733,6 @@ TEST(ShardEngine, BenchPointerSpecsRunOnTheLocalLane) {
 }
 
 TEST(ShardEngine, ShardedStoreIsByteIdenticalToInProcess) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const auto specs = lightSpecs();
     TempFile inproc("store_inproc");
     TempFile sharded("store_sharded");
@@ -770,7 +760,6 @@ TEST(ShardEngine, ShardedStoreIsByteIdenticalToInProcess) {
 }
 
 TEST(ShardEngine, WorkersWarmStartFromASharedStore) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const auto specs = lightSpecs();
     TempFile store("warm");
     {
@@ -793,7 +782,6 @@ TEST(ShardEngine, NonDefaultVerifyKnobsReachTheWorkers) {
     // 3 random batches) and a SAT budget that binds on every job both
     // change stored verification fields, so a worker that missed either
     // knob would flush different bytes.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const auto specs = lightSpecs();
     const auto configure = [](std::size_t shards, const TempFile& cache) {
         EngineOptions opt = shardOptions(shards, cache.path());
@@ -824,7 +812,6 @@ TEST(ShardEngine, NonDefaultVerifyKnobsReachTheWorkers) {
 TEST(ShardEngine, HugeRssBudgetMeansNoBudget) {
     // 2^44 MiB in bytes overflows rlim_t; it must act as "unlimited",
     // never wrap to a zero address-space limit that kills every spawn.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     EngineOptions opt = shardOptions(1);
     opt.shardRssMb = std::size_t{1} << 44;
     Engine engine(opt);
@@ -841,7 +828,6 @@ TEST(ShardEngine, HugeRssBudgetMeansNoBudget) {
 TEST(ShardTransport, SocketBatchesMatchInProcessAcross12) {
     // The transport is pure plumbing: the same pd-shard-wire frames over
     // a localhost connection must yield field-identical results.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const auto specs = lightSpecs();
     const auto reference = Engine(shardOptions(0)).runBatch(specs);
     for (const auto& r : reference) ASSERT_TRUE(r.ok) << r.error;
@@ -869,7 +855,6 @@ TEST(ShardLiveness, HeartbeatsKeepAHangingWorkerAlivePastTheDeadline) {
     // pins the supervision rule: any received bytes (a beat, a partial
     // kResult) reset the silence clock, so a live-but-busy worker is
     // never killed mid-frame.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv hang(kHangJobEnv, "majority7");
     EngineOptions opt = shardOptions(1);
     opt.shardWallMsPerJob = 1200;
@@ -892,7 +877,6 @@ TEST(ShardLiveness, SilentWorkerIsKilledAtTheDeadlineAndTheJobRetried) {
     // retried on another worker (which stalls on the same name, so the
     // final verdict is the retried-once failure); every other job
     // survives and the coordinator never hangs.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv stall(kStallJobEnv, "counter8");
     EngineOptions opt = shardOptions(2);
     opt.shardHeartbeatMs = 400;
@@ -919,7 +903,6 @@ TEST(ShardLiveness, SilentWorkerIsKilledAtTheDeadlineAndTheJobRetried) {
 TEST(ShardLiveness, OneSkippedBeatNeverKills) {
     // The deadline is four beat intervals exactly so a single lost
     // heartbeat (scheduling jitter, a dropped wakeup) is harmless.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.sock.hb.skip:n1");
     EngineOptions opt = shardOptions(2);
     opt.shardHeartbeatMs = 400;
@@ -936,7 +919,6 @@ TEST(ShardLiveness, BeatingWorkerSurvivesDrainUntilTheDrainBudget) {
     // (The converse — a *silent* drain straggler dying at the heartbeat
     // deadline instead of the full drain budget — is why supervision
     // runs in the drain loop at all.)
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.worker.drain.hang:n1");
     EngineOptions opt = shardOptions(1);
     opt.shardHeartbeatMs = 300;
@@ -960,7 +942,6 @@ TEST(ShardLiveness, TornConnectionMidStreamIsACountedCrash) {
     // connection: the worker is killed, the death is charged like any
     // crash, the slot respawns (a counted reconnect), and the batch
     // completes.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.sock.read:n2");
     Engine engine(shardOptions(2));
     const auto results = engine.runBatch(lightSpecs());
@@ -976,7 +957,6 @@ TEST(ShardTransport, SocketAcceptFaultIsASpawnFailureNotACrash) {
     // A connection that never establishes books spawn-failure
     // accounting: no retry budget charged, no crash counted, and the
     // respawned slot picks the work up.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.sock.accept:n1");
     Engine engine(shardOptions(2));
     const auto results = engine.runBatch(lightSpecs());
@@ -991,7 +971,6 @@ TEST(ShardTransport, SocketAcceptFaultIsASpawnFailureNotACrash) {
 // ---- crash isolation -------------------------------------------------------
 
 TEST(ShardEngine, CrashedJobFailsAloneAfterOneRetry) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv crash(kCrashJobEnv, "counter8");
     TempFile store("crash");
     std::vector<JobResult> results;
@@ -1027,7 +1006,6 @@ TEST(ShardEngine, CrashAtDepthTwoFailsOnlyTheTarget) {
     // counter8 when its worker dies. That death names no culprit: both
     // retry free and alone, the neighbour succeeds, and counter8 crashes
     // alone, is charged, and fails after its one retry.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv crash(kCrashJobEnv, "counter8");
     EngineOptions opt = shardOptions(2);
     opt.jobs = 4;
@@ -1052,7 +1030,6 @@ TEST(ShardEngine, CrashAtDepthTwoFailsOnlyTheTarget) {
 }
 
 TEST(ShardEngine, CrashWithSingleWorkerStillRespawnsAndCompletes) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv crash(kCrashJobEnv, "majority7");
     Engine engine(shardOptions(1));
     const auto results = engine.runBatch(lightSpecs());
@@ -1134,7 +1111,6 @@ FakeRun runWithFakeFirstWorker(
 // alone in flight at the death, is charged one retry and succeeds on the
 // respawned worker.
 TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const JobResult answer = computed("majority7");
     const FakeRun run =
         runWithFakeFirstWorker(benchSpecs({"majority7", "counter8"}),
@@ -1156,7 +1132,6 @@ TEST(ShardEngine, SecondResultForOneJobIsAWirePoison) {
 // filed. Both jobs were in flight, so neither is charged: each retries
 // alone on the respawned worker and succeeds.
 TEST(ShardEngine, UnknownResultTagIsAWirePoison) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     EngineOptions opt = shardOptions(1);
     opt.shardRetries = 0;  // a charged job would fail
     const FakeRun run =
@@ -1177,7 +1152,6 @@ TEST(ShardEngine, UnknownResultTagIsAWirePoison) {
 // adder8's, started 0.2 s later, has not: only majority7 is charged
 // (retries are off, so it fails), and adder8 reruns free.
 TEST(ShardEngine, WallBudgetChargesOnlyTheHungJobAtDepthTwo) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     EngineOptions opt = shardOptions(1);
     opt.shardWallMsPerJob = 1500;
     opt.shardRetries = 0;
@@ -1199,7 +1173,6 @@ TEST(ShardEngine, WallBudgetChargesOnlyTheHungJobAtDepthTwo) {
 }
 
 TEST(ShardEngine, WallBudgetKillsHangingWorkers) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv hang(kHangJobEnv, "majority7");
     EngineOptions opt = shardOptions(1);
     // Only the hanging job runs, so the test is immune to CPU starvation
@@ -1247,7 +1220,6 @@ TEST(ShardEngine, SpawnFailureIsCountedApartAndCostsNoRetries) {
     // 127) never joined the fleet: the respawned slot picks the work up,
     // no job's retry budget is charged, and the failure is counted apart
     // from genuine crashes.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.worker.spawn:n1");
     Engine engine(shardOptions(2));
     const auto results = engine.runBatch(lightSpecs());
@@ -1260,7 +1232,6 @@ TEST(ShardEngine, SpawnFailureIsCountedApartAndCostsNoRetries) {
 }
 
 TEST(ShardEngine, RetriesDisabledFailsOnTheFirstCrash) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv crash(kCrashJobEnv, "counter8");
     EngineOptions opt = shardOptions(2);
     opt.shardRetries = 0;
@@ -1280,7 +1251,6 @@ TEST(ShardEngine, RetriesDisabledFailsOnTheFirstCrash) {
 }
 
 TEST(ShardEngine, RetryBudgetGrantsTheConfiguredAttempts) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedEnv crash(kCrashJobEnv, "counter8");
     EngineOptions opt = shardOptions(2);
     opt.shardRetries = 2;
@@ -1306,7 +1276,6 @@ TEST(ShardEngine, DrainTimeoutBoundsAWedgedWorkerShutdown) {
     // frame. Only the configured drain budget (not the 60 s default)
     // stands between the finished batch and a hang; deltas were already
     // streamed after each job, so the kill loses nothing.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     ScopedFaults faults("shard.worker.drain.hang:n1");
     EngineOptions opt = shardOptions(1);
     opt.shardDrainMs = 300;
@@ -1326,7 +1295,6 @@ TEST(ShardEngine, ShutdownRequestInterruptsTheBatchButStillFlushes) {
     // A shutdown requested before the batch starts: every job comes back
     // as interrupted (never silently dropped), and the store still
     // flushes to a loadable artifact.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     TempFile store("shutdown");
     util::requestShutdown();
     Engine engine(shardOptions(2, store.path()));
@@ -1355,7 +1323,6 @@ int runCli(const std::string& cmd) {
 }
 
 TEST(CliExitCodes, ZeroAllOkTwoPartialOneFatalSixtyFourUsage) {
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const std::string cli = workerExe();
     EXPECT_EQ(runCli(cli + " batch majority7 >/dev/null 2>&1"), 0);
     // One injected per-job failure: the batch ran, so partial = 2.
@@ -1407,7 +1374,6 @@ TEST(CliExitCodes, SigtermDrainsReportsAndExitsTwo) {
     // interrupted, grants the in-flight (hanging) job its drain grace,
     // kills it, and the process still writes the report and exits with
     // the partial-failure code — never dies signal-fatally.
-    if (!workerExe()) GTEST_SKIP() << "no worker executable configured";
     const std::string report = std::string(::testing::TempDir()) +
                                "pd_sigterm_report_" +
                                std::to_string(::getpid()) + ".json";

@@ -1,8 +1,10 @@
 #include "engine/shard/coordinator.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,7 +18,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "engine/shard/transport.hpp"
 #include "engine/shard/worker.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -33,7 +34,7 @@ using Clock = std::chrono::steady_clock;
 /// Respawn backoff after a worker death: 10, 20, 40, ... ms, capped so
 /// a persistent crash loop retires the slot in about a second instead
 /// of fork-bombing the box. The streak resets on real progress (a
-/// completed job), not on a successful exec — a worker that hellos and
+/// completed job), not on a successful spawn — a worker that hellos and
 /// then dies on its first job is still a crash loop.
 constexpr int kRespawnBackoffBaseMs = 10;
 constexpr int kRespawnBackoffCapMs = 1000;
@@ -82,7 +83,7 @@ struct Slot {
 
     State state = State::kDown;
     pid_t pid = -1;
-    int fd = -1;  ///< the connected socket carrying both directions
+    int fd = -1;  ///< our end of the slot's socketpair, both directions
     FrameDecoder decoder;
     std::size_t depth = 1;  ///< jobs kept in flight; the worker's --jobs
     std::vector<InFlight> inFlight;  ///< in send order
@@ -91,7 +92,10 @@ struct Slot {
     bool budgetKilled = false;
     bool hbKilled = false;  ///< SIGKILLed for a missed heartbeat deadline
     bool byeSeen = false;
-    bool everConnected = false;  ///< completed at least one accept()
+    /// Bytes arrived from this process. A worker whose stream ends before
+    /// any did never joined the fleet: its death is a spawn failure.
+    bool heard = false;
+    bool everHeard = false;  ///< some process of this slot was heard
     int idleCrashes = 0;  ///< consecutive deaths with no job in flight
     int deathStreak = 0;  ///< consecutive deaths since the last result
     Clock::time_point respawnAfter{};  ///< backoff gate for the next spawn
@@ -162,108 +166,68 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         ++completed;
     };
 
-    /// Books one failed spawn attempt (the worker never connected: exec
-    /// failure, early exit, connect timeout, accept fault): counted apart
-    /// from crashes, charged to no job's retry budget, backed off like
-    /// any other death, retired after two idle failures.
-    const auto bookSpawnFailure = [&](std::size_t slotId,
-                                      const std::string& why) {
-        Slot& s = slots[slotId];
-        ++res.spawnFailures;
-        static auto& cSpawnFail = obs::counter("shard.worker.spawn_failures");
-        cSpawnFail.add();
-        log::warn("shard",
-                  "worker " + std::to_string(slotId) + " failed to spawn (" +
-                      why + ")");
-        ++s.deathStreak;
-        const int backoffMs =
-            std::min(kRespawnBackoffBaseMs << std::min(s.deathStreak - 1, 7),
-                     kRespawnBackoffCapMs);
-        s.respawnAfter = Clock::now() + std::chrono::milliseconds(backoffMs);
-        if (!s.inFlight.empty()) {  // can't normally happen pre-hello
-            for (auto f = s.inFlight.rbegin(); f != s.inFlight.rend(); ++f) {
-                avoidSlot[f->job] = slotId;
-                queue.push_front(f->job);
-            }
-        } else if ((s.state == Slot::State::kSpawning ||
-                    s.state == Slot::State::kIdle) &&
-                   ++s.idleCrashes >= 2) {
-            s.state = Slot::State::kRetired;
-            return;
-        }
-        s.inFlight.clear();
-        s.isolated = false;
-        s.state = Slot::State::kDown;
-    };
-
     const auto spawn = [&](std::size_t slotId) {
         if (exe.empty()) exe = resolveWorkerExe(opt.shardWorkerExe);
         Slot& s = slots[slotId];
-        WorkerListener listener(slotId);
 
         // The engine configuration travels through the worker argv codec,
-        // with the slot's depth as the worker's --jobs; the listener adds
-        // the address the worker dials back.
+        // with the slot's depth as the worker's --jobs. The argv is built
+        // before the fork: the child of a multi-threaded process must not
+        // allocate.
         EngineOptions workerOpt = opt;
         workerOpt.jobs = s.depth;
         std::vector<std::string> args = {exe, "worker"};
         for (auto& a :
              encodeWorkerArgs(static_cast<std::uint32_t>(slotId), workerOpt))
             args.push_back(std::move(a));
-        for (auto& a : listener.workerArgs()) args.push_back(std::move(a));
+        std::vector<char*> argv;
+        argv.reserve(args.size() + 1);
+        for (auto& a : args) argv.push_back(a.data());
+        argv.push_back(nullptr);
 
         // Evaluated in the parent so the hit count is deterministic in
         // the coordinator process; the child acts it out as the exact
         // exit an execv failure would produce.
         const bool spawnFault = PD_FAULT("shard.worker.spawn");
 
+        // Both ends are CLOEXEC, so no sibling worker inherits them; the
+        // child's end reaches its worker as kWorkerChannelFd.
+        int pair[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0)
+            fail("shard",
+                 std::string("socketpair() failed: ") + strerror(errno));
         const pid_t pid = ::fork();
-        if (pid < 0)
+        if (pid < 0) {
+            ::close(pair[0]);
+            ::close(pair[1]);
             fail("shard", "fork() failed spawning worker " +
-                              std::to_string(slotId));  // listener dtor cleans
+                              std::to_string(slotId));
+        }
         if (pid == 0) {
             if (spawnFault) _exit(127);
-            std::vector<char*> argv;
-            argv.reserve(args.size() + 1);
-            for (auto& a : args) argv.push_back(a.data());
-            argv.push_back(nullptr);
-            ::execv(exe.c_str(), argv.data());
-            _exit(127);  // exec failed; the worker never connects
+            // dup2 onto itself is a no-op that keeps FD_CLOEXEC set.
+            const bool wired =
+                pair[1] == kWorkerChannelFd
+                    ? ::fcntl(kWorkerChannelFd, F_SETFD, 0) == 0
+                    : ::dup2(pair[1], kWorkerChannelFd) == kWorkerChannelFd;
+            if (wired) ::execv(argv[0], argv.data());
+            _exit(127);  // exec failed; the worker never says hello
         }
-        // The slot owns a process from this instant: mark it kSpawning
-        // *before* accepting so a failure there retires the slot on the
-        // two-strikes rule. Without this a worker that dies pre-connect
-        // leaves the slot kDown, the retire branch never fires, and a
-        // persistent spawn fault respawns forever instead of collapsing
-        // the pool.
+        ::close(pair[1]);
+        // The slot owns a process from this instant; its hello makes it
+        // kIdle, and EOF before then is a spawn failure (onDeath).
         s.state = Slot::State::kSpawning;
-        // A worker that never connects within kConnectTimeoutMs — exec
-        // failure, early exit, injected accept fault — never joined the
-        // fleet: a spawn failure, never a crash.
-        const AcceptResult conn = listener.accept(pid);
-        if (conn.fd < 0) {
-            if (!conn.childExited) {
-                ::kill(pid, SIGKILL);
-                ::waitpid(pid, nullptr, 0);
-            }
-            bookSpawnFailure(slotId, conn.error);
-            return;
-        }
         s.pid = pid;
-        s.fd = conn.fd;
+        s.fd = pair[0];
         s.decoder = FrameDecoder{};
         s.inFlight.clear();
         s.isolated = false;
         s.budgetKilled = false;
         s.hbKilled = false;
         s.byeSeen = false;
+        s.heard = false;
         s.wireError.clear();
         s.lastByteAt = Clock::now();
-        if (s.everConnected) {
-            ++res.reconnects;
-            ++res.workerRespawns;
-        }
-        s.everConnected = true;
     };
 
     const auto closeSlot = [&](Slot& s) {
@@ -278,8 +242,8 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         return 0;
     };
 
-    /// A worker's connection hit EOF or became unwritable: reap it and
-    /// decide what its death costs.
+    /// A worker's socket hit EOF or became unwritable: reap it and decide
+    /// what its death costs.
     const auto onDeath = [&](std::size_t slotId) {
         Slot& s = slots[slotId];
         const int status = closeSlot(s);
@@ -297,9 +261,6 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                      kRespawnBackoffCapMs);
         s.respawnAfter = Clock::now() + std::chrono::milliseconds(backoffMs);
 
-        ++res.workerCrashes;
-        static auto& cCrashes = obs::counter("shard.worker.crashes");
-        cCrashes.add();
         std::string how;
         if (s.budgetKilled)
             how = "exceeded the per-job wall budget of " +
@@ -313,7 +274,24 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                   ") and was killed";
         else
             how = describeExit(status);
-        log::warn("shard", "worker " + std::to_string(slotId) + " " + how);
+        if (!s.heard) {
+            // The stream ended before the hello (exec failure, an early
+            // exit, a death while warm-starting): the worker never joined
+            // the fleet and held no job. That is a spawn failure, counted
+            // apart from crashes; the two-strikes rule below still
+            // retires a slot that cannot start.
+            ++res.spawnFailures;
+            static auto& cSpawnFail =
+                obs::counter("shard.worker.spawn_failures");
+            cSpawnFail.add();
+            log::warn("shard", "worker " + std::to_string(slotId) +
+                                   " failed to spawn (" + how + ")");
+        } else {
+            ++res.workerCrashes;
+            static auto& cCrashes = obs::counter("shard.worker.crashes");
+            cCrashes.add();
+            log::warn("shard", "worker " + std::to_string(slotId) + " " + how);
+        }
         // Requeued in reverse so the front of the queue keeps send order,
         // ahead of fresh work.
         for (auto f = s.inFlight.rbegin(); f != s.inFlight.rend(); ++f) {
@@ -397,8 +375,13 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             onDeath(slotId);
             return;
         }
+        if (!std::exchange(s.heard, true) &&
+            std::exchange(s.everHeard, true)) {
+            ++res.reconnects;
+            ++res.workerRespawns;
+        }
         // Deterministic torn-connection fault: drop the worker as if the
-        // stream died mid-read.
+        // stream died mid-read. It was heard, so this is a crash.
         if (PD_FAULT("shard.sock.read")) {
             log::warn("shard", "worker " + std::to_string(slotId) +
                                    ": injected read fault "
@@ -501,13 +484,34 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
         }
     };
 
+    /// Waits up to `timeoutMs` for any live slot's socket and consumes
+    /// what arrived. Returns false, without waiting, when no slot is live.
+    const auto pollSlots = [&](int timeoutMs) {
+        std::vector<pollfd> fds;
+        std::vector<std::size_t> fdSlot;
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (!slots[i].live()) continue;
+            fds.push_back({slots[i].fd, POLLIN, 0});
+            fdSlot.push_back(i);
+        }
+        if (fds.empty()) return false;
+        const int ready = ::poll(fds.data(),
+                                 static_cast<nfds_t>(fds.size()), timeoutMs);
+        if (ready < 0 && errno != EINTR)
+            fail("shard", std::string("poll() failed: ") + strerror(errno));
+        for (std::size_t f = 0; f < fds.size(); ++f)
+            if (fds[f].revents & (POLLIN | POLLHUP | POLLERR))
+                onReadable(fdSlot[f]);
+        return true;
+    };
+
     /// Heartbeat-deadline supervision: a slot whose stream has been
     /// completely silent past opt.shardHeartbeatMs is declared dead and
     /// SIGKILLed; the EOF then takes the ordinary crash path (respawn,
     /// retry-elsewhere). kSpawning is exempt — warm-starting a large
     /// store can legitimately outlast a deadline, and pre-hello death
-    /// is already covered by EOF. The deadline needs no waitpid signal,
-    /// so it holds for a peer that is not our child.
+    /// is already covered by EOF. A SIGSTOPped worker closes nothing, so
+    /// only the deadline can find it.
     const auto superviseLiveness = [&] {
         if (opt.shardHeartbeatMs <= 0) return;
         const auto now = Clock::now();
@@ -543,11 +547,11 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
     };
 
     // ---- main loop: spawn → assign → poll → consume -----------------------
-    // Coordinator-side resource failures (fork, socket, poll, a worker-exe
-    // that cannot be resolved at respawn) must not escape as exceptions:
-    // the local lane is running concurrently against the same scheduler,
-    // so run() converts them into failures on every job that has no
-    // result yet and returns normally.
+    // Coordinator-side resource failures (socketpair, fork, poll, a
+    // worker exe that cannot be resolved at respawn) must not escape as
+    // exceptions: the local lane is running concurrently against the
+    // same scheduler, so the catch below hands every job that has no
+    // result yet back for in-process execution and returns normally.
     bool shutdownSeen = false;
     Clock::time_point shutdownDeadline{};
     try {
@@ -672,26 +676,12 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
             }
         }
 
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> fdSlot;
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (!slots[i].live()) continue;
-            fds.push_back({slots[i].fd, POLLIN, 0});
-            fdSlot.push_back(i);
-        }
-        if (fds.empty()) {
+        if (!pollSlots(timeoutMs)) {
             // Nothing to poll: every slot is down awaiting its respawn
             // backoff. Sleep a tick instead of spinning.
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
             continue;
         }
-        const int ready = ::poll(fds.data(),
-                                 static_cast<nfds_t>(fds.size()), timeoutMs);
-        if (ready < 0 && errno != EINTR)
-            fail("shard", std::string("poll() failed: ") + strerror(errno));
-        for (std::size_t f = 0; f < fds.size(); ++f)
-            if (fds[f].revents & (POLLIN | POLLHUP | POLLERR))
-                onReadable(fdSlot[f]);
 
         // Heartbeat-deadline enforcement: a silent slot is killed like a
         // crash; the EOF arrives on the next poll.
@@ -749,30 +739,17 @@ ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,
                 }
             break;
         }
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> fdSlot;
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (!slots[i].live()) continue;
-            fds.push_back({slots[i].fd, POLLIN, 0});
-            fdSlot.push_back(i);
-        }
-        const int ready =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   static_cast<int>(std::min<long long>(leftMs, 1000)));
-        if (ready < 0 && errno != EINTR)
-            fail("shard", std::string("poll() failed: ") + strerror(errno));
-        for (std::size_t f = 0; f < fds.size(); ++f)
-            if (fds[f].revents & (POLLIN | POLLHUP | POLLERR))
-                onReadable(fdSlot[f]);
+        pollSlots(static_cast<int>(std::min<long long>(leftMs, 1000)));
         // A draining worker still beats (the pump stops only at exit),
         // so supervision here reaps a truly dead-silent straggler at
         // the heartbeat deadline instead of the full drain budget.
         superviseLiveness();
     }
     } catch (const std::exception& e) {
-        // Coordinator-side failure (fork/socket/poll/protocol): the fleet
-        // is gone, but the jobs are pure computations — hand everything
-        // unfinished back for in-process execution instead of failing.
+        // Coordinator-side failure (socketpair/fork/poll/protocol): the
+        // fleet is gone, but the jobs are pure computations — hand
+        // everything unfinished back for in-process execution instead of
+        // failing.
         log::error("shard", std::string("coordinator failed (") + e.what() +
                                 "); running unfinished jobs in-process");
         static auto& cFallback = obs::counter("shard.fallback.jobs");

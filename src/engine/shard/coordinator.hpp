@@ -1,10 +1,11 @@
 // Shard coordinator: partitions a batch across crash-isolated worker
 // processes.
 //
-// The coordinator fork/execs N `pd_cli worker` processes, accepts the
-// localhost socket each one dials back (transport.hpp), and drives them
-// from a single poll() loop. The engine's --jobs is split across the
-// slots (slotDepths), and a slot keeps up to its depth of jobs in flight:
+// The coordinator fork/execs N `pd_cli worker` children, each holding
+// one end of its own socketpair as fd 3 (kWorkerChannelFd, worker.hpp),
+// and drives them from a single poll() loop over the other ends. The
+// engine's --jobs is split across the slots (slotDepths), and a slot
+// keeps up to its depth of jobs in flight:
 // a worker with room steals the next queued job (assignment follows
 // idleness — no static partition, so one slow job never serializes the
 // batch behind it), results stream back as checksummed frames tagged
@@ -24,11 +25,11 @@
 // requeued up to `shardRetries` times, preferring a *different* slot,
 // and only exhausting the budget reports it as a per-job failure — the
 // batch, the report, and the cache flush all complete normally. A
-// worker that never connects (exec failure, early
-// exit, connect timeout) is not a crash: it is counted separately as a
-// spawn failure and never burns a job's retry budget, since the job never
-// started. A slot that dies twice without ever accepting work (startup
-// crash loop) is retired; if every slot retires, the remaining queued
+// worker whose socket reaches EOF before it said anything (exec failure,
+// an early exit) is not a crash: it is counted separately as a spawn
+// failure and never burns a job's retry budget, since it held no job. A
+// slot that dies twice without ever accepting work (startup crash loop)
+// is retired; if every slot retires, the remaining queued
 // jobs are handed back to the engine (ShardOutcome::fallbackJobs) for
 // in-process execution instead of failing — pool collapse degrades
 // throughput, not results. A cooperative shutdown request
@@ -80,7 +81,7 @@ struct ShardOutcome {
 /// Runs every index in `sched.wireJobs()` across the worker pool
 /// `opt` describes, completing each into `sched`. Blocks until all wire
 /// jobs have a result and every worker exited. Does not throw: worker
-/// trouble and coordinator-side resource exhaustion (socket/fork/poll
+/// trouble and coordinator-side resource exhaustion (socketpair/fork/poll
 /// failure) both degrade to per-job failure results or fallback jobs,
 /// never a lost batch.
 ShardOutcome coordinateShards(const EngineOptions& opt, BatchScheduler& sched,

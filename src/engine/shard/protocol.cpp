@@ -1,5 +1,9 @@
 #include "engine/shard/protocol.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+
 #include "engine/persist/format.hpp"
 #include "engine/persist/serialize.hpp"
 #include "engine/persist/store.hpp"
@@ -46,6 +50,18 @@ void appendFrame(std::string& out, FrameType type, std::string_view payload) {
     w.u8(static_cast<std::uint8_t>(type));
     w.str(payload);
     w.u64(frameChecksum(type, payload));
+}
+
+bool writeAll(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+        const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return false;
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
 }
 
 void FrameDecoder::feed(std::string_view bytes) {

@@ -1,5 +1,5 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v11"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v12"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker socket is a length-prefixed, checksummed
 // frame over the same little-endian primitives as the pd-cache-v4 store:
@@ -61,8 +61,8 @@ namespace pd::engine::shard {
 /// instead of waitpid, which a socket transport to a remote host cannot
 /// offer. Heartbeats carry no semantics: the coordinator counts them,
 /// resets the slot's silence clock, and discards them. Workers accept
-/// --connect and heartbeat-interval argv; frame layouts other than the
-/// new type are unchanged.
+/// a coordinator-address argv (gone since v12) and a heartbeat-interval
+/// argv; frame layouts other than the new type are unchanged.
 ///
 /// v7 (content-addressed keys): kCacheEntry keys are 16-byte job digests
 /// instead of full canonical-signature strings; new kIndexEntry frame —
@@ -92,7 +92,11 @@ namespace pd::engine::shard {
 /// v11 (one pool): kJob loses DecomposeOptions::probeThreads (u64), which
 /// is gone. A worker's sweeps run one lane per thread of its engine's
 /// job pool, which its --jobs and --probe-threads argv size.
-inline constexpr std::uint32_t kProtocolVersion = 11;
+///
+/// v12 (children only): a worker loses its dial-back address argv and
+/// speaks on the socketpair end it inherits as fd 3 instead of dialing a
+/// per-spawn localhost listener. Frame layouts are unchanged.
+inline constexpr std::uint32_t kProtocolVersion = 12;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length
@@ -118,6 +122,11 @@ struct Frame {
 
 /// Appends the framed encoding of (type, payload) to `out`.
 void appendFrame(std::string& out, FrameType type, std::string_view payload);
+
+/// send()s all of `bytes` to the connected socket `fd`, riding out EINTR
+/// and short writes. MSG_NOSIGNAL turns a vanished peer into a false
+/// return instead of SIGPIPE; either side then treats the other as dead.
+bool writeAll(int fd, std::string_view bytes);
 
 /// Incremental frame parser over a byte stream fed in arbitrary chunks.
 class FrameDecoder {

@@ -2,6 +2,7 @@
 
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "engine/shard/protocol.hpp"
-#include "engine/shard/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/fault/fault.hpp"
@@ -174,10 +174,6 @@ std::optional<WorkerOptions> decodeWorkerArgs(std::span<const std::string> args,
             const std::string* v = value();
             if (!v || !util::parseCount(flag, *v, w.shardId, error))
                 return std::nullopt;
-        } else if (flag == "--connect") {
-            const std::string* v = value();
-            if (!v) return std::nullopt;
-            w.connect = *v;
         } else if (flag == "--fault") {
             const std::string* v = value();
             if (!v || !fault::armPlan(*v, &error)) return std::nullopt;
@@ -188,10 +184,6 @@ std::optional<WorkerOptions> decodeWorkerArgs(std::span<const std::string> args,
             return std::nullopt;
         }
     }
-    if (w.connect.empty()) {
-        error = "worker option --connect <host:port> is required";
-        return std::nullopt;
-    }
     return w;
 }
 
@@ -199,12 +191,10 @@ namespace {
 
 /// Runs the worker loop over its frame channel until kShutdown or EOF.
 /// Returns a process exit code.
-int runWorker(const WorkerOptions& opt) {
-    // Dial the coordinator's listener: both directions share the
-    // connected fd. stdout is then re-pointed at stderr, so a stray
-    // library print never interleaves with the coordinator's own stdout.
-    const int fd = connectToCoordinator(opt.connect, kConnectTimeoutMs);
-    if (fd < 0) return 3;
+int runWorker(const WorkerOptions& opt, int fd) {
+    // Both directions share the inherited socket. stdout is re-pointed at
+    // stderr, so a stray library print never interleaves with the
+    // coordinator's own stdout.
     ::dup2(STDERR_FILENO, STDOUT_FILENO);
 
     log::setScopePrefix("w" + std::to_string(opt.shardId));
@@ -244,8 +234,8 @@ int runWorker(const WorkerOptions& opt) {
     if (!send(FrameType::kHello, encodeHello(hello))) return 3;
 
     // The pump starts only after the hello: the coordinator's liveness
-    // clock starts at channel establishment, and warm-starting the
-    // engine above is covered by the spawn state, not the deadline.
+    // clock starts there, and warm-starting the engine above is covered
+    // by the spawn state, not the deadline.
     HeartbeatPump pump(fd, wireMu, opt.shardId, opt.engine.shardHeartbeatMs);
 
     const char* crashJob = std::getenv(kCrashJobEnv);
@@ -416,7 +406,16 @@ int workerMain(std::span<const std::string> args) {
         std::cerr << "worker: " << error << "\n";
         return 2;
     }
-    return runWorker(*opt);
+    // The coordinator hands every worker its end of a socketpair on
+    // kWorkerChannelFd; anything else there is not a coordinator.
+    struct stat st{};
+    if (::fstat(kWorkerChannelFd, &st) != 0 || !S_ISSOCK(st.st_mode)) {
+        std::cerr << "worker: fd " << kWorkerChannelFd
+                  << " is not a socket; workers are spawned by "
+                     "'pd_cli batch --shards N'\n";
+        return 2;
+    }
+    return runWorker(*opt, kWorkerChannelFd);
 }
 
 }  // namespace pd::engine::shard

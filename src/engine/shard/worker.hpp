@@ -1,10 +1,10 @@
 // Shard worker process entry point.
 //
-// A worker is a fresh `pd_cli worker` process that dials the
-// coordinator's localhost listener (`--connect host:port`, transport.hpp)
-// and exchanges frames in both directions over that one socket; its
-// stdout is re-pointed at stderr so stray library prints never
-// interleave with the coordinator's own output. It owns an Engine whose
+// A worker is a fresh `pd_cli worker` child of the coordinator. It
+// inherits its end of a socketpair as fd 3 (kWorkerChannelFd) and
+// exchanges frames in both directions over that one socket; its stdout
+// is re-pointed at stderr so stray library prints never interleave with
+// the coordinator's own output. It owns an Engine whose
 // job pool holds the slot's share of the coordinator's --jobs: each
 // received job runs as a task there, up to that many at once, and a pool
 // thread with no job serves the probe lanes of the jobs beside it. The
@@ -47,9 +47,12 @@ inline constexpr const char* kHangJobEnv = "PD_SHARD_TEST_HANG_JOB";
 /// job, freezing every thread — heartbeat pump included — so the
 /// coordinator's --shard-heartbeat-ms deadline is the only thing that
 /// can reap it. (A hang parks one thread and keeps beating; a stall is
-/// the whole process wedged, the failure waitpid cannot see over a
-/// socket.)
+/// the whole process wedged, a failure that closes no socket.)
 inline constexpr const char* kStallJobEnv = "PD_SHARD_TEST_STALL_JOB";
+
+/// The fd a worker speaks on: the coordinator dup2s the child's end of
+/// the slot's socketpair onto it between fork and exec.
+inline constexpr int kWorkerChannelFd = 3;
 
 /// A worker process's configuration, decoded from its argv.
 struct WorkerOptions {
@@ -63,30 +66,27 @@ struct WorkerOptions {
     /// Mirrors the coordinator's tracing switch (--obs): buffer spans and
     /// ship them in the kObs frames (metric deltas ship either way).
     bool obs = false;
-    /// The coordinator's listener (`--connect host:port`, required): the
-    /// worker dials it and speaks the frame protocol over the connection.
-    std::string connect;
 };
 
 /// The worker argv codec, both halves in one place. encodeWorkerArgs()
 /// writes the shard id and every EngineOptions field a worker uses (the
 /// coordinator sets `jobs` to the slot's depth first),
 /// plus `--obs` when tracing is on and one `--fault` per armed fault
-/// plan; the listener appends its own `--connect` (transport.hpp).
+/// plan.
 [[nodiscard]] std::vector<std::string> encodeWorkerArgs(
     std::uint32_t shardId, const EngineOptions& engine);
 
-/// Inverse of encodeWorkerArgs() plus the required `--connect`. Fields
-/// left out keep their EngineOptions defaults. Forwarded `--fault` plans
-/// are armed as they are decoded. Returns nullopt with `error` set on an
-/// unknown flag, a missing value, a malformed integer, a bad plan or a
-/// missing `--connect`.
+/// Inverse of encodeWorkerArgs(). Fields left out keep their
+/// EngineOptions defaults. Forwarded `--fault` plans are armed as they
+/// are decoded. Returns nullopt with `error` set on an unknown flag, a
+/// missing value, a malformed integer or a bad plan.
 [[nodiscard]] std::optional<WorkerOptions> decodeWorkerArgs(
     std::span<const std::string> args, std::string& error);
 
 /// The hidden `pd_cli worker` mode: decodes `args` and runs the worker
-/// loop over its frame channel until kShutdown or EOF. Returns the
-/// process exit code; a bad argv is reported on stderr and exits 2.
+/// loop over kWorkerChannelFd until kShutdown or EOF. Returns the
+/// process exit code; a bad argv, or no socket on kWorkerChannelFd, is
+/// reported on stderr and exits 2.
 int workerMain(std::span<const std::string> args);
 
 }  // namespace pd::engine::shard

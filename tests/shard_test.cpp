@@ -1,8 +1,8 @@
 // Sharded-engine tests: the frame codec (round-trips, hostile bytes —
 // run under ASan/UBSan in CI), the worker argv codec (every worker field
-// round-trips, malformed argv and a missing --connect are rejected),
-// end-to-end equivalence of sharded and in-process batches across
-// --shards {1,2,4} over the localhost socket (byte-identical stores),
+// round-trips, malformed argv is rejected), end-to-end equivalence of
+// sharded and in-process batches across --shards {1,2,4} over each
+// worker's inherited socketpair (byte-identical stores),
 // --jobs split across the workers (slot depths; two jobs in flight per
 // worker match the in-process report and store), heartbeat liveness
 // (beating workers survive, silent ones die at the deadline and their
@@ -490,13 +490,11 @@ TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
     e.shardRssMb = 4096;
     e.shardHeartbeatMs = 0;  // non-default: supervision off
 
-    std::vector<std::string> args = encodeWorkerArgs(17, e);
-    args.insert(args.end(), {"--connect", "127.0.0.1:4242"});
+    const std::vector<std::string> args = encodeWorkerArgs(17, e);
     std::string error;
     const auto w = decodeWorkerArgs(args, error);
     ASSERT_TRUE(w.has_value()) << error;
     EXPECT_EQ(w->shardId, 17u);
-    EXPECT_EQ(w->connect, "127.0.0.1:4242");
     EXPECT_FALSE(w->obs);
     const EngineOptions& d = w->engine;
     EXPECT_EQ(d.jobs, e.jobs);
@@ -520,9 +518,8 @@ TEST(ShardWorkerArgs, TracingAndArmedFaultPlansAreForwarded) {
     ScopedFaults faults("shard.worker.crash:n3");
     const bool wasEnabled = obs::enabled();
     obs::setEnabled(true);
-    auto args = encodeWorkerArgs(0, EngineOptions{});
+    const auto args = encodeWorkerArgs(0, EngineOptions{});
     obs::setEnabled(wasEnabled);
-    args.insert(args.end(), {"--connect", "127.0.0.1:4242"});
     std::string error;
     const auto w = decodeWorkerArgs(args, error);
     ASSERT_TRUE(w.has_value()) << error;
@@ -553,22 +550,16 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     rejects({"--jobs", "257"}, "expects at most 256");
     rejects({"--probe-threads", "257"}, "expects at most 256");
     rejects({"--verify-threads", "1000000"}, "expects at most 256");
-    rejects({"--connect"}, "--connect expects a value");
-    // The socket the worker dials back is its only frame channel.
-    rejects({"--shard-id", "3"}, "--connect <host:port> is required");
 
     std::string error;
-    const std::vector<std::string> connectOnly = {"--connect",
-                                                  "127.0.0.1:4242"};
-    const auto defaults = decodeWorkerArgs(connectOnly, error);
+    const auto defaults = decodeWorkerArgs({}, error);
     ASSERT_TRUE(defaults.has_value()) << error;
     EXPECT_EQ(defaults->engine.shardHeartbeatMs,
               EngineOptions{}.shardHeartbeatMs);
 
     // The cap itself is accepted (decoding starts no thread).
     const std::vector<std::string> atCap = {
-        "--jobs",           "256", "--probe-threads", "256",
-        "--verify-threads", "256", "--connect",       "127.0.0.1:4242"};
+        "--jobs", "256", "--probe-threads", "256", "--verify-threads", "256"};
     const auto capped = decodeWorkerArgs(atCap, error);
     ASSERT_TRUE(capped.has_value()) << error;
     EXPECT_EQ(capped->engine.jobs, util::kMaxParallelism);
@@ -827,7 +818,7 @@ TEST(ShardEngine, HugeRssBudgetMeansNoBudget) {
 
 TEST(ShardTransport, SocketBatchesMatchInProcessAcross12) {
     // The transport is pure plumbing: the same pd-shard-wire frames over
-    // a localhost connection must yield field-identical results.
+    // each worker's socketpair must yield field-identical results.
     const auto specs = lightSpecs();
     const auto reference = Engine(shardOptions(0)).runBatch(specs);
     for (const auto& r : reference) ASSERT_TRUE(r.ok) << r.error;
@@ -953,21 +944,6 @@ TEST(ShardLiveness, TornConnectionMidStreamIsACountedCrash) {
         EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
 }
 
-TEST(ShardTransport, SocketAcceptFaultIsASpawnFailureNotACrash) {
-    // A connection that never establishes books spawn-failure
-    // accounting: no retry budget charged, no crash counted, and the
-    // respawned slot picks the work up.
-    ScopedFaults faults("shard.sock.accept:n1");
-    Engine engine(shardOptions(2));
-    const auto results = engine.runBatch(lightSpecs());
-    for (const auto& r : results)
-        EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
-    const auto& res = engine.resilience();
-    EXPECT_GE(res.spawnFailures, 1u);
-    EXPECT_EQ(res.workerCrashes, 0u);
-    EXPECT_EQ(res.retries, 0u);
-}
-
 // ---- crash isolation -------------------------------------------------------
 
 TEST(ShardEngine, CrashedJobFailsAloneAfterOneRetry) {
@@ -1068,20 +1044,17 @@ FakeRun runWithFakeFirstWorker(
         for (const auto& [tag, answer] : answers)
             appendFrame(bytes, FrameType::kResult,
                         encodeResult(tag, answer, {}));
-        // One small write leaves as one loopback segment: the coordinator
-        // reads every answer together.
+        // One small write arrives whole: the coordinator reads every
+        // answer together.
         EXPECT_LT(bytes.size(), std::size_t{PIPE_BUF});
         std::ofstream(results.path(), std::ios::binary) << bytes;
     }
-    // The fake dials the coordinator's --connect address like the real
-    // worker, through bash's /dev/tcp redirection.
+    // The fake speaks on the inherited fd 3, like the real worker.
     std::ofstream(script.path())
         << "#!/bin/bash\n"
         << "if [ -e '" << marker.path() << "' ]; then exec '" << workerExe()
         << "' \"$@\"; fi\n"
         << ": > '" << marker.path() << "'\n"
-        << "while [ \"$1\" != --connect ]; do shift; done\n"
-        << "exec 3<>\"/dev/tcp/${2%:*}/${2##*:}\"\n"
         << "cat '" << hello.path() << "' >&3\n"
         << "head -c 1 <&3 > /dev/null\n"  // the first job frame has arrived
         << "sleep " << delayS << "\n"
@@ -1364,9 +1337,31 @@ TEST(CliExitCodes, ZeroAllOkTwoPartialOneFatalSixtyFourUsage) {
     EXPECT_EQ(runCli(cli + " batch majority7 --shards 1 --shard-transport "
                            "socket >/dev/null 2>&1"),
               0);
-    // A worker with no listener to dial is a bad argv: exit 2.
-    EXPECT_EQ(runCli(cli + " worker --shard-id 0 </dev/null >/dev/null 2>&1"),
+    // A worker without its socket on fd 3 was not spawned by a
+    // coordinator: exit 2, whether fd 3 is closed or some other file.
+    EXPECT_EQ(runCli(cli + " worker --shard-id 0 3<&- </dev/null "
+                           ">/dev/null 2>&1"),
               2);
+    EXPECT_EQ(runCli(cli + " worker --shard-id 0 3</dev/null </dev/null "
+                           ">/dev/null 2>&1"),
+              2);
+}
+
+TEST(CliExitCodes, WorkerReachedWhenItsSocketEndIsAlreadyFd3) {
+    // With stdin and fd 3 closed, the coordinator's socketpair() returns
+    // {0, 3}: the child's end already sits on fd 3, where dup2 is a no-op
+    // that would leave it close-on-exec. The worker must still run the
+    // job (shard 0) instead of the pool collapsing into the fallback.
+    TempFile report("fd3_report");
+    ASSERT_EQ(runCli(std::string(workerExe()) +
+                     " batch majority7 --shards 1 --json " + report.path() +
+                     " <&- 3<&- >/dev/null 2>&1"),
+              0);
+    std::ifstream in(report.path());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_NE(ss.str().find("\"shard\": 0"), std::string::npos);
+    EXPECT_NE(ss.str().find("\"spawn_failures\": 0"), std::string::npos);
 }
 
 TEST(CliExitCodes, SigtermDrainsReportsAndExitsTwo) {

@@ -65,8 +65,9 @@
 //                    in-flight job gets after SIGINT/SIGTERM (default
 //                    60000)
 //   --shard-transport socket  accepted for compatibility: workers always
-//                    exchange pd-shard-wire frames over a localhost TCP
-//                    connection each; `pipe` is a usage error (removed).
+//                    exchange pd-shard-wire frames over a local socket,
+//                    one socketpair each; `pipe` is a usage error
+//                    (removed).
 //   --shard-heartbeat-ms <n>  liveness deadline: a worker silent this
 //                    long is declared dead, killed, and its job retried
 //                    on another worker (default 10000; 0 disables)
@@ -86,8 +87,8 @@
 // failure, pd::Error), 64 = usage error.
 //
 // There is also a hidden `pd_cli worker` mode: the shard coordinator
-// fork/execs it with `--connect <host>:<port>` and the worker dials back
-// (see src/engine/shard/README.md for the frame protocol). Its argv is
+// fork/execs it with its end of a socketpair on fd 3, where it speaks
+// the frame protocol (see src/engine/shard/README.md). Its argv is
 // the coordinator's engine configuration, encoded and decoded by
 // src/engine/shard/worker.cpp. It is not for interactive use.
 //
@@ -348,8 +349,8 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
             if (kind != "socket") {
                 std::cerr << (kind == "pipe"
                                   ? "the pipe shard transport was removed; "
-                                    "workers always connect over a "
-                                    "localhost socket\n"
+                                    "workers always talk over a local "
+                                    "socket\n"
                                   : "option --shard-transport expects "
                                     "socket\n");
                 return usage();

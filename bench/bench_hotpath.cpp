@@ -29,7 +29,8 @@
 // referenceSweep, plus end-to-end decompose times and per-phase
 // breakdowns. The "speedups" ratio is measured within one run, so it is
 // machine-independent; check_hotpath.py gates both documents with the
-// same policy. Its ungated "lanes" object records the probe phase of
+// same policy. Its ungated "breakdown" object also records mul6 decomposed
+// at 4 probe lanes. Its ungated "lanes" object records the probe phase of
 // mul4, counter16 and adder3_9 decomposed with 1, 2 and 4 probe lanes
 // (best of 2), with the helper lanes' probes and the committer's
 // discards: the scaling of the speculative sweep on the recording host.
@@ -262,6 +263,22 @@ int main(int argc, char** argv) {
                                    }) /
                                    1000.0;
 
+    // ---- End to end: mul6 at 4 probe lanes (heavy; ungated). Its spec
+    // takes longer to expand than to decompose, so it is built untimed.
+    const auto mul6 = pd::circuits::makeNamedBenchmark("mul6");
+    pd::anf::VarTable mul6Vars;
+    const auto mul6Outs = mul6->anf(mul6Vars);
+    pd::core::Decomposition mul6Decomp;
+    pd::core::DecomposeOptions mul6Opt;
+    mul6Opt.probePool = std::make_shared<pd::util::ThreadPool>(4);
+    const double decomposeMul6Ms = timeUs(1, [&](std::size_t) {
+                                       mul6Decomp = pd::core::decompose(
+                                           mul6Vars, mul6Outs,
+                                           mul6->outputNames, mul6Opt);
+                                       sink += mul6Decomp.blocks.size();
+                                   }) /
+                                   1000.0;
+
     // ---- Probe lanes: the probe phase of whole decomposes at 1, 2 and 4
     // lanes (a pool of that many threads; 1 lane is no pool). ----------
     struct LaneRun {
@@ -313,6 +330,8 @@ int main(int argc, char** argv) {
               << " ms (" << probeSweepRefMs / probeSweepMs << "x)\n"
               << "decompose mul4: " << decomposeMul4Ms << " ms (probe "
               << mul4Decomp.probe.sweepMs << " ms)\n"
+              << "decompose mul6 at 4 lanes: " << decomposeMul6Ms
+              << " ms (probe " << mul6Decomp.probe.sweepMs << " ms)\n"
               << "(sink " << sink << ")\n";
 
     std::ofstream os(jsonPath);
@@ -381,6 +400,10 @@ int main(int argc, char** argv) {
     pw.endObject();
     pw.key("mul4").beginObject();
     breakdown(pw, mul4Decomp, decomposeMul4Ms);
+    pw.endObject();
+    pw.key("mul6").beginObject();
+    pw.field("lanes", std::uint64_t{4});
+    breakdown(pw, mul6Decomp, decomposeMul6Ms);
     pw.endObject();
     pw.endObject();
     pw.key("lanes").beginObject();

@@ -9,20 +9,32 @@ Drives perfbench/run.py, unchanged, over its three workloads (cold, disk,
 shard): once at --trace 0 for the end-to-end metrics (latency_ms, cpu_ms,
 setup_s) and once at --trace 1 for the per-layer ones, each for
 BENCHMARK.json's run_seconds at seed 1. Every value run.py reports is
-already a median over that run's requests. The file also records the CPU
-count and the git commit measured. Six runs of about 20 s each, plus
-run.py's first Release build of pd_cli into .bench_build/.
+already a median over that run's requests. Then it runs the cold batch
+at --jobs 1 (`batch --all --jobs 1 --cache 0 --verify-threads 1`,
+JOBS1_RUNS times with the pd_cli run.py built) and records the median
+wall and CPU time, which perfbench cannot give because it fixes --jobs 4.
+The file also records the CPU count and the git commit measured. Six
+runs of about 20 s each and three of a few seconds, plus run.py's first
+Release build of pd_cli into .bench_build/.
 
 Exits non-zero, writing nothing, if any run fails or reports an
 incorrect result.
 """
 import json
 import os
+import resource
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 WORKLOADS = ("cold", "disk", "shard")
 SEED = 1
+CLI = os.path.join(".bench_build", "pd_cli")
+JOBS1_BATCH = ["batch", "--all", "--jobs", "1", "--cache", "0",
+               "--verify-threads", "1"]
+JOBS1_RUNS = 3
 
 
 def run(workload, trace, seconds):
@@ -38,6 +50,28 @@ def run(workload, trace, seconds):
         sys.exit(f"{' '.join(cmd)}: incorrect result "
                  f"({out['failed']} of {out['attempted']} requests failed)")
     return out
+
+
+def jobs1_batch():
+    """Median wall and CPU ms of the cold default batch at --jobs 1."""
+    walls, cpus = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "jobs1.json")
+        for _ in range(JOBS1_RUNS):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            start = time.monotonic()
+            proc = subprocess.run([CLI, *JOBS1_BATCH, "--json", report],
+                                  stdout=subprocess.DEVNULL)
+            walls.append((time.monotonic() - start) * 1000.0)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpus.append((after.ru_utime + after.ru_stime - before.ru_utime
+                         - before.ru_stime) * 1000.0)
+            if proc.returncode != 0:
+                sys.exit(f"{CLI} {' '.join(JOBS1_BATCH)}: exit "
+                         f"{proc.returncode}")
+    return {"command": "pd_cli " + " ".join(JOBS1_BATCH), "runs": JOBS1_RUNS,
+            "latency_ms": round(statistics.median(walls), 3),
+            "cpu_ms": round(statistics.median(cpus), 3)}
 
 
 def main():
@@ -74,11 +108,13 @@ def main():
             "are in the metric names (ms, s) or counts and bytes.",
             "perfbench fixes `pd_cli batch --all --jobs 4`, so --jobs, "
             "--probe-threads and --shards scaling curves are not recorded "
-            "here.",
+            "here; jobs1_cold is the one cold batch at --jobs 1, a median "
+            "over its runs measured from outside the process.",
             "The host is shared with other workloads; repeated runs drift "
             "by up to 25%.",
         ],
         "workloads": workloads,
+        "jobs1_cold": jobs1_batch(),
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)

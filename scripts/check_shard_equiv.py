@@ -18,7 +18,8 @@ of sharded legs may follow the single-process baseline):
      (reconnects stay 0 too — nothing should have torn a connection);
   5. a fault-free leg's observability counters carry the workers' work:
      every probe.* counter except the schedule-dependent
-     probe.speculative_discards, every ring.member.* counter and
+     probe.speculative_discards, every ring.member.* counter, every
+     decompose.stop.* counter (why each run ended) and
      engine.spec.expansions equal the single-process run's.
 
 Exits non-zero with a diagnostic on the first violation.
@@ -34,7 +35,7 @@ def work_counters(report):
     """The counters that measure the jobs' work, not their schedule."""
     counters = report.get("observability", {}).get("counters", {})
     return {name: value for name, value in counters.items()
-            if (name.startswith(("probe.", "ring.member."))
+            if (name.startswith(("probe.", "ring.member.", "decompose.stop."))
                 or name == "engine.spec.expansions")
             and name not in SCHEDULE_DEPENDENT}
 

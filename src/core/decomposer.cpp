@@ -17,6 +17,31 @@
 #include "util/error.hpp"
 
 namespace pd::core {
+namespace {
+
+/// Why a run ended, in kStopCounters order.
+enum Stop : std::size_t {
+    kConverged,
+    kRename,
+    kHeadroom,
+    kCapacity,
+    kStall,
+    kIterations,
+};
+
+/// A rename block: every leader it would materialize is a bare,
+/// uncomplemented variable of its own group. It costs no gates and only
+/// trades the group's variables for fresh ones, so it is never committed.
+bool isRename(const Block& block) {
+    if (block.outputs.empty()) return false;
+    for (const auto& o : block.outputs)
+        if (!o.expr.isLiteral() || o.expr.literalNegated() ||
+            !block.group.contains(o.expr.literalVar()))
+            return false;
+    return true;
+}
+
+}  // namespace
 
 Decomposition decompose(anf::VarTable& vars,
                         const std::vector<anf::Anf>& outputs,
@@ -70,16 +95,25 @@ Decomposition decompose(anf::VarTable& vars,
     const bool probeBasisReusable =
         probe::probeFindBasisOptions(gOpt) == fbOpt;
 
+    const auto fresh = [&](std::size_t iter) {
+        return vars.addDerived("s" + std::to_string(++freshCounter),
+                               static_cast<int>(iter));
+    };
+
+    Stop stop = kIterations;
     for (std::size_t iter = 0; iter < opt.maxIterations; ++iter) {
         if (unfoldsToLiterals(folded, tagMask)) {
-            result.converged = true;
+            stop = kConverged;
             break;
         }
         // Headroom stop: once fewer than 2k + 2 variable ids remain, end
-        // the run with a residual before probing. lod16 and lod32 stop
-        // here, so moving it changes their decompositions; the exact
-        // capacity check comes once the basis is known.
-        if (vars.size() + 2 * opt.k + 2 >= anf::Monomial::kMaxVars) break;
+        // the run with a residual before probing. Only a run whose blocks
+        // keep adding more fresh variables than they consume gets here;
+        // the exact capacity check comes once the basis is known.
+        if (vars.size() + 2 * opt.k + 2 >= anf::Monomial::kMaxVars) {
+            stop = kHeadroom;
+            break;
+        }
 
         const auto probeStart = std::chrono::steady_clock::now();
         auto sel = selectGroup(folded, vars, tagMask, idb, gOpt, probeCtx);
@@ -89,7 +123,10 @@ Decomposition decompose(anf::VarTable& vars,
                 .count();
         if (sel.budgetExhausted) result.budgetExhausted = true;
         const anf::VarSet group = sel.group;
-        if (group.isOne()) break;  // no visible variables left
+        if (group.isOne()) {  // no visible variables left
+            stop = kStall;
+            break;
+        }
 
         IterationTrace tr;
         tr.level = static_cast<int>(iter);
@@ -113,7 +150,10 @@ Decomposition decompose(anf::VarTable& vars,
         cMerges.add(bres.mergeAttempts);
         tr.budgetExhausted = bres.budgetExhausted;
         if (bres.budgetExhausted) result.budgetExhausted = true;
-        if (bres.pairs.empty()) break;  // group vars vanished: stall
+        if (bres.pairs.empty()) {  // group vars vanished
+            stop = kStall;
+            break;
+        }
 
         // ---- Minimize, size-reduce and sort the basis in one indexed
         // encoding; decode once for the rewrite.
@@ -131,15 +171,17 @@ Decomposition decompose(anf::VarTable& vars,
         // pair, and a k-group's basis can hold up to 2^k − 1 of them —
         // more than the headroom stop allows for. Stop with a residual
         // rather than overflow the monomial.
-        if (vars.size() + pairs.size() > anf::Monomial::kMaxVars) break;
+        if (vars.size() + pairs.size() > anf::Monomial::kMaxVars) {
+            stop = kCapacity;
+            break;
+        }
 
         // ---- Fresh variables for the basis elements.
         std::vector<anf::Var> newVars;
         std::vector<anf::Anf> basisExprs;
         newVars.reserve(pairs.size());
         for (const auto& p : pairs) {
-            const anf::Var v = vars.addDerived(
-                "s" + std::to_string(++freshCounter), static_cast<int>(iter));
+            const anf::Var v = fresh(iter);
             newVars.push_back(v);
             basisExprs.push_back(p.first);
             if (opt.recordTrace)
@@ -186,6 +228,45 @@ Decomposition decompose(anf::VarTable& vars,
             else
                 block.outputs.push_back({newVars[i], basisExprs[i]});
         }
+
+        // ---- A rename makes no progress. When every output is a
+        // function of at most k variables (the group's, or the group's
+        // and a few the sweep left out), take the final output step
+        // instead: one block over those variables whose leaders are the
+        // outputs themselves, and the run converges. Otherwise end the
+        // run with the residual as it stood before the rename.
+        if (isRename(block)) {
+            const anf::VarSet support = folded.support().without(tagMask);
+            if (support.degree() > opt.k) {
+                stop = kRename;
+                break;
+            }
+            block.group = support;
+            if (opt.recordTrace) tr.group = anf::setToString(support, vars);
+            std::vector<anf::Anf> outs =
+                tags.empty() ? std::vector<anf::Anf>{folded}
+                             : unfold(folded, tags);
+            block.outputs.clear();
+            block.reduced.clear();
+            scan = {};
+            tr.basis.clear();
+            tr.reductions.clear();
+            next = anf::Anf();
+            for (std::size_t i = 0; i < outs.size(); ++i) {
+                anf::Anf out = std::move(outs[i]);
+                if (!out.isConstant() && !out.isLiteral()) {
+                    const anf::Var v = fresh(iter);
+                    block.outputs.push_back({v, std::move(out)});
+                    if (opt.recordTrace)
+                        tr.basis.push_back(
+                            vars.name(v) + " = " +
+                            anf::toString(block.outputs.back().expr, vars));
+                    out = anf::Anf::var(v);
+                }
+                next ^= tags.empty() ? out : anf::Anf::var(tags[i]) * out;
+            }
+            tr.mergedPairCount = block.outputs.size();
+        }
         result.blocks.push_back(std::move(block));
 
         // ---- Identity-database upkeep: consumed variables invalidate old
@@ -205,14 +286,16 @@ Decomposition decompose(anf::VarTable& vars,
         tr.foldedTermsAfter = folded.termCount();
         if (opt.recordTrace) result.trace.push_back(std::move(tr));
         result.iterations = iter + 1;
-        // Progress is structural: the group's variables no longer occur in
-        // `folded`, so every iteration strictly shrinks the set of old
-        // variables; the iteration cap only guards pathological growth of
-        // fresh variables.
+        // A committed block trades its group's variables for its
+        // leaders, so the variable count alone need not shrink; what
+        // rules out the zero-progress trade is the rename test above.
+        // The iteration cap only guards pathological growth of fresh
+        // variables.
     }
 
-    if (!result.converged)
-        result.converged = unfoldsToLiterals(folded, tagMask);
+    result.converged = unfoldsToLiterals(folded, tagMask);
+    if (result.converged) stop = kConverged;
+    obs::counter(kStopCounters[stop]).add();
     result.residualOutputs =
         tags.empty() ? std::vector<anf::Anf>{folded} : unfold(folded, tags);
     const auto& ps = probeCtx.stats();

@@ -14,10 +14,18 @@
 //       if all elements of L are literals: break
 //
 // The driver owns the multi-output folding (tag variables K_i), the fresh
-// variable allocation, the identity database lifetime, and the safety
-// bounds (iteration cap, variable-capacity cap, stall detection).
+// variable allocation, the identity database lifetime, and the stop
+// rules. A run converges when every element of L is a literal. A block
+// whose leaders would all be bare variables of its own group (a rename)
+// makes no progress and is never committed: when every output is a
+// function of at most k variables, the final output step makes the
+// outputs themselves the leaders of one block over those variables and
+// the run converges; otherwise the run ends with the residual it had.
+// The safety bounds (variable headroom and capacity, stall detection,
+// iteration cap) end it the same way. ARCHITECTURE.md §Stop rules.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -44,6 +52,13 @@ namespace pd::core {
 /// bounding a pathological phase (the quadratic merge scan over a
 /// runaway pair list) instead of letting it go open-ended.
 inline constexpr std::size_t kDefaultMergeAttemptBudget = 100000;
+
+/// One counter per stop rule; every run bumps exactly one. The engine
+/// registers them up front so every report carries them, zeros included.
+inline constexpr std::array<const char*, 6> kStopCounters = {
+    "decompose.stop.converged", "decompose.stop.rename",
+    "decompose.stop.headroom",  "decompose.stop.capacity",
+    "decompose.stop.stall",     "decompose.stop.iterations"};
 
 struct DecomposeOptions {
     /// Group size (the paper always uses 4).

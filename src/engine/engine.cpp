@@ -10,6 +10,7 @@
 
 #include "anf/parser.hpp"
 #include "circuits/registry.hpp"
+#include "core/decomposer.hpp"
 #include "engine/persist/format.hpp"
 #include "engine/shard/coordinator.hpp"
 #include "engine/shard/scheduler.hpp"
@@ -293,7 +294,11 @@ std::string persistFingerprint(const EngineOptions& opt) {
         if (opt.verifyConflictBudget != 0 || opt.verifyPropagationBudget != 0)
             sat += "|vn" + std::to_string(opt.verifyThreads);
     }
-    return "lib:umc130|xl" + std::to_string(opt.equiv.exhaustiveLimitBits) +
+    // The decomposer revision: a store written before a change to what
+    // the decomposer emits for the same options must cold-start, not
+    // serve the old blocks. dr2 never commits a rename block.
+    return "lib:umc130|dr2|xl" +
+           std::to_string(opt.equiv.exhaustiveLimitBits) +
            "|rb" + std::to_string(opt.equiv.randomBatches) + "|sd" +
            std::to_string(opt.equiv.seed) + sat;
 }
@@ -309,6 +314,7 @@ Engine::Engine(EngineOptions opt)
     for (const char* name : {"engine.spec.expansions", "cache.index.hits",
                              "cache.index.misses", "cache.digest_mismatch"})
         (void)obs::counter(name);
+    for (const char* name : core::kStopCounters) (void)obs::counter(name);
     persist_.file = opt_.cacheFile;
     persist_.readonly = opt_.cacheReadonly;
     if (persist_.file.empty()) return;

@@ -1,7 +1,10 @@
 // End-to-end Progressive Decomposition tests (paper Fig. 5 / Fig. 6):
-// the majority-7 trace, LZD block discovery, counters, adders — always
-// with algebraic equivalence of the expanded result.
+// the majority-7 trace, LZD block discovery, counters, adders, the stop
+// rules (no rename block, the final output step) — always with
+// equivalence of the expanded or simulated result.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "anf/ops.hpp"
 #include "anf/parser.hpp"
@@ -9,7 +12,10 @@
 #include "circuits/counter.hpp"
 #include "circuits/lzd.hpp"
 #include "circuits/majority.hpp"
+#include "circuits/registry.hpp"
 #include "core/decomposer.hpp"
+#include "obs/metrics.hpp"
+#include "util/pool.hpp"
 
 namespace pd::core {
 namespace {
@@ -24,6 +30,44 @@ void expectEquivalent(const Decomposition& d, const VarTable& vt,
     for (std::size_t i = 0; i < original.size(); ++i)
         EXPECT_EQ(expanded[i], original[i])
             << "output " << d.outputNames[i] << " not equivalent";
+}
+
+/// Evaluates the hierarchy block by block on every assignment of
+/// `inputs` and compares each residual output with its spec.
+void expectSimulatesTo(const Decomposition& d,
+                       const std::vector<anf::Var>& inputs,
+                       const std::vector<Anf>& spec) {
+    ASSERT_EQ(d.residualOutputs.size(), spec.size());
+    for (std::size_t m = 0; m < (std::size_t{1} << inputs.size()); ++m) {
+        anf::Assignment a;
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            if ((m >> i) & 1u) a.insert(inputs[i]);
+        const anf::Assignment in = a;
+        for (const auto& blk : d.blocks) {
+            for (const auto& o : blk.outputs)
+                if (o.expr.evaluate(a)) a.insert(o.var);
+            for (const auto& [v, e] : blk.reduced)
+                if (e.evaluate(a)) a.insert(v);
+        }
+        for (std::size_t i = 0; i < spec.size(); ++i)
+            ASSERT_EQ(d.residualOutputs[i].evaluate(a), spec[i].evaluate(in))
+                << d.outputNames[i] << " at input " << m;
+    }
+}
+
+/// Every leader of the block is a bare, uncomplemented variable of its
+/// own group: the block makes no progress.
+bool isRename(const Block& blk) {
+    if (blk.outputs.empty()) return false;
+    for (const auto& o : blk.outputs)
+        if (o.expr.termCount() != 1 || o.expr.degree() != 1 ||
+            !o.expr.terms()[0].subsetOf(blk.group))
+            return false;
+    return true;
+}
+
+std::uint64_t stops(const char* cause) {
+    return obs::counter(std::string("decompose.stop.") + cause).value();
 }
 
 TEST(Decomposer, Majority7ReproducesFig6) {
@@ -229,6 +273,74 @@ TEST(Decomposer, CapacityGuardCountsTheWholeBasis) {
         EXPECT_LE(vt.size(), anf::Monomial::kMaxVars);
         expectEquivalent(d, vt, {f});
     }
+}
+
+TEST(Decomposer, NoRenameBlocksOnTheDefaultBatch) {
+    // A rename block costs a probe sweep and fresh ids for nothing, so it
+    // is never committed. lod16 takes the final output step and
+    // converges; mul4 and lod32 end at their first rename instead.
+    const auto pool = std::make_shared<util::ThreadPool>(4);
+    for (const auto& name : circuits::benchmarkNames(/*includeHeavy=*/false)) {
+        const auto bench = circuits::makeNamedBenchmark(name);
+        ASSERT_TRUE(bench) << name;
+        VarTable vt;
+        const auto outs = bench->anf(vt);
+        DecomposeOptions opt;
+        opt.probePool = pool;
+        const std::uint64_t renames = stops("rename");
+        const auto d = decompose(vt, outs, bench->outputNames, opt);
+        for (std::size_t b = 0; b < d.blocks.size(); ++b)
+            EXPECT_FALSE(isRename(d.blocks[b])) << name << " block " << b;
+        if (name == "lod16") {
+            EXPECT_TRUE(d.converged);
+        }
+        EXPECT_EQ(stops("rename") - renames,
+                  name == "mul4" || name == "lod32" ? 1u : 0u)
+            << name;
+    }
+}
+
+TEST(Decomposer, FinalOutputStepConvergesAMultiOutputList) {
+    // After the first block (leaders c, a·b, c·d) y0 and y2 are literals
+    // and y1 = s1 ⊕ s2. The sweep over the three left-over variables
+    // finds a rename; since every output is a function of that group
+    // alone, the last block's one leader is y1 itself. Committing the
+    // rename instead loops until the variable ids run out.
+    VarTable vt;
+    const std::vector<Anf> spec = {anf::parse("a*b", vt),
+                                   anf::parse("a*b ^ c", vt),
+                                   anf::parse("c*d", vt)};
+    const std::vector<anf::Var> in = vt.varsOfKind(anf::VarKind::kInput);
+    const std::uint64_t converged = stops("converged");
+    const auto d = decompose(vt, spec, {"y0", "y1", "y2"});
+    EXPECT_TRUE(d.converged);
+    EXPECT_EQ(stops("converged") - converged, 1u);
+    ASSERT_EQ(d.blocks.size(), 2u);
+    ASSERT_EQ(d.blocks[1].outputs.size(), 1u);
+    EXPECT_EQ(d.residualOutputs[1], Anf::var(d.blocks[1].outputs[0].var));
+    for (const auto& blk : d.blocks) EXPECT_FALSE(isRename(blk));
+    expectSimulatesTo(d, in, spec);
+}
+
+TEST(Decomposer, FinalOutputStepConvergesASingleOutput) {
+    // After the nibble block (s1 = parity, s2 = a0·a1 ⊕ a2·a3) the output
+    // is s2·p ⊕ s1·q. The sweep picks {p, q}, whose basis is a rename;
+    // the output depends on four variables, so one block over them has
+    // the output as its leader.
+    VarTable vt;
+    const Anf f =
+        anf::parse("(a0*a1 ^ a2*a3)*p ^ (a0 ^ a1 ^ a2 ^ a3)*q", vt);
+    const std::vector<anf::Var> in = vt.varsOfKind(anf::VarKind::kInput);
+    const auto d = decompose(vt, {f}, {"f"});
+    EXPECT_TRUE(d.converged);
+    ASSERT_EQ(d.blocks.size(), 2u);
+    const Block& last = d.blocks.back();
+    EXPECT_EQ(last.group.degree(), 4u);
+    ASSERT_EQ(last.outputs.size(), 1u);
+    EXPECT_EQ(d.residualOutputs[0], Anf::var(last.outputs[0].var));
+    for (const auto& blk : d.blocks) EXPECT_FALSE(isRename(blk));
+    expectSimulatesTo(d, in, {f});
+    expectEquivalent(d, vt, {f});
 }
 
 TEST(Decomposer, RejectsBadArguments) {

@@ -852,7 +852,7 @@ TEST(Engine, VerifyFingerprintPolicy) {
     budgeted.verifyConflictBudget = 1000;
     EXPECT_EQ(persistFingerprint(one), persistFingerprint(four));
     EXPECT_EQ(persistFingerprint(four),
-              "lib:umc130|xl22|rb512|sd11400714819323198485|vs1|"
+              "lib:umc130|dr2|xl22|rb512|sd11400714819323198485|vs1|"
               "vcb0|vpb0");
     EXPECT_NE(persistFingerprint(off), persistFingerprint(one));
     EXPECT_NE(persistFingerprint(one), persistFingerprint(budgeted));

@@ -43,7 +43,7 @@
 //   {
 //     "schema": "pd-bench-sat-v1",
 //     "metrics": {                // tracked by scripts/check_hotpath.py
-//       "cdcl_solve_mul4_ms": f,  // full UNSAT proof, canonical searcher
+//       "cdcl_solve_mul4_ms": f,  // full UNSAT proof, default solver
 //       "miter_build_mul4_ms": f
 //     },
 //     "reference": {              // context, not gated
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // CDCL: full native refutation, canonical searcher, best of 3.
+    // CDCL: full native refutation, default solver, best of 3.
     // cdcl_solve_mul4_ms is the tracked end-to-end metric.
     double cdclMs = 1e300;
     std::uint64_t cdclConflicts = 0;

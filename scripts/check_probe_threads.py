@@ -1,22 +1,19 @@
 #!/usr/bin/env python3
-"""CI gate: the probe sweep and the SAT portfolio do not depend on the
+"""CI gate: the probe sweep and the SAT verify do not depend on the
 thread counts.
 
 Usage: check_probe_threads.py baseline_report.json other_report.json [more...]
 
 Each argument is a pd-batch-report-v1 document from the same
-`pd_cli batch ...` selection run at a different --probe-threads, --jobs
-or --verify-threads setting (with --jobs > 1 a sweep's helper lanes are
-whichever job workers are idle, so the schedule differs from run to run;
-with --verify-threads N the N SAT searchers race on the same pool's idle
-workers). No verify budget may be set: under one, the searcher count can
-change the verdict.
+`pd_cli batch ...` selection run at a different --probe-threads or
+--jobs setting (with --jobs > 1 a sweep's helper lanes are whichever job
+workers are idle, so the schedule differs from run to run), all with the
+same --verify-threads and verify budgets.
 Asserts, against the first report, that
 
   1. every job succeeded in every run;
   2. every job is identical except for its timing object, so the
-     verification.sat block (winner and solver statistics) is compared
-     too;
+     verification.sat block (solver statistics) is compared too;
   3. every probe.* and ring.member.* counter in the report's
      observability block is equal. These count candidates, probes,
      prunes, membership queries, support rejections and solves, so they

@@ -36,6 +36,15 @@ Var VarTable::addDerived(std::string name, int level) {
     return addImpl(std::move(vi));
 }
 
+void VarTable::truncate(std::size_t n) {
+    PD_ASSERT(n <= info_.size());
+    for (std::size_t v = n; v < info_.size(); ++v) {
+        PD_ASSERT(info_[v].kind == VarKind::kDerived);
+        byName_.erase(info_[v].name);
+    }
+    info_.resize(n);
+}
+
 std::optional<Var> VarTable::find(std::string_view name) const {
     const auto it = byName_.find(std::string(name));
     if (it == byName_.end()) return std::nullopt;

@@ -58,6 +58,10 @@ public:
 
     [[nodiscard]] std::size_t size() const { return info_.size(); }
 
+    /// Unregisters the derived variables from id `n` on, so a discarded
+    /// rewrite gives its fresh ids (and names) back.
+    void truncate(std::size_t n);
+
     [[nodiscard]] const VarInfo& info(Var v) const {
         PD_ASSERT(v < info_.size());
         return info_[v];

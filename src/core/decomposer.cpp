@@ -176,7 +176,10 @@ Decomposition decompose(anf::VarTable& vars,
             break;
         }
 
-        // ---- Fresh variables for the basis elements.
+        // ---- Fresh variables for the basis elements. A rename gives
+        // them back (see below), so the leaders keep consecutive names.
+        const std::size_t varsMark = vars.size();
+        const std::size_t freshMark = freshCounter;
         std::vector<anf::Var> newVars;
         std::vector<anf::Anf> basisExprs;
         newVars.reserve(pairs.size());
@@ -236,6 +239,8 @@ Decomposition decompose(anf::VarTable& vars,
         // outputs themselves, and the run converges. Otherwise end the
         // run with the residual as it stood before the rename.
         if (isRename(block)) {
+            vars.truncate(varsMark);
+            freshCounter = freshMark;
             const anf::VarSet support = folded.support().without(tagMask);
             if (support.degree() > opt.k) {
                 stop = kRename;

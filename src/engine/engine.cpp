@@ -283,17 +283,12 @@ std::uint64_t specStamp(const circuits::Benchmark& bench) {
 std::string persistFingerprint(const EngineOptions& opt) {
     // SAT verification changes stored fields (verification status, the
     // sat block), so whether it ran and under which budgets is part of
-    // the salt. With no budget the portfolio's lowest-index tie-break
-    // makes results identical at every searcher count, exactly like
-    // probeThreads; under a budget a higher searcher can answer where
-    // searcher 0 ran out, so the count is salted too.
-    std::string sat = "|vs0";
-    if (opt.verifyThreads > 0) {
-        sat = "|vs1|vcb" + std::to_string(opt.verifyConflictBudget) +
-              "|vpb" + std::to_string(opt.verifyPropagationBudget);
-        if (opt.verifyConflictBudget != 0 || opt.verifyPropagationBudget != 0)
-            sat += "|vn" + std::to_string(opt.verifyThreads);
-    }
+    // the salt.
+    const std::string sat =
+        opt.verifyThreads
+            ? "|vs1|vcb" + std::to_string(opt.verifyConflictBudget) +
+                  "|vpb" + std::to_string(opt.verifyPropagationBudget)
+            : "|vs0";
     // The decomposer revision: a store written before a change to what
     // the decomposer emits for the same options must cold-start, not
     // serve the old blocks. dr2 never commits a rename block.
@@ -307,8 +302,8 @@ Engine::Engine(EngineOptions opt)
     : opt_(opt),
       lib_(synth::CellLibrary::umc130()),
       cache_(opt.cacheCapacity),
-      pool_(std::make_shared<util::ThreadPool>(std::max(
-          {opt.jobs, opt.probeThreads, opt.verifyThreads, std::size_t{1}}))) {
+      pool_(std::make_shared<util::ThreadPool>(
+          std::max({opt.jobs, opt.probeThreads, std::size_t{1}}))) {
     // Registered up front so every report carries them, zeros included:
     // the warm-start gate demands engine.spec.expansions == 0.
     for (const char* name : {"engine.spec.expansions", "cache.index.hits",
@@ -722,7 +717,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
         // published to the cache: it would impersonate the full-budget
         // result for every later run of this key.
         bool tainted = false;
-        if (spec.verify && opt_.verifyThreads > 0) {
+        if (spec.verify && opt_.verifyThreads) {
             // SAT certification of the optimize→map stages: miter the
             // raw synthesized netlist against the mapped one and refute
             // it. Complements the reference check above (which certifies
@@ -736,7 +731,6 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
             static auto& satExhausted =
                 obs::counter("verify.sat.budget_exhausted");
             sat::EquivSatOptions satOpt;
-            satOpt.searchers = opt_.verifyThreads;
             satOpt.conflictBudget = opt_.verifyConflictBudget;
             satOpt.propagationBudget = opt_.verifyPropagationBudget;
             if (PD_FAULT("verify.sat.budget")) {
@@ -746,14 +740,12 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
                 satOpt.propagationBudget = 1;
                 tainted = true;
             }
-            satOpt.pool = pool_.get();
             const auto eq = sat::checkEquivalentSat(raw, mapped, satOpt);
             result.satVerify.ran = true;
             result.satVerify.conflicts = eq.conflicts;
             result.satVerify.propagations = eq.propagations;
             result.satVerify.restarts = eq.restarts;
             result.satVerify.learned = eq.learned;
-            result.satVerify.winner = eq.winner;
             result.satVerify.budgetExhausted = eq.budgetExhausted;
             satJobs.add(1);
             satConflicts.add(eq.conflicts);

@@ -45,7 +45,7 @@ namespace pd::engine {
 /// fields a worker needs into its argv and decodes them back into one.
 struct EngineOptions {
     /// Jobs in flight at once (0 → 1). The job pool has
-    /// max(jobs, probeThreads, verifyThreads) threads.
+    /// max(jobs, probeThreads) threads.
     std::size_t jobs = 1;
     /// Result-cache capacity: exactly this many ready entries stay
     /// resident before LRU eviction (0 disables caching).
@@ -65,25 +65,21 @@ struct EngineOptions {
     std::size_t probeThreads = 0;
     /// Verification effort for simulation-checked jobs.
     sim::EquivOptions equiv;
-    /// SAT certification of the optimize→map stages (0 = off). With
-    /// N ≥ 1 every verified job also miters its raw synthesized netlist
-    /// against the mapped netlist and refutes it with a portfolio of N
-    /// CDCL searchers, racing on the job pool's idle workers (N is also
-    /// a floor on the pool's size). The portfolio winner is chosen by a
-    /// fixed lowest-index tie-break, so when no verify budget is set
-    /// reported results are bit-identical at every N, and N is not part
-    /// of cache keys or the persist fingerprint. *Enabling* SAT verify
-    /// and its budgets are, because they change stored verification
-    /// fields, and so is N once a budget is set (see persistFingerprint).
-    std::size_t verifyThreads = 0;
-    /// Per-searcher conflict budget for SAT verification (0 = unlimited).
+    /// SAT certification of the optimize→map stages, off or on (CLI
+    /// `--verify-threads 0|1`; the report's `engine.verify_threads`).
+    /// On, every verified job also miters its raw synthesized netlist
+    /// against the mapped netlist and refutes it with one CDCL solver on
+    /// the job's own thread. Enabling it and its budgets change stored
+    /// verification fields, so they salt the persist fingerprint.
+    bool verifyThreads = false;
+    /// Conflict budget for SAT verification (0 = unlimited).
     /// Exhaustion is reported per job as verification.sat.budget_exhausted
     /// — the simulation/algebraic verdict is never overridden by a
     /// truncated search.
     std::uint64_t verifyConflictBudget = 0;
-    /// Per-searcher propagation budget for SAT verification (0 = unlimited).
+    /// Propagation budget for SAT verification (0 = unlimited).
     std::uint64_t verifyPropagationBudget = 0;
-    /// Path of a persistent pd-cache-v4 store ("" disables persistence).
+    /// Path of a persistent pd-cache-v5 store ("" disables persistence).
     /// The engine warm-starts from it on construction (results and the
     /// name index) and flushes ready cache entries back on destruction
     /// (or flushCache()). A missing, corrupt, wrong-version or
@@ -144,9 +140,9 @@ struct PersistInfo {
 struct BatchResilience {
     std::size_t workerCrashes = 0;   ///< deaths observed (incl. budget kills)
     std::size_t workerRespawns = 0;
-    /// Workers that never connected (exec failure, early exit, connect
-    /// timeout, accept fault): the worker never joined the fleet, so no
-    /// job's retry budget is charged.
+    /// Workers whose stream ended before their hello (exec failure, an
+    /// early exit, a death while warm-starting): the worker never joined
+    /// the fleet, so no job's retry budget is charged.
     std::size_t spawnFailures = 0;
     std::size_t retries = 0;         ///< jobs requeued after a crash
     std::size_t fallbackJobs = 0;    ///< ran in-process after pool collapse
@@ -155,7 +151,8 @@ struct BatchResilience {
     /// two differ only when a slot's process was already gone.
     std::size_t heartbeatMisses = 0;
     std::size_t deadlineKills = 0;
-    /// Connections accepted after a slot's first successful connect.
+    /// Always equal to workerRespawns: both are bumped when a respawned
+    /// worker is first heard on its slot.
     std::size_t reconnects = 0;
     /// Frame streams that poisoned their decoder (checksum mismatch,
     /// unknown type, oversize length — the torn-connection signature).
@@ -258,13 +255,12 @@ private:
     /// Worker records adopted since the last flush arrive via restore(),
     /// which does not move the generation.
     bool unflushedRecords_ = false;
-    /// The engine's only pool, max(jobs, probeThreads, verifyThreads)
-    /// threads. `jobs` of them pull jobs (in a shard worker, run the
-    /// submit()ted job tasks); the rest, and every puller that finds no
-    /// job left, serve the helper tickets of the probe sweeps and SAT
-    /// portfolios. Neither waits for a ticket no worker has started
-    /// (util::runLanes), so jobs and their lanes share one pool without a
-    /// wait deadlock.
+    /// The engine's only pool, max(jobs, probeThreads) threads. `jobs` of
+    /// them pull jobs (in a shard worker, run the submit()ted job tasks);
+    /// the rest, and every puller that finds no job left, serve the
+    /// helper tickets of the probe sweeps. A sweep never waits for a
+    /// ticket no worker has started (util::runLanes), so jobs and their
+    /// lanes share one pool without a wait deadlock.
     std::shared_ptr<util::ThreadPool> pool_;
 };
 
@@ -297,7 +293,7 @@ private:
 /// The salt written into (and demanded from) a persistent store: the
 /// engine-level knobs that change results but are *not* part of the
 /// per-job key — the cell library and the verification effort,
-/// including the SAT searcher count when a verify budget is set. Per-job
+/// including whether SAT verify runs and under which budgets. Per-job
 /// DecomposeOptions need no salting (they are already in every cache
 /// key); conflictBudget is folded into those options before keys are
 /// computed, so it is covered too.

@@ -99,11 +99,10 @@ struct JobResult {
     bool exhaustive = false;
 
     /// SAT certification of the optimize→map stages (only when the
-    /// engine runs with verifyThreads > 0): the raw synthesized netlist
+    /// engine runs with verifyThreads on): the raw synthesized netlist
     /// is mitered against the mapped netlist and the miter refuted by
-    /// the CDCL portfolio. Statistics aggregate portfolio searchers
-    /// 0..winner, which the determinism contract keeps reproducible
-    /// across searcher counts. A result-cache hit replays the block of
+    /// one CDCL solver, whose statistics are a pure function of the
+    /// miter and the budgets. A result-cache hit replays the block of
     /// the solve that filled the entry: no search ran for the hit, and
     /// the verify.sat.* counters count only searches that ran.
     struct SatVerify {
@@ -112,8 +111,6 @@ struct JobResult {
         std::uint64_t propagations = 0;
         std::uint64_t restarts = 0;
         std::uint64_t learned = 0;
-        /// Searcher whose answer was reported; -1 = budget exhausted.
-        int winner = -1;
         /// The search hit its budget: status keeps the simulation /
         /// algebraic answer and is never guessed from a partial search.
         bool budgetExhausted = false;

@@ -4,7 +4,7 @@
 // A record file is a header — magic (8 bytes), u32 version, str
 // fingerprint — followed by counted sections (u64 count, then that many
 // records), little-endian throughout (format.hpp). Every record carries
-// its own checksum. store.hpp is the payload codec on top (pd-cache-v4:
+// its own checksum. store.hpp is the payload codec on top (pd-cache-v5:
 // result entries, then the name index): it says what a record holds
 // and checks its checksum. Every rule about trusting the bytes lives
 // here, once:
@@ -47,14 +47,16 @@
 
 namespace pd::engine::persist {
 
-inline constexpr std::string_view kFormatName = "pd-cache-v4";
+inline constexpr std::string_view kFormatName = "pd-cache-v5";
+// v5: the JobResult payload loses the SAT block's portfolio winner (one
+// u64); v4 stores cold-start as bad-version.
 // v4: keys are 16-byte job digests instead of full canonical-signature
 // strings (a 33 MB default-batch store became tens of KB), and the name
 // index section follows the entries; v3 stores cold-start as
 // bad-version.
 // v3: the JobResult payload gained the SAT-verification block
 // (satVerify.*) and VerifyStatus::kSat.
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr std::string_view kMagic{"pdcache\0", 8};
 
 enum class LoadStatus : std::uint8_t {

@@ -1,7 +1,6 @@
 #include "engine/persist/serialize.hpp"
 
 #include <algorithm>
-#include <climits>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -137,8 +136,6 @@ void serializeJobResult(const JobResult& r, std::string& out) {
     w.u64(r.satVerify.propagations);
     w.u64(r.satVerify.restarts);
     w.u64(r.satVerify.learned);
-    // winner is -1..N; bias by one so it stores as an unsigned count.
-    w.u64(static_cast<std::uint64_t>(r.satVerify.winner + 1));
     w.u8(r.satVerify.budgetExhausted ? 1 : 0);
     serializeNetlist(r.mapped, w);
 }
@@ -169,14 +166,6 @@ std::shared_ptr<JobResult> deserializeJobResult(std::string_view payload) {
     out->satVerify.propagations = r.u64();
     out->satVerify.restarts = r.u64();
     out->satVerify.learned = r.u64();
-    // Stored biased by one, so a valid field is at most INT_MAX + 1;
-    // anything larger is a malformed record, rejected before the
-    // subtraction could overflow.
-    const std::uint64_t winner = r.u64();
-    if (winner > std::uint64_t{INT_MAX} + 1)
-        fail("persist", "bad SAT winner " + std::to_string(winner));
-    out->satVerify.winner =
-        static_cast<int>(static_cast<std::int64_t>(winner) - 1);
     out->satVerify.budgetExhausted = r.u8() != 0;
     out->mapped = deserializeNetlist(r);
     if (!r.done())

@@ -1,9 +1,9 @@
-// Versioned on-disk result store ("pd-cache-v4").
+// Versioned on-disk result store ("pd-cache-v5").
 //
 // File layout (all integers little-endian, see format.hpp):
 //
 //   magic            8 bytes   "pdcache\0"
-//   version          u32       kFormatVersion (4)
+//   version          u32       kFormatVersion (5)
 //   fingerprint      str       options-fingerprint salt of the writer
 //   entry count      u64
 //   entry[count]:

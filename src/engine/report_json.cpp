@@ -44,7 +44,7 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
     w.field("cache_capacity", opt.cacheCapacity);
     w.field("conflict_budget", opt.conflictBudget);
     w.field("probe_threads", opt.probeThreads);
-    w.field("verify_threads", opt.verifyThreads);
+    w.field("verify_threads", std::uint64_t{opt.verifyThreads});
     w.field("verify_conflict_budget", opt.verifyConflictBudget);
     w.field("verify_prop_budget", opt.verifyPropagationBudget);
     w.field("shards", opt.shards);
@@ -105,15 +105,14 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
         w.field("vectors", r.vectorsTested);
         w.field("exhaustive", r.exhaustive);
         if (r.satVerify.ran) {
-            // Portfolio stats aggregate searchers 0..winner — a pure
-            // function of the job, not of the searcher count, so sharded
-            // and multi-threaded runs stay byte-comparable.
+            // Solver stats are a pure function of the job and the verify
+            // budgets, so sharded and multi-threaded runs stay
+            // byte-comparable.
             w.key("sat").beginObject();
             w.field("conflicts", r.satVerify.conflicts);
             w.field("propagations", r.satVerify.propagations);
             w.field("restarts", r.satVerify.restarts);
             w.field("learned", r.satVerify.learned);
-            w.field("winner", static_cast<std::int64_t>(r.satVerify.winner));
             w.field("budget_exhausted", r.satVerify.budgetExhausted);
             w.endObject();
         }

@@ -10,7 +10,7 @@
 //     "schema": "pd-batch-report-v1",
 //     "engine": {"jobs": u, "cache_capacity": u, "conflict_budget": u,
 //                "probe_threads": u,
-//                "verify_threads": u,             // 0 → SAT verify off
+//                "verify_threads": u,             // 0 off, 1 SAT verify on
 //                "verify_conflict_budget": u, "verify_prop_budget": u,
 //                "shards": u,                     // 0 → in-process batch
 //                "build": {"git_hash": s, "git_dirty": s, "compiler": s,
@@ -31,7 +31,6 @@
 //                          "sat": {                // only when SAT verify ran
 //                            "conflicts": u, "propagations": u,
 //                            "restarts": u, "learned": u,
-//                            "winner": i,          // portfolio searcher index
 //                            "budget_exhausted": b}},
 //                                                  // on a cache hit: the
 //                                                  // stats of the solve

@@ -213,7 +213,7 @@ std::string encodeResult(std::uint32_t tag, const JobResult& result,
     std::string out;
     ByteWriter w(out);
     w.u32(tag);
-    // Per-request fields the pd-cache-v4 payload deliberately omits.
+    // Per-request fields the pd-cache-v5 payload deliberately omits.
     w.str(result.name);
     w.f64(result.wallMs);
     w.f64(result.cpuMs);

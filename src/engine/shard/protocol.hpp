@@ -1,8 +1,8 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v12"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v13"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker socket is a length-prefixed, checksummed
-// frame over the same little-endian primitives as the pd-cache-v4 store:
+// frame over the same little-endian primitives as the pd-cache-v5 store:
 //
 //   frame := type u8 | length u32 | payload[length] | checksum u64
 //
@@ -96,7 +96,11 @@ namespace pd::engine::shard {
 /// v12 (children only): a worker loses its dial-back address argv and
 /// speaks on the socketpair end it inherits as fd 3 instead of dialing a
 /// per-spawn localhost listener. Frame layouts are unchanged.
-inline constexpr std::uint32_t kProtocolVersion = 12;
+///
+/// v13 (one SAT searcher): kResult's JobResult payload loses the SAT
+/// block's portfolio winner (the pd-cache-v5 payload), and the
+/// --verify-threads argv is 0 or 1.
+inline constexpr std::uint32_t kProtocolVersion = 13;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length

@@ -114,13 +114,16 @@ bool parseValue(std::string_view flag, const std::string& text, int& out,
                 std::string& error) {
     return util::parseMs(flag, text, out, error);
 }
+bool parseValue(std::string_view flag, const std::string& text, bool& out,
+                std::string& error) {
+    return util::parseVerifySwitch(flag, text, out, error);
+}
 template <std::unsigned_integral T>
 bool parseValue(std::string_view flag, const std::string& text, T& out,
                 std::string& error) {
     // Thread counts get the command line's cap, so no argv can make a
     // worker ask the OS for millions of threads.
-    if (flag == "--jobs" || flag == "--probe-threads" ||
-        flag == "--verify-threads")
+    if (flag == "--jobs" || flag == "--probe-threads")
         return util::parseParallelism(flag, text, out, error);
     return util::parseCount(flag, text, out, error);
 }

@@ -8,7 +8,7 @@
 // job pool holds the slot's share of the coordinator's --jobs: each
 // received job runs as a task there, up to that many at once, and a pool
 // thread with no job serves the probe lanes of the jobs beside it. The
-// engine warm-starts *read-only* from the shared pd-cache-v4 store — N
+// engine warm-starts *read-only* from the shared pd-cache-v5 store — N
 // workers may open one warm.pdc simultaneously — and never writes that
 // store itself: each job's kResult frame carries the store records the
 // job added (cache entries and name-index entries), so a crash forfeits

@@ -1,7 +1,6 @@
 #include "sat/equiv.hpp"
 
 #include "sat/miter.hpp"
-#include "sat/portfolio.hpp"
 
 namespace pd::sat {
 
@@ -17,33 +16,33 @@ EquivCheckResult checkEquivalentSat(const netlist::Netlist& a,
         return res;
     }
 
-    PortfolioOptions popt;
-    popt.searchers = opt.searchers;
-    popt.conflictBudget = opt.conflictBudget;
-    popt.propagationBudget = opt.propagationBudget;
-    popt.pool = opt.pool;
-    PortfolioResult pr = solvePortfolio(miter.problem, popt);
+    SolverOptions so;
+    so.conflictBudget = opt.conflictBudget;
+    so.propagationBudget = opt.propagationBudget;
+    Solver solver(so);
+    loadProblem(solver, miter.problem);
+    const Result result = solver.solve();
 
-    res.conflicts = pr.stats.conflicts;
-    res.propagations = pr.stats.propagations;
-    res.restarts = pr.stats.restarts;
-    res.learned = pr.stats.learnedClauses;
-    res.winner = pr.winner;
-    res.budgetExhausted = pr.budgetExhausted;
-    switch (pr.result) {
+    const SolverStats& stats = solver.stats();
+    res.conflicts = stats.conflicts;
+    res.propagations = stats.propagations;
+    res.restarts = stats.restarts;
+    res.learned = stats.learnedClauses;
+    switch (result) {
         case Result::kUnsat:
             res.status = EquivCheckResult::Status::kEquivalent;
             break;
         case Result::kUnknown:
             res.status = EquivCheckResult::Status::kUnknown;
+            res.budgetExhausted = true;
             break;
         case Result::kSat: {
             res.status = EquivCheckResult::Status::kDifferent;
             res.counterexample.reserve(miter.inputVars.size());
             for (const Var v : miter.inputVars)
-                res.counterexample.push_back(pr.model[v]);
+                res.counterexample.push_back(solver.modelValue(v));
             for (const auto& [name, d] : miter.outputDiffVars)
-                if (pr.model[d]) {
+                if (solver.modelValue(d)) {
                     res.differingOutput = name;
                     break;
                 }
@@ -51,14 +50,6 @@ EquivCheckResult checkEquivalentSat(const netlist::Netlist& a,
         }
     }
     return res;
-}
-
-EquivCheckResult checkEquivalentSat(const netlist::Netlist& a,
-                                    const netlist::Netlist& b,
-                                    std::uint64_t conflictBudget) {
-    EquivSatOptions opt;
-    opt.conflictBudget = conflictBudget;
-    return checkEquivalentSat(a, b, opt);
 }
 
 }  // namespace pd::sat

@@ -1,7 +1,7 @@
 // Canonical equivalence-miter construction.
 //
 // One builder shared by every consumer — checkEquivalentSat, the DIMACS
-// exporter, the portfolio verify mode, and bench_sat — so a given
+// exporter, the engine's SAT verify mode, and bench_sat — so a given
 // netlist pair always produces the *same* CNF: identical variable
 // numbering, identical clause order, byte-identical DIMACS text, so a
 // verify obligation exported or benchmarked is the one the engine

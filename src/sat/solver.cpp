@@ -12,14 +12,6 @@ constexpr float kClauseDecay = 1.0f / 0.999f;
 constexpr double kActivityRescale = 1e100;
 constexpr float kClauseRescale = 1e20f;
 constexpr std::uint64_t kRestartUnit = 100;
-
-// splitmix64 finalizer — the per-variable hash behind seeded diversity.
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 }  // namespace
 
 Solver::Solver() = default;
@@ -28,26 +20,10 @@ Solver::Solver(const SolverOptions& opt) : opt_(opt) {}
 
 Var Solver::newVar() {
     const Var v = static_cast<Var>(assigns_.size());
-    const std::uint64_t h =
-        opt_.seed != 0 || opt_.polarity == SolverOptions::Polarity::kHashed
-            ? mix64(opt_.seed ^ (v + 1))
-            : 0;
-    LBool phase = LBool::kFalse;
-    switch (opt_.polarity) {
-        case SolverOptions::Polarity::kFalse: break;
-        case SolverOptions::Polarity::kTrue: phase = LBool::kTrue; break;
-        case SolverOptions::Polarity::kHashed:
-            phase = (h & 1) != 0 ? LBool::kTrue : LBool::kFalse;
-            break;
-    }
     assigns_.push_back(LBool::kUndef);
-    savedPhase_.push_back(phase);
+    savedPhase_.push_back(LBool::kFalse);
     varInfo_.push_back({});
-    // Seeded searchers start with a sub-bump activity jitter so the
-    // otherwise-equal-activity tie-break (heap order) differs per seed;
-    // one conflict bump (varInc_ = 1.0) dwarfs it immediately.
-    activity_.push_back(
-        opt_.seed != 0 ? 1e-9 * static_cast<double>(h >> 44) : 0.0);
+    activity_.push_back(0.0);
     seen_.push_back(0);
     heapPos_.push_back(-1);
     watches_.emplace_back();
@@ -576,9 +552,6 @@ Result Solver::search(std::span<const Lit> assumptions,
     std::vector<Lit> learned;
 
     for (;;) {
-        if (opt_.stop != nullptr &&
-            opt_.stop->load(std::memory_order_relaxed))
-            return halt(StopCause::kCancelled);
         const ClauseRef conflict = propagate();
         if (conflict != kNoClause) {
             ++stats_.conflicts;

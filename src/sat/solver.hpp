@@ -11,7 +11,6 @@
 // (tens of thousands of variables).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,30 +68,12 @@ struct SolverStats {
     std::uint64_t propagationNanos = 0;
 };
 
-/// Branching-diversity knobs and per-call resource budgets. Every field
-/// is deterministic: two solvers constructed with the same options and
-/// fed the same clauses make identical decisions, which is what lets the
-/// portfolio (sat/portfolio.hpp) report reproducible results.
+/// Per-call resource budgets. Two solvers constructed with the same
+/// options and fed the same clauses make identical decisions, so a
+/// budgeted verdict is a deterministic fact about the CNF.
 struct SolverOptions {
-    /// Initial phase of fresh variables. Phase saving takes over once a
-    /// variable has been assigned at least once.
-    enum class Polarity : std::uint8_t {
-        kFalse,   ///< classic default: try ¬v first
-        kTrue,    ///< try v first
-        kHashed,  ///< per-variable pseudo-random phase derived from `seed`
-    };
-
-    /// 0 = canonical branching order. Nonzero jitters the initial
-    /// variable activities (and, under kHashed, the initial phases) so
-    /// portfolio searchers explore different parts of the space.
-    std::uint64_t seed = 0;
-    Polarity polarity = Polarity::kFalse;
     std::uint64_t conflictBudget = 0;     ///< per solve() call; 0 = unlimited
     std::uint64_t propagationBudget = 0;  ///< per solve() call; 0 = unlimited
-    /// Cooperative cancellation: polled (relaxed) once per propagation
-    /// round; when it reads true, solve() returns kUnknown with
-    /// lastStop() == kCancelled.
-    const std::atomic<bool>* stop = nullptr;
 };
 
 /// Why the last solve() call returned kUnknown (kNone after a
@@ -102,7 +83,6 @@ enum class StopCause : std::uint8_t {
     kNone,
     kConflictBudget,
     kPropagationBudget,
-    kCancelled,
 };
 
 /// Conflict-driven clause-learning SAT solver.

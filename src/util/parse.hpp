@@ -27,7 +27,7 @@ bool parseCount(std::string_view flag, std::string_view text, T& out,
 }
 
 /// The most threads or processes one count on a command line may ask for:
-/// --jobs, --probe-threads, --verify-threads and --shards, and the thread
+/// --jobs, --probe-threads and --shards, and the thread
 /// counts a shard worker decodes from its argv. Far above the cores of any
 /// host this runs on, far below a count that would exhaust the OS.
 inline constexpr std::size_t kMaxParallelism = 256;
@@ -42,6 +42,21 @@ bool parseParallelism(std::string_view flag, std::string_view text, T& out,
     error = "option " + std::string(flag) + " expects at most " +
             std::to_string(kMaxParallelism) + ", got '" + std::string(text) +
             "'";
+    return false;
+}
+
+/// --verify-threads: SAT verify off (0) or on (1). Any other value is
+/// refused with a pointer to the flags that size the thread pool, so a
+/// thread count is never silently read as "on".
+inline bool parseVerifySwitch(std::string_view flag, std::string_view text,
+                              bool& out, std::string& error) {
+    if (text == "0" || text == "1") {
+        out = text == "1";
+        return true;
+    }
+    error = "option " + std::string(flag) + " expects 0 (off) or 1 (on), got '" +
+            std::string(text) +
+            "'; --jobs and --probe-threads size the thread pool";
     return false;
 }
 

@@ -343,6 +343,25 @@ TEST(Decomposer, FinalOutputStepConvergesASingleOutput) {
     expectEquivalent(d, vt, {f});
 }
 
+TEST(Decomposer, DiscardedRenameGivesItsIdsBack) {
+    // After the parity block s1 the sweep picks a rename; the final
+    // output step then makes the two outputs the leaders. The rename's
+    // fresh ids are released, so the leaders are s1, s2, s3 and the
+    // table holds no dead id.
+    VarTable vt;
+    const std::vector<Anf> spec = {anf::parse("(a0^a1^a2^a3)*p", vt),
+                                   anf::parse("(a0^a1^a2^a3)*q", vt)};
+    const std::size_t inputs = vt.size();
+    const auto d = decompose(vt, spec, {"o1", "o2"});
+    EXPECT_TRUE(d.converged);
+    std::vector<std::string> leaders;
+    for (const auto& blk : d.blocks)
+        for (const auto& o : blk.outputs) leaders.push_back(vt.name(o.var));
+    EXPECT_EQ(leaders, (std::vector<std::string>{"s1", "s2", "s3"}));
+    EXPECT_EQ(vt.size(), inputs + spec.size() + leaders.size());  // + tags
+    expectSimulatesTo(d, vt.varsOfKind(anf::VarKind::kInput), spec);
+}
+
 TEST(Decomposer, RejectsBadArguments) {
     VarTable vt;
     EXPECT_THROW(decompose(vt, {}, {}), Error);

@@ -692,27 +692,25 @@ void expectSameSatVerify(const JobResult& a, const JobResult& b) {
     EXPECT_EQ(a.satVerify.propagations, b.satVerify.propagations);
     EXPECT_EQ(a.satVerify.restarts, b.satVerify.restarts);
     EXPECT_EQ(a.satVerify.learned, b.satVerify.learned);
-    EXPECT_EQ(a.satVerify.winner, b.satVerify.winner);
     EXPECT_EQ(a.satVerify.budgetExhausted, b.satVerify.budgetExhausted);
 }
 
 TEST(Engine, SatVerifyUpgradesStatusAndIsDeterministic) {
-    // verify-threads is pure scheduling: the report — including every
-    // portfolio statistic — must be bit-identical at N ∈ {1, 2, 4}.
+    // The solve is a pure function of the miter: the report — including
+    // every solver statistic — is bit-identical at any pool size.
     JobSpec spec;
     spec.benchmark = "majority7";
     std::vector<JobResult> runs;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {1u, 4u}) {
         EngineOptions opt;
-        opt.jobs = 1;
+        opt.jobs = threads;
         opt.cacheCapacity = 0;  // force a fresh compute per run
-        opt.verifyThreads = threads;
+        opt.verifyThreads = true;
         const auto r = runBatch({spec}, opt).front();
         ASSERT_TRUE(r.ok) << r.error;
         EXPECT_EQ(r.verification, VerifyStatus::kSat);
         EXPECT_TRUE(r.verified());
         ASSERT_TRUE(r.satVerify.ran);
-        EXPECT_EQ(r.satVerify.winner, 0);  // unlimited budget ⇒ canonical
         EXPECT_FALSE(r.satVerify.budgetExhausted);
         EXPECT_GT(r.satVerify.propagations, 0u);
         runs.push_back(r);
@@ -732,7 +730,7 @@ TEST(Engine, SatVerifyOffByDefaultAndSkippedWithNoVerify) {
     EXPECT_NE(plain.verification, VerifyStatus::kSat);
 
     EngineOptions opt;
-    opt.verifyThreads = 2;
+    opt.verifyThreads = true;
     JobSpec unverified = spec;
     unverified.verify = false;
     const auto r = runBatch({unverified}, opt).front();
@@ -746,7 +744,7 @@ TEST(Engine, SatVerifyBudgetExhaustionNeverFailsTheJob) {
     // with its simulation verdict intact and the truncation reported.
     EngineOptions opt;
     opt.jobs = 1;
-    opt.verifyThreads = 1;
+    opt.verifyThreads = true;
     opt.verifyConflictBudget = 1;
     JobSpec spec;
     spec.benchmark = "mul4";
@@ -757,7 +755,6 @@ TEST(Engine, SatVerifyBudgetExhaustionNeverFailsTheJob) {
         EXPECT_NE(r.verification, VerifyStatus::kSat);
         EXPECT_NE(r.verification, VerifyStatus::kFailed);
         EXPECT_TRUE(r.verified());  // sim/algebraic verdict survives
-        EXPECT_EQ(r.satVerify.winner, -1);
     } else {
         EXPECT_EQ(r.verification, VerifyStatus::kSat);
     }
@@ -787,7 +784,7 @@ TEST(Engine, CacheHitReplaysTheDonorSatBlock) {
     // search runs for the hit, so no solver-work counter moves.
     EngineOptions opt;
     opt.jobs = 1;
-    opt.verifyThreads = 1;
+    opt.verifyThreads = true;
     Engine engine(opt);
     const auto specs = majorityAndCounter();
     const auto first = engine.runBatch(specs);
@@ -813,7 +810,7 @@ TEST(Engine, BudgetStarvedSatVerifyIsNeverPublished) {
     // replaying the starved block.
     EngineOptions opt;
     opt.jobs = 1;
-    opt.verifyThreads = 1;
+    opt.verifyThreads = true;
     Engine engine(opt);
     const auto specs = majorityAndCounter();
     {
@@ -838,33 +835,34 @@ TEST(Engine, BudgetStarvedSatVerifyIsNeverPublished) {
 }
 
 TEST(Engine, VerifyFingerprintPolicy) {
-    // Without a verify budget the searcher count is scheduling — same
-    // store works at any N, and the salt keeps its bytes — but enabling
-    // SAT verify or changing its budgets changes stored verification
-    // fields and must salt the fingerprint. Under a budget a higher
-    // searcher can answer where searcher 0 ran out, so N is salted too.
+    // Enabling SAT verify or changing its budgets changes stored
+    // verification fields and must salt the fingerprint; the pool's
+    // size is scheduling and must not.
     EngineOptions off;
-    EngineOptions one;
-    one.verifyThreads = 1;
-    EngineOptions four = one;
-    four.verifyThreads = 4;
-    EngineOptions budgeted = one;
-    budgeted.verifyConflictBudget = 1000;
-    EXPECT_EQ(persistFingerprint(one), persistFingerprint(four));
-    EXPECT_EQ(persistFingerprint(four),
+    EngineOptions on;
+    on.verifyThreads = true;
+    EXPECT_EQ(persistFingerprint(on),
               "lib:umc130|dr2|xl22|rb512|sd11400714819323198485|vs1|"
               "vcb0|vpb0");
-    EXPECT_NE(persistFingerprint(off), persistFingerprint(one));
-    EXPECT_NE(persistFingerprint(one), persistFingerprint(budgeted));
+    EXPECT_NE(persistFingerprint(off), persistFingerprint(on));
+    EngineOptions pooled = on;
+    pooled.jobs = 4;
+    pooled.probeThreads = 4;
+    EXPECT_EQ(persistFingerprint(pooled), persistFingerprint(on));
     for (const auto budget : {&EngineOptions::verifyConflictBudget,
                               &EngineOptions::verifyPropagationBudget}) {
-        EngineOptions a = one;
-        EngineOptions b = four;
+        EngineOptions a = on;
+        EngineOptions b = on;
         a.*budget = 100;
-        b.*budget = 100;
+        b.*budget = 200;
+        EXPECT_NE(persistFingerprint(a), persistFingerprint(on));
         EXPECT_NE(persistFingerprint(a), persistFingerprint(b));
-        EXPECT_NE(persistFingerprint(a).find("|vn1"), std::string::npos);
-        EXPECT_NE(persistFingerprint(b).find("|vn4"), std::string::npos);
+        // A budgeted run salts the budgets and nothing else.
+        const std::string fp = persistFingerprint(a);
+        EXPECT_EQ(fp.substr(fp.find("|vs1")),
+                  budget == &EngineOptions::verifyConflictBudget
+                      ? "|vs1|vcb100|vpb0"
+                      : "|vs1|vcb0|vpb100");
     }
 }
 
@@ -879,7 +877,6 @@ TEST(ReportJson, SatVerifyBlockOnlyWhenRan) {
 
     r.satVerify.ran = true;
     r.satVerify.conflicts = 42;
-    r.satVerify.winner = 0;
     r.verification = VerifyStatus::kSat;
     std::ostringstream os2;
     writeBatchReport(os2, EngineOptions{}, std::vector<JobResult>{r},
@@ -887,7 +884,7 @@ TEST(ReportJson, SatVerifyBlockOnlyWhenRan) {
     const std::string out = os2.str();
     EXPECT_NE(out.find("\"status\": \"sat\""), std::string::npos);
     EXPECT_NE(out.find("\"conflicts\": 42"), std::string::npos);
-    EXPECT_NE(out.find("\"winner\": 0"), std::string::npos);
+    EXPECT_EQ(out.find("\"winner\""), std::string::npos);
 }
 
 TEST(ReportJson, BudgetAndPhasesInSchema) {

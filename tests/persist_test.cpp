@@ -1,4 +1,4 @@
-// Persistent-store tests: byte-level format round-trips, the pd-cache-v4
+// Persistent-store tests: byte-level format round-trips, the pd-cache-v5
 // store contract — loud rejection of every corruption class (truncation,
 // bit flips, other versions, foreign fingerprints) as a clean cold
 // start, checksummed-prefix salvage, injected save/load faults, and the
@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <span>
@@ -87,7 +86,6 @@ void writeFile(const std::string& path, const std::string& bytes) {
     r.satVerify.propagations = 512;
     r.satVerify.restarts = 1;
     r.satVerify.learned = 9;
-    r.satVerify.winner = 2;
     r.satVerify.budgetExhausted = false;
     netlist::Netlist nl;
     const auto a = nl.addInput("a");
@@ -121,7 +119,6 @@ void expectSameResult(const JobResult& a, const JobResult& b) {
     EXPECT_EQ(a.satVerify.propagations, b.satVerify.propagations);
     EXPECT_EQ(a.satVerify.restarts, b.satVerify.restarts);
     EXPECT_EQ(a.satVerify.learned, b.satVerify.learned);
-    EXPECT_EQ(a.satVerify.winner, b.satVerify.winner);
     EXPECT_EQ(a.satVerify.budgetExhausted, b.satVerify.budgetExhausted);
     ASSERT_EQ(a.mapped.numNets(), b.mapped.numNets());
     for (netlist::NetId id = 0; id < a.mapped.numNets(); ++id) {
@@ -213,46 +210,6 @@ TEST(PersistSerialize, RejectsCorruptNetlist) {
     }
 }
 
-TEST(PersistSerialize, RejectsAnOutOfRangeSatWinner) {
-    // The winner is stored biased by one, so INT_MAX + 1 is the largest
-    // valid field. Locate it as the only bytes two winners differ in.
-    JobResult r = sampleResult();
-    std::string payload;
-    serializeJobResult(r, payload);
-    r.satVerify.winner = 3;
-    std::string other;
-    serializeJobResult(r, other);
-    ASSERT_EQ(payload.size(), other.size());
-    const auto at = static_cast<std::size_t>(
-        std::mismatch(payload.begin(), payload.end(), other.begin()).first -
-        payload.begin());
-    ASSERT_LE(at + 8, payload.size());
-    const auto withWinner = [&](std::uint64_t field) {
-        std::string bytes = payload;
-        for (int i = 0; i < 8; ++i)
-            bytes[at + static_cast<std::size_t>(i)] =
-                static_cast<char>((field >> (8 * i)) & 0xff);
-        return bytes;
-    };
-    const auto top =
-        deserializeJobResult(withWinner(std::uint64_t{INT_MAX} + 1));
-    ASSERT_TRUE(top);
-    EXPECT_EQ(top->satVerify.winner, INT_MAX);
-    EXPECT_EQ(deserializeJobResult(withWinner(0))->satVerify.winner, -1);
-    for (const std::uint64_t bad :
-         {std::uint64_t{INT_MAX} + 2, std::uint64_t{1} << 32,
-          ~std::uint64_t{0}}) {
-        try {
-            (void)deserializeJobResult(withWinner(bad));
-            ADD_FAILURE() << "winner field " << bad << " decoded";
-        } catch (const pd::Error& e) {
-            EXPECT_NE(std::string(e.what()).find("bad SAT winner"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-}
-
 // ---- the store contract ----------------------------------------------------
 
 /// Arms a plan for the test body; disarms all sites on scope exit.
@@ -276,7 +233,7 @@ constexpr std::size_t kHeaderEnd =
 constexpr std::size_t kTail = 8;
 /// FNV-1a of pinnedSave()'s bytes. A different value is a format change,
 /// which needs a kFormatVersion bump, not a new constant.
-constexpr std::uint64_t kPinnedFnv = 0x4d999b96e0a805feull;
+constexpr std::uint64_t kPinnedFnv = 0xbaf2c707d939ac9full;  // pd-cache-v5
 
 /// Three result entries; the index section stays empty except in the
 /// pinned file.

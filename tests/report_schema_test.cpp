@@ -164,9 +164,9 @@ TEST(ReportSchemaTest, BuildProvenanceIsPopulated) {
     // build tree but must at least be non-empty strings.
     EXPECT_FALSE(doc.findPath("engine.build.compiler")->asString().empty());
     EXPECT_FALSE(doc.findPath("engine.build.git_hash")->asString().empty());
-    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 12);
+    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 13);
     EXPECT_EQ(doc.findPath("engine.build.schemas.cache_store")->asString(),
-              "pd-cache-v4");
+              "pd-cache-v5");
     EXPECT_EQ(doc.findPath("engine.shard_transport")->asString(), "socket");
     EXPECT_EQ(doc.findPath("engine.build.schemas.proof_store"), nullptr);
 }

@@ -1,6 +1,5 @@
 // Tests for the CDCL SAT solver, the Tseitin netlist encoder, the
-// miter-based equivalence checker, the DPLL differential oracle, and the
-// deterministic portfolio.
+// miter-based equivalence checker and the DPLL differential oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "sat/dpll.hpp"
 #include "sat/equiv.hpp"
 #include "sat/miter.hpp"
-#include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
 #include "sim/simulator.hpp"
 #include "core/decomposer.hpp"
@@ -24,7 +22,6 @@
 #include "synth/hier_synth.hpp"
 #include "synth/mapper.hpp"
 #include "synth/opt.hpp"
-#include "util/pool.hpp"
 
 namespace pd {
 namespace {
@@ -561,37 +558,6 @@ TEST(Differential, RandomCnfAgreesAcrossDensities) {
     }
 }
 
-TEST(Differential, SeededSolversAgreeWithCanonical) {
-    // Branching diversity (seed + polarity) may change the search path
-    // but never the answer.
-    std::mt19937_64 rng(0xd1ce);
-    for (int round = 0; round < 20; ++round) {
-        const int n = 12;
-        const int clauses = static_cast<int>(4.3 * n);
-        std::vector<std::vector<Lit>> instance;
-        for (int c = 0; c < clauses; ++c) {
-            std::vector<Lit> cl;
-            for (int l = 0; l < 3; ++l)
-                cl.emplace_back(static_cast<Var>(rng() % n),
-                                (rng() & 1) != 0);
-            instance.push_back(std::move(cl));
-        }
-        const auto solveWith = [&](const sat::SolverOptions& so) {
-            Solver s(so);
-            for (int i = 0; i < n; ++i) (void)s.newVar();
-            for (const auto& cl : instance)
-                s.addClause(std::vector<Lit>(cl));
-            return s.solve();
-        };
-        const Result canonical = solveWith({});
-        for (std::size_t idx = 1; idx < 4; ++idx) {
-            const Result seeded =
-                solveWith(sat::searcherOptions(idx, sat::PortfolioOptions{}));
-            EXPECT_EQ(seeded, canonical);
-        }
-    }
-}
-
 /// The engine's exact verify obligation for one registry benchmark:
 /// decompose → synthDecomposition (= raw) vs optimize → techMap (=
 /// mapped). The flat XOR-of-products netlist is deliberately NOT used
@@ -799,7 +765,6 @@ TEST(Budget, EquivCheckUnderTinyBudgetReportsUnknown) {
     if (res.status != sat::EquivCheckResult::Status::kEquivalent) {
         EXPECT_EQ(res.status, sat::EquivCheckResult::Status::kUnknown);
         EXPECT_TRUE(res.budgetExhausted);
-        EXPECT_EQ(res.winner, -1);
     }
 }
 
@@ -829,175 +794,6 @@ TEST(Budget, PropagationBudgetStopsCdclHonestly) {
     });
     for (auto& cl : clauses) fresh.addClause(std::move(cl));
     EXPECT_EQ(fresh.solve(), Result::kUnsat);
-}
-
-TEST(Budget, CancelFlagStopsSolve) {
-    std::atomic<bool> stop{true};  // pre-set: solve must stop immediately
-    sat::SolverOptions so;
-    so.stop = &stop;
-    Solver s(so);
-    const Var x = s.newVar();
-    const Var y = s.newVar();
-    s.addClause(Lit(x, false), Lit(y, false));
-    EXPECT_EQ(s.solve(), Result::kUnknown);
-    EXPECT_EQ(s.lastStop(), sat::StopCause::kCancelled);
-}
-
-// ---------------------------------------------------------------------------
-// Portfolio determinism
-// ---------------------------------------------------------------------------
-
-TEST(Portfolio, SearcherZeroIsCanonical) {
-    const auto so = sat::searcherOptions(0, sat::PortfolioOptions{});
-    EXPECT_EQ(so.seed, 0u);
-    EXPECT_EQ(so.polarity, sat::SolverOptions::Polarity::kFalse);
-}
-
-TEST(Portfolio, BitIdenticalAcrossSearcherCounts) {
-    // The tentpole determinism contract: UNSAT and SAT miters must
-    // report identical result/winner/stats/counterexample at every
-    // searcher count, pooled or sequential.
-    util::ThreadPool pool(4);
-    const auto runAll = [&pool](const netlist::Netlist& a,
-                                const netlist::Netlist& b) {
-        std::vector<sat::EquivCheckResult> results;
-        for (const std::size_t searchers : {1u, 2u, 4u}) {
-            for (util::ThreadPool* p :
-                 {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-                sat::EquivSatOptions opt;
-                opt.searchers = searchers;
-                opt.pool = p;
-                results.push_back(sat::checkEquivalentSat(a, b, opt));
-            }
-        }
-        return results;
-    };
-
-    const auto unsat = runAll(rippleAdder(12, false), selectAdder(12));
-    for (const auto& r : unsat) {
-        EXPECT_EQ(r.status, sat::EquivCheckResult::Status::kEquivalent);
-        EXPECT_EQ(r.winner, unsat.front().winner);
-        EXPECT_EQ(r.conflicts, unsat.front().conflicts);
-        EXPECT_EQ(r.propagations, unsat.front().propagations);
-        EXPECT_EQ(r.restarts, unsat.front().restarts);
-        EXPECT_EQ(r.learned, unsat.front().learned);
-        EXPECT_FALSE(r.budgetExhausted);
-    }
-    // Unlimited budgets: searcher 0 always finishes and always wins.
-    EXPECT_EQ(unsat.front().winner, 0);
-
-    const auto sat_ = runAll(rippleAdder(12, false), rippleAdder(12, true));
-    for (const auto& r : sat_) {
-        EXPECT_EQ(r.status, sat::EquivCheckResult::Status::kDifferent);
-        EXPECT_EQ(r.winner, sat_.front().winner);
-        EXPECT_EQ(r.counterexample, sat_.front().counterexample);
-        EXPECT_EQ(r.differingOutput, sat_.front().differingOutput);
-        EXPECT_EQ(r.conflicts, sat_.front().conflicts);
-        EXPECT_EQ(r.propagations, sat_.front().propagations);
-    }
-}
-
-TEST(Portfolio, BudgetExhaustionIsDeterministicToo) {
-    // With every searcher truncated, the aggregate covers all of them —
-    // still a pure function of the CNF and budgets.
-    const auto a = rippleAdder(16, false);
-    const auto b = selectAdder(16);
-    const auto miter = sat::buildMiterCnf(a, b);
-    ASSERT_FALSE(miter.trivialUnsat);
-    util::ThreadPool pool(4);
-    std::vector<sat::PortfolioResult> results;
-    for (util::ThreadPool* p :
-         {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-        sat::PortfolioOptions opt;
-        opt.searchers = 3;
-        opt.conflictBudget = 1;
-        opt.pool = p;
-        results.push_back(sat::solvePortfolio(miter.problem, opt));
-    }
-    for (const auto& r : results) {
-        if (r.result != Result::kUnknown) continue;  // 1 conflict sufficed
-        EXPECT_EQ(r.winner, -1);
-        EXPECT_TRUE(r.budgetExhausted);
-        EXPECT_EQ(r.stats.conflicts, results.front().stats.conflicts);
-        EXPECT_EQ(r.stats.propagations,
-                  results.front().stats.propagations);
-    }
-    EXPECT_EQ(results[0].result, results[1].result);
-}
-
-TEST(Portfolio, CancellationHarvestIsDeterministicWithSmallPools) {
-    // Adversarial completion orders: with more searchers than pool
-    // threads, which searchers are mid-flight (and in what order they
-    // observe the stop flag) when the winner lands varies wildly with
-    // pool size — a 1-thread pool finishes searchers in index order, a
-    // 3-thread pool interleaves them. The harvest must aggregate slots
-    // 0..winner only, so every schedule reports the sequential
-    // baseline's answer bit for bit, across finite and zero budgets.
-    const auto miter =
-        sat::buildMiterCnf(rippleAdder(12, false), selectAdder(12));
-    ASSERT_FALSE(miter.trivialUnsat);
-    for (const std::uint64_t budget : {0ull, 8ull, 64ull}) {
-        sat::PortfolioOptions base;
-        base.searchers = 6;
-        base.conflictBudget = budget;
-        const auto baseline = sat::solvePortfolio(miter.problem, base);
-        for (const std::size_t threads : {1u, 2u, 3u}) {
-            util::ThreadPool pool(threads);
-            sat::PortfolioOptions opt = base;
-            opt.pool = &pool;
-            // Several rounds per pool size: one lucky schedule proving
-            // nothing, repeated agreement is the point.
-            for (int round = 0; round < 3; ++round) {
-                const auto r = sat::solvePortfolio(miter.problem, opt);
-                EXPECT_EQ(r.result, baseline.result)
-                    << "budget " << budget << " threads " << threads;
-                EXPECT_EQ(r.winner, baseline.winner);
-                EXPECT_EQ(r.budgetExhausted, baseline.budgetExhausted);
-                EXPECT_EQ(r.stats.conflicts, baseline.stats.conflicts);
-                EXPECT_EQ(r.stats.propagations,
-                          baseline.stats.propagations);
-                EXPECT_EQ(r.stats.restarts, baseline.stats.restarts);
-                EXPECT_EQ(r.stats.learnedClauses,
-                          baseline.stats.learnedClauses);
-                EXPECT_EQ(r.model, baseline.model);
-            }
-        }
-    }
-}
-
-TEST(Portfolio, RunsInsideATaskOfItsOwnOneThreadPool) {
-    // A job on the engine's pool races its searchers on that same pool.
-    // Called from the only worker of a one-thread pool, no helper lane
-    // ever starts, and the caller runs the searchers itself — the same
-    // result as with no pool, never a wait on a searcher nobody runs.
-    util::ThreadPool pool(1);
-    for (const bool differ : {false, true}) {
-        const auto miter = sat::buildMiterCnf(
-            rippleAdder(12, false),
-            differ ? rippleAdder(12, true) : selectAdder(12));
-        ASSERT_FALSE(miter.trivialUnsat);
-        for (const std::uint64_t budget : {0ull, 8ull}) {
-            sat::PortfolioOptions opt;
-            opt.searchers = 4;
-            opt.conflictBudget = budget;
-            const auto want = sat::solvePortfolio(miter.problem, opt);
-            opt.pool = &pool;
-            const auto got =
-                pool.submit([&] {
-                        return sat::solvePortfolio(miter.problem, opt);
-                    }).get();
-            EXPECT_EQ(got.result, want.result) << "budget " << budget;
-            EXPECT_EQ(got.winner, want.winner);
-            EXPECT_EQ(got.budgetExhausted, want.budgetExhausted);
-            EXPECT_EQ(got.stats.decisions, want.stats.decisions);
-            EXPECT_EQ(got.stats.conflicts, want.stats.conflicts);
-            EXPECT_EQ(got.stats.propagations, want.stats.propagations);
-            EXPECT_EQ(got.stats.restarts, want.stats.restarts);
-            EXPECT_EQ(got.stats.learnedClauses, want.stats.learnedClauses);
-            EXPECT_EQ(got.stats.deletedClauses, want.stats.deletedClauses);
-            EXPECT_EQ(got.model, want.model);
-        }
-    }
 }
 
 }  // namespace

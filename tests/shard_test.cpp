@@ -480,7 +480,7 @@ TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
     e.cacheCapacity = 7;
     e.conflictBudget = 11;
     e.probeThreads = 3;
-    e.verifyThreads = 5;
+    e.verifyThreads = true;
     e.verifyConflictBudget = 123456789012ull;
     e.verifyPropagationBudget = 987654321098ull;
     e.equiv.exhaustiveLimitBits = 9;
@@ -549,7 +549,10 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     // Thread counts are capped before a worker starts any thread.
     rejects({"--jobs", "257"}, "expects at most 256");
     rejects({"--probe-threads", "257"}, "expects at most 256");
-    rejects({"--verify-threads", "1000000"}, "expects at most 256");
+    // SAT verify is off or on; a count sizes nothing.
+    rejects({"--verify-threads", "2"}, "expects 0 (off) or 1 (on), got '2'");
+    rejects({"--verify-threads", "256"}, "--probe-threads size the");
+    rejects({"--verify-threads", "01"}, "expects 0 (off) or 1 (on)");
 
     std::string error;
     const auto defaults = decodeWorkerArgs({}, error);
@@ -557,14 +560,19 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
     EXPECT_EQ(defaults->engine.shardHeartbeatMs,
               EngineOptions{}.shardHeartbeatMs);
 
-    // The cap itself is accepted (decoding starts no thread).
+    // The cap itself is accepted (decoding starts no thread), and so are
+    // both verify settings.
     const std::vector<std::string> atCap = {
-        "--jobs", "256", "--probe-threads", "256", "--verify-threads", "256"};
+        "--jobs", "256", "--probe-threads", "256", "--verify-threads", "1"};
     const auto capped = decodeWorkerArgs(atCap, error);
     ASSERT_TRUE(capped.has_value()) << error;
     EXPECT_EQ(capped->engine.jobs, util::kMaxParallelism);
     EXPECT_EQ(capped->engine.probeThreads, util::kMaxParallelism);
-    EXPECT_EQ(capped->engine.verifyThreads, util::kMaxParallelism);
+    EXPECT_TRUE(capped->engine.verifyThreads);
+    const std::vector<std::string> verifyOff = {"--verify-threads", "0"};
+    const auto off = decodeWorkerArgs(verifyOff, error);
+    ASSERT_TRUE(off.has_value()) << error;
+    EXPECT_FALSE(off->engine.verifyThreads);
 }
 
 TEST(ParseParallelism, RejectsCountsAboveTheCap) {
@@ -778,7 +786,7 @@ TEST(ShardEngine, NonDefaultVerifyKnobsReachTheWorkers) {
         EngineOptions opt = shardOptions(shards, cache.path());
         opt.equiv.exhaustiveLimitBits = 6;
         opt.equiv.randomBatches = 3;
-        opt.verifyThreads = 1;
+        opt.verifyThreads = true;
         opt.verifyConflictBudget = 1;
         return opt;
     };
@@ -1336,6 +1344,13 @@ TEST(CliExitCodes, ZeroAllOkTwoPartialOneFatalSixtyFourUsage) {
               64);  // batch-only flag outside batch mode
     EXPECT_EQ(runCli(cli + " batch majority7 --shards 1 --shard-transport "
                            "socket >/dev/null 2>&1"),
+              0);
+    // SAT verify is off or on: a searcher count is a usage error.
+    EXPECT_EQ(runCli(cli + " batch majority7 --verify-threads 2 "
+                           ">/dev/null 2>&1"),
+              64);
+    EXPECT_EQ(runCli(cli + " batch majority7 --verify-threads 1 "
+                           ">/dev/null 2>&1"),
               0);
     // A worker without its socket on fd 3 was not spawned by a
     // coordinator: exit 2, whether fd 3 is closed or some other file.

@@ -19,12 +19,12 @@
 //                    A truncated job reports budget_exhausted.
 //   --probe-threads <n>  lanes for the group-selection probe sweep inside
 //                    each job (0/1 = sequential); batch sweeps get one
-//                    lane per engine thread, max(--jobs, --probe-threads,
-//                    --verify-threads), run by job workers that are idle.
+//                    lane per engine thread, max(--jobs, --probe-threads),
+//                    run by job workers that are idle.
 //                    The sweep is deterministic: results are bit-identical
 //                    at any setting, so this is pure wall-clock on
 //                    multi-core hosts.
-//   --jobs, --probe-threads, --verify-threads and --shards accept at most
+//   --jobs, --probe-threads and --shards accept at most
 //                    256 (util::kMaxParallelism); a larger value is a usage
 //                    error (exit 64).
 //   --no-identities  / --no-nullspace / --no-sizered / --no-linmin
@@ -38,7 +38,7 @@
 //   --heavy          include the heavy (multiplier-class) benchmarks
 //   --json <file>    write the machine-readable pd-batch-report-v1 report
 //   --cache <n>      result-cache capacity (default 64, 0 disables)
-//   --cache-file <f> persistent pd-cache-v4 store: warm-start from it and
+//   --cache-file <f> persistent pd-cache-v5 store: warm-start from it and
 //                    flush results back after the batch
 //   --cache-readonly load the store but never write it back
 //   --budget <n>     per-job decomposition iteration budget (0 = unlimited)
@@ -52,12 +52,12 @@
 //                    once on another worker (0 = unlimited)
 //   --shard-rss-mb <n>   per-worker address-space budget (0 = unlimited;
 //                    so is a budget of 2^44 MiB or more)
-//   --verify-threads <n>  SAT-certify optimize→map on every verified job
-//                    with a portfolio of n CDCL searchers (0 = off;
-//                    with no verify budget, results are bit-identical
-//                    at every n ≥ 1)
-//   --verify-conflict-budget <n>  per-searcher conflict cap (0 = unlimited)
-//   --verify-prop-budget <n>      per-searcher propagation cap
+//   --verify-threads 0|1  SAT-certify optimize→map on every verified job
+//                    with one CDCL solver (0 = off, 1 = on; any other
+//                    value is a usage error — --jobs and --probe-threads
+//                    size the thread pool)
+//   --verify-conflict-budget <n>  SAT verify conflict cap (0 = unlimited)
+//   --verify-prop-budget <n>      SAT verify propagation cap
 //   --shard-retries <n>  how many times a sharded job may be requeued
 //                    after a worker crash before it is reported failed
 //                    (default 1; 0 = fail on the first crash)
@@ -150,7 +150,7 @@ int usage() {
         "         --shards <n>  --shard-wall-ms <n>  --shard-rss-mb <n>\n"
         "         --shard-retries <n>  --shard-drain-ms <n>\n"
         "         --shard-transport socket  --shard-heartbeat-ms <n>\n"
-        "         --verify-threads <n>  --verify-conflict-budget <n>\n"
+        "         --verify-threads 0|1  --verify-conflict-budget <n>\n"
         "         --verify-prop-budget <n>\n"
         "         --trace-out <file>  --metrics-out <file>\n"
         "chaos:   --fault <site:spec>  (or PD_FAULTS=\"site:spec,...\")\n"
@@ -368,7 +368,13 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                 return usage();
             }
         } else if (arg == "--verify-threads") {
-            if (!parallelismArg(opt.engine.verifyThreads)) return usage();
+            std::string error = "option --verify-threads expects a value";
+            if (++i >= argc || !pd::util::parseVerifySwitch(
+                                   arg, argv[i], opt.engine.verifyThreads,
+                                   error)) {
+                std::cerr << error << "\n";
+                return usage();
+            }
         } else if (arg == "--verify-conflict-budget") {
             if (!countArg(opt.engine.verifyConflictBudget)) return usage();
         } else if (arg == "--verify-prop-budget") {
@@ -636,7 +642,7 @@ int runCacheInfo(const std::vector<std::string>& args) {
     std::cout << "\n";
     if (loaded.usable() && !loaded.entries.empty()) {
         // Per-entry payload sizes, log2-bucketed (keys are fixed 16-byte
-        // digests). The pd-cache-v4 format deliberately stores no
+        // digests). The pd-cache-v5 format deliberately stores no
         // timestamps (its byte-identical rewrite guarantee forbids them),
         // so entry *age* is only observable in a live engine — the batch
         // report's "cache.entry.lru_age" histogram covers that side.

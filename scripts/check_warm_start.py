@@ -9,9 +9,8 @@ same `pd_cli batch --cache-file ...` command twice:
   1. every job in the warm report was served from the cache
      (cache.source is "disk" or "memory" — nothing recomputed);
   2. the warm run actually loaded the store (persist.load_status);
-  3. the warm run expanded no spec: its engine.spec.expansions counter is
-     0 and cache.index.hits equals the job count (every registry job found
-     its key in the store's name index);
+  3. the warm run expanded no spec (its engine.spec.expansions counter is
+     0), and every warm job's cache.key equals the cold job's;
   4. the store the warm run loaded (persist.file) is under 1 MB;
   5. the semantic payload of every job — everything except timings and
      cache provenance — is byte-identical between the two reports.
@@ -73,10 +72,13 @@ def main():
     if expansions != 0:
         sys.exit(f"{warm_path}: engine.spec.expansions is {expansions!r}, "
                  f"expected 0 — a warm job rebuilt its Reed-Muller form")
-    index_hits = counters.get("cache.index.hits")
-    if index_hits != len(warm["jobs"]):
-        sys.exit(f"{warm_path}: cache.index.hits is {index_hits!r}, expected "
-                 f"{len(warm['jobs'])} (one per job)")
+    if len(cold["jobs"]) != len(warm["jobs"]):
+        sys.exit("job lists differ in length")
+    for c, w in zip(cold["jobs"], warm["jobs"]):
+        if c["cache"]["key"] != w["cache"]["key"]:
+            sys.exit(f"{warm_path}: job {w['name']!r} has cache.key "
+                     f"{w['cache']['key']}, the cold run's was "
+                     f"{c['cache']['key']}")
     store_bytes = os.path.getsize(persist["file"])
     if store_bytes >= MAX_STORE_BYTES:
         sys.exit(f"{persist['file']}: store is {store_bytes} bytes, expected "

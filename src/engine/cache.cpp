@@ -1,6 +1,5 @@
 #include "engine/cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -8,8 +7,7 @@
 namespace pd::engine {
 
 ResultCache::LookupResult ResultCache::lookupOrReserve(const Key& key,
-                                                       const Accept& accept,
-                                                       bool reserve) {
+                                                       const Accept& accept) {
     if (capacity_ == 0) return std::monostate{};
     static auto& hits = obs::counter("cache.hit");
     static auto& misses = obs::counter("cache.miss");
@@ -19,7 +17,6 @@ ResultCache::LookupResult ResultCache::lookupOrReserve(const Key& key,
         std::lock_guard lock(mutex_);
         const auto it = map_.find(key);
         if (it == map_.end()) {
-            if (!reserve) return std::monostate{};
             ++stats_.misses;
             misses.add();
             std::promise<Value> promise;
@@ -145,55 +142,6 @@ std::size_t ResultCache::restore(std::vector<SnapshotEntry> entries) {
 ResultCache::Stats ResultCache::stats() const {
     std::lock_guard lock(mutex_);
     return stats_;
-}
-
-std::optional<util::Digest128> JobIndex::find(const std::string& name,
-                                              std::uint64_t stamp) const {
-    std::lock_guard lock(mutex_);
-    const auto it = map_.find(name);
-    if (it == map_.end() || it->second.stamp != stamp) return std::nullopt;
-    return it->second.digest;
-}
-
-void JobIndex::record(const Entry& e, bool restored) {
-    std::lock_guard lock(mutex_);
-    const auto [it, fresh] = map_.try_emplace(e.name);
-    if (!fresh && it->second.stamp == e.stamp && it->second.digest == e.digest)
-        return;
-    it->second = {e.stamp, e.digest, !restored};
-    ++changes_;
-}
-
-std::vector<JobIndex::Entry> JobIndex::snapshot() const {
-    std::vector<Entry> out;
-    {
-        std::lock_guard lock(mutex_);
-        out.reserve(map_.size());
-        for (const auto& [name, slot] : map_)
-            out.push_back({name, slot.stamp, slot.digest});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const Entry& x, const Entry& y) { return x.name < y.name; });
-    return out;
-}
-
-std::vector<JobIndex::Entry> JobIndex::takeFresh(
-    const util::Digest128& digest) {
-    std::vector<Entry> out;
-    {
-        std::lock_guard lock(mutex_);
-        for (auto& [name, slot] : map_)
-            if (slot.digest == digest && std::exchange(slot.fresh, false))
-                out.push_back({name, slot.stamp, slot.digest});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const Entry& x, const Entry& y) { return x.name < y.name; });
-    return out;
-}
-
-std::uint64_t JobIndex::changes() const {
-    std::lock_guard lock(mutex_);
-    return changes_;
 }
 
 }  // namespace pd::engine

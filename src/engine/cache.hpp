@@ -1,20 +1,16 @@
-// Mutex-protected result cache for the batch engine, plus the
-// name index in front of it.
+// Mutex-protected result cache for the batch engine.
 //
-// Keys are 128-bit content digests of the job (see engine::canonicalDigest
-// and util/digest.hpp): the relabeled, per-output-sorted Reed-Muller term
-// stream plus an options fingerprint, streamed into two independent
-// 64-bit lanes. Two jobs that decompose the same Boolean functions under
-// the same options get the same key, however their variables were named.
-// A digest is not the content itself, so a false hit is improbable rather
-// than impossible: the engine re-simulates every benchmark hit against the
-// benchmark's reference before serving it, and a mismatch is a miss
-// (counter cache.digest_mismatch).
-//
-// JobIndex maps (registry name + options fingerprint) → (spec stamp,
-// digest), so a registry job can find its key without expanding its spec.
-// The stamp hashes what the registry builds under that name; a stale
-// entry is an index miss that costs one key recompute, never a wrong hit.
+// Keys are 128-bit digests (util/digest.hpp) streamed into two
+// independent 64-bit lanes. A registry job's key is its name, options
+// fingerprint and spec stamp (engine::registryKey), so a hit never
+// expands the spec. Any other job's key is the content digest of its
+// expanded outputs (engine::canonicalDigest): two such jobs that
+// decompose the same Boolean functions under the same options get the
+// same key, however their variables were named. A digest is not the
+// content itself, so a false hit is improbable rather than impossible:
+// the engine re-simulates every benchmark hit against the benchmark's
+// reference before serving it, and a mismatch is a miss (counter
+// cache.digest_mismatch).
 //
 // Concurrency protocol (one mutex over one map):
 //   * find(key) ready      → hit: bump LRU stamp, return the value.
@@ -34,8 +30,8 @@
 // Eviction is least-recently-used over *ready* entries only; in-flight
 // entries are pinned. At most `capacity` ready entries stay resident, and
 // none is evicted while fewer than `capacity` distinct keys are live —
-// warm batch reruns depend on that guarantee. A batch makes two lookups
-// per job at most, so one lock is not a point of contention.
+// warm batch reruns depend on that guarantee. A batch makes one lookup
+// per job, so one lock is not a point of contention.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +39,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -123,12 +117,8 @@ public:
     /// Guard run on a found value (outside the lock) before it is
     /// served; a rejected value counts as a miss.
     using Accept = std::function<bool(const JobResult&)>;
-    /// With `reserve` false a missing key returns std::monostate without
-    /// reserving or counting a miss: a peek for a key the caller is not
-    /// sure of, ahead of the lookup by its computed key.
     [[nodiscard]] LookupResult lookupOrReserve(const Key& key,
-                                               const Accept& accept = {},
-                                               bool reserve = true);
+                                               const Accept& accept = {});
 
     [[nodiscard]] Stats stats() const;
 
@@ -172,49 +162,6 @@ private:
     std::unordered_map<Key, Entry, util::Digest128Hash> map_;
     std::uint64_t tick_ = 0;
     Stats stats_;  ///< stats_.entries counts the ready entries
-};
-
-/// Thread-safe (registry name + options fingerprint) → (spec stamp,
-/// digest) map; persisted with the store and shipped over the shard wire.
-/// Equal names carry equal values wherever they were recorded: the
-/// stamp and the digest are functions of the name.
-class JobIndex {
-public:
-    struct Entry {
-        std::string name;  ///< registry name + options fingerprint
-        std::uint64_t stamp = 0;
-        util::Digest128 digest;
-    };
-
-    /// The digest recorded for `name` under exactly `stamp`; nullopt when
-    /// absent or stale.
-    [[nodiscard]] std::optional<util::Digest128> find(
-        const std::string& name, std::uint64_t stamp) const;
-
-    /// Inserts, or overwrites an entry whose value differs. `restored`
-    /// marks entries adopted from a store, which takeFresh() leaves out.
-    void record(const Entry& e, bool restored = false);
-
-    /// Every entry sorted by name.
-    [[nodiscard]] std::vector<Entry> snapshot() const;
-
-    /// The entries naming `digest` that were recorded (not restored) and
-    /// not handed out before, sorted by name.
-    [[nodiscard]] std::vector<Entry> takeFresh(const util::Digest128& digest);
-
-    /// Number of record() calls that changed the map: a flush is due when
-    /// it moved since the last one.
-    [[nodiscard]] std::uint64_t changes() const;
-
-private:
-    struct Slot {
-        std::uint64_t stamp = 0;
-        util::Digest128 digest;
-        bool fresh = false;  ///< recorded, not restored; not yet taken
-    };
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, Slot> map_;
-    std::uint64_t changes_ = 0;
 };
 
 }  // namespace pd::engine

@@ -4,8 +4,6 @@
 #include <array>
 #include <chrono>
 #include <ctime>
-#include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "anf/parser.hpp"
@@ -72,7 +70,7 @@ public:
     ~PhaseClock() { obs::setJobFingerprint(0); }
 
     /// Adds the time since the previous close to `slot` (phases that
-    /// recur, like resolve after an index miss, accumulate).
+    /// recur, like resolve after a registry job's miss, accumulate).
     void close(double& slot, std::string_view span) {
         const auto now = std::chrono::steady_clock::now();
         slot += std::chrono::duration<double, std::milli>(now - start_).count();
@@ -255,6 +253,16 @@ util::Digest128 canonicalDigest(std::span<const anf::Anf> outputs,
     return h.finish();
 }
 
+util::Digest128 registryKey(std::string_view name, std::string_view options,
+                            std::uint64_t stamp) {
+    util::DigestStream h;
+    h.str("pd-registry-key");
+    h.str(name);
+    h.str(options);
+    h.u64(stamp);
+    return h.finish();
+}
+
 std::uint64_t specStamp(const circuits::Benchmark& bench) {
     util::DigestStream h;
     h.str(bench.name);
@@ -306,8 +314,8 @@ Engine::Engine(EngineOptions opt)
           std::max({opt.jobs, opt.probeThreads, std::size_t{1}}))) {
     // Registered up front so every report carries them, zeros included:
     // the warm-start gate demands engine.spec.expansions == 0.
-    for (const char* name : {"engine.spec.expansions", "cache.index.hits",
-                             "cache.index.misses", "cache.digest_mismatch"})
+    for (const char* name :
+         {"engine.spec.expansions", "cache.digest_mismatch"})
         (void)obs::counter(name);
     for (const char* name : core::kStopCounters) (void)obs::counter(name);
     persist_.file = opt_.cacheFile;
@@ -333,7 +341,6 @@ Engine::Engine(EngineOptions opt)
     for (auto& e : loaded.entries)
         entries.push_back({e.key, std::move(e.result)});
     persist_.loadedEntries = cache_.restore(std::move(entries));
-    for (const auto& e : loaded.index) index_.record(e, /*restored=*/true);
     flushedGeneration_ = cacheGeneration();
 }
 
@@ -372,20 +379,9 @@ bool Engine::flushCache(std::size_t* savedOut, std::string* errorOut) {
               [](const auto& a, const auto& b) { return a.key < b.key; });
     std::vector<persist::StoreEntry> entries;
     entries.reserve(snap.size());
-    std::unordered_set<util::Digest128, util::Digest128Hash> keys;
-    for (auto& e : snap) {
-        keys.insert(e.key);
-        entries.push_back({e.key, std::move(e.value)});
-    }
-    // Only index entries that name a saved result: the rest could never
-    // serve a hit, and dropping them keeps the artifact a function of its
-    // entries alone.
-    auto index = index_.snapshot();
-    std::erase_if(index, [&](const JobIndex::Entry& e) {
-        return !keys.contains(e.digest);
-    });
+    for (auto& e : snap) entries.push_back({e.key, std::move(e.value)});
     if (!persist::CacheStore::save(opt_.cacheFile, persistFingerprint(opt_),
-                                   entries, index, &error)) {
+                                   entries, &error)) {
         if (errorOut) *errorOut = error;
         return false;
     }
@@ -399,18 +395,16 @@ std::pair<JobResult, shard::StoreRecords> Engine::runWireJob(
     const JobSpec& spec) {
     util::Digest128 key;
     JobResult result = execute(spec, 0, &key);
-    // No key means the job failed before its digest: it added nothing.
+    // No key means the job failed before its key: it added nothing.
     if (result.cacheKey.empty()) return {std::move(result), {}};
-    shard::StoreRecords records{cache_.takeFresh(key), index_.takeFresh(key)};
-    return {std::move(result), std::move(records)};
+    return {std::move(result), cache_.takeFresh(key)};
 }
 
 void Engine::adoptStoreRecords(shard::StoreRecords records) {
-    if (cache_.restore(std::move(records.entries)) > 0) {
+    if (cache_.restore(std::move(records)) > 0) {
         std::lock_guard lock(flushMutex_);
         unflushedRecords_ = true;
     }
-    for (const auto& e : records.index) index_.record(e);
 }
 
 std::vector<JobResult> Engine::runBatch(const std::vector<JobSpec>& specs) {
@@ -530,18 +524,28 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
 
         ResolvedJob job;
         job.bench = benchmarkOf(spec);
-        // Registry jobs ask the name index first: a hit names the cache
-        // key without expanding the spec (the expensive step).
-        std::string indexName;
-        std::uint64_t stamp = 0;
-        if (!spec.bench && job.bench) {
-            indexName = spec.benchmark + optionsFingerprint(dopt, spec.verify);
-            stamp = specStamp(*job.bench);
-        }
         clock.close(result.phases.resolveMs, "job.resolve");
+        // A registry job is keyed by its name, options and spec stamp, so
+        // it expands its spec (the expensive step) only on a miss. Any
+        // other job is keyed by the content of its expanded outputs.
+        util::Digest128 digest;
+        if (!spec.bench && job.bench) {
+            digest = registryKey(spec.benchmark,
+                                 optionsFingerprint(dopt, spec.verify),
+                                 specStamp(*job.bench));
+        } else {
+            expand(spec, job);
+            clock.close(result.phases.resolveMs, "job.resolve");
+            digest = canonicalDigest(job.outputs, dopt, spec.verify);
+        }
+        clock.close(result.phases.digestMs, "job.digest");
+        // Span identity: every span this job emits (on this thread)
+        // carries lane a of its key, making traces diffable run-to-run —
+        // same batch, same (fp, name, seq) span sets.
+        clock.fingerprint(digest.a);
 
-        // Every benchmark hit must pass the reference guard; a digest
-        // that names the wrong result is a miss.
+        // Every benchmark hit must pass the reference guard; a key that
+        // names the wrong result is a miss, computed without publishing.
         const ResultCache::Accept accept = [&job](const JobResult& cached) {
             if (!job.bench || passesReferenceGuard(cached, *job.bench))
                 return true;
@@ -549,50 +553,12 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
             mismatches.add();
             return false;
         };
-        std::optional<ResultCache::LookupResult> lookup;
-        std::optional<util::Digest128> digest;
-        if (!indexName.empty()) {
-            static auto& indexHits = obs::counter("cache.index.hits");
-            static auto& indexMisses = obs::counter("cache.index.misses");
-            digest = index_.find(indexName, stamp);
-            (digest ? indexHits : indexMisses).add();
-            if (digest && PD_FAULT("cache.index.stale"))
-                // Point the entry at another job's result: the guard must
-                // reject it and the job fall back to its computed key.
-                for (const auto& e : index_.snapshot())
-                    if (e.digest != *digest) {
-                        digest = e.digest;
-                        break;
-                    }
-        }
-        if (digest) {
-            clock.close(result.phases.digestMs, "job.digest");
-            clock.fingerprint(digest->a);
-            // Peek only: the index may be stale, so a miss here reserves
-            // nothing — the computed key below does.
-            lookup.emplace(
-                cache_.lookupOrReserve(*digest, accept, /*reserve=*/false));
-            clock.close(result.phases.cacheLookupMs, "job.cache_lookup");
-        }
-        if (!lookup || !std::holds_alternative<ResultCache::Value>(*lookup)) {
-            expand(spec, job);
-            clock.close(result.phases.resolveMs, "job.resolve");
-            digest = canonicalDigest(job.outputs, dopt, spec.verify);
-            if (!indexName.empty())
-                index_.record({indexName, stamp, *digest});
-            clock.close(result.phases.digestMs, "job.digest");
-            // Span identity: every span this job emits (on this thread)
-            // carries lane a of its digest, making traces diffable
-            // run-to-run — same batch, same (fp, name, seq) span sets.
-            clock.fingerprint(digest->a);
-            lookup.reset();  // a peek holds no reservation to abandon
-            lookup.emplace(cache_.lookupOrReserve(*digest, accept));
-            clock.close(result.phases.cacheLookupMs, "job.cache_lookup");
-        }
-        result.cacheKey = digest->hex();
-        if (key) *key = *digest;
+        auto lookup = cache_.lookupOrReserve(digest, accept);
+        clock.close(result.phases.cacheLookupMs, "job.cache_lookup");
+        result.cacheKey = digest.hex();
+        if (key) *key = digest;
 
-        if (auto* hit = std::get_if<ResultCache::Value>(&*lookup)) {
+        if (auto* hit = std::get_if<ResultCache::Value>(&lookup)) {
             const JobResult& cached = **hit;
             // A netlist-carrying hit must present the requester's own
             // interface: the key identifies isomorphs up to renaming, but
@@ -780,7 +746,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
         result.cpuMs = threadCpuMs() - cpuStart;
 
         if (auto* reservation =
-                std::get_if<ResultCache::Reservation>(&*lookup);
+                std::get_if<ResultCache::Reservation>(&lookup);
             reservation != nullptr && !tainted) {
             // Cache the full result (netlist included) so a later
             // keepMapped request can be served from cache too. The

@@ -4,12 +4,13 @@
 // map → STA → verify) into a batch service: a fixed worker pool runs one
 // job per spec, each with its own VarTable (the library has no global
 // mutable state, so per-job tables are the whole isolation story), and a
-// result cache keyed by a 128-bit digest of the canonical ANF serves
-// repeated or variable-renamed jobs without re-decomposing. Registry jobs
-// find that key through a persisted name index, so a warm cross-process
-// run skips spec expansion altogether. Results come back in spec order,
-// independent of scheduling; a throwing job yields a JobResult with
-// ok=false and poisons nothing else.
+// result cache keyed by 128-bit digests serves repeated jobs without
+// re-decomposing. A registry job is keyed by its name, options and spec
+// stamp, so a warm cross-process run skips spec expansion altogether; any
+// other job by a digest of its canonical ANF, so variable-renamed jobs
+// share an entry. Results come back in spec order, independent of
+// scheduling; a throwing job yields a JobResult with ok=false and
+// poisons nothing else.
 //
 // With EngineOptions::shards > 1 the same batch is partitioned across
 // crash-isolated worker *processes* (src/engine/shard/): both execution
@@ -23,6 +24,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -79,12 +81,11 @@ struct EngineOptions {
     std::uint64_t verifyConflictBudget = 0;
     /// Propagation budget for SAT verification (0 = unlimited).
     std::uint64_t verifyPropagationBudget = 0;
-    /// Path of a persistent pd-cache-v5 store ("" disables persistence).
-    /// The engine warm-starts from it on construction (results and the
-    /// name index) and flushes ready cache entries back on destruction
-    /// (or flushCache()). A missing, corrupt, wrong-version or
-    /// wrong-fingerprint file is reported via persistInfo() and treated
-    /// as a cold start — never a crash.
+    /// Path of a persistent pd-cache-v6 store ("" disables persistence).
+    /// The engine warm-starts from it on construction and flushes ready
+    /// cache entries back on destruction (or flushCache()). A missing,
+    /// corrupt, wrong-version or wrong-fingerprint file is reported via
+    /// persistInfo() and treated as a cold start — never a crash.
     std::string cacheFile;
     /// Load from cacheFile but never write it back (CI consumers, shared
     /// read-mostly artifacts).
@@ -184,12 +185,11 @@ public:
     }
     [[nodiscard]] const synth::CellLibrary& library() const { return lib_; }
 
-    /// Snapshots the ready cache entries (plus the index entries naming
-    /// them) and atomically rewrites the configured store. Safe to call
-    /// while jobs are computing: in-flight entries are simply not
-    /// included. Returns false with `errorOut` when persistence is
-    /// off/readonly or the write failed; `savedOut` receives the number
-    /// of entries written on success.
+    /// Snapshots the ready cache entries and atomically rewrites the
+    /// configured store. Safe to call while jobs are computing: in-flight
+    /// entries are simply not included. Returns false with `errorOut`
+    /// when persistence is off/readonly or the write failed; `savedOut`
+    /// receives the number of entries written on success.
     bool flushCache(std::size_t* savedOut = nullptr,
                     std::string* errorOut = nullptr);
 
@@ -203,13 +203,12 @@ public:
 
     /// Worker half of the shard wire: runs `spec` on the calling thread
     /// and returns its result with the store records it added — the
-    /// cache entry under the job's digest and the name-index entries
-    /// naming that digest. Records adopted at warm start never qualify,
-    /// and each record is handed out once. A worker ships them inside the
-    /// job's kResult, so a crash forfeits only the in-flight jobs'
-    /// records; taking them by digest, not as everything added since the
-    /// last answer, keeps them with their own job when several run at
-    /// once.
+    /// cache entry under the job's key. Entries adopted at warm start
+    /// never qualify, and each entry is handed out once. A worker ships
+    /// them inside the job's kResult, so a crash forfeits only the
+    /// in-flight jobs' records; taking them by key, not as everything
+    /// added since the last answer, keeps them with their own job when
+    /// several run at once.
     [[nodiscard]] std::pair<JobResult, shard::StoreRecords> runWireJob(
         const JobSpec& spec);
 
@@ -222,19 +221,18 @@ public:
     }
 
     /// Coordinator half: adopts one worker's records. A key already held
-    /// wins, so of two equal cache keys the first one in stays; index
-    /// entries are recorded as a local run would record them.
+    /// wins, so of two equal cache keys the first one in stays.
     void adoptStoreRecords(shard::StoreRecords records);
 
 private:
     /// Runs one job on the calling thread; `key`, when given, receives the
-    /// job's digest once it is known.
+    /// job's cache key once it is known.
     [[nodiscard]] JobResult execute(const JobSpec& spec, std::size_t index,
                                     util::Digest128* key = nullptr) const;
 
     /// Monotone change counter of the store's contents.
     [[nodiscard]] std::uint64_t cacheGeneration() const {
-        return cache_.stats().inserts + index_.changes();
+        return cache_.stats().inserts;
     }
 
     EngineOptions opt_;
@@ -242,10 +240,6 @@ private:
     mutable ResultCache cache_;
     PersistInfo persist_;
     BatchResilience resilience_;
-    /// Registry name + options → (spec stamp, digest), warm-started from
-    /// and flushed with the store, so a repeat hit skips rebuilding the
-    /// (possibly huge) flat Reed-Muller form just to compute its own key.
-    mutable JobIndex index_;
     /// Serializes flushes and guards the two markers below, which
     /// concurrent flushes and record adoption both write.
     std::mutex flushMutex_;
@@ -268,14 +262,22 @@ private:
 [[nodiscard]] std::vector<JobResult> runBatch(const std::vector<JobSpec>& specs,
                                               const EngineOptions& opt = {});
 
-/// Cache key of a job's output ANF set under the given options: variables
-/// are relabeled in first-occurrence order over the canonically sorted
-/// term stream, monomials re-encoded and re-sorted (degree, then label
-/// list) under the new labels, and that term sequence — fixed-width u32
-/// labels with degree and count prefixes, after the options fingerprint —
-/// is streamed into a 128-bit digest without being materialized. Equal
-/// digests ⇔ (up to hash collision) the flow computes identical results,
-/// whatever the variables were named.
+/// Cache key of a registry job: a domain tag, then the registry name, the
+/// options fingerprint and the spec stamp. Needs no spec expansion, so a
+/// hit never builds the (possibly huge) flat Reed-Muller form.
+[[nodiscard]] util::Digest128 registryKey(std::string_view name,
+                                          std::string_view options,
+                                          std::uint64_t stamp);
+
+/// Cache key of any other job (expressions, a live Benchmark): its output
+/// ANF set under the given options. Variables are relabeled in
+/// first-occurrence order over the canonically sorted term stream,
+/// monomials re-encoded and re-sorted (degree, then label list) under the
+/// new labels, and that term sequence — fixed-width u32 labels with
+/// degree and count prefixes, after the options fingerprint — is streamed
+/// into a 128-bit digest without being materialized. Equal digests ⇔ (up
+/// to hash collision) the flow computes identical results, whatever the
+/// variables were named.
 [[nodiscard]] util::Digest128 canonicalDigest(
     std::span<const anf::Anf> outputs, const core::DecomposeOptions& opt,
     bool verify);
@@ -283,10 +285,10 @@ private:
 /// 64-bit stamp of what a registry name builds: port layout, output
 /// names, and the reference outputs on a fixed seeded batch of vectors.
 /// Microseconds, and never touches the benchmark's Reed-Muller form; a
-/// name-index entry is trusted only under the stamp it was recorded with.
+/// registry change that moves the stamp moves the job's key.
 [[nodiscard]] std::uint64_t specStamp(const circuits::Benchmark& bench);
 
-/// The options half of the key (also part of the name-index key).
+/// The options half of both keys.
 [[nodiscard]] std::string optionsFingerprint(const core::DecomposeOptions& opt,
                                              bool verify);
 

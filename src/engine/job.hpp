@@ -126,10 +126,11 @@ struct JobResult {
     /// Per-phase wall-time breakdown of the flow, so perf work can see
     /// where a job's time goes without a profiler.
     struct PhaseTimes {
-        /// Spec expansion: building the benchmark and, unless the name
-        /// index already knew the key, its Reed-Muller form.
+        /// Spec expansion: building the benchmark and, unless a registry
+        /// job's key hit, its Reed-Muller form.
         double resolveMs = 0.0;
-        /// Computing (or looking up in the name index) the job digest.
+        /// Computing the job's cache key: a registry job's spec stamp and
+        /// registry key, any other job's canonical digest.
         double digestMs = 0.0;
         /// Result-cache lookup, including any wait on an in-flight
         /// duplicate and the reference guard on a hit.

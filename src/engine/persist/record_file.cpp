@@ -42,11 +42,6 @@ std::string printable(std::string_view bytes) {
     return out;
 }
 
-/// "entry" → "entries", "index entry" → "index entries".
-std::string plural(std::string_view noun) {
-    return std::string(noun.substr(0, noun.size() - 1)) + "ies";
-}
-
 }  // namespace
 
 std::string_view loadStatusName(LoadStatus s) {
@@ -63,47 +58,8 @@ std::string_view loadStatusName(LoadStatus s) {
     return "unknown";
 }
 
-void RecordReader::section(std::string_view noun, std::uint64_t minBytes,
-                           const ReadOne& readOne) {
-    if (!detail_.empty()) return;
-    const bool first = first_;
-    first_ = false;
-    if (first) firstNoun_ = noun;
-    std::uint64_t count = 0;
-    try {
-        count = r_.u64();
-    } catch (const std::exception& e) {
-        detail_ = std::string(noun) + " section lost (" + e.what() + ")";
-        return;
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t remainingBefore = r_.remaining();
-        try {
-            readOne(r_, i);
-        } catch (const std::exception& e) {
-            // `count - i` trusts the declared count, but when the damage
-            // hit the count field itself that difference is garbage. An
-            // intact record occupies at least `minBytes`, so the bytes
-            // left at the damaged record bound how many the file could
-            // actually have held.
-            const std::uint64_t declared = count - i;
-            const std::uint64_t plausible = remainingBefore / minBytes;
-            if (first) dropped_ = std::min(declared, plausible);
-            detail_ = "salvaged " + std::to_string(i) + " of " +
-                      std::to_string(count) + " " + plural(noun) + " (" +
-                      e.what() + ")";
-            if (declared > plausible)
-                detail_ += "; declared " + std::string(noun) +
-                           " count untrusted (room for at most " +
-                           std::to_string(plausible) + " more)";
-            return;
-        }
-        if (first) ++kept_;
-    }
-}
-
 LoadOutcome loadRecords(const std::string& path, std::string_view fingerprint,
-                        const std::function<void(RecordReader&)>& body) {
+                        std::uint64_t minBytes, const ReadRecord& readOne) {
     static auto& loadFlip = fault::site("persist.load.flip");
     obs::ScopedSpan span("persist.load", "persist");
     obs::counter("persist.load").add();
@@ -141,19 +97,39 @@ LoadOutcome loadRecords(const std::string& path, std::string_view fingerprint,
                               printable(salt) + "', expected '" +
                               printable(fingerprint) + "'");
 
-        RecordReader records(r);
-        body(records);
         LoadOutcome out;
         out.status = LoadStatus::kLoaded;
-        out.detail = std::move(records.detail_);
-        out.droppedEntries = records.dropped_;
+        const std::uint64_t count = r.u64();
+        std::uint64_t kept = 0;
+        for (; kept < count; ++kept) {
+            const std::uint64_t remainingBefore = r.remaining();
+            try {
+                readOne(r, kept);
+            } catch (const std::exception& e) {
+                // `count - kept` trusts the declared count, but when the
+                // damage hit the count field itself that difference is
+                // garbage. An intact record occupies at least `minBytes`,
+                // so the bytes left at the damaged record bound how many
+                // the file could actually have held.
+                const std::uint64_t declared = count - kept;
+                const std::uint64_t plausible = remainingBefore / minBytes;
+                out.droppedEntries = std::min(declared, plausible);
+                out.detail = "salvaged " + std::to_string(kept) + " of " +
+                             std::to_string(count) + " entries (" +
+                             e.what() + ")";
+                if (declared > plausible)
+                    out.detail += "; declared entry count untrusted (room "
+                                  "for at most " +
+                                  std::to_string(plausible) + " more)";
+                break;
+            }
+        }
         if (out.detail.empty() && !r.done())
-            out.detail = "salvaged " + std::to_string(records.kept_) + " " +
-                         plural(records.firstNoun_) + "; " +
+            out.detail = "salvaged " + std::to_string(kept) + " entries; " +
                          std::to_string(r.remaining()) +
                          " trailing bytes after the declared count";
         if (out.detail.empty()) return out;
-        if (records.kept_ == 0)
+        if (kept == 0)
             return reject(LoadStatus::kCorrupt,
                           "no salvageable prefix (" + out.detail + ")");
         out.status = LoadStatus::kSalvaged;

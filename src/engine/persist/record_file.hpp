@@ -2,29 +2,26 @@
 // ladder, the rules for which bytes of a store to trust.
 //
 // A record file is a header — magic (8 bytes), u32 version, str
-// fingerprint — followed by counted sections (u64 count, then that many
-// records), little-endian throughout (format.hpp). Every record carries
-// its own checksum. store.hpp is the payload codec on top (pd-cache-v5:
-// result entries, then the name index): it says what a record holds
-// and checks its checksum. Every rule about trusting the bytes lives
-// here, once:
+// fingerprint — followed by one counted section (u64 count, then that
+// many records), little-endian throughout (format.hpp). Every record
+// carries its own checksum. store.hpp is the payload codec on top
+// (pd-cache-v6: result entries): it says what a record holds and checks
+// its checksum. Every rule about trusting the bytes lives here, once:
 //
 //   - loadRecords() never throws and never crashes on hostile input. A
 //     missing file is kNoFile; a wrong magic, version or fingerprint
 //     rejects the whole file (kBadMagic / kBadVersion / kBadFingerprint)
 //     and the caller cold-starts.
-//   - Damage inside a section is recovered from, not punished: every
+//   - Damage inside the section is recovered from, not punished: every
 //     record before the first bad byte passed its own checksum, so that
-//     prefix is kept (kSalvaged) and the rest of the file is dropped,
-//     later sections included. Damage in a later section keeps all of
-//     the first one.
-//   - droppedEntries counts first-section records lost to the damage,
-//     clamped to what the remaining bytes could have held: a flipped
-//     count field would otherwise publish a garbage number. The detail
-//     then says the declared count is untrusted.
+//     prefix is kept (kSalvaged) and the rest of the file is dropped.
+//   - droppedEntries counts records lost to the damage, clamped to what
+//     the remaining bytes could have held: a flipped count field would
+//     otherwise publish a garbage number. The detail then says the
+//     declared count is untrusted.
 //   - Bytes after the last declared record also make the load
-//     kSalvaged: the count fields can't be trusted, the records can.
-//   - A salvage that keeps no first-section record is plain kCorrupt.
+//     kSalvaged: the count field can't be trusted, the records can.
+//   - A salvage that keeps no record is plain kCorrupt.
 //   - saveFile() is atomic: the bytes go to "<path>.tmp.<pid>.<seq>"
 //     first and are renamed over the target, so readers never observe a
 //     half-written file and a crash mid-save leaves the previous version.
@@ -47,7 +44,10 @@
 
 namespace pd::engine::persist {
 
-inline constexpr std::string_view kFormatName = "pd-cache-v5";
+inline constexpr std::string_view kFormatName = "pd-cache-v6";
+// v6: a registry job's key is its name, options and spec stamp
+// (engine::registryKey), so the name index section is gone; v5 stores
+// cold-start as bad-version.
 // v5: the JobResult payload loses the SAT block's portfolio winner (one
 // u64); v4 stores cold-start as bad-version.
 // v4: keys are 16-byte job digests instead of full canonical-signature
@@ -56,7 +56,7 @@ inline constexpr std::string_view kFormatName = "pd-cache-v5";
 // bad-version.
 // v3: the JobResult payload gained the SAT-verification block
 // (satVerify.*) and VerifyStatus::kSat.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 inline constexpr std::string_view kMagic{"pdcache\0", 8};
 
 enum class LoadStatus : std::uint8_t {
@@ -79,7 +79,7 @@ struct LoadOutcome {
     using Status = LoadStatus;
     Status status = Status::kNoFile;
     std::string detail;  ///< human-readable reason when not kLoaded
-    /// First-section records lost to a damaged tail when kSalvaged.
+    /// Records lost to a damaged tail when kSalvaged.
     std::uint64_t droppedEntries = 0;
 
     [[nodiscard]] bool ok() const { return status == Status::kLoaded; }
@@ -89,38 +89,16 @@ struct LoadOutcome {
     }
 };
 
-/// The body of a record file after its verified header.
-class RecordReader {
-public:
-    using ReadOne = std::function<void(ByteReader&, std::uint64_t index)>;
+/// Decodes record `index`, checks its checksum, and throws on damage.
+using ReadRecord = std::function<void(ByteReader&, std::uint64_t index)>;
 
-    explicit RecordReader(ByteReader& r) : r_(r) {}
-
-    /// Reads one counted section. `readOne` decodes record `index`,
-    /// checks its checksum, and throws on damage; `minBytes` is the size
-    /// of the smallest intact record, which bounds the drop count. Once
-    /// a section is damaged, later calls read nothing.
-    void section(std::string_view noun, std::uint64_t minBytes,
-                 const ReadOne& readOne);
-
-private:
-    friend LoadOutcome loadRecords(const std::string&, std::string_view,
-                                   const std::function<void(RecordReader&)>&);
-
-    ByteReader& r_;
-    std::string detail_;          ///< salvage reason; "" while intact
-    std::string firstNoun_;       ///< noun of the first section
-    std::uint64_t kept_ = 0;      ///< intact first-section records
-    std::uint64_t dropped_ = 0;   ///< clamped first-section losses
-    bool first_ = true;
-};
-
-/// Reads `path`, checks the header against `fingerprint`, and lets
-/// `body` walk the sections. Never throws.
+/// Reads `path`, checks the header against `fingerprint`, and hands each
+/// declared record to `readOne`. `minBytes` is the size of the smallest
+/// intact record, which bounds the drop count. Never throws.
 LoadOutcome loadRecords(const std::string& path, std::string_view fingerprint,
-                        const std::function<void(RecordReader&)>& body);
+                        std::uint64_t minBytes, const ReadRecord& readOne);
 
-/// Writes the header, lets `body` append the sections to the file bytes
+/// Writes the header, lets `body` append the section to the file bytes
 /// (returning a short summary for the save span), and atomically
 /// replaces `path`. Returns false (with `errorOut` set) on I/O failure;
 /// never throws.

@@ -1,4 +1,4 @@
-// JobResult <-> bytes for the pd-cache-v5 store.
+// JobResult <-> bytes for the pd-cache-v6 store.
 //
 // Serializes exactly the semantic payload of a cached result — the
 // decomposition summary, QoR, verification outcome and the mapped

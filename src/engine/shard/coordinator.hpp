@@ -11,7 +11,7 @@
 // batch behind it), results stream back as checksummed frames tagged
 // with their job — each job's kResult carrying the store records the job
 // added — and after the fleet drains the engine adopts those records into
-// the shared pd-cache-v5 store.
+// the shared pd-cache-v6 store.
 //
 // Crash isolation: a worker that dies (abort, OOM kill, sanitizer trap)
 // or overruns the per-job wall budget (SIGKILL by deadline) costs only

@@ -6,7 +6,6 @@
 
 #include "engine/persist/format.hpp"
 #include "engine/persist/serialize.hpp"
-#include "engine/persist/store.hpp"
 #include "util/error.hpp"
 
 namespace pd::engine::shard {
@@ -213,7 +212,7 @@ std::string encodeResult(std::uint32_t tag, const JobResult& result,
     std::string out;
     ByteWriter w(out);
     w.u32(tag);
-    // Per-request fields the pd-cache-v5 payload deliberately omits.
+    // Per-request fields the pd-cache-v6 payload deliberately omits.
     w.str(result.name);
     w.f64(result.wallMs);
     w.f64(result.cpuMs);
@@ -233,16 +232,14 @@ std::string encodeResult(std::uint32_t tag, const JobResult& result,
     std::string semantic;
     persist::serializeJobResult(result, semantic);
     w.str(semantic);
-    // The job's store records, each as its store's record body.
-    w.u32(static_cast<std::uint32_t>(records.entries.size()));
-    for (const auto& e : records.entries) {
+    // The job's store records, each as the store's record body.
+    w.u32(static_cast<std::uint32_t>(records.size()));
+    for (const auto& e : records) {
         w.digest(e.key);
         semantic.clear();
         persist::serializeJobResult(*e.value, semantic);
         w.str(semantic);
     }
-    w.u32(static_cast<std::uint32_t>(records.index.size()));
-    for (const auto& e : records.index) persist::encodeIndexBody(e, out);
     return out;
 }
 
@@ -274,11 +271,8 @@ Answer decodeResult(std::string_view payload) {
     // out of bytes, which throws, long before it can allocate much.
     for (std::uint32_t n = r.u32(); n > 0; --n) {
         const util::Digest128 key = r.digest();
-        a.records.entries.push_back(
-            {key, persist::deserializeJobResult(r.str())});
+        a.records.push_back({key, persist::deserializeJobResult(r.str())});
     }
-    for (std::uint32_t n = r.u32(); n > 0; --n)
-        a.records.index.push_back(persist::decodeIndexBody(r));
     if (!r.done()) fail("shard", "trailing bytes after job result");
     JobResult& result = a.result;
     result = *semantic;

@@ -1,8 +1,8 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v13"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v14"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker socket is a length-prefixed, checksummed
-// frame over the same little-endian primitives as the pd-cache-v5 store:
+// frame over the same little-endian primitives as the pd-cache-v6 store:
 //
 //   frame := type u8 | length u32 | payload[length] | checksum u64
 //
@@ -14,8 +14,8 @@
 // truncated stream can never walk the decoder out of its buffer or hand
 // the coordinator a half-record. Payload encoders carry the same semantic
 // fields as a pd-batch-report-v1 job record (spec in, result out); a
-// result also carries the store records its job added, in the store's
-// own record-body encodings.
+// result also carries the cache entries its job added, in the store's
+// own record-body encoding.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +100,12 @@ namespace pd::engine::shard {
 /// v13 (one SAT searcher): kResult's JobResult payload loses the SAT
 /// block's portfolio winner (the pd-cache-v5 payload), and the
 /// --verify-threads argv is 0 or 1.
-inline constexpr std::uint32_t kProtocolVersion = 13;
+///
+/// v14 (one key per job): the name index is gone, so kResult loses its
+/// index-record section (u32 count, then name, stamp and digest per
+/// entry) and carries only the job's cache entries; a registry job's
+/// cache key is engine::registryKey, the pd-cache-v6 key.
+inline constexpr std::uint32_t kProtocolVersion = 14;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length
@@ -167,17 +172,12 @@ struct Hello {
     std::uint32_t shardId = 0;
 };
 
-/// The store records one job added in a worker: new result-cache
-/// entries and name-index entries (Engine::takeStoreRecords). They
-/// travel inside the job's kResult, encoded as the store's own record
-/// bodies — a cache entry as its 16-byte key plus the
-/// serializeJobResult payload, an index entry as
-/// persist::encodeIndexBody — and the coordinator adopts them after the
-/// fleet drains (Engine::adoptStoreRecords).
-struct StoreRecords {
-    std::vector<ResultCache::SnapshotEntry> entries;
-    std::vector<JobIndex::Entry> index;
-};
+/// The store records one job added in a worker: its new result-cache
+/// entries (Engine::runWireJob). They travel inside the job's kResult,
+/// encoded as the store's own record bodies — the 16-byte key plus the
+/// serializeJobResult payload — and the coordinator adopts them after
+/// the fleet drains (Engine::adoptStoreRecords).
+using StoreRecords = std::vector<ResultCache::SnapshotEntry>;
 
 [[nodiscard]] std::string encodeHello(const Hello& h);
 [[nodiscard]] Hello decodeHello(std::string_view payload);

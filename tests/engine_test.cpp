@@ -1,12 +1,11 @@
 // Batch-engine tests: determinism across thread counts, canonical-ANF
 // cache behaviour (hits on resubmit and on renamed-variable isomorphs,
 // no false hits across option fingerprints), the streamed job digest
-// against the materialized-signature oracle, the name index and its
-// reference guard, error isolation, the worker pool's exception capture,
-// LRU eviction, SAT verification through the result cache (a hit
-// replays the donor's block, a fault-starved verify is never
-// published), the default batch at 4 jobs against 1 (jobs and sweep
-// counters), and the JSON reporter.
+// against the materialized-signature oracle, error isolation, the
+// worker pool's exception capture, LRU eviction, SAT verification
+// through the result cache (a hit replays the donor's block, a
+// fault-starved verify is never published), the default batch at 4
+// jobs against 1 (jobs and sweep counters), and the JSON reporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,14 +1,14 @@
-// Persistent-store tests: byte-level format round-trips, the pd-cache-v5
+// Persistent-store tests: byte-level format round-trips, the pd-cache-v6
 // store contract — loud rejection of every corruption class (truncation,
 // bit flips, other versions, foreign fingerprints) as a clean cold
 // start, checksummed-prefix salvage, injected save/load faults, and the
 // pinned on-disk bytes of the format — a kResult whose records are
 // store record bodies, first-in-wins adoption of worker records, engine
-// warm-start/flush end-to-end, the persisted name index and the
-// reference guard behind it (stale entries, changed specs), and a
-// concurrent save-while-computing hammer. All failure paths must
-// neither crash nor serve a wrong answer — a bad file is equivalent to
-// no file.
+// warm-start/flush end-to-end, registry keys (name, options and spec
+// stamp) and the reference guard behind them (a key holding another
+// job's result, changed spec stamps), and a concurrent
+// save-while-computing hammer. All failure paths must neither crash nor
+// serve a wrong answer — a bad file is equivalent to no file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -229,14 +229,11 @@ public:
 /// Offset of the first record in a store saved under "fp".
 constexpr std::size_t kHeaderEnd =
     8 /*magic*/ + 4 /*version*/ + (4 + 2) /*"fp" str*/ + 8 /*count*/;
-/// Bytes after the last entry: the empty index section's count.
-constexpr std::size_t kTail = 8;
 /// FNV-1a of pinnedSave()'s bytes. A different value is a format change,
 /// which needs a kFormatVersion bump, not a new constant.
-constexpr std::uint64_t kPinnedFnv = 0xbaf2c707d939ac9full;  // pd-cache-v5
+constexpr std::uint64_t kPinnedFnv = 0xc4c0dffe5e8216dfull;  // pd-cache-v6
 
-/// Three result entries; the index section stays empty except in the
-/// pinned file.
+/// Three result entries.
 [[nodiscard]] std::vector<StoreEntry> threeEntries() {
     std::vector<StoreEntry> entries;
     for (const char* label : {"sig-A", "sig-B", "sig-C"})
@@ -251,16 +248,8 @@ constexpr std::uint64_t kPinnedFnv = 0xbaf2c707d939ac9full;  // pd-cache-v5
     return all;
 }
 
-bool saveEntries(const std::string& path, std::string_view fp,
-                 std::span<const StoreEntry> entries,
-                 std::string* error = nullptr) {
-    return CacheStore::save(path, fp, entries, {}, error);
-}
-
 bool pinnedSave(const std::string& path) {
-    const std::vector<JobIndex::Entry> index = {
-        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-C")}};
-    return CacheStore::save(path, "pin", threeEntries(), index);
+    return CacheStore::save(path, "pin", threeEntries());
 }
 
 void expectSameEntry(const StoreEntry& a, const StoreEntry& b) {
@@ -271,7 +260,7 @@ void expectSameEntry(const StoreEntry& a, const StoreEntry& b) {
 TEST(PersistStore, SaveLoadRoundTrip) {
     TempFile file("roundtrip");
     std::string error;
-    ASSERT_TRUE(saveEntries(file.path(), "fp1", threeEntries(), &error))
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp1", threeEntries(), &error))
         << error;
     const auto loaded = CacheStore::load(file.path(), "fp1");
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
@@ -300,13 +289,13 @@ TEST(PersistStore, MissingFileIsACleanColdStart) {
 
 TEST(PersistStore, RejectsTruncatedFile) {
     TempFile file("truncated");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", oneEntry()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", oneEntry()));
     const std::string bytes = readFile(file.path());
     ASSERT_GT(bytes.size(), 16u);
     // Every truncation point inside the entry must reject cleanly, never
     // crash.
     for (const std::size_t keep :
-         {bytes.size() - kTail - 1, bytes.size() / 2, std::size_t{13},
+         {bytes.size() - 1, bytes.size() / 2, std::size_t{13},
           std::size_t{7}, std::size_t{0}}) {
         writeFile(file.path(), bytes.substr(0, keep));
         const auto loaded = CacheStore::load(file.path(), "fp");
@@ -317,7 +306,7 @@ TEST(PersistStore, RejectsTruncatedFile) {
 
 TEST(PersistStore, RejectsEveryFlippedByte) {
     TempFile file("checksum");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", oneEntry()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", oneEntry()));
     const std::string bytes = readFile(file.path());
     // Flip one byte in every position after magic and version; each must
     // be caught by the fingerprint check, a length prefix, a record
@@ -335,7 +324,7 @@ TEST(PersistStore, RejectsEveryFlippedByte) {
 
 TEST(PersistStore, RejectsOtherFormatVersions) {
     TempFile file("version");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", oneEntry()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", oneEntry()));
     const std::string bytes = readFile(file.path());
     // Past versions (a v1 store inherited by CI) and future ones must be
     // rejected loudly as bad-version, never decoded.
@@ -362,7 +351,7 @@ TEST(PersistStore, RejectsBadMagic) {
 
 TEST(PersistStore, RejectsMismatchedFingerprint) {
     TempFile file("fingerprint");
-    ASSERT_TRUE(saveEntries(file.path(), "fp-writer", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp-writer", threeEntries()));
     const auto loaded = CacheStore::load(file.path(), "fp-reader");
     EXPECT_EQ(loaded.status, LoadStatus::kBadFingerprint);
     EXPECT_NE(loaded.detail.find("fp-writer"), std::string::npos);
@@ -371,10 +360,10 @@ TEST(PersistStore, RejectsMismatchedFingerprint) {
 
 TEST(PersistStore, TruncatedTailSalvagesTheIntactPrefix) {
     TempFile file("salvage_trunc");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
     const std::string bytes = readFile(file.path());
     // One byte into the last entry's checksum.
-    writeFile(file.path(), bytes.substr(0, bytes.size() - kTail - 1));
+    writeFile(file.path(), bytes.substr(0, bytes.size() - 1));
     const auto loaded = CacheStore::load(file.path(), "fp");
     EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
     EXPECT_TRUE(loaded.usable());
@@ -391,8 +380,8 @@ TEST(PersistStore, TruncatedTailSalvagesTheIntactPrefix) {
 
 TEST(PersistStore, FlippedByteInTheLastEntrySalvagesTheRest) {
     TempFile file("salvage_flip");
-    for (const std::size_t fromEnd : {kTail + 2, kTail + 10}) {
-        ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    for (const std::size_t fromEnd : {2, 10}) {
+        ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
         std::string bytes = readFile(file.path());
         const std::size_t at = bytes.size() - fromEnd;
         bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
@@ -415,7 +404,7 @@ TEST(PersistStore, DamagedFirstEntryMeansNoSalvage) {
     // zero-entry salvage.
     TempFile file("salvage_none");
     for (const std::size_t into : {0u, 4u}) {
-        ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+        ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
         std::string bytes = readFile(file.path());
         const std::size_t at = kHeaderEnd + into;
         bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
@@ -434,7 +423,7 @@ TEST(PersistStore, CorruptCountFieldClampsDroppedEntries) {
     // remaining bytes could plausibly hold and flag the count untrusted
     // rather than publish the garbage.
     TempFile file("salvage_count");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
     std::string bytes = readFile(file.path());
     // Little-endian high byte: declared count jumps to ~2^59.
     const std::size_t high = kHeaderEnd - 1;
@@ -455,7 +444,7 @@ TEST(PersistStore, TrailingBytesAreSalvagedNotTrusted) {
     // Every declared record validates but the file keeps going: the count
     // fields can't be trusted, the records can.
     TempFile file("trailing");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
     writeFile(file.path(), readFile(file.path()) + "junk");
     const auto loaded = CacheStore::load(file.path(), "fp");
     EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
@@ -470,13 +459,13 @@ TEST(PersistStore, EnospcFailsTheSaveAndLeavesNoFile) {
     std::string error;
     {
         ScopedFaults faults("persist.save.enospc:n1");
-        EXPECT_FALSE(saveEntries(file.path(), "fp", threeEntries(), &error));
+        EXPECT_FALSE(CacheStore::save(file.path(), "fp", threeEntries(), &error));
         EXPECT_NE(error.find("no space left on device"), std::string::npos)
             << error;
     }
     EXPECT_EQ(CacheStore::load(file.path(), "fp").status, LoadStatus::kNoFile)
         << "a failed save must not leave a target file behind";
-    EXPECT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
 }
 
 TEST(PersistStore, ShortWriteLeavesATornStoreTheLoadContains) {
@@ -486,7 +475,7 @@ TEST(PersistStore, ShortWriteLeavesATornStoreTheLoadContains) {
     TempFile file("fault_short");
     {
         ScopedFaults faults("persist.save.short_write:n1");
-        EXPECT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+        EXPECT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
     }
     const auto loaded = CacheStore::load(file.path(), "fp");
     EXPECT_FALSE(loaded.ok());
@@ -501,12 +490,12 @@ TEST(PersistStore, ShortWriteLeavesATornStoreTheLoadContains) {
 
 TEST(PersistStore, RenameFailureKeepsThePreviousStoreVersion) {
     TempFile file("fault_rename");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
     const std::string before = readFile(file.path());
     std::string error;
     {
         ScopedFaults faults("persist.save.rename:n1");
-        EXPECT_FALSE(saveEntries(file.path(), "fp", oneEntry(), &error));
+        EXPECT_FALSE(CacheStore::save(file.path(), "fp", oneEntry(), &error));
         EXPECT_NE(error.find("persist.save.rename"),
                   std::string::npos)
             << error;
@@ -517,7 +506,7 @@ TEST(PersistStore, RenameFailureKeepsThePreviousStoreVersion) {
 
 TEST(PersistStore, LoadFlipIsCaughtAndClearsWhenDisarmed) {
     TempFile file("fault_flip");
-    ASSERT_TRUE(saveEntries(file.path(), "fp", threeEntries()));
+    ASSERT_TRUE(CacheStore::save(file.path(), "fp", threeEntries()));
     {
         ScopedFaults faults("persist.load.flip:n1");
         const auto loaded = CacheStore::load(file.path(), "fp");
@@ -529,75 +518,26 @@ TEST(PersistStore, LoadFlipIsCaughtAndClearsWhenDisarmed) {
         << "the file itself was never damaged; disarmed loads are clean";
 }
 
-// ---- the name-index section ------------------------------------------------
-
-TEST(PersistStore, SaveLoadRoundTripKeepsTheIndex) {
-    TempFile file("roundtrip_index");
-    std::string error;
-    const std::vector<JobIndex::Entry> index = {
-        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-B")}};
-    ASSERT_TRUE(CacheStore::save(file.path(), "fp1", threeEntries(),
-                                 index, &error))
-        << error;
-    const auto loaded = CacheStore::load(file.path(), "fp1");
-    ASSERT_TRUE(loaded.ok()) << loaded.detail;
-    ASSERT_EQ(loaded.index.size(), 2u);
-    EXPECT_EQ(loaded.index[1].name, "counter8|k4");
-    EXPECT_EQ(loaded.index[1].stamp, 9u);
-    EXPECT_EQ(loaded.index[1].digest, key("sig-B"));
-}
-
-TEST(PersistStore, IndexDamageKeepsEveryResult) {
-    TempFile file("index_damage");
-    const std::vector<JobIndex::Entry> index = {
-        {"adder8|k4", 7, key("sig-A")}, {"counter8|k4", 9, key("sig-B")}};
-    ASSERT_TRUE(
-        CacheStore::save(file.path(), "fp", threeEntries(), index));
-    std::string bytes = readFile(file.path());
-    // The last index record's checksum.
-    bytes[bytes.size() - 2] = static_cast<char>(bytes[bytes.size() - 2] ^ 1);
-    writeFile(file.path(), bytes);
-    const auto loaded = CacheStore::load(file.path(), "fp");
-    EXPECT_EQ(loaded.status, LoadStatus::kSalvaged);
-    EXPECT_EQ(loaded.entries.size(), 3u);
-    ASSERT_EQ(loaded.index.size(), 1u);
-    EXPECT_EQ(loaded.index[0].name, "adder8|k4");
-    EXPECT_EQ(loaded.droppedEntries, 0u)
-        << "index records are not results; none were dropped";
-    EXPECT_NE(loaded.detail.find("salvaged 1 of 2 index entries"),
-              std::string::npos)
-        << loaded.detail;
-}
-
 // ---- a kResult's records are store record bodies ---------------------------
 
-// One cache entry and one index entry ride one kResult: each decodes
-// field by field, and the frame's record section is exactly the record
-// bodies the store writes (each record minus its checksum).
+// A cache entry rides a kResult: it decodes field by field, and the
+// frame's record section is exactly the record body the store writes
+// (the record minus its checksum).
 TEST(PersistWire, ResultRecordsAreTheStoreRecordBodies) {
     const StoreEntry entry{key("sig-A"),
                            std::make_shared<const JobResult>(sampleResult())};
-    const JobIndex::Entry index{"adder8|k4", 7, key("sig-A")};
 
     TempFile cacheFile("wire_cache");
-    ASSERT_TRUE(
-        CacheStore::save(cacheFile.path(), "fp", {&entry, 1}, {&index, 1}));
+    ASSERT_TRUE(CacheStore::save(cacheFile.path(), "fp", {&entry, 1}));
     const std::string cacheBytes = readFile(cacheFile.path());
-    // The entry body is its key and its length-prefixed payload; the
-    // index record follows the entry's checksum and the index count.
+    // The entry body is its key and its length-prefixed payload.
     const std::size_t entryBody =
         16 + 4 + ByteReader(cacheBytes.substr(kHeaderEnd + 16, 4)).u32();
-    const std::size_t indexStart = kHeaderEnd + entryBody + 8 + 8;
     std::string expected;
-    ByteWriter w(expected);
-    w.u32(1);
+    ByteWriter(expected).u32(1);
     expected += cacheBytes.substr(kHeaderEnd, entryBody);
-    w.u32(1);
-    expected += cacheBytes.substr(indexStart, cacheBytes.size() - indexStart - 8);
 
-    engine::shard::StoreRecords records;
-    records.entries.push_back({entry.key, entry.result});
-    records.index.push_back(index);
+    const engine::shard::StoreRecords records{{entry.key, entry.result}};
     JobResult r = sampleResult();
     r.name = "adder8";
     const std::string payload = engine::shard::encodeResult(5, r, records);
@@ -607,13 +547,9 @@ TEST(PersistWire, ResultRecordsAreTheStoreRecordBodies) {
     auto [tag, back, got] = engine::shard::decodeResult(payload);
     EXPECT_EQ(tag, 5u);
     EXPECT_EQ(back.name, "adder8");
-    ASSERT_EQ(got.entries.size(), 1u);
-    EXPECT_EQ(got.entries[0].key, entry.key);
-    expectSameResult(*got.entries[0].value, *entry.result);
-    ASSERT_EQ(got.index.size(), 1u);
-    EXPECT_EQ(got.index[0].name, index.name);
-    EXPECT_EQ(got.index[0].stamp, index.stamp);
-    EXPECT_EQ(got.index[0].digest, index.digest);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].key, entry.key);
+    expectSameResult(*got[0].value, *entry.result);
     EXPECT_THROW((void)engine::shard::decodeResult(payload + "x"), pd::Error);
     EXPECT_THROW(
         (void)engine::shard::decodeResult(payload.substr(0, payload.size() - 1)),
@@ -637,15 +573,9 @@ TEST(PersistSalvage, EngineWarmStartsFromASalvagedStore) {
             ASSERT_TRUE(r.ok) << r.error;
         ASSERT_TRUE(engine.flushCache());
     }
-    // Tear the store three bytes into its last result entry: the index
-    // section after it goes too, so every job must recompute its key.
-    const auto pristine =
-        CacheStore::load(file.path(), persistFingerprint(opt));
-    ASSERT_EQ(pristine.index.size(), 2u);
-    std::size_t indexBytes = 8;
-    for (const auto& e : pristine.index) indexBytes += 4 + e.name.size() + 40;
+    // Tear the store three bytes into its last result entry.
     const std::string bytes = readFile(file.path());
-    writeFile(file.path(), bytes.substr(0, bytes.size() - indexBytes - 3));
+    writeFile(file.path(), bytes.substr(0, bytes.size() - 3));
 
     Engine warm(opt);
     EXPECT_EQ(warm.persistInfo().loadStatus, LoadStatus::kSalvaged);
@@ -827,12 +757,9 @@ TEST(PersistShardMerge, SharedKeyFirstBundleInWins) {
     const auto bundle = [](double area, const char* other) {
         JobResult shared = sampleResult();
         shared.qor.area = area;
-        engine::shard::StoreRecords r;
-        r.entries.push_back(
-            {key("sig-A"), std::make_shared<const JobResult>(shared)});
-        r.entries.push_back(
-            {key(other), std::make_shared<const JobResult>(sampleResult())});
-        return r;
+        return engine::shard::StoreRecords{
+            {key("sig-A"), std::make_shared<const JobResult>(shared)},
+            {key(other), std::make_shared<const JobResult>(sampleResult())}};
     };
     EngineOptions opt;
     opt.cacheFile = cacheFile.path();
@@ -856,9 +783,9 @@ TEST(PersistShardMerge, SharedKeyFirstBundleInWins) {
 }
 
 // End-to-end flavor with real engines standing in for two workers: both
-// compute majority7 (overlapping canonical key), each contributes a
-// private job, and adopting every answer's bundle then flushing must
-// yield exactly three entries, each named by the index, in a clean store.
+// compute majority7 (overlapping key), each contributes a private job,
+// and adopting every answer's bundle then flushing must yield exactly
+// three entries in a clean store.
 TEST(PersistShardMerge, TwoEngineRecordsAdoptAndFlushClean) {
     TempFile file("twoengines");
     const auto recordsFor = [](std::initializer_list<const char*> names) {
@@ -869,9 +796,8 @@ TEST(PersistShardMerge, TwoEngineRecordsAdoptAndFlushClean) {
             s.benchmark = name;
             auto [result, records] = engine.runWireJob(s);
             EXPECT_TRUE(result.ok);
-            // Each answer carries its own job's entry and index entry.
-            EXPECT_EQ(records.entries.size(), 1u) << name;
-            EXPECT_EQ(records.index.size(), 1u) << name;
+            // Each answer carries its own job's entry.
+            EXPECT_EQ(records.size(), 1u) << name;
             bundles.push_back(std::move(records));
         }
         return bundles;
@@ -892,7 +818,6 @@ TEST(PersistShardMerge, TwoEngineRecordsAdoptAndFlushClean) {
         CacheStore::load(file.path(), persistFingerprint(opt));
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
     EXPECT_EQ(loaded.entries.size(), 3u);
-    EXPECT_EQ(loaded.index.size(), 3u);
 }
 
 // A worker's records exclude everything it was warm-started with — N
@@ -922,22 +847,15 @@ TEST(PersistShardMerge, StoreRecordsExcludeWarmStartedRecords) {
     fresh.benchmark = "counter8";  // computed locally
     const auto [warmResult, warmRecords] = reader.runWireJob(warm);
     ASSERT_TRUE(warmResult.ok);
-    EXPECT_TRUE(warmRecords.entries.empty());
-    EXPECT_TRUE(warmRecords.index.empty());
+    EXPECT_TRUE(warmRecords.empty());
     const auto [freshResult, records] = reader.runWireJob(fresh);
     const std::string& freshKey = freshResult.cacheKey;
-    ASSERT_EQ(records.entries.size(), 1u);
-    EXPECT_EQ(records.entries[0].key.hex(), freshKey);
-    EXPECT_NE(records.entries[0].key.hex(), warmKey);
-    ASSERT_EQ(records.index.size(), 1u);
-    EXPECT_EQ(records.index[0].name.rfind("counter8", 0), 0u)
-        << records.index[0].name;
-    EXPECT_EQ(records.index[0].digest.hex(), freshKey);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].key.hex(), freshKey);
+    EXPECT_NE(records[0].key.hex(), warmKey);
 
     // A repeat is a hit on the entry already handed out.
-    const auto again = reader.runWireJob(fresh).second;
-    EXPECT_TRUE(again.entries.empty());
-    EXPECT_TRUE(again.index.empty());
+    EXPECT_TRUE(reader.runWireJob(fresh).second.empty());
 }
 
 // N workers warm-starting read-only from one warm.pdc simultaneously —
@@ -999,13 +917,13 @@ TEST(PersistShardMerge, SharedReadonlyWarmStartUnderConcurrentFlush) {
         CacheStore::load(file.path(), persistFingerprint(writerOpt)).ok());
 }
 
-// ---- persisted name index + reference guard --------------------------------
+// ---- registry keys + reference guard ---------------------------------------
 
 [[nodiscard]] std::uint64_t counterValue(const char* name) {
     return obs::counter(name).value();
 }
 
-[[nodiscard]] std::vector<JobSpec> indexBatch() {
+[[nodiscard]] std::vector<JobSpec> registryBatch() {
     std::vector<JobSpec> specs;
     for (const char* name : {"majority7", "counter8", "adder8"}) {
         JobSpec s;
@@ -1013,6 +931,17 @@ TEST(PersistShardMerge, SharedReadonlyWarmStartUnderConcurrentFlush) {
         specs.push_back(std::move(s));
     }
     return specs;
+}
+
+/// The key a registry job gets when its name builds `stamp`.
+[[nodiscard]] util::Digest128 keyUnderStamp(const JobSpec& spec,
+                                            std::uint64_t stamp) {
+    return registryKey(spec.benchmark,
+                       optionsFingerprint(spec.options, spec.verify), stamp);
+}
+
+[[nodiscard]] std::uint64_t stampOf(const JobSpec& spec) {
+    return specStamp(*circuits::makeNamedBenchmark(spec.benchmark));
 }
 
 void expectSameSemantics(const JobResult& a, const JobResult& b) {
@@ -1026,35 +955,50 @@ void expectSameSemantics(const JobResult& a, const JobResult& b) {
     EXPECT_EQ(a.cacheKey, b.cacheKey);
 }
 
-/// Runs the index batch cold against `file`, flushing the store.
-[[nodiscard]] std::vector<JobResult> coldIndexRun(const std::string& file) {
+/// Runs the registry batch cold against `file`, flushing the store.
+[[nodiscard]] std::vector<JobResult> coldRegistryRun(const std::string& file) {
     EngineOptions opt;
     opt.cacheFile = file;
     Engine engine(opt);
-    auto results = engine.runBatch(indexBatch());
+    auto results = engine.runBatch(registryBatch());
     for (const auto& r : results) EXPECT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(engine.flushCache());
     return results;
 }
 
-TEST(PersistIndex, WarmRunSkipsSpecExpansion) {
-    TempFile file("index_warm");
-    const auto cold = coldIndexRun(file.path());
-    const auto loaded = CacheStore::load(
-        file.path(), persistFingerprint(EngineOptions{}));
-    ASSERT_TRUE(loaded.ok()) << loaded.detail;
-    EXPECT_EQ(loaded.index.size(), 3u);
+/// The loaded entry under `key`, or nullptr.
+[[nodiscard]] StoreEntry* entryUnder(std::vector<StoreEntry>& entries,
+                                     const util::Digest128& key) {
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&](const auto& e) { return e.key == key; });
+    return it == entries.end() ? nullptr : &*it;
+}
+
+TEST(PersistRegistryKey, ColdKeyIsNameOptionsAndStamp) {
+    // A registry job's key is what it names, not its expanded spec, so
+    // finding it needs no Reed-Muller form.
+    Engine engine{EngineOptions{}};
+    for (const JobSpec& spec : registryBatch()) {
+        const auto r = engine.runJob(spec);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_FALSE(r.cacheHit);
+        EXPECT_EQ(r.cacheKey, keyUnderStamp(spec, stampOf(spec)).hex())
+            << spec.benchmark;
+    }
+}
+
+TEST(PersistRegistryKey, WarmRunSkipsSpecExpansion) {
+    TempFile file("registry_warm");
+    const auto cold = coldRegistryRun(file.path());
 
     EngineOptions opt;
     opt.cacheFile = file.path();
     opt.cacheReadonly = true;
     Engine warm(opt);
     const auto expansions = counterValue("engine.spec.expansions");
-    const auto indexHits = counterValue("cache.index.hits");
-    const auto warmResults = warm.runBatch(indexBatch());
+    const auto warmResults = warm.runBatch(registryBatch());
     EXPECT_EQ(counterValue("engine.spec.expansions"), expansions)
-        << "an index hit must not expand the spec";
-    EXPECT_EQ(counterValue("cache.index.hits"), indexHits + 3);
+        << "a registry hit must not expand the spec";
     for (std::size_t i = 0; i < warmResults.size(); ++i) {
         ASSERT_TRUE(warmResults[i].ok) << warmResults[i].error;
         EXPECT_EQ(warmResults[i].cacheSource, CacheSource::kDisk);
@@ -1062,13 +1006,25 @@ TEST(PersistIndex, WarmRunSkipsSpecExpansion) {
     }
 }
 
-TEST(PersistIndex, StaleEntryIsCaughtByTheReferenceGuard) {
-    // The fault points majority7's index entry at another job's digest:
-    // the cached netlist it finds fails majority7's reference, so the job
-    // recomputes its key and is served from its own entry — and the
-    // read-only store stays byte-identical.
-    TempFile file("index_stale");
-    const auto cold = coldIndexRun(file.path());
+TEST(PersistRegistryKey, StaleEntryIsCaughtByTheReferenceGuard) {
+    // majority7's key holds counter8's result: the cached netlist fails
+    // majority7's reference, so the job is a miss that expands its spec
+    // and recomputes without publishing — and the read-only store stays
+    // byte-identical.
+    TempFile file("registry_stale");
+    const auto cold = coldRegistryRun(file.path());
+    const std::string fp = persistFingerprint(EngineOptions{});
+    auto loaded = CacheStore::load(file.path(), fp);
+    ASSERT_TRUE(loaded.ok()) << loaded.detail;
+    const auto specs = registryBatch();
+    StoreEntry* majority =
+        entryUnder(loaded.entries, keyUnderStamp(specs[0], stampOf(specs[0])));
+    StoreEntry* counter =
+        entryUnder(loaded.entries, keyUnderStamp(specs[1], stampOf(specs[1])));
+    ASSERT_NE(majority, nullptr);
+    ASSERT_NE(counter, nullptr);
+    majority->result = counter->result;
+    ASSERT_TRUE(CacheStore::save(file.path(), fp, loaded.entries));
     const std::string before = readFile(file.path());
 
     EngineOptions opt;
@@ -1079,22 +1035,22 @@ TEST(PersistIndex, StaleEntryIsCaughtByTheReferenceGuard) {
     const auto expansions = counterValue("engine.spec.expansions");
     std::vector<JobResult> warmResults;
     {
-        ScopedFaults faults("cache.index.stale:n1");
         Engine warm(opt);
-        warmResults = warm.runBatch(indexBatch());
+        warmResults = warm.runBatch(specs);
     }
     EXPECT_EQ(counterValue("cache.digest_mismatch"), mismatches + 1);
     EXPECT_EQ(counterValue("engine.spec.expansions"), expansions + 1)
-        << "only the misled job recomputes its key";
+        << "only the misled job expands its spec";
     for (std::size_t i = 0; i < warmResults.size(); ++i) {
         ASSERT_TRUE(warmResults[i].ok) << warmResults[i].error;
         expectSameSemantics(cold[i], warmResults[i]);
     }
+    EXPECT_EQ(warmResults[0].cacheSource, CacheSource::kComputed);
     EXPECT_EQ(readFile(file.path()), before)
         << "a read-only store is never rewritten";
 }
 
-TEST(PersistIndex, ChangedSpecStampMissesTheIndex) {
+TEST(PersistRegistryKey, ChangedSpecStampIsAMissUnderANewKey) {
     const auto bench = *circuits::makeNamedBenchmark("majority7");
     const std::uint64_t stamp = specStamp(bench);
     EXPECT_EQ(specStamp(*circuits::makeNamedBenchmark("majority7")), stamp);
@@ -1105,41 +1061,45 @@ TEST(PersistIndex, ChangedSpecStampMissesTheIndex) {
     renamed.ports[0].name = "z";
     EXPECT_NE(specStamp(renamed), stamp);
 
-    // A store whose index entries were recorded under other stamps, as
-    // after a registry change to the port layout: every lookup misses the
-    // index, the jobs recompute their keys (still served from disk, since
-    // the functions did not change), and the flush re-stamps the index.
-    TempFile file("index_restamp");
-    const auto cold = coldIndexRun(file.path());
+    // A store whose entries were keyed under other stamps, as before a
+    // registry change to what the names build: every job misses, expands
+    // its spec, recomputes and publishes under its new key.
+    TempFile file("registry_restamp");
+    const auto cold = coldRegistryRun(file.path());
     const std::string fp = persistFingerprint(EngineOptions{});
     auto loaded = CacheStore::load(file.path(), fp);
     ASSERT_TRUE(loaded.ok()) << loaded.detail;
-    for (auto& e : loaded.index) e.stamp ^= 1;
-    ASSERT_TRUE(
-        CacheStore::save(file.path(), fp, loaded.entries, loaded.index));
+    std::vector<StoreEntry> stale;
+    for (const JobSpec& spec : registryBatch()) {
+        const StoreEntry* e =
+            entryUnder(loaded.entries, keyUnderStamp(spec, stampOf(spec)));
+        ASSERT_NE(e, nullptr) << spec.benchmark;
+        stale.push_back({keyUnderStamp(spec, stampOf(spec) ^ 1), e->result});
+    }
+    ASSERT_TRUE(CacheStore::save(file.path(), fp, stale));
 
     EngineOptions opt;
     opt.cacheFile = file.path();
-    const auto misses = counterValue("cache.index.misses");
     const auto expansions = counterValue("engine.spec.expansions");
     {
         Engine warm(opt);
-        const auto results = warm.runBatch(indexBatch());
+        EXPECT_EQ(warm.persistInfo().loadedEntries, 3u);
+        const auto results = warm.runBatch(registryBatch());
         for (std::size_t i = 0; i < results.size(); ++i) {
             ASSERT_TRUE(results[i].ok) << results[i].error;
-            EXPECT_EQ(results[i].cacheSource, CacheSource::kDisk);
+            EXPECT_EQ(results[i].cacheSource, CacheSource::kComputed);
             expectSameSemantics(cold[i], results[i]);
         }
     }
-    EXPECT_EQ(counterValue("cache.index.misses"), misses + 3);
     EXPECT_EQ(counterValue("engine.spec.expansions"), expansions + 3);
-    const auto restamped = CacheStore::load(file.path(), fp);
-    ASSERT_TRUE(restamped.ok()) << restamped.detail;
-    ASSERT_EQ(restamped.index.size(), 3u);
-    for (const auto& e : restamped.index) {
-        if (e.name.starts_with("majority7|")) {
-            EXPECT_EQ(e.stamp, stamp);
-        }
+    auto flushed = CacheStore::load(file.path(), fp);
+    ASSERT_TRUE(flushed.ok()) << flushed.detail;
+    EXPECT_EQ(flushed.entries.size(), 6u)
+        << "each new key joins the stale ones";
+    for (const JobSpec& spec : registryBatch()) {
+        const auto fresh = keyUnderStamp(spec, stampOf(spec));
+        EXPECT_NE(entryUnder(flushed.entries, fresh), nullptr)
+            << spec.benchmark;
     }
 }
 

@@ -164,8 +164,8 @@ void expectSameNetlist(const netlist::Netlist& a, const netlist::Netlist& b) {
     }
 }
 
-/// A result payload carrying one record of each kind: a cache entry with
-/// a small netlist and a name-index entry.
+/// A result payload carrying one store record: a cache entry with a
+/// small netlist.
 [[nodiscard]] std::string recordsResultPayload() {
     JobResult value;
     value.ok = true;
@@ -176,9 +176,8 @@ void expectSameNetlist(const netlist::Netlist& a, const netlist::Netlist& b) {
     nl.markOutput("y", nl.addGate(netlist::GateType::kXor, a, b));
     value.mapped = std::move(nl);
     StoreRecords records;
-    records.entries.push_back({util::digestOf("key"),
-                               std::make_shared<const JobResult>(value)});
-    records.index.push_back({"xor2|k4", 5, util::digestOf("key")});
+    records.push_back({util::digestOf("key"),
+                       std::make_shared<const JobResult>(value)});
     JobResult r;
     r.name = "xor2";
     r.ok = true;
@@ -213,11 +212,9 @@ TEST(ShardProtocol, FrameRoundTripInArbitraryChunks) {
     const auto [tag, result, records] = decodeResult(frames[2].payload);
     EXPECT_EQ(tag, 7u);
     EXPECT_EQ(result.name, "xor2");
-    ASSERT_EQ(records.entries.size(), 1u);
-    EXPECT_EQ(records.entries[0].key, util::digestOf("key"));
-    EXPECT_EQ(records.entries[0].value->mapped.outputs().size(), 1u);
-    ASSERT_EQ(records.index.size(), 1u);
-    EXPECT_EQ(records.index[0].name, "xor2|k4");
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].key, util::digestOf("key"));
+    EXPECT_EQ(records[0].value->mapped.outputs().size(), 1u);
 }
 
 TEST(ShardProtocol, JobSpecRoundTrip) {
@@ -307,8 +304,7 @@ TEST(ShardProtocol, ResultRoundTrip) {
     EXPECT_EQ(back.phases.verifyMs, r.phases.verifyMs);
     EXPECT_EQ(back.cacheHit, r.cacheHit);
     EXPECT_EQ(back.cacheSource, r.cacheSource);
-    EXPECT_TRUE(records.entries.empty());
-    EXPECT_TRUE(records.index.empty());
+    EXPECT_TRUE(records.empty());
 }
 
 TEST(ShardProtocol, TruncationIsIncompleteNotAnError) {
@@ -1317,7 +1313,13 @@ TEST(CliExitCodes, ZeroAllOkTwoPartialOneFatalSixtyFourUsage) {
                      " batch majority7 --cache-file " + store.path() +
                      " >/dev/null 2>&1"),
               1);
-    EXPECT_EQ(runCli(cli + " batch --not-a-flag >/dev/null 2>&1"), 64);
+    // The usage text printed for a usage error names its own exit code.
+    TempFile usage("exitcodes_usage");
+    EXPECT_EQ(runCli(cli + " batch --not-a-flag >/dev/null 2>" +
+                     usage.path()),
+              64);
+    EXPECT_NE(slurp(usage.path()).find("64 usage error"), std::string::npos)
+        << slurp(usage.path());
     // The removed SAT proof-store flag is an unknown option like any
     // other. Spelled in two pieces so a tree-wide grep for leftovers of
     // the removed store finds nothing.

@@ -38,7 +38,7 @@
 //   --heavy          include the heavy (multiplier-class) benchmarks
 //   --json <file>    write the machine-readable pd-batch-report-v1 report
 //   --cache <n>      result-cache capacity (default 64, 0 disables)
-//   --cache-file <f> persistent pd-cache-v5 store: warm-start from it and
+//   --cache-file <f> persistent pd-cache-v6 store: warm-start from it and
 //                    flush results back after the batch
 //   --cache-readonly load the store but never write it back
 //   --budget <n>     per-job decomposition iteration budget (0 = unlimited)
@@ -156,7 +156,8 @@ int usage() {
         "chaos:   --fault <site:spec>  (or PD_FAULTS=\"site:spec,...\")\n"
         "worker:  (internal; spawned by the batch coordinator with its\n"
         "         engine configuration as argv)\n"
-        "batch exit codes: 0 all ok, 2 some jobs failed, 1 fatal error\n"
+        "batch exit codes: 0 all ok, 2 some jobs failed, 1 fatal error,\n"
+        "  64 usage error\n"
         "(full reference: docs/cli.md)\n";
     return 64;  // EX_USAGE — distinct from batch's partial-failure 2
 }
@@ -631,18 +632,16 @@ int runCacheInfo(const std::vector<std::string>& args) {
     std::cout << file << ": "
               << pd::engine::persist::loadStatusName(loaded.status);
     if (loaded.ok())
-        std::cout << ", " << loaded.entries.size() << " entries, "
-                  << loaded.index.size() << " index entries";
+        std::cout << ", " << loaded.entries.size() << " entries";
     else if (loaded.usable())
-        std::cout << ", " << loaded.entries.size() << " entries and "
-                  << loaded.index.size() << " index entries kept ("
+        std::cout << ", " << loaded.entries.size() << " entries kept ("
                   << loaded.detail << ")";
     else if (!loaded.detail.empty())
         std::cout << " — " << loaded.detail;
     std::cout << "\n";
     if (loaded.usable() && !loaded.entries.empty()) {
         // Per-entry payload sizes, log2-bucketed (keys are fixed 16-byte
-        // digests). The pd-cache-v5 format deliberately stores no
+        // digests). The pd-cache-v6 format deliberately stores no
         // timestamps (its byte-identical rewrite guarantee forbids them),
         // so entry *age* is only observable in a live engine — the batch
         // report's "cache.entry.lru_age" histogram covers that side.

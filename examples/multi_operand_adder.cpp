@@ -40,9 +40,6 @@ int main() {
     eval::Flow flow;
     eval::BenchReport rep;
     rep.title = std::to_string(n) + "-bit three-input adder architectures";
-    rep.rows.push_back(flow.runNetlist("A + B + C (flat description)",
-                                       circuits::flatTernaryAdder(n), bench,
-                                       0, 0));
     rep.rows.push_back(flow.runNetlist("RCA(RCA(A,B),C)",
                                        circuits::rcaRcaAdder3(n), bench, 0,
                                        0));

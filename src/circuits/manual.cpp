@@ -375,28 +375,37 @@ Netlist rcaRcaAdder3(int n) {
     return nl;
 }
 
-Netlist flatTernaryAdder(int n) {
+Netlist carrySelectAdder(int n, int groupBits) {
+    if (groupBits < 1) fail("carrySelectAdder", "group width must be positive");
     Netlist nl;
     Builder b(nl);
     const auto a = port(b, "a", n);
-    const auto x = port(b, "b", n);
-    const auto c = port(b, "c", n);
-    // Interleaved per-bit chains: first FA folds a,b; second folds c.
-    NetId carry1 = b.constant(false);
-    NetId carry2 = b.constant(false);
-    std::vector<NetId> s;
-    for (int i = 0; i < n; ++i) {
-        const auto r1 = b.fullAdder(a[static_cast<std::size_t>(i)],
-                                    x[static_cast<std::size_t>(i)], carry1);
-        carry1 = r1.carry;
-        const auto r2 =
-            b.fullAdder(r1.sum, c[static_cast<std::size_t>(i)], carry2);
-        carry2 = r2.carry;
-        s.push_back(r2.sum);
+    const auto y = port(b, "b", n);
+
+    std::vector<NetId> s(static_cast<std::size_t>(n) + 1);
+    NetId carry = b.constant(false);
+    for (int base = 0; base < n; base += groupBits) {
+        const auto lo = static_cast<std::size_t>(base);
+        const auto hi = static_cast<std::size_t>(std::min(n, base + groupBits));
+        // Leader expressions: the group's sums under cin = 0 and cin = 1.
+        std::vector<NetId> sum0;
+        std::vector<NetId> sum1;
+        NetId c0 = b.constant(false);
+        NetId c1 = b.constant(true);
+        for (std::size_t i = lo; i < hi; ++i) {
+            const auto f0 = b.fullAdder(a[i], y[i], c0);
+            const auto f1 = b.fullAdder(a[i], y[i], c1);
+            sum0.push_back(f0.sum);
+            sum1.push_back(f1.sum);
+            c0 = f0.carry;
+            c1 = f1.carry;
+        }
+        // Second level: select by the one bit the previous group exposes.
+        for (std::size_t i = lo; i < hi; ++i)
+            s[i] = b.mkMux(carry, sum0[i - lo], sum1[i - lo]);
+        carry = b.mkMux(carry, c0, c1);
     }
-    const auto top = b.halfAdder(carry1, carry2);
-    s.push_back(top.sum);
-    s.push_back(top.carry);
+    s[static_cast<std::size_t>(n)] = carry;
     markPort(nl, "s", s);
     return nl;
 }

@@ -48,8 +48,12 @@ namespace pd::circuits {
 /// RCA(RCA(A,B),C): two chained ripple adders.
 [[nodiscard]] netlist::Netlist rcaRcaAdder3(int n);
 
-/// "A + B + C" as a behavioural description synthesizes: per-bit pair of
-/// interleaved full-adder chains.
-[[nodiscard]] netlist::Netlist flatTernaryAdder(int n);
+/// Fig. 4's online-algorithm construction for addition (Theorem 1 with
+/// one bit of state): `groupBits`-bit groups compute their sums under
+/// both carry assumptions (the f/g leader expressions), and the carry
+/// out of the previous group selects between them. Ports a,b (n bits);
+/// outputs s0..sn. The last group is narrower when `groupBits` does not
+/// divide n.
+[[nodiscard]] netlist::Netlist carrySelectAdder(int n, int groupBits);
 
 }  // namespace pd::circuits

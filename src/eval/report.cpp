@@ -1,8 +1,9 @@
 #include "eval/report.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
+
+#include "eval/claims.hpp"
 
 namespace pd::eval {
 namespace {
@@ -13,12 +14,22 @@ const char* verification(const RowResult& row) {
     return row.satProven ? "random + SAT" : "random";
 }
 
+std::string formatSection(const Section& s) {
+    std::ostringstream os;
+    os << "## " << s.title << "\n\n";
+    if (!s.claim.empty()) os << "**Claim.** " << s.claim << "\n\n";
+    os << s.body << "\n**Verdict** (" << s.rule << "):\n\n";
+    for (const auto& v : s.verdicts)
+        os << "- " << v.subject << (v.holds ? " holds: " : " does not hold: ")
+           << v.numbers << '\n';
+    return os.str();
+}
+
 }  // namespace
 
-std::string formatReport(const BenchReport& rep) {
+std::string formatTable(const BenchReport& rep) {
     std::ostringstream os;
     os << std::fixed;
-    os << "## " << rep.title << "\n\n";
     os << "| variant | paper µm² | paper ns | area µm² | delay ns | gates | "
           "verified |\n";
     os << "|---|---:|---:|---:|---:|---:|---|\n";
@@ -38,16 +49,13 @@ std::string formatReport(const BenchReport& rep) {
            << " | " << verification(row) << " |\n";
     }
 
-    // Shape summary: each PD row over its own circuit's baseline, the
-    // first row of the report built from the same benchmark.
+    // Shape summary: each PD row over its own circuit's baseline.
     bool header = false;
     os << std::setprecision(2);
     for (const auto& row : rep.rows) {
         if (row.pdIterations == 0) continue;
-        const auto base = std::find_if(
-            rep.rows.begin(), rep.rows.end(),
-            [&](const RowResult& r) { return r.circuit == row.circuit; });
-        if (&*base == &row) continue;  // no baseline row for this circuit
+        const RowResult* base = baselineOf(rep, row);
+        if (!base) continue;
         if (!header) {
             os << "\n**PD shape** (PD / baseline; the paper's ratio in "
                   "parentheses):\n\n";
@@ -71,32 +79,48 @@ std::string formatReport(const BenchReport& rep) {
     return os.str();
 }
 
+std::string formatReport(const BenchReport& rep) {
+    return "## " + rep.title + "\n\n" + formatTable(rep);
+}
+
 std::string experimentsDocument() {
     std::ostringstream os;
-    os << "# Experiments: the paper's Table 1\n\n"
+    os << "# Experiments: the paper's claims\n\n"
           "Generated from the repository root by\n"
-          "`cmake --build build --target bench_table1 && ./build/bench_table1 "
-          "EXPERIMENTS.md`\n"
-          "(`src/eval/report.cpp`); `experiments_test` fails when this file "
-          "differs from\nthe generator's output, so do not edit it by hand.\n\n"
-          "Every variant of a row group goes through one optimize → map → "
-          "STA flow\nagainst the `umc130` cell library "
-          "(`src/synth/celllib.hpp`): representative\n0.13 µm drive-1 cells "
-          "with a linear fan-out load penalty, not the paper's\nproprietary "
-          "UMC 0.13 µm kit. Compare shapes (the PD / baseline ratios),\nnot "
-          "absolute µm² and ns. Every row is verified against the benchmark's\n"
-          "reference semantics: `exhaustive` simulates every input vector, "
-          "`random`\nsamples them, and `random + SAT` adds a CDCL miter that "
-          "proves the row\nequivalent to its group's first row.\n\n"
-          "Every row runs at the paper's width except the comparator ("
+          "`cmake --build build --target bench_experiments && "
+          "./build/bench_experiments EXPERIMENTS.md`\n"
+          "(`src/eval/report.cpp`, `src/eval/claims.cpp`); `experiments_test` "
+          "fails when this\nfile differs from the generator's output, so do "
+          "not edit it by hand.\n\n"
+          "Every section states one of the paper's claims, gives the numbers "
+          "measured\nfor it and ends in a verdict per circuit or feature: "
+          "\"holds\" or \"does not\nhold\", computed by the comparison the "
+          "section states. Table 1's claim on\neach of its rows is that "
+          "Progressive Decomposition (PD) is faster than the\nrow's "
+          "baseline.\n\nEvery variant goes through one optimize → map → STA "
+          "flow against the\n`umc130` cell library (`src/synth/celllib.hpp`): "
+          "representative 0.13 µm\ndrive-1 cells with a linear fan-out load "
+          "penalty, not the paper's\nproprietary UMC 0.13 µm kit. Compare shapes (the PD / "
+          "baseline ratios),\nnot absolute µm² and ns. Every variant is "
+          "verified against the benchmark's\nreference semantics, or the "
+          "generator fails: `exhaustive` simulates every\ninput vector, "
+          "`random` samples them, and `random + SAT` adds a CDCL miter\nthat "
+          "proves the row equivalent to its group's first row.\n\n"
+          "Every Table-1 row runs at the paper's width except the comparator ("
        << kComparatorWidth << " bits;\npaper 15) and the three-input adder ("
        << kAdder3Width
        << " bits; paper 12). The notes under those\ngroups give the "
           "measured cost of the paper's widths.\n";
+    // One Flow, so one engine and one result cache: a PD configuration
+    // that several sections run (LZD16 at default options, for one) is
+    // decomposed once.
+    Flow flow;
     for (const BenchReport& rep :
-         {rowLzdLod16(), rowLod32(), rowMajority15(), rowCounter16(),
-          rowAdder16(), rowComparator(), rowAdder3()})
-        os << '\n' << formatReport(rep);
+         {rowLzdLod16(flow), rowLod32(flow), rowMajority15(flow),
+          rowCounter16(flow), rowAdder16(flow), rowComparator(flow),
+          rowAdder3(flow)})
+        os << '\n' << formatSection(table1Section(rep));
+    for (const auto& s : claimSections(flow)) os << '\n' << formatSection(s);
     return os.str();
 }
 

@@ -30,13 +30,16 @@ struct RowResult {
     double paperDelay = 0.0;
     bool verified = false;
     bool exhaustive = false;
-    std::uint64_t vectorsTested = 0;
     /// SAT miter against the report's first row proved equivalence (set by
     /// satCrossCheck; meaningful for circuits too wide for exhaustion).
     bool satProven = false;
+    /// Unit-delay depth and total gate input pins of the mapped netlist.
+    std::size_t levels = 0;
+    std::size_t interconnect = 0;
     /// Extra decomposition facts (PD rows only).
     std::size_t pdBlocks = 0;
     std::size_t pdIterations = 0;
+    std::size_t pdLeaders = 0;  ///< materialized block outputs
     /// The mapped netlist the numbers were measured on (kept for SAT
     /// cross-checks and for exporting to Verilog/BLIF).
     netlist::Netlist mapped;
@@ -49,6 +52,11 @@ struct BenchReport {
     std::vector<std::string> notes;
 };
 
+/// The row a PD row is measured against: the report's first row built
+/// from the same circuit, or nullptr when that is the row itself.
+[[nodiscard]] const RowResult* baselineOf(const BenchReport& report,
+                                          const RowResult& row);
+
 /// Formally proves (CDCL miter) that every row's mapped netlist computes
 /// the same function as the first row's, marking satProven on success.
 /// Complements simulation: for >22-input benchmarks this turns the
@@ -58,8 +66,8 @@ void satCrossCheck(BenchReport& report);
 
 /// Shared flow driver. Progressive-Decomposition rows run through the
 /// batch engine (one-job batches against a per-Flow result cache), so
-/// ablation sweeps that revisit a configuration are served from cache;
-/// baseline/manual rows synthesize their netlists directly.
+/// every row group and claim that revisits a configuration is served
+/// from cache; baseline/manual rows synthesize their netlists directly.
 class Flow {
 public:
     /// optimize → map → STA → verify an already-built structural netlist.
@@ -81,29 +89,28 @@ public:
                                   double paperArea, double paperDelay,
                                   const core::DecomposeOptions& opt = {});
 
-    [[nodiscard]] const synth::CellLibrary& library() const { return lib_; }
-
 private:
     synth::CellLibrary lib_ = synth::CellLibrary::umc130();
     engine::Engine engine_;
 };
 
-// ---- Table-1 row groups (paper numbers embedded). --------------------------
+// ---- Table-1 row groups (paper numbers embedded), run through `flow`. ------
 /// Reproduction widths of the two rows run below the paper's width (15 and
 /// 12 bits) for time and memory; the rows' notes give the measured cost.
 inline constexpr int kComparatorWidth = 12;
 inline constexpr int kAdder3Width = 9;
 
-[[nodiscard]] BenchReport rowLzdLod16();
-[[nodiscard]] BenchReport rowLod32();
-[[nodiscard]] BenchReport rowMajority15();
-[[nodiscard]] BenchReport rowCounter16();
-[[nodiscard]] BenchReport rowAdder16();
+[[nodiscard]] BenchReport rowLzdLod16(Flow& flow);
+[[nodiscard]] BenchReport rowLod32(Flow& flow);
+[[nodiscard]] BenchReport rowMajority15(Flow& flow);
+[[nodiscard]] BenchReport rowCounter16(Flow& flow);
+[[nodiscard]] BenchReport rowAdder16(Flow& flow);
 /// `width`: the paper uses 15. Above 13 bits the benchmark carries no
 /// Reed-Muller spec, so the PD row is dropped and a note says so.
-[[nodiscard]] BenchReport rowComparator(int width = kComparatorWidth);
+[[nodiscard]] BenchReport rowComparator(Flow& flow,
+                                        int width = kComparatorWidth);
 /// `width`: the paper uses 12. The paper's µm²/ns stay attached for the
 /// shape comparison.
-[[nodiscard]] BenchReport rowAdder3(int width = kAdder3Width);
+[[nodiscard]] BenchReport rowAdder3(Flow& flow, int width = kAdder3Width);
 
 }  // namespace pd::eval

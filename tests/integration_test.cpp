@@ -96,7 +96,8 @@ TEST(Report, PdShapeUsesItsOwnCircuitsBaseline) {
     // LZD16 and LOD16 share one row group: the LOD16 PD row is measured
     // against the LOD16 SOP row, not the group's first (LZD16) row, and
     // the ratio reads PD / baseline.
-    const auto rep = rowLzdLod16();
+    Flow flow;
+    const auto rep = rowLzdLod16(flow);
     ASSERT_EQ(rep.rows.size(), 5u);
     const auto& lodSop = rep.rows[3];
     const auto& lodPd = rep.rows[4];
@@ -114,7 +115,8 @@ TEST(Report, PdShapeUsesItsOwnCircuitsBaseline) {
 // Every row group runs in experiments_test, which renders them all into
 // EXPERIMENTS.md; here we spot-check the cheapest one end to end.
 TEST(Table1, ComparatorRowGroupRuns) {
-    const auto rep = rowComparator(8);
+    Flow flow;
+    const auto rep = rowComparator(flow, 8);
     ASSERT_GE(rep.rows.size(), 3u);
     for (const auto& row : rep.rows) EXPECT_TRUE(row.verified);
     // PD at least matches the progressive-comparator baseline on delay.
@@ -124,7 +126,8 @@ TEST(Table1, ComparatorRowGroupRuns) {
 }
 
 TEST(Table1, ComparatorAboveThirteenBitsSaysItDropsPd) {
-    const auto rep = rowComparator(14);
+    Flow flow;
+    const auto rep = rowComparator(flow, 14);
     for (const auto& row : rep.rows) EXPECT_EQ(row.pdIterations, 0u);
     EXPECT_NE(formatReport(rep).find("No Progressive Decomposition row"),
               std::string::npos);

@@ -3,8 +3,9 @@
 // findBasis pair merging — each measured in the reference (sorted-vector
 // Anf) domain and the indexed (bitset-over-ids) domain, plus spec
 // expansion (every default registry ANF builder, summed, best of 3) and
-// an end-to-end decompose. Results go to BENCH_hotpath.json
-// ("pd-bench-hotpath-v1"):
+// an end-to-end decompose. It is compiled at 128-bit monomials
+// (PD_MONOMIAL_WORDS=2), the width the engine runs every default job at.
+// Results go to BENCH_hotpath.json ("pd-bench-hotpath-v1"):
 //
 //   {
 //     "schema": "pd-bench-hotpath-v1",

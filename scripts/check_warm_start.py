@@ -13,7 +13,10 @@ same `pd_cli batch --cache-file ...` command twice:
      0), and every warm job's cache.key equals the cold job's;
   4. the store the warm run loaded (persist.file) is under 1 MB;
   5. the semantic payload of every job — everything except timings and
-     cache provenance — is byte-identical between the two reports.
+     cache provenance — is byte-identical between the two reports;
+  6. no job of either run re-ran its compute path at the wide monomial
+     width (engine.width.wide_reruns is 0): every default job fits in
+     128 variable ids, so a rerun here means each job pays for two passes.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -67,6 +70,14 @@ def main():
         sys.exit(f"{warm_path}: jobs recomputed instead of served from the "
                  f"cache: {bad}")
 
+    for report, path in ((cold, cold_path), (warm, warm_path)):
+        reruns = report["observability"]["counters"].get(
+            "engine.width.wide_reruns")
+        if reruns != 0:
+            sys.exit(f"{path}: engine.width.wide_reruns is {reruns!r}, "
+                     f"expected 0 — a job outgrew the 128-bit monomial "
+                     f"width and ran its compute path twice")
+
     counters = warm["observability"]["counters"]
     expansions = counters.get("engine.spec.expansions")
     if expansions != 0:
@@ -99,7 +110,7 @@ def main():
     print(f"warm-start gate OK: {n} jobs, all served from cache "
           f"({sources.count('disk')} disk, {sources.count('memory')} "
           f"memory) with no spec expansion, store {store_bytes} bytes, "
-          f"results byte-identical")
+          f"results byte-identical, no wide rerun")
 
 
 if __name__ == "__main__":

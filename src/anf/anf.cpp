@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 Anf Anf::fromTerms(std::vector<Monomial> terms) {
     std::sort(terms.begin(), terms.end());
@@ -153,4 +153,4 @@ std::size_t Anf::hash() const {
     return h;
 }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -20,7 +20,7 @@
 
 #include "anf/monomial.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// An element of the Boolean ring GF(2)[x0, x1, ...]/(xi² = xi),
 /// kept in canonical XOR-of-products form.
@@ -143,4 +143,4 @@ struct AnfHash {
     std::size_t operator()(const Anf& a) const { return a.hash(); }
 };
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

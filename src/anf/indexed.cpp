@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 std::uint64_t MonomialIndexer::nextUid() {
     static std::atomic<std::uint64_t> counter{1};
@@ -44,4 +44,4 @@ IndexedAnf indexedSubstitute(MonomialIndexer& ix, const IndexedAnf& e,
     return acc;
 }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -25,7 +25,7 @@
 
 #include "anf/indexer.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// XOR-of-products polynomial encoded as the characteristic vector of its
 /// term set over a MonomialIndexer's id space.
@@ -126,4 +126,4 @@ struct IndexedAnfHash {
     MonomialIndexer& ix, const IndexedAnf& e,
     const std::unordered_map<Var, IndexedAnf>& map);
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

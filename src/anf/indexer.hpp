@@ -19,7 +19,7 @@
 #include "anf/anf.hpp"
 #include "gf2/bitvec.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// Assigns stable dense indices to monomials, converts expressions to
 /// characteristic bit vectors, and memoizes monomial products by id.
@@ -172,4 +172,4 @@ private:
     std::unordered_map<std::uint64_t, Id> products_;
 };
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

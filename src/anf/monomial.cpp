@@ -3,7 +3,7 @@
 #include <bit>
 #include <string>
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 std::size_t Monomial::degree() const {
     std::size_t d = 0;
@@ -28,11 +28,24 @@ std::strong_ordering Monomial::operator<=>(const Monomial& rhs) const {
 }
 
 void Monomial::failCapacity(Var v) {
+    reachedCapacity("insert");
     fail("Monomial",
          "variable id " + std::to_string(v) + " exceeds the " +
              std::to_string(kMaxVars) +
-             "-variable capacity of this build (job too large for one "
+             "-variable capacity of a monomial (job too large for one "
              "decomposition run)");
+}
+
+Monomial Monomial::fromWords(std::span<const std::uint64_t> words) {
+    Monomial m;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        if (i < kWords)
+            m.w_[i] = words[i];
+        else if (words[i] != 0)
+            failCapacity(static_cast<Var>(
+                i * 64 + static_cast<std::size_t>(__builtin_ctzll(words[i]))));
+    }
+    return m;
 }
 
 std::size_t Monomial::hash() const {
@@ -46,4 +59,4 @@ std::size_t Monomial::hash() const {
     return static_cast<std::size_t>(h);
 }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -1,10 +1,13 @@
 // Monomial: a product of distinct Boolean variables.
 //
 // In the Boolean ring x² = x, so a monomial is exactly a *set* of
-// variables; we store it as a fixed 256-bit mask. All benchmark
-// decomposition runs (including the 32-bit LOD and the 12-bit three-input
-// adder with its per-output tag variables and per-iteration fresh
-// variables) stay far below 256 live variable ids.
+// variables, stored as a bit mask of PD_MONOMIAL_WORDS 64-bit words: 256
+// bits in the default build, 128 in the narrow one (anf/width.hpp). No
+// default-batch job needs more than 113 variable ids — inputs, per-output
+// tag variables and per-iteration fresh variables together — so the
+// engine runs every job at 128 bits and re-runs at 256 only the rare job
+// that outgrows them. Ids and term order do not depend on the width, so a
+// job that fits computes the same result at either width.
 //
 // The same type doubles as a variable *set* (group masks, supports).
 #pragma once
@@ -14,17 +17,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "anf/vartable.hpp"
+#include "anf/width.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// Product of distinct variables; also used as a plain variable set.
 class Monomial {
 public:
-    static constexpr std::size_t kMaxVars = 256;
-    static constexpr std::size_t kWords = kMaxVars / 64;
+    static constexpr std::size_t kWords = PD_MONOMIAL_WORDS;
+    static constexpr std::size_t kMaxVars = kWords * 64;
 
     /// The empty product, i.e. the constant 1.
     constexpr Monomial() = default;
@@ -45,10 +50,11 @@ public:
 
     void insert(Var v) {
         // Recoverable capacity error, active in every build (unlike
-        // PD_ASSERT): a job that outgrows the 256-variable universe must
-        // fail as *that job* — the engine reports ok=false and the rest
-        // of the batch keeps running — not tear down the process or, with
-        // PD_NO_ASSERT, silently corrupt an unrelated word.
+        // PD_ASSERT). At 128 bits it sends the job to the wide build; at
+        // 256 the job fails as *that job* — the engine reports ok=false
+        // and the rest of the batch keeps running — rather than tearing
+        // down the process or, with PD_NO_ASSERT, silently corrupting an
+        // unrelated word.
         if (v >= kMaxVars) [[unlikely]] failCapacity(v);
         w_[v >> 6] |= std::uint64_t{1} << (v & 63);
     }
@@ -158,8 +164,19 @@ public:
 
     [[nodiscard]] std::size_t hash() const;
 
+    /// The mask words, lowest variables first (a width-free transport:
+    /// engine/compute.hpp carries expanded specs across the widths).
+    [[nodiscard]] const std::array<std::uint64_t, kWords>& words() const {
+        return w_;
+    }
+
+    /// The monomial whose mask is `words`, lowest first; words past kWords
+    /// must be zero (a set bit there is a variable past the capacity).
+    static Monomial fromWords(std::span<const std::uint64_t> words);
+
 private:
-    /// Throws pd::Error describing the variable-capacity overflow.
+    /// Throws anf::WidthExceeded in the narrow build, else pd::Error
+    /// describing the variable-capacity overflow.
     [[noreturn]] static void failCapacity(Var v);
 
     std::array<std::uint64_t, kWords> w_{};
@@ -175,4 +192,4 @@ struct MonomialHash {
     std::size_t operator()(const Monomial& m) const { return m.hash(); }
 };
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

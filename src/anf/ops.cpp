@@ -2,7 +2,7 @@
 
 #include "anf/indexed.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 Anf substitute(const Anf& e, const std::unordered_map<Var, Anf>& map) {
     // Only the terms holding a replaced variable change. The others are a
@@ -77,4 +77,4 @@ GroupSplit splitByGroup(const Anf& e, const VarSet& mask) {
 
 Anf derivative(const Anf& e, Var v) { return quotientBy(e, v); }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -7,7 +7,7 @@
 
 #include "anf/anf.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// Replaces every occurrence of each key variable by the mapped expression.
 /// All replacements happen simultaneously (the substituted expressions are
@@ -65,4 +65,4 @@ template <typename Oracle>
     return Anf::fromTerms(std::move(terms));
 }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

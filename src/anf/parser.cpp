@@ -3,7 +3,7 @@
 #include <cctype>
 #include <string>
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 namespace {
 
 class Parser {
@@ -113,4 +113,4 @@ Anf parse(std::string_view text, VarTable& vars) {
     return Parser(text, vars).run();
 }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -15,10 +15,10 @@
 
 #include "anf/anf.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// Parses `text` into a canonical ANF, registering unseen identifiers in
 /// `vars`. Throws pd::Error on malformed input.
 [[nodiscard]] Anf parse(std::string_view text, VarTable& vars);
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 std::string toString(const Monomial& m, const VarTable& vars) {
     if (m.isOne()) return "1";
@@ -41,4 +41,4 @@ std::string setToString(const VarSet& s, const VarTable& vars) {
     return os.str();
 }
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -5,7 +5,7 @@
 
 #include "anf/anf.hpp"
 
-namespace pd::anf {
+namespace pd::anf::PD_WIDTH_NS {
 
 /// Renders `e` as "a*b ^ c ^ 1" using names from `vars`. Zero prints "0".
 [[nodiscard]] std::string toString(const Anf& e, const VarTable& vars);
@@ -16,4 +16,4 @@ namespace pd::anf {
 /// Renders a variable set as "{a, b, c}".
 [[nodiscard]] std::string setToString(const VarSet& s, const VarTable& vars);
 
-}  // namespace pd::anf
+}  // namespace pd::anf::PD_WIDTH_NS

@@ -2,7 +2,7 @@
 
 #include "util/error.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 namespace {
 
 std::vector<anf::Anf> varAnfs(const std::vector<anf::Var>& vars) {
@@ -87,4 +87,4 @@ Benchmark makeAdder3(int n) {
     return b;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

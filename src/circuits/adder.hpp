@@ -9,7 +9,7 @@
 
 #include "circuits/spec.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 /// A + B, n bits each, n+1 outputs s0..sn.
 [[nodiscard]] Benchmark makeAdder(int n);
@@ -22,4 +22,4 @@ namespace pd::circuits {
 [[nodiscard]] std::vector<anf::Anf> rippleAnf(const std::vector<anf::Anf>& a,
                                               const std::vector<anf::Anf>& b);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

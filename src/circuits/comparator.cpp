@@ -2,10 +2,12 @@
 
 #include "util/error.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 Benchmark makeComparator(int n, int maxAnfWidth) {
-    if (n < 1 || n > 31) fail("comparator", "unsupported width");
+    // The reference compares the ports as 64-bit words, the simulator's
+    // port limit; the Reed-Muller spec stops at maxAnfWidth.
+    if (n < 1 || n > 64) fail("comparator", "unsupported width");
     Benchmark b;
     b.name = "cmp" + std::to_string(n);
     b.ports = {{"a", n}, {"b", n}};
@@ -29,4 +31,4 @@ Benchmark makeComparator(int n, int maxAnfWidth) {
     return b;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

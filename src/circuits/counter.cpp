@@ -4,7 +4,7 @@
 
 #include "util/error.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 namespace {
 
 /// Elementary symmetric polynomial e_k over the given variables, built by
@@ -57,4 +57,4 @@ Benchmark makeCounter(int n) {
     return b;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

@@ -9,8 +9,8 @@
 
 #include "circuits/spec.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 [[nodiscard]] Benchmark makeCounter(int n);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

@@ -2,7 +2,7 @@
 
 #include "util/error.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 namespace {
 
 int log2i(int n) {
@@ -105,4 +105,4 @@ Benchmark makeDetector(int n, bool lod) {
 Benchmark makeLzd(int n) { return makeDetector(n, false); }
 Benchmark makeLod(int n) { return makeDetector(n, true); }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

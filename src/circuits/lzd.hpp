@@ -11,10 +11,10 @@
 
 #include "circuits/spec.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 /// `n` must be a power of two (output width log2(n)).
 [[nodiscard]] Benchmark makeLzd(int n);
 [[nodiscard]] Benchmark makeLod(int n);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

@@ -5,7 +5,7 @@
 #include "anf/ops.hpp"
 #include "util/error.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 namespace {
 
 /// Enumerates all k-subsets of vars, invoking fn(Monomial).
@@ -67,4 +67,4 @@ Benchmark makeMajority(int n) {
     return b;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

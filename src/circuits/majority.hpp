@@ -10,9 +10,9 @@
 
 #include "circuits/spec.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 /// `n` must be odd and ≤ 21 (ANF via Möbius transform of the truth table).
 [[nodiscard]] Benchmark makeMajority(int n);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

@@ -7,7 +7,7 @@
 #include "netlist/builder.hpp"
 #include "util/error.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 namespace {
 
 using netlist::Builder;
@@ -192,4 +192,4 @@ Netlist wallaceMultiplier(int n, bool fastFinal) {
     return nl;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

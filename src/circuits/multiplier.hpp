@@ -13,7 +13,7 @@
 #include "circuits/spec.hpp"
 #include "netlist/netlist.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 /// n×n → 2n unsigned multiplier benchmark. The ANF spec is provided for
 /// n <= maxAnfWidth (default 6; the flat form roughly quadruples per bit).
@@ -26,4 +26,4 @@ namespace pd::circuits {
 /// compressed 3:2 per column, final ripple/lookahead stage.
 [[nodiscard]] netlist::Netlist wallaceMultiplier(int n, bool fastFinal);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

@@ -7,7 +7,7 @@
 #include "circuits/majority.hpp"
 #include "circuits/multiplier.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 const std::vector<RegistryEntry>& benchmarkRegistry() {
     static const std::vector<RegistryEntry> entries = {
@@ -47,4 +47,4 @@ std::vector<std::string> benchmarkNames(bool includeHeavy) {
     return names;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

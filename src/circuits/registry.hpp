@@ -15,7 +15,7 @@
 
 #include "circuits/spec.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 struct RegistryEntry {
     std::string name;
@@ -34,4 +34,4 @@ struct RegistryEntry {
 /// entries.
 [[nodiscard]] std::vector<std::string> benchmarkNames(bool includeHeavy);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

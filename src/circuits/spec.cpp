@@ -1,6 +1,6 @@
 #include "circuits/spec.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 std::vector<std::vector<anf::Var>> registerPortVars(
     anf::VarTable& vt, const std::vector<sim::PortLayout>& ports) {
@@ -24,4 +24,4 @@ std::vector<std::string> bitNames(const std::string& port, int width) {
     return names;
 }
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

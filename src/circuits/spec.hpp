@@ -19,7 +19,7 @@
 #include "sim/equivalence.hpp"
 #include "synth/sop.hpp"
 
-namespace pd::circuits {
+namespace pd::circuits::PD_WIDTH_NS {
 
 struct Benchmark {
     std::string name;
@@ -43,4 +43,4 @@ struct Benchmark {
 [[nodiscard]] std::vector<std::string> bitNames(const std::string& port,
                                                 int width);
 
-}  // namespace pd::circuits
+}  // namespace pd::circuits::PD_WIDTH_NS

@@ -6,7 +6,7 @@
 #include "anf/indexed.hpp"
 #include "ring/membership.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 namespace {
 
 std::uint64_t memoKey(std::uint32_t a, std::uint32_t b) {
@@ -250,4 +250,4 @@ BasisResult materialize(const anf::MonomialIndexer& ix, IndexedBasis&& b) {
     return out;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -30,7 +30,7 @@
 #include "ring/identity_db.hpp"
 #include "ring/membership.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 struct FindBasisOptions {
     /// Enable null-space (Boolean-division-strength) merging.
@@ -158,4 +158,4 @@ void mergeAlgebraic(IPairList& pairs, MergeContext& ctx);
 bool mergeNullspace(IPairList& pairs, const FindBasisOptions& opt,
                     MergeContext& ctx);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -16,7 +16,7 @@
 #include "ring/identity_db.hpp"
 #include "util/error.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 namespace {
 
 /// Why a run ended, in kStopCounters order.
@@ -109,8 +109,10 @@ Decomposition decompose(anf::VarTable& vars,
         // Headroom stop: once fewer than 2k + 2 variable ids remain, end
         // the run with a residual before probing. Only a run whose blocks
         // keep adding more fresh variables than they consume gets here;
-        // the exact capacity check comes once the basis is known.
+        // the exact capacity check comes once the basis is known. A
+        // narrow run re-runs wide instead (anf/width.hpp).
         if (vars.size() + 2 * opt.k + 2 >= anf::Monomial::kMaxVars) {
+            anf::reachedCapacity("headroom");
             stop = kHeadroom;
             break;
         }
@@ -170,8 +172,9 @@ Decomposition decompose(anf::VarTable& vars,
         // Variable-capacity guard: the rewrite adds one fresh variable per
         // pair, and a k-group's basis can hold up to 2^k − 1 of them —
         // more than the headroom stop allows for. Stop with a residual
-        // rather than overflow the monomial.
+        // rather than overflow the monomial (a narrow run re-runs wide).
         if (vars.size() + pairs.size() > anf::Monomial::kMaxVars) {
+            anf::reachedCapacity("capacity");
             stop = kCapacity;
             break;
         }
@@ -315,4 +318,4 @@ Decomposition decompose(anf::VarTable& vars,
     return result;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -5,7 +5,7 @@
 
 #include "core/probe/probe.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 namespace {
 
 void combinations(const std::vector<anf::Var>& vars, std::size_t k,
@@ -171,4 +171,4 @@ anf::VarSet findGroup(const anf::Anf& folded, const anf::VarTable& vars,
     return out.group;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -18,7 +18,7 @@
 #include "anf/anf.hpp"
 #include "ring/identity_db.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 namespace probe {
 class ProbeContext;
@@ -82,4 +82,4 @@ struct GroupCandidates {
                                     const GroupOptions& opt,
                                     bool* budgetExhaustedOut = nullptr);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -2,7 +2,7 @@
 
 #include "anf/ops.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 std::unordered_map<anf::Var, anf::Anf> Decomposition::definitions() const {
     std::unordered_map<anf::Var, anf::Anf> defs;
@@ -45,4 +45,4 @@ std::size_t Decomposition::totalBlockOutputs() const {
     return n;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -15,7 +15,7 @@
 
 #include "anf/anf.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 struct BlockOutput {
     anf::Var var;   ///< the fresh variable standing for the basis element
@@ -103,4 +103,4 @@ struct Decomposition {
     [[nodiscard]] std::size_t totalBlockOutputs() const;
 };
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

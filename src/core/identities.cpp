@@ -7,7 +7,7 @@
 #include "gf2/solver.hpp"
 #include "util/error.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 namespace {
 
 /// A candidate term: a product of basis elements tracked both as its ANF
@@ -152,4 +152,4 @@ IdentityScan findIdentities(const std::vector<anf::Anf>& basis,
     return out;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

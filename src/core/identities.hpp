@@ -18,7 +18,7 @@
 
 #include "anf/anf.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 struct IdentityScan {
     /// Identities over the new variables that are products equal to zero
@@ -37,4 +37,4 @@ struct IdentityScan {
                                           const std::vector<anf::Var>& newVars,
                                           int maxDegree = 2);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

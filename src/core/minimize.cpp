@@ -3,7 +3,7 @@
 #include "core/basis.hpp"
 #include "gf2/solver.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 namespace {
 
 /// One elimination round over the chosen side. Returns true if a
@@ -54,4 +54,4 @@ std::size_t minimizeBasisLinear(IPairList& pairs) {
     return removed;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -13,7 +13,7 @@
 
 #include "core/pairlist.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 /// Eliminates all linear dependencies among firsts, then among seconds,
 /// iterating to a fixpoint. Returns the number of pairs removed. The
@@ -21,4 +21,4 @@ namespace pd::core {
 /// all the pairs' ids just have to come from the same one.
 std::size_t minimizeBasisLinear(IPairList& pairs);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

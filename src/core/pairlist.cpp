@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 anf::Anf pairListValue(const PairList& pairs) {
     anf::Anf acc;
@@ -73,4 +73,4 @@ PairList decodePairs(const anf::MonomialIndexer& ix, const IPairList& pairs) {
     return out;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

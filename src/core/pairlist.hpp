@@ -21,7 +21,7 @@
 #include "anf/indexed.hpp"
 #include "ring/nullspace.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 /// One (basis element, cofactor) pair past findBasis.
 struct BPair {
@@ -73,4 +73,4 @@ void sortPairs(const anf::MonomialIndexer& ix, IPairList& pairs);
 [[nodiscard]] PairList decodePairs(const anf::MonomialIndexer& ix,
                                    const IPairList& pairs);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -13,7 +13,7 @@
 #include "obs/obs.hpp"
 #include "util/pool.hpp"
 
-namespace pd::core::probe {
+namespace pd::core::PD_WIDTH_NS::probe {
 namespace {
 
 /// One position of a sweep's bound order, filled by the lane that
@@ -838,4 +838,4 @@ SweepOutcome referenceSweep(const anf::Anf& folded,
     return out;
 }
 
-}  // namespace pd::core::probe
+}  // namespace pd::core::PD_WIDTH_NS::probe

@@ -73,7 +73,7 @@ namespace pd::util {
 class ThreadPool;
 }
 
-namespace pd::core::probe {
+namespace pd::core::PD_WIDTH_NS::probe {
 
 /// Wave width of the serial pruning rule the sweep commits by. A fixed
 /// constant (never derived from the lane count) so that every pruning
@@ -209,4 +209,4 @@ private:
     const anf::Anf& folded, const std::vector<anf::VarSet>& candidates,
     const ring::IdentityDb& ids, const GroupOptions& opt);
 
-}  // namespace pd::core::probe
+}  // namespace pd::core::PD_WIDTH_NS::probe

@@ -2,7 +2,7 @@
 
 #include "util/error.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 anf::Anf rewriteFolded(const PairList& pairs,
                        std::span<const anf::Var> newVars,
@@ -66,4 +66,4 @@ bool unfoldsToLiterals(const anf::Anf& folded, const anf::VarSet& tagMask) {
     return true;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -12,7 +12,7 @@
 #include "anf/anf.hpp"
 #include "core/pairlist.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 /// Builds ⊕ᵢ newVars[i]·pairs[i].second ⊕ untouched.
 [[nodiscard]] anf::Anf rewriteFolded(const PairList& pairs,
@@ -34,4 +34,4 @@ namespace pd::core {
 [[nodiscard]] bool unfoldsToLiterals(const anf::Anf& folded,
                                      const anf::VarSet& tagMask);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

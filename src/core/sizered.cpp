@@ -2,7 +2,7 @@
 
 #include "core/basis.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 namespace {
 
 /// Applies the best ordered transform once; returns true on improvement.
@@ -58,4 +58,4 @@ std::size_t improveBasisSizeReduction(const anf::MonomialIndexer& ix,
     return applied;
 }
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -13,11 +13,11 @@
 
 #include "core/pairlist.hpp"
 
-namespace pd::core {
+namespace pd::core::PD_WIDTH_NS {
 
 /// Greedy local size reduction over all ordered pair combinations until a
 /// fixpoint. Returns the number of transforms applied.
 std::size_t improveBasisSizeReduction(const anf::MonomialIndexer& ix,
                                       IPairList& pairs);
 
-}  // namespace pd::core
+}  // namespace pd::core::PD_WIDTH_NS

@@ -9,6 +9,7 @@
 #include "anf/parser.hpp"
 #include "circuits/registry.hpp"
 #include "core/decomposer.hpp"
+#include "engine/compute.hpp"
 #include "engine/persist/format.hpp"
 #include "engine/shard/coordinator.hpp"
 #include "engine/shard/scheduler.hpp"
@@ -16,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sat/equiv.hpp"
-#include "synth/hier_synth.hpp"
 #include "synth/mapper.hpp"
 #include "synth/opt.hpp"
 #include "util/error.hpp"
@@ -124,16 +124,22 @@ std::shared_ptr<const circuits::Benchmark> benchmarkOf(const JobSpec& spec) {
     return std::make_shared<const circuits::Benchmark>(std::move(*b));
 }
 
-/// Spec expansion: the job's output ANFs, the expensive step for wide
-/// benchmarks (counted by engine.spec.expansions).
+/// Fails the job when its benchmark carries no Reed-Muller spec.
+void requireAnf(const circuits::Benchmark& bench) {
+    if (!bench.anf)
+        fail("engine", "benchmark '" + bench.name +
+                           "' has no tractable Reed-Muller form");
+}
+
+/// Spec expansion of a job keyed by its content: the job's output ANFs,
+/// the expensive step for wide benchmarks (counted by
+/// engine.spec.expansions; a registry job's compute pass expands its own).
 void expand(const JobSpec& spec, ResolvedJob& job) {
     static auto& expansions = obs::counter("engine.spec.expansions");
     expansions.add();
     job.expanded = true;
     if (job.bench) {
-        if (!job.bench->anf)
-            fail("engine", "benchmark '" + job.bench->name +
-                               "' has no tractable Reed-Muller form");
+        requireAnf(*job.bench);
         job.outputs = job.bench->anf(job.vars);
         job.outputNames = job.bench->outputNames;
         return;
@@ -178,6 +184,21 @@ bool passesReferenceGuard(const JobResult& cached,
 }
 
 }  // namespace
+
+PackedSpec packSpec(anf::VarTable vars, std::vector<std::string> outputNames,
+                    std::span<const anf::Anf> outputs) {
+    static_assert(anf::Monomial::kWords == kPackedWords);
+    PackedSpec p;
+    p.vars = std::move(vars);
+    p.outputNames = std::move(outputNames);
+    for (const auto& out : outputs) {
+        auto& words = p.outputs.emplace_back();
+        words.reserve(out.termCount() * kPackedWords);
+        for (const auto& m : out.terms())
+            words.insert(words.end(), m.words().begin(), m.words().end());
+    }
+    return p;
+}
 
 std::string optionsFingerprint(const core::DecomposeOptions& opt,
                                bool verify) {
@@ -314,8 +335,8 @@ Engine::Engine(EngineOptions opt)
           std::max({opt.jobs, opt.probeThreads, std::size_t{1}}))) {
     // Registered up front so every report carries them, zeros included:
     // the warm-start gate demands engine.spec.expansions == 0.
-    for (const char* name :
-         {"engine.spec.expansions", "cache.digest_mismatch"})
+    for (const char* name : {"engine.spec.expansions", "cache.digest_mismatch",
+                             "engine.width.wide_reruns"})
         (void)obs::counter(name);
     for (const char* name : core::kStopCounters) (void)obs::counter(name);
     persist_.file = opt_.cacheFile;
@@ -628,22 +649,57 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
 
         // Miss (reserved) or non-caching miss: run the full flow, timing
         // each phase so reports can say where the job's wall time went.
-        if (!job.expanded) {
-            expand(spec, job);
-            clock.close(result.phases.resolveMs, "job.resolve");
+        // Expansion, decomposition and synthesis run at 128 bits first and
+        // again at 256 only when the job outgrows the narrow width: a job
+        // that fits gets the same ids, so the same result either way.
+        if (job.bench) requireAnf(*job.bench);
+        PackedSpec packed;
+        ComputeRequest request;
+        if (job.expanded) {
+            packed = packSpec(std::move(job.vars), std::move(job.outputNames),
+                              job.outputs);
+            job.outputs.clear();
+            request.spec = &packed;
+        } else {
+            request.benchmark = spec.benchmark;
         }
-        const auto d =
-            core::decompose(job.vars, job.outputs, job.outputNames, dopt);
-        clock.close(result.phases.decomposeMs, "job.decompose");
-        result.phases.probeSweepMs = d.probe.sweepMs;
-        result.blocks = d.blocks.size();
-        result.iterations = d.iterations;
-        result.leaders = d.totalBlockOutputs();
-        result.converged = d.converged;
-        result.budgetExhausted = d.budgetExhausted;
+        request.options = dopt;
+        request.algebraicCheck = spec.verify && !job.bench;
+        struct Phase {
+            double* slot;
+            std::string_view span;
+        };
+        const std::array<Phase, 4> phases = {{
+            {&result.phases.resolveMs, "job.resolve"},
+            {&result.phases.decomposeMs, "job.decompose"},
+            {&result.phases.synthMs, "job.synth"},
+            {&result.phases.verifyMs, "job.verify"},
+        }};
+        std::size_t running = 0;  // the phase the pass is in
+        request.mark = [&](ComputePhase p) {
+            const auto i = static_cast<std::size_t>(p);
+            clock.close(*phases[i].slot, phases[i].span);
+            running = i + 1;
+        };
+        Computed computed;
+        try {
+            computed = computeNarrow(request);
+        } catch (const anf::WidthExceeded&) {
+            // The aborted pass's time stays with the phase it was in.
+            if (running < phases.size())
+                clock.close(*phases[running].slot, phases[running].span);
+            static auto& reruns = obs::counter("engine.width.wide_reruns");
+            reruns.add();
+            computed = computeWide(request);
+        }
+        result.phases.probeSweepMs = computed.probeSweepMs;
+        result.blocks = computed.blocks;
+        result.iterations = computed.iterations;
+        result.leaders = computed.leaders;
+        result.converged = computed.converged;
+        result.budgetExhausted = computed.budgetExhausted;
 
-        const auto raw = synth::synthDecomposition(d, job.vars);
-        clock.close(result.phases.synthMs, "job.synth");
+        const netlist::Netlist& raw = computed.raw;
         const auto optimized = synth::optimize(raw);
         clock.close(result.phases.optimizeMs, "job.optimize");
         auto mapped = synth::techMap(optimized, lib_);
@@ -670,7 +726,7 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
             }
             result.verification = VerifyStatus::kSimulated;
         } else {
-            if (d.expandedOutputs(job.vars) != job.outputs) {
+            if (!computed.algebraicMatch) {
                 result.verification = VerifyStatus::kFailed;
                 fail("engine",
                      result.name +

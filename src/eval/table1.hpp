@@ -28,7 +28,8 @@ struct RowResult {
     synth::Qor qor;
     double paperArea = 0.0;   ///< 0 when the paper has no number
     double paperDelay = 0.0;
-    bool verified = false;
+    /// Every row passed its reference check (Flow throws otherwise);
+    /// this says whether that check covered the whole input space.
     bool exhaustive = false;
     /// SAT miter against the report's first row proved equivalence (set by
     /// satCrossCheck; meaningful for circuits too wide for exhaustion).

@@ -4,7 +4,7 @@
 
 #include "anf/ops.hpp"
 
-namespace pd::ring {
+namespace pd::ring::PD_WIDTH_NS {
 
 void IdentityDb::add(const anf::Anf& e) {
     if (e.isZero()) return;
@@ -57,4 +57,4 @@ void IdentityDb::dropTouching(const anf::VarSet& consumed) {
     });
 }
 
-}  // namespace pd::ring
+}  // namespace pd::ring::PD_WIDTH_NS

@@ -17,7 +17,7 @@
 #include "anf/anf.hpp"
 #include "ring/nullspace.hpp"
 
-namespace pd::ring {
+namespace pd::ring::PD_WIDTH_NS {
 
 /// Store of identically-zero expressions over the current variable space.
 class IdentityDb {
@@ -57,4 +57,4 @@ private:
     std::vector<anf::Anf> ids_;
 };
 
-}  // namespace pd::ring
+}  // namespace pd::ring::PD_WIDTH_NS

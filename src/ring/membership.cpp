@@ -5,7 +5,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
-namespace pd::ring {
+namespace pd::ring::PD_WIDTH_NS {
 namespace {
 
 obs::Counter& queriesCounter() {
@@ -248,4 +248,4 @@ SumMembership memberOfSum(MembershipContext& ctx, const anf::Anf& target,
     return out;
 }
 
-}  // namespace pd::ring
+}  // namespace pd::ring::PD_WIDTH_NS

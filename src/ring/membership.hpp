@@ -34,7 +34,7 @@
 #include "anf/indexed.hpp"
 #include "ring/nullspace.hpp"
 
-namespace pd::ring {
+namespace pd::ring::PD_WIDTH_NS {
 
 /// Outcome of a (target ∈ R₁ ⊕ R₂) query.
 struct SumMembership {
@@ -142,4 +142,4 @@ private:
                                         const NullSpaceRing& r2,
                                         std::size_t maxSpan = 64);
 
-}  // namespace pd::ring
+}  // namespace pd::ring::PD_WIDTH_NS

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-namespace pd::ring {
+namespace pd::ring::PD_WIDTH_NS {
 
 void NullSpaceRing::addGenerator(const anf::Anf& g) {
     if (g.isZero()) return;
@@ -193,4 +193,4 @@ NullSpaceRing NullSpaceRing::merged(const NullSpaceRing& a,
     return r;
 }
 
-}  // namespace pd::ring
+}  // namespace pd::ring::PD_WIDTH_NS

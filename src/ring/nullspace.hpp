@@ -28,7 +28,7 @@
 #include "anf/anf.hpp"
 #include "anf/indexed.hpp"
 
-namespace pd::ring {
+namespace pd::ring::PD_WIDTH_NS {
 
 /// Generator-represented subring of some null-space N(P).
 ///
@@ -180,4 +180,4 @@ private:
     mutable std::shared_ptr<const IndexedSpan> spanCache_;
 };
 
-}  // namespace pd::ring
+}  // namespace pd::ring::PD_WIDTH_NS

@@ -3,7 +3,7 @@
 #include "synth/sop.hpp"
 #include "util/error.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 netlist::NetId synthAnf(netlist::Builder& b, const anf::Anf& e,
                         const std::vector<netlist::NetId>& nets) {
@@ -42,4 +42,4 @@ netlist::Netlist synthAnfOutputs(const std::vector<anf::Anf>& outputs,
     return nl;
 }
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

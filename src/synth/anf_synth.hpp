@@ -12,7 +12,7 @@
 #include "anf/anf.hpp"
 #include "netlist/builder.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 /// Emits gates computing `e`; `nets` maps each support variable to a net.
 [[nodiscard]] netlist::NetId synthAnf(
@@ -24,4 +24,4 @@ namespace pd::synth {
     const std::vector<anf::Anf>& outputs,
     const std::vector<std::string>& names, const anf::VarTable& vars);
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

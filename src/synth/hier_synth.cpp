@@ -6,7 +6,7 @@
 #include "synth/sop.hpp"
 #include "util/error.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 netlist::Netlist synthDecomposition(const core::Decomposition& d,
                                     const anf::VarTable& vars) {
@@ -31,4 +31,4 @@ netlist::Netlist synthDecomposition(const core::Decomposition& d,
     return nl;
 }
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

@@ -10,10 +10,10 @@
 #include "core/hierarchy.hpp"
 #include "netlist/netlist.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 /// Builds the gate-level implementation of a decomposition.
 [[nodiscard]] netlist::Netlist synthDecomposition(
     const core::Decomposition& d, const anf::VarTable& vars);
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

@@ -9,7 +9,7 @@
 #include "synth/quickfactor.hpp"
 #include "util/error.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 namespace {
 
 // Literals are ordered pos(v) = 2v < neg(v) = 2v+1 for the standard
@@ -215,7 +215,10 @@ netlist::Netlist synthSopKernels(const SopSpec& spec,
     std::vector<anf::Var> extractedVars;  // parallel to extracted nodes
 
     for (std::size_t round = 0; round < opt.maxExtractions; ++round) {
-        if (nextVar + 1 >= anf::Monomial::kMaxVars) break;
+        if (nextVar + 1 >= anf::Monomial::kMaxVars) {
+            anf::reachedCapacity("kernels");  // a narrow run re-runs wide
+            break;
+        }
         // Collect candidate kernels from every node.
         std::vector<std::vector<Cube>> candidates;
         std::unordered_set<std::string> seen;
@@ -298,4 +301,4 @@ netlist::Netlist synthSopKernels(const SopSpec& spec,
     return nl;
 }
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

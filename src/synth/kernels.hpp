@@ -15,7 +15,7 @@
 
 #include "synth/sop.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 /// One kernel of a cover: the cube-free quotient by its co-kernel cube.
 struct KernelResult {
@@ -51,4 +51,4 @@ struct KernelSynthOptions {
     const SopSpec& spec, const anf::VarTable& vars,
     const KernelSynthOptions& opt = {});
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

@@ -4,7 +4,7 @@
 
 #include "util/error.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 namespace {
 
 using netlist::Builder;
@@ -122,4 +122,4 @@ netlist::Netlist synthSopFactored(const SopSpec& spec,
     return nl;
 }
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

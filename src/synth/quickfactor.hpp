@@ -14,7 +14,7 @@
 
 #include "synth/sop.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 /// Multi-level synthesis of the spec via recursive quick-factoring.
 [[nodiscard]] netlist::Netlist synthSopFactored(const SopSpec& spec,
@@ -27,4 +27,4 @@ namespace pd::synth {
     netlist::Builder& b, std::vector<Cube> cubes,
     const std::vector<netlist::NetId>& nets);
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

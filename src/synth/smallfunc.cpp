@@ -7,7 +7,7 @@
 #include "synth/anf_synth.hpp"
 #include "util/error.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 namespace {
 
 /// Gate-cost estimate used to pick a form. XOR cells are markedly more
@@ -213,4 +213,4 @@ netlist::NetId synthSmallAnf(netlist::Builder& b, const anf::Anf& e,
     return buildCover(b, offCover, supportNets, true);
 }
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

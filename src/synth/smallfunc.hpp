@@ -17,7 +17,7 @@
 #include "anf/anf.hpp"
 #include "netlist/builder.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 /// One product term of a two-level cover over n variables: for bit i,
 /// (mask >> i) & 1 says the variable is a care literal and
@@ -48,4 +48,4 @@ netlist::NetId synthSmallAnf(netlist::Builder& b, const anf::Anf& e,
                              const std::vector<netlist::NetId>& nets,
                              int maxTtVars = 8);
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

@@ -1,6 +1,6 @@
 #include "synth/sop.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 std::vector<netlist::NetId> registerInputs(netlist::Builder& b,
                                            const anf::VarTable& vars) {
@@ -32,4 +32,4 @@ netlist::Netlist synthSopFlat(const SopSpec& spec, const anf::VarTable& vars) {
     return nl;
 }
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

@@ -15,7 +15,7 @@
 #include "anf/vartable.hpp"
 #include "netlist/builder.hpp"
 
-namespace pd::synth {
+namespace pd::synth::PD_WIDTH_NS {
 
 struct Cube {
     anf::VarSet pos;  ///< variables appearing positively
@@ -40,4 +40,4 @@ struct SopSpec {
 [[nodiscard]] netlist::Netlist synthSopFlat(const SopSpec& spec,
                                             const anf::VarTable& vars);
 
-}  // namespace pd::synth
+}  // namespace pd::synth::PD_WIDTH_NS

@@ -223,6 +223,21 @@ TEST(Comparator, RefusesIntractableWidths) {
     EXPECT_TRUE(static_cast<bool>(b.reference));
 }
 
+TEST(Comparator, WideWidthsKeepTheReferenceUpToTheSimulatorsPorts) {
+    // Like makeAdder and makeLzd past their limits: no spec, but a
+    // reference over 64-bit port words. Past 64 bits there is no benchmark.
+    for (const int n : {32, 64}) {
+        const auto b = makeComparator(n);
+        EXPECT_FALSE(static_cast<bool>(b.anf)) << n;
+        const std::uint64_t top = std::uint64_t{1} << (n - 1);
+        const std::vector<std::uint64_t> gt = {top, top - 1};
+        const std::vector<std::uint64_t> lt = {top - 1, top};
+        EXPECT_EQ(b.reference(gt), 1u) << n;
+        EXPECT_EQ(b.reference(lt), 0u) << n;
+    }
+    EXPECT_THROW((void)makeComparator(65), Error);
+}
+
 // Every default registry spec's expansion, pinned by its cache-key
 // digest under default options. Canonical Reed-Muller form is unique, so
 // a change to how specs are built may change speed but never these

@@ -5,7 +5,9 @@
 // worker pool's exception capture, LRU eviction, SAT verification
 // through the result cache (a hit replays the donor's block, a
 // fault-starved verify is never published), the default batch at 4
-// jobs against 1 (jobs and sweep counters), and the JSON reporter.
+// jobs against 1 (jobs and sweep counters), the two monomial widths (the
+// narrow and wide compute passes agree, and a job that outgrows 128 ids
+// re-runs wide with the wide result), and the JSON reporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +22,13 @@
 #include "circuits/registry.hpp"
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
+#include "engine/persist/serialize.hpp"
 #include "engine/report_json.hpp"
+#include "netlist/stats.hpp"
 #include "obs/metrics.hpp"
+#include "synth/mapper.hpp"
+#include "synth/opt.hpp"
+#include "util/digest.hpp"
 #include "util/fault/fault.hpp"
 #include "util/pool.hpp"
 
@@ -916,6 +923,191 @@ TEST(ReportJson, EscapesAndNests) {
     EXPECT_NE(out.find("\\t"), std::string::npos);
     EXPECT_NE(out.find("\"schema\": \"pd-batch-report-v1\""),
               std::string::npos);
+}
+
+// ---- The two monomial widths ---------------------------------------------
+
+/// The result the engine reports for a pass (SAT verify off): the rest of
+/// the flow — optimize, map, STA, verify — run on the pass's raw netlist.
+JobResult finishPass(const Computed& c, const circuits::Benchmark* bench) {
+    const auto lib = synth::CellLibrary::umc130();
+    JobResult r;
+    r.ok = true;
+    r.blocks = c.blocks;
+    r.iterations = c.iterations;
+    r.leaders = c.leaders;
+    r.converged = c.converged;
+    r.budgetExhausted = c.budgetExhausted;
+    r.mapped = synth::techMap(synth::optimize(c.raw), lib);
+    r.qor = synth::qor(r.mapped, lib);
+    const auto stats = netlist::computeStats(r.mapped);
+    r.levels = stats.levels;
+    r.interconnect = stats.interconnect;
+    if (bench) {
+        const auto eq = sim::checkAgainstReference(
+            r.mapped, bench->ports, bench->outputNames, bench->reference,
+            sim::EquivOptions{});
+        r.verification =
+            eq.equivalent ? VerifyStatus::kSimulated : VerifyStatus::kFailed;
+        r.vectorsTested = eq.vectorsTested;
+        r.exhaustive = eq.exhaustive;
+    } else {
+        r.verification = c.algebraicMatch ? VerifyStatus::kAlgebraic
+                                          : VerifyStatus::kFailed;
+    }
+    return r;
+}
+
+/// The digest of a result's pd-cache-v6 record, which holds its whole
+/// semantic payload.
+std::string storeRecord(const JobResult& r) {
+    std::string out;
+    persist::serializeJobResult(r, out);
+    return util::digestOf(out).hex();
+}
+
+std::uint64_t wideReruns() {
+    return obs::counter("engine.width.wide_reruns").value();
+}
+
+TEST(Width, NarrowAndWidePassesAgreeOnEveryRegistryJob) {
+    // Every default job and mul6 fits in 128 variable ids: the engine's
+    // run — narrow, with no rerun — has the decomposition, QoR,
+    // verification, key and store record of a wide-only run.
+    const auto pool = std::make_shared<util::ThreadPool>(4);
+    EngineOptions eopt;
+    eopt.jobs = 4;
+    eopt.cacheCapacity = 0;
+    Engine engine(eopt);
+    auto names = circuits::benchmarkNames(/*includeHeavy=*/false);
+    names.push_back("mul6");
+    for (const auto& name : names) {
+        const auto bench = circuits::makeNamedBenchmark(name);
+        ASSERT_TRUE(bench) << name;
+        ComputeRequest request;
+        request.benchmark = name;
+        request.options.probePool = pool;
+        request.mark = [](ComputePhase) {};
+        const JobResult expected = finishPass(computeWide(request), &*bench);
+
+        JobSpec spec;
+        spec.benchmark = name;
+        spec.keepMapped = true;
+        const auto reruns = wideReruns();
+        const JobResult r = engine.runJob(spec);
+        ASSERT_TRUE(r.ok) << name << ": " << r.error;
+        EXPECT_EQ(wideReruns(), reruns) << name;
+        EXPECT_EQ(r.verification, VerifyStatus::kSimulated) << name;
+        EXPECT_EQ(storeRecord(r), storeRecord(expected)) << name;
+        EXPECT_EQ(r.cacheKey,
+                  registryKey(name, optionsFingerprint(spec.options, true),
+                              specStamp(*bench))
+                      .hex())
+            << name;
+    }
+}
+
+/// The shape of Decomposer.CapacityGuardCountsTheWholeBasis over `n`
+/// variables: x0..x3 carry all 15 subset products, each with its own
+/// cofactor x4..x18; x19.. pad the expression linearly.
+std::string basisShaped(std::size_t n) {
+    const auto x = [](std::size_t i) { return "x" + std::to_string(i); };
+    std::string f = "f=";
+    std::size_t cofactor = 4;
+    for (const unsigned size : {4u, 3u, 2u, 1u})
+        for (unsigned mask = 1; mask < 16; ++mask) {
+            if (static_cast<unsigned>(__builtin_popcount(mask)) != size)
+                continue;
+            if (cofactor > 4) f += " ^ ";
+            f += x(cofactor++);
+            for (std::size_t v = 0; v < 4; ++v)
+                if (mask & (1u << v)) f += "*" + x(v);
+        }
+    for (std::size_t i = 19; i < n; ++i) f += " ^ " + x(i);
+    return f;
+}
+
+/// One output per non-empty subset product of x0..x3. The folded list
+/// is Σ K_S·x^S: the only group is {x0..x3}, and its basis holds all 15
+/// products. `ignored` inputs (p ^ p) take ids the function never uses.
+std::vector<std::string> subsetProducts(std::size_t ignored) {
+    std::vector<std::string> outs;
+    for (unsigned mask = 1; mask < 16; ++mask) {
+        std::string o = "o" + std::to_string(mask) + "=";
+        for (unsigned v = 0; v < 4; ++v)
+            if (mask & (1u << v))
+                o += (o.back() == '=' ? "x" : "*x") + std::to_string(v);
+        outs.push_back(std::move(o));
+    }
+    for (std::size_t i = 0; i < ignored; ++i)
+        outs.front() += " ^ p" + std::to_string(i) + " ^ p" + std::to_string(i);
+    return outs;
+}
+
+TEST(Width, JobsThatOutgrow128IdsRerunWideWithTheWideResult) {
+    // At 128 bits the headroom stop (ids + 2k + 2 >= 128) fires before the
+    // first sweep from 118 ids on. At 115 and 117 ids (4 inputs, 15 tags,
+    // the rest ignored inputs) it does not, but the 15-element basis passes
+    // the capacity. 100 inputs and 30 outputs need tags up to id 129, so
+    // folding inserts one past 127, and a spec over 135 variables does not
+    // fit in a narrow monomial at all. Every such job must re-run wide,
+    // once, and report what a wide-only run reports.
+    struct Case {
+        const char* site;
+        std::vector<std::string> expressions;
+    };
+    std::vector<std::string> manyOutputs;
+    for (std::size_t j = 0; j < 30; ++j) {
+        std::string o = "o" + std::to_string(j) + "=x" +
+                        std::to_string(3 * j) + "*x" +
+                        std::to_string(3 * j + 1) + " ^ x" +
+                        std::to_string(3 * j + 2);
+        if (j == 29)
+            for (std::size_t i = 90; i < 100; ++i) o += " ^ x" + std::to_string(i);
+        manyOutputs.push_back(std::move(o));
+    }
+    const std::vector<Case> cases = {
+        {"headroom", {basisShaped(120)}}, {"headroom", {basisShaped(127)}},
+        {"capacity", subsetProducts(96)}, {"capacity", subsetProducts(98)},
+        {"insert", manyOutputs},          {"insert", {basisShaped(135)}},
+    };
+    Engine engine(EngineOptions{});
+    for (const auto& c : cases) {
+        // The spec as the engine expands it, for a wide-only pass.
+        anf::VarTable vars;
+        std::vector<anf::Anf> outputs;
+        std::vector<std::string> names;
+        for (const auto& e : c.expressions) {
+            const auto eq = e.find('=');
+            names.push_back(e.substr(0, eq));
+            outputs.push_back(anf::parse(e.substr(eq + 1), vars));
+        }
+        const std::size_t tags = names.size() > 1 ? names.size() : 0;
+        const std::string label = std::string(c.site) + " at " +
+                                  std::to_string(vars.size() + tags) + " ids";
+        const PackedSpec packed = packSpec(vars, names, outputs);
+        ComputeRequest request;
+        request.spec = &packed;
+        request.algebraicCheck = true;
+        request.mark = [](ComputePhase) {};
+        try {
+            (void)computeNarrow(request);
+            ADD_FAILURE() << label << ": the narrow pass returned a result";
+        } catch (const anf::WidthExceeded& e) {
+            EXPECT_STREQ(e.site, c.site) << label;
+        }
+        const JobResult expected = finishPass(computeWide(request), nullptr);
+        EXPECT_EQ(expected.verification, VerifyStatus::kAlgebraic) << label;
+
+        JobSpec spec;
+        spec.expressions = c.expressions;
+        spec.keepMapped = true;
+        const auto reruns = wideReruns();
+        const JobResult r = engine.runJob(spec);
+        ASSERT_TRUE(r.ok) << label << ": " << r.error;
+        EXPECT_EQ(wideReruns(), reruns + 1) << label;
+        EXPECT_EQ(storeRecord(r), storeRecord(expected)) << label;
+    }
 }
 
 }  // namespace

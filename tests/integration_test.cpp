@@ -20,7 +20,6 @@ TEST(Flow, PdOnMajority7) {
     Flow flow;
     const auto bench = circuits::makeMajority(7);
     const auto row = flow.runPd("pd", bench, 0, 0);
-    EXPECT_TRUE(row.verified);
     EXPECT_TRUE(row.exhaustive);
     EXPECT_GT(row.qor.area, 0.0);
     EXPECT_GT(row.qor.delay, 0.0);
@@ -31,7 +30,6 @@ TEST(Flow, SopBaselineOnMajority7) {
     Flow flow;
     const auto bench = circuits::makeMajority(7);
     const auto row = flow.runSopFactored("sop", bench, 0, 0);
-    EXPECT_TRUE(row.verified);
     EXPECT_GT(row.qor.gates, 0u);
 }
 
@@ -42,8 +40,6 @@ TEST(Flow, PdBeatsSopOnLzd8Delay) {
     const auto bench = circuits::makeLzd(8);
     const auto sop = flow.runSopFactored("sop", bench, 0, 0);
     const auto pd = flow.runPd("pd", bench, 0, 0);
-    EXPECT_TRUE(sop.verified);
-    EXPECT_TRUE(pd.verified);
     EXPECT_LT(pd.qor.delay, sop.qor.delay);
 }
 
@@ -51,7 +47,6 @@ TEST(Flow, PdOnAdder8MatchesReferenceExhaustively) {
     Flow flow;
     const auto bench = circuits::makeAdder(8);
     const auto row = flow.runPd("pd", bench, 0, 0);
-    EXPECT_TRUE(row.verified);
     EXPECT_TRUE(row.exhaustive);  // 16 input bits
 }
 
@@ -59,7 +54,6 @@ TEST(Flow, PdOnComparator8) {
     Flow flow;
     const auto bench = circuits::makeComparator(8);
     const auto row = flow.runPd("pd", bench, 0, 0);
-    EXPECT_TRUE(row.verified);
     EXPECT_TRUE(row.exhaustive);
 }
 
@@ -67,7 +61,17 @@ TEST(Flow, PdOnCounter12) {
     Flow flow;
     const auto bench = circuits::makeCounter(12);
     const auto row = flow.runPd("pd", bench, 0, 0);
-    EXPECT_TRUE(row.verified);
+}
+
+TEST(Flow, NetlistFailingItsReferenceThrows) {
+    // A row is only ever reported verified: LZD8's netlist checked
+    // against LOD8 (same ports, other function) must throw out of Flow.
+    Flow flow;
+    const auto lzd = circuits::makeLzd(8);
+    const auto lod = circuits::makeLod(8);
+    const auto row = flow.runSopFactored("lzd", lzd, 0, 0);
+    EXPECT_THROW((void)flow.runNetlist("lzd as lod", row.mapped, lod, 0, 0),
+                 Error);
 }
 
 TEST(Flow, MissingSpecsThrow) {
@@ -118,7 +122,6 @@ TEST(Table1, ComparatorRowGroupRuns) {
     Flow flow;
     const auto rep = rowComparator(flow, 8);
     ASSERT_GE(rep.rows.size(), 3u);
-    for (const auto& row : rep.rows) EXPECT_TRUE(row.verified);
     // PD at least matches the progressive-comparator baseline on delay.
     const auto& base = rep.rows[0];
     const auto& pd = rep.rows[1];

@@ -222,13 +222,12 @@ int main(int argc, char** argv) {
     {
         pd::anf::VarTable tbl;
         const auto outs = bench->anf(tbl);
-        pd::core::DecomposeOptions dopt;
-        dopt.probeCaptureHook = [&](const pd::anf::Anf& f,
-                                    const std::vector<pd::anf::VarSet>& c,
-                                    const pd::ring::IdentityDb& i) {
-            sweeps.push_back({f, c, i});
-        };
-        probeDecomp = pd::core::decompose(tbl, outs, bench->outputNames, dopt);
+        probeDecomp = pd::core::decompose(
+            tbl, outs, bench->outputNames, {},
+            [&](const pd::anf::Anf& f, const std::vector<pd::anf::VarSet>& c,
+                const pd::ring::IdentityDb& i) {
+                sweeps.push_back({f, c, i});
+            });
     }
     pd::core::GroupOptions gopt;
     gopt.probeMergeBudget = pd::core::kDefaultMergeAttemptBudget;

@@ -23,7 +23,17 @@ bench/, examples/, tools/ or tests/ must resolve from the repo root or
 from the citing file's directory ("see docs/cli.md", "the shard
 README.md"). URLs (a name preceded by "://") are skipped.
 
-Exits non-zero listing every broken link and citation.
+Third, docs/cli.md must match the flag parsers:
+  * every flag tools/pd_cli.cpp compares an argument with (`arg ==
+    "--flag"`) is named, in backticks, outside the hidden-worker section;
+  * every flag in the first column of a table outside that section is
+    one pd_cli accepts;
+  * the worker-argv table (the section whose heading names the `worker`
+    mode) lists exactly the flags src/engine/shard/worker.cpp reads: its
+    `visit("--flag", ...)` field list plus the flags decodeWorkerArgs
+    handles itself (`flag == "--flag"`).
+
+Exits non-zero listing every broken link, citation and flag mismatch.
 """
 import os
 import re
@@ -147,6 +157,65 @@ def check_citations(src_path, root):
     return problems
 
 
+CLI_DOC = os.path.join("docs", "cli.md")
+CLI_SOURCE = os.path.join("tools", "pd_cli.cpp")
+WORKER_SOURCE = os.path.join("src", "engine", "shard", "worker.cpp")
+CLI_FLAG_RE = re.compile(r"\b(?:arg|a) == \"(-{1,2}[a-z][\w-]*)\"")
+WORKER_FLAG_RE = re.compile(
+    r"(?:\bvisit\(|\bflag == )\"(--[a-z][\w-]*)\"")
+TICKED_FLAG_RE = re.compile(r"`(-{1,2}[a-z][\w-]*)")
+CELL_SPLIT_RE = re.compile(r"(?<!\\)\|")
+
+
+def doc_flags(doc_text):
+    """Returns ({flags named outside the worker section},
+    {first-column table flags outside it}, {first-column flags of the
+    worker section's tables})."""
+    named, table, worker = set(), set(), set()
+    in_worker = False
+    for line in doc_text.splitlines():
+        if line.startswith("## "):
+            in_worker = "`worker`" in line
+        if not in_worker:
+            named.update(TICKED_FLAG_RE.findall(line))
+        if not line.startswith("|"):
+            continue
+        cells = CELL_SPLIT_RE.split(line)
+        if len(cells) < 3:
+            continue
+        flags = set(TICKED_FLAG_RE.findall(cells[1]))
+        (worker if in_worker else table).update(flags)
+    return named, table, worker
+
+
+def check_cli_flags(root):
+    """Returns a list of flag mismatches between docs/cli.md and the two
+    argv parsers."""
+    def read(rel):
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            return f.read()
+    accepted = set(CLI_FLAG_RE.findall(read(CLI_SOURCE)))
+    worker_accepted = set(WORKER_FLAG_RE.findall(read(WORKER_SOURCE)))
+    named, table, worker = doc_flags(read(CLI_DOC))
+    problems = []
+    for flag in sorted(accepted - named):
+        problems.append(f"{CLI_DOC}: pd_cli accepts {flag}, but the "
+                        f"reference never names it")
+    for flag in sorted(table - accepted):
+        problems.append(f"{CLI_DOC}: table flag {flag} is not one "
+                        f"{CLI_SOURCE} accepts")
+    for flag in sorted(worker_accepted - worker):
+        problems.append(f"{CLI_DOC}: the worker-argv table lacks {flag}, "
+                        f"which {WORKER_SOURCE} reads")
+    for flag in sorted(worker - worker_accepted):
+        problems.append(f"{CLI_DOC}: worker-argv table flag {flag} is not "
+                        f"one {WORKER_SOURCE} reads")
+    if not accepted or not worker_accepted:
+        problems.append("no flags found in the argv parsers; has their "
+                        "parsing idiom changed?")
+    return problems, len(accepted), len(worker_accepted)
+
+
 def main():
     root = os.path.realpath(sys.argv[1] if len(sys.argv) > 1 else ".")
     total_files = 0
@@ -167,14 +236,19 @@ def main():
             print(f"{rel}:{lineno}: cited document {name} does not exist",
                   file=sys.stderr)
             total_citations_broken += 1
-    if total_links_broken or total_citations_broken:
+    flag_problems, cli_flags, worker_flags = check_cli_flags(root)
+    for problem in flag_problems:
+        print(problem, file=sys.stderr)
+    if total_links_broken or total_citations_broken or flag_problems:
         sys.exit(f"{total_links_broken} broken link(s) across "
                  f"{total_files} Markdown file(s), "
                  f"{total_citations_broken} dangling citation(s) across "
-                 f"{total_sources} source file(s)")
+                 f"{total_sources} source file(s), "
+                 f"{len(flag_problems)} flag mismatch(es) in {CLI_DOC}")
     print(f"doc-link gate OK: {total_files} Markdown files, all relative "
           f"links resolve; {total_sources} source files, every cited "
-          f"Markdown file exists")
+          f"Markdown file exists; {CLI_DOC} matches the {cli_flags} "
+          f"pd_cli flags and the {worker_flags} worker flags")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 // The monomial width of a translation unit.
 //
-// Every source whose types or results depend on Monomial's size — anf/,
-// ring/, core/, the spec builders in circuits/, the ANF-facing synth/
-// files and engine/compute.cpp — is compiled twice: at the default 256
-// bits, and at 128 bits with PD_MONOMIAL_WORDS=2. Each build puts its
+// Every source whose types or results depend on Monomial's size and that
+// the compute pass runs — anf/ (but the parser), ring/, core/, the spec
+// builders in circuits/, the hierarchy synthesis in synth/ and
+// engine/compute.cpp — is compiled twice: at the default 256 bits, and
+// at 128 bits with PD_MONOMIAL_WORDS=2. Each build puts its
 // declarations in its own inline namespace (w256 or w128), so the two
 // copies link into one library side by side while every other source
 // (and every test) names the default types as plain pd::anf::Monomial,
@@ -36,8 +37,7 @@ struct WidthExceeded : std::exception {
     [[nodiscard]] const char* what() const noexcept override {
         return "job outgrew the 128-bit monomial width";
     }
-    /// The bound that was reached: "insert", "headroom", "capacity" or
-    /// "kernels".
+    /// The bound that was reached: "insert", "headroom" or "capacity".
     const char* site;
 };
 
@@ -48,9 +48,9 @@ namespace pd::anf::PD_WIDTH_NS {
 /// True in the 128-bit build.
 inline constexpr bool kNarrowWidth = PD_MONOMIAL_WORDS < 4;
 
-/// Called where a run reaches Monomial::kMaxVars: the capacity error in
-/// Monomial::insert, the decomposer's headroom and capacity stops, and the
-/// SOP kernel extractor's variable cap. The narrow build throws
+/// Called at the three sites where a compute pass reaches
+/// Monomial::kMaxVars: the capacity error in Monomial::insert and the
+/// decomposer's headroom and capacity stops. The narrow build throws
 /// WidthExceeded, so a narrow run never ends on a bound the wide run does
 /// not have; the wide build returns and the caller applies its own rule.
 inline void reachedCapacity([[maybe_unused]] const char* site) {

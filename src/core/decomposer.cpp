@@ -46,7 +46,8 @@ bool isRename(const Block& block) {
 Decomposition decompose(anf::VarTable& vars,
                         const std::vector<anf::Anf>& outputs,
                         std::vector<std::string> outputNames,
-                        const DecomposeOptions& opt) {
+                        const DecomposeOptions& opt,
+                        ProbeCaptureHook probeCaptureHook) {
     if (outputs.empty()) fail("decompose", "no output expressions");
     if (outputNames.size() != outputs.size())
         fail("decompose", "output/name count mismatch");
@@ -81,7 +82,6 @@ Decomposition decompose(anf::VarTable& vars,
 
     GroupOptions gOpt;
     gOpt.k = opt.k;
-    gOpt.maxCombinations = opt.maxExhaustiveCombinations;
     gOpt.probeMergeBudget = opt.mergeAttemptBudget;
 
     // One probe context for the whole run: per-lane indexers and solver
@@ -89,7 +89,7 @@ Decomposition decompose(anf::VarTable& vars,
     // probe pool's lanes deterministically (bit-identical results at any
     // pool size).
     probe::ProbeContext probeCtx(opt.probePool);
-    probeCtx.captureHook = opt.probeCaptureHook;
+    probeCtx.captureHook = std::move(probeCaptureHook);
     // The winning probe's findBasis is reusable for the iteration
     // exactly when the probes scored under this run's merge options.
     const bool probeBasisReusable =
@@ -133,7 +133,7 @@ Decomposition decompose(anf::VarTable& vars,
         IterationTrace tr;
         tr.level = static_cast<int>(iter);
         tr.foldedTermsBefore = folded.termCount();
-        if (opt.recordTrace) tr.group = anf::setToString(group, vars);
+        tr.group = anf::setToString(group, vars);
 
         BasisResult bres;
         if (probeBasisReusable && sel.winnerBasis) {
@@ -190,15 +190,14 @@ Decomposition decompose(anf::VarTable& vars,
             const anf::Var v = fresh(iter);
             newVars.push_back(v);
             basisExprs.push_back(p.first);
-            if (opt.recordTrace)
-                tr.basis.push_back(vars.name(v) + " = " +
-                                   anf::toString(p.first, vars));
+            tr.basis.push_back(vars.name(v) + " = " +
+                               anf::toString(p.first, vars));
         }
 
         // ---- Identities among the basis (over the new variables).
         IdentityScan scan;
         if (opt.useIdentities)
-            scan = findIdentities(basisExprs, newVars, opt.identityMaxDegree);
+            scan = findIdentities(basisExprs, newVars);
 
         // ---- Rewrite.
         anf::Anf next = rewriteFolded(pairs, newVars, bres.untouched);
@@ -207,10 +206,9 @@ Decomposition decompose(anf::VarTable& vars,
                 obs::ScopedSpan span("decompose.substitute", "decompose");
                 next = anf::substitute(next, scan.reductions);
             }
-            if (opt.recordTrace)
-                for (const auto& [v, e] : scan.reductions)
-                    tr.reductions.push_back(vars.name(v) + " = " +
-                                            anf::toString(e, vars));
+            for (const auto& [v, e] : scan.reductions)
+                tr.reductions.push_back(vars.name(v) + " = " +
+                                        anf::toString(e, vars));
         }
 
         // ---- Record the block (reduced elements carry no hardware).
@@ -250,7 +248,7 @@ Decomposition decompose(anf::VarTable& vars,
                 break;
             }
             block.group = support;
-            if (opt.recordTrace) tr.group = anf::setToString(support, vars);
+            tr.group = anf::setToString(support, vars);
             std::vector<anf::Anf> outs =
                 tags.empty() ? std::vector<anf::Anf>{folded}
                              : unfold(folded, tags);
@@ -265,10 +263,9 @@ Decomposition decompose(anf::VarTable& vars,
                 if (!out.isConstant() && !out.isLiteral()) {
                     const anf::Var v = fresh(iter);
                     block.outputs.push_back({v, std::move(out)});
-                    if (opt.recordTrace)
-                        tr.basis.push_back(
-                            vars.name(v) + " = " +
-                            anf::toString(block.outputs.back().expr, vars));
+                    tr.basis.push_back(
+                        vars.name(v) + " = " +
+                        anf::toString(block.outputs.back().expr, vars));
                     out = anf::Anf::var(v);
                 }
                 next ^= tags.empty() ? out : anf::Anf::var(tags[i]) * out;
@@ -286,13 +283,13 @@ Decomposition decompose(anf::VarTable& vars,
                                       ? ann
                                       : anf::substitute(ann, scan.reductions);
             idb.add(live);
-            if (opt.recordTrace && !live.isZero())
+            if (!live.isZero())
                 tr.identities.push_back(anf::toString(live, vars) + " = 0");
         }
 
         folded = std::move(next);
         tr.foldedTermsAfter = folded.termCount();
-        if (opt.recordTrace) result.trace.push_back(std::move(tr));
+        result.trace.push_back(std::move(tr));
         result.iterations = iter + 1;
         // A committed block trades its group's variables for its
         // leaders, so the variable count alone need not shrink; what

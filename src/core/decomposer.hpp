@@ -47,17 +47,13 @@ inline constexpr std::array<const char*, 6> kStopCounters = {
     "decompose.stop.headroom",  "decompose.stop.capacity",
     "decompose.stop.stall",     "decompose.stop.iterations"};
 
-/// The width-free settings (core/options.hpp) plus a hook typed at this
-/// build's monomial width.
-struct DecomposeOptions : DecomposeSettings {
-    /// Bench/test hook forwarded to the probe context: reports every
-    /// sweep's inputs (folded expression, candidates, identity-database
-    /// snapshot) so the probe workload of a real run can be replayed.
-    /// Never affects results; never serialized.
+/// Bench/test hook forwarded to the probe context: reports every sweep's
+/// inputs (folded expression, candidates, identity-database snapshot) so
+/// the probe workload of a real run can be replayed. Never affects
+/// results.
+using ProbeCaptureHook =
     std::function<void(const anf::Anf&, const std::vector<anf::VarSet>&,
-                       const ring::IdentityDb&)>
-        probeCaptureHook;
-};
+                       const ring::IdentityDb&)>;
 
 /// Runs Progressive Decomposition over a list of output expressions.
 ///
@@ -66,6 +62,7 @@ struct DecomposeOptions : DecomposeSettings {
 [[nodiscard]] Decomposition decompose(anf::VarTable& vars,
                                       const std::vector<anf::Anf>& outputs,
                                       std::vector<std::string> outputNames,
-                                      const DecomposeOptions& opt = {});
+                                      const DecomposeOptions& opt = {},
+                                      ProbeCaptureHook probeCaptureHook = {});
 
 }  // namespace pd::core::PD_WIDTH_NS

@@ -30,6 +30,8 @@ struct GroupOptions {
     /// Cap on the number of candidate subsets probed in the exhaustive
     /// phase; beyond it, a sliding-window heuristic over variable ids is
     /// used (derived variables created together tend to belong together).
+    /// The decomposer always runs at this default, which every job key
+    /// carries (engine::optionsFingerprint's `|x` segment).
     std::size_t maxCombinations = 4000;
     /// Merge-attempt budget applied to each candidate's probe findBasis
     /// (0 = unlimited) — the anytime knob, forwarded from

@@ -30,11 +30,16 @@ struct IdentityScan {
     std::unordered_map<anf::Var, anf::Anf> reductions;
 };
 
+/// The product arity the decomposer's identity scan enumerates: the
+/// paper's "expression trees with depth smaller than some constant".
+/// Part of every job key (engine::optionsFingerprint's `|d` segment).
+inline constexpr int kIdentityMaxDegree = 2;
+
 /// Scans for identities among `basis` (parallel to `newVars`).
-/// `maxDegree` bounds the product arity that is enumerated (2 follows the
-/// paper; 3 is noticeably more expensive on wide bases).
+/// `maxDegree` bounds the product arity that is enumerated (3 is
+/// noticeably more expensive on wide bases).
 [[nodiscard]] IdentityScan findIdentities(const std::vector<anf::Anf>& basis,
                                           const std::vector<anf::Var>& newVars,
-                                          int maxDegree = 2);
+                                          int maxDegree = kIdentityMaxDegree);
 
 }  // namespace pd::core::PD_WIDTH_NS

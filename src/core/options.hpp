@@ -1,9 +1,11 @@
-// Decomposition settings that do not depend on the monomial width.
+// The options of one decomposition run.
 //
-// DecomposeSettings is the part of core::DecomposeOptions that crosses
-// the width boundary: the engine hands it to the compute pass of either
-// width (engine/compute.hpp), and DecomposeOptions adds only a test hook
-// typed at its build's width.
+// DecomposeOptions does not depend on the monomial width: the engine
+// hands it to the compute pass of either width (engine/compute.hpp), the
+// shard wire carries it, and every field but probePool is part of the
+// job's key (engine::optionsFingerprint). The identity scan's product
+// arity (core::kIdentityMaxDegree) and the group sweep's candidate cap
+// (GroupOptions::maxCombinations) are constants, not options.
 #pragma once
 
 #include <cstddef>
@@ -25,12 +27,9 @@ namespace pd::core {
 inline constexpr std::size_t kDefaultMergeAttemptBudget = 100000;
 
 /// The knobs of one decomposition run.
-struct DecomposeSettings {
+struct DecomposeOptions {
     /// Group size (the paper always uses 4).
     std::size_t k = 4;
-    /// Product arity bound for the identity scan (paper: "expression trees
-    /// with depth smaller than some constant").
-    int identityMaxDegree = 2;
     bool useLinearMinimize = true;
     bool useSizeReduction = true;
     bool useIdentities = true;
@@ -38,8 +37,8 @@ struct DecomposeSettings {
     /// Add free complement generators (1⊕v) to monomial null-spaces —
     /// stronger than the paper; off by default, exercised by ablations.
     bool complementNullspace = false;
+    /// Iteration cap (pd_cli `--budget` lowers it).
     std::size_t maxIterations = 256;
-    std::size_t maxExhaustiveCombinations = 4000;
     /// Anytime mode: cap on null-space membership solves per iteration
     /// (one findBasis merge phase); 0 = unlimited. When an iteration runs
     /// out, its merge loop stops with the best pair list found so far and
@@ -48,7 +47,6 @@ struct DecomposeSettings {
     /// identical to an unbudgeted run, while multiplier-class jobs become
     /// tractable instead of open-ended.
     std::size_t mergeAttemptBudget = kDefaultMergeAttemptBudget;
-    bool recordTrace = true;
     /// Pool the group-selection probe sweep fans out on (the engine's job
     /// pool): one lane per pool thread, the calling thread's included
     /// (null = sequential). Purely a scheduling input: the sweep is

@@ -52,9 +52,8 @@ Computed PD_COMPUTE_PASS(const ComputeRequest& request) {
     }
     request.mark(ComputePhase::kResolve);
 
-    core::DecomposeOptions opt;
-    static_cast<core::DecomposeSettings&>(opt) = request.options;
-    const auto d = core::decompose(vars, outputs, outputNames, opt);
+    const auto d =
+        core::decompose(vars, outputs, outputNames, request.options);
     request.mark(ComputePhase::kDecompose);
 
     Computed c;

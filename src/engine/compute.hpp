@@ -45,7 +45,7 @@ struct ComputeRequest {
     std::string benchmark;
     /// ...unless the engine already expanded the spec.
     const PackedSpec* spec = nullptr;
-    core::DecomposeSettings options;
+    core::DecomposeOptions options;
     /// Expand the decomposition back to the inputs and compare it with
     /// the spec (kVerify closes it).
     bool algebraicCheck = false;
@@ -67,8 +67,9 @@ struct Computed {
     bool algebraicMatch = true;
 };
 
-/// The pass at 128 bits; throws anf::WidthExceeded wherever the job
-/// reaches the 128-id capacity (anf::reachedCapacity).
+/// The pass at 128 bits; throws anf::WidthExceeded at any of the three
+/// sites where the job reaches the 128-id capacity (anf::reachedCapacity:
+/// Monomial::insert and the decomposer's headroom and capacity stops).
 [[nodiscard]] Computed computeNarrow(const ComputeRequest& request);
 
 /// The pass at 256 bits.

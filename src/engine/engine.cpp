@@ -9,6 +9,8 @@
 #include "anf/parser.hpp"
 #include "circuits/registry.hpp"
 #include "core/decomposer.hpp"
+#include "core/group.hpp"
+#include "core/identities.hpp"
 #include "engine/compute.hpp"
 #include "engine/persist/format.hpp"
 #include "engine/shard/coordinator.hpp"
@@ -209,14 +211,14 @@ std::string optionsFingerprint(const core::DecomposeOptions& opt,
         sig += v ? '1' : '0';
     };
     sig += "|k" + std::to_string(opt.k);
-    sig += "|d" + std::to_string(opt.identityMaxDegree);
+    sig += "|d" + std::to_string(core::kIdentityMaxDegree);
     flag('l', opt.useLinearMinimize);
     flag('s', opt.useSizeReduction);
     flag('i', opt.useIdentities);
     flag('n', opt.useNullspaceMerging);
     flag('c', opt.complementNullspace);
     sig += "|m" + std::to_string(opt.maxIterations);
-    sig += "|x" + std::to_string(opt.maxExhaustiveCombinations);
+    sig += "|x" + std::to_string(core::GroupOptions{}.maxCombinations);
     sig += "|b" + std::to_string(opt.mergeAttemptBudget);
     flag('v', verify);
     return sig;
@@ -529,9 +531,6 @@ JobResult Engine::execute(const JobSpec& spec, std::size_t index,
                                ": injected fault engine.job.fail (clean "
                                "per-job failure)");
         core::DecomposeOptions dopt = spec.options;
-        if (opt_.conflictBudget != 0)
-            dopt.maxIterations =
-                std::min(dopt.maxIterations, opt_.conflictBudget);
         // Injected *before* the cache key is computed: the merge budget is
         // part of the options fingerprint, so a budget-starved result
         // lands under its own key and can never impersonate the

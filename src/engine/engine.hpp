@@ -53,11 +53,6 @@ struct EngineOptions {
     /// Result-cache capacity: exactly this many ready entries stay
     /// resident before LRU eviction (0 disables caching).
     std::size_t cacheCapacity = 64;
-    /// Per-job effort budget in decomposition iterations, in the CDCL
-    /// "conflict budget" tradition: when non-zero it caps
-    /// DecomposeOptions::maxIterations for every job, bounding worst-case
-    /// latency of a batch at the price of possibly unconverged results.
-    std::size_t conflictBudget = 0;
     /// Lanes for each job's group-selection probe sweep (intra-job
     /// parallelism): a floor on the job pool's size. Every sweep runs
     /// with one lane per pool thread; helper lanes run only on pool
@@ -303,9 +298,8 @@ private:
 /// engine-level knobs that change results but are *not* part of the
 /// per-job key — the cell library and the verification effort,
 /// including whether SAT verify runs and under which budgets. Per-job
-/// DecomposeOptions need no salting (they are already in every cache
-/// key); conflictBudget is folded into those options before keys are
-/// computed, so it is covered too.
+/// DecomposeOptions need no salting: they are already in every cache
+/// key, pd_cli's `--budget` (maxIterations) included.
 [[nodiscard]] std::string persistFingerprint(const EngineOptions& opt);
 
 }  // namespace pd::engine

@@ -42,13 +42,11 @@ void writeBatchReport(std::ostream& os, const EngineOptions& opt,
     w.key("engine").beginObject();
     w.field("jobs", opt.jobs);
     w.field("cache_capacity", opt.cacheCapacity);
-    w.field("conflict_budget", opt.conflictBudget);
     w.field("probe_threads", opt.probeThreads);
     w.field("verify_threads", std::uint64_t{opt.verifyThreads});
     w.field("verify_conflict_budget", opt.verifyConflictBudget);
     w.field("verify_prop_budget", opt.verifyPropagationBudget);
     w.field("shards", opt.shards);
-    w.field("shard_transport", "socket");  // the only transport
     {
         // Provenance identity: which exact source + toolchain produced
         // this document, and which schema versions its artifacts speak.

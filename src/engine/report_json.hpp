@@ -2,14 +2,13 @@
 //
 // The batch report is written with util::JsonWriter, the minimal
 // streaming JSON emitter shared by the benchmark trajectory files and
-// the obs trace/metrics exporters, so every artifact in the repo is
+// the obs trace exporter, so every artifact in the repo is
 // parseable by the same tooling.
 //
 // Batch report schema ("pd-batch-report-v1"):
 //   {
 //     "schema": "pd-batch-report-v1",
-//     "engine": {"jobs": u, "cache_capacity": u, "conflict_budget": u,
-//                "probe_threads": u,
+//     "engine": {"jobs": u, "cache_capacity": u, "probe_threads": u,
 //                "verify_threads": u,             // 0 off, 1 SAT verify on
 //                "verify_conflict_budget": u, "verify_prop_budget": u,
 //                "shards": u,                     // 0 → in-process batch

@@ -162,16 +162,13 @@ std::string encodeJob(std::uint32_t tag, const JobSpec& spec) {
     for (const auto& e : spec.expressions) w.str(e);
     const auto& o = spec.options;
     w.u64(o.k);
-    w.u32(static_cast<std::uint32_t>(o.identityMaxDegree));
     w.u8(o.useLinearMinimize ? 1 : 0);
     w.u8(o.useSizeReduction ? 1 : 0);
     w.u8(o.useIdentities ? 1 : 0);
     w.u8(o.useNullspaceMerging ? 1 : 0);
     w.u8(o.complementNullspace ? 1 : 0);
     w.u64(o.maxIterations);
-    w.u64(o.maxExhaustiveCombinations);
     w.u64(o.mergeAttemptBudget);
-    w.u8(o.recordTrace ? 1 : 0);
     w.u8(spec.verify ? 1 : 0);
     w.u8(spec.keepMapped ? 1 : 0);
     return out;
@@ -191,16 +188,13 @@ TaggedJob decodeJob(std::string_view payload) {
         spec.expressions.emplace_back(r.str());
     auto& o = spec.options;
     o.k = r.u64();
-    o.identityMaxDegree = static_cast<int>(r.u32());
     o.useLinearMinimize = r.u8() != 0;
     o.useSizeReduction = r.u8() != 0;
     o.useIdentities = r.u8() != 0;
     o.useNullspaceMerging = r.u8() != 0;
     o.complementNullspace = r.u8() != 0;
     o.maxIterations = r.u64();
-    o.maxExhaustiveCombinations = r.u64();
     o.mergeAttemptBudget = r.u64();
-    o.recordTrace = r.u8() != 0;
     spec.verify = r.u8() != 0;
     spec.keepMapped = r.u8() != 0;
     if (!r.done()) fail("shard", "trailing bytes after job spec");

@@ -1,5 +1,5 @@
 // Wire protocol between the shard coordinator and its worker processes
-// ("pd-shard-wire-v14"; see src/engine/shard/README.md for the full spec).
+// ("pd-shard-wire-v15"; see src/engine/shard/README.md for the full spec).
 //
 // Everything that crosses a worker socket is a length-prefixed, checksummed
 // frame over the same little-endian primitives as the pd-cache-v6 store:
@@ -105,7 +105,13 @@ namespace pd::engine::shard {
 /// index-record section (u32 count, then name, stamp and digest per
 /// entry) and carries only the job's cache entries; a registry job's
 /// cache key is engine::registryKey, the pd-cache-v6 key.
-inline constexpr std::uint32_t kProtocolVersion = 14;
+///
+/// v15 (one options struct): kJob loses three DecomposeOptions fields
+/// that became constants or went: identityMaxDegree (u32),
+/// maxExhaustiveCombinations (u64) and recordTrace (u8). Workers lose
+/// the --budget argv; pd_cli's --budget now lowers each job's
+/// maxIterations, which kJob already carries.
+inline constexpr std::uint32_t kProtocolVersion = 15;
 
 /// Upper bound on a single frame payload. Generous (a mapped multiplier
 /// netlist is kilobytes, not gigabytes) while keeping a corrupt length

@@ -91,7 +91,6 @@ template <typename Options, typename Visit>
 void forEachWorkerField(Options& e, Visit&& visit) {
     visit("--jobs", e.jobs);
     visit("--cache-capacity", e.cacheCapacity);
-    visit("--budget", e.conflictBudget);
     visit("--probe-threads", e.probeThreads);
     visit("--verify-threads", e.verifyThreads);
     visit("--verify-conflict-budget", e.verifyConflictBudget);

@@ -1,25 +1,10 @@
 #include "obs/export.hpp"
 
-#include <cctype>
 #include <set>
 
 #include "util/json_writer.hpp"
 
 namespace pd::obs {
-namespace {
-
-/// Rewrites a registry name to a Prometheus identifier:
-/// "shard.wire.tx.bytes" → "pd_shard_wire_tx_bytes".
-std::string promName(const std::string& name) {
-    std::string out = "pd_";
-    for (const char c : name) {
-        const bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0;
-        out += ok ? c : '_';
-    }
-    return out;
-}
-
-}  // namespace
 
 void writeChromeTrace(std::ostream& os, const std::vector<Span>& spans,
                       const std::map<std::int32_t, std::string>& processNames) {
@@ -69,36 +54,6 @@ void writeChromeTrace(std::ostream& os, const std::vector<Span>& spans,
     w.endArray();
     w.field("displayTimeUnit", "ms");
     w.endObject();
-}
-
-void writePrometheus(std::ostream& os, const MetricsSnapshot& snap) {
-    for (const auto& [name, value] : snap.counters) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << "_total counter\n";
-        os << p << "_total " << value << '\n';
-    }
-    for (const auto& [name, value] : snap.gauges) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " gauge\n";
-        os << p << ' ' << value << '\n';
-    }
-    for (const auto& h : snap.histograms) {
-        const std::string p = promName(h.name);
-        os << "# TYPE " << p << " histogram\n";
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-            cumulative += h.buckets[i];
-            os << p << "_bucket{le=\"";
-            if (i + 1 == Histogram::kBuckets) {
-                os << "+Inf";
-            } else {
-                os << Histogram::bucketBound(i);
-            }
-            os << "\"} " << cumulative << '\n';
-        }
-        os << p << "_sum " << h.sum << '\n';
-        os << p << "_count " << h.count << '\n';
-    }
 }
 
 }  // namespace pd::obs

@@ -1,8 +1,7 @@
-// Exporters for the pd-trace subsystem:
-//  * writeChromeTrace — Chrome trace-event JSON ("X" complete events,
-//    µs timestamps), directly loadable at https://ui.perfetto.dev.
-//  * writePrometheus — Prometheus text exposition format 0.0.4, the
-//    groundwork for ROADMAP's /metrics endpoint.
+// Exporter for the pd-trace subsystem: writeChromeTrace emits Chrome
+// trace-event JSON ("X" complete events, µs timestamps), directly
+// loadable at https://ui.perfetto.dev. The metrics registry needs no
+// exporter of its own: the batch report's `observability` block holds it.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
 namespace pd::obs {
@@ -23,11 +21,5 @@ namespace pd::obs {
 /// traces diffable. Spans need not be sorted.
 void writeChromeTrace(std::ostream& os, const std::vector<Span>& spans,
                       const std::map<std::int32_t, std::string>& processNames);
-
-/// Emits every registered metric in Prometheus exposition format:
-/// counters as `pd_<name>_total`, gauges as `pd_<name>`, histograms as
-/// `pd_<name>_bucket{le="..."}` / `_sum` / `_count` with log2 bounds.
-/// Dots and other non-identifier characters in names become '_'.
-void writePrometheus(std::ostream& os, const MetricsSnapshot& snap);
 
 }  // namespace pd::obs

@@ -215,10 +215,7 @@ netlist::Netlist synthSopKernels(const SopSpec& spec,
     std::vector<anf::Var> extractedVars;  // parallel to extracted nodes
 
     for (std::size_t round = 0; round < opt.maxExtractions; ++round) {
-        if (nextVar + 1 >= anf::Monomial::kMaxVars) {
-            anf::reachedCapacity("kernels");  // a narrow run re-runs wide
-            break;
-        }
+        if (nextVar + 1 >= anf::Monomial::kMaxVars) break;
         // Collect candidate kernels from every node.
         std::vector<std::vector<Cube>> candidates;
         std::unordered_set<std::string> seen;

@@ -242,36 +242,40 @@ TEST(Decomposer, TraceRecordsIterations) {
 }
 
 TEST(Decomposer, CapacityGuardCountsTheWholeBasis) {
-    // x0..x3 carry all 15 non-empty subset products, each with its own
-    // cofactor x4..x18, so that group's basis has 2^4 − 1 = 15 elements;
-    // linear terms pad the table to near the 256-variable capacity. A
-    // basis wider than the remaining headroom must stop the run with a
-    // residual, never overflow a monomial. At 241 variables the basis
-    // fits exactly; 243 and 245 pass the 2k + 2 headroom stop but not the
-    // basis; 246 hits the headroom stop.
-    for (const std::size_t n : {241u, 243u, 245u, 246u}) {
+    // One output per non-empty subset product of x0..x3. The folded list
+    // is Σ K_S·x^S over 15 tags: the only group is {x0..x3}, and its
+    // basis holds all 2^4 − 1 = 15 products, one per tag cofactor.
+    // Unused inputs take the ids in between. From 242 to 245 ids the
+    // 2k + 2 headroom stop lets the sweep run, but the 15 fresh leaders
+    // do not fit: the run must end on the capacity stop with a residual,
+    // never overflow a monomial.
+    for (const std::size_t ids : {242u, 245u}) {
         VarTable vt;
         std::vector<Anf> x;
-        for (std::size_t i = 0; i < n; ++i)
-            x.push_back(Anf::var(
-                vt.addInput("x" + std::to_string(i), 0, static_cast<int>(i))));
-        Anf f;
-        std::size_t cofactor = 4;
-        for (const std::size_t size : {4u, 3u, 2u, 1u})
-            for (unsigned mask = 1; mask < 16; ++mask) {
-                if (static_cast<std::size_t>(__builtin_popcount(mask)) != size)
-                    continue;
-                Anf term = x[cofactor++];
-                for (std::size_t v = 0; v < 4; ++v)
-                    if (mask & (1u << v)) term = term * x[v];
-                f ^= term;
-            }
-        for (std::size_t i = 19; i < n; ++i) f ^= x[i];
+        for (int i = 0; i < 4; ++i)
+            x.push_back(Anf::var(vt.addInput("x" + std::to_string(i), 0, i)));
+        for (int i = 0; vt.size() + 15 < ids; ++i)
+            (void)vt.addInput("p" + std::to_string(i), 1, i);
+        std::vector<Anf> outs;
+        std::vector<std::string> names;
+        for (unsigned mask = 1; mask < 16; ++mask) {
+            Anf o = Anf::one();
+            for (std::size_t v = 0; v < 4; ++v)
+                if (mask & (1u << v)) o = o * x[v];
+            outs.push_back(o);
+            names.push_back("o" + std::to_string(mask));
+        }
 
+        const std::uint64_t capacity = stops("capacity");
+        const std::uint64_t headroom = stops("headroom");
         Decomposition d;
-        ASSERT_NO_THROW(d = decompose(vt, {f}, {"f"})) << n << " variables";
-        EXPECT_LE(vt.size(), anf::Monomial::kMaxVars);
-        expectEquivalent(d, vt, {f});
+        ASSERT_NO_THROW(d = decompose(vt, outs, names)) << ids << " ids";
+        EXPECT_EQ(vt.size(), ids) << "no fresh variable was allocated";
+        EXPECT_EQ(stops("capacity") - capacity, 1u) << ids << " ids";
+        EXPECT_EQ(stops("headroom") - headroom, 0u) << ids << " ids";
+        EXPECT_FALSE(d.converged);
+        EXPECT_TRUE(d.blocks.empty());
+        expectEquivalent(d, vt, outs);
     }
 }
 

@@ -7,7 +7,8 @@
 // fault-starved verify is never published), the default batch at 4
 // jobs against 1 (jobs and sweep counters), the two monomial widths (the
 // narrow and wide compute passes agree, and a job that outgrows 128 ids
-// re-runs wide with the wide result), and the JSON reporter.
+// re-runs wide with the wide result), the JSON reporter, and the literal
+// values of the option, store and registry keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,12 +252,12 @@ TEST(Engine, ErrorIsolation) {
     EXPECT_TRUE(results[3].ok) << results[3].error;
 }
 
-TEST(Engine, ConflictBudgetCapsIterations) {
+TEST(Engine, MaxIterationsCapsIterations) {
     EngineOptions opt;
     opt.jobs = 1;
-    opt.conflictBudget = 1;
     JobSpec spec;
     spec.benchmark = "counter8";
+    spec.options.maxIterations = 1;  // what pd_cli --budget 1 sets
     spec.verify = false;  // an unconverged result cannot verify
     const auto r = runBatch({spec}, opt).front();
     ASSERT_TRUE(r.ok) << r.error;
@@ -363,6 +364,40 @@ TEST(Digest, InvariantUnderRenaming) {
     const core::DecomposeOptions opt;
     EXPECT_EQ(canonicalDigest(f1, opt, true), canonicalDigest(f2, opt, true));
     EXPECT_EQ(oracleSignature(f1, opt, true), oracleSignature(f2, opt, true));
+}
+
+// ---- pinned keys ------------------------------------------------------------
+// A change that moves one of these literals silently turns every existing
+// store cold (or, worse, merges two keys), so they change only together
+// with the store format or the decomposer revision.
+
+TEST(Keys, OptionsAndPersistFingerprintsArePinned) {
+    EXPECT_EQ(optionsFingerprint(core::DecomposeOptions{}, true),
+              "|k4|d2|l1|s1|i1|n1|c0|m256|x4000|b100000|v1");
+    EXPECT_EQ(persistFingerprint(EngineOptions{}),
+              "lib:umc130|dr2|xl22|rb512|sd11400714819323198485|vs0");
+}
+
+TEST(Keys, RegistryKeysArePinned) {
+    const auto key = [](const char* name, std::size_t maxIterations) {
+        core::DecomposeOptions opt;
+        opt.maxIterations = maxIterations;
+        const auto bench = circuits::makeNamedBenchmark(name);
+        return registryKey(name, optionsFingerprint(opt, true),
+                           specStamp(*bench))
+            .hex();
+    };
+    EXPECT_EQ(key("majority7", 256), "dbfe087bb5ff8c208584b96e11532b90");
+    EXPECT_EQ(key("adder16", 256), "181730f3fa11f795f6d67d3399cf41c5");
+    // pd_cli --budget 1 lowers maxIterations to 1.
+    EXPECT_EQ(key("majority7", 1), "f8ee5658827ea01a44d75f90ef45fc24");
+
+    // The engine keys a registry job the same way.
+    JobSpec spec;
+    spec.benchmark = "majority7";
+    const auto r = runBatch({spec}, EngineOptions{}).front();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.cacheKey, "dbfe087bb5ff8c208584b96e11532b90");
 }
 
 /// Random multi-output ANF set over `vars`.
@@ -1007,9 +1042,8 @@ TEST(Width, NarrowAndWidePassesAgreeOnEveryRegistryJob) {
     }
 }
 
-/// The shape of Decomposer.CapacityGuardCountsTheWholeBasis over `n`
-/// variables: x0..x3 carry all 15 subset products, each with its own
-/// cofactor x4..x18; x19.. pad the expression linearly.
+/// One output over `n` variables: x0..x3 carry all 15 subset products,
+/// each with its own cofactor x4..x18; x19.. pad the expression linearly.
 std::string basisShaped(std::size_t n) {
     const auto x = [](std::size_t i) { return "x" + std::to_string(i); };
     std::string f = "f=";

@@ -1,7 +1,7 @@
 // pd-trace unit tests: histogram bucket math, the metrics registry and
 // its delta/merge algebra, span rings + ScopedSpan gating, the Chrome
-// trace and Prometheus exporters (validated with the repo's own JSON
-// parser), the leveled logger, and the kObs wire codec.
+// trace exporter (validated with the repo's own JSON parser), the
+// leveled logger, and the kObs wire codec.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -261,23 +261,6 @@ TEST_F(ObsTest, ChromeTraceIsValidJson) {
     EXPECT_TRUE(sawMeta);
     EXPECT_TRUE(sawSpan);
     EXPECT_EQ(doc.find("displayTimeUnit")->asString(), "ms");
-}
-
-TEST_F(ObsTest, PrometheusExposition) {
-    obs::counter("p.hits").add(3);
-    obs::gauge("p.rss").set(17);
-    obs::histogram("p.lat").observe(5);
-    std::ostringstream os;
-    obs::writePrometheus(os, obs::snapshotMetrics());
-    const std::string text = os.str();
-    EXPECT_NE(text.find("pd_p_hits_total 3\n"), std::string::npos);
-    EXPECT_NE(text.find("pd_p_rss 17\n"), std::string::npos);
-    // 5 lands in le=8; cumulative buckets mean every later le includes it.
-    EXPECT_NE(text.find("pd_p_lat_bucket{le=\"8\"} 1"), std::string::npos);
-    EXPECT_NE(text.find("pd_p_lat_bucket{le=\"+Inf\"} 1"),
-              std::string::npos);
-    EXPECT_NE(text.find("pd_p_lat_sum 5\n"), std::string::npos);
-    EXPECT_NE(text.find("pd_p_lat_count 1\n"), std::string::npos);
 }
 
 TEST_F(ObsTest, ObsDeltaCodecRoundTrips) {

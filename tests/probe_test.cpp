@@ -260,17 +260,15 @@ TEST(ProbeSweep, EveryCandidateScoresAsTheReference) {
     ASSERT_TRUE(bench.has_value());
     VarTable vt;
     const auto outs = bench->anf(vt);
-    DecomposeOptions dopt;
-    dopt.probeCaptureHook = [&](const Anf& f,
-                                const std::vector<anf::VarSet>& c,
-                                const ring::IdentityDb& i) {
-        sweeps.push_back({f, c, i});
-    };
-    (void)decompose(vt, outs, bench->outputNames, dopt);
+    (void)decompose(vt, outs, bench->outputNames, {},
+                    [&](const Anf& f, const std::vector<anf::VarSet>& c,
+                        const ring::IdentityDb& i) {
+                        sweeps.push_back({f, c, i});
+                    });
     ASSERT_FALSE(sweeps.empty());
 
     GroupOptions opt;
-    opt.probeMergeBudget = dopt.mergeAttemptBudget;
+    opt.probeMergeBudget = kDefaultMergeAttemptBudget;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         probe::ProbeContext ctx(lanePool(threads));
         std::vector<std::pair<std::size_t, std::size_t>> scores;
@@ -453,13 +451,12 @@ TEST(CandidateBounds, MatchReferenceOnRealSweeps) {
         DecomposeOptions dopt;
         dopt.maxIterations = static_cast<std::size_t>(iterations);
         std::size_t sweeps = 0;
-        dopt.probeCaptureHook = [&](const Anf& f,
-                                    const std::vector<anf::VarSet>& c,
-                                    const ring::IdentityDb& ids) {
-            ++sweeps;
-            expectBoundsMatchReference(f, c, ids);
-        };
-        (void)decompose(vt, outs, bench->outputNames, dopt);
+        (void)decompose(vt, outs, bench->outputNames, dopt,
+                        [&](const Anf& f, const std::vector<anf::VarSet>& c,
+                            const ring::IdentityDb& ids) {
+                            ++sweeps;
+                            expectBoundsMatchReference(f, c, ids);
+                        });
         EXPECT_GT(sweeps, 0u) << name;
     }
 }
@@ -527,12 +524,11 @@ std::vector<CapturedSweep> captureSweeps(const char* name,
     const auto outs = bench->anf(vt);
     DecomposeOptions dopt;
     dopt.maxIterations = iterations;
-    dopt.probeCaptureHook = [&](const Anf& f,
-                                const std::vector<anf::VarSet>& c,
-                                const ring::IdentityDb& i) {
-        sweeps.push_back({f, c, i});
-    };
-    (void)decompose(vt, outs, bench->outputNames, dopt);
+    (void)decompose(vt, outs, bench->outputNames, dopt,
+                    [&](const Anf& f, const std::vector<anf::VarSet>& c,
+                        const ring::IdentityDb& i) {
+                        sweeps.push_back({f, c, i});
+                    });
     return sweeps;
 }
 
@@ -848,13 +844,13 @@ TEST(ProbeDecompose, CaptureHookSeesEverySweep) {
     VarTable vt;
     const auto outs = bench->anf(vt);
     std::size_t calls = 0;
-    DecomposeOptions opt;
-    opt.probeCaptureHook = [&](const Anf&, const std::vector<anf::VarSet>& c,
-                               const ring::IdentityDb&) {
-        ++calls;
-        EXPECT_FALSE(c.empty());
-    };
-    const auto d = decompose(vt, outs, bench->outputNames, opt);
+    const auto d = decompose(
+        vt, outs, bench->outputNames, {},
+        [&](const Anf&, const std::vector<anf::VarSet>& c,
+            const ring::IdentityDb&) {
+            ++calls;
+            EXPECT_FALSE(c.empty());
+        });
     EXPECT_EQ(calls, d.probe.sweeps);
 }
 

@@ -162,10 +162,13 @@ TEST(ReportSchemaTest, BuildProvenanceIsPopulated) {
     // build tree but must at least be non-empty strings.
     EXPECT_FALSE(doc.findPath("engine.build.compiler")->asString().empty());
     EXPECT_FALSE(doc.findPath("engine.build.git_hash")->asString().empty());
-    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 14);
+    EXPECT_EQ(doc.findPath("engine.build.schemas.shard_wire")->asInt(), 15);
     EXPECT_EQ(doc.findPath("engine.build.schemas.cache_store")->asString(),
               "pd-cache-v6");
-    EXPECT_EQ(doc.findPath("engine.shard_transport")->asString(), "socket");
+    // The iteration cap is a per-job option (in every job key), and the
+    // transport is always a socket: neither is an engine field.
+    EXPECT_EQ(doc.findPath("engine.conflict_budget"), nullptr);
+    EXPECT_EQ(doc.findPath("engine.shard_transport"), nullptr);
     EXPECT_EQ(doc.findPath("engine.build.schemas.proof_store"), nullptr);
 }
 

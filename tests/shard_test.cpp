@@ -223,13 +223,10 @@ TEST(ShardProtocol, JobSpecRoundTrip) {
     spec.benchmark = "majority7";
     spec.expressions = {"f=a*b ^ c", "g=a ^ b"};
     spec.options.k = 3;
-    spec.options.identityMaxDegree = 5;
     spec.options.useLinearMinimize = false;
     spec.options.complementNullspace = true;
     spec.options.maxIterations = 17;
-    spec.options.maxExhaustiveCombinations = 1234;
     spec.options.mergeAttemptBudget = 99;
-    spec.options.recordTrace = false;
     spec.verify = false;
     spec.keepMapped = true;
 
@@ -239,7 +236,6 @@ TEST(ShardProtocol, JobSpecRoundTrip) {
     EXPECT_EQ(back.benchmark, spec.benchmark);
     EXPECT_EQ(back.expressions, spec.expressions);
     EXPECT_EQ(back.options.k, spec.options.k);
-    EXPECT_EQ(back.options.identityMaxDegree, spec.options.identityMaxDegree);
     EXPECT_EQ(back.options.useLinearMinimize, spec.options.useLinearMinimize);
     EXPECT_EQ(back.options.useSizeReduction, spec.options.useSizeReduction);
     EXPECT_EQ(back.options.useIdentities, spec.options.useIdentities);
@@ -248,11 +244,8 @@ TEST(ShardProtocol, JobSpecRoundTrip) {
     EXPECT_EQ(back.options.complementNullspace,
               spec.options.complementNullspace);
     EXPECT_EQ(back.options.maxIterations, spec.options.maxIterations);
-    EXPECT_EQ(back.options.maxExhaustiveCombinations,
-              spec.options.maxExhaustiveCombinations);
     EXPECT_EQ(back.options.mergeAttemptBudget,
               spec.options.mergeAttemptBudget);
-    EXPECT_EQ(back.options.recordTrace, spec.options.recordTrace);
     EXPECT_EQ(back.verify, spec.verify);
     EXPECT_EQ(back.keepMapped, spec.keepMapped);
 }
@@ -474,7 +467,6 @@ TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
     EngineOptions e;
     e.jobs = 3;
     e.cacheCapacity = 7;
-    e.conflictBudget = 11;
     e.probeThreads = 3;
     e.verifyThreads = true;
     e.verifyConflictBudget = 123456789012ull;
@@ -495,7 +487,6 @@ TEST(ShardWorkerArgs, EveryWorkerFieldSurvivesTheRoundTrip) {
     const EngineOptions& d = w->engine;
     EXPECT_EQ(d.jobs, e.jobs);
     EXPECT_EQ(d.cacheCapacity, e.cacheCapacity);
-    EXPECT_EQ(d.conflictBudget, e.conflictBudget);
     EXPECT_EQ(d.probeThreads, e.probeThreads);
     EXPECT_EQ(d.verifyThreads, e.verifyThreads);
     EXPECT_EQ(d.verifyConflictBudget, e.verifyConflictBudget);
@@ -535,10 +526,12 @@ TEST(ShardWorkerArgs, DecodeRejectsUnknownFlagsMissingValuesAndJunk) {
         EXPECT_NE(error.find(expected), std::string::npos) << error;
     };
     rejects({"--merge-budget", "5"}, "unknown worker option '--merge-budget'");
-    rejects({"--budget"}, "--budget expects a value");
+    // The iteration budget travels in each job's options, not the argv.
+    rejects({"--budget", "5"}, "unknown worker option '--budget'");
+    rejects({"--cache-capacity"}, "--cache-capacity expects a value");
     rejects({"--shard-id"}, "--shard-id expects a value");
     rejects({"--cache-file"}, "--cache-file expects a value");
-    rejects({"--budget", "12x"}, "non-negative integer, got '12x'");
+    rejects({"--cache-capacity", "12x"}, "non-negative integer, got '12x'");
     rejects({"--equiv-seed", "-1"}, "non-negative integer, got '-1'");
     rejects({"--shard-id", "4294967296"}, "(out of range)");
     rejects({"--heartbeat-ms", "99999999999"}, "expects at most");

@@ -41,7 +41,8 @@
 //   --cache-file <f> persistent pd-cache-v6 store: warm-start from it and
 //                    flush results back after the batch
 //   --cache-readonly load the store but never write it back
-//   --budget <n>     per-job decomposition iteration budget (0 = unlimited)
+//   --budget <n>     per-job decomposition iteration budget: lowers each
+//                    job's maxIterations (default 256) to n; 0 keeps it
 //   --no-verify      skip verification of the mapped netlists
 //   --shards <n>     partition the batch across n crash-isolated worker
 //                    processes (0 = in-process; 1 = one isolated worker);
@@ -75,8 +76,6 @@
 //                    trace-event JSON (load it at ui.perfetto.dev). In
 //                    sharded mode the file is one merged fleet trace:
 //                    coordinator plus one process track per worker.
-//   --metrics-out <f>  dump the metrics registry in Prometheus text
-//                    exposition format after the batch
 //   --fault <site:spec>  arm a deterministic fault-injection site
 //                    (repeatable; same grammar as PD_FAULTS — see
 //                    src/util/fault/fault.hpp). Chaos testing only.
@@ -98,6 +97,7 @@
 // '&', '~' complements, identifiers are registered as inputs on first
 // use. Example:
 //   pd_cli expr --trace "maj=a*b ^ a*c ^ b*c"
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -152,7 +152,7 @@ int usage() {
         "         --shard-transport socket  --shard-heartbeat-ms <n>\n"
         "         --verify-threads 0|1  --verify-conflict-budget <n>\n"
         "         --verify-prop-budget <n>\n"
-        "         --trace-out <file>  --metrics-out <file>\n"
+        "         --trace-out <file>\n"
         "chaos:   --fault <site:spec>  (or PD_FAULTS=\"site:spec,...\")\n"
         "worker:  (internal; spawned by the batch coordinator with its\n"
         "         engine configuration as argv)\n"
@@ -195,7 +195,6 @@ struct Options {
     bool verify = true;
     std::string jsonPath;
     std::string traceOutPath;
-    std::string metricsOutPath;
 };
 
 int runDecomposition(pd::anf::VarTable& vt,
@@ -295,8 +294,7 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
                                arg == "--verify-threads" ||
                                arg == "--verify-conflict-budget" ||
                                arg == "--verify-prop-budget" ||
-                               arg == "--trace-out" ||
-                               arg == "--metrics-out";
+                               arg == "--trace-out";
         const bool flowOnly = arg == "--trace" || arg == "--stats" ||
                               arg == "--verilog" || arg == "--blif";
         if (batchOnly && !batchMode) {
@@ -330,7 +328,11 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
         } else if (arg == "--cache-readonly") {
             opt.engine.cacheReadonly = true;
         } else if (arg == "--budget") {
-            if (!countArg(opt.engine.conflictBudget)) return usage();
+            // Caps the iteration count, which every job key covers.
+            const std::size_t cap = pd::core::DecomposeOptions{}.maxIterations;
+            std::size_t budget = 0;
+            if (!countArg(budget)) return usage();
+            opt.decompose.maxIterations = budget ? std::min(cap, budget) : cap;
         } else if (arg == "--shards") {
             if (!parallelismArg(opt.engine.shards)) return usage();
         } else if (arg == "--shard-wall-ms") {
@@ -406,9 +408,6 @@ int parseCommon(int argc, char** argv, int first, bool batchMode,
         } else if (arg == "--trace-out") {
             if (++i >= argc) return usage();
             opt.traceOutPath = argv[i];
-        } else if (arg == "--metrics-out") {
-            if (++i >= argc) return usage();
-            opt.metricsOutPath = argv[i];
         } else if (arg == "--no-identities") {
             opt.decompose.useIdentities = false;
         } else if (arg == "--no-nullspace") {
@@ -554,16 +553,6 @@ int runBatchMode(const Options& opt, const std::vector<std::string>& names) {
         pd::obs::writeChromeTrace(os, spans, tracks);
         std::cout << "wrote " << opt.traceOutPath << " (" << spans.size()
                   << " spans)\n";
-    }
-
-    if (!opt.metricsOutPath.empty()) {
-        std::ofstream os(opt.metricsOutPath);
-        if (!os) {
-            std::cerr << "cannot write " << opt.metricsOutPath << "\n";
-            return 1;
-        }
-        pd::obs::writePrometheus(os, pd::obs::snapshotMetrics());
-        std::cout << "wrote " << opt.metricsOutPath << "\n";
     }
 
     bool fatal = false;
